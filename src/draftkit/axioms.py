@@ -13,9 +13,11 @@ checked, nothing more.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, permutations, product
+from functools import cached_property, lru_cache
+from itertools import chain, combinations, permutations, product
 from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .core import (
     INFINITE,
@@ -35,6 +37,8 @@ from .core import (
 from .dominance import (
     WeightScheme,
     additive_utility,
+    dominance_table,
+    ef1_table,
     quota_weakly_dominates,
     weakly_dominates,
 )
@@ -156,21 +160,6 @@ class ProblemDomain:
                 for combo in product(prefs, repeat=len(pop)):
                     yield Problem(self.variant, pop, x, combo, self.quotas)
 
-    def size(self) -> int:
-        total = 0
-        if self.variant == "variable":
-            for pop in self.populations:
-                for x in self.available_sets:
-                    k = max(bundle_size(x), 0)
-                    total += max(
-                        1, len(_rankings(tuple(range(k))))
-                    ) ** len(pop) if k else 1
-            return total
-        p = len(self.preference_space())
-        for pop in self.populations:
-            total += len(self.available_sets) * p ** len(pop)
-        return total
-
 
 def _subset_masks(m: int, nonempty=True) -> tuple[Bundle, ...]:
     masks = [x for x in range(0 if not nonempty else 1, 1 << m)]
@@ -225,9 +214,11 @@ class FixedSweep:
     """Evaluates a rule over a whole fixed-population domain once.
 
     Allocations live in arrays indexed by (available-set index, profile code);
-    a profile code is the base-P little-endian encoding of per-agent preference
-    indexes. Cross-problem checks (misreports, subsets, truncations) are then
-    pure index arithmetic, so a rule is run exactly once per problem.
+    a profile code is the base-P encoding of per-agent preference indexes, slot
+    0 most significant. Cross-problem checks (misreports, subsets, truncations)
+    are then pure index arithmetic, so a rule is run exactly once per problem.
+    Each set's grid is filled on first use and mirrored in a uint8 array that
+    the gather checkers read.
     """
 
     def __init__(self, rule: Rule, domain: ProblemDomain):
@@ -245,7 +236,8 @@ class FixedSweep:
         # grids are filled in itertools.product order: slot 0 is the most significant digit
         self._pow = tuple(self.P ** (self.n - 1 - slot) for slot in range(self.n))
         self._grids: dict[int, list[Allocation]] = {}
-        self._restriction_classes: dict[int, list[int]] = {}
+        self._arrays: dict[int, np.ndarray] = {}
+        self._reps: dict[int, np.ndarray] = {}
 
     # --- profile codes ---
 
@@ -296,12 +288,27 @@ class FixedSweep:
             ]
         return self._grids[x_idx]
 
-    def restriction_class_reps(self, x_idx: int) -> list[int]:
-        """One preference index per restriction class on this available set."""
-        if x_idx not in self._restriction_classes:
-            seen: dict = {}
-            reps = []
+    def allocs(self, x_idx: int) -> np.ndarray:
+        """grid(x_idx) as a uint8 (Pⁿ, n) array: row = profile code, column = agent slot."""
+        if x_idx not in self._arrays:
+            if self.domain.n_objects > 8:
+                raise ValueError("allocation arrays hold bundles of at most 8 objects")
+            grid = self.grid(x_idx)
+            flat = np.fromiter(chain.from_iterable(grid), np.uint8, len(grid) * self.n)
+            self._arrays[x_idx] = flat.reshape(len(grid), self.n)
+        return self._arrays[x_idx]
+
+    @cached_property
+    def digits(self) -> np.ndarray:
+        """(Pⁿ, n) preference index of each slot at each profile code."""
+        return np.indices((self.P,) * self.n).reshape(self.n, -1).T
+
+    def restriction_reps(self, x_idx: int) -> np.ndarray:
+        """Per preference index, the first index whose restriction to this set is the same."""
+        if x_idx not in self._reps:
             x = self.xs[x_idx]
+            first: dict = {}
+            reps = []
             for i, p in enumerate(self.prefs):
                 ranking = tuple(o for o in p.ranking if x >> o & 1)
                 cut = (
@@ -309,32 +316,9 @@ class FixedSweep:
                     if p.cutoff is None
                     else sum(1 for o in ranking if p.acceptable >> o & 1)
                 )
-                key = (ranking, cut)
-                if key not in seen:
-                    seen[key] = i
-                    reps.append(i)
-            self._restriction_classes[x_idx] = reps
-        return self._restriction_classes[x_idx]
-
-    def restriction_rep_of(self, x_idx: int, pref_idx: int) -> int:
-        reps = self.restriction_class_reps(x_idx)
-        x = self.xs[x_idx]
-        p = self.prefs[pref_idx]
-        ranking = tuple(o for o in p.ranking if x >> o & 1)
-        cut = (
-            None if p.cutoff is None else sum(1 for o in ranking if p.acceptable >> o & 1)
-        )
-        for i in reps:
-            q = self.prefs[i]
-            qr = tuple(o for o in q.ranking if x >> o & 1)
-            qc = (
-                None
-                if q.cutoff is None
-                else sum(1 for o in qr if q.acceptable >> o & 1)
-            )
-            if (qr, qc) == (ranking, cut):
-                return i
-        raise AssertionError("restriction class missing")
+                reps.append(first.setdefault((ranking, cut), i))
+            self._reps[x_idx] = np.array(reps)
+        return self._reps[x_idx]
 
 
 def _dominates(pref: Preference, quota, s: Bundle, t: Bundle) -> bool:
@@ -348,6 +332,98 @@ def _union(alloc: Allocation) -> Bundle:
     for b in alloc:
         u |= b
     return u
+
+
+# ---------------------------------------------------------------------------
+# Gather kernels: relation tables and first-violation scans over a FixedSweep
+# ---------------------------------------------------------------------------
+
+_BLOCK = 1 << 15  # gathered cells per step of a deviation scan; bounds its temporaries
+
+
+@lru_cache(maxsize=None)
+def _dom_table(cutoffs: bool, m: int, quota: int | None) -> np.ndarray:
+    return dominance_table(_cutoff_prefs(m) if cutoffs else _fixed_prefs(m), m, quota)
+
+
+@lru_cache(maxsize=None)
+def _ef1_table(cutoffs: bool, m: int, quota: int | None) -> np.ndarray:
+    return ef1_table(_dom_table(cutoffs, m, quota), m)
+
+
+def _relation(sw: FixedSweep, quota=None, ef1: bool = False) -> np.ndarray:
+    """DOM[pref_idx, s, t] (or EF1OK) for one quota, indexed like sw.prefs; built on first use."""
+    q = None if quota is None or quota == INFINITE else int(quota)
+    key = (sw.domain.variant == "unacceptable", sw.domain.n_objects, q)
+    return _ef1_table(*key) if ef1 else _dom_table(*key)
+
+
+def _slot_relations(sw: FixedSweep, ef1: bool = False) -> list[np.ndarray]:
+    """One relation table per agent slot, under that agent's quota."""
+    return [_relation(sw, q, ef1) for q in sw.domain.quotas or (None,) * sw.n]
+
+
+def _first_violation(bad: np.ndarray, counted: np.ndarray | None = None):
+    """First True cell of `bad` in row-major order, and the checks made up to it.
+
+    `counted` marks the cells that are checks (every cell when None); `bad`
+    must be False outside them. Returns (index tuple or None, checks), where
+    checks runs up to and including the violation, or over the whole block.
+    """
+    flat = bad.reshape(-1)
+    at = int(flat.argmax()) if flat.size else 0
+    if flat.size and flat[at]:
+        if counted is None:
+            checks = at + 1
+        else:
+            checks = int(np.count_nonzero(counted.reshape(-1)[: at + 1]))
+        return tuple(int(i) for i in np.unravel_index(at, bad.shape)), checks
+    return None, flat.size if counted is None else int(np.count_nonzero(counted))
+
+
+def _first_code(bad: np.ndarray):
+    """Like _first_violation on a (codes, checks) block where each code counts as one check.
+
+    Returns ((code, column) or None, codes checked).
+    """
+    hit, checks = _first_violation(bad.any(axis=1))
+    if hit is None:
+        return None, checks
+    return (hit[0], int(bad[hit[0]].argmax())), checks
+
+
+def _deviation_scan(sw: FixedSweep, xi: int, codes, targets, counted, bad_of, admit=None):
+    """First violation among single-agent report changes at `codes` of set xi.
+
+    At each code (in order), each slot and each column k, the agent with
+    truthful preference index d reports targets[d, k] instead. The cell is a
+    check where counted[d, k] holds and, if given, admit(own, alt) does.
+    bad_of(slot, d, own, other) judges the checks from the truthful and the
+    deviating bundle. Returns ((code, slot, report index) or None, checks).
+    """
+    allocs = sw.allocs(xi)
+    width = targets.shape[1]
+    step = max(1, _BLOCK // (sw.n * width))
+    checked = 0
+    for lo in range(0, len(codes), step):
+        block = codes[lo : lo + step]
+        bad = np.zeros((len(block), sw.n, width), dtype=bool)
+        ok = np.zeros_like(bad)
+        for slot in range(sw.n):
+            d = sw.digits[block, slot]
+            alt = targets[d]
+            own = allocs[block, slot][:, None]
+            other = allocs[block[:, None] + (alt - d[:, None]) * sw._pow[slot], slot]
+            valid = counted[d] if admit is None else counted[d] & admit(own, alt)
+            ok[:, slot] = valid
+            bad[:, slot] = valid & bad_of(slot, d[:, None], own, other)
+        hit, checks = _first_violation(bad, ok)
+        checked += checks
+        if hit is not None:
+            c, slot, k = hit
+            code = int(block[c])
+            return (code, slot, int(targets[sw.slot_index(code, slot), k])), checked
+    return None, checked
 
 
 # ---------------------------------------------------------------------------
@@ -484,30 +560,43 @@ def check_nw(rule, domain) -> AxiomReport:
     return _holds("NW", checked)
 
 
+def _check_envy(sw: FixedSweep, name: str, pairs, tables) -> AxiomReport:
+    """Per-problem envy scan: for (a, b) in pairs, a's bundle must pass tables[a] against b's.
+
+    Pairs are listed in check order; each problem counts as one check.
+    """
+    checked = 0
+    for xi in range(len(sw.xs)):
+        allocs, digits = sw.allocs(xi), sw.digits
+        bad = np.zeros((len(allocs), len(pairs)), dtype=bool)
+        for k, (a, b) in enumerate(pairs):
+            bad[:, k] = ~tables[a][digits[:, a], allocs[:, a], allocs[:, b]]
+        hit, checks = _first_code(bad)
+        checked += checks
+        if hit is not None:
+            code, k = hit
+            prob = sw.problem(xi, code)
+            return _violated(
+                name,
+                checked,
+                {
+                    "problem": describe_problem(prob),
+                    "allocation": describe_allocation(prob, sw.grid(xi)[code]),
+                    "envious": prob.agents[pairs[k][0]],
+                    "envied": prob.agents[pairs[k][1]],
+                },
+            )
+    return _holds(name, checked)
+
+
+def _ordered_pairs(n: int) -> list[tuple[int, int]]:
+    return [(a, b) for a in range(n) for b in range(n) if a != b]
+
+
 def check_ef(rule, domain) -> AxiomReport:
     """Envy-freeness: everyone weakly prefers her own bundle to anyone else's."""
     sw = _sweep(rule, domain)
-    quotas = domain.quotas or (None,) * sw.n
-    checked = 0
-    for xi in range(len(sw.xs)):
-        for code, alloc in enumerate(sw.grid(xi)):
-            checked += 1
-            profile = sw.profile(code)
-            for i in range(sw.n):
-                for j in range(sw.n):
-                    if i != j and not _dominates(profile[i], quotas[i], alloc[i], alloc[j]):
-                        prob = sw.problem(xi, code)
-                        return _violated(
-                            "EF",
-                            checked,
-                            {
-                                "problem": describe_problem(prob),
-                                "allocation": describe_allocation(prob, alloc),
-                                "envious": prob.agents[i],
-                                "envied": prob.agents[j],
-                            },
-                        )
-    return _holds("EF", checked)
+    return _check_envy(sw, "EF", _ordered_pairs(sw.n), _slot_relations(sw))
 
 
 def _ef1_ok(pref: Preference, quota, own: Bundle, other: Bundle) -> bool:
@@ -522,58 +611,15 @@ def _ef1_ok(pref: Preference, quota, own: Bundle, other: Bundle) -> bool:
 def check_ef1(rule, domain) -> AxiomReport:
     """Envy bounded by one object: some |S| <= 1 removal from the envied bundle kills the envy."""
     sw = _sweep(rule, domain)
-    quotas = domain.quotas or (None,) * sw.n
-    checked = 0
-    for xi in range(len(sw.xs)):
-        for code, alloc in enumerate(sw.grid(xi)):
-            checked += 1
-            profile = sw.profile(code)
-            for j in range(sw.n):  # j evaluates i's bundle
-                for i in range(sw.n):
-                    if i == j:
-                        continue
-                    if not _ef1_ok(profile[j], quotas[j], alloc[j], alloc[i]):
-                        prob = sw.problem(xi, code)
-                        return _violated(
-                            "EF1",
-                            checked,
-                            {
-                                "problem": describe_problem(prob),
-                                "allocation": describe_allocation(prob, alloc),
-                                "envious": prob.agents[j],
-                                "envied": prob.agents[i],
-                            },
-                        )
-    return _holds("EF1", checked)
+    return _check_envy(sw, "EF1", _ordered_pairs(sw.n), _slot_relations(sw, ef1=True))
 
 
 def check_rp(rule, domain, priority: Priority) -> AxiomReport:
     """Respect for the priority: nobody envies an agent with lower priority."""
     sw = _sweep(rule, domain)
-    quotas = domain.quotas or (None,) * sw.n
-    pos = {a: priority.index(a) for a in sw.agents}
-    checked = 0
-    for xi in range(len(sw.xs)):
-        for code, alloc in enumerate(sw.grid(xi)):
-            checked += 1
-            profile = sw.profile(code)
-            for i in range(sw.n):
-                for j in range(sw.n):
-                    if pos[sw.agents[i]] < pos[sw.agents[j]] and not _dominates(
-                        profile[i], quotas[i], alloc[i], alloc[j]
-                    ):
-                        prob = sw.problem(xi, code)
-                        return _violated(
-                            f"RP-{list(priority)}",
-                            checked,
-                            {
-                                "problem": describe_problem(prob),
-                                "allocation": describe_allocation(prob, alloc),
-                                "envious": prob.agents[i],
-                                "envied": prob.agents[j],
-                            },
-                        )
-    return _holds(f"RP-{list(priority)}", checked)
+    pos = [priority.index(a) for a in sw.agents]
+    pairs = [(a, b) for a, b in _ordered_pairs(sw.n) if pos[a] < pos[b]]
+    return _check_envy(sw, f"RP-{list(priority)}", pairs, _slot_relations(sw))
 
 
 def check_wrp(rule, domain, priority: Priority) -> AxiomReport:
@@ -737,7 +783,7 @@ def check_eff(rule, domain) -> AxiomReport:
 def check_rm(rule, domain) -> AxiomReport:
     """Resource monotonicity: growing the available set weakly improves every agent."""
     sw = _sweep(rule, domain)
-    quotas = domain.quotas or (None,) * sw.n
+    tables = _slot_relations(sw)
     pairs = [
         (bi, si)
         for bi, big in enumerate(sw.xs)
@@ -746,40 +792,41 @@ def check_rm(rule, domain) -> AxiomReport:
     ]
     checked = 0
     for bi, si in pairs:
-        big_grid, small_grid = sw.grid(bi), sw.grid(si)
-        for code in sw.codes():
-            checked += 1
-            big_alloc, small_alloc = big_grid[code], small_grid[code]
-            profile = None
-            for i in range(sw.n):
-                if big_alloc[i] == small_alloc[i]:
-                    continue
-                if profile is None:
-                    profile = sw.profile(code)
-                if not _dominates(profile[i], quotas[i], big_alloc[i], small_alloc[i]):
-                    small_prob = sw.problem(si, code)
-                    big_prob = sw.problem(bi, code)
-                    return _violated(
-                        "RM",
-                        checked,
-                        {
-                            "problem": describe_problem(big_prob),
-                            "smaller_set": format_bundle(sw.xs[si]),
-                            "agent": sw.agents[i],
-                            "bundle_large": format_bundle(big_alloc[i]),
-                            "bundle_small": format_bundle(small_alloc[i]),
-                            "allocation_small": describe_allocation(small_prob, small_alloc),
-                        },
-                    )
+        big, small = sw.allocs(bi), sw.allocs(si)
+        digits = sw.digits
+        bad = np.stack(
+            [~tables[i][digits[:, i], big[:, i], small[:, i]] for i in range(sw.n)], axis=1
+        )
+        hit, checks = _first_code(bad)
+        checked += checks
+        if hit is not None:
+            code, i = hit
+            big_alloc, small_alloc = sw.grid(bi)[code], sw.grid(si)[code]
+            return _violated(
+                "RM",
+                checked,
+                {
+                    "problem": describe_problem(sw.problem(bi, code)),
+                    "smaller_set": format_bundle(sw.xs[si]),
+                    "agent": sw.agents[i],
+                    "bundle_large": format_bundle(big_alloc[i]),
+                    "bundle_small": format_bundle(small_alloc[i]),
+                    "allocation_small": describe_allocation(sw.problem(si, code), small_alloc),
+                },
+            )
     return _holds("RM", checked)
 
 
-def _misreport_targets(sw: FixedSweep, xi: int, truth_idx: int, invariant: bool):
-    if invariant:
-        reps = sw.restriction_class_reps(xi)
-        truth_rep = sw.restriction_rep_of(xi, truth_idx)
-        return [r for r in reps if r != truth_rep]
-    return [r for r in range(sw.P) if r != truth_idx]
+def _misreport_targets(sw: FixedSweep, xi: int):
+    """Misreports to check on set xi, as (targets, counted) tables over truthful indexes.
+
+    A restriction-invariant rule sees only a report's restriction to the set,
+    so one report per restriction class is enough, minus the truth's own
+    class; any other rule is checked against every other report.
+    """
+    key = sw.restriction_reps(xi) if sw.rule.restriction_invariant else np.arange(sw.P)
+    reps = np.flatnonzero(key == np.arange(sw.P))  # each class's rep is its first index
+    return np.broadcast_to(reps, (sw.P, len(reps))), reps[None, :] != key[:, None]
 
 
 def check_sp(rule, domain) -> AxiomReport:
@@ -794,44 +841,37 @@ def check_wsp(rule, domain) -> AxiomReport:
 
 def _check_sp_like(rule, domain, weak: bool) -> AxiomReport:
     sw = _sweep(rule, domain)
-    invariant = sw.rule.restriction_invariant
-    quotas = domain.quotas or (None,) * sw.n
+    tables = _slot_relations(sw)
     name = "WSP" if weak else "SP"
+
+    def bad_of(slot, d, own, other):
+        dom = tables[slot]
+        if weak:
+            return dom[d, other, own] & ~dom[d, own, other]
+        return ~dom[d, own, other]
+
+    codes = np.arange(sw.P**sw.n)
     checked = 0
     for xi in range(len(sw.xs)):
-        grid = sw.grid(xi)
-        for code, alloc in enumerate(grid):
-            profile = sw.profile(code)
-            for slot in range(sw.n):
-                truth_idx = sw.slot_index(code, slot)
-                pref, q = profile[slot], quotas[slot]
-                for alt in _misreport_targets(sw, xi, truth_idx, invariant):
-                    checked += 1
-                    other = grid[sw.replace(code, slot, alt)][slot]
-                    if weak:
-                        bad = _dominates(pref, q, other, alloc[slot]) and not _dominates(
-                            pref, q, alloc[slot], other
-                        )
-                    else:
-                        bad = not _dominates(pref, q, alloc[slot], other)
-                    if bad:
-                        prob = sw.problem(xi, code)
-                        return _violated(
-                            name,
-                            checked,
-                            {
-                                "problem": describe_problem(prob),
-                                "agent": sw.agents[slot],
-                                "misreport": format_pref(sw.prefs[alt]),
-                                "truthful_bundle": format_bundle(alloc[slot]),
-                                "misreport_bundle": format_bundle(other),
-                            },
-                        )
+        targets, counted = _misreport_targets(sw, xi)
+        hit, checks = _deviation_scan(sw, xi, codes, targets, counted, bad_of)
+        checked += checks
+        if hit is not None:
+            code, slot, alt = hit
+            grid = sw.grid(xi)
+            prob = sw.problem(xi, code)
+            return _violated(
+                name,
+                checked,
+                {
+                    "problem": describe_problem(prob),
+                    "agent": sw.agents[slot],
+                    "misreport": format_pref(sw.prefs[alt]),
+                    "truthful_bundle": format_bundle(grid[code][slot]),
+                    "misreport_bundle": format_bundle(grid[sw.replace(code, slot, alt)][slot]),
+                },
+            )
     return _holds(name, checked)
-
-
-def _unanimous_code(sw: FixedSweep, idx: int) -> int:
-    return sw.encode([idx] * sw.n)
 
 
 def check_msp_certificate(rule, domain) -> AxiomReport:
@@ -844,49 +884,54 @@ def check_msp_certificate(rule, domain) -> AxiomReport:
     and maximal, for every utility consistent with the ranking.
     """
     sw = _sweep(rule, domain)
+    dom = _relation(sw)
+    unanimous = np.arange(sw.P) * sum(sw._pow)  # code of the profile where all report idx
+
+    def bad_of(slot, d, own, other):
+        return ~dom[d, own, other]
+
     checked = 0
     for xi in range(len(sw.xs)):
-        grid = sw.grid(xi)
-        for truth_idx in range(sw.P):
-            pref = sw.prefs[truth_idx]
-            unanimous = _unanimous_code(sw, truth_idx)
-            for slot in range(sw.n):
-                base = grid[unanimous][slot]
-                for alt in _misreport_targets(sw, xi, truth_idx, sw.rule.restriction_invariant):
-                    checked += 1
-                    other = grid[sw.replace(unanimous, slot, alt)][slot]
-                    if not weakly_dominates(pref, base, other):
-                        return AxiomReport(
-                            "MSP-certificate",
-                            "violated",
-                            {
-                                "clause": "a",
-                                "problem": describe_problem(sw.problem(xi, unanimous)),
-                                "agent": sw.agents[slot],
-                                "misreport": format_pref(sw.prefs[alt]),
-                            },
-                            checked,
-                        )
+        targets, counted = _misreport_targets(sw, xi)
+        hit, checks = _deviation_scan(sw, xi, unanimous, targets, counted, bad_of)
+        checked += checks
+        if hit is not None:
+            code, slot, alt = hit
+            return AxiomReport(
+                "MSP-certificate",
+                "violated",
+                {
+                    "clause": "a",
+                    "problem": describe_problem(sw.problem(xi, code)),
+                    "agent": sw.agents[slot],
+                    "misreport": format_pref(sw.prefs[alt]),
+                },
+                checked,
+            )
         # clause (b): adversaries range over everything, truth fixed
-        for code, alloc in enumerate(grid):
-            for slot in range(sw.n):
-                truth_idx = sw.slot_index(code, slot)
-                pref = sw.prefs[truth_idx]
-                base = grid[_unanimous_code(sw, truth_idx)][slot]
-                checked += 1
-                if not weakly_dominates(pref, alloc[slot], base):
-                    return AxiomReport(
-                        "MSP-certificate",
-                        "violated",
-                        {
-                            "clause": "b",
-                            "problem": describe_problem(sw.problem(xi, code)),
-                            "agent": sw.agents[slot],
-                            "unanimous_bundle": format_bundle(base),
-                            "bundle": format_bundle(alloc[slot]),
-                        },
-                        checked,
-                    )
+        allocs, digits = sw.allocs(xi), sw.digits
+        bad = np.zeros(allocs.shape, dtype=bool)
+        for slot in range(sw.n):
+            d = digits[:, slot]
+            base = allocs[unanimous[d], slot]
+            bad[:, slot] = ~dom[d, allocs[:, slot], base]
+        hit, checks = _first_violation(bad)
+        checked += checks
+        if hit is not None:
+            code, slot = hit
+            grid = sw.grid(xi)
+            return AxiomReport(
+                "MSP-certificate",
+                "violated",
+                {
+                    "clause": "b",
+                    "problem": describe_problem(sw.problem(xi, code)),
+                    "agent": sw.agents[slot],
+                    "unanimous_bundle": format_bundle(grid[int(unanimous[digits[code, slot]])][slot]),
+                    "bundle": format_bundle(grid[code][slot]),
+                },
+                checked,
+            )
     return AxiomReport("MSP-certificate", "proved", None, checked)
 
 
@@ -1024,35 +1069,44 @@ def _truncation_table(m: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], 
     return tuple(table)
 
 
+@lru_cache(maxsize=None)
+def _change_targets(m: int, pick: int) -> tuple[np.ndarray, np.ndarray]:
+    """_truncation_table column `pick` as padded (targets, counted) arrays over preference indexes."""
+    rows = [row[pick] for row in _truncation_table(m)]
+    width = max(1, max(len(r) for r in rows))
+    targets = np.array([list(r) + [i] * (width - len(r)) for i, r in enumerate(rows)])
+    counted = np.array([[k < len(r) for k in range(width)] for r in rows])
+    return targets, counted
+
+
 def _check_report_change(rule, domain, kind: str) -> AxiomReport:
     """Shared sweep for truncation-proofness (TP) and extension-proofness (EP)."""
     sw = _sweep(rule, domain)
-    table = _truncation_table(domain.n_objects)
-    pick = 0 if kind == "TP" else 1
+    targets, counted = _change_targets(domain.n_objects, 0 if kind == "TP" else 1)
+    dom = _relation(sw)
+
+    def bad_of(slot, d, own, other):
+        return ~dom[d, own, other]
+
+    codes = np.arange(sw.P**sw.n)
     checked = 0
     for xi in range(len(sw.xs)):
-        grid = sw.grid(xi)
-        for code, alloc in enumerate(grid):
-            profile = sw.profile(code)
-            for slot in range(sw.n):
-                truth_idx = sw.slot_index(code, slot)
-                pref = profile[slot]
-                for alt in table[truth_idx][pick]:
-                    checked += 1
-                    other = grid[sw.replace(code, slot, alt)][slot]
-                    if not weakly_dominates(pref, alloc[slot], other):
-                        prob = sw.problem(xi, code)
-                        return _violated(
-                            kind,
-                            checked,
-                            {
-                                "problem": describe_problem(prob),
-                                "agent": sw.agents[slot],
-                                "report": format_pref(sw.prefs[alt]),
-                                "truthful_bundle": format_bundle(alloc[slot]),
-                                "report_bundle": format_bundle(other),
-                            },
-                        )
+        hit, checks = _deviation_scan(sw, xi, codes, targets, counted, bad_of)
+        checked += checks
+        if hit is not None:
+            code, slot, alt = hit
+            grid = sw.grid(xi)
+            return _violated(
+                kind,
+                checked,
+                {
+                    "problem": describe_problem(sw.problem(xi, code)),
+                    "agent": sw.agents[slot],
+                    "report": format_pref(sw.prefs[alt]),
+                    "truthful_bundle": format_bundle(grid[code][slot]),
+                    "report_bundle": format_bundle(grid[sw.replace(code, slot, alt)][slot]),
+                },
+            )
     return _holds(kind, checked)
 
 
@@ -1069,31 +1123,34 @@ def check_ep(rule, domain) -> AxiomReport:
 def check_ti(rule, domain) -> AxiomReport:
     """Truncation invariance: truncating while keeping one's bundle acceptable changes nothing."""
     sw = _sweep(rule, domain)
-    table = _truncation_table(domain.n_objects)
+    targets, counted = _change_targets(domain.n_objects, 0)
+    acceptable = np.array([p.acceptable for p in sw.prefs])
+
+    def admit(own, alt):
+        return (own & ~acceptable[alt]) == 0
+
+    def bad_of(slot, d, own, other):
+        return other != own
+
+    codes = np.arange(sw.P**sw.n)
     checked = 0
     for xi in range(len(sw.xs)):
-        grid = sw.grid(xi)
-        for code, alloc in enumerate(grid):
-            for slot in range(sw.n):
-                truth_idx = sw.slot_index(code, slot)
-                for alt in table[truth_idx][0]:
-                    if alloc[slot] & ~sw.prefs[alt].acceptable:
-                        continue
-                    checked += 1
-                    other = grid[sw.replace(code, slot, alt)][slot]
-                    if other != alloc[slot]:
-                        prob = sw.problem(xi, code)
-                        return _violated(
-                            "TI",
-                            checked,
-                            {
-                                "problem": describe_problem(prob),
-                                "agent": sw.agents[slot],
-                                "truncation": format_pref(sw.prefs[alt]),
-                                "bundle_before": format_bundle(alloc[slot]),
-                                "bundle_after": format_bundle(other),
-                            },
-                        )
+        hit, checks = _deviation_scan(sw, xi, codes, targets, counted, bad_of, admit)
+        checked += checks
+        if hit is not None:
+            code, slot, alt = hit
+            grid = sw.grid(xi)
+            return _violated(
+                "TI",
+                checked,
+                {
+                    "problem": describe_problem(sw.problem(xi, code)),
+                    "agent": sw.agents[slot],
+                    "truncation": format_pref(sw.prefs[alt]),
+                    "bundle_before": format_bundle(grid[code][slot]),
+                    "bundle_after": format_bundle(grid[sw.replace(code, slot, alt)][slot]),
+                },
+            )
     return _holds("TI", checked)
 
 

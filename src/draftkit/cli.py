@@ -16,7 +16,9 @@ from .axioms import (
     AXIOM_CHECKERS,
     PRIORITY_AXIOM_CHECKERS,
     VARIABLE_AXIOM_CHECKERS,
+    FixedSweep,
     ProblemDomain,
+    VariableSweep,
     fixed_domain,
     quota_domain,
     unacceptable_domain,
@@ -187,15 +189,18 @@ def _make_domain(args) -> ProblemDomain:
 
 
 def _axiom_runner(domain, rule, priority):
+    # one sweep serves every axiom of the run, so each problem is allocated once
+    sweep = (VariableSweep if domain.variant == "variable" else FixedSweep)(rule, domain)
+
     def run_one(name: str):
         if domain.variant == "variable":
             if name not in VARIABLE_AXIOM_CHECKERS:
                 raise InputError(f"axiom {name!r} is not defined for variable domains")
-            return VARIABLE_AXIOM_CHECKERS[name](rule, domain)
+            return VARIABLE_AXIOM_CHECKERS[name](sweep, domain)
         if name in PRIORITY_AXIOM_CHECKERS:
-            return PRIORITY_AXIOM_CHECKERS[name](rule, domain, priority)
+            return PRIORITY_AXIOM_CHECKERS[name](sweep, domain, priority)
         if name in AXIOM_CHECKERS:
-            return AXIOM_CHECKERS[name](rule, domain)
+            return AXIOM_CHECKERS[name](sweep, domain)
         raise InputError(f"unknown axiom {name!r}")
 
     return run_one

@@ -12,6 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
+from typing import Sequence
+
+import numpy as np
 
 from .core import INFINITE, Bundle, Preference, bundle_size, objects_of, top_k
 
@@ -43,24 +46,6 @@ def _build_table(size: int) -> list[int]:
 
 # row s has bit t set iff rank-space bundle s weakly dominates t (universes up to 6 objects)
 PD_ROWS = _build_table(6)
-
-# KEEP_BEST[k][s]: the k lowest set bits of rank-space mask s (agent keeps her k best)
-def _build_keep(size: int) -> list[list[int]]:
-    tables = []
-    for k in range(size + 1):
-        table = []
-        for s in range(1 << size):
-            kept, m, left = 0, s, k
-            while m and left:
-                kept |= m & -m
-                m &= m - 1
-                left -= 1
-            table.append(kept)
-        tables.append(table)
-    return tables
-
-
-KEEP_BEST = _build_keep(6)
 
 
 def dominates_rank_masks(s: int, t: int) -> bool:
@@ -102,6 +87,53 @@ def envies(pref: Preference, own: Bundle, other: Bundle, quota: int | float = IN
     if quota != INFINITE:
         return not quota_weakly_dominates(pref, quota, own, other)
     return not weakly_dominates(pref, own, other)
+
+
+def _pd_matrix(size: int) -> np.ndarray:
+    """Bool (2**size, 2**size) form of the rank-space relation: [s, t] iff s dominates t."""
+    if size <= 6:
+        rows = np.array(PD_ROWS[: 1 << size], dtype=np.uint64)
+        return (rows[:, None] >> np.arange(1 << size, dtype=np.uint64) & 1).astype(bool)
+    masks = range(1 << size)
+    return np.array([[_rank_masks_dominate(s, t) for t in masks] for s in masks])
+
+
+def dominance_table(
+    prefs: Sequence[Preference], n_objects: int, quota: int | None = None
+) -> np.ndarray:
+    """DOM[p, s, t]: under prefs[p] bundle s weakly dominates bundle t, for all s, t < 2**n_objects.
+
+    Each preference maps every bundle to rank space through one array (cutoff
+    and quota applied there), and the pairs are looked up in `PD_ROWS`. A quota
+    keeps the agent's `quota` best objects of each bundle, as in
+    `quota_weakly_dominates`. Every preference must rank objects 0..n_objects-1.
+    """
+    subsets = np.arange(1 << n_objects)
+    members = subsets[:, None] >> np.arange(n_objects) & 1  # (2**m, m)
+    ranks = np.array([p.rank for p in prefs], dtype=np.int64).reshape(len(prefs), n_objects)
+    rank_masks = (1 << ranks) @ members.T  # (P, 2**m)
+    if quota is not None:
+        left, rank_masks = rank_masks, np.zeros_like(rank_masks)
+        for _ in range(min(quota, n_objects)):
+            low = left & -left
+            rank_masks |= low
+            left = left ^ low
+    cutoffs = np.array([n_objects if p.cutoff is None else p.cutoff for p in prefs])
+    rank_masks &= ((1 << cutoffs) - 1)[:, None]
+    table = _pd_matrix(n_objects)[rank_masks[:, :, None], rank_masks[:, None, :]]
+    table.flags.writeable = False
+    return table
+
+
+def ef1_table(dom: np.ndarray, n_objects: int) -> np.ndarray:
+    """EF1OK[p, own, other]: `own` dominates `other` with at most one object of `other` removed."""
+    ok = dom.copy()
+    others = np.arange(1 << n_objects)
+    for o in range(n_objects):
+        holding = others[others >> o & 1 == 1]
+        ok[:, :, holding] |= dom[:, :, holding ^ (1 << o)]
+    ok.flags.writeable = False
+    return ok
 
 
 def weakly_dominates_oracle(pref: Preference, s: Bundle, t: Bundle) -> bool:

@@ -627,10 +627,10 @@ def verify_efficiency_decomposition(
         verdicts.append(table)
 
     rng = Random(seed)
+    choices = [list(table) for table in verdicts]
     for _ in range(n_random_rules):
-        for prob, table in zip(keys, verdicts):
-            alloc = rng.choice(list(table))
-            fast, slow = table[alloc]
+        for prob, table, allocs in zip(keys, verdicts, choices):
+            fast, slow = table[rng.choice(allocs)]
             if fast != slow:  # unreachable given the exhaustive pass; kept for honesty
                 disagreements.append({"problem": describe_problem(prob)})
     return EquivalenceReport(checked, n_random_rules, disagreements)

@@ -223,3 +223,30 @@ def test_cli_infer_priority(capsys):
     code = main(["infer-priority", "--rule", "draft-variable", "--priority", "2", "1", "3"])
     assert code == 0
     assert "2 1 3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, problems",
+    [
+        (["--axioms", "SP,WSP,EF1,RM,NW,RP", "--variant", "fixed"], 7 * 6**2),
+        (["--axioms", "EF1,RM+,CON,NW", "--variant", "variable"], None),
+    ],
+)
+def test_cli_check_allocates_each_problem_once(monkeypatch, capsys, argv, problems):
+    from draftkit import cli
+    from draftkit.axioms import variable_domain
+    from draftkit.rules import Rule
+
+    calls = []
+    build = cli._build_rule
+
+    def counting_rule(name, variant, priority):
+        rule = build(name, variant, priority)
+        return Rule(rule.name, lambda p: calls.append(p) or rule.run(p), rule.restriction_invariant)
+
+    monkeypatch.setattr(cli, "_build_rule", counting_rule)
+    code = main(["check", "--rule", "pi-dictatorship", "--agents", "2", "--objects", "3"] + argv)
+    assert code in (0, 1)
+    if problems is None:
+        problems = sum(1 for _ in variable_domain(2, 3).problems())
+    assert len(calls) == len(set(calls)) == problems

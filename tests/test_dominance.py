@@ -7,6 +7,8 @@ from draftkit.core import INFINITE, Preference, bundle_size, objects_of, subsets
 from draftkit.dominance import (
     WeightScheme,
     additive_utility,
+    dominance_table,
+    ef1_table,
     envies,
     geometric_scheme,
     linear_scheme,
@@ -221,3 +223,29 @@ def test_no_dominance_is_witnessed_by_some_scheme():
                     additive_utility(p, sch, t) > additive_utility(p, sch, s)
                     for sch in schemes
                 )
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("cutoffs", [False, True])
+def test_relation_tables_match_scalar_dominance(m, cutoffs):
+    rankings = list(permutations(range(m)))
+    if cutoffs:
+        prefs = [Preference(r, c) for r in rankings for c in range(m + 1)]
+        quotas = [None]
+    else:
+        prefs = [Preference(r) for r in rankings]
+        quotas = [None] + list(range(1, m + 1))
+    for q in quotas:
+        dom = dominance_table(prefs, m, q)
+        ef1 = ef1_table(dom, m)
+
+        def rel(p, s, t):
+            return weakly_dominates(p, s, t) if q is None else quota_weakly_dominates(p, q, s, t)
+
+        for i, p in enumerate(prefs):
+            for s in range(1 << m):
+                for t in range(1 << m):
+                    assert dom[i, s, t] == rel(p, s, t)
+                    assert ef1[i, s, t] == (
+                        rel(p, s, t) or any(rel(p, s, t & ~(1 << o)) for o in objects_of(t))
+                    )

@@ -1,0 +1,184 @@
+"""Differential tests: the gather checkers against the scalar oracle in scalar_checkers.
+
+Each gather checker must return the very AxiomReport of its scalar loop:
+verdict, `checked` count and witness, so the witness is still the first
+violation in enumeration order.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import scalar_checkers as oracle
+from draftkit import axioms
+from draftkit.axioms import (
+    FixedSweep,
+    all_priorities,
+    fixed_domain,
+    quota_domain,
+    unacceptable_domain,
+)
+from draftkit.core import INFINITE
+from draftkit.csp import _all_allocations
+from draftkit.rules import (
+    dictatorship_rule,
+    draft_rule,
+    null_rule,
+    problem_key,
+    quota_draft_rule,
+    rm_counterexample,
+    rm_star_counterexample,
+    tabulated_rule,
+    ti_counterexample,
+    unacceptable_draft_rule,
+    wrp_counterexample,
+)
+
+DEVIATION = ("check_sp", "check_wsp", "check_msp_certificate")
+PAIRWISE = ("check_ef", "check_ef1", "check_rm")
+REPORT_CHANGE = ("check_tp", "check_ep", "check_ti")
+
+
+def _fixed_rules(n: int, m: int) -> dict:
+    pi = tuple(range(1, n + 1))
+    rules = {
+        "draft": draft_rule(pi),
+        "dictatorship": dictatorship_rule(pi),
+        "null": null_rule(),
+        "wrp-cx": wrp_counterexample(n, m),  # not restriction-invariant
+    }
+    if m > n:  # the pinned problem needs n + 1 objects
+        rules["rm-cx"] = rm_counterexample(n, m)
+    return rules
+
+
+def _unacceptable_rules(m: int) -> dict:
+    return {
+        "u-draft": unacceptable_draft_rule((1, 2)),
+        "ti-cx": ti_counterexample(2, m),
+        "rm*-cx": rm_star_counterexample(2, m),
+    }
+
+
+def _cases():
+    for n, m in ((2, 3), (3, 3)):
+        for name in _fixed_rules(n, m):
+            yield pytest.param("fixed", n, m, name, None, id=f"fixed{n}{m}-{name}")
+    for name in _unacceptable_rules(3):
+        yield pytest.param("unacceptable", 2, 3, name, None, id=f"unacceptable23-{name}")
+    for quotas in ((1, 2), (1, INFINITE)):
+        yield pytest.param(("quota", quotas), 2, 4, "quota-draft", None, id=f"quota24-{quotas}")
+    # Larger domains: the scalar oracle needs 2-45 s for a check that holds or
+    # fails late there (SP/WSP above all), so each rule is compared on a share
+    # of the checkers that keeps every kernel covered at this size.
+    for name, checkers in LARGE_FIXED.items():
+        yield pytest.param("fixed", 3, 4, name, checkers, id=f"fixed34-{name}")
+    for name, checkers in LARGE_UNACCEPTABLE.items():
+        yield pytest.param("unacceptable", 2, 4, name, checkers, id=f"unacceptable24-{name}")
+
+
+LARGE_FIXED = {
+    "draft": ("check_ef", "check_ef1", "RP"),
+    "dictatorship": ("check_ef1", "check_rm", "check_msp_certificate"),
+    "null": ("check_ef",),
+    "rm-cx": ("check_rm", "check_msp_certificate"),
+    "wrp-cx": ("check_sp", "check_wsp", "check_msp_certificate", "RP"),
+}
+LARGE_UNACCEPTABLE = {
+    "u-draft": ("check_ti", "check_ef1"),
+    "ti-cx": ("check_ti", "check_ep", "check_tp"),
+    "rm*-cx": ("check_rm", "check_ef", "RP"),
+}
+
+
+def _filled(kind, n: int, m: int, name: str) -> FixedSweep:
+    if kind == "fixed":
+        domain, rule = fixed_domain(n, m), _fixed_rules(n, m)[name]
+    elif kind == "unacceptable":
+        domain, rule = unacceptable_domain(n, m), _unacceptable_rules(m)[name]
+    else:
+        domain, rule = quota_domain(n, m, kind[1]), quota_draft_rule((1, 2))
+    sw = FixedSweep(rule, domain)
+    for xi in range(len(sw.xs)):
+        sw.grid(xi)
+    return sw
+
+
+def _assert_same(sw: FixedSweep, checkers=None):
+    """Compare the given checkers ("RP" for every priority), or all that apply to the domain."""
+    domain = sw.domain
+    if checkers is None:
+        checkers = DEVIATION + PAIRWISE + ("RP",)
+        if domain.variant == "unacceptable":
+            checkers += REPORT_CHANGE
+    for name in checkers:
+        if name == "RP":
+            for pi in all_priorities(sw.agents):
+                assert axioms.check_rp(sw, domain, pi) == oracle.check_rp(sw, domain, pi), pi
+        else:
+            assert getattr(axioms, name)(sw, domain) == getattr(oracle, name)(sw, domain), name
+
+
+@pytest.mark.parametrize("kind, n, m, name, checkers", _cases())
+def test_gather_checkers_match_scalar_oracle(kind, n, m, name, checkers):
+    _assert_same(_filled(kind, n, m, name), checkers)
+
+
+@pytest.mark.parametrize(
+    "checker, rule, domain",
+    [
+        ("check_sp", ti_counterexample(2, 3), unacceptable_domain(2, 3)),
+        ("check_ep", ti_counterexample(2, 3), unacceptable_domain(2, 3)),
+        ("check_ef1", dictatorship_rule((1, 2, 3)), fixed_domain(3, 3)),
+        ("check_ti", ti_counterexample(2, 3), unacceptable_domain(2, 3)),
+        ("check_msp_certificate", wrp_counterexample(2, 3), fixed_domain(2, 3)),
+    ],
+)
+def test_refuting_check_fills_the_same_grids(checker, rule, domain):
+    fast, slow = FixedSweep(rule, domain), FixedSweep(rule, domain)
+    assert getattr(axioms, checker)(fast, domain) == getattr(oracle, checker)(slow, domain)
+    assert sorted(fast._grids) == sorted(slow._grids)
+    assert len(fast._grids) < len(fast.xs)
+
+
+# --- property test: random tabulated rules put witnesses anywhere -------------
+
+
+@lru_cache(maxsize=None)
+def _table_space(kind: str):
+    """Distinct problem keys of a domain, their candidate allocations, and the draft's pick."""
+    if kind == "fixed":
+        domain, base = fixed_domain(2, 3), draft_rule((1, 2))
+    else:
+        domain, base = unacceptable_domain(2, 2), unacceptable_draft_rule((1, 2))
+    keys, cands, table = [], [], {}
+    for prob in domain.problems():
+        key = problem_key(prob)
+        if key not in table:
+            keys.append(key)
+            cands.append(_all_allocations(prob))
+            table[key] = base.allocate(prob)
+    return domain, keys, cands, table
+
+
+@st.composite
+def tabulated_rules(draw, kind: str):
+    """The draft with a few cells redrawn at random, declared invariant or not."""
+    domain, keys, cands, base = _table_space(kind)
+    table = dict(base)
+    for _ in range(draw(st.integers(0, 5))):
+        k = draw(st.integers(0, len(keys) - 1))
+        table[keys[k]] = cands[k][draw(st.integers(0, len(cands[k]) - 1))]
+    rule = tabulated_rule("random", table)
+    return domain, replace(rule, restriction_invariant=draw(st.booleans()))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.sampled_from(["fixed", "unacceptable"]).flatmap(tabulated_rules))
+def test_random_tabulated_rules_match_scalar_oracle(case):
+    domain, rule = case
+    _assert_same(FixedSweep(rule, domain))
