@@ -30,18 +30,12 @@ from .core import (
     bundle_of,
     bundle_size,
     objects_of,
+    preference_space,
     subsets_of,
     top,
     top_k,
 )
-from .dominance import (
-    WeightScheme,
-    additive_utility,
-    dominance_table,
-    ef1_table,
-    quota_weakly_dominates,
-    weakly_dominates,
-)
+from .dominance import WeightScheme, additive_utility, relation_table, weakly_dominates
 from .rules import Rule
 
 OBJECT_NAMES = "abcdefghijklmnopqrstuvwxyz"
@@ -106,18 +100,6 @@ def _rankings(objects: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _fixed_prefs(m: int) -> tuple[Preference, ...]:
-    return tuple(Preference(r) for r in _rankings(tuple(range(m))))
-
-
-@lru_cache(maxsize=None)
-def _cutoff_prefs(m: int) -> tuple[Preference, ...]:
-    return tuple(
-        Preference(r, c) for r in _rankings(tuple(range(m))) for c in range(m + 1)
-    )
-
-
-@lru_cache(maxsize=None)
 def _restricted_prefs(objects: tuple[int, ...]) -> tuple[Preference, ...]:
     return tuple(Preference(r) for r in _rankings(objects))
 
@@ -137,11 +119,9 @@ class ProblemDomain:
     quotas: tuple[int | float, ...] | None = None
 
     def preference_space(self) -> tuple[Preference, ...]:
-        if self.variant == "unacceptable":
-            return _cutoff_prefs(self.n_objects)
         if self.variant == "variable":
             raise ValueError("variable domains have per-available-set preference spaces")
-        return _fixed_prefs(self.n_objects)
+        return preference_space(self.n_objects, cutoffs=self.variant == "unacceptable")
 
     def rankings_of(self, available: Bundle) -> tuple[Preference, ...]:
         return _restricted_prefs(objects_of(available))
@@ -227,12 +207,10 @@ class FixedSweep:
         self.rule = rule
         self.domain = domain
         self.prefs = domain.preference_space()
-        self.pref_index = {p: i for i, p in enumerate(self.prefs)}
         self.agents = domain.populations[0]
         self.n = len(self.agents)
         self.P = len(self.prefs)
         self.xs = domain.available_sets
-        self.x_index = {x: i for i, x in enumerate(self.xs)}
         # grids are filled in itertools.product order: slot 0 is the most significant digit
         self._pow = tuple(self.P ** (self.n - 1 - slot) for slot in range(self.n))
         self._grids: dict[int, list[Allocation]] = {}
@@ -321,12 +299,6 @@ class FixedSweep:
         return self._reps[x_idx]
 
 
-def _dominates(pref: Preference, quota, s: Bundle, t: Bundle) -> bool:
-    if quota is not None and quota != INFINITE:
-        return quota_weakly_dominates(pref, quota, s, t)
-    return weakly_dominates(pref, s, t)
-
-
 def _union(alloc: Allocation) -> Bundle:
     u = 0
     for b in alloc:
@@ -335,124 +307,8 @@ def _union(alloc: Allocation) -> Bundle:
 
 
 # ---------------------------------------------------------------------------
-# Gather kernels: relation tables and first-violation scans over a FixedSweep
-# ---------------------------------------------------------------------------
-
-_BLOCK = 1 << 15  # gathered cells per step of a deviation scan; bounds its temporaries
-
-
-@lru_cache(maxsize=None)
-def _dom_table(cutoffs: bool, m: int, quota: int | None) -> np.ndarray:
-    return dominance_table(_cutoff_prefs(m) if cutoffs else _fixed_prefs(m), m, quota)
-
-
-@lru_cache(maxsize=None)
-def _ef1_table(cutoffs: bool, m: int, quota: int | None) -> np.ndarray:
-    return ef1_table(_dom_table(cutoffs, m, quota), m)
-
-
-def _relation(sw: FixedSweep, quota=None, ef1: bool = False) -> np.ndarray:
-    """DOM[pref_idx, s, t] (or EF1OK) for one quota, indexed like sw.prefs; built on first use."""
-    q = None if quota is None or quota == INFINITE else int(quota)
-    key = (sw.domain.variant == "unacceptable", sw.domain.n_objects, q)
-    return _ef1_table(*key) if ef1 else _dom_table(*key)
-
-
-def _slot_relations(sw: FixedSweep, ef1: bool = False) -> list[np.ndarray]:
-    """One relation table per agent slot, under that agent's quota."""
-    return [_relation(sw, q, ef1) for q in sw.domain.quotas or (None,) * sw.n]
-
-
-def _first_violation(bad: np.ndarray, counted: np.ndarray | None = None):
-    """First True cell of `bad` in row-major order, and the checks made up to it.
-
-    `counted` marks the cells that are checks (every cell when None); `bad`
-    must be False outside them. Returns (index tuple or None, checks), where
-    checks runs up to and including the violation, or over the whole block.
-    """
-    flat = bad.reshape(-1)
-    at = int(flat.argmax()) if flat.size else 0
-    if flat.size and flat[at]:
-        if counted is None:
-            checks = at + 1
-        else:
-            checks = int(np.count_nonzero(counted.reshape(-1)[: at + 1]))
-        return tuple(int(i) for i in np.unravel_index(at, bad.shape)), checks
-    return None, flat.size if counted is None else int(np.count_nonzero(counted))
-
-
-def _first_code(bad: np.ndarray):
-    """Like _first_violation on a (codes, checks) block where each code counts as one check.
-
-    Returns ((code, column) or None, codes checked).
-    """
-    hit, checks = _first_violation(bad.any(axis=1))
-    if hit is None:
-        return None, checks
-    return (hit[0], int(bad[hit[0]].argmax())), checks
-
-
-def _deviation_scan(sw: FixedSweep, xi: int, codes, targets, counted, bad_of, admit=None):
-    """First violation among single-agent report changes at `codes` of set xi.
-
-    At each code (in order), each slot and each column k, the agent with
-    truthful preference index d reports targets[d, k] instead. The cell is a
-    check where counted[d, k] holds and, if given, admit(own, alt) does.
-    bad_of(slot, d, own, other) judges the checks from the truthful and the
-    deviating bundle. Returns ((code, slot, report index) or None, checks).
-    """
-    allocs = sw.allocs(xi)
-    width = targets.shape[1]
-    step = max(1, _BLOCK // (sw.n * width))
-    checked = 0
-    for lo in range(0, len(codes), step):
-        block = codes[lo : lo + step]
-        bad = np.zeros((len(block), sw.n, width), dtype=bool)
-        ok = np.zeros_like(bad)
-        for slot in range(sw.n):
-            d = sw.digits[block, slot]
-            alt = targets[d]
-            own = allocs[block, slot][:, None]
-            other = allocs[block[:, None] + (alt - d[:, None]) * sw._pow[slot], slot]
-            valid = counted[d] if admit is None else counted[d] & admit(own, alt)
-            ok[:, slot] = valid
-            bad[:, slot] = valid & bad_of(slot, d[:, None], own, other)
-        hit, checks = _first_violation(bad, ok)
-        checked += checks
-        if hit is not None:
-            c, slot, k = hit
-            code = int(block[c])
-            return (code, slot, int(targets[sw.slot_index(code, slot), k])), checked
-    return None, checked
-
-
-# ---------------------------------------------------------------------------
 # Trade relation and efficiency
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TradeRelation:
-    """Directed relation on (agent, held object): points to strictly better objects held elsewhere."""
-
-    edges: tuple[tuple[tuple[Agent, int], tuple[Agent, int]], ...]
-
-    def successors(self, node):
-        return [b for a, b in self.edges if a == node]
-
-
-def build_trade_relation(problem: Problem, alloc: Allocation) -> TradeRelation:
-    holders = {}
-    for agent, b in zip(problem.agents, alloc):
-        for o in objects_of(b):
-            holders[o] = agent
-    edges = []
-    for agent, pref, b in zip(problem.agents, problem.profile, alloc):
-        for x in objects_of(b):
-            for y, j in holders.items():
-                if j != agent and pref.prefers(y, x):
-                    edges.append(((agent, x), (j, y)))
-    return TradeRelation(tuple(edges))
 
 
 def _trade_cycle(profile: Sequence[Preference], alloc: Allocation) -> list[int] | None:
@@ -529,6 +385,350 @@ def pareto_oracle(problem: Problem, alloc: Allocation) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Axiom definitions: each fixed-population axiom once, for every layer
+# ---------------------------------------------------------------------------
+
+FIXED_POPULATION = ("fixed", "quota", "unacceptable")
+
+
+class AxiomSpace:
+    """What the axiom definitions read about a fixed-population domain.
+
+    Allocation rows are read with per-slot preference indexes into `prefs`,
+    the domain's preference space. `pairs` lists the ordered (envious, envied)
+    slot pairs and, given a priority, `ranked` the pairs whose first slot has
+    the higher priority, both in the order witnesses report them.
+    """
+
+    def __init__(self, domain: ProblemDomain, priority: Priority | None = None):
+        if domain.variant == "variable":
+            raise ValueError("axiom spaces cover fixed-population domains only")
+        if domain.n_objects > 8:
+            raise ValueError("allocation rows hold bundles of at most 8 objects")
+        self.variant = domain.variant
+        self.n_objects = domain.n_objects
+        self.quotas = domain.quotas
+        self.prefs = domain.preference_space()
+        agents = domain.populations[0]
+        self.n = len(agents)
+        self.pairs = [(a, b) for a in range(self.n) for b in range(self.n) if a != b]
+        if priority is not None:
+            pos = [priority.index(a) for a in agents]
+            self.order = sorted(range(self.n), key=pos.__getitem__)
+            self.ranked = [(a, b) for a, b in self.pairs if pos[a] < pos[b]]
+
+    @cached_property
+    def index(self) -> dict[Preference, int]:
+        return {p: i for i, p in enumerate(self.prefs)}
+
+    @cached_property
+    def acceptable(self) -> np.ndarray:
+        return np.array([p.acceptable for p in self.prefs], dtype=np.uint8)
+
+    def relation(self, slot: int | None = None, ef1: bool = False) -> np.ndarray:
+        """DOM[pref, s, t] (or EF1OK) under the slot's quota; no slot reads no quota."""
+        quota = None if slot is None or self.quotas is None else self.quotas[slot]
+        return relation_table(self.n_objects, self.variant == "unacceptable", quota, ef1)
+
+    def admits(self, problem: Problem, allocs: Sequence[Allocation], names) -> np.ndarray:
+        """Which of the allocations at one problem pass every named unary axiom."""
+        rows = np.array(allocs, dtype=np.uint8).reshape(len(allocs), self.n)
+        digits = np.tile([self.index[p] for p in problem.profile], (len(allocs), 1))
+        return admissible(self, problem.available, rows, digits, names)
+
+
+# --- deviation relations: (table, preference index, own bundle, other bundle) ---
+
+
+def sp_ok(dom, d, own, other):
+    """SP, and RM, TP, EP and the MSP certificate: under preference d, own weakly dominates other."""
+    return dom[d, own, other]
+
+
+def wsp_ok(dom, d, own, other):
+    """WSP: under preference d, other does not strictly dominate own."""
+    return dom[d, own, other] | ~dom[d, other, own]
+
+
+def ti_ok(acc, d, own, other):
+    """TI: reporting the truncation d keeps own, unless d makes part of own unacceptable."""
+    return (own & ~acc[d] != 0) | (own == other)
+
+
+DEVIATIONS: dict[str, Callable] = {"SP": sp_ok, "WSP": wsp_ok, "RM": sp_ok, "TI": ti_ok}
+
+
+# --- unary axioms: one allocation at one problem -----------------------------
+
+_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+
+
+@dataclass(frozen=True)
+class UnaryAxiom:
+    """An axiom judged on one allocation at one problem.
+
+    `ok(space, x, allocs, digits)` judges a block of rows at available set x:
+    `allocs` is uint8 (R, n), `digits` the (R, n) preference indexes. It
+    returns bool (R, K), one column per check the axiom makes at a problem
+    (one, or one per slot or slot pair), all of which must hold.
+    `detail(space, problem, alloc, k)` gives the extra witness fields of a
+    failing allocation whose first failing column is k.
+    """
+
+    ok: Callable
+    detail: Callable
+    variants: tuple[str, ...] = FIXED_POPULATION
+    ranked: bool = False  # reads the priority; reports are named like "RP-[1, 2]"
+
+
+def _union_rows(allocs: np.ndarray) -> np.ndarray:
+    return np.bitwise_or.reduce(allocs, axis=1)
+
+
+def _per_pair(pairs, rows: int, test) -> np.ndarray:
+    out = np.ones((rows, len(pairs)), dtype=bool)
+    for k, (a, b) in enumerate(pairs):
+        out[:, k] = test(a, b)
+    return out
+
+
+def _nw_ok(space, x, allocs, digits):
+    return (_union_rows(allocs) == x)[:, None]
+
+
+def _nw_detail(space, prob, alloc, k):
+    return {"unassigned": format_bundle(prob.available & ~_union(alloc))}
+
+
+def _nwq_target(space, x) -> int:
+    return min(bundle_size(x), sum(space.quotas))
+
+
+def _nwq_ok(space, x, allocs, digits):
+    return (_POPCOUNT[_union_rows(allocs)] == _nwq_target(space, x))[:, None]
+
+
+def _nwq_detail(space, prob, alloc, k):
+    return {"assigned": bundle_size(_union(alloc)), "target": _nwq_target(space, prob.available)}
+
+
+def _nw_star_ok(space, x, allocs, digits):
+    wanted = np.bitwise_or.reduce(space.acceptable[digits], axis=1)
+    return (wanted & x & ~_union_rows(allocs) == 0)[:, None]
+
+
+def _nw_star_detail(space, prob, alloc, k):
+    wanted = _union(tuple(p.acceptable for p in prob.profile))
+    return {"unassigned": format_bundle(wanted & prob.available & ~_union(alloc))}
+
+
+def _ir_ok(space, x, allocs, digits):
+    return allocs & ~space.acceptable[digits] == 0
+
+
+def _ir_detail(space, prob, alloc, k):
+    bad = alloc[k] & ~prob.profile[k].acceptable
+    return {"agent": prob.agents[k], "unacceptable": format_bundle(bad)}
+
+
+def _wrp_ok(space, x, allocs, digits):
+    size = _POPCOUNT[allocs]
+    return _per_pair(space.ranked, len(allocs), lambda i, j: size[:, i] >= size[:, j])
+
+
+def _wrp_detail(space, prob, alloc, k):
+    return {"sizes": [bundle_size(alloc[i]) for i in space.order]}
+
+
+def _wrp_star_ok(space, x, allocs, digits):
+    acc = space.acceptable[digits]
+
+    def test(i, j):
+        return _POPCOUNT[allocs[:, i] & acc[:, i]] >= _POPCOUNT[allocs[:, j] & acc[:, i]]
+
+    return _per_pair(space.ranked, len(allocs), test)
+
+
+def _wrpq_ok(space, x, allocs, digits):
+    size = _POPCOUNT[allocs]
+
+    def test(i, j):
+        return (size[:, i] == space.quotas[i]) | (size[:, i] >= size[:, j])
+
+    return _per_pair(space.ranked, len(allocs), test)
+
+
+def _ranked_detail(space, prob, alloc, k):
+    i, j = space.ranked[k]
+    return {"higher": prob.agents[i], "lower": prob.agents[j]}
+
+
+def _envy(ef1: bool, ranked: bool) -> UnaryAxiom:
+    """EF, EF1 or RP: the first agent of each pair passes DOM (or EF1OK) against the second."""
+
+    def pairs(space):
+        return space.ranked if ranked else space.pairs
+
+    def ok(space, x, allocs, digits):
+        tables = [space.relation(a, ef1) for a in range(space.n)]
+        return _per_pair(
+            pairs(space),
+            len(allocs),
+            lambda a, b: tables[a][digits[:, a], allocs[:, a], allocs[:, b]],
+        )
+
+    def detail(space, prob, alloc, k):
+        a, b = pairs(space)[k]
+        return {"envious": prob.agents[a], "envied": prob.agents[b]}
+
+    return UnaryAxiom(ok, detail, ranked=ranked)
+
+
+_RT_ROWS = 256  # rows per step of the scalar RT scan; bounds its Python-list temporaries
+
+
+def _rt_ok(space, x, allocs, digits):
+    prefs = space.prefs
+    free = np.empty((len(allocs), 1), dtype=bool)
+    for lo in range(0, len(allocs), _RT_ROWS):
+        rows = zip(allocs[lo : lo + _RT_ROWS].tolist(), digits[lo : lo + _RT_ROWS].tolist())
+        free[lo : lo + _RT_ROWS, 0] = [
+            _trade_cycle([prefs[d] for d in ds], alloc) is None for alloc, ds in rows
+        ]
+    return free
+
+
+def _rt_detail(space, prob, alloc, k):
+    return {"cycle": [OBJECT_NAMES[o] for o in _trade_cycle(prob.profile, alloc)]}
+
+
+# Table order is evaluation order where several apply: the scalar RT comes last.
+UNARY: dict[str, UnaryAxiom] = {
+    "NW": UnaryAxiom(_nw_ok, _nw_detail),
+    "NWq": UnaryAxiom(_nwq_ok, _nwq_detail, ("quota",)),
+    "NW*": UnaryAxiom(_nw_star_ok, _nw_star_detail),
+    "IR": UnaryAxiom(_ir_ok, _ir_detail),
+    "WRP": UnaryAxiom(_wrp_ok, _wrp_detail, ranked=True),
+    "WRP*": UnaryAxiom(_wrp_star_ok, _ranked_detail, ranked=True),
+    "WRPq": UnaryAxiom(_wrpq_ok, _ranked_detail, ("quota",), ranked=True),
+    "EF": _envy(ef1=False, ranked=False),
+    "EF1": _envy(ef1=True, ranked=False),
+    "RP": _envy(ef1=False, ranked=True),
+    "RT": UnaryAxiom(_rt_ok, _rt_detail),
+}
+
+
+def efficiency_parts(variant: str) -> tuple[str, ...]:
+    """EFF as its decomposition: NW + RT, or IR + NW* + RT with unacceptable objects."""
+    return ("IR", "NW*", "RT") if variant == "unacceptable" else ("NW", "RT")
+
+
+AXIOM_VARIANTS: dict[str, tuple[str, ...]] = {
+    **{name: entry.variants for name, entry in UNARY.items()},
+    "EFF": FIXED_POPULATION,
+    "SP": FIXED_POPULATION,
+    "WSP": FIXED_POPULATION,
+    "RM": FIXED_POPULATION,
+    "TP": ("unacceptable",),
+    "EP": ("unacceptable",),
+    "TI": ("unacceptable",),
+}
+
+
+def require_variant(name: str, domain: ProblemDomain) -> None:
+    """Refuse an axiom on a domain variant it is not defined on."""
+    if domain.variant not in AXIOM_VARIANTS[name]:
+        raise ValueError(f"axiom {name!r} is not defined on {domain.variant!r} domains")
+
+
+def admissible(space: AxiomSpace, x: Bundle, allocs, digits, names) -> np.ndarray:
+    """Which rows pass every named unary axiom; EFF stands for its parts, other names are skipped.
+
+    Entries run in table order, each only on the rows still alive, so the
+    scalar RT sees the fewest rows.
+    """
+    names = set(names)
+    if "EFF" in names:
+        names.update(efficiency_parts(space.variant))
+    alive = np.ones(len(allocs), dtype=bool)
+    for name, entry in UNARY.items():
+        if name in names:
+            rows = np.flatnonzero(alive)
+            alive[rows] = entry.ok(space, x, allocs[rows], digits[rows]).all(axis=1)
+    return alive
+
+
+# ---------------------------------------------------------------------------
+# First-violation scans over a FixedSweep
+# ---------------------------------------------------------------------------
+
+_BLOCK = 1 << 15  # gathered cells per step of a deviation scan; bounds its temporaries
+
+
+def _first_violation(bad: np.ndarray, counted: np.ndarray | None = None):
+    """First True cell of `bad` in row-major order, and the checks made up to it.
+
+    `counted` marks the cells that are checks (every cell when None); `bad`
+    must be False outside them. Returns (index tuple or None, checks), where
+    checks runs up to and including the violation, or over the whole block.
+    """
+    flat = bad.reshape(-1)
+    at = int(flat.argmax()) if flat.size else 0
+    if flat.size and flat[at]:
+        if counted is None:
+            checks = at + 1
+        else:
+            checks = int(np.count_nonzero(counted.reshape(-1)[: at + 1]))
+        return tuple(int(i) for i in np.unravel_index(at, bad.shape)), checks
+    return None, flat.size if counted is None else int(np.count_nonzero(counted))
+
+
+def _first_code(bad: np.ndarray):
+    """Like _first_violation on a (codes, checks) block where each code counts as one check.
+
+    Returns ((code, column) or None, codes checked).
+    """
+    hit, checks = _first_violation(bad.any(axis=1))
+    if hit is None:
+        return None, checks
+    return (hit[0], int(bad[hit[0]].argmax())), checks
+
+
+def _deviation_scan(sw: FixedSweep, xi: int, codes, targets, counted, ok, admit=None):
+    """First violation among single-agent report changes at `codes` of set xi.
+
+    At each code (in order), each slot and each column k, the agent with
+    truthful preference index d reports targets[d, k] instead. The cell is a
+    check where counted[d, k] holds and, if given, admit(own, alt) does; it
+    fails where ok(slot, d, alt, own, other) does not hold for the truthful
+    and the deviating bundle. Returns ((code, slot, report index) or None, checks).
+    """
+    allocs = sw.allocs(xi)
+    width = targets.shape[1]
+    step = max(1, _BLOCK // (sw.n * width))
+    checked = 0
+    for lo in range(0, len(codes), step):
+        block = codes[lo : lo + step]
+        bad = np.zeros((len(block), sw.n, width), dtype=bool)
+        valid = np.zeros_like(bad)
+        for slot in range(sw.n):
+            d = sw.digits[block, slot]
+            alt = targets[d]
+            own = allocs[block, slot][:, None]
+            other = allocs[block[:, None] + (alt - d[:, None]) * sw._pow[slot], slot]
+            counts = counted[d] if admit is None else counted[d] & admit(own, alt)
+            valid[:, slot] = counts
+            bad[:, slot] = counts & ~ok(slot, d[:, None], alt, own, other)
+        hit, checks = _first_violation(bad, valid)
+        checked += checks
+        if hit is not None:
+            c, slot, k = hit
+            code = int(block[c])
+            return (code, slot, int(targets[sw.slot_index(code, slot), k])), checked
+    return None, checked
+
+
+# ---------------------------------------------------------------------------
 # Fixed-family checkers
 # ---------------------------------------------------------------------------
 
@@ -539,111 +739,53 @@ def _sweep(rule, domain) -> FixedSweep:
     return FixedSweep(rule, domain)
 
 
-def check_nw(rule, domain) -> AxiomReport:
-    """Non-wastefulness: every available object is assigned."""
+def _check_unary(name: str, rule, domain, priority: Priority | None = None) -> AxiomReport:
+    """First problem, in enumeration order, whose allocation fails a unary axiom.
+
+    Each problem is one check; sets are visited in order and filled on first use.
+    """
     sw = _sweep(rule, domain)
+    require_variant(name, sw.domain)
+    entry, space = UNARY[name], AxiomSpace(sw.domain, priority)
+    label = f"{name}-{list(priority)}" if entry.ranked else name
     checked = 0
     for xi, x in enumerate(sw.xs):
-        for code, alloc in enumerate(sw.grid(xi)):
-            checked += 1
-            if _union(alloc) != x:
-                prob = sw.problem(xi, code)
-                return _violated(
-                    "NW",
-                    checked,
-                    {
-                        "problem": describe_problem(prob),
-                        "allocation": describe_allocation(prob, alloc),
-                        "unassigned": format_bundle(x & ~_union(alloc)),
-                    },
-                )
-    return _holds("NW", checked)
-
-
-def _check_envy(sw: FixedSweep, name: str, pairs, tables) -> AxiomReport:
-    """Per-problem envy scan: for (a, b) in pairs, a's bundle must pass tables[a] against b's.
-
-    Pairs are listed in check order; each problem counts as one check.
-    """
-    checked = 0
-    for xi in range(len(sw.xs)):
-        allocs, digits = sw.allocs(xi), sw.digits
-        bad = np.zeros((len(allocs), len(pairs)), dtype=bool)
-        for k, (a, b) in enumerate(pairs):
-            bad[:, k] = ~tables[a][digits[:, a], allocs[:, a], allocs[:, b]]
-        hit, checks = _first_code(bad)
+        hit, checks = _first_code(~entry.ok(space, x, sw.allocs(xi), sw.digits))
         checked += checks
         if hit is not None:
             code, k = hit
-            prob = sw.problem(xi, code)
-            return _violated(
-                name,
-                checked,
-                {
-                    "problem": describe_problem(prob),
-                    "allocation": describe_allocation(prob, sw.grid(xi)[code]),
-                    "envious": prob.agents[pairs[k][0]],
-                    "envied": prob.agents[pairs[k][1]],
-                },
-            )
-    return _holds(name, checked)
+            prob, alloc = sw.problem(xi, code), sw.grid(xi)[code]
+            witness = {
+                "problem": describe_problem(prob),
+                "allocation": describe_allocation(prob, alloc),
+            }
+            return _violated(label, checked, witness | entry.detail(space, prob, alloc, k))
+    return _holds(label, checked)
 
 
-def _ordered_pairs(n: int) -> list[tuple[int, int]]:
-    return [(a, b) for a in range(n) for b in range(n) if a != b]
+def check_nw(rule, domain) -> AxiomReport:
+    """Non-wastefulness: every available object is assigned."""
+    return _check_unary("NW", rule, domain)
 
 
 def check_ef(rule, domain) -> AxiomReport:
     """Envy-freeness: everyone weakly prefers her own bundle to anyone else's."""
-    sw = _sweep(rule, domain)
-    return _check_envy(sw, "EF", _ordered_pairs(sw.n), _slot_relations(sw))
-
-
-def _ef1_ok(pref: Preference, quota, own: Bundle, other: Bundle) -> bool:
-    if _dominates(pref, quota, own, other):
-        return True
-    for o in objects_of(other):
-        if _dominates(pref, quota, own, other & ~(1 << o)):
-            return True
-    return False
+    return _check_unary("EF", rule, domain)
 
 
 def check_ef1(rule, domain) -> AxiomReport:
     """Envy bounded by one object: some |S| <= 1 removal from the envied bundle kills the envy."""
-    sw = _sweep(rule, domain)
-    return _check_envy(sw, "EF1", _ordered_pairs(sw.n), _slot_relations(sw, ef1=True))
+    return _check_unary("EF1", rule, domain)
 
 
 def check_rp(rule, domain, priority: Priority) -> AxiomReport:
     """Respect for the priority: nobody envies an agent with lower priority."""
-    sw = _sweep(rule, domain)
-    pos = [priority.index(a) for a in sw.agents]
-    pairs = [(a, b) for a, b in _ordered_pairs(sw.n) if pos[a] < pos[b]]
-    return _check_envy(sw, f"RP-{list(priority)}", pairs, _slot_relations(sw))
+    return _check_unary("RP", rule, domain, priority)
 
 
 def check_wrp(rule, domain, priority: Priority) -> AxiomReport:
     """Weak respect for the priority: bundle sizes never grow along the priority order."""
-    sw = _sweep(rule, domain)
-    pos = {a: priority.index(a) for a in sw.agents}
-    order = sorted(range(sw.n), key=lambda i: pos[sw.agents[i]])
-    checked = 0
-    for xi in range(len(sw.xs)):
-        for code, alloc in enumerate(sw.grid(xi)):
-            checked += 1
-            sizes = [bundle_size(alloc[i]) for i in order]
-            if any(a < b for a, b in zip(sizes, sizes[1:])):
-                prob = sw.problem(xi, code)
-                return _violated(
-                    f"WRP-{list(priority)}",
-                    checked,
-                    {
-                        "problem": describe_problem(prob),
-                        "allocation": describe_allocation(prob, alloc),
-                        "sizes": sizes,
-                    },
-                )
-    return _holds(f"WRP-{list(priority)}", checked)
+    return _check_unary("WRP", rule, domain, priority)
 
 
 def check_wrp_any(rule, domain, star: bool = False) -> AxiomReport:
@@ -659,131 +801,42 @@ def check_wrp_any(rule, domain, star: bool = False) -> AxiomReport:
 
 def check_rt(rule, domain) -> AxiomReport:
     """Robustness against trades: the trade relation is acyclic at every problem."""
-    sw = _sweep(rule, domain)
-    checked = 0
-    for xi in range(len(sw.xs)):
-        for code, alloc in enumerate(sw.grid(xi)):
-            checked += 1
-            profile = sw.profile(code)
-            cycle = _trade_cycle(profile, alloc)
-            if cycle is not None:
-                prob = sw.problem(xi, code)
-                return _violated(
-                    "RT",
-                    checked,
-                    {
-                        "problem": describe_problem(prob),
-                        "allocation": describe_allocation(prob, alloc),
-                        "cycle": [OBJECT_NAMES[o] for o in cycle],
-                    },
-                )
-    return _holds("RT", checked)
+    return _check_unary("RT", rule, domain)
 
 
 def check_ir(rule, domain) -> AxiomReport:
     """Individual rationality: nobody receives an object she finds unacceptable."""
-    sw = _sweep(rule, domain)
-    checked = 0
-    for xi in range(len(sw.xs)):
-        for code, alloc in enumerate(sw.grid(xi)):
-            checked += 1
-            profile = sw.profile(code)
-            for i in range(sw.n):
-                bad = alloc[i] & ~profile[i].acceptable
-                if bad:
-                    prob = sw.problem(xi, code)
-                    return _violated(
-                        "IR",
-                        checked,
-                        {
-                            "problem": describe_problem(prob),
-                            "allocation": describe_allocation(prob, alloc),
-                            "agent": prob.agents[i],
-                            "unacceptable": format_bundle(bad),
-                        },
-                    )
-    return _holds("IR", checked)
+    return _check_unary("IR", rule, domain)
 
 
 def check_nw_star(rule, domain) -> AxiomReport:
     """Non-wastefulness with unacceptable objects: everything acceptable to someone is assigned."""
-    sw = _sweep(rule, domain)
-    checked = 0
-    for xi, x in enumerate(sw.xs):
-        for code, alloc in enumerate(sw.grid(xi)):
-            checked += 1
-            profile = sw.profile(code)
-            wanted = 0
-            for p in profile:
-                wanted |= p.acceptable
-            missing = wanted & x & ~_union(alloc)
-            if missing:
-                prob = sw.problem(xi, code)
-                return _violated(
-                    "NW*",
-                    checked,
-                    {
-                        "problem": describe_problem(prob),
-                        "allocation": describe_allocation(prob, alloc),
-                        "unassigned": format_bundle(missing),
-                    },
-                )
-    return _holds("NW*", checked)
+    return _check_unary("NW*", rule, domain)
 
 
 def check_wrp_star(rule, domain, priority: Priority) -> AxiomReport:
     """Weak priority respect counted in each agent's own acceptable objects (both sides)."""
-    sw = _sweep(rule, domain)
-    pos = {a: priority.index(a) for a in sw.agents}
-    checked = 0
-    for xi in range(len(sw.xs)):
-        for code, alloc in enumerate(sw.grid(xi)):
-            checked += 1
-            profile = sw.profile(code)
-            for i in range(sw.n):
-                acc = profile[i].acceptable
-                mine = bundle_size(alloc[i] & acc)
-                for j in range(sw.n):
-                    if pos[sw.agents[i]] < pos[sw.agents[j]] and mine < bundle_size(
-                        alloc[j] & acc
-                    ):
-                        prob = sw.problem(xi, code)
-                        return _violated(
-                            f"WRP*-{list(priority)}",
-                            checked,
-                            {
-                                "problem": describe_problem(prob),
-                                "allocation": describe_allocation(prob, alloc),
-                                "higher": prob.agents[i],
-                                "lower": prob.agents[j],
-                            },
-                        )
-    return _holds(f"WRP*-{list(priority)}", checked)
+    return _check_unary("WRP*", rule, domain, priority)
 
 
 def check_eff(rule, domain) -> AxiomReport:
     """Efficiency via its two-way decomposition: NW+RT, or IR+NW*+RT with unacceptable objects."""
-    parts = (
-        [check_ir, check_nw_star, check_rt]
-        if domain.variant == "unacceptable"
-        else [check_nw, check_rt]
-    )
     sw = _sweep(rule, domain)
+    name = "EFF*" if sw.domain.variant == "unacceptable" else "EFF"
     checked = 0
-    for part in parts:
-        rep = part(sw, domain)
+    for part in efficiency_parts(sw.domain.variant):
+        rep = _check_unary(part, sw, sw.domain)
         checked = max(checked, rep.checked)
         if not rep.holds:
-            name = "EFF*" if domain.variant == "unacceptable" else "EFF"
             return _violated(name, rep.checked, rep.witness, note=f"fails {rep.axiom}")
-    name = "EFF*" if domain.variant == "unacceptable" else "EFF"
     return _holds(name, checked)
 
 
 def check_rm(rule, domain) -> AxiomReport:
     """Resource monotonicity: growing the available set weakly improves every agent."""
     sw = _sweep(rule, domain)
-    tables = _slot_relations(sw)
+    space = AxiomSpace(sw.domain)
+    ok, tables = DEVIATIONS["RM"], [space.relation(i) for i in range(sw.n)]
     pairs = [
         (bi, si)
         for bi, big in enumerate(sw.xs)
@@ -795,7 +848,7 @@ def check_rm(rule, domain) -> AxiomReport:
         big, small = sw.allocs(bi), sw.allocs(si)
         digits = sw.digits
         bad = np.stack(
-            [~tables[i][digits[:, i], big[:, i], small[:, i]] for i in range(sw.n)], axis=1
+            [~ok(tables[i], digits[:, i], big[:, i], small[:, i]) for i in range(sw.n)], axis=1
         )
         hit, checks = _first_code(bad)
         checked += checks
@@ -831,44 +884,51 @@ def _misreport_targets(sw: FixedSweep, xi: int):
 
 def check_sp(rule, domain) -> AxiomReport:
     """Strategy-proofness: the truthful bundle weakly dominates every misreport bundle."""
-    return _check_sp_like(rule, domain, weak=False)
+    return _check_sp_like(rule, domain, "SP")
 
 
 def check_wsp(rule, domain) -> AxiomReport:
     """Weak strategy-proofness: no misreport bundle strictly dominates the truthful one."""
-    return _check_sp_like(rule, domain, weak=True)
+    return _check_sp_like(rule, domain, "WSP")
 
 
-def _check_sp_like(rule, domain, weak: bool) -> AxiomReport:
+def _check_sp_like(rule, domain, name: str) -> AxiomReport:
     sw = _sweep(rule, domain)
-    tables = _slot_relations(sw)
-    name = "WSP" if weak else "SP"
+    space = AxiomSpace(sw.domain)
+    rel, tables = DEVIATIONS[name], [space.relation(s) for s in range(sw.n)]
 
-    def bad_of(slot, d, own, other):
-        dom = tables[slot]
-        if weak:
-            return dom[d, other, own] & ~dom[d, own, other]
-        return ~dom[d, own, other]
+    def ok(slot, d, alt, own, other):
+        return rel(tables[slot], d, own, other)
 
+    fields = ("misreport", "truthful_bundle", "misreport_bundle")
+    return _check_deviation(sw, name, lambda xi: _misreport_targets(sw, xi), ok, fields)
+
+
+def _check_deviation(sw: FixedSweep, name: str, targets_of, ok, fields, admit=None) -> AxiomReport:
+    """First single-agent report change, in enumeration order, that `ok` rejects.
+
+    `targets_of(xi)` gives the (targets, counted) reports to try on set xi;
+    `fields` names the witness's report, truthful bundle and report bundle.
+    """
     codes = np.arange(sw.P**sw.n)
     checked = 0
     for xi in range(len(sw.xs)):
-        targets, counted = _misreport_targets(sw, xi)
-        hit, checks = _deviation_scan(sw, xi, codes, targets, counted, bad_of)
+        targets, counted = targets_of(xi)
+        hit, checks = _deviation_scan(sw, xi, codes, targets, counted, ok, admit)
         checked += checks
         if hit is not None:
             code, slot, alt = hit
             grid = sw.grid(xi)
-            prob = sw.problem(xi, code)
+            report, before, after = fields
             return _violated(
                 name,
                 checked,
                 {
-                    "problem": describe_problem(prob),
+                    "problem": describe_problem(sw.problem(xi, code)),
                     "agent": sw.agents[slot],
-                    "misreport": format_pref(sw.prefs[alt]),
-                    "truthful_bundle": format_bundle(grid[code][slot]),
-                    "misreport_bundle": format_bundle(grid[sw.replace(code, slot, alt)][slot]),
+                    report: format_pref(sw.prefs[alt]),
+                    before: format_bundle(grid[code][slot]),
+                    after: format_bundle(grid[sw.replace(code, slot, alt)][slot]),
                 },
             )
     return _holds(name, checked)
@@ -884,16 +944,16 @@ def check_msp_certificate(rule, domain) -> AxiomReport:
     and maximal, for every utility consistent with the ranking.
     """
     sw = _sweep(rule, domain)
-    dom = _relation(sw)
+    dom = AxiomSpace(sw.domain).relation()
     unanimous = np.arange(sw.P) * sum(sw._pow)  # code of the profile where all report idx
 
-    def bad_of(slot, d, own, other):
-        return ~dom[d, own, other]
+    def ok(slot, d, alt, own, other):
+        return sp_ok(dom, d, own, other)
 
     checked = 0
     for xi in range(len(sw.xs)):
         targets, counted = _misreport_targets(sw, xi)
-        hit, checks = _deviation_scan(sw, xi, unanimous, targets, counted, bad_of)
+        hit, checks = _deviation_scan(sw, xi, unanimous, targets, counted, ok)
         checked += checks
         if hit is not None:
             code, slot, alt = hit
@@ -913,8 +973,7 @@ def check_msp_certificate(rule, domain) -> AxiomReport:
         bad = np.zeros(allocs.shape, dtype=bool)
         for slot in range(sw.n):
             d = digits[:, slot]
-            base = allocs[unanimous[d], slot]
-            bad[:, slot] = ~dom[d, allocs[:, slot], base]
+            bad[:, slot] = ~sp_ok(dom, d, allocs[:, slot], allocs[unanimous[d], slot])
         hit, checks = _first_violation(bad)
         checked += checks
         if hit is not None:
@@ -1056,7 +1115,7 @@ def _truncation_table(m: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], 
     Truncations keep the ranking and move the cutoff up; extensions move it
     down. Tail order is preserved on both sides, matching truncate_at.
     """
-    prefs = _cutoff_prefs(m)
+    prefs = preference_space(m, cutoffs=True)
     table = []
     for p in prefs:
         truncs = tuple(
@@ -1082,32 +1141,15 @@ def _change_targets(m: int, pick: int) -> tuple[np.ndarray, np.ndarray]:
 def _check_report_change(rule, domain, kind: str) -> AxiomReport:
     """Shared sweep for truncation-proofness (TP) and extension-proofness (EP)."""
     sw = _sweep(rule, domain)
-    targets, counted = _change_targets(domain.n_objects, 0 if kind == "TP" else 1)
-    dom = _relation(sw)
+    require_variant(kind, sw.domain)
+    change = _change_targets(sw.domain.n_objects, 0 if kind == "TP" else 1)
+    dom = AxiomSpace(sw.domain).relation()
 
-    def bad_of(slot, d, own, other):
-        return ~dom[d, own, other]
+    def ok(slot, d, alt, own, other):
+        return sp_ok(dom, d, own, other)
 
-    codes = np.arange(sw.P**sw.n)
-    checked = 0
-    for xi in range(len(sw.xs)):
-        hit, checks = _deviation_scan(sw, xi, codes, targets, counted, bad_of)
-        checked += checks
-        if hit is not None:
-            code, slot, alt = hit
-            grid = sw.grid(xi)
-            return _violated(
-                kind,
-                checked,
-                {
-                    "problem": describe_problem(sw.problem(xi, code)),
-                    "agent": sw.agents[slot],
-                    "report": format_pref(sw.prefs[alt]),
-                    "truthful_bundle": format_bundle(grid[code][slot]),
-                    "report_bundle": format_bundle(grid[sw.replace(code, slot, alt)][slot]),
-                },
-            )
-    return _holds(kind, checked)
+    fields = ("report", "truthful_bundle", "report_bundle")
+    return _check_deviation(sw, kind, lambda xi: change, ok, fields)
 
 
 def check_tp(rule, domain) -> AxiomReport:
@@ -1123,35 +1165,18 @@ def check_ep(rule, domain) -> AxiomReport:
 def check_ti(rule, domain) -> AxiomReport:
     """Truncation invariance: truncating while keeping one's bundle acceptable changes nothing."""
     sw = _sweep(rule, domain)
-    targets, counted = _change_targets(domain.n_objects, 0)
-    acceptable = np.array([p.acceptable for p in sw.prefs])
+    require_variant("TI", sw.domain)
+    change = _change_targets(sw.domain.n_objects, 0)
+    acc = AxiomSpace(sw.domain).acceptable
 
     def admit(own, alt):
-        return (own & ~acceptable[alt]) == 0
+        return (own & ~acc[alt]) == 0
 
-    def bad_of(slot, d, own, other):
-        return other != own
+    def ok(slot, d, alt, own, other):
+        return ti_ok(acc, alt, own, other)
 
-    codes = np.arange(sw.P**sw.n)
-    checked = 0
-    for xi in range(len(sw.xs)):
-        hit, checks = _deviation_scan(sw, xi, codes, targets, counted, bad_of, admit)
-        checked += checks
-        if hit is not None:
-            code, slot, alt = hit
-            grid = sw.grid(xi)
-            return _violated(
-                "TI",
-                checked,
-                {
-                    "problem": describe_problem(sw.problem(xi, code)),
-                    "agent": sw.agents[slot],
-                    "truncation": format_pref(sw.prefs[alt]),
-                    "bundle_before": format_bundle(grid[code][slot]),
-                    "bundle_after": format_bundle(grid[sw.replace(code, slot, alt)][slot]),
-                },
-            )
-    return _holds("TI", checked)
+    fields = ("truncation", "bundle_before", "bundle_after")
+    return _check_deviation(sw, "TI", lambda xi: change, ok, fields, admit)
 
 
 # --- quota axioms ---------------------------------------------------------------
@@ -1159,57 +1184,12 @@ def check_ti(rule, domain) -> AxiomReport:
 
 def check_wrp_quota(rule, domain, priority: Priority) -> AxiomReport:
     """Quota form of weak priority respect: filled quota excuses a smaller bundle."""
-    sw = _sweep(rule, domain)
-    quotas = domain.quotas
-    pos = {a: priority.index(a) for a in sw.agents}
-    checked = 0
-    for xi in range(len(sw.xs)):
-        for code, alloc in enumerate(sw.grid(xi)):
-            checked += 1
-            for i in range(sw.n):
-                size_i = bundle_size(alloc[i])
-                if size_i == quotas[i]:
-                    continue
-                for j in range(sw.n):
-                    if pos[sw.agents[i]] < pos[sw.agents[j]] and size_i < bundle_size(
-                        alloc[j]
-                    ):
-                        prob = sw.problem(xi, code)
-                        return _violated(
-                            f"WRPq-{list(priority)}",
-                            checked,
-                            {
-                                "problem": describe_problem(prob),
-                                "allocation": describe_allocation(prob, alloc),
-                                "higher": sw.agents[i],
-                                "lower": sw.agents[j],
-                            },
-                        )
-    return _holds(f"WRPq-{list(priority)}", checked)
+    return _check_unary("WRPq", rule, domain, priority)
 
 
 def check_nw_quota(rule, domain) -> AxiomReport:
     """Quota form of non-wastefulness: assign min(|X|, total quota) objects."""
-    sw = _sweep(rule, domain)
-    total = sum(sw.domain.quotas)
-    checked = 0
-    for xi, x in enumerate(sw.xs):
-        target = min(bundle_size(x), total)
-        for code, alloc in enumerate(sw.grid(xi)):
-            checked += 1
-            if bundle_size(_union(alloc)) != target:
-                prob = sw.problem(xi, code)
-                return _violated(
-                    "NWq",
-                    checked,
-                    {
-                        "problem": describe_problem(prob),
-                        "allocation": describe_allocation(prob, alloc),
-                        "assigned": bundle_size(_union(alloc)),
-                        "target": target,
-                    },
-                )
-    return _holds("NWq", checked)
+    return _check_unary("NWq", rule, domain)
 
 
 # ---------------------------------------------------------------------------
@@ -1300,6 +1280,12 @@ def check_nw_var(rule, domain) -> AxiomReport:
     return _holds("NW", checked)
 
 
+def _ef1_ok(pref: Preference, own: Bundle, other: Bundle) -> bool:
+    if weakly_dominates(pref, own, other):
+        return True
+    return any(weakly_dominates(pref, own, other & ~(1 << o)) for o in objects_of(other))
+
+
 def check_ef1_var(rule, domain) -> AxiomReport:
     sw = _vsweep(rule, domain)
     checked = 0
@@ -1309,7 +1295,7 @@ def check_ef1_var(rule, domain) -> AxiomReport:
                 checked += 1
                 for j in range(len(pop)):
                     for i in range(len(pop)):
-                        if i != j and not _ef1_ok(profile[j], None, alloc[j], alloc[i]):
+                        if i != j and not _ef1_ok(profile[j], alloc[j], alloc[i]):
                             prob = _var_problem(pop, x, profile)
                             return _violated(
                                 "EF1",

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .axioms import (
     AXIOM_CHECKERS,
+    AXIOM_VARIANTS,
     PRIORITY_AXIOM_CHECKERS,
     VARIABLE_AXIOM_CHECKERS,
     FixedSweep,
@@ -170,10 +171,12 @@ def cmd_run(args) -> int:
 def _parse_quotas(text: str | None, n: int):
     if text is None:
         return (INFINITE,) * n
-    parts = text.split(",")
+    parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
         raise InputError(f"expected {n} quota values")
-    return tuple(INFINITE if p.strip() == "inf" else int(p) for p in parts)
+    if not all(p == "inf" or (p.isdigit() and int(p) >= 1) for p in parts):
+        raise InputError("quotas must be positive integers or 'inf'")
+    return tuple(INFINITE if p == "inf" else int(p) for p in parts)
 
 
 def _make_domain(args) -> ProblemDomain:
@@ -188,32 +191,32 @@ def _make_domain(args) -> ProblemDomain:
     raise InputError(f"unknown variant {args.variant!r}")
 
 
-def _axiom_runner(domain, rule, priority):
+def _axiom_runner(domain, rule, priority, axioms):
+    """Refuse every axiom the domain's variant does not define, then run them on one sweep."""
+    for name in axioms:
+        if domain.variant == "variable":
+            if name not in VARIABLE_AXIOM_CHECKERS:
+                raise InputError(f"axiom {name!r} is not defined for variable domains")
+        elif name not in AXIOM_VARIANTS:
+            raise InputError(f"unknown axiom {name!r}")
+        elif domain.variant not in AXIOM_VARIANTS[name]:
+            raise InputError(f"axiom {name!r} is not defined for {domain.variant} domains")
     # one sweep serves every axiom of the run, so each problem is allocated once
     sweep = (VariableSweep if domain.variant == "variable" else FixedSweep)(rule, domain)
 
     def run_one(name: str):
         if domain.variant == "variable":
-            if name not in VARIABLE_AXIOM_CHECKERS:
-                raise InputError(f"axiom {name!r} is not defined for variable domains")
             return VARIABLE_AXIOM_CHECKERS[name](sweep, domain)
         if name in PRIORITY_AXIOM_CHECKERS:
             return PRIORITY_AXIOM_CHECKERS[name](sweep, domain, priority)
-        if name in AXIOM_CHECKERS:
-            return AXIOM_CHECKERS[name](sweep, domain)
-        raise InputError(f"unknown axiom {name!r}")
+        return AXIOM_CHECKERS[name](sweep, domain)
 
     return run_one
 
 
-_JOB_RUNNER = None  # set before forking; children inherit it
-
-
-def _run_axiom_job(name: str):
-    return _JOB_RUNNER(name)
-
-
 def cmd_check(args) -> int:
+    if args.agents < 1 or args.objects < 1:
+        raise InputError("--agents and --objects must be at least 1")
     if args.objects > ENUMERATION_CAP and not args.i_know_this_is_huge:
         print(
             f"undecided: {args.objects} objects exceeds the enumeration cap "
@@ -225,20 +228,13 @@ def cmd_check(args) -> int:
     domain = _make_domain(args)
     priority = tuple(range(1, args.agents + 1))
     if args.priority:
+        if sorted(args.priority) != sorted(map(str, priority)):
+            raise InputError(f"--priority must list the agent ids 1..{args.agents} once each")
         priority = tuple(int(p) for p in args.priority)
     rule = _build_rule(args.rule, args.variant, priority)
     axioms = [a.strip() for a in args.axioms.split(",") if a.strip()]
-    run_one = _axiom_runner(domain, rule, priority)
-
-    if args.jobs > 1:
-        import multiprocessing as mp
-
-        global _JOB_RUNNER
-        _JOB_RUNNER = run_one
-        with mp.get_context("fork").Pool(args.jobs) as pool:
-            reports = pool.map(_run_axiom_job, axioms)
-    else:
-        reports = [run_one(a) for a in axioms]
+    run_one = _axiom_runner(domain, rule, priority, axioms)
+    reports = [run_one(a) for a in axioms]
 
     verdicts = {}
     all_hold = True
@@ -354,11 +350,8 @@ def _verify_driver(args):
         rep = verifier.verify_priority_recovery(args.agents or 4)
         return True, rep["ok"], rep
     if tid == "L9":
-        rep = verifier.verify_t8(args.agents or 2, args.objects or 3)
-        return True, rep.extension_ok and rep.snake_diverges, {
-            "extension_ok": rep.extension_ok,
-            "snake_diverges": rep.snake_diverges,
-        }
+        rep = verifier.verify_extension_comparison(args.agents or 2, args.objects or 3)
+        return True, rep["extension_ok"] and rep["snake_diverges"], rep
     raise InputError(f"unknown theorem id {tid!r}")
 
 
@@ -441,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--out", help="write the machine-readable report to this file")
     parser.add_argument("--json", action="store_true", help="print the report to stdout")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes for checks")
     parser.add_argument("--budget", type=int, default=10_000_000, help="propagation budget")
     parser.add_argument("--no-timestamp", action="store_true", help="omit timestamps")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)

@@ -9,7 +9,7 @@ a pure function, so all of it is safe to share across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import permutations
 from typing import Iterable, Iterator
 
@@ -167,20 +167,20 @@ def is_extension_of(p: Preference, q: Preference) -> bool:
     return is_truncation_of(q, p)
 
 
-def all_rankings(objects: Iterable[int]) -> list[tuple[int, ...]]:
-    """Every strict ranking of the given objects, in a fixed deterministic order."""
-    return list(permutations(sorted(objects)))
+@lru_cache(maxsize=None)
+def preference_space(n_objects: int, cutoffs: bool = False) -> tuple[Preference, ...]:
+    """Every ranking of objects 0..n_objects-1, in permutation order.
+
+    With cutoffs, each ranking appears once per cutoff 0..n_objects in turn.
+    Preference indexes into this tuple are what the relation tables are indexed by.
+    """
+    rankings = permutations(range(n_objects))
+    if cutoffs:
+        return tuple(Preference(r, c) for r in rankings for c in range(n_objects + 1))
+    return tuple(Preference(r) for r in rankings)
 
 
 Priority = tuple[Agent, ...]  # highest priority first
-
-
-def identity_priority(agents: Iterable[Agent]) -> Priority:
-    return tuple(agents)
-
-
-def priority_position(priority: Priority, agent: Agent) -> int:
-    return priority.index(agent)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Sequence
 
+import numpy as np
+
 from .core import (
     Allocation,
     Preference,
@@ -22,9 +24,17 @@ from .core import (
     Problem,
     bundle_size,
     objects_of,
+    restrict,
     subsets_of,
 )
-from .axioms import ProblemDomain, _dominates, _ef1_ok, _rankings, _trade_cycle, _union, describe_problem
+from .axioms import (
+    DEVIATIONS,
+    UNARY,
+    AxiomSpace,
+    ProblemDomain,
+    _rankings,
+    require_variant,
+)
 from .rules import Rule, problem_key, tabulated_rule
 
 SCOPE_NOTE = "finite-domain result: quantifies over the checked domain only"
@@ -61,9 +71,6 @@ class RuleCSP:
     domains: list[int]  # current candidate bitmask per variable
     constraints: list[BinaryConstraint]
     watchers: list[list[int]]  # var -> constraint indexes
-
-    def var_name(self, var: int) -> dict:
-        return describe_problem(self.problems[var])
 
 
 @dataclass
@@ -103,6 +110,14 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 
 
+def distinct_problems(domain: ProblemDomain) -> tuple[list, list[Problem]]:
+    """Each problem key of the domain once, in enumeration order, with its first problem."""
+    first: dict = {}
+    for prob in domain.problems():
+        first.setdefault(problem_key(prob), prob)
+    return list(first), list(first.values())
+
+
 def _all_allocations(problem: Problem) -> list[Allocation]:
     objs = objects_of(problem.available)
     n = len(problem.agents)
@@ -121,108 +136,56 @@ def _all_allocations(problem: Problem) -> list[Allocation]:
     return out
 
 
-def _unary_ok(axiom: str, problem: Problem, alloc: Allocation, priority) -> bool:
-    profile, quotas = problem.profile, problem.quotas or (None,) * len(problem.agents)
-    n = len(problem.agents)
-    if axiom == "NW":
-        return _union(alloc) == problem.available
-    if axiom == "NWq":
-        total = sum(problem.quotas)
-        return bundle_size(_union(alloc)) == min(bundle_size(problem.available), total)
-    if axiom == "NW*":
-        wanted = 0
-        for p in profile:
-            wanted |= p.acceptable
-        return wanted & problem.available & ~_union(alloc) == 0
-    if axiom == "IR":
-        return all(not b & ~p.acceptable for p, b in zip(profile, alloc))
-    if axiom == "EF1":
-        return all(
-            _ef1_ok(profile[j], quotas[j], alloc[j], alloc[i])
-            for j in range(n)
-            for i in range(n)
-            if i != j
-        )
-    if axiom == "EFF":
-        return _union(alloc) == problem.available and _trade_cycle(profile, alloc) is None
-    if axiom in ("RP", "WRP", "WRP*", "WRPq"):
-        pos = {a: priority.index(a) for a in problem.agents}
-        for i in range(n):
-            for j in range(n):
-                if pos[problem.agents[i]] >= pos[problem.agents[j]]:
-                    continue
-                if axiom == "RP":
-                    if not _dominates(profile[i], quotas[i], alloc[i], alloc[j]):
-                        return False
-                elif axiom == "WRP":
-                    if bundle_size(alloc[i]) < bundle_size(alloc[j]):
-                        return False
-                elif axiom == "WRP*":
-                    acc = profile[i].acceptable
-                    if bundle_size(alloc[i] & acc) < bundle_size(alloc[j] & acc):
-                        return False
-                else:  # WRPq
-                    if bundle_size(alloc[i]) != problem.quotas[i] and bundle_size(
-                        alloc[i]
-                    ) < bundle_size(alloc[j]):
-                        return False
-        return True
-    raise ValueError(f"axiom {axiom!r} has no constraint encoder")
+ENCODED_AXIOMS = {*UNARY, "EFF", *DEVIATIONS}
 
 
-UNARY_AXIOMS = {"NW", "NWq", "NW*", "IR", "EF1", "EFF", "RP", "WRP", "WRP*", "WRPq"}
-BINARY_AXIOMS = {"RM", "SP", "WSP", "TI"}
+def _masks(allowed: np.ndarray) -> list[int]:
+    """Row i of a bool matrix as an int with bit j set where allowed[i, j]."""
+    packed = np.packbits(allowed, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def build_csp(domain: ProblemDomain, axioms: Sequence[str], priority: Priority | None = None) -> RuleCSP:
     """Encode the axioms over the domain; unary ones filter candidates up front.
 
     Problem keys restrict profiles to the available set, so the variables range
-    over tabulated rules in the sense of the search's target class.
+    over tabulated rules in the sense of the search's target class. Candidates
+    are filtered by the unary axiom table, and each binary constraint's allowed
+    masks are its deviation relation gathered over the two candidate lists.
     """
     for ax in axioms:
-        if ax not in UNARY_AXIOMS | BINARY_AXIOMS:
+        if ax not in ENCODED_AXIOMS:
             raise ValueError(f"axiom {ax!r} has no constraint encoder")
     if domain.variant == "variable":
         raise ValueError("rule-space search covers fixed-population variants only")
+    for ax in axioms:
+        require_variant(ax, domain)
 
-    keys: list = []
-    key_index: dict = {}
-    problems: list[Problem] = []
-    for prob in domain.problems():
-        k = problem_key(prob)
-        if k not in key_index:
-            key_index[k] = len(keys)
-            keys.append(k)
-            problems.append(prob)
+    keys, problems = distinct_problems(domain)
+    key_index = {k: i for i, k in enumerate(keys)}
 
-    unary = [ax for ax in axioms if ax in UNARY_AXIOMS]
-    candidates = []
-    domains = []
+    space = AxiomSpace(domain, priority)
+    n = space.n
+    candidates, rows, digits = [], [], []
     for prob in problems:
-        cands = [
-            a
-            for a in _all_allocations(prob)
-            if all(_unary_ok(ax, prob, a, priority) for ax in unary)
-        ]
+        cands = _all_allocations(prob)
+        cands = [a for a, keep in zip(cands, space.admits(prob, cands, axioms)) if keep]
         candidates.append(cands)
-        domains.append((1 << len(cands)) - 1)
+        rows.append(np.array(cands, dtype=np.uint8).reshape(len(cands), n))
+        digits.append([space.index[p] for p in prob.profile])
+    domains = [(1 << len(c)) - 1 for c in candidates]
+    tables = [space.relation(slot) for slot in range(n)]
 
     constraints: list[BinaryConstraint] = []
 
-    def add_pair(name, u, v, ok):
-        cu, cv = candidates[u], candidates[v]
-        forward = [0] * len(cu)
-        backward = [0] * len(cv)
-        for i, a in enumerate(cu):
-            for j, b in enumerate(cv):
-                if ok(a, b):
-                    forward[i] |= 1 << j
-                    backward[j] |= 1 << i
-        constraints.append(BinaryConstraint(name, u, v, forward, backward))
+    def add_pair(name, u, v, allowed):
+        constraints.append(BinaryConstraint(name, u, v, _masks(allowed), _masks(allowed.T)))
+
+    def columns(u, v, slot):
+        return rows[u][:, slot, None], rows[v][None, :, slot]
 
     if "RM" in axioms:
-        quotas = domain.quotas
+        ok = DEVIATIONS["RM"]
         for u, prob in enumerate(problems):
             for small in subsets_of(prob.available):
                 if small == prob.available:
@@ -231,21 +194,14 @@ def build_csp(domain: ProblemDomain, axioms: Sequence[str], priority: Priority |
                     prob.variant, prob.agents, small, prob.profile, prob.quotas
                 )
                 v = key_index[problem_key(reduced)]
-                qs = quotas or (None,) * len(prob.agents)
-                profile = prob.profile
-
-                def rm_ok(a, b, profile=profile, qs=qs):
-                    return all(
-                        _dominates(p, q, big, sm)
-                        for p, q, big, sm in zip(profile, qs, a, b)
-                    )
-
-                add_pair("RM", u, v, rm_ok)
+                allowed = np.ones((len(candidates[u]), len(candidates[v])), dtype=bool)
+                for slot in range(n):
+                    allowed &= ok(tables[slot], digits[u][slot], *columns(u, v, slot))
+                add_pair("RM", u, v, allowed)
 
     if "SP" in axioms or "WSP" in axioms:
-        weak = "WSP" in axioms
-        name = "WSP" if weak else "SP"
-        qs_all = domain.quotas
+        name = "WSP" if "WSP" in axioms else "SP"
+        ok = DEVIATIONS[name]
         seen_pairs = set()
         for u, prob in enumerate(problems):
             for slot in range(len(prob.agents)):
@@ -263,37 +219,13 @@ def build_csp(domain: ProblemDomain, axioms: Sequence[str], priority: Priority |
                     if v == u or (min(u, v), max(u, v), slot) in seen_pairs:
                         continue
                     seen_pairs.add((min(u, v), max(u, v), slot))
-                    pu = prob.profile[slot]
-                    pv = problems[v].profile[slot]
-                    q = (qs_all or (None,) * len(prob.agents))[slot]
-
-                    if weak:
-
-                        def ok(a, b, pu=pu, pv=pv, q=q, slot=slot):
-                            if _dominates(pu, q, b[slot], a[slot]) and not _dominates(
-                                pu, q, a[slot], b[slot]
-                            ):
-                                return False
-                            if _dominates(pv, q, a[slot], b[slot]) and not _dominates(
-                                pv, q, b[slot], a[slot]
-                            ):
-                                return False
-                            return True
-
-                    else:
-
-                        def ok(a, b, pu=pu, pv=pv, q=q, slot=slot):
-                            return _dominates(pu, q, a[slot], b[slot]) and _dominates(
-                                pv, q, b[slot], a[slot]
-                            )
-
-                    add_pair(name, u, v, ok)
+                    # truth at u must not gain by moving to v, nor truth at v by moving to u
+                    a, b = columns(u, v, slot)
+                    dom = tables[slot]
+                    add_pair(name, u, v, ok(dom, digits[u][slot], a, b) & ok(dom, digits[v][slot], b, a))
 
     if "TI" in axioms:
-        if domain.variant != "unacceptable":
-            raise ValueError("TI constraints need an unacceptable-variant domain")
-        from .core import restrict
-
+        ok = DEVIATIONS["TI"]
         for u, prob in enumerate(problems):
             for slot in range(len(prob.agents)):
                 rpref = restrict(prob.profile[slot], prob.available)
@@ -306,14 +238,9 @@ def build_csp(domain: ProblemDomain, axioms: Sequence[str], priority: Priority |
                         prob.variant, prob.agents, prob.available, tuple(new_profile)
                     )
                     v = key_index[problem_key(other)]
-                    acc = alt.acceptable
-
-                    def ok(a, b, acc=acc, slot=slot):
-                        if a[slot] & ~acc:
-                            return True
-                        return b[slot] == a[slot]
-
-                    add_pair("TI", u, v, ok)
+                    # v's representative restricts to alt, so it has alt's acceptable objects here
+                    allowed = ok(space.acceptable, digits[v][slot], *columns(u, v, slot))
+                    add_pair("TI", u, v, allowed)
 
     watchers: list[list[int]] = [[] for _ in keys]
     for ci, c in enumerate(constraints):

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 from typing import Sequence
 
 import numpy as np
 
-from .core import INFINITE, Bundle, Preference, bundle_size, objects_of, top_k
+from .core import INFINITE, Bundle, Preference, bundle_size, objects_of, preference_space, top_k
 
 ORACLE_SIZE_CAP = 12
 
@@ -134,6 +135,25 @@ def ef1_table(dom: np.ndarray, n_objects: int) -> np.ndarray:
         ok[:, :, holding] |= dom[:, :, holding ^ (1 << o)]
     ok.flags.writeable = False
     return ok
+
+
+def relation_table(
+    n_objects: int, cutoffs: bool = False, quota: int | float | None = None, ef1: bool = False
+) -> np.ndarray:
+    """DOM (or, with ef1, EF1OK) over `preference_space(n_objects, cutoffs)` under one quota.
+
+    Each table is built on first use and cached for the life of the process;
+    no quota and an infinite quota share one table.
+    """
+    q = None if quota is None or quota == INFINITE else int(quota)
+    return _relation_table(n_objects, cutoffs, q, ef1)
+
+
+@lru_cache(maxsize=None)
+def _relation_table(n_objects: int, cutoffs: bool, quota: int | None, ef1: bool) -> np.ndarray:
+    if ef1:
+        return ef1_table(_relation_table(n_objects, cutoffs, quota, False), n_objects)
+    return dominance_table(preference_space(n_objects, cutoffs), n_objects, quota)
 
 
 def weakly_dominates_oracle(pref: Preference, s: Bundle, t: Bundle) -> bool:

@@ -10,13 +10,11 @@ lets arc consistency run as whole-row / whole-column mask arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
-from .core import Preference
+from .axioms import DEVIATIONS, AxiomSpace, ProblemDomain, admissible
 from .csp import InfeasibilityCertificate, SolveResult, SolveStats
-from .dominance import dominates_rank_masks
 
 
 def _popcount(arr: np.ndarray) -> np.ndarray:
@@ -44,6 +42,18 @@ class GridCSP:
         return divmod(var, len(self.rankings))
 
 
+def _cones(ok, dom: np.ndarray, own: np.ndarray) -> np.ndarray:
+    """Allowed masks of one agent's deviation constraints, from the deviation relation.
+
+    `own[a]` is the agent's bundle under candidate a. Entry [r, r2, a] has bit
+    b set where truth r at a does not gain from b and truth r2 at b does not
+    gain from a: the relation read in both directions.
+    """
+    d = np.arange(len(dom))[:, None, None]
+    s, t = own[None, :, None], own[None, None, :]
+    return _pack(ok(dom, d, s, t))[:, None, :] & _pack(ok(dom, d, t, s))[None, :, :]
+
+
 def build_grid(n_objects: int, axioms, priority=(1, 2)) -> GridCSP:
     """Unary axioms filter the splits; exactly one of SP/WSP forms the deviation constraints."""
     axioms = tuple(axioms)
@@ -55,113 +65,33 @@ def build_grid(n_objects: int, axioms, priority=(1, 2)) -> GridCSP:
         if ax not in ("NW", "EF1", "RP", "EFF"):
             raise ValueError(f"axiom {ax!r} has no grid encoder")
 
-    rankings = list(permutations(range(n_objects)))
-    prefs = [Preference(r) for r in rankings]
-    P = len(rankings)
     full = (1 << n_objects) - 1
+    space = AxiomSpace(ProblemDomain("fixed", n_objects, ((1, 2),), (full,)), priority)
+    rankings = [p.ranking for p in space.prefs]
+    P = len(rankings)
     candidates = list(range(1 << n_objects))
     C = len(candidates)
+    splits = np.array([(a, full & ~a) for a in candidates], dtype=np.uint8)
 
-    # rank-space views of both agents' bundles, per preference
-    rk1 = [[p.rank_mask(a) for a in candidates] for p in prefs]
-    rk2 = [[p.rank_mask(full & ~a) for a in candidates] for p in prefs]
+    ok, dom = DEVIATIONS[deviation[0]], space.relation()
+    m_col = _cones(ok, dom, splits[:, 0])
+    m_row = _cones(ok, dom, splits[:, 1])
 
-    def cones(rk):
-        down = np.zeros((P, C), dtype=np.uint64)
-        up = np.zeros((P, C), dtype=np.uint64)
-        sdown = np.zeros((P, C), dtype=np.uint64)
-        sup = np.zeros((P, C), dtype=np.uint64)
-        for r in range(P):
-            row = rk[r]
-            for a in range(C):
-                d = u = 0
-                for b in range(C):
-                    geq = dominates_rank_masks(row[a], row[b])
-                    leq = dominates_rank_masks(row[b], row[a])
-                    if geq:
-                        d |= 1 << b
-                    if leq:
-                        u |= 1 << b
-                down[r, a] = d
-                up[r, a] = u
-                sdown[r, a] = d & ~u & ((1 << C) - 1)
-                sup[r, a] = u & ~d & ((1 << C) - 1)
-        return down, up, sdown, sup
-
-    down1, up1, sdown1, sup1 = cones(rk1)
-    down2, up2, sdown2, sup2 = cones(rk2)
-    allmask = np.uint64((1 << C) - 1)
-
-    if deviation[0] == "SP":
-        m_col = down1[:, None, :] & up1[None, :, :]
-        m_row = down2[:, None, :] & up2[None, :, :]
-    else:
-        m_col = (allmask ^ sup1)[:, None, :] & (allmask ^ sdown1)[None, :, :]
-        m_row = (allmask ^ sup2)[:, None, :] & (allmask ^ sdown2)[None, :, :]
-
-    # unary filters, decomposed by side where the condition only reads one preference
-    def ef1_side(p: Preference, own: int, other: int) -> bool:
-        if dominates_rank_masks(p.rank_mask(own), p.rank_mask(other)):
-            return True
-        o = other
-        while o:
-            low = o & -o
-            o ^= low
-            if dominates_rank_masks(p.rank_mask(own), p.rank_mask(other & ~low)):
-                return True
-        return False
-
-    row_ok = np.full(P, allmask, dtype=np.uint64)
-    col_ok = np.full(P, allmask, dtype=np.uint64)
-    for r, p in enumerate(prefs):
-        rmask = cmask = 0
-        for a in candidates:
-            ok1 = ok2 = True
-            if "EF1" in unary:
-                ok1 = ok1 and ef1_side(p, a, full & ~a)
-                ok2 = ok2 and ef1_side(p, full & ~a, a)
-            if "RP" in unary:
-                if priority == (1, 2):
-                    ok1 = ok1 and dominates_rank_masks(p.rank_mask(a), p.rank_mask(full & ~a))
-                else:
-                    ok2 = ok2 and dominates_rank_masks(p.rank_mask(full & ~a), p.rank_mask(a))
-            if ok1:
-                rmask |= 1 << a
-            if ok2:
-                cmask |= 1 << a
-        row_ok[r] = rmask
-        col_ok[r] = cmask
-
-    initial = row_ok[:, None] & col_ok[None, :]
-
-    if "EFF" in unary:
-        from .axioms import _trade_cycle
-
-        for r1 in range(P):
-            for r2 in range(P):
-                mask = int(initial[r1, r2])
-                keep = 0
-                m = mask
-                while m:
-                    low = m & -m
-                    m ^= low
-                    a = low.bit_length() - 1
-                    if _trade_cycle((prefs[r1], prefs[r2]), (a, full & ~a)) is None:
-                        keep |= low
-                initial[r1, r2] = keep
+    # the unary table, one grid row (agent 1's ranking) at a time: rows are (r2, split) pairs
+    allocs = np.tile(splits, (P, 1))
+    digits = np.repeat(np.arange(P), C)[:, None].repeat(2, axis=1)
+    initial = np.empty((P, P), dtype=np.uint64)
+    for r1 in range(P):
+        digits[:, 0] = r1
+        initial[r1] = _pack(admissible(space, full, allocs, digits, unary).reshape(P, C))
 
     return GridCSP(n_objects, axioms, rankings, candidates, initial, m_row, m_col)
 
 
-_POW2 = None
-
-
 def _pack(alive: np.ndarray) -> np.ndarray:
-    global _POW2
-    C = alive.shape[-1]
-    if _POW2 is None or _POW2.shape[0] != C:
-        _POW2 = (np.uint64(1) << np.arange(C, dtype=np.uint64))
-    return (alive.astype(np.uint64) * _POW2).sum(axis=-1, dtype=np.uint64)
+    """Bool (..., C) as uint64 masks: bit a set where alive[..., a]."""
+    pow2 = np.uint64(1) << np.arange(alive.shape[-1], dtype=np.uint64)
+    return (alive.astype(np.uint64) * pow2).sum(axis=-1, dtype=np.uint64)
 
 
 class _Budget(Exception):
@@ -207,12 +137,7 @@ def _propagate(grid: GridCSP, D: np.ndarray, dirty_rows, dirty_cols, stats, budg
     return None
 
 
-def solve_grid(
-    grid: GridCSP,
-    mode: str = "prove-unsat",
-    budget: int = 10_000_000,
-    start_profile: tuple[int, int] | None = None,
-) -> SolveResult:
+def solve_grid(grid: GridCSP, mode: str = "prove-unsat", budget: int = 10_000_000) -> SolveResult:
     """Backtracking with bulk propagation; deterministic; replay by re-execution."""
     stats = SolveStats()
     P = len(grid.rankings)
@@ -227,8 +152,6 @@ def solve_grid(
         open_vars = sizes > 1
         if not open_vars.any():
             return None
-        if start_profile is not None and open_vars[start_profile]:
-            return start_profile
         masked = np.where(open_vars, sizes, np.iinfo(sizes.dtype).max)
         flat = int(masked.argmin())
         return divmod(flat, P)

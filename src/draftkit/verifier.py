@@ -14,20 +14,19 @@ from typing import Iterable, Sequence
 
 from .core import (
     Agent,
-    Allocation,
     Preference,
     Priority,
     Problem,
     bundle_of,
     bundle_size,
     objects_of,
+    preference_space,
     subsets_of,
 )
 from .axioms import (
     OBJECT_NAMES,
+    AxiomSpace,
     ProblemDomain,
-    _ef1_ok,
-    _trade_cycle,
     _union,
     check_msp_certificate,
     check_msp_falsify,
@@ -39,6 +38,7 @@ from .axioms import (
     format_bundle,
     pareto_oracle,
     quota_domain,
+    sp_ok,
     unacceptable_domain,
     variable_domain,
 )
@@ -49,14 +49,13 @@ from .dominance import (
     linear_scheme,
     random_scheme,
     strictly_dominates,
-    weakly_dominates,
 )
 from .grid import build_grid, replay_grid_certificate, solve_grid
 from .rules import (
     Rule,
     draft_rule,
-    problem_key,
     quota_draft_rule,
+    snake_draft_rule,
     unacceptable_draft_rule,
     variable_draft_rule,
 )
@@ -171,17 +170,9 @@ def verify_t3(n_objects: int = 4, budget: int = 10_000_000) -> ImpossibilityRepo
 
 
 def verify_theorem4_unsat(budget: int = 10_000_000) -> ImpossibilityReport:
-    """Generic (not proof-guided) search: NW + EF1 + SP unsat on five objects, two agents.
-
-    The search starts at the proof's base profile, but every deduction is the
-    solver's own propagation.
-    """
+    """Generic (not proof-guided) search: NW + EF1 + SP unsat on five objects, two agents."""
     grid = build_grid(5, ("NW", "EF1", "SP"))
-    base = (
-        grid.rankings.index((0, 1, 2, 3, 4)),
-        grid.rankings.index((1, 0, 3, 2, 4)),
-    )
-    res = solve_grid(grid, mode="prove-unsat", budget=budget, start_profile=base)
+    res = solve_grid(grid, mode="prove-unsat", budget=budget)
     ok = res.status == "unsat" and replay_grid_certificate(grid, res.certificate)
     return ImpossibilityReport(res.status, [res], ok)
 
@@ -205,10 +196,6 @@ def _mask_word(word: str) -> int:
 
 _T4_OBJECTS = 5
 _T4_FULL = (1 << 5) - 1
-
-
-def _apply_sigma_rank(sigma: dict, word: tuple) -> tuple:
-    return tuple(sigma[o] for o in word)
 
 
 def _apply_sigma_mask(sigma: dict, mask: int) -> int:
@@ -238,6 +225,7 @@ class _CaseEngine:
         self.big_slot = big_slot
         self.log = log
         self.env: dict[tuple, tuple] = {}
+        self.space = AxiomSpace(fixed_domain(2, _T4_OBJECTS))
 
     def profile(self, big_word: str, small_word: str) -> tuple:
         ranks = [None, None]
@@ -252,42 +240,26 @@ class _CaseEngine:
         return tuple(out)
 
     def candidates(self, profile: tuple) -> list[tuple]:
-        prefs = tuple(Preference(r) for r in profile)
-        sizes = [0, 0]
-        sizes[self.big_slot] = 3
-        sizes[1 - self.big_slot] = 2
-        out = []
-        for objs in combinations(range(_T4_OBJECTS), 3):
-            big = bundle_of(objs)
-            alloc = [0, 0]
-            alloc[self.big_slot] = big
-            alloc[1 - self.big_slot] = _T4_FULL & ~big
-            alloc = tuple(alloc)
-            if all(
-                _ef1_ok(prefs[j], None, alloc[j], alloc[i])
-                for j in range(2)
-                for i in range(2)
-                if i != j
-            ):
-                out.append(alloc)
-        return out
+        bigs = map(bundle_of, combinations(range(_T4_OBJECTS), 3))
+        splits = [self.alloc(big, _T4_FULL & ~big) for big in bigs]
+        prob = Problem("fixed", (1, 2), _T4_FULL, tuple(Preference(r) for r in profile))
+        return [c for c, keep in zip(splits, self.space.admits(prob, splits, ("EF1",))) if keep]
 
     def pin(self, profile: tuple, expect: set | None, label: str) -> list[tuple]:
         cands = self.candidates(profile)
-        prefs = tuple(Preference(r) for r in profile)
+        index, dom = self.space.index, self.space.relation()
         for known_profile, known_alloc in self.env.items():
             diff = [s for s in range(2) if known_profile[s] != profile[s]]
             if len(diff) != 1:
                 continue
             slot = diff[0]
-            truth_here = prefs[slot]
-            truth_known = Preference(known_profile[slot])
+            here = index[Preference(profile[slot])]
+            known = index[Preference(known_profile[slot])]
             kb = known_alloc[slot]
             cands = [
                 c
                 for c in cands
-                if weakly_dominates(truth_here, c[slot], kb)
-                and weakly_dominates(truth_known, kb, c[slot])
+                if sp_ok(dom, here, c[slot], kb) and sp_ok(dom, known, kb, c[slot])
             ]
         got = {tuple(c) for c in cands}
         self.log.append(
@@ -574,17 +546,6 @@ class EquivalenceReport:
         return not self.disagreements
 
 
-def _efficiency_fast(problem: Problem, alloc: Allocation) -> bool:
-    if problem.variant == "unacceptable":
-        wanted = 0
-        for p in problem.profile:
-            wanted |= p.acceptable
-        ir = all(not b & ~p.acceptable for p, b in zip(problem.profile, alloc))
-        nw = wanted & problem.available & ~_union(alloc) == 0
-        return ir and nw and _trade_cycle(problem.profile, alloc) is None
-    return _union(alloc) == problem.available and _trade_cycle(problem.profile, alloc) is None
-
-
 def verify_efficiency_decomposition(
     domain: ProblemDomain, n_random_rules: int = 1000, seed: int = 4711
 ) -> EquivalenceReport:
@@ -595,24 +556,18 @@ def verify_efficiency_decomposition(
     """
     from random import Random
 
-    from .csp import _all_allocations
+    from .csp import _all_allocations, distinct_problems
 
-    keys = []
-    seen = set()
-    for prob in domain.problems():
-        k = problem_key(prob)
-        if k not in seen:
-            seen.add(k)
-            keys.append(prob)
-
+    _, keys = distinct_problems(domain)
+    space = AxiomSpace(domain)
     disagreements = []
     checked = 0
     verdicts: list[dict] = []
     for prob in keys:
         table = {}
-        for alloc in _all_allocations(prob):
+        allocs = _all_allocations(prob)
+        for alloc, fast in zip(allocs, space.admits(prob, allocs, ("EFF",)).tolist()):
             checked += 1
-            fast = _efficiency_fast(prob, alloc)
             slow = pareto_oracle(prob, alloc)
             table[alloc] = (fast, slow)
             if fast != slow:
@@ -654,18 +609,12 @@ def verify_truncation_invariance_implication(
     from random import Random
 
     from .axioms import check_ep, check_ir, check_ti, check_tp
-    from .csp import _all_allocations
+    from .csp import _all_allocations, distinct_problems
     from .rules import tabulated_rule
 
     domain = unacceptable_domain(2, n_objects)
-    keys, cands = [], []
-    seen = set()
-    for prob in domain.problems():
-        k = problem_key(prob)
-        if k not in seen:
-            seen.add(k)
-            keys.append((k, prob))
-            cands.append(_all_allocations(prob))
+    keys = list(zip(*distinct_problems(domain)))
+    cands = [_all_allocations(prob) for _, prob in keys]
 
     udraft = unacceptable_draft_rule((1, 2))
     base_table = {k: udraft.allocate(prob) for k, prob in keys}
@@ -831,7 +780,6 @@ def verify_t8(n_agents: int = 3, n_objects: int = 4) -> VariableCharacterization
         check_eff_var,
         check_neu,
     )
-    from .rules import snake_draft_rule
 
     dom = variable_domain(n_agents, n_objects)
     pi = tuple(range(1, n_agents + 1))
@@ -842,22 +790,28 @@ def verify_t8(n_agents: int = 3, n_objects: int = 4) -> VariableCharacterization
         if not rep.holds:
             failures.append({"axiom": rep.axiom, "witness": rep.witness})
 
-    recovered = True
-    for perm in permutations(range(1, 5)):
-        if infer_priority(variable_draft_rule(perm), perm) != perm:
-            recovered = False
-
-    ext_draft = verify_extension_lemma(rule, pi, dom)
-    ext_snake = verify_extension_lemma(snake_draft_rule(pi), pi, dom)
     return VariableCharacterizationReport(
         sweep_ok=not failures,
         sweep_failures=failures,
-        priorities_recovered=recovered,
-        extension_ok=ext_draft.precondition_ok and ext_draft.agrees_everywhere,
-        snake_diverges=ext_snake.precondition_ok
+        priorities_recovered=verify_priority_recovery(4)["ok"],
+        **verify_extension_comparison(n_agents, n_objects),
+    )
+
+
+def verify_extension_comparison(n_agents: int = 2, n_objects: int = 3) -> dict:
+    """The extension-lemma comparison on a variable domain: the draft agrees with
+    itself everywhere, while the snake draft meets the lemma's precondition yet
+    fails T-CON and diverges."""
+    dom = variable_domain(n_agents, n_objects)
+    pi = tuple(range(1, n_agents + 1))
+    ext_draft = verify_extension_lemma(variable_draft_rule(pi), pi, dom)
+    ext_snake = verify_extension_lemma(snake_draft_rule(pi), pi, dom)
+    return {
+        "extension_ok": ext_draft.precondition_ok and ext_draft.agrees_everywhere,
+        "snake_diverges": ext_snake.precondition_ok
         and not ext_snake.tcon_holds
         and not ext_snake.agrees_everywhere,
-    )
+    }
 
 
 def verify_critical_agent(n_agents: int = 3, n_objects: int = 3) -> dict:
@@ -891,12 +845,10 @@ def verify_rm_lemma() -> dict:
     Exhaustive for two agents up to five objects and three agents up to four
     objects (the three-agent five-object profile space is too large to sweep).
     """
-    from .axioms import _fixed_prefs
-
     checked = 0
     for n, m in ((2, 4), (2, 5), (3, 3), (3, 4)):
         agents = tuple(range(1, n + 1))
-        prefs = _fixed_prefs(m)
+        prefs = preference_space(m)
         full = (1 << m) - 1
         from .rules import priority_draft
 

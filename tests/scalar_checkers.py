@@ -1,25 +1,29 @@
 """Scalar reference checkers: the differential-test oracle for the gather checkers.
 
-These are the per-pair loops the FixedSweep checkers in ``draftkit.axioms``
-replace. They call scalar ``weakly_dominates`` once per comparison, walk the
+These are the per-problem and per-pair loops the FixedSweep checkers in
+``draftkit.axioms`` replace. They call scalar ``weakly_dominates`` once per comparison, walk the
 domain in enumeration order and stop at the first violation, so their
 ``AxiomReport`` (verdict, ``checked`` count and witness) is the definition the
-fast checkers must reproduce exactly. They share only the sweep's grid and the
-witness formatting with the code under test; restriction classes, truncation
-targets and both dominance relations are recomputed here.
+fast checkers must reproduce exactly. They share only the sweep's grid, the
+witness formatting and the trade-cycle search with the code under test;
+restriction classes, truncation targets and both dominance relations are
+recomputed here.
 """
 
 from __future__ import annotations
 
 from draftkit.axioms import (
+    OBJECT_NAMES,
     AxiomReport,
     FixedSweep,
+    _trade_cycle,
+    _union,
     describe_allocation,
     describe_problem,
     format_bundle,
     format_pref,
 )
-from draftkit.core import INFINITE, objects_of
+from draftkit.core import INFINITE, Priority, bundle_size, objects_of
 from draftkit.dominance import quota_weakly_dominates, weakly_dominates
 
 
@@ -31,8 +35,8 @@ def _holds(axiom, checked):
     return AxiomReport(axiom, "holds", None, checked)
 
 
-def _violated(axiom, checked, witness):
-    return AxiomReport(axiom, "violated", witness, checked)
+def _violated(axiom, checked, witness, note=""):
+    return AxiomReport(axiom, "violated", witness, checked, note)
 
 
 def _dominates(pref, quota, s, t) -> bool:
@@ -314,3 +318,468 @@ def check_ti(rule, domain) -> AxiomReport:
                             },
                         )
     return _holds("TI", checked)
+
+
+# --- unary axioms: one allocation at one problem ---------------------------
+
+
+def check_nw(rule, domain) -> AxiomReport:
+    """Non-wastefulness: every available object is assigned."""
+    sw = _sweep(rule, domain)
+    checked = 0
+    for xi, x in enumerate(sw.xs):
+        for code, alloc in enumerate(sw.grid(xi)):
+            checked += 1
+            if _union(alloc) != x:
+                prob = sw.problem(xi, code)
+                return _violated(
+                    "NW",
+                    checked,
+                    {
+                        "problem": describe_problem(prob),
+                        "allocation": describe_allocation(prob, alloc),
+                        "unassigned": format_bundle(x & ~_union(alloc)),
+                    },
+                )
+    return _holds("NW", checked)
+
+
+def check_wrp(rule, domain, priority: Priority) -> AxiomReport:
+    """Weak respect for the priority: bundle sizes never grow along the priority order."""
+    sw = _sweep(rule, domain)
+    pos = {a: priority.index(a) for a in sw.agents}
+    order = sorted(range(sw.n), key=lambda i: pos[sw.agents[i]])
+    checked = 0
+    for xi in range(len(sw.xs)):
+        for code, alloc in enumerate(sw.grid(xi)):
+            checked += 1
+            sizes = [bundle_size(alloc[i]) for i in order]
+            if any(a < b for a, b in zip(sizes, sizes[1:])):
+                prob = sw.problem(xi, code)
+                return _violated(
+                    f"WRP-{list(priority)}",
+                    checked,
+                    {
+                        "problem": describe_problem(prob),
+                        "allocation": describe_allocation(prob, alloc),
+                        "sizes": sizes,
+                    },
+                )
+    return _holds(f"WRP-{list(priority)}", checked)
+
+
+def check_rt(rule, domain) -> AxiomReport:
+    """Robustness against trades: the trade relation is acyclic at every problem."""
+    sw = _sweep(rule, domain)
+    checked = 0
+    for xi in range(len(sw.xs)):
+        for code, alloc in enumerate(sw.grid(xi)):
+            checked += 1
+            profile = sw.profile(code)
+            cycle = _trade_cycle(profile, alloc)
+            if cycle is not None:
+                prob = sw.problem(xi, code)
+                return _violated(
+                    "RT",
+                    checked,
+                    {
+                        "problem": describe_problem(prob),
+                        "allocation": describe_allocation(prob, alloc),
+                        "cycle": [OBJECT_NAMES[o] for o in cycle],
+                    },
+                )
+    return _holds("RT", checked)
+
+
+def check_ir(rule, domain) -> AxiomReport:
+    """Individual rationality: nobody receives an object she finds unacceptable."""
+    sw = _sweep(rule, domain)
+    checked = 0
+    for xi in range(len(sw.xs)):
+        for code, alloc in enumerate(sw.grid(xi)):
+            checked += 1
+            profile = sw.profile(code)
+            for i in range(sw.n):
+                bad = alloc[i] & ~profile[i].acceptable
+                if bad:
+                    prob = sw.problem(xi, code)
+                    return _violated(
+                        "IR",
+                        checked,
+                        {
+                            "problem": describe_problem(prob),
+                            "allocation": describe_allocation(prob, alloc),
+                            "agent": prob.agents[i],
+                            "unacceptable": format_bundle(bad),
+                        },
+                    )
+    return _holds("IR", checked)
+
+
+def check_nw_star(rule, domain) -> AxiomReport:
+    """Non-wastefulness with unacceptable objects: everything acceptable to someone is assigned."""
+    sw = _sweep(rule, domain)
+    checked = 0
+    for xi, x in enumerate(sw.xs):
+        for code, alloc in enumerate(sw.grid(xi)):
+            checked += 1
+            profile = sw.profile(code)
+            wanted = 0
+            for p in profile:
+                wanted |= p.acceptable
+            missing = wanted & x & ~_union(alloc)
+            if missing:
+                prob = sw.problem(xi, code)
+                return _violated(
+                    "NW*",
+                    checked,
+                    {
+                        "problem": describe_problem(prob),
+                        "allocation": describe_allocation(prob, alloc),
+                        "unassigned": format_bundle(missing),
+                    },
+                )
+    return _holds("NW*", checked)
+
+
+def check_wrp_star(rule, domain, priority: Priority) -> AxiomReport:
+    """Weak priority respect counted in each agent's own acceptable objects (both sides)."""
+    sw = _sweep(rule, domain)
+    pos = {a: priority.index(a) for a in sw.agents}
+    checked = 0
+    for xi in range(len(sw.xs)):
+        for code, alloc in enumerate(sw.grid(xi)):
+            checked += 1
+            profile = sw.profile(code)
+            for i in range(sw.n):
+                acc = profile[i].acceptable
+                mine = bundle_size(alloc[i] & acc)
+                for j in range(sw.n):
+                    if pos[sw.agents[i]] < pos[sw.agents[j]] and mine < bundle_size(
+                        alloc[j] & acc
+                    ):
+                        prob = sw.problem(xi, code)
+                        return _violated(
+                            f"WRP*-{list(priority)}",
+                            checked,
+                            {
+                                "problem": describe_problem(prob),
+                                "allocation": describe_allocation(prob, alloc),
+                                "higher": prob.agents[i],
+                                "lower": prob.agents[j],
+                            },
+                        )
+    return _holds(f"WRP*-{list(priority)}", checked)
+
+
+def check_eff(rule, domain) -> AxiomReport:
+    """Efficiency via its two-way decomposition: NW+RT, or IR+NW*+RT with unacceptable objects."""
+    parts = (
+        [check_ir, check_nw_star, check_rt]
+        if domain.variant == "unacceptable"
+        else [check_nw, check_rt]
+    )
+    sw = _sweep(rule, domain)
+    checked = 0
+    for part in parts:
+        rep = part(sw, domain)
+        checked = max(checked, rep.checked)
+        if not rep.holds:
+            name = "EFF*" if domain.variant == "unacceptable" else "EFF"
+            return _violated(name, rep.checked, rep.witness, note=f"fails {rep.axiom}")
+    name = "EFF*" if domain.variant == "unacceptable" else "EFF"
+    return _holds(name, checked)
+
+
+def check_wrp_quota(rule, domain, priority: Priority) -> AxiomReport:
+    """Quota form of weak priority respect: filled quota excuses a smaller bundle."""
+    sw = _sweep(rule, domain)
+    quotas = domain.quotas
+    pos = {a: priority.index(a) for a in sw.agents}
+    checked = 0
+    for xi in range(len(sw.xs)):
+        for code, alloc in enumerate(sw.grid(xi)):
+            checked += 1
+            for i in range(sw.n):
+                size_i = bundle_size(alloc[i])
+                if size_i == quotas[i]:
+                    continue
+                for j in range(sw.n):
+                    if pos[sw.agents[i]] < pos[sw.agents[j]] and size_i < bundle_size(
+                        alloc[j]
+                    ):
+                        prob = sw.problem(xi, code)
+                        return _violated(
+                            f"WRPq-{list(priority)}",
+                            checked,
+                            {
+                                "problem": describe_problem(prob),
+                                "allocation": describe_allocation(prob, alloc),
+                                "higher": sw.agents[i],
+                                "lower": sw.agents[j],
+                            },
+                        )
+    return _holds(f"WRPq-{list(priority)}", checked)
+
+
+def check_nw_quota(rule, domain) -> AxiomReport:
+    """Quota form of non-wastefulness: assign min(|X|, total quota) objects."""
+    sw = _sweep(rule, domain)
+    total = sum(sw.domain.quotas)
+    checked = 0
+    for xi, x in enumerate(sw.xs):
+        target = min(bundle_size(x), total)
+        for code, alloc in enumerate(sw.grid(xi)):
+            checked += 1
+            if bundle_size(_union(alloc)) != target:
+                prob = sw.problem(xi, code)
+                return _violated(
+                    "NWq",
+                    checked,
+                    {
+                        "problem": describe_problem(prob),
+                        "allocation": describe_allocation(prob, alloc),
+                        "assigned": bundle_size(_union(alloc)),
+                        "target": target,
+                    },
+                )
+    return _holds("NWq", checked)
+
+
+# --- rule-space encoders: the per-allocation and per-pair builds ------------
+
+
+def _unary_ok(axiom, problem, alloc, priority) -> bool:
+    profile, quotas = problem.profile, problem.quotas or (None,) * len(problem.agents)
+    n = len(problem.agents)
+    if axiom == "NW":
+        return _union(alloc) == problem.available
+    if axiom == "NWq":
+        total = sum(problem.quotas)
+        return bundle_size(_union(alloc)) == min(bundle_size(problem.available), total)
+    if axiom == "NW*":
+        wanted = 0
+        for p in profile:
+            wanted |= p.acceptable
+        return wanted & problem.available & ~_union(alloc) == 0
+    if axiom == "IR":
+        return all(not b & ~p.acceptable for p, b in zip(profile, alloc))
+    if axiom in ("EF", "EF1"):
+        ok = _dominates if axiom == "EF" else _ef1_ok
+        return all(
+            ok(profile[j], quotas[j], alloc[j], alloc[i])
+            for j in range(n)
+            for i in range(n)
+            if i != j
+        )
+    if axiom == "RT":
+        return _trade_cycle(profile, alloc) is None
+    if axiom == "EFF":
+        parts = ("IR", "NW*", "RT") if problem.variant == "unacceptable" else ("NW", "RT")
+        return all(_unary_ok(ax, problem, alloc, priority) for ax in parts)
+    pos = {a: priority.index(a) for a in problem.agents}
+    for i in range(n):
+        for j in range(n):
+            if pos[problem.agents[i]] >= pos[problem.agents[j]]:
+                continue
+            if axiom == "RP":
+                if not _dominates(profile[i], quotas[i], alloc[i], alloc[j]):
+                    return False
+            elif axiom == "WRP":
+                if bundle_size(alloc[i]) < bundle_size(alloc[j]):
+                    return False
+            elif axiom == "WRP*":
+                acc = profile[i].acceptable
+                if bundle_size(alloc[i] & acc) < bundle_size(alloc[j] & acc):
+                    return False
+            else:  # WRPq
+                if bundle_size(alloc[i]) != problem.quotas[i] and bundle_size(
+                    alloc[i]
+                ) < bundle_size(alloc[j]):
+                    return False
+    return True
+
+
+def build_csp(domain, axioms, priority=None):
+    """Candidates and allowed masks, one scalar comparison per allocation pair."""
+    from draftkit.core import Problem, restrict, subsets_of
+    from draftkit.csp import BinaryConstraint, _all_allocations, _slot_alternatives
+    from draftkit.rules import problem_key
+
+    keys, key_index, problems = [], {}, []
+    for prob in domain.problems():
+        k = problem_key(prob)
+        if k not in key_index:
+            key_index[k] = len(keys)
+            keys.append(k)
+            problems.append(prob)
+
+    unary = [ax for ax in axioms if ax not in ("RM", "SP", "WSP", "TI")]
+    candidates = [
+        [a for a in _all_allocations(prob) if all(_unary_ok(ax, prob, a, priority) for ax in unary)]
+        for prob in problems
+    ]
+    constraints = []
+
+    def add_pair(name, u, v, ok):
+        cu, cv = candidates[u], candidates[v]
+        forward = [0] * len(cu)
+        backward = [0] * len(cv)
+        for i, a in enumerate(cu):
+            for j, b in enumerate(cv):
+                if ok(a, b):
+                    forward[i] |= 1 << j
+                    backward[j] |= 1 << i
+        constraints.append(BinaryConstraint(name, u, v, forward, backward))
+
+    quotas = domain.quotas or (None,) * len(domain.populations[0])
+    if "RM" in axioms:
+        for u, prob in enumerate(problems):
+            for small in subsets_of(prob.available):
+                if small == prob.available:
+                    continue
+                reduced = Problem(prob.variant, prob.agents, small, prob.profile, prob.quotas)
+                v = key_index[problem_key(reduced)]
+
+                def rm_ok(a, b, profile=prob.profile):
+                    return all(
+                        _dominates(p, q, big, sm) for p, q, big, sm in zip(profile, quotas, a, b)
+                    )
+
+                add_pair("RM", u, v, rm_ok)
+
+    if "SP" in axioms or "WSP" in axioms:
+        weak = "WSP" in axioms
+        seen_pairs = set()
+        for u, prob in enumerate(problems):
+            for slot in range(len(prob.agents)):
+                for alt in _slot_alternatives(domain, prob, slot):
+                    new_profile = list(prob.profile)
+                    new_profile[slot] = alt
+                    other = Problem(
+                        prob.variant, prob.agents, prob.available, tuple(new_profile), prob.quotas
+                    )
+                    v = key_index[problem_key(other)]
+                    if v == u or (min(u, v), max(u, v), slot) in seen_pairs:
+                        continue
+                    seen_pairs.add((min(u, v), max(u, v), slot))
+                    pu, pv, q = prob.profile[slot], problems[v].profile[slot], quotas[slot]
+
+                    def ok(a, b, pu=pu, pv=pv, q=q, slot=slot):
+                        if weak:
+                            return not (
+                                _dominates(pu, q, b[slot], a[slot])
+                                and not _dominates(pu, q, a[slot], b[slot])
+                            ) and not (
+                                _dominates(pv, q, a[slot], b[slot])
+                                and not _dominates(pv, q, b[slot], a[slot])
+                            )
+                        return _dominates(pu, q, a[slot], b[slot]) and _dominates(
+                            pv, q, b[slot], a[slot]
+                        )
+
+                    add_pair("WSP" if weak else "SP", u, v, ok)
+
+    if "TI" in axioms:
+        for u, prob in enumerate(problems):
+            for slot in range(len(prob.agents)):
+                rpref = restrict(prob.profile[slot], prob.available)
+                for alt in _slot_alternatives(domain, prob, slot):
+                    if alt.ranking != rpref.ranking or alt.cutoff >= rpref.cutoff:
+                        continue
+                    new_profile = list(prob.profile)
+                    new_profile[slot] = alt
+                    other = Problem(prob.variant, prob.agents, prob.available, tuple(new_profile))
+                    v = key_index[problem_key(other)]
+
+                    def ti_ok(a, b, acc=alt.acceptable, slot=slot):
+                        return bool(a[slot] & ~acc) or b[slot] == a[slot]
+
+                    add_pair("TI", u, v, ti_ok)
+
+    return keys, candidates, constraints
+
+
+# --- grid encoder: cones by a triple loop over scalar rank-mask dominance -----
+
+
+def build_grid(n_objects, axioms, priority=(1, 2)):
+    """(initial, m_row, m_col) of the two-agent grid, one scalar comparison per bundle pair."""
+    from itertools import permutations
+
+    import numpy as np
+
+    from draftkit.core import Preference
+    from draftkit.dominance import dominates_rank_masks
+
+    deviation = "SP" if "SP" in axioms else "WSP"
+    unary = [ax for ax in axioms if ax not in ("SP", "WSP")]
+    prefs = [Preference(r) for r in permutations(range(n_objects))]
+    P = len(prefs)
+    full = (1 << n_objects) - 1
+    C = 1 << n_objects
+    rk1 = [[p.rank_mask(a) for a in range(C)] for p in prefs]
+    rk2 = [[p.rank_mask(full & ~a) for a in range(C)] for p in prefs]
+
+    def cones(rk):
+        down, up = np.zeros((P, C), dtype=np.uint64), np.zeros((P, C), dtype=np.uint64)
+        sdown, sup = np.zeros_like(down), np.zeros_like(up)
+        for r in range(P):
+            for a in range(C):
+                d = u = 0
+                for b in range(C):
+                    if dominates_rank_masks(rk[r][a], rk[r][b]):
+                        d |= 1 << b
+                    if dominates_rank_masks(rk[r][b], rk[r][a]):
+                        u |= 1 << b
+                down[r, a], up[r, a] = d, u
+                sdown[r, a], sup[r, a] = d & ~u, u & ~d
+        return down, up, sdown, sup
+
+    down1, up1, sdown1, sup1 = cones(rk1)
+    down2, up2, sdown2, sup2 = cones(rk2)
+    allmask = np.uint64((1 << C) - 1)
+    if deviation == "SP":
+        m_col = down1[:, None, :] & up1[None, :, :]
+        m_row = down2[:, None, :] & up2[None, :, :]
+    else:
+        m_col = (allmask ^ sup1)[:, None, :] & (allmask ^ sdown1)[None, :, :]
+        m_row = (allmask ^ sup2)[:, None, :] & (allmask ^ sdown2)[None, :, :]
+
+    def ef1_side(p, own, other):
+        if dominates_rank_masks(p.rank_mask(own), p.rank_mask(other)):
+            return True
+        return any(
+            dominates_rank_masks(p.rank_mask(own), p.rank_mask(other & ~(1 << o)))
+            for o in objects_of(other)
+        )
+
+    row_ok = np.full(P, allmask, dtype=np.uint64)
+    col_ok = np.full(P, allmask, dtype=np.uint64)
+    for r, p in enumerate(prefs):
+        rmask = cmask = 0
+        for a in range(C):
+            ok1 = ok2 = True
+            if "EF1" in unary:
+                ok1 = ok1 and ef1_side(p, a, full & ~a)
+                ok2 = ok2 and ef1_side(p, full & ~a, a)
+            if "RP" in unary:
+                if priority == (1, 2):
+                    ok1 = ok1 and dominates_rank_masks(p.rank_mask(a), p.rank_mask(full & ~a))
+                else:
+                    ok2 = ok2 and dominates_rank_masks(p.rank_mask(full & ~a), p.rank_mask(a))
+            rmask |= ok1 << a
+            cmask |= ok2 << a
+        row_ok[r], col_ok[r] = rmask, cmask
+    initial = row_ok[:, None] & col_ok[None, :]
+    if "EFF" in unary:
+        for r1 in range(P):
+            for r2 in range(P):
+                keep = 0
+                for a in range(C):
+                    if int(initial[r1, r2]) >> a & 1 and _trade_cycle(
+                        (prefs[r1], prefs[r2]), (a, full & ~a)
+                    ) is None:
+                        keep |= 1 << a
+                initial[r1, r2] = keep
+    return initial, m_row, m_col

@@ -1,8 +1,9 @@
 from itertools import product
 
+import pytest
+
 from draftkit.axioms import (
     FixedSweep,
-    build_trade_relation,
     check_2con,
     check_2neu,
     check_con,
@@ -111,21 +112,6 @@ def test_draft_wsp_witness_is_manipulation_example():
     assert w["agent"] == 1
     assert w["misreport"] == "b>a>c"
     assert w["misreport_bundle"] == "{a,b}" and w["truthful_bundle"] == "{a,c}"
-
-
-def test_trade_relation_cycle_example():
-    prob = fixed_problem("abcd", "dcba")
-    alloc = (bundle("ac"), bundle("bd"))
-    rel = build_trade_relation(prob, alloc)
-    assert ((1, 2), (2, 1)) in rel.edges  # (1,c) -> (2,b)
-    assert ((2, 1), (1, 2)) in rel.edges  # (2,b) -> (1,c)
-
-
-def test_trade_relation_empty_cases():
-    prob = fixed_problem("ab", "ba")
-    assert build_trade_relation(prob, (bundle("a"), bundle("b"))).edges == ()
-    single = fixed_problem("ab")
-    assert build_trade_relation(single, (bundle("ab"),)).edges == ()
 
 
 def test_rt_verdicts():
@@ -310,6 +296,23 @@ def test_ir_counterexample_fails_only_ir():
     assert check_rm(rule, dom).holds
     assert check_ti(rule, dom).holds
     assert check_rp(rule, dom, PI2).holds
+
+
+@pytest.mark.parametrize(
+    "checker, domain, extra",
+    [
+        (check_tp, D23, ()),
+        (check_ep, D23, ()),
+        (check_ti, D23, ()),
+        (check_tp, quota_domain(2, 3, (1, 2)), ()),
+        (check_nw_quota, D23, ()),
+        (check_nw_quota, unacceptable_domain(2, 2), ()),
+        (check_wrp_quota, D23, (PI2,)),
+    ],
+)
+def test_checkers_refuse_variants_they_are_not_defined_on(checker, domain, extra):
+    with pytest.raises(ValueError, match="is not defined on"):
+        checker(draft_rule(PI2), domain, *extra)
 
 
 def test_ti_counterexample_replays_displayed_instance():

@@ -176,13 +176,66 @@ def test_cli_check_cap(capsys):
     assert code == 3
 
 
-def test_cli_check_jobs_deterministic(tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    args = ["check", "--rule", "draft", "--axioms", "RP,EF1,NW",
-            "--agents", "2", "--objects", "3"]
-    main(["--out", str(a), "--no-timestamp"] + args)
-    main(["--out", str(b), "--no-timestamp", "--jobs", "2"] + args)
-    assert a.read_bytes() == b.read_bytes()
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--rule", "draft", "--axioms", "TP,TI"], "'TP' is not defined for fixed"),
+        (["--rule", "draft", "--axioms", "EP"], "'EP' is not defined for fixed"),
+        (["--rule", "draft", "--axioms", "NWq"], "'NWq' is not defined for fixed"),
+        (["--rule", "draft", "--axioms", "WRPq"], "'WRPq' is not defined for fixed"),
+        (["--rule", "draft-quota", "--variant", "quota", "--quotas", "1,2", "--axioms", "TP"],
+         "'TP' is not defined for quota"),
+        (["--rule", "u-draft", "--variant", "unacceptable", "--axioms", "NW,NWq"],
+         "'NWq' is not defined for unacceptable"),
+        (["--rule", "draft", "--axioms", "NW,BOGUS"], "unknown axiom 'BOGUS'"),
+    ],
+)
+def test_cli_check_refuses_axioms_off_their_variant(capsys, argv, message):
+    assert main(["check", "--agents", "2", "--objects", "3"] + argv) == 2
+    out = capsys.readouterr()
+    assert message in out.err
+    assert out.out == ""  # refused before any axiom runs
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--agents", "0"],
+        ["--objects", "0"],
+        ["--agents", "-1"],
+        ["--variant", "quota", "--quotas", "0,1"],
+        ["--variant", "quota", "--quotas", "1,x"],
+        ["--priority", "1", "3"],
+        ["--priority", "1", "1"],
+    ],
+)
+def test_cli_check_refuses_bad_sizes(capsys, argv):
+    rule = "draft-quota" if "quota" in argv else "draft"
+    assert main(["check", "--rule", rule, "--axioms", "NW"] + argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (["L9"], {"extension_ok": True, "snake_diverges": True}),
+        (
+            ["T8", "--agents", "2", "--objects", "3"],
+            {
+                "extension_ok": True,
+                "note": "uniqueness over the checked domain",
+                "priorities_recovered": True,
+                "snake_diverges": True,
+                "sweep_ok": True,
+            },
+        ),
+    ],
+)
+def test_cli_verify_extension_detail_is_pinned(tmp_path, capsys, argv, detail):
+    out = tmp_path / "report.json"
+    assert main(["--out", str(out), "--no-timestamp", "verify"] + argv) == 0
+    expected = {"command": "verify", "detail": detail, "exit": 0, "theorem": argv[0]}
+    assert out.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
 def test_cli_verify_t1(capsys):

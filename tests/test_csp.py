@@ -1,7 +1,9 @@
 from itertools import product
 
+import numpy as np
 import pytest
 
+import scalar_checkers as oracle
 from draftkit.axioms import (
     ProblemDomain,
     check_ef1,
@@ -9,6 +11,8 @@ from draftkit.axioms import (
     check_rm,
     check_wrp,
     fixed_domain,
+    quota_domain,
+    unacceptable_domain,
 )
 from draftkit.csp import (
     build_csp,
@@ -130,3 +134,63 @@ def test_dropping_the_deviation_axiom_turns_sat():
     assert res.status == "sat"
     rule = draft_rule((1, 2))
     assert _nw(rule, dom).holds and _ef1(rule, dom).holds
+
+
+# --- differential tests: table-driven encoders against the scalar builds ------
+
+CSP_CASES = [
+    (fixed_domain(2, 3), ax, pi)
+    for pi in ((1, 2), (2, 1))
+    for ax in [
+        ("NW",), ("EF",), ("EF1",), ("RP",), ("WRP",), ("WRP*",), ("IR",), ("NW*",), ("RT",),
+        ("EFF",), ("RM",), ("NW", "SP"), ("NW", "WSP"),
+        ("WRP", "EF1", "NW", "RM"), ("RP", "EF1", "NW", "WSP"), ("NW", "EF1", "SP"),
+    ]
+] + [
+    (quota_domain(2, 4, (1, 2)), ax, pi)
+    for pi in ((1, 2), (2, 1))
+    for ax in [("NWq",), ("WRPq",), ("EF",), ("RP",), ("EF1",), ("WRPq", "EF1", "NWq", "RM")]
+] + [
+    (unacceptable_domain(2, 3), ax, pi)
+    for pi in ((1, 2), (2, 1))
+    for ax in [
+        ("IR",), ("NW*",), ("WRP*",), ("EFF",), ("EF1",), ("IR", "TI"), ("NW*", "IR", "SP"),
+        ("WRP*", "EF1", "NW*", "RM", "IR", "TI"),
+    ]
+]
+
+
+@pytest.mark.parametrize(
+    "domain, axioms, priority",
+    CSP_CASES,
+    ids=[f"{d.variant}{d.n_objects}-{'+'.join(a)}-{p[0]}" for d, a, p in CSP_CASES],
+)
+def test_build_csp_matches_scalar_build(domain, axioms, priority):
+    csp = build_csp(domain, axioms, priority)
+    keys, candidates, constraints = oracle.build_csp(domain, axioms, priority)
+    assert csp.keys == keys
+    assert csp.candidates == candidates
+    assert csp.constraints == constraints
+
+
+@pytest.mark.parametrize("n_objects", [3, 4])
+@pytest.mark.parametrize(
+    "axioms, priority",
+    [
+        (("RP", "EF1", "NW", "WSP"), (1, 2)),
+        (("RP", "EF1", "NW", "WSP"), (2, 1)),
+        (("EFF", "EF1", "WSP"), (1, 2)),
+        (("NW", "EF1", "SP"), (1, 2)),
+    ],
+)
+def test_build_grid_matches_triple_loop(n_objects, axioms, priority):
+    grid = build_grid(n_objects, axioms, priority=priority)
+    for got, want in zip((grid.initial, grid.m_row, grid.m_col), oracle.build_grid(n_objects, axioms, priority)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_constraint_axioms_refused_off_their_variant():
+    with pytest.raises(ValueError, match="'TI' is not defined on 'fixed'"):
+        build_csp(fixed_domain(2, 2), ["NW", "TI"])
+    with pytest.raises(ValueError, match="'NWq' is not defined on 'fixed'"):
+        build_csp(fixed_domain(2, 2), ["NWq"])

@@ -1,8 +1,8 @@
-"""Differential tests: the gather checkers against the scalar oracle in scalar_checkers.
+"""Differential tests: the table-driven checkers against the scalar oracle in scalar_checkers.
 
-Each gather checker must return the very AxiomReport of its scalar loop:
-verdict, `checked` count and witness, so the witness is still the first
-violation in enumeration order.
+Each gather or unary-table checker must return the very AxiomReport of its
+scalar loop: verdict, `checked` count and witness, so the witness is still
+the first violation in enumeration order.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from draftkit.csp import _all_allocations
 from draftkit.rules import (
     dictatorship_rule,
     draft_rule,
+    ir_counterexample,
     null_rule,
     problem_key,
     quota_draft_rule,
@@ -40,7 +41,11 @@ from draftkit.rules import (
 
 DEVIATION = ("check_sp", "check_wsp", "check_msp_certificate")
 PAIRWISE = ("check_ef", "check_ef1", "check_rm")
+UNARY = ("check_nw", "check_rt", "check_ir", "check_nw_star", "check_eff", "WRP", "WRP*")
 REPORT_CHANGE = ("check_tp", "check_ep", "check_ti")
+QUOTA = ("check_nw_quota", "WRPq")
+# checkers that take a priority, run for every priority of the population
+RANKED = {"RP": "check_rp", "WRP": "check_wrp", "WRP*": "check_wrp_star", "WRPq": "check_wrp_quota"}
 
 
 def _fixed_rules(n: int, m: int) -> dict:
@@ -82,16 +87,16 @@ def _cases():
 
 
 LARGE_FIXED = {
-    "draft": ("check_ef", "check_ef1", "RP"),
-    "dictatorship": ("check_ef1", "check_rm", "check_msp_certificate"),
-    "null": ("check_ef",),
-    "rm-cx": ("check_rm", "check_msp_certificate"),
-    "wrp-cx": ("check_sp", "check_wsp", "check_msp_certificate", "RP"),
+    "draft": ("check_ef", "check_ef1", "RP", "check_nw", "WRP"),
+    "dictatorship": ("check_ef1", "check_rm", "check_msp_certificate", "WRP*", "check_ir"),
+    "null": ("check_ef", "check_eff", "check_nw_star"),
+    "rm-cx": ("check_rm", "check_msp_certificate", "check_rt"),
+    "wrp-cx": ("check_sp", "check_wsp", "check_msp_certificate", "RP", "WRP"),
 }
 LARGE_UNACCEPTABLE = {
-    "u-draft": ("check_ti", "check_ef1"),
-    "ti-cx": ("check_ti", "check_ep", "check_tp"),
-    "rm*-cx": ("check_rm", "check_ef", "RP"),
+    "u-draft": ("check_ti", "check_ef1", "check_ir", "check_nw_star", "WRP*"),
+    "ti-cx": ("check_ti", "check_ep", "check_tp", "check_eff"),
+    "rm*-cx": ("check_rm", "check_ef", "RP", "WRP"),
 }
 
 
@@ -109,16 +114,19 @@ def _filled(kind, n: int, m: int, name: str) -> FixedSweep:
 
 
 def _assert_same(sw: FixedSweep, checkers=None):
-    """Compare the given checkers ("RP" for every priority), or all that apply to the domain."""
+    """Compare the given checkers (RANKED ones for every priority), or all that apply to the domain."""
     domain = sw.domain
     if checkers is None:
-        checkers = DEVIATION + PAIRWISE + ("RP",)
+        checkers = DEVIATION + PAIRWISE + UNARY + ("RP",)
         if domain.variant == "unacceptable":
             checkers += REPORT_CHANGE
+        if domain.variant == "quota":
+            checkers += QUOTA
     for name in checkers:
-        if name == "RP":
+        if name in RANKED:
+            fast, slow = getattr(axioms, RANKED[name]), getattr(oracle, RANKED[name])
             for pi in all_priorities(sw.agents):
-                assert axioms.check_rp(sw, domain, pi) == oracle.check_rp(sw, domain, pi), pi
+                assert fast(sw, domain, pi) == slow(sw, domain, pi), (name, pi)
         else:
             assert getattr(axioms, name)(sw, domain) == getattr(oracle, name)(sw, domain), name
 
@@ -136,6 +144,8 @@ def test_gather_checkers_match_scalar_oracle(kind, n, m, name, checkers):
         ("check_ef1", dictatorship_rule((1, 2, 3)), fixed_domain(3, 3)),
         ("check_ti", ti_counterexample(2, 3), unacceptable_domain(2, 3)),
         ("check_msp_certificate", wrp_counterexample(2, 3), fixed_domain(2, 3)),
+        ("check_nw", null_rule(), fixed_domain(3, 3)),
+        ("check_ir", ir_counterexample((1, 2)), unacceptable_domain(2, 3)),
     ],
 )
 def test_refuting_check_fills_the_same_grids(checker, rule, domain):
