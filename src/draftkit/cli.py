@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import sys
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .axioms import (
     AXIOM_CHECKERS,
@@ -47,6 +49,7 @@ from .rules import (
 from . import verifier
 
 DEFAULT_SEED = 20240801
+DEFAULT_BUDGET = 10_000_000
 ENUMERATION_CAP = 6  # objects, fixed-model sweeps
 SEARCH_CAP = 5  # objects, rule-space search and relabeling sweeps
 
@@ -60,26 +63,6 @@ RULE_FACTORIES = {
     "null": (lambda priority: null_rule(), ("fixed", "quota", "unacceptable", "variable")),
     "snake": (snake_draft_rule, ("fixed", "variable")),
 }
-
-THEOREM_IDS = (
-    "T1",
-    "T2",
-    "T3",
-    "T4",
-    "T4-replay",
-    "T5",
-    "T6",
-    "T7",
-    "T8",
-    "P1",
-    "P3",
-    "P4",
-    "L1",
-    "L2",
-    "L8",
-    "L9",
-)
-
 
 class InputError(Exception):
     pass
@@ -251,126 +234,96 @@ def cmd_check(args) -> int:
     return code
 
 
-def _verify_driver(args):
-    tid = args.theorem
-    budget = args.budget
-    seed = args.seed
-    if tid == "T1":
-        rep = verifier.verify_t1(args.agents or 2, args.objects or 3, budget)
-        return rep.status != "undecided", rep.unique_target, {
-            "status": rep.status,
-            "survivors": len(rep.survivors),
-            "equals_draft": rep.matches_target,
-            "note": rep.note,
-        }
-    if tid == "T2":
-        rep = verifier.verify_t2(args.objects or 3, budget)
-        return rep.status != "undecided", rep.status == "unsat" and rep.replays_ok, {
-            "status": rep.status,
-            "certificate_replays": rep.replays_ok,
-        }
-    if tid == "T3":
-        rep = verifier.verify_t3(args.objects or 4, budget)
-        return rep.status != "undecided", rep.status == "unsat" and rep.replays_ok, {
-            "status": rep.status,
-            "certificate_replays": rep.replays_ok,
-        }
-    if tid == "T4":
-        rep = verifier.verify_theorem4_unsat(budget)
-        return rep.status != "undecided", rep.status == "unsat" and rep.replays_ok, {
-            "status": rep.status,
-            "certificate_replays": rep.replays_ok,
-        }
-    if tid == "T4-replay":
-        try:
-            log = verifier.replay_theorem4_cases()
-            return True, True, {"steps": len(log["steps"]), "cases": log["cases"]}
-        except verifier.Theorem4ReplayError as exc:
-            return True, False, {"mismatch": str(exc)}
-    if tid == "T5":
-        counts = tuple(range(2, (args.agents or 3) + 1))
-        reports = verifier.verify_t5(counts, args.objects or 4, seed=seed)
-        ok = all(r.ok for r in reports)
-        return True, ok, {
-            "certificate": [r.certificate.verdict for r in reports],
-            "falsifier": [r.falsifier.verdict for r in reports],
-            "best_case": [r.best_case.verdict for r in reports],
-        }
-    if tid == "T6":
-        quotas = _parse_quotas(args.quotas, 2) if args.quotas else (1, 2)
-        rep = verifier.verify_t6(args.objects or 3, quotas, budget)
-        return rep.status != "undecided", rep.unique_target, {
-            "status": rep.status,
-            "survivors": len(rep.survivors),
-            "note": rep.note,
-        }
-    if tid == "T7":
-        rep = verifier.verify_t7(args.objects or 3, budget)
-        return rep.status != "undecided", rep.unique_target, {
-            "status": rep.status,
-            "survivors": len(rep.survivors),
-            "note": rep.note,
-        }
-    if tid == "T8":
-        rep = verifier.verify_t8(args.agents or 3, args.objects or 4)
-        ok = rep.sweep_ok and rep.priorities_recovered and rep.extension_ok and rep.snake_diverges
-        return True, ok, {
-            "sweep_ok": rep.sweep_ok,
-            "priorities_recovered": rep.priorities_recovered,
-            "extension_ok": rep.extension_ok,
-            "snake_diverges": rep.snake_diverges,
-            "note": rep.note,
-        }
-    if tid == "P1":
-        rep = verifier.verify_efficiency_decomposition(
-            fixed_domain(2, args.objects or 4), n_random_rules=1000, seed=seed
-        )
-        return True, rep.ok, {"checked_pairs": rep.checked_pairs, "disagreements": len(rep.disagreements)}
-    if tid == "P3":
-        rep = verifier.verify_efficiency_decomposition(
-            unacceptable_domain(2, args.objects or 3), n_random_rules=1000, seed=seed
-        )
-        return True, rep.ok, {"checked_pairs": rep.checked_pairs, "disagreements": len(rep.disagreements)}
-    if tid == "P4":
-        rep = verifier.verify_truncation_invariance_implication(
-            args.objects or 2, n_random_rules=200, seed=seed
-        )
-        return True, rep.ok, {
-            "rules_checked": rep.rules_checked,
-            "premise_holds": rep.premise_holds,
-            "violations": len(rep.violations),
-        }
-    if tid == "L1":
-        rep = verifier.verify_critical_agent(args.agents or 3, args.objects or 3)
-        return True, rep["ok"], rep
-    if tid == "L2":
-        rep = verifier.verify_rm_lemma()
-        return True, rep["ok"], rep
-    if tid == "L8":
-        rep = verifier.verify_priority_recovery(args.agents or 4)
-        return True, rep["ok"], rep
-    if tid == "L9":
-        rep = verifier.verify_extension_comparison(args.agents or 2, args.objects or 3)
-        return True, rep["extension_ok"] and rep["snake_diverges"], rep
-    raise InputError(f"unknown theorem id {tid!r}")
+def _verify_efficiency(make_domain, n_objects: int, seed: int) -> verifier.Verdict:
+    # verify_efficiency_decomposition keeps its own report shape: the benchmark reads it
+    rep = verifier.verify_efficiency_decomposition(
+        make_domain(2, n_objects), n_random_rules=1000, seed=seed
+    )
+    detail = {"checked_pairs": rep.checked_pairs, "disagreements": len(rep.disagreements)}
+    return verifier.Verdict.of(rep.ok, detail)
+
+
+def _verify_theorem4_cases() -> verifier.Verdict:
+    # replay_theorem4_cases keeps its log dict: the benchmark reads it
+    try:
+        log = verifier.replay_theorem4_cases()
+    except verifier.Theorem4ReplayError as exc:
+        return verifier.Verdict.of(False, {"mismatch": str(exc)})
+    return verifier.Verdict.of(True, {"steps": len(log["steps"]), "cases": log["cases"]})
+
+
+class VerifyId(NamedTuple):
+    """One `verify` id: its driver, the flags it reads and the least agent count it takes."""
+
+    driver: Callable[..., verifier.Verdict]
+    flags: dict  # every flag the driver reads -> its default
+    min_agents: int = 1
+
+
+VERIFY_IDS = {
+    "T1": VerifyId(verifier.verify_t1, {"agents": 2, "objects": 3, "budget": DEFAULT_BUDGET}),
+    "T2": VerifyId(verifier.verify_t2, {"objects": 3, "budget": DEFAULT_BUDGET}),
+    "T3": VerifyId(verifier.verify_t3, {"objects": 4, "budget": DEFAULT_BUDGET}),
+    "T4": VerifyId(verifier.verify_theorem4_unsat, {"budget": DEFAULT_BUDGET}),
+    "T4-replay": VerifyId(_verify_theorem4_cases, {}),
+    "T5": VerifyId(verifier.verify_t5, {"agents": 3, "objects": 4, "seed": DEFAULT_SEED}, 2),
+    "T6": VerifyId(verifier.verify_t6, {"objects": 3, "quotas": "1,2", "budget": DEFAULT_BUDGET}),
+    "T7": VerifyId(verifier.verify_t7, {"objects": 3, "budget": DEFAULT_BUDGET}),
+    "T8": VerifyId(verifier.verify_t8, {"agents": 3, "objects": 4}),
+    "P1": VerifyId(partial(_verify_efficiency, fixed_domain), {"objects": 4, "seed": DEFAULT_SEED}),
+    "P3": VerifyId(
+        partial(_verify_efficiency, unacceptable_domain), {"objects": 3, "seed": DEFAULT_SEED}
+    ),
+    "P4": VerifyId(
+        verifier.verify_truncation_invariance_implication, {"objects": 2, "seed": DEFAULT_SEED}
+    ),
+    "L1": VerifyId(verifier.verify_critical_agent, {"agents": 3, "objects": 3}),
+    "L2": VerifyId(verifier.verify_rm_lemma, {}),
+    "L8": VerifyId(verifier.verify_priority_recovery, {"agents": 4}),
+    "L9": VerifyId(verifier.verify_extension_comparison, {"agents": 2, "objects": 3}),
+}
+VERIFY_FLAGS = ("agents", "objects", "quotas")  # verify's own flags: None when not given
+PARAMETERS = {"agents": "n_agents", "objects": "n_objects"}  # other flags keep their names
+EXIT_CODES = {verifier.REPRODUCED: 0, verifier.NOT_REPRODUCED: 1, verifier.UNDECIDED: 3}
+
+
+def _verify_undecided(args, reason: str) -> int:
+    print(f"undecided: {reason}", file=sys.stderr)
+    _emit({"command": "verify", "theorem": args.theorem, "exit": 3}, args)
+    return 3
 
 
 def cmd_verify(args) -> int:
-    if (args.objects or 0) > SEARCH_CAP and not args.i_know_this_is_huge:
-        print(
-            f"undecided: {args.objects} objects exceeds the search cap ({SEARCH_CAP}); "
+    entry = VERIFY_IDS[args.theorem]
+    for flag in VERIFY_FLAGS:
+        if getattr(args, flag) is not None and flag not in entry.flags:
+            raise InputError(f"{args.theorem} does not read --{flag}")
+    values = {
+        flag: default if getattr(args, flag) is None else getattr(args, flag)
+        for flag, default in entry.flags.items()
+    }
+    if "agents" in values and values["agents"] < entry.min_agents:
+        raise InputError(f"{args.theorem} needs --agents of at least {entry.min_agents}")
+    if "objects" in values and values["objects"] < 1:
+        raise InputError("--objects must be at least 1")
+    if "quotas" in values:
+        values["quotas"] = _parse_quotas(values["quotas"], 2)
+    if values.get("objects", 0) > SEARCH_CAP and not args.i_know_this_is_huge:
+        return _verify_undecided(
+            args,
+            f"{values['objects']} objects exceeds the search cap ({SEARCH_CAP}); "
             "pass --i-know-this-is-huge to force",
-            file=sys.stderr,
         )
-        _emit({"command": "verify", "theorem": args.theorem, "exit": 3}, args)
-        return 3
-    decided, ok, detail = _verify_driver(args)
-    code = 0 if (decided and ok) else (3 if not decided else 1)
-    verdict = "reproduced" if code == 0 else ("undecided" if code == 3 else "NOT reproduced")
-    print(f"{args.theorem}: {verdict}")
-    for key, value in detail.items():
+    try:
+        verdict = entry.driver(**{PARAMETERS.get(f, f): v for f, v in values.items()})
+    except verifier.CapacityError as exc:
+        return _verify_undecided(args, str(exc))
+    code = EXIT_CODES[verdict.outcome]
+    print(f"{args.theorem}: {verdict.outcome}")
+    for key, value in verdict.detail.items():
         print(f"  {key}: {value}")
-    _emit({"command": "verify", "theorem": args.theorem, "detail": detail, "exit": code}, args)
+    report = {"command": "verify", "theorem": args.theorem, "detail": verdict.detail, "exit": code}
+    _emit(report, args)
     return code
 
 
@@ -434,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--out", help="write the machine-readable report to this file")
     parser.add_argument("--json", action="store_true", help="print the report to stdout")
-    parser.add_argument("--budget", type=int, default=10_000_000, help="propagation budget")
+    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="propagation budget")
     parser.add_argument("--no-timestamp", action="store_true", help="omit timestamps")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -459,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.set_defaults(fn=cmd_check)
 
     verify = sub.add_parser("verify", help="reproduce a desk-scale result")
-    verify.add_argument("theorem", choices=THEOREM_IDS)
+    verify.add_argument("theorem", choices=VERIFY_IDS)
     verify.add_argument("--agents", type=int)
     verify.add_argument("--objects", type=int)
     verify.add_argument("--quotas")

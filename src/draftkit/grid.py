@@ -16,6 +16,8 @@ import numpy as np
 from .axioms import DEVIATIONS, AxiomSpace, ProblemDomain, admissible
 from .csp import InfeasibilityCertificate, SolveResult, SolveStats
 
+MAX_OBJECTS = 6  # candidate sets are uint64 masks with one bit per split: 2**6 = 64
+
 
 def _popcount(arr: np.ndarray) -> np.ndarray:
     if hasattr(np, "bitwise_count"):

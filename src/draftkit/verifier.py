@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import (
     Agent,
@@ -27,6 +27,7 @@ from .axioms import (
     OBJECT_NAMES,
     AxiomSpace,
     ProblemDomain,
+    VariableSweep,
     _union,
     check_msp_certificate,
     check_msp_falsify,
@@ -50,6 +51,7 @@ from .dominance import (
     random_scheme,
     strictly_dominates,
 )
+from .grid import MAX_OBJECTS as GRID_MAX_OBJECTS
 from .grid import build_grid, replay_grid_certificate, solve_grid
 from .rules import (
     Rule,
@@ -62,18 +64,27 @@ from .rules import (
 
 UNIQUENESS_NOTE = "uniqueness over the checked domain"
 
+REPRODUCED = "reproduced"
+NOT_REPRODUCED = "NOT reproduced"
+UNDECIDED = "undecided"
 
-@dataclass
-class UniquenessReport:
-    status: str  # "unique" | "not-unique" | "unsat" | "undecided"
-    survivors: list[dict]
-    matches_target: list[bool]
-    stats: object
-    note: str = UNIQUENESS_NOTE
 
-    @property
-    def unique_target(self) -> bool:
-        return self.status == "unique" and self.matches_target == [True]
+class CapacityError(ValueError):
+    """The request is larger than the engine that would decide it can represent."""
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """What a desk-scale driver found: the outcome and the detail its report prints."""
+
+    outcome: str  # REPRODUCED | NOT_REPRODUCED | UNDECIDED
+    detail: dict
+
+    @classmethod
+    def of(cls, ok: bool, detail: dict, decided: bool = True) -> Verdict:
+        if not decided:
+            return cls(UNDECIDED, detail)
+        return cls(REPRODUCED if ok else NOT_REPRODUCED, detail)
 
 
 def characterization_search(
@@ -82,37 +93,43 @@ def characterization_search(
     priority: Priority,
     target: Rule,
     budget: int = 10_000_000,
-) -> UniquenessReport:
-    """Find every rule on the domain satisfying the axioms; compare each with the target."""
+    *,
+    show_matches: bool = False,
+) -> Verdict:
+    """Find every rule on the domain satisfying the axioms; reproduced when the target
+    is the only one. ``show_matches`` lists, per survivor, whether it equals the target."""
     csp = build_csp(domain, axioms, priority)
     result = solve_csp(csp, mode="find-all", budget=budget)
-    if result.status == "undecided":
-        return UniquenessReport("undecided", [], [], result.stats)
-    if result.status == "unsat":
-        return UniquenessReport("unsat", [], [], result.stats)
-    matches = []
-    for table in result.solutions:
-        matches.append(
-            all(
-                table[k] == target.allocate(prob)
-                for k, prob in zip(csp.keys, csp.problems)
-            )
-        )
-    status = "unique" if len(result.solutions) == 1 else "not-unique"
-    return UniquenessReport(status, result.solutions, matches, result.stats)
+    survivors = result.solutions if result.status == "sat" else []
+    matches = [
+        all(table[k] == target.allocate(prob) for k, prob in zip(csp.keys, csp.problems))
+        for table in survivors
+    ]
+    if result.status == "sat":
+        status = "unique" if len(survivors) == 1 else "not-unique"
+    else:
+        status = result.status
+    detail = {"status": status, "survivors": len(survivors)}
+    if show_matches:
+        detail["equals_draft"] = matches
+    detail["note"] = UNIQUENESS_NOTE
+    return Verdict.of(status == "unique" and matches == [True], detail, status != "undecided")
 
 
-def verify_t1(n_agents: int = 2, n_objects: int = 3, budget: int = 10_000_000) -> UniquenessReport:
+def verify_t1(n_agents: int = 2, n_objects: int = 3, budget: int = 10_000_000) -> Verdict:
     """Desk-scale characterization: WRP + EF1 + NW + RM pin the priority draft."""
     pi = tuple(range(1, n_agents + 1))
     return characterization_search(
-        fixed_domain(n_agents, n_objects), ("WRP", "EF1", "NW", "RM"), pi, draft_rule(pi), budget
+        fixed_domain(n_agents, n_objects),
+        ("WRP", "EF1", "NW", "RM"),
+        pi,
+        draft_rule(pi),
+        budget,
+        show_matches=True,
     )
 
 
-def verify_t6(
-    n_objects: int = 3, quotas: Sequence = (1, 2), budget: int = 10_000_000
-) -> UniquenessReport:
+def verify_t6(n_objects: int = 3, quotas: Sequence = (1, 2), budget: int = 10_000_000) -> Verdict:
     """Quota variant: WRPq + EF1 + NWq + RM pin the quota draft."""
     pi = (1, 2)
     return characterization_search(
@@ -124,7 +141,7 @@ def verify_t6(
     )
 
 
-def verify_t7(n_objects: int = 3, budget: int = 10_000_000) -> UniquenessReport:
+def verify_t7(n_objects: int = 3, budget: int = 10_000_000) -> Verdict:
     """Unacceptable variant: WRP* + EF1 + NW* + RM + IR + TI pin the passing draft."""
     pi = (1, 2)
     return characterization_search(
@@ -136,45 +153,46 @@ def verify_t7(n_objects: int = 3, budget: int = 10_000_000) -> UniquenessReport:
     )
 
 
-@dataclass
-class ImpossibilityReport:
-    status: str  # "unsat" | "sat" | "undecided"
-    results: list[SolveResult]
-    replays_ok: bool
-    note: str = SCOPE_NOTE
-
-
-def verify_t2(n_objects: int = 3, budget: int = 10_000_000) -> ImpossibilityReport:
-    """No rule is RP + EF1 + NW + WSP: unsat for every two-agent priority."""
-    results, replays = [], True
-    for pi in ((1, 2), (2, 1)):
-        grid = build_grid(n_objects, ("RP", "EF1", "NW", "WSP"), priority=pi)
+def _grid_impossibility(
+    n_objects: int, axioms: Sequence[str], priorities=((1, 2),), budget: int = 10_000_000
+) -> Verdict:
+    """No two-agent rule on the pool meets the axioms: reproduced when the grid search is
+    unsat under every priority and each certificate replays."""
+    if n_objects > GRID_MAX_OBJECTS:
+        raise CapacityError(
+            f"{n_objects} objects exceeds the grid search's capacity ({GRID_MAX_OBJECTS}): "
+            "its candidate sets are 64-bit masks with one bit per split of the pool"
+        )
+    statuses, replays = [], True
+    for pi in priorities:
+        grid = build_grid(n_objects, axioms, priority=pi)
         res = solve_grid(grid, mode="prove-unsat", budget=budget)
-        results.append(res)
-        if res.status == "unsat":
-            replays = replays and replay_grid_certificate(grid, res.certificate)
+        statuses.append(res.status)
+        replays = (
+            replays and res.status == "unsat" and replay_grid_certificate(grid, res.certificate)
+        )
     status = (
         "undecided"
-        if any(r.status == "undecided" for r in results)
-        else ("unsat" if all(r.status == "unsat" for r in results) else "sat")
+        if "undecided" in statuses
+        else ("unsat" if all(s == "unsat" for s in statuses) else "sat")
     )
-    return ImpossibilityReport(status, results, replays)
+    detail = {"status": status, "certificate_replays": replays, "note": SCOPE_NOTE}
+    return Verdict.of(replays, detail, status != "undecided")
 
 
-def verify_t3(n_objects: int = 4, budget: int = 10_000_000) -> ImpossibilityReport:
+def verify_t2(n_objects: int = 3, budget: int = 10_000_000) -> Verdict:
+    """No rule is RP + EF1 + NW + WSP: unsat for every two-agent priority."""
+    return _grid_impossibility(n_objects, ("RP", "EF1", "NW", "WSP"), ((1, 2), (2, 1)), budget)
+
+
+def verify_t3(n_objects: int = 4, budget: int = 10_000_000) -> Verdict:
     """No rule is EFF + EF1 + WSP (two agents)."""
-    grid = build_grid(n_objects, ("EFF", "EF1", "WSP"))
-    res = solve_grid(grid, mode="prove-unsat", budget=budget)
-    ok = res.status == "unsat" and replay_grid_certificate(grid, res.certificate)
-    return ImpossibilityReport(res.status, [res], ok)
+    return _grid_impossibility(n_objects, ("EFF", "EF1", "WSP"), budget=budget)
 
 
-def verify_theorem4_unsat(budget: int = 10_000_000) -> ImpossibilityReport:
+def verify_theorem4_unsat(budget: int = 10_000_000) -> Verdict:
     """Generic (not proof-guided) search: NW + EF1 + SP unsat on five objects, two agents."""
-    grid = build_grid(5, ("NW", "EF1", "SP"))
-    res = solve_grid(grid, mode="prove-unsat", budget=budget)
-    ok = res.status == "unsat" and replay_grid_certificate(grid, res.certificate)
-    return ImpossibilityReport(res.status, [res], ok)
+    return _grid_impossibility(5, ("NW", "EF1", "SP"), budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -493,31 +511,18 @@ def find_manipulation(rule: Rule, problem: Problem, agent: Agent):
     return None
 
 
-@dataclass
-class MaxminReport:
-    certificate: object
-    falsifier: object
-    best_case: object
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.certificate.verdict == "proved"
-            and self.falsifier.verdict == "holds"
-            and self.best_case.holds
-        )
-
-
 def verify_t5(
-    agent_counts: Iterable[int] = (2, 3),
+    n_agents: int = 3,
     n_objects: int = 4,
     falsifier_objects: int = 3,
     n_random_schemes: int = 100,
     seed: int = 20240801,
-) -> list[MaxminReport]:
-    """Maxmin strategy-proofness of the draft: certificate, scheme falsifier, best case."""
-    reports = []
-    for n in agent_counts:
+) -> Verdict:
+    """Maxmin strategy-proofness of the draft for two to ``n_agents`` agents:
+    certificate, scheme falsifier, best case."""
+    detail = {"certificate": [], "falsifier": [], "best_case": []}
+    ok = True
+    for n in range(2, n_agents + 1):
         pi = tuple(range(1, n + 1))
         cert = check_msp_certificate(draft_rule(pi), fixed_domain(n, n_objects))
         small = fixed_domain(n, falsifier_objects)
@@ -526,8 +531,11 @@ def verify_t5(
         ]
         fals = check_msp_falsify(draft_rule(pi), small, schemes)
         best = check_truthful_best_case(draft_rule(pi), small, schemes[:12])
-        reports.append(MaxminReport(cert, fals, best))
-    return reports
+        detail["certificate"].append(cert.verdict)
+        detail["falsifier"].append(fals.verdict)
+        detail["best_case"].append(best.verdict)
+        ok = ok and cert.verdict == "proved" and fals.verdict == "holds" and best.holds
+    return Verdict.of(ok, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -591,20 +599,9 @@ def verify_efficiency_decomposition(
     return EquivalenceReport(checked, n_random_rules, disagreements)
 
 
-@dataclass
-class ImplicationReport:
-    rules_checked: int
-    premise_holds: int
-    violations: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations and self.premise_holds > 0
-
-
 def verify_truncation_invariance_implication(
     n_objects: int = 2, n_random_rules: int = 200, seed: int = 97
-) -> ImplicationReport:
+) -> Verdict:
     """IR + TP + EP imply TI, over the passing draft, its mutants, and random rules."""
     from random import Random
 
@@ -630,8 +627,7 @@ def verify_truncation_invariance_implication(
         table = {k: rng.choice(c) for (k, _), c in zip(keys, cands)}
         rules.append(tabulated_rule(f"random-{i}", table))
 
-    premise_holds = 0
-    violations = []
+    premise_holds = violations = 0
     for rule in rules:
         if (
             check_ir(rule, domain).holds
@@ -639,10 +635,9 @@ def verify_truncation_invariance_implication(
             and check_ep(rule, domain).holds
         ):
             premise_holds += 1
-            ti = check_ti(rule, domain)
-            if not ti.holds:
-                violations.append({"rule": rule.name, "witness": ti.witness})
-    return ImplicationReport(len(rules), premise_holds, violations)
+            violations += not check_ti(rule, domain).holds
+    detail = {"rules_checked": len(rules), "premise_holds": premise_holds, "violations": violations}
+    return Verdict.of(not violations and premise_holds > 0, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -715,113 +710,104 @@ def infer_priority(
     return tuple(sorted(agents, key=lambda i: -wins(i)))
 
 
-@dataclass
-class ExtensionLemmaReport:
-    precondition_ok: bool
-    rm_holds: bool
-    tcon_holds: bool
-    agrees_everywhere: bool
-    divergence: dict | None
+def _extension_lemma(
+    sweep: VariableSweep, priority: Priority, rm_holds: bool, tcon_holds: bool
+) -> Verdict:
+    """Compare the sweep's rule with the draft on every problem of its domain.
 
-    @property
-    def consistent(self) -> bool:
-        # the lemma: single-unit agreement + RM + T-CON force agreement everywhere;
-        # with any hypothesis unmet it binds nothing
-        if self.precondition_ok and self.rm_holds and self.tcon_holds:
-            return self.agrees_everywhere
-        return True
+    The lemma: single-unit agreement plus RM and T-CON force agreement
+    everywhere. With a hypothesis unmet it binds nothing, so the verdict is
+    NOT reproduced only when every hypothesis holds and the rules still diverge.
+    The reported divergence is the last single-unit one, else the first.
+    """
+    target = VariableSweep(variable_draft_rule(priority), sweep.domain)
+    precondition_ok, divergence = True, None
+    for pop in sweep.domain.populations:
+        for x in sweep.domain.available_sets:
+            single_unit = bundle_size(x) <= len(pop)
+            for (_, profile, mine), theirs in zip(sweep.problems(pop, x), target.grid(pop, x)):
+                if mine == theirs:
+                    continue
+                precondition_ok = precondition_ok and not single_unit
+                if divergence is None or single_unit:
+                    divergence = {
+                        "problem": describe_problem(Problem("variable", pop, x, profile)),
+                        "rule": {a: format_bundle(b) for a, b in zip(pop, mine)},
+                        "draft": {a: format_bundle(b) for a, b in zip(pop, theirs)},
+                    }
+    agrees = divergence is None
+    detail = {
+        "precondition_ok": precondition_ok,
+        "rm_holds": rm_holds,
+        "tcon_holds": tcon_holds,
+        "agrees_everywhere": agrees,
+        "divergence": divergence,
+    }
+    return Verdict.of(agrees or not (precondition_ok and rm_holds and tcon_holds), detail)
 
 
-def verify_extension_lemma(rule: Rule, priority: Priority, domain: ProblemDomain) -> ExtensionLemmaReport:
+def verify_extension_lemma(rule: Rule, priority: Priority, domain: ProblemDomain) -> Verdict:
     """Single-unit agreement with the draft plus RM and T-CON force full agreement."""
-    target = variable_draft_rule(priority)
-    precondition_ok = True
-    divergence = None
-    agrees = True
-    for prob in domain.problems():
-        mine, theirs = rule.allocate(prob), target.allocate(prob)
-        if mine != theirs:
-            info = {
-                "problem": describe_problem(prob),
-                "rule": {a: format_bundle(b) for a, b in zip(prob.agents, mine)},
-                "draft": {a: format_bundle(b) for a, b in zip(prob.agents, theirs)},
-            }
-            if bundle_size(prob.available) <= len(prob.agents):
-                precondition_ok = False
-            agrees = False
-            if divergence is None or (
-                not precondition_ok and bundle_size(prob.available) <= len(prob.agents)
-            ):
-                divergence = info
-    rm = check_rm_var(rule, domain)
-    tcon = check_tcon(rule, domain)
-    return ExtensionLemmaReport(precondition_ok, rm.holds, tcon.holds, agrees, divergence)
+    sweep = VariableSweep(rule, domain)
+    return _extension_lemma(
+        sweep, priority, check_rm_var(sweep, domain).holds, check_tcon(sweep, domain).holds
+    )
 
 
-@dataclass
-class VariableCharacterizationReport:
-    sweep_ok: bool
-    sweep_failures: list
-    priorities_recovered: bool
-    extension_ok: bool
-    snake_diverges: bool
-    note: str = UNIQUENESS_NOTE
+def _extension_comparison(dom: ProblemDomain, pi: Priority, draft: Verdict) -> dict:
+    """The draft agrees with itself everywhere, while the snake draft meets the lemma's
+    precondition yet fails T-CON and diverges."""
+    snake = verify_extension_lemma(snake_draft_rule(pi), pi, dom).detail
+    return {
+        "extension_ok": draft.detail["precondition_ok"] and draft.detail["agrees_everywhere"],
+        "snake_diverges": snake["precondition_ok"]
+        and not snake["tcon_holds"]
+        and not snake["agrees_everywhere"],
+    }
 
 
-def verify_t8(n_agents: int = 3, n_objects: int = 4) -> VariableCharacterizationReport:
+def verify_t8(n_agents: int = 3, n_objects: int = 4) -> Verdict:
     """Desk-scale variable-population characterization, by the two-lemma route:
     the draft passes all six axioms; pairwise probes recover every priority;
     and the extension comparison confirms the draft while exposing the snake
     draft's divergence despite matching on single-unit problems.
     """
-    from .axioms import (
-        check_con,
-        check_ef1_var,
-        check_eff_var,
-        check_neu,
-    )
+    from .axioms import check_con, check_ef1_var, check_eff_var, check_neu
 
     dom = variable_domain(n_agents, n_objects)
     pi = tuple(range(1, n_agents + 1))
-    rule = variable_draft_rule(pi)
-    failures = []
-    for chk in (check_ef1_var, check_eff_var, check_rm_var, check_con, check_tcon, check_neu):
-        rep = chk(rule, dom)
-        if not rep.holds:
-            failures.append({"axiom": rep.axiom, "witness": rep.witness})
-
-    return VariableCharacterizationReport(
-        sweep_ok=not failures,
-        sweep_failures=failures,
-        priorities_recovered=verify_priority_recovery(4)["ok"],
-        **verify_extension_comparison(n_agents, n_objects),
-    )
-
-
-def verify_extension_comparison(n_agents: int = 2, n_objects: int = 3) -> dict:
-    """The extension-lemma comparison on a variable domain: the draft agrees with
-    itself everywhere, while the snake draft meets the lemma's precondition yet
-    fails T-CON and diverges."""
-    dom = variable_domain(n_agents, n_objects)
-    pi = tuple(range(1, n_agents + 1))
-    ext_draft = verify_extension_lemma(variable_draft_rule(pi), pi, dom)
-    ext_snake = verify_extension_lemma(snake_draft_rule(pi), pi, dom)
-    return {
-        "extension_ok": ext_draft.precondition_ok and ext_draft.agrees_everywhere,
-        "snake_diverges": ext_snake.precondition_ok
-        and not ext_snake.tcon_holds
-        and not ext_snake.agrees_everywhere,
+    # one sweep serves the six checks and the draft's side of the extension comparison
+    sweep = VariableSweep(variable_draft_rule(pi), dom)
+    holds = {
+        chk: chk(sweep, dom).holds
+        for chk in (check_ef1_var, check_eff_var, check_rm_var, check_con, check_tcon, check_neu)
     }
+    draft = _extension_lemma(sweep, pi, holds[check_rm_var], holds[check_tcon])
+    detail = {
+        "sweep_ok": all(holds.values()),
+        "priorities_recovered": verify_priority_recovery(4).outcome == REPRODUCED,
+        **_extension_comparison(dom, pi, draft),
+        "note": UNIQUENESS_NOTE,
+    }
+    return Verdict.of(all(detail[k] for k in detail if k != "note"), detail)
 
 
-def verify_critical_agent(n_agents: int = 3, n_objects: int = 3) -> dict:
+def verify_extension_comparison(n_agents: int = 2, n_objects: int = 3) -> Verdict:
+    """The extension-lemma comparison of the draft and the snake draft on a variable domain."""
+    dom = variable_domain(n_agents, n_objects)
+    pi = tuple(range(1, n_agents + 1))
+    draft = verify_extension_lemma(variable_draft_rule(pi), pi, dom)
+    detail = _extension_comparison(dom, pi, draft)
+    return Verdict.of(all(detail.values()), detail)
+
+
+def verify_critical_agent(n_agents: int = 3, n_objects: int = 3) -> Verdict:
     """Rules passing WRP + EF1 have a pivot agent at every problem: the draft and every
     desk-scale characterization survivor are swept."""
     from .axioms import FixedSweep, critical_agent
     from .csp import solutions_as_rules, build_csp, solve_csp
 
     pi = tuple(range(1, n_agents + 1))
-    rules = [draft_rule(pi)]
     small = fixed_domain(2, min(n_objects, 3))
     csp = build_csp(small, ("WRP", "EF1", "NW", "RM"), (1, 2))
     rules_small = solutions_as_rules(csp, solve_csp(csp, mode="find-all"))
@@ -835,11 +821,11 @@ def verify_critical_agent(n_agents: int = 3, n_objects: int = 3) -> dict:
             for alloc in sw.grid(xi):
                 checked += 1
                 if critical_agent(sw.agents, alloc, prio) is None:
-                    return {"ok": False, "checked": checked}
-    return {"ok": True, "checked": checked, "survivors_swept": len(rules_small)}
+                    return Verdict.of(False, {"ok": False, "checked": checked})
+    return Verdict.of(True, {"ok": True, "checked": checked, "survivors_swept": len(rules_small)})
 
 
-def verify_rm_lemma() -> dict:
+def verify_rm_lemma() -> Verdict:
     """Adding an object everyone ranks below her own bundle only ever grows draft bundles.
 
     Exhaustive for two agents up to five objects and three agents up to four
@@ -868,18 +854,18 @@ def verify_rm_lemma() -> dict:
                     bigger = Problem("fixed", agents, x | 1 << extra, combo)
                     balloc, _ = priority_draft(bigger, agents)
                     if not all(b & a == a for a, b in zip(alloc, balloc)):
-                        return {"ok": False, "checked": checked}
-    return {"ok": True, "checked": checked}
+                        return Verdict.of(False, {"ok": False, "checked": checked})
+    return Verdict.of(True, {"ok": True, "checked": checked})
 
 
-def verify_priority_recovery(n_agents: int = 4) -> dict:
+def verify_priority_recovery(n_agents: int = 4) -> Verdict:
     """Pairwise probes recover every priority over the given number of agents exactly."""
     checked = 0
     for perm in permutations(range(1, n_agents + 1)):
         checked += 1
         if infer_priority(variable_draft_rule(perm), perm) != perm:
-            return {"ok": False, "checked": checked, "priority": perm}
-    return {"ok": True, "checked": checked}
+            return Verdict.of(False, {"ok": False, "checked": checked, "priority": perm})
+    return Verdict.of(True, {"ok": True, "checked": checked})
 
 
 def probe_wsp_conjecture(n_objects: int = 3, budget: int = 10_000_000) -> SolveResult:

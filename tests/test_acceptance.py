@@ -71,6 +71,7 @@ from draftkit.rules import (
     wrp_star_counterexample,
 )
 from draftkit.verifier import (
+    REPRODUCED,
     find_manipulation,
     replay_theorem4_cases,
     verify_efficiency_decomposition,
@@ -206,7 +207,8 @@ def test_c06_characterization_uniqueness():
     t0 = time.perf_counter()
     rep = verify_t1(2, 3)
     elapsed = time.perf_counter() - t0
-    assert rep.unique_target
+    assert rep.outcome == REPRODUCED
+    assert rep.detail["status"] == "unique" and rep.detail["equals_draft"] == [True]
     assert elapsed < 30
     record("C06 characterization uniqueness", f"PASS ({elapsed:.1f}s)")
 
@@ -215,7 +217,8 @@ def test_c07_priority_impossibility():
     t0 = time.perf_counter()
     rep = verify_t2(3)
     elapsed = time.perf_counter() - t0
-    assert rep.status == "unsat" and rep.replays_ok
+    assert rep.outcome == REPRODUCED
+    assert rep.detail["status"] == "unsat" and rep.detail["certificate_replays"]
     assert elapsed < 30
     record("C07 RP+EF1+NW+WSP unsat", f"PASS ({elapsed:.1f}s)")
 
@@ -224,7 +227,8 @@ def test_c08_efficiency_impossibility():
     t0 = time.perf_counter()
     rep = verify_t3(4)
     elapsed = time.perf_counter() - t0
-    assert rep.status == "unsat" and rep.replays_ok
+    assert rep.outcome == REPRODUCED
+    assert rep.detail["status"] == "unsat" and rep.detail["certificate_replays"]
     assert elapsed < 300
     record("C08 EFF+EF1+WSP unsat", f"PASS ({elapsed:.1f}s)")
 
@@ -238,7 +242,8 @@ def test_c09_five_object_impossibility():
     t0 = time.perf_counter()
     rep = verify_theorem4_unsat()
     generic_elapsed = time.perf_counter() - t0
-    assert rep.status == "unsat" and rep.replays_ok
+    assert rep.outcome == REPRODUCED
+    assert rep.detail["status"] == "unsat" and rep.detail["certificate_replays"]
     assert generic_elapsed < 600
     record(
         "C09 two-agent five-object unsat",
@@ -423,11 +428,11 @@ def test_c14_variable_population_results():
     for perm in permutations(range(1, 5)):
         assert infer_priority(variable_draft_rule(perm), perm) == perm
 
-    ext = verify_extension_lemma(rule, pi, dom)
-    assert ext.precondition_ok and ext.agrees_everywhere
-    snake = verify_extension_lemma(snake_draft_rule(pi), pi, dom)
-    assert snake.precondition_ok and not snake.tcon_holds and not snake.agrees_everywhere
-    assert snake.divergence is not None
+    ext = verify_extension_lemma(rule, pi, dom).detail
+    assert ext["precondition_ok"] and ext["agrees_everywhere"]
+    snake = verify_extension_lemma(snake_draft_rule(pi), pi, dom).detail
+    assert snake["precondition_ok"] and not snake["tcon_holds"] and not snake["agrees_everywhere"]
+    assert snake["divergence"] is not None
     elapsed = time.perf_counter() - t0
     record("C14 variable-population results", f"PASS ({elapsed:.1f}s)")
 

@@ -215,6 +215,11 @@ def test_cli_check_refuses_bad_sizes(capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+UNIQUE = "uniqueness over the checked domain"
+FINITE = "finite-domain result: quantifies over the checked domain only"
+UNSAT = {"certificate_replays": True, "note": FINITE, "status": "unsat"}
+
+
 @pytest.mark.parametrize(
     "argv, detail",
     [
@@ -223,12 +228,23 @@ def test_cli_check_refuses_bad_sizes(capsys, argv):
             ["T8", "--agents", "2", "--objects", "3"],
             {
                 "extension_ok": True,
-                "note": "uniqueness over the checked domain",
+                "note": UNIQUE,
                 "priorities_recovered": True,
                 "snake_diverges": True,
                 "sweep_ok": True,
             },
         ),
+        (["T1"], {"equals_draft": [True], "note": UNIQUE, "status": "unique", "survivors": 1}),
+        (["T2"], UNSAT),
+        (["T3"], UNSAT),
+        (["T4"], UNSAT),
+        (["T4-replay"], {"cases": 4, "steps": 72}),
+        (["T6"], {"note": UNIQUE, "status": "unique", "survivors": 1}),
+        (["T7"], {"note": UNIQUE, "status": "unique", "survivors": 1}),
+        (["P3"], {"checked_pairs": 16560, "disagreements": 0}),
+        (["P4"], {"premise_holds": 1, "rules_checked": 209, "violations": 0}),
+        (["L1"], {"checked": 1764, "ok": True, "survivors_swept": 1}),
+        (["L8"], {"checked": 24, "ok": True}),
     ],
 )
 def test_cli_verify_extension_detail_is_pinned(tmp_path, capsys, argv, detail):
@@ -258,6 +274,41 @@ def test_cli_verify_l8(capsys):
 
 def test_cli_verify_cap(capsys):
     assert main(["verify", "T1", "--objects", "6"]) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["T1", "--objects", "0"],
+        ["L1", "--agents", "0"],
+        ["T2", "--objects", "-1"],
+        ["T5", "--agents", "1"],
+        ["T4", "--objects", "3"],
+        ["L2", "--agents", "2"],
+        ["L8", "--objects", "3"],
+        ["T1", "--quotas", "1,2"],
+        ["T6", "--quotas", "1,x"],
+        ["T6", "--quotas", "1"],
+        ["T6", "--quotas", "0,1"],
+    ],
+)
+def test_cli_verify_refuses_bad_sizes(capsys, argv):
+    assert main(["verify"] + argv) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("error: ") and out.out == ""
+
+
+@pytest.mark.parametrize("theorem", ["T2", "T3"])
+def test_cli_verify_grid_capacity_is_undecided(monkeypatch, capsys, theorem):
+    from draftkit import verifier
+
+    def build_grid(*args, **kwargs):
+        raise AssertionError("the grid was built past its capacity")
+
+    monkeypatch.setattr(verifier, "build_grid", build_grid)
+    assert main(["verify", theorem, "--objects", "7", "--i-know-this-is-huge"]) == 3
+    out = capsys.readouterr()
+    assert out.err.startswith("undecided: 7 objects exceeds the grid") and out.out == ""
 
 
 def test_cli_manipulate_worked_example(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from draftkit.axioms import fixed_domain, unacceptable_domain, variable_domain
 from draftkit.core import Preference, Problem
+from draftkit.csp import build_csp, solve_csp
 from draftkit.rules import (
     Rule,
     dictatorship_rule,
@@ -13,6 +14,7 @@ from draftkit.rules import (
     variable_draft_rule,
 )
 from draftkit.verifier import (
+    REPRODUCED,
     PriorityInferenceError,
     find_manipulation,
     infer_priority,
@@ -35,39 +37,43 @@ from helpers import bundle, fixed_problem
 
 def test_t1_uniqueness_small():
     rep = verify_t1(2, 2)
-    assert rep.unique_target
-    assert rep.note == "uniqueness over the checked domain"
+    assert rep.outcome == REPRODUCED
+    assert rep.detail["status"] == "unique" and rep.detail["equals_draft"] == [True]
+    assert rep.detail["note"] == "uniqueness over the checked domain"
 
 
 def test_t1_uniqueness_three_objects():
     t = time.time()
     rep = verify_t1(2, 3)
-    assert rep.unique_target
-    assert rep.stats.nodes <= 1  # propagation alone pins every variable
+    assert rep.outcome == REPRODUCED and rep.detail["equals_draft"] == [True]
     assert time.time() - t < 30
+    csp = build_csp(fixed_domain(2, 3), ("WRP", "EF1", "NW", "RM"), (1, 2))
+    assert solve_csp(csp, mode="find-all").stats.nodes <= 1  # propagation alone pins every variable
 
 
 def test_t2_unsat_both_priorities():
     rep = verify_t2(3)
-    assert rep.status == "unsat" and rep.replays_ok
+    assert rep.outcome == REPRODUCED
+    assert rep.detail["status"] == "unsat" and rep.detail["certificate_replays"]
 
 
 def test_t3_unsat():
     t = time.time()
     rep = verify_t3(4)
-    assert rep.status == "unsat" and rep.replays_ok
+    assert rep.outcome == REPRODUCED
+    assert rep.detail["status"] == "unsat" and rep.detail["certificate_replays"]
     assert time.time() - t < 300
 
 
 def test_t6_quota_uniqueness():
     for quotas in ((1, 1), (1, 2)):
         rep = verify_t6(2, quotas)
-        assert rep.unique_target, quotas
+        assert rep.outcome == REPRODUCED and rep.detail["status"] == "unique", quotas
 
 
 def test_t7_unacceptable_uniqueness_small():
     rep = verify_t7(2)
-    assert rep.unique_target
+    assert rep.outcome == REPRODUCED and rep.detail["status"] == "unique"
 
 
 def test_replay_theorem4_cases():
@@ -130,24 +136,27 @@ def test_extension_lemma_draft_and_snake():
     dom = variable_domain(2, 3)
     pi = (1, 2)
     rep = verify_extension_lemma(variable_draft_rule(pi), pi, dom)
-    assert rep.precondition_ok and rep.agrees_everywhere and rep.consistent
+    assert rep.detail["precondition_ok"] and rep.detail["agrees_everywhere"]
+    assert rep.outcome == REPRODUCED
 
     rep = verify_extension_lemma(snake_draft_rule(pi), pi, dom)
-    assert rep.precondition_ok  # single-unit problems have one round only
-    assert not rep.tcon_holds and not rep.agrees_everywhere
-    assert rep.consistent  # lemma not contradicted: its hypotheses fail
-    assert rep.divergence is not None
+    assert rep.detail["precondition_ok"]  # single-unit problems have one round only
+    assert not rep.detail["tcon_holds"] and not rep.detail["agrees_everywhere"]
+    assert rep.outcome == REPRODUCED  # lemma not contradicted: its hypotheses fail
+    assert rep.detail["divergence"] is not None
 
 
 def test_t8_composite():
     rep = verify_t8(3, 3)
-    assert rep.sweep_ok and rep.priorities_recovered
-    assert rep.extension_ok and rep.snake_diverges
+    assert rep.outcome == REPRODUCED
+    assert rep.detail["sweep_ok"] and rep.detail["priorities_recovered"]
+    assert rep.detail["extension_ok"] and rep.detail["snake_diverges"]
 
 
 def test_t5_small():
-    reports = verify_t5(agent_counts=(2,), n_objects=3, n_random_schemes=5)
-    assert all(r.ok for r in reports)
+    rep = verify_t5(n_agents=2, n_objects=3, n_random_schemes=5)
+    assert rep.outcome == REPRODUCED
+    assert rep.detail == {"certificate": ["proved"], "falsifier": ["holds"], "best_case": ["holds"]}
 
 
 def test_efficiency_decomposition_small():
@@ -162,7 +171,8 @@ def test_efficiency_decomposition_unacceptable_small():
 
 def test_ti_implication_report():
     rep = verify_truncation_invariance_implication(2, n_random_rules=40)
-    assert rep.ok and rep.premise_holds >= 1
+    assert rep.outcome == REPRODUCED
+    assert rep.detail["violations"] == 0 and rep.detail["premise_holds"] >= 1
 
 
 def test_wsp_conjecture_probe_carries_caveat():
@@ -176,19 +186,19 @@ def test_extension_lemma_reports_rm_failure_fixture():
 
     dom = _vd(2, 3)
     rep = verify_extension_lemma(population_rm_counterexample((1, 2)), (1, 2), dom)
-    assert not rep.rm_holds  # the fixture's defect is reported
-    assert rep.consistent  # and the lemma itself is not contradicted
+    assert not rep.detail["rm_holds"]  # the fixture's defect is reported
+    assert rep.outcome == REPRODUCED  # and the lemma itself is not contradicted
 
 
 def test_critical_agent_driver_sweeps_draft_and_survivors():
     from draftkit.verifier import verify_critical_agent
 
     rep = verify_critical_agent(3, 3)
-    assert rep["ok"] and rep["survivors_swept"] == 1
+    assert rep.outcome == REPRODUCED and rep.detail["survivors_swept"] == 1
 
 
 def test_rm_lemma_driver():
     from draftkit.verifier import verify_rm_lemma
 
     rep = verify_rm_lemma()
-    assert rep["ok"] and rep["checked"] > 100000
+    assert rep.outcome == REPRODUCED and rep.detail["checked"] > 100000
