@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, permutations, product
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .core import (
     objects_of,
     preference_space,
     subsets_of,
-    top,
     top_k,
 )
 from .dominance import WeightScheme, additive_utility, relation_table, weakly_dominates
@@ -185,6 +184,19 @@ def all_priorities(agents: Iterable[Agent]) -> list[Priority]:
     return list(permutations(tuple(agents)))
 
 
+MAX_ROW_OBJECTS = 8  # allocation rows are uint8: one bit per object
+
+
+def _digits(P: int, n: int) -> np.ndarray:
+    """(Pⁿ, n) preference index of each slot at each profile code, slot 0 most significant."""
+    return np.indices((P,) * n).reshape(n, -1).T
+
+
+def _rows(grid: Sequence[Allocation], n: int) -> np.ndarray:
+    """A grid of n-agent allocations as a uint8 (len(grid), n) array."""
+    return np.fromiter(chain.from_iterable(grid), np.uint8, len(grid) * n).reshape(len(grid), n)
+
+
 # ---------------------------------------------------------------------------
 # Indexed sweep over a fixed-population domain (fixed / quota / unacceptable)
 # ---------------------------------------------------------------------------
@@ -269,17 +281,17 @@ class FixedSweep:
     def allocs(self, x_idx: int) -> np.ndarray:
         """grid(x_idx) as a uint8 (Pⁿ, n) array: row = profile code, column = agent slot."""
         if x_idx not in self._arrays:
-            if self.domain.n_objects > 8:
-                raise ValueError("allocation arrays hold bundles of at most 8 objects")
-            grid = self.grid(x_idx)
-            flat = np.fromiter(chain.from_iterable(grid), np.uint8, len(grid) * self.n)
-            self._arrays[x_idx] = flat.reshape(len(grid), self.n)
+            if self.domain.n_objects > MAX_ROW_OBJECTS:
+                raise ValueError(
+                    f"allocation arrays hold bundles of at most {MAX_ROW_OBJECTS} objects"
+                )
+            self._arrays[x_idx] = _rows(self.grid(x_idx), self.n)
         return self._arrays[x_idx]
 
     @cached_property
     def digits(self) -> np.ndarray:
         """(Pⁿ, n) preference index of each slot at each profile code."""
-        return np.indices((self.P,) * self.n).reshape(self.n, -1).T
+        return _digits(self.P, self.n)
 
     def restriction_reps(self, x_idx: int) -> np.ndarray:
         """Per preference index, the first index whose restriction to this set is the same."""
@@ -392,24 +404,34 @@ FIXED_POPULATION = ("fixed", "quota", "unacceptable")
 
 
 class AxiomSpace:
-    """What the axiom definitions read about a fixed-population domain.
+    """What the axiom definitions read about a domain's allocation rows.
 
     Allocation rows are read with per-slot preference indexes into `prefs`,
     the domain's preference space. `pairs` lists the ordered (envious, envied)
     slot pairs and, given a priority, `ranked` the pairs whose first slot has
     the higher priority, both in the order witnesses report them.
+
+    On a variable domain the rows are those of one population, `agents`, and
+    `prefs` is every ranking of all the domain's objects: a ranking of an
+    available set X is read as itself followed by the objects outside X (see
+    `full_index`), which compares bundles within X exactly as it does.
     """
 
-    def __init__(self, domain: ProblemDomain, priority: Priority | None = None):
-        if domain.variant == "variable":
-            raise ValueError("axiom spaces cover fixed-population domains only")
-        if domain.n_objects > 8:
-            raise ValueError("allocation rows hold bundles of at most 8 objects")
+    def __init__(
+        self,
+        domain: ProblemDomain,
+        priority: Priority | None = None,
+        agents: tuple[Agent, ...] | None = None,
+    ):
+        if domain.n_objects > MAX_ROW_OBJECTS:
+            raise ValueError(f"allocation rows hold bundles of at most {MAX_ROW_OBJECTS} objects")
+        if (agents is None) == (domain.variant == "variable"):
+            raise ValueError("agents are given for variable domains, and only for them")
         self.variant = domain.variant
         self.n_objects = domain.n_objects
         self.quotas = domain.quotas
-        self.prefs = domain.preference_space()
-        agents = domain.populations[0]
+        self.prefs = preference_space(domain.n_objects, cutoffs=domain.variant == "unacceptable")
+        agents = domain.populations[0] if agents is None else agents
         self.n = len(agents)
         self.pairs = [(a, b) for a in range(self.n) for b in range(self.n) if a != b]
         if priority is not None:
@@ -1197,8 +1219,94 @@ def check_nw_quota(rule, domain) -> AxiomReport:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _ranking_index(objects: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    return {r: i for i, r in enumerate(_rankings(objects))}
+
+
+def _index_array(values) -> np.ndarray:
+    out = np.array(values, dtype=np.intp)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def restriction_map(x: Bundle, y: Bundle) -> np.ndarray:
+    """Per preference index over x, the index over y (a subset of x) of its restriction to y."""
+    index = _ranking_index(objects_of(y))
+    return _index_array(
+        [index[tuple(o for o in r if y >> o & 1)] for r in _rankings(objects_of(x))]
+    )
+
+
+@lru_cache(maxsize=None)
+def full_index(x: Bundle, n_objects: int) -> np.ndarray:
+    """Per preference index over x, the index in preference_space(n_objects) of its ranking
+    followed by the objects outside x, ascending; on bundles within x both compare alike."""
+    index = _ranking_index(tuple(range(n_objects)))
+    rest = tuple(o for o in range(n_objects) if not x >> o & 1)
+    return _index_array([index[r + rest] for r in _rankings(objects_of(x))])
+
+
+@lru_cache(maxsize=None)
+def _top_table(n_objects: int) -> np.ndarray:
+    """TOP[pref, s]: the bit of the best object of bundle s under preference_space(n_objects)[pref]
+    (0 for the empty bundle)."""
+    rankings = np.array(_rankings(tuple(range(n_objects))), dtype=np.intp)
+    subsets = np.arange(1 << n_objects)
+    table = np.zeros((len(rankings), 1 << n_objects), dtype=np.uint8)
+    for pos in range(n_objects - 1, -1, -1):  # better positions overwrite worse ones
+        obj = rankings[:, pos][:, None]
+        table = np.where(subsets >> obj & 1 == 1, (1 << obj).astype(np.uint8), table)
+    table.flags.writeable = False
+    return table
+
+
+class Relabeling(NamedTuple):
+    """A bijection sigma from an available set onto `target`, as index maps.
+
+    `prefs` takes a preference index over the source set to the index over
+    target of its relabeled ranking; `bundles` takes a subset of the source
+    set to its image.
+    """
+
+    target: Bundle
+    sigma: dict
+    prefs: np.ndarray
+    bundles: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _relabelings(x: Bundle, targets: tuple[Bundle, ...]) -> tuple[Relabeling, ...]:
+    """Every bijection from x onto each target in turn (images in permutation order),
+    except the identity."""
+    src = objects_of(x)
+    out = []
+    for target in targets:
+        index = _ranking_index(objects_of(target))
+        for image in permutations(objects_of(target)):
+            if target == x and image == src:
+                continue
+            sigma = dict(zip(src, image))
+            bundles = np.zeros(1 << x.bit_length(), dtype=np.uint8)
+            for b in subsets_of(x):
+                bundles[b] = bundle_of(sigma[o] for o in objects_of(b))
+            bundles.flags.writeable = False
+            prefs = _index_array([index[tuple(sigma[o] for o in r)] for r in _rankings(src)])
+            out.append(Relabeling(target, sigma, prefs, bundles))
+    return tuple(out)
+
+
 class VariableSweep:
-    """Per-(population, available set) allocation grids for a variable-population domain."""
+    """Per-(population, available set) allocation grids for a variable-population domain.
+
+    At available set X every preference ranks exactly X: preference indexes
+    run over `prefs_of(X)` and a profile code is the base-|X|! encoding of the
+    per-agent indexes, slot 0 most significant. Each grid is filled on first
+    use and mirrored in a uint8 array that the gather checkers read; they
+    reach other problems' allocations through index maps (`restriction_map`,
+    `_relabelings`) and the relation tables through `full_index`.
+    """
 
     def __init__(self, rule: Rule, domain: ProblemDomain):
         if domain.variant != "variable":
@@ -1208,22 +1316,11 @@ class VariableSweep:
         self.pop_index = {pop: i for i, pop in enumerate(domain.populations)}
         self.x_index = {x: i for i, x in enumerate(domain.available_sets)}
         self._grids: dict[tuple[int, int], list[Allocation]] = {}
-        self._pref_lists: dict[Bundle, tuple[Preference, ...]] = {}
-        self._pref_index: dict[Bundle, dict] = {}
+        self._arrays: dict[tuple[int, int], np.ndarray] = {}
+        self._digits: dict[tuple[int, int], np.ndarray] = {}
 
     def prefs_of(self, x: Bundle) -> tuple[Preference, ...]:
-        if x not in self._pref_lists:
-            self._pref_lists[x] = (
-                self.domain.rankings_of(x) if x else (Preference(()),)
-            )
-            self._pref_index[x] = {
-                p.ranking: i for i, p in enumerate(self._pref_lists[x])
-            }
-        return self._pref_lists[x]
-
-    def pref_idx(self, x: Bundle, ranking: tuple[int, ...]) -> int:
-        self.prefs_of(x)
-        return self._pref_index[x][ranking]
+        return self.domain.rankings_of(x)
 
     def grid(self, pop: tuple[Agent, ...], x: Bundle) -> list[Allocation]:
         key = (self.pop_index[pop], self.x_index[x])
@@ -1235,19 +1332,33 @@ class VariableSweep:
             ]
         return self._grids[key]
 
-    def alloc_at(self, pop, x, profile: tuple[Preference, ...]) -> Allocation:
-        # product order: the first agent's preference is the most significant digit
-        prefs = self.prefs_of(x)
-        code = 0
-        for p in profile:
-            code = code * len(prefs) + self.pref_idx(x, p.ranking)
-        return self.grid(pop, x)[code]
+    def allocs(self, pop: tuple[Agent, ...], x: Bundle) -> np.ndarray:
+        """grid(pop, x) as a uint8 (|X|!ⁿ, n) array: row = profile code, column = agent slot."""
+        key = (self.pop_index[pop], self.x_index[x])
+        if key not in self._arrays:
+            if self.domain.n_objects > MAX_ROW_OBJECTS:
+                raise ValueError(
+                    f"allocation arrays hold bundles of at most {MAX_ROW_OBJECTS} objects"
+                )
+            self._arrays[key] = _rows(self.grid(pop, x), len(pop))
+        return self._arrays[key]
 
-    def problems(self, pop, x) -> Iterator[tuple[int, tuple[Preference, ...], Allocation]]:
+    def digits(self, pop: tuple[Agent, ...], x: Bundle) -> np.ndarray:
+        """(|X|!ⁿ, n) preference index over X of each slot at each profile code."""
+        key = (len(self.prefs_of(x)), len(pop))
+        if key not in self._digits:
+            self._digits[key] = _digits(*key)
+        return self._digits[key]
+
+    def encode(self, x: Bundle, digits: np.ndarray) -> np.ndarray:
+        """Profile codes at x of rows of per-slot preference indexes over x."""
+        P, n = len(self.prefs_of(x)), digits.shape[-1]
+        return digits @ P ** np.arange(n - 1, -1, -1)
+
+    def problem(self, pop: tuple[Agent, ...], x: Bundle, code: int) -> Problem:
         prefs = self.prefs_of(x)
-        grid = self.grid(pop, x)
-        for code, combo in enumerate(product(prefs, repeat=len(pop))):
-            yield code, combo, grid[code]
+        profile = tuple(prefs[d] for d in self.digits(pop, x)[code])
+        return Problem("variable", pop, x, profile)
 
 
 def _vsweep(rule, domain) -> VariableSweep:
@@ -1256,113 +1367,124 @@ def _vsweep(rule, domain) -> VariableSweep:
     return VariableSweep(rule, domain)
 
 
-def _var_problem(pop, x, profile) -> Problem:
-    return Problem("variable", pop, x, profile)
+def _check_var_unary(name: str, rule, domain, details: bool = False) -> AxiomReport:
+    """First problem, in enumeration order, whose allocation fails NW, EF1 or EFF (NW + RT).
+
+    Each problem is one check; rows are read in the full preference space,
+    where the relation tables and the trade-cycle search compare bundles
+    within the available set as its own ranking does. With `details` the
+    entry's witness fields are added.
+    """
+    sw = _vsweep(rule, domain)
+    m = sw.domain.n_objects
+    checked = 0
+    for pop in sw.domain.populations:
+        space = AxiomSpace(sw.domain, agents=pop)
+        for x in sw.domain.available_sets:
+            allocs = sw.allocs(pop, x)
+            digits = full_index(x, m)[sw.digits(pop, x)]
+            if name == "EFF":
+                ok = admissible(space, x, allocs, digits, ("EFF",))[:, None]
+            else:
+                ok = UNARY[name].ok(space, x, allocs, digits)
+            hit, checks = _first_code(~ok)
+            checked += checks
+            if hit is not None:
+                code, k = hit
+                prob, alloc = sw.problem(pop, x, code), sw.grid(pop, x)[code]
+                witness = {
+                    "problem": describe_problem(prob),
+                    "allocation": describe_allocation(prob, alloc),
+                }
+                if details:
+                    witness |= UNARY[name].detail(space, prob, alloc, k)
+                return _violated(name, checked, witness)
+    return _holds(name, checked)
 
 
 def check_nw_var(rule, domain) -> AxiomReport:
-    sw = _vsweep(rule, domain)
-    checked = 0
-    for pop in domain.populations:
-        for x in domain.available_sets:
-            for code, profile, alloc in sw.problems(pop, x):
-                checked += 1
-                if _union(alloc) != x:
-                    prob = _var_problem(pop, x, profile)
-                    return _violated(
-                        "NW",
-                        checked,
-                        {
-                            "problem": describe_problem(prob),
-                            "allocation": describe_allocation(prob, alloc),
-                        },
-                    )
-    return _holds("NW", checked)
-
-
-def _ef1_ok(pref: Preference, own: Bundle, other: Bundle) -> bool:
-    if weakly_dominates(pref, own, other):
-        return True
-    return any(weakly_dominates(pref, own, other & ~(1 << o)) for o in objects_of(other))
+    return _check_var_unary("NW", rule, domain)
 
 
 def check_ef1_var(rule, domain) -> AxiomReport:
-    sw = _vsweep(rule, domain)
-    checked = 0
-    for pop in domain.populations:
-        for x in domain.available_sets:
-            for code, profile, alloc in sw.problems(pop, x):
-                checked += 1
-                for j in range(len(pop)):
-                    for i in range(len(pop)):
-                        if i != j and not _ef1_ok(profile[j], alloc[j], alloc[i]):
-                            prob = _var_problem(pop, x, profile)
-                            return _violated(
-                                "EF1",
-                                checked,
-                                {
-                                    "problem": describe_problem(prob),
-                                    "allocation": describe_allocation(prob, alloc),
-                                    "envious": pop[j],
-                                    "envied": pop[i],
-                                },
-                            )
-    return _holds("EF1", checked)
+    return _check_var_unary("EF1", rule, domain, details=True)
 
 
 def check_eff_var(rule, domain) -> AxiomReport:
     """Efficiency (NW + RT) on every variable-population problem."""
-    sw = _vsweep(rule, domain)
+    return _check_var_unary("EFF", rule, domain)
+
+
+def _scan_moves(sw: VariableSweep, pop, x, moves: Sequence, width: int, bad_of):
+    """First failing (code, move, column) at (pop, x), trying every move at each code in order.
+
+    `bad_of(move, codes)` judges one block of profile codes: bool
+    (len(codes), width), True where a column fails. Each (code, move) is one
+    check. Returns ((code, move index, column) or None, checks).
+    """
+    if not moves:
+        return None, 0
+    total = len(sw.allocs(pop, x))
+    step = max(1, _BLOCK // (len(moves) * width))
     checked = 0
-    for pop in domain.populations:
-        for x in domain.available_sets:
-            for code, profile, alloc in sw.problems(pop, x):
-                checked += 1
-                if _union(alloc) != x or _trade_cycle(profile, alloc) is not None:
-                    prob = _var_problem(pop, x, profile)
-                    return _violated(
-                        "EFF",
-                        checked,
-                        {
-                            "problem": describe_problem(prob),
-                            "allocation": describe_allocation(prob, alloc),
-                        },
-                    )
-    return _holds("EFF", checked)
+    for lo in range(0, total, step):
+        codes = np.arange(lo, min(lo + step, total))
+        bad = np.stack([bad_of(move, codes) for move in moves], axis=1)
+        hit, checks = _first_code(bad.reshape(-1, width))
+        checked += checks
+        if hit is not None:
+            cell, column = hit
+            return (lo + cell // len(moves), cell % len(moves), column), checked
+    return None, checked
+
+
+def _restricted(sw: VariableSweep, x: Bundle, y: Bundle, digits: np.ndarray) -> np.ndarray:
+    """Profile codes at y ⊆ x of the profiles `digits` over x restricted to y."""
+    return sw.encode(y, restriction_map(x, y)[digits])
+
+
+def _reduced_allocs(sw: VariableSweep, pop, x: Bundle, ys: np.ndarray, digits: np.ndarray):
+    """Per row: the allocation at (pop, ys[row]) of the row's profile over x, restricted."""
+    out = np.empty(digits.shape, dtype=np.uint8)
+    for y in np.unique(ys).tolist():
+        rows = ys == y
+        out[rows] = sw.allocs(pop, y)[_restricted(sw, x, y, digits[rows])]
+    return out
 
 
 def check_rm_var(rule, domain) -> AxiomReport:
     """Resource monotonicity across nested available sets, preferences restricted."""
     sw = _vsweep(rule, domain)
+    m = sw.domain.n_objects
+    dom, ok = relation_table(m), DEVIATIONS["RM"]
     checked = 0
-    for pop in domain.populations:
-        for big in domain.available_sets:
-            if not big:
-                continue
-            for code, profile, alloc in sw.problems(pop, big):
-                for small in subsets_of(big):
-                    if small == big:
-                        continue
-                    checked += 1
-                    reduced = tuple(
-                        Preference(tuple(o for o in p.ranking if small >> o & 1))
-                        for p in profile
-                    )
-                    small_alloc = sw.alloc_at(pop, small, reduced)
-                    for i, p in enumerate(profile):
-                        if not weakly_dominates(p, alloc[i], small_alloc[i]):
-                            prob = _var_problem(pop, big, profile)
-                            return _violated(
-                                "RM+",
-                                checked,
-                                {
-                                    "problem": describe_problem(prob),
-                                    "smaller_set": format_bundle(small),
-                                    "agent": pop[i],
-                                    "bundle_large": format_bundle(alloc[i]),
-                                    "bundle_small": format_bundle(small_alloc[i]),
-                                },
-                            )
+    for pop in sw.domain.populations:
+        for big in sw.domain.available_sets:
+            smalls = [s for s in subsets_of(big) if s != big]  # none when big is empty
+            digits, full = sw.digits(pop, big), full_index(big, m)
+
+            def bad_of(small, codes):
+                d = digits[codes]
+                other = sw.allocs(pop, small)[_restricted(sw, big, small, d)]
+                return ~ok(dom, full[d], sw.allocs(pop, big)[codes], other)
+
+            hit, checks = _scan_moves(sw, pop, big, smalls, len(pop), bad_of)
+            checked += checks
+            if hit is not None:
+                code, j, i = hit
+                small, alloc = smalls[j], sw.grid(pop, big)[code]
+                small_code = int(_restricted(sw, big, small, digits[code]))
+                return _violated(
+                    "RM+",
+                    checked,
+                    {
+                        "problem": describe_problem(sw.problem(pop, big, code)),
+                        "smaller_set": format_bundle(small),
+                        "agent": pop[i],
+                        "bundle_large": format_bundle(alloc[i]),
+                        "bundle_small": format_bundle(sw.grid(pop, small)[small_code][i]),
+                    },
+                )
     return _holds("RM+", checked)
 
 
@@ -1371,46 +1493,45 @@ def _check_con_like(rule, domain, pair_only: bool) -> AxiomReport:
     sw = _vsweep(rule, domain)
     name = "2-CON" if pair_only else "CON"
     checked = 0
-    for pop in domain.populations:
-        if len(pop) < 2:
-            continue
-        for x in domain.available_sets:
-            for code, profile, alloc in sw.problems(pop, x):
-                for drop_size in range(1, len(pop)):
-                    if pair_only and len(pop) - drop_size != 2:
-                        continue
-                    for dropped in combinations(range(len(pop)), drop_size):
-                        checked += 1
-                        keep = [i for i in range(len(pop)) if i not in dropped]
-                        removed = 0
-                        for i in dropped:
-                            removed |= alloc[i]
-                        new_x = x & ~removed
-                        new_pop = tuple(pop[i] for i in keep)
-                        new_profile = tuple(
-                            Preference(
-                                tuple(o for o in profile[i].ranking if new_x >> o & 1)
-                            )
-                            for i in keep
-                        )
-                        reduced_alloc = sw.alloc_at(new_pop, new_x, new_profile)
-                        expected = tuple(alloc[i] for i in keep)
-                        if reduced_alloc != expected:
-                            prob = _var_problem(pop, x, profile)
-                            red = _var_problem(new_pop, new_x, new_profile)
-                            return _violated(
-                                name,
-                                checked,
-                                {
-                                    "problem": describe_problem(prob),
-                                    "allocation": describe_allocation(prob, alloc),
-                                    "departing": [pop[i] for i in dropped],
-                                    "reduced_problem": describe_problem(red),
-                                    "reduced_allocation": describe_allocation(
-                                        red, reduced_alloc
-                                    ),
-                                },
-                            )
+    for pop in sw.domain.populations:
+        n = len(pop)
+        moves = [  # (departing slots, remaining slots)
+            (list(dropped), [i for i in range(n) if i not in dropped])
+            for size in range(1, n)
+            if not pair_only or n - size == 2
+            for dropped in combinations(range(n), size)
+        ]
+        for x in sw.domain.available_sets:
+
+            def bad_of(move, codes):
+                (dropped, keep), rows = move, sw.allocs(pop, x)[codes]
+                new_x = x & ~np.bitwise_or.reduce(rows[:, dropped], axis=1)
+                new_pop = tuple(pop[i] for i in keep)
+                got = _reduced_allocs(sw, new_pop, x, new_x, sw.digits(pop, x)[codes][:, keep])
+                return (got != rows[:, keep]).any(axis=1)[:, None]
+
+            hit, checks = _scan_moves(sw, pop, x, moves, 1, bad_of)
+            checked += checks
+            if hit is not None:
+                code, j, _ = hit
+                (dropped, keep), alloc = moves[j], sw.grid(pop, x)[code]
+                new_x = x & ~_union(tuple(alloc[i] for i in dropped))
+                new_pop = tuple(pop[i] for i in keep)
+                red_code = int(_restricted(sw, x, new_x, sw.digits(pop, x)[code][keep]))
+                prob, red = sw.problem(pop, x, code), sw.problem(new_pop, new_x, red_code)
+                return _violated(
+                    name,
+                    checked,
+                    {
+                        "problem": describe_problem(prob),
+                        "allocation": describe_allocation(prob, alloc),
+                        "departing": [pop[i] for i in dropped],
+                        "reduced_problem": describe_problem(red),
+                        "reduced_allocation": describe_allocation(
+                            red, sw.grid(new_pop, new_x)[red_code]
+                        ),
+                    },
+                )
     return _holds(name, checked)
 
 
@@ -1425,41 +1546,44 @@ def check_2con(rule, domain) -> AxiomReport:
 def check_tcon(rule, domain) -> AxiomReport:
     """Removing every agent's best assigned object leaves the rest of each bundle unchanged."""
     sw = _vsweep(rule, domain)
+    m = sw.domain.n_objects
+    tops_of = _top_table(m)
     checked = 0
-    for pop in domain.populations:
-        for x in domain.available_sets:
+    for pop in sw.domain.populations:
+        for x in sw.domain.available_sets:
             if not x:
                 continue
-            for code, profile, alloc in sw.problems(pop, x):
-                checked += 1
-                tops = 0
-                for p, b in zip(profile, alloc):
-                    if b:
-                        tops |= 1 << top(p, b)
+            allocs, digits, full = sw.allocs(pop, x), sw.digits(pop, x), full_index(x, m)
+
+            def removed(codes):
+                return np.bitwise_or.reduce(tops_of[full[digits[codes]], allocs[codes]], axis=-1)
+
+            def bad_of(_, codes):
+                tops = removed(codes)
+                got = _reduced_allocs(sw, pop, x, x & ~tops, digits[codes])
+                return (got != (allocs[codes] & ~tops[:, None])).any(axis=1)[:, None]
+
+            hit, checks = _scan_moves(sw, pop, x, (None,), 1, bad_of)
+            checked += checks
+            if hit is not None:
+                code = hit[0]
+                alloc, tops = sw.grid(pop, x)[code], int(removed(code))
                 new_x = x & ~tops
-                new_profile = tuple(
-                    Preference(tuple(o for o in p.ranking if new_x >> o & 1))
-                    for p in profile
+                red_code = int(_restricted(sw, x, new_x, digits[code]))
+                prob, red = sw.problem(pop, x, code), sw.problem(pop, new_x, red_code)
+                return _violated(
+                    "T-CON",
+                    checked,
+                    {
+                        "problem": describe_problem(prob),
+                        "allocation": describe_allocation(prob, alloc),
+                        "removed_tops": format_bundle(tops),
+                        "reduced_allocation": describe_allocation(
+                            red, sw.grid(pop, new_x)[red_code]
+                        ),
+                        "expected": describe_allocation(red, tuple(b & ~tops for b in alloc)),
+                    },
                 )
-                reduced = sw.alloc_at(pop, new_x, new_profile)
-                expected = tuple(b & ~tops for b in alloc)
-                if reduced != expected:
-                    prob = _var_problem(pop, x, profile)
-                    return _violated(
-                        "T-CON",
-                        checked,
-                        {
-                            "problem": describe_problem(prob),
-                            "allocation": describe_allocation(prob, alloc),
-                            "removed_tops": format_bundle(tops),
-                            "reduced_allocation": describe_allocation(
-                                _var_problem(pop, new_x, new_profile), reduced
-                            ),
-                            "expected": describe_allocation(
-                                _var_problem(pop, new_x, new_profile), expected
-                            ),
-                        },
-                    )
     return _holds("T-CON", checked)
 
 
@@ -1472,51 +1596,47 @@ def _check_neu_like(rule, domain, pair_only: bool) -> AxiomReport:
     checked = 0
     capped = False
     by_size: dict[int, list[Bundle]] = {}
-    for x in domain.available_sets:
+    for x in sw.domain.available_sets:
         by_size.setdefault(bundle_size(x), []).append(x)
-    for pop in domain.populations:
+    for pop in sw.domain.populations:
         if pair_only and len(pop) != 2:
             continue
-        for x in domain.available_sets:
+        for x in sw.domain.available_sets:
             k = bundle_size(x)
             if k > NEU_SIZE_CAP:
                 capped = True
                 continue
-            src = objects_of(x)
-            for code, profile, alloc in sw.problems(pop, x):
-                for target in by_size.get(k, []):
-                    for image in permutations(objects_of(target)):
-                        sigma = dict(zip(src, image))
-                        if x == target and all(a == b for a, b in sigma.items()):
-                            continue
-                        checked += 1
-                        new_profile = tuple(
-                            Preference(tuple(sigma[o] for o in p.ranking))
-                            for p in profile
-                        )
-                        mapped = tuple(
-                            bundle_of(sigma[o] for o in objects_of(b)) for b in alloc
-                        )
-                        relabeled = sw.alloc_at(pop, target, new_profile)
-                        if relabeled != mapped:
-                            prob = _var_problem(pop, x, profile)
-                            tgt = _var_problem(pop, target, new_profile)
-                            return _violated(
-                                name,
-                                checked,
-                                {
-                                    "problem": describe_problem(prob),
-                                    "allocation": describe_allocation(prob, alloc),
-                                    "relabeling": {
-                                        OBJECT_NAMES[a]: OBJECT_NAMES[b]
-                                        for a, b in sigma.items()
-                                    },
-                                    "relabeled_problem": describe_problem(tgt),
-                                    "relabeled_allocation": describe_allocation(
-                                        tgt, relabeled
-                                    ),
-                                },
-                            )
+            moves = _relabelings(x, tuple(by_size[k]))
+
+            def target_codes(move, codes):
+                return sw.encode(move.target, move.prefs[sw.digits(pop, x)[codes]])
+
+            def bad_of(move, codes):
+                got = sw.allocs(pop, move.target)[target_codes(move, codes)]
+                return (got != move.bundles[sw.allocs(pop, x)[codes]]).any(axis=1)[:, None]
+
+            hit, checks = _scan_moves(sw, pop, x, moves, 1, bad_of)
+            checked += checks
+            if hit is not None:
+                code, j, _ = hit
+                move, prob = moves[j], sw.problem(pop, x, code)
+                tgt_code = int(target_codes(move, code))
+                tgt = sw.problem(pop, move.target, tgt_code)
+                return _violated(
+                    name,
+                    checked,
+                    {
+                        "problem": describe_problem(prob),
+                        "allocation": describe_allocation(prob, sw.grid(pop, x)[code]),
+                        "relabeling": {
+                            OBJECT_NAMES[a]: OBJECT_NAMES[b] for a, b in move.sigma.items()
+                        },
+                        "relabeled_problem": describe_problem(tgt),
+                        "relabeled_allocation": describe_allocation(
+                            tgt, sw.grid(pop, move.target)[tgt_code]
+                        ),
+                    },
+                )
     note = f"relabelings capped at |X| <= {NEU_SIZE_CAP}" if capped else ""
     return _holds(name, checked, note)
 

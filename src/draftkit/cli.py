@@ -1,8 +1,9 @@
 """Command-line surface: run drafts, audit axioms, reproduce the desk-scale results.
 
 Exit codes: 0 = expected verdict / all axioms hold, 1 = violation or unexpected
-verdict, 2 = input error, 3 = undecided (cap or budget). Reports are
-deterministic for fixed inputs; timestamps are dropped with --no-timestamp.
+verdict, 2 = input error, 3 = undecided (cap, capacity or budget), 4 = crash
+(traceback on stderr). Reports are deterministic for fixed inputs; timestamps
+are dropped with --no-timestamp.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Callable, NamedTuple
 from .axioms import (
     AXIOM_CHECKERS,
     AXIOM_VARIANTS,
+    MAX_ROW_OBJECTS,
     PRIORITY_AXIOM_CHECKERS,
     VARIABLE_AXIOM_CHECKERS,
     FixedSweep,
@@ -208,6 +210,14 @@ def cmd_check(args) -> int:
         )
         _emit({"command": "check", "verdicts": {}, "exit": 3, "note": "cap exceeded"}, args)
         return 3
+    if args.objects > MAX_ROW_OBJECTS:
+        print(
+            f"undecided: {args.objects} objects exceeds the allocation arrays' capacity "
+            f"({MAX_ROW_OBJECTS}); bundles are stored as 8-bit rows",
+            file=sys.stderr,
+        )
+        _emit({"command": "check", "verdicts": {}, "exit": 3, "note": "capacity exceeded"}, args)
+        return 3
     domain = _make_domain(args)
     priority = tuple(range(1, args.agents + 1))
     if args.priority:
@@ -285,6 +295,7 @@ VERIFY_IDS = {
 VERIFY_FLAGS = ("agents", "objects", "quotas")  # verify's own flags: None when not given
 PARAMETERS = {"agents": "n_agents", "objects": "n_objects"}  # other flags keep their names
 EXIT_CODES = {verifier.REPRODUCED: 0, verifier.NOT_REPRODUCED: 1, verifier.UNDECIDED: 3}
+EXIT_CRASH = 4
 
 
 def _verify_undecided(args, reason: str) -> int:
@@ -441,6 +452,11 @@ def main(argv=None) -> int:
     except (InputError, ProblemFileError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # a crash must not read as a verdict: 1 means "violation found"
+        import traceback  # loaded only on a crash, so every other run starts without it
+
+        traceback.print_exc()
+        return EXIT_CRASH
 
 
 if __name__ == "__main__":

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from typing import Sequence
 
+import numpy as np
+
 from .core import (
     Agent,
     Preference,
@@ -710,31 +712,40 @@ def infer_priority(
     return tuple(sorted(agents, key=lambda i: -wins(i)))
 
 
-def _extension_lemma(
-    sweep: VariableSweep, priority: Priority, rm_holds: bool, tcon_holds: bool
-) -> Verdict:
+def _agreement(sweep: VariableSweep, priority: Priority) -> tuple[bool, dict | None]:
     """Compare the sweep's rule with the draft on every problem of its domain.
 
-    The lemma: single-unit agreement plus RM and T-CON force agreement
-    everywhere. With a hypothesis unmet it binds nothing, so the verdict is
-    NOT reproduced only when every hypothesis holds and the rules still diverge.
-    The reported divergence is the last single-unit one, else the first.
+    Returns whether the two agree on every single-unit problem (|X| <= |N|),
+    and the reported divergence: the last single-unit one, else the first.
     """
     target = VariableSweep(variable_draft_rule(priority), sweep.domain)
     precondition_ok, divergence = True, None
     for pop in sweep.domain.populations:
         for x in sweep.domain.available_sets:
+            mine, theirs = sweep.allocs(pop, x), target.allocs(pop, x)
+            rows = np.flatnonzero((mine != theirs).any(axis=1))
             single_unit = bundle_size(x) <= len(pop)
-            for (_, profile, mine), theirs in zip(sweep.problems(pop, x), target.grid(pop, x)):
-                if mine == theirs:
-                    continue
-                precondition_ok = precondition_ok and not single_unit
-                if divergence is None or single_unit:
-                    divergence = {
-                        "problem": describe_problem(Problem("variable", pop, x, profile)),
-                        "rule": {a: format_bundle(b) for a, b in zip(pop, mine)},
-                        "draft": {a: format_bundle(b) for a, b in zip(pop, theirs)},
-                    }
+            if not rows.size:
+                continue
+            precondition_ok = precondition_ok and not single_unit
+            if single_unit or divergence is None:
+                code = int(rows[-1] if single_unit else rows[0])
+                divergence = {
+                    "problem": describe_problem(sweep.problem(pop, x, code)),
+                    "rule": {a: format_bundle(b) for a, b in zip(pop, sweep.grid(pop, x)[code])},
+                    "draft": {a: format_bundle(b) for a, b in zip(pop, target.grid(pop, x)[code])},
+                }
+    return precondition_ok, divergence
+
+
+def _extension_lemma(
+    sweep: VariableSweep, priority: Priority, rm_holds: bool, tcon_holds: bool
+) -> Verdict:
+    """The lemma: single-unit agreement with the draft plus RM and T-CON force agreement
+    everywhere. With a hypothesis unmet it binds nothing, so the verdict is NOT
+    reproduced only when every hypothesis holds and the rules still diverge.
+    """
+    precondition_ok, divergence = _agreement(sweep, priority)
     agrees = divergence is None
     detail = {
         "precondition_ok": precondition_ok,
@@ -756,13 +767,14 @@ def verify_extension_lemma(rule: Rule, priority: Priority, domain: ProblemDomain
 
 def _extension_comparison(dom: ProblemDomain, pi: Priority, draft: Verdict) -> dict:
     """The draft agrees with itself everywhere, while the snake draft meets the lemma's
-    precondition yet fails T-CON and diverges."""
-    snake = verify_extension_lemma(snake_draft_rule(pi), pi, dom).detail
+    precondition yet fails T-CON and diverges (its RM verdict plays no part)."""
+    snake = VariableSweep(snake_draft_rule(pi), dom)
+    precondition_ok, divergence = _agreement(snake, pi)
     return {
         "extension_ok": draft.detail["precondition_ok"] and draft.detail["agrees_everywhere"],
-        "snake_diverges": snake["precondition_ok"]
-        and not snake["tcon_holds"]
-        and not snake["agrees_everywhere"],
+        "snake_diverges": precondition_ok
+        and not check_tcon(snake, dom).holds
+        and divergence is not None,
     }
 
 

@@ -1,8 +1,9 @@
 """Scalar reference checkers: the differential-test oracle for the gather checkers.
 
-These are the per-problem and per-pair loops the FixedSweep checkers in
-``draftkit.axioms`` replace. They call scalar ``weakly_dominates`` once per comparison, walk the
-domain in enumeration order and stop at the first violation, so their
+These are the per-problem and per-pair loops the FixedSweep and VariableSweep
+checkers in ``draftkit.axioms`` replace. They call scalar ``weakly_dominates``
+once per comparison, walk the domain in enumeration order and stop at the
+first violation, so their
 ``AxiomReport`` (verdict, ``checked`` count and witness) is the definition the
 fast checkers must reproduce exactly. They share only the sweep's grid, the
 witness formatting and the trade-cycle search with the code under test;
@@ -12,10 +13,14 @@ recomputed here.
 
 from __future__ import annotations
 
+from itertools import combinations, permutations, product
+
 from draftkit.axioms import (
+    NEU_SIZE_CAP,
     OBJECT_NAMES,
     AxiomReport,
     FixedSweep,
+    VariableSweep,
     _trade_cycle,
     _union,
     describe_allocation,
@@ -23,7 +28,18 @@ from draftkit.axioms import (
     format_bundle,
     format_pref,
 )
-from draftkit.core import INFINITE, Priority, bundle_size, objects_of
+from draftkit.core import (
+    INFINITE,
+    Allocation,
+    Preference,
+    Priority,
+    Problem,
+    bundle_of,
+    bundle_size,
+    objects_of,
+    subsets_of,
+    top,
+)
 from draftkit.dominance import quota_weakly_dominates, weakly_dominates
 
 
@@ -602,7 +618,7 @@ def _unary_ok(axiom, problem, alloc, priority) -> bool:
 
 def build_csp(domain, axioms, priority=None):
     """Candidates and allowed masks, one scalar comparison per allocation pair."""
-    from draftkit.core import Problem, restrict, subsets_of
+    from draftkit.core import restrict
     from draftkit.csp import BinaryConstraint, _all_allocations, _slot_alternatives
     from draftkit.rules import problem_key
 
@@ -783,3 +799,266 @@ def build_grid(n_objects, axioms, priority=(1, 2)):
                         keep |= 1 << a
                 initial[r1, r2] = keep
     return initial, m_row, m_col
+
+
+# --- variable-population checkers: the per-problem loops over a VariableSweep --
+
+
+def _vsweep(rule, domain) -> VariableSweep:
+    return rule if isinstance(rule, VariableSweep) else VariableSweep(rule, domain)
+
+
+def _var_problems(sw: VariableSweep, pop, x):
+    """(code, profile, allocation) at (pop, x), in profile-code order."""
+    grid = sw.grid(pop, x)
+    for code, combo in enumerate(product(sw.prefs_of(x), repeat=len(pop))):
+        yield code, combo, grid[code]
+
+
+def _alloc_at(sw: VariableSweep, pop, x, profile) -> Allocation:
+    # product order: the first agent's preference is the most significant digit
+    rankings = [p.ranking for p in sw.prefs_of(x)]
+    code = 0
+    for p in profile:
+        code = code * len(rankings) + rankings.index(p.ranking)
+    return sw.grid(pop, x)[code]
+
+
+def _var_problem(pop, x, profile) -> Problem:
+    return Problem("variable", pop, x, profile)
+
+
+def _restricted_profile(profile, y):
+    return tuple(Preference(tuple(o for o in p.ranking if y >> o & 1)) for p in profile)
+
+
+def check_nw_var(rule, domain) -> AxiomReport:
+    sw = _vsweep(rule, domain)
+    checked = 0
+    for pop in domain.populations:
+        for x in domain.available_sets:
+            for code, profile, alloc in _var_problems(sw, pop, x):
+                checked += 1
+                if _union(alloc) != x:
+                    prob = _var_problem(pop, x, profile)
+                    return _violated(
+                        "NW",
+                        checked,
+                        {
+                            "problem": describe_problem(prob),
+                            "allocation": describe_allocation(prob, alloc),
+                        },
+                    )
+    return _holds("NW", checked)
+
+
+def check_ef1_var(rule, domain) -> AxiomReport:
+    sw = _vsweep(rule, domain)
+    checked = 0
+    for pop in domain.populations:
+        for x in domain.available_sets:
+            for code, profile, alloc in _var_problems(sw, pop, x):
+                checked += 1
+                for j in range(len(pop)):
+                    for i in range(len(pop)):
+                        if i != j and not _ef1_ok(profile[j], None, alloc[j], alloc[i]):
+                            prob = _var_problem(pop, x, profile)
+                            return _violated(
+                                "EF1",
+                                checked,
+                                {
+                                    "problem": describe_problem(prob),
+                                    "allocation": describe_allocation(prob, alloc),
+                                    "envious": pop[j],
+                                    "envied": pop[i],
+                                },
+                            )
+    return _holds("EF1", checked)
+
+
+def check_eff_var(rule, domain) -> AxiomReport:
+    sw = _vsweep(rule, domain)
+    checked = 0
+    for pop in domain.populations:
+        for x in domain.available_sets:
+            for code, profile, alloc in _var_problems(sw, pop, x):
+                checked += 1
+                if _union(alloc) != x or _trade_cycle(profile, alloc) is not None:
+                    prob = _var_problem(pop, x, profile)
+                    return _violated(
+                        "EFF",
+                        checked,
+                        {
+                            "problem": describe_problem(prob),
+                            "allocation": describe_allocation(prob, alloc),
+                        },
+                    )
+    return _holds("EFF", checked)
+
+
+def check_rm_var(rule, domain) -> AxiomReport:
+    sw = _vsweep(rule, domain)
+    checked = 0
+    for pop in domain.populations:
+        for big in domain.available_sets:
+            if not big:
+                continue
+            for code, profile, alloc in _var_problems(sw, pop, big):
+                for small in subsets_of(big):
+                    if small == big:
+                        continue
+                    checked += 1
+                    small_alloc = _alloc_at(sw, pop, small, _restricted_profile(profile, small))
+                    for i, p in enumerate(profile):
+                        if not weakly_dominates(p, alloc[i], small_alloc[i]):
+                            prob = _var_problem(pop, big, profile)
+                            return _violated(
+                                "RM+",
+                                checked,
+                                {
+                                    "problem": describe_problem(prob),
+                                    "smaller_set": format_bundle(small),
+                                    "agent": pop[i],
+                                    "bundle_large": format_bundle(alloc[i]),
+                                    "bundle_small": format_bundle(small_alloc[i]),
+                                },
+                            )
+    return _holds("RM+", checked)
+
+
+def _check_con_like(rule, domain, pair_only: bool) -> AxiomReport:
+    sw = _vsweep(rule, domain)
+    name = "2-CON" if pair_only else "CON"
+    checked = 0
+    for pop in domain.populations:
+        if len(pop) < 2:
+            continue
+        for x in domain.available_sets:
+            for code, profile, alloc in _var_problems(sw, pop, x):
+                for drop_size in range(1, len(pop)):
+                    if pair_only and len(pop) - drop_size != 2:
+                        continue
+                    for dropped in combinations(range(len(pop)), drop_size):
+                        checked += 1
+                        keep = [i for i in range(len(pop)) if i not in dropped]
+                        removed = 0
+                        for i in dropped:
+                            removed |= alloc[i]
+                        new_x = x & ~removed
+                        new_pop = tuple(pop[i] for i in keep)
+                        new_profile = _restricted_profile([profile[i] for i in keep], new_x)
+                        reduced_alloc = _alloc_at(sw, new_pop, new_x, new_profile)
+                        if reduced_alloc != tuple(alloc[i] for i in keep):
+                            prob = _var_problem(pop, x, profile)
+                            red = _var_problem(new_pop, new_x, new_profile)
+                            return _violated(
+                                name,
+                                checked,
+                                {
+                                    "problem": describe_problem(prob),
+                                    "allocation": describe_allocation(prob, alloc),
+                                    "departing": [pop[i] for i in dropped],
+                                    "reduced_problem": describe_problem(red),
+                                    "reduced_allocation": describe_allocation(red, reduced_alloc),
+                                },
+                            )
+    return _holds(name, checked)
+
+
+def check_con(rule, domain) -> AxiomReport:
+    return _check_con_like(rule, domain, pair_only=False)
+
+
+def check_2con(rule, domain) -> AxiomReport:
+    return _check_con_like(rule, domain, pair_only=True)
+
+
+def check_tcon(rule, domain) -> AxiomReport:
+    sw = _vsweep(rule, domain)
+    checked = 0
+    for pop in domain.populations:
+        for x in domain.available_sets:
+            if not x:
+                continue
+            for code, profile, alloc in _var_problems(sw, pop, x):
+                checked += 1
+                tops = 0
+                for p, b in zip(profile, alloc):
+                    if b:
+                        tops |= 1 << top(p, b)
+                new_x = x & ~tops
+                new_profile = _restricted_profile(profile, new_x)
+                reduced = _alloc_at(sw, pop, new_x, new_profile)
+                expected = tuple(b & ~tops for b in alloc)
+                if reduced != expected:
+                    prob = _var_problem(pop, x, profile)
+                    red = _var_problem(pop, new_x, new_profile)
+                    return _violated(
+                        "T-CON",
+                        checked,
+                        {
+                            "problem": describe_problem(prob),
+                            "allocation": describe_allocation(prob, alloc),
+                            "removed_tops": format_bundle(tops),
+                            "reduced_allocation": describe_allocation(red, reduced),
+                            "expected": describe_allocation(red, expected),
+                        },
+                    )
+    return _holds("T-CON", checked)
+
+
+def _check_neu_like(rule, domain, pair_only: bool) -> AxiomReport:
+    sw = _vsweep(rule, domain)
+    name = "2-NEU" if pair_only else "NEU"
+    checked = 0
+    capped = False
+    by_size: dict[int, list] = {}
+    for x in domain.available_sets:
+        by_size.setdefault(bundle_size(x), []).append(x)
+    for pop in domain.populations:
+        if pair_only and len(pop) != 2:
+            continue
+        for x in domain.available_sets:
+            k = bundle_size(x)
+            if k > NEU_SIZE_CAP:
+                capped = True
+                continue
+            src = objects_of(x)
+            for code, profile, alloc in _var_problems(sw, pop, x):
+                for target in by_size.get(k, []):
+                    for image in permutations(objects_of(target)):
+                        sigma = dict(zip(src, image))
+                        if x == target and all(a == b for a, b in sigma.items()):
+                            continue
+                        checked += 1
+                        new_profile = tuple(
+                            Preference(tuple(sigma[o] for o in p.ranking)) for p in profile
+                        )
+                        mapped = tuple(bundle_of(sigma[o] for o in objects_of(b)) for b in alloc)
+                        relabeled = _alloc_at(sw, pop, target, new_profile)
+                        if relabeled != mapped:
+                            prob = _var_problem(pop, x, profile)
+                            tgt = _var_problem(pop, target, new_profile)
+                            return _violated(
+                                name,
+                                checked,
+                                {
+                                    "problem": describe_problem(prob),
+                                    "allocation": describe_allocation(prob, alloc),
+                                    "relabeling": {
+                                        OBJECT_NAMES[a]: OBJECT_NAMES[b] for a, b in sigma.items()
+                                    },
+                                    "relabeled_problem": describe_problem(tgt),
+                                    "relabeled_allocation": describe_allocation(tgt, relabeled),
+                                },
+                            )
+    note = f"relabelings capped at |X| <= {NEU_SIZE_CAP}" if capped else ""
+    return AxiomReport(name, "holds", None, checked, note)
+
+
+def check_neu(rule, domain) -> AxiomReport:
+    return _check_neu_like(rule, domain, pair_only=False)
+
+
+def check_2neu(rule, domain) -> AxiomReport:
+    return _check_neu_like(rule, domain, pair_only=True)

@@ -311,6 +311,37 @@ def test_cli_verify_grid_capacity_is_undecided(monkeypatch, capsys, theorem):
     assert out.err.startswith("undecided: 7 objects exceeds the grid") and out.out == ""
 
 
+@pytest.mark.parametrize("variant", ["fixed", "variable"])
+def test_cli_check_past_row_capacity_is_undecided(monkeypatch, capsys, tmp_path, variant):
+    from draftkit import cli
+
+    def make_domain(args):
+        raise AssertionError("the domain was built past the allocation arrays' capacity")
+
+    monkeypatch.setattr(cli, "_make_domain", make_domain)
+    out_file = tmp_path / "report.json"
+    argv = ["--out", str(out_file), "--no-timestamp", "check", "--rule", "pi-dictatorship"]
+    argv += ["--axioms", "NW", "--agents", "1", "--objects", "9", "--variant", variant]
+    assert main(argv + ["--i-know-this-is-huge"]) == 3
+    out = capsys.readouterr()
+    assert out.err.startswith("undecided: 9 objects exceeds the allocation arrays' capacity (8)")
+    assert out.out == ""
+    assert json.loads(out_file.read_text())["exit"] == 3
+
+
+def test_cli_crash_exits_4_with_traceback(monkeypatch, capsys):
+    from draftkit import cli
+
+    def build_rule(name, variant, priority):
+        raise RuntimeError("engine failed")
+
+    monkeypatch.setattr(cli, "_build_rule", build_rule)
+    assert main(["check", "--rule", "draft", "--axioms", "NW"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.rstrip().endswith("RuntimeError: engine failed")
+
+
 def test_cli_manipulate_worked_example(tmp_path, capsys):
     path = tmp_path / "m.txt"
     path.write_text(

@@ -1,8 +1,9 @@
 """Differential tests: the table-driven checkers against the scalar oracle in scalar_checkers.
 
-Each gather or unary-table checker must return the very AxiomReport of its
-scalar loop: verdict, `checked` count and witness, so the witness is still
-the first violation in enumeration order.
+Each gather or unary-table checker, on fixed-population and variable-population
+domains alike, must return the very AxiomReport of its scalar loop: verdict,
+`checked` count and witness, so the witness is still the first violation in
+enumeration order.
 """
 
 from __future__ import annotations
@@ -16,26 +17,35 @@ from hypothesis import given, settings, strategies as st
 import scalar_checkers as oracle
 from draftkit import axioms
 from draftkit.axioms import (
+    OBJECT_NAMES,
     FixedSweep,
+    VariableSweep,
     all_priorities,
     fixed_domain,
     quota_domain,
     unacceptable_domain,
+    variable_domain,
 )
 from draftkit.core import INFINITE
 from draftkit.csp import _all_allocations
 from draftkit.rules import (
+    Rule,
     dictatorship_rule,
     draft_rule,
     ir_counterexample,
+    neutrality_counterexample,
     null_rule,
+    pairwise_consistency_counterexample,
+    population_rm_counterexample,
     problem_key,
     quota_draft_rule,
     rm_counterexample,
     rm_star_counterexample,
+    snake_draft_rule,
     tabulated_rule,
     ti_counterexample,
     unacceptable_draft_rule,
+    variable_draft_rule,
     wrp_counterexample,
 )
 
@@ -163,6 +173,8 @@ def _table_space(kind: str):
     """Distinct problem keys of a domain, their candidate allocations, and the draft's pick."""
     if kind == "fixed":
         domain, base = fixed_domain(2, 3), draft_rule((1, 2))
+    elif kind == "variable":
+        domain, base = variable_domain(2, 3), variable_draft_rule((1, 2))
     else:
         domain, base = unacceptable_domain(2, 2), unacceptable_draft_rule((1, 2))
     keys, cands, table = [], [], {}
@@ -192,3 +204,95 @@ def tabulated_rules(draw, kind: str):
 def test_random_tabulated_rules_match_scalar_oracle(case):
     domain, rule = case
     _assert_same(FixedSweep(rule, domain))
+
+
+# --- variable-population checkers ---------------------------------------------
+
+VARIABLE = (
+    "check_nw_var",
+    "check_ef1_var",
+    "check_eff_var",
+    "check_rm_var",
+    "check_con",
+    "check_2con",
+    "check_tcon",
+    "check_neu",
+    "check_2neu",
+)
+
+
+def _variable_rules(n: int) -> dict:
+    pi = tuple(range(1, n + 1))
+    return {
+        "variable-draft": variable_draft_rule(pi),
+        "snake": snake_draft_rule(pi),
+        "pi-dictatorship": dictatorship_rule(pi),
+        "null": null_rule(),
+        "population-rm-cx": population_rm_counterexample(pi),
+        "pairwise-consistency-cx": pairwise_consistency_counterexample(pi),
+        "neutrality-cx": neutrality_counterexample(pi, special_object=0),
+    }
+
+
+# At 3x4 the scalar NEU takes about 7 s and RM+ about 3 s on a rule that
+# passes them, so each rule is compared on a share of the checkers that covers
+# every kernel at this size, each on a passing and on a failing rule.
+LARGE_VARIABLE = {
+    "variable-draft": ("check_neu", "check_con", "check_tcon", "check_ef1_var"),
+    "snake": ("check_tcon", "check_rm_var", "check_2neu", "check_eff_var"),
+    "pi-dictatorship": ("check_ef1_var", "check_2con", "check_nw_var"),
+    "null": ("check_nw_var", "check_eff_var", "check_ef1_var", "check_tcon"),
+    "population-rm-cx": ("check_rm_var", "check_2con"),
+    "pairwise-consistency-cx": ("check_con", "check_2con"),
+    "neutrality-cx": ("check_neu", "check_2neu"),
+}
+
+
+def _variable_cases():
+    for n, m in ((2, 3), (3, 3)):
+        for name in _variable_rules(n):
+            yield pytest.param(n, m, name, VARIABLE, id=f"variable{n}{m}-{name}")
+    # one agent and five objects: the relabeling cap's note
+    yield pytest.param(1, 5, "variable-draft", VARIABLE, id="variable15-variable-draft")
+    for name, checkers in LARGE_VARIABLE.items():
+        yield pytest.param(3, 4, name, checkers, id=f"variable34-{name}")
+
+
+def _assert_same_variable(sw: VariableSweep, checkers=VARIABLE):
+    for name in checkers:
+        assert getattr(axioms, name)(sw, sw.domain) == getattr(oracle, name)(sw, sw.domain), name
+
+
+@pytest.mark.parametrize("n, m, name, checkers", _variable_cases())
+def test_variable_checkers_match_scalar_oracle(n, m, name, checkers):
+    domain = variable_domain(n, m)
+    sw = VariableSweep(_variable_rules(n)[name], domain)
+    for pop in domain.populations:
+        for x in domain.available_sets:
+            sw.grid(pop, x)
+    _assert_same_variable(sw, checkers)
+
+
+def test_refuting_variable_check_fills_only_up_to_the_witness():
+    domain = variable_domain(3, 4)
+    base, calls = population_rm_counterexample((1, 2, 3)), []
+    rule = Rule(base.name, lambda p: calls.append(p) or base.run(p))
+    sw = VariableSweep(rule, domain)
+    rep = axioms.check_rm_var(sw, domain)
+    assert (rep.verdict, rep.checked) == ("violated", 1513)
+    problem = rep.witness["problem"]
+    pop = tuple(problem["agents"])
+    big = sum(1 << OBJECT_NAMES.index(o) for o in problem["available"].strip("{}").split(","))
+    blocks = [(p, x) for p in domain.populations for x in domain.available_sets]
+    last = blocks.index((pop, big))
+    filled = [(domain.populations[p], domain.available_sets[x]) for p, x in sw._grids]
+    assert last < len(blocks) - 1
+    assert max(blocks.index(block) for block in filled) == last
+    assert len(calls) == len(set(calls)) == sum(len(sw.grid(*block)) for block in filled)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(tabulated_rules("variable"))
+def test_random_tabulated_rules_match_scalar_oracle_on_variable_domains(case):
+    domain, rule = case
+    _assert_same_variable(VariableSweep(rule, domain))
