@@ -192,9 +192,17 @@ def _digits(P: int, n: int) -> np.ndarray:
     return np.indices((P,) * n).reshape(n, -1).T
 
 
-def _rows(grid: Sequence[Allocation], n: int) -> np.ndarray:
-    """A grid of n-agent allocations as a uint8 (len(grid), n) array."""
-    return np.fromiter(chain.from_iterable(grid), np.uint8, len(grid) * n).reshape(len(grid), n)
+def _fill(rule: Rule, domain: ProblemDomain, agents, x: Bundle, prefs) -> np.ndarray:
+    """The rule's allocation at every profile over `prefs` at (agents, x), as a uint8
+    (len(prefs)ⁿ, n) array: row = profile code (product order), column = agent slot."""
+    if domain.n_objects > MAX_ROW_OBJECTS:
+        raise ValueError(f"allocation arrays hold bundles of at most {MAX_ROW_OBJECTS} objects")
+    n, rows, allocate = len(agents), len(prefs) ** len(agents), rule.allocate
+    variant, quotas = domain.variant, domain.quotas
+    cells = chain.from_iterable(
+        allocate(Problem(variant, agents, x, combo, quotas)) for combo in product(prefs, repeat=n)
+    )
+    return np.fromiter(cells, np.uint8, rows * n).reshape(rows, n)
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +217,8 @@ class FixedSweep:
     a profile code is the base-P encoding of per-agent preference indexes, slot
     0 most significant. Cross-problem checks (misreports, subsets, truncations)
     are then pure index arithmetic, so a rule is run exactly once per problem.
-    Each set's grid is filled on first use and mirrored in a uint8 array that
-    the gather checkers read.
+    Each set keeps one uint8 array, filled on first use, that the gather
+    checkers read; witnesses decode their one failing row with `allocation`.
     """
 
     def __init__(self, rule: Rule, domain: ProblemDomain):
@@ -225,8 +233,7 @@ class FixedSweep:
         self.xs = domain.available_sets
         # grids are filled in itertools.product order: slot 0 is the most significant digit
         self._pow = tuple(self.P ** (self.n - 1 - slot) for slot in range(self.n))
-        self._grids: dict[int, list[Allocation]] = {}
-        self._arrays: dict[int, np.ndarray] = {}
+        self._grids: dict[int, np.ndarray] = {}
         self._reps: dict[int, np.ndarray] = {}
 
     # --- profile codes ---
@@ -263,30 +270,16 @@ class FixedSweep:
             self.domain.quotas,
         )
 
-    def grid(self, x_idx: int) -> list[Allocation]:
+    def grid(self, x_idx: int) -> np.ndarray:
+        """The set's allocations, uint8 (Pⁿ, n): row = profile code, column = slot."""
         if x_idx not in self._grids:
-            allocate = self.rule.allocate
-            variant, agents, x, quotas = (
-                self.domain.variant,
-                self.agents,
-                self.xs[x_idx],
-                self.domain.quotas,
-            )
-            self._grids[x_idx] = [
-                allocate(Problem(variant, agents, x, combo, quotas))
-                for combo in product(self.prefs, repeat=self.n)
-            ]
+            x = self.xs[x_idx]
+            self._grids[x_idx] = _fill(self.rule, self.domain, self.agents, x, self.prefs)
         return self._grids[x_idx]
 
-    def allocs(self, x_idx: int) -> np.ndarray:
-        """grid(x_idx) as a uint8 (Pⁿ, n) array: row = profile code, column = agent slot."""
-        if x_idx not in self._arrays:
-            if self.domain.n_objects > MAX_ROW_OBJECTS:
-                raise ValueError(
-                    f"allocation arrays hold bundles of at most {MAX_ROW_OBJECTS} objects"
-                )
-            self._arrays[x_idx] = _rows(self.grid(x_idx), self.n)
-        return self._arrays[x_idx]
+    def allocation(self, x_idx: int, code: int) -> Allocation:
+        """One row of grid(x_idx) as an allocation of Python ints, for witnesses."""
+        return tuple(self.grid(x_idx)[code].tolist())
 
     @cached_property
     def digits(self) -> np.ndarray:
@@ -725,7 +718,7 @@ def _deviation_scan(sw: FixedSweep, xi: int, codes, targets, counted, ok, admit=
     fails where ok(slot, d, alt, own, other) does not hold for the truthful
     and the deviating bundle. Returns ((code, slot, report index) or None, checks).
     """
-    allocs = sw.allocs(xi)
+    allocs = sw.grid(xi)
     width = targets.shape[1]
     step = max(1, _BLOCK // (sw.n * width))
     checked = 0
@@ -772,11 +765,11 @@ def _check_unary(name: str, rule, domain, priority: Priority | None = None) -> A
     label = f"{name}-{list(priority)}" if entry.ranked else name
     checked = 0
     for xi, x in enumerate(sw.xs):
-        hit, checks = _first_code(~entry.ok(space, x, sw.allocs(xi), sw.digits))
+        hit, checks = _first_code(~entry.ok(space, x, sw.grid(xi), sw.digits))
         checked += checks
         if hit is not None:
             code, k = hit
-            prob, alloc = sw.problem(xi, code), sw.grid(xi)[code]
+            prob, alloc = sw.problem(xi, code), sw.allocation(xi, code)
             witness = {
                 "problem": describe_problem(prob),
                 "allocation": describe_allocation(prob, alloc),
@@ -867,7 +860,7 @@ def check_rm(rule, domain) -> AxiomReport:
     ]
     checked = 0
     for bi, si in pairs:
-        big, small = sw.allocs(bi), sw.allocs(si)
+        big, small = sw.grid(bi), sw.grid(si)
         digits = sw.digits
         bad = np.stack(
             [~ok(tables[i], digits[:, i], big[:, i], small[:, i]) for i in range(sw.n)], axis=1
@@ -876,7 +869,7 @@ def check_rm(rule, domain) -> AxiomReport:
         checked += checks
         if hit is not None:
             code, i = hit
-            big_alloc, small_alloc = sw.grid(bi)[code], sw.grid(si)[code]
+            big_alloc, small_alloc = sw.allocation(bi, code), sw.allocation(si, code)
             return _violated(
                 "RM",
                 checked,
@@ -940,7 +933,6 @@ def _check_deviation(sw: FixedSweep, name: str, targets_of, ok, fields, admit=No
         checked += checks
         if hit is not None:
             code, slot, alt = hit
-            grid = sw.grid(xi)
             report, before, after = fields
             return _violated(
                 name,
@@ -949,8 +941,8 @@ def _check_deviation(sw: FixedSweep, name: str, targets_of, ok, fields, admit=No
                     "problem": describe_problem(sw.problem(xi, code)),
                     "agent": sw.agents[slot],
                     report: format_pref(sw.prefs[alt]),
-                    before: format_bundle(grid[code][slot]),
-                    after: format_bundle(grid[sw.replace(code, slot, alt)][slot]),
+                    before: format_bundle(sw.allocation(xi, code)[slot]),
+                    after: format_bundle(sw.allocation(xi, sw.replace(code, slot, alt))[slot]),
                 },
             )
     return _holds(name, checked)
@@ -991,7 +983,7 @@ def check_msp_certificate(rule, domain) -> AxiomReport:
                 checked,
             )
         # clause (b): adversaries range over everything, truth fixed
-        allocs, digits = sw.allocs(xi), sw.digits
+        allocs, digits = sw.grid(xi), sw.digits
         bad = np.zeros(allocs.shape, dtype=bool)
         for slot in range(sw.n):
             d = digits[:, slot]
@@ -1000,7 +992,7 @@ def check_msp_certificate(rule, domain) -> AxiomReport:
         checked += checks
         if hit is not None:
             code, slot = hit
-            grid = sw.grid(xi)
+            unanimous_code = int(unanimous[digits[code, slot]])
             return AxiomReport(
                 "MSP-certificate",
                 "violated",
@@ -1008,12 +1000,20 @@ def check_msp_certificate(rule, domain) -> AxiomReport:
                     "clause": "b",
                     "problem": describe_problem(sw.problem(xi, code)),
                     "agent": sw.agents[slot],
-                    "unanimous_bundle": format_bundle(grid[int(unanimous[digits[code, slot]])][slot]),
-                    "bundle": format_bundle(grid[code][slot]),
+                    "unanimous_bundle": format_bundle(sw.allocation(xi, unanimous_code)[slot]),
+                    "bundle": format_bundle(sw.allocation(xi, code)[slot]),
                 },
                 checked,
             )
     return AxiomReport("MSP-certificate", "proved", None, checked)
+
+
+def _adversary_bundles(sw: FixedSweep, xi: int, slot: int) -> list[list[Bundle]]:
+    """Per report index of the slot, its bundles against every adversary profile of set xi,
+    adversaries in enumeration order."""
+    adversaries = np.flatnonzero(sw.digits[:, slot] == 0)
+    codes = adversaries + np.arange(sw.P)[:, None] * sw._pow[slot]
+    return sw.grid(xi)[codes, slot].tolist()
 
 
 def check_msp_falsify(rule, domain, schemes: Sequence[WeightScheme]) -> AxiomReport:
@@ -1021,28 +1021,16 @@ def check_msp_falsify(rule, domain, schemes: Sequence[WeightScheme]) -> AxiomRep
     sw = _sweep(rule, domain)
     checked = 0
     for xi in range(len(sw.xs)):
-        grid = sw.grid(xi)
-        adversary_codes: dict[int, list[int]] = {}
         for slot in range(sw.n):
-            others = [s for s in range(sw.n) if s != slot]
-            codes = [0]
-            for s in others:
-                codes = [c + i * sw._pow[s] for c in codes for i in range(sw.P)]
-            adversary_codes[slot] = codes
-        for slot in range(sw.n):
+            bundles = _adversary_bundles(sw, xi, slot)
             for truth_idx in range(sw.P):
                 pref = sw.prefs[truth_idx]
                 for scheme in schemes:
                     checked += 1
-                    values = {}
-                    for report_idx in range(sw.P):
-                        worst = None
-                        for adv in adversary_codes[slot]:
-                            code = adv + report_idx * sw._pow[slot]
-                            u = additive_utility(pref, scheme, grid[code][slot])
-                            if worst is None or u < worst:
-                                worst = u
-                        values[report_idx] = worst
+                    values = {
+                        report_idx: min(additive_utility(pref, scheme, b) for b in column)
+                        for report_idx, column in enumerate(bundles)
+                    }
                     if values[truth_idx] < max(values.values()):
                         better = max(values, key=lambda r: values[r])
                         return AxiomReport(
@@ -1086,15 +1074,11 @@ def check_truthful_best_case(rule, domain, schemes: Sequence[WeightScheme]) -> A
     sw = _sweep(rule, domain)
     checked = 0
     for xi, x in enumerate(sw.xs):
-        grid = sw.grid(xi)
         for slot in range(sw.n):
-            others = [s for s in range(sw.n) if s != slot]
-            adv_codes = [0]
-            for s in others:
-                adv_codes = [c + i * sw._pow[s] for c in adv_codes for i in range(sw.P)]
+            adversary_bundles = _adversary_bundles(sw, xi, slot)
             for truth_idx in range(sw.P):
                 pref = sw.prefs[truth_idx]
-                bundles = {grid[adv + truth_idx * sw._pow[slot]][slot] for adv in adv_codes}
+                bundles = set(adversary_bundles[truth_idx])
                 k = bundle_size(next(iter(bundles)))
                 if any(bundle_size(b) != k for b in bundles):
                     return _violated(
@@ -1302,10 +1286,11 @@ class VariableSweep:
 
     At available set X every preference ranks exactly X: preference indexes
     run over `prefs_of(X)` and a profile code is the base-|X|! encoding of the
-    per-agent indexes, slot 0 most significant. Each grid is filled on first
-    use and mirrored in a uint8 array that the gather checkers read; they
-    reach other problems' allocations through index maps (`restriction_map`,
-    `_relabelings`) and the relation tables through `full_index`.
+    per-agent indexes, slot 0 most significant. Each block keeps one uint8
+    array, filled on first use, that the gather checkers read; they reach
+    other problems' allocations through index maps (`restriction_map`,
+    `_relabelings`) and the relation tables through `full_index`. Witnesses
+    decode their one failing row with `allocation`.
     """
 
     def __init__(self, rule: Rule, domain: ProblemDomain):
@@ -1315,33 +1300,22 @@ class VariableSweep:
         self.domain = domain
         self.pop_index = {pop: i for i, pop in enumerate(domain.populations)}
         self.x_index = {x: i for i, x in enumerate(domain.available_sets)}
-        self._grids: dict[tuple[int, int], list[Allocation]] = {}
-        self._arrays: dict[tuple[int, int], np.ndarray] = {}
+        self._grids: dict[tuple[int, int], np.ndarray] = {}
         self._digits: dict[tuple[int, int], np.ndarray] = {}
 
     def prefs_of(self, x: Bundle) -> tuple[Preference, ...]:
         return self.domain.rankings_of(x)
 
-    def grid(self, pop: tuple[Agent, ...], x: Bundle) -> list[Allocation]:
+    def grid(self, pop: tuple[Agent, ...], x: Bundle) -> np.ndarray:
+        """The block's allocations, uint8 (|X|!ⁿ, n): row = profile code, column = slot."""
         key = (self.pop_index[pop], self.x_index[x])
         if key not in self._grids:
-            prefs = self.prefs_of(x)
-            self._grids[key] = [
-                self.rule.allocate(Problem("variable", pop, x, combo))
-                for combo in product(prefs, repeat=len(pop))
-            ]
+            self._grids[key] = _fill(self.rule, self.domain, pop, x, self.prefs_of(x))
         return self._grids[key]
 
-    def allocs(self, pop: tuple[Agent, ...], x: Bundle) -> np.ndarray:
-        """grid(pop, x) as a uint8 (|X|!ⁿ, n) array: row = profile code, column = agent slot."""
-        key = (self.pop_index[pop], self.x_index[x])
-        if key not in self._arrays:
-            if self.domain.n_objects > MAX_ROW_OBJECTS:
-                raise ValueError(
-                    f"allocation arrays hold bundles of at most {MAX_ROW_OBJECTS} objects"
-                )
-            self._arrays[key] = _rows(self.grid(pop, x), len(pop))
-        return self._arrays[key]
+    def allocation(self, pop: tuple[Agent, ...], x: Bundle, code: int) -> Allocation:
+        """One row of grid(pop, x) as an allocation of Python ints, for witnesses."""
+        return tuple(self.grid(pop, x)[code].tolist())
 
     def digits(self, pop: tuple[Agent, ...], x: Bundle) -> np.ndarray:
         """(|X|!ⁿ, n) preference index over X of each slot at each profile code."""
@@ -1381,7 +1355,7 @@ def _check_var_unary(name: str, rule, domain, details: bool = False) -> AxiomRep
     for pop in sw.domain.populations:
         space = AxiomSpace(sw.domain, agents=pop)
         for x in sw.domain.available_sets:
-            allocs = sw.allocs(pop, x)
+            allocs = sw.grid(pop, x)
             digits = full_index(x, m)[sw.digits(pop, x)]
             if name == "EFF":
                 ok = admissible(space, x, allocs, digits, ("EFF",))[:, None]
@@ -1391,7 +1365,7 @@ def _check_var_unary(name: str, rule, domain, details: bool = False) -> AxiomRep
             checked += checks
             if hit is not None:
                 code, k = hit
-                prob, alloc = sw.problem(pop, x, code), sw.grid(pop, x)[code]
+                prob, alloc = sw.problem(pop, x, code), sw.allocation(pop, x, code)
                 witness = {
                     "problem": describe_problem(prob),
                     "allocation": describe_allocation(prob, alloc),
@@ -1424,7 +1398,7 @@ def _scan_moves(sw: VariableSweep, pop, x, moves: Sequence, width: int, bad_of):
     """
     if not moves:
         return None, 0
-    total = len(sw.allocs(pop, x))
+    total = len(sw.grid(pop, x))
     step = max(1, _BLOCK // (len(moves) * width))
     checked = 0
     for lo in range(0, total, step):
@@ -1448,7 +1422,7 @@ def _reduced_allocs(sw: VariableSweep, pop, x: Bundle, ys: np.ndarray, digits: n
     out = np.empty(digits.shape, dtype=np.uint8)
     for y in np.unique(ys).tolist():
         rows = ys == y
-        out[rows] = sw.allocs(pop, y)[_restricted(sw, x, y, digits[rows])]
+        out[rows] = sw.grid(pop, y)[_restricted(sw, x, y, digits[rows])]
     return out
 
 
@@ -1465,14 +1439,14 @@ def check_rm_var(rule, domain) -> AxiomReport:
 
             def bad_of(small, codes):
                 d = digits[codes]
-                other = sw.allocs(pop, small)[_restricted(sw, big, small, d)]
-                return ~ok(dom, full[d], sw.allocs(pop, big)[codes], other)
+                other = sw.grid(pop, small)[_restricted(sw, big, small, d)]
+                return ~ok(dom, full[d], sw.grid(pop, big)[codes], other)
 
             hit, checks = _scan_moves(sw, pop, big, smalls, len(pop), bad_of)
             checked += checks
             if hit is not None:
                 code, j, i = hit
-                small, alloc = smalls[j], sw.grid(pop, big)[code]
+                small, alloc = smalls[j], sw.allocation(pop, big, code)
                 small_code = int(_restricted(sw, big, small, digits[code]))
                 return _violated(
                     "RM+",
@@ -1482,7 +1456,7 @@ def check_rm_var(rule, domain) -> AxiomReport:
                         "smaller_set": format_bundle(small),
                         "agent": pop[i],
                         "bundle_large": format_bundle(alloc[i]),
-                        "bundle_small": format_bundle(sw.grid(pop, small)[small_code][i]),
+                        "bundle_small": format_bundle(sw.allocation(pop, small, small_code)[i]),
                     },
                 )
     return _holds("RM+", checked)
@@ -1504,7 +1478,7 @@ def _check_con_like(rule, domain, pair_only: bool) -> AxiomReport:
         for x in sw.domain.available_sets:
 
             def bad_of(move, codes):
-                (dropped, keep), rows = move, sw.allocs(pop, x)[codes]
+                (dropped, keep), rows = move, sw.grid(pop, x)[codes]
                 new_x = x & ~np.bitwise_or.reduce(rows[:, dropped], axis=1)
                 new_pop = tuple(pop[i] for i in keep)
                 got = _reduced_allocs(sw, new_pop, x, new_x, sw.digits(pop, x)[codes][:, keep])
@@ -1514,7 +1488,7 @@ def _check_con_like(rule, domain, pair_only: bool) -> AxiomReport:
             checked += checks
             if hit is not None:
                 code, j, _ = hit
-                (dropped, keep), alloc = moves[j], sw.grid(pop, x)[code]
+                (dropped, keep), alloc = moves[j], sw.allocation(pop, x, code)
                 new_x = x & ~_union(tuple(alloc[i] for i in dropped))
                 new_pop = tuple(pop[i] for i in keep)
                 red_code = int(_restricted(sw, x, new_x, sw.digits(pop, x)[code][keep]))
@@ -1528,7 +1502,7 @@ def _check_con_like(rule, domain, pair_only: bool) -> AxiomReport:
                         "departing": [pop[i] for i in dropped],
                         "reduced_problem": describe_problem(red),
                         "reduced_allocation": describe_allocation(
-                            red, sw.grid(new_pop, new_x)[red_code]
+                            red, sw.allocation(new_pop, new_x, red_code)
                         ),
                     },
                 )
@@ -1553,7 +1527,7 @@ def check_tcon(rule, domain) -> AxiomReport:
         for x in sw.domain.available_sets:
             if not x:
                 continue
-            allocs, digits, full = sw.allocs(pop, x), sw.digits(pop, x), full_index(x, m)
+            allocs, digits, full = sw.grid(pop, x), sw.digits(pop, x), full_index(x, m)
 
             def removed(codes):
                 return np.bitwise_or.reduce(tops_of[full[digits[codes]], allocs[codes]], axis=-1)
@@ -1567,7 +1541,7 @@ def check_tcon(rule, domain) -> AxiomReport:
             checked += checks
             if hit is not None:
                 code = hit[0]
-                alloc, tops = sw.grid(pop, x)[code], int(removed(code))
+                alloc, tops = sw.allocation(pop, x, code), int(removed(code))
                 new_x = x & ~tops
                 red_code = int(_restricted(sw, x, new_x, digits[code]))
                 prob, red = sw.problem(pop, x, code), sw.problem(pop, new_x, red_code)
@@ -1579,7 +1553,7 @@ def check_tcon(rule, domain) -> AxiomReport:
                         "allocation": describe_allocation(prob, alloc),
                         "removed_tops": format_bundle(tops),
                         "reduced_allocation": describe_allocation(
-                            red, sw.grid(pop, new_x)[red_code]
+                            red, sw.allocation(pop, new_x, red_code)
                         ),
                         "expected": describe_allocation(red, tuple(b & ~tops for b in alloc)),
                     },
@@ -1612,8 +1586,8 @@ def _check_neu_like(rule, domain, pair_only: bool) -> AxiomReport:
                 return sw.encode(move.target, move.prefs[sw.digits(pop, x)[codes]])
 
             def bad_of(move, codes):
-                got = sw.allocs(pop, move.target)[target_codes(move, codes)]
-                return (got != move.bundles[sw.allocs(pop, x)[codes]]).any(axis=1)[:, None]
+                got = sw.grid(pop, move.target)[target_codes(move, codes)]
+                return (got != move.bundles[sw.grid(pop, x)[codes]]).any(axis=1)[:, None]
 
             hit, checks = _scan_moves(sw, pop, x, moves, 1, bad_of)
             checked += checks
@@ -1627,13 +1601,13 @@ def _check_neu_like(rule, domain, pair_only: bool) -> AxiomReport:
                     checked,
                     {
                         "problem": describe_problem(prob),
-                        "allocation": describe_allocation(prob, sw.grid(pop, x)[code]),
+                        "allocation": describe_allocation(prob, sw.allocation(pop, x, code)),
                         "relabeling": {
                             OBJECT_NAMES[a]: OBJECT_NAMES[b] for a, b in move.sigma.items()
                         },
                         "relabeled_problem": describe_problem(tgt),
                         "relabeled_allocation": describe_allocation(
-                            tgt, sw.grid(pop, move.target)[tgt_code]
+                            tgt, sw.allocation(pop, move.target, tgt_code)
                         ),
                     },
                 )

@@ -199,6 +199,13 @@ def _axiom_runner(domain, rule, priority, axioms):
     return run_one
 
 
+def _past_row_capacity(objects: int) -> str:
+    return (
+        f"{objects} objects exceeds the allocation arrays' capacity "
+        f"({MAX_ROW_OBJECTS}); bundles are stored as 8-bit rows"
+    )
+
+
 def cmd_check(args) -> int:
     if args.agents < 1 or args.objects < 1:
         raise InputError("--agents and --objects must be at least 1")
@@ -211,11 +218,7 @@ def cmd_check(args) -> int:
         _emit({"command": "check", "verdicts": {}, "exit": 3, "note": "cap exceeded"}, args)
         return 3
     if args.objects > MAX_ROW_OBJECTS:
-        print(
-            f"undecided: {args.objects} objects exceeds the allocation arrays' capacity "
-            f"({MAX_ROW_OBJECTS}); bundles are stored as 8-bit rows",
-            file=sys.stderr,
-        )
+        print(f"undecided: {_past_row_capacity(args.objects)}", file=sys.stderr)
         _emit({"command": "check", "verdicts": {}, "exit": 3, "note": "capacity exceeded"}, args)
         return 3
     domain = _make_domain(args)
@@ -325,6 +328,8 @@ def cmd_verify(args) -> int:
             f"{values['objects']} objects exceeds the search cap ({SEARCH_CAP}); "
             "pass --i-know-this-is-huge to force",
         )
+    if values.get("objects", 0) > MAX_ROW_OBJECTS:
+        return _verify_undecided(args, _past_row_capacity(values["objects"]))
     try:
         verdict = entry.driver(**{PARAMETERS.get(f, f): v for f, v in values.items()})
     except verifier.CapacityError as exc:

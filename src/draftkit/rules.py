@@ -39,14 +39,7 @@ def draft(problem: Problem, sequence: PickingSequence) -> tuple[Allocation, Trac
     """Sequential allocation: at step k the sequence's agent takes her best remaining object."""
     if problem.variant != "fixed":
         raise ValueError("draft runs on fixed-variant problems")
-    remaining = problem.available
-    trace = []
-    for k in range(bundle_size(problem.available)):
-        agent = sequence.at(k)
-        picked = top(problem.pref_of(agent), remaining)
-        remaining &= ~(1 << picked)
-        trace.append((k + 1, agent, picked))
-    return _assemble(problem, trace), tuple(trace)
+    return _sequential(problem, sequence.at)
 
 
 def priority_draft(problem: Problem, priority: Priority) -> tuple[Allocation, Trace]:

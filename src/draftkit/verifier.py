@@ -9,7 +9,7 @@ scope note saying so.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from typing import Sequence
 
 import numpy as np
@@ -22,12 +22,11 @@ from .core import (
     bundle_of,
     bundle_size,
     objects_of,
-    preference_space,
-    subsets_of,
 )
 from .axioms import (
     OBJECT_NAMES,
     AxiomSpace,
+    FixedSweep,
     ProblemDomain,
     VariableSweep,
     _union,
@@ -36,6 +35,7 @@ from .axioms import (
     check_rm_var,
     check_tcon,
     check_truthful_best_case,
+    critical_agent,
     describe_problem,
     fixed_domain,
     format_bundle,
@@ -722,7 +722,7 @@ def _agreement(sweep: VariableSweep, priority: Priority) -> tuple[bool, dict | N
     precondition_ok, divergence = True, None
     for pop in sweep.domain.populations:
         for x in sweep.domain.available_sets:
-            mine, theirs = sweep.allocs(pop, x), target.allocs(pop, x)
+            mine, theirs = sweep.grid(pop, x), target.grid(pop, x)
             rows = np.flatnonzero((mine != theirs).any(axis=1))
             single_unit = bundle_size(x) <= len(pop)
             if not rows.size:
@@ -730,11 +730,11 @@ def _agreement(sweep: VariableSweep, priority: Priority) -> tuple[bool, dict | N
             precondition_ok = precondition_ok and not single_unit
             if single_unit or divergence is None:
                 code = int(rows[-1] if single_unit else rows[0])
-                divergence = {
-                    "problem": describe_problem(sweep.problem(pop, x, code)),
-                    "rule": {a: format_bundle(b) for a, b in zip(pop, sweep.grid(pop, x)[code])},
-                    "draft": {a: format_bundle(b) for a, b in zip(pop, target.grid(pop, x)[code])},
-                }
+                divergence = {"problem": describe_problem(sweep.problem(pop, x, code))}
+                for key, sw in (("rule", sweep), ("draft", target)):
+                    divergence[key] = {
+                        a: format_bundle(b) for a, b in zip(pop, sw.allocation(pop, x, code))
+                    }
     return precondition_ok, divergence
 
 
@@ -816,7 +816,6 @@ def verify_extension_comparison(n_agents: int = 2, n_objects: int = 3) -> Verdic
 def verify_critical_agent(n_agents: int = 3, n_objects: int = 3) -> Verdict:
     """Rules passing WRP + EF1 have a pivot agent at every problem: the draft and every
     desk-scale characterization survivor are swept."""
-    from .axioms import FixedSweep, critical_agent
     from .csp import solutions_as_rules, build_csp, solve_csp
 
     pi = tuple(range(1, n_agents + 1))
@@ -830,7 +829,7 @@ def verify_critical_agent(n_agents: int = 3, n_objects: int = 3) -> Verdict:
     ]:
         sw = FixedSweep(rule, domain)
         for xi in range(len(sw.xs)):
-            for alloc in sw.grid(xi):
+            for alloc in sw.grid(xi).tolist():
                 checked += 1
                 if critical_agent(sw.agents, alloc, prio) is None:
                     return Verdict.of(False, {"ok": False, "checked": checked})
@@ -842,31 +841,27 @@ def verify_rm_lemma() -> Verdict:
 
     Exhaustive for two agents up to five objects and three agents up to four
     objects (the three-agent five-object profile space is too large to sweep).
+    Each (X, e) case compares the draft sweep's arrays at X and X ∪ {e} on the
+    profiles where every bundle at X lies above e in its owner's ranking.
     """
     checked = 0
     for n, m in ((2, 4), (2, 5), (3, 3), (3, 4)):
         agents = tuple(range(1, n + 1))
-        prefs = preference_space(m)
+        sw = FixedSweep(draft_rule(agents), fixed_domain(n, m))
+        above = np.array(  # ABOVE[pref, e]: the objects pref ranks above e
+            [[bundle_of(p.ranking[: p.rank[e]]) for e in range(m)] for p in sw.prefs],
+            dtype=np.uint8,
+        )
+        x_index = {x: i for i, x in enumerate(sw.xs)}
         full = (1 << m) - 1
-        from .rules import priority_draft
-
-        for combo in product(prefs, repeat=n):
-            for x in subsets_of(full):
-                if x == full:
-                    continue
-                prob = Problem("fixed", agents, x, combo)
-                alloc, _ = priority_draft(prob, agents)
-                for extra in objects_of(full & ~x):
-                    if not all(
-                        all(p.prefers(y, extra) for y in objects_of(b))
-                        for p, b in zip(combo, alloc)
-                    ):
-                        continue
-                    checked += 1
-                    bigger = Problem("fixed", agents, x | 1 << extra, combo)
-                    balloc, _ = priority_draft(bigger, agents)
-                    if not all(b & a == a for a, b in zip(alloc, balloc)):
-                        return Verdict.of(False, {"ok": False, "checked": checked})
+        for xi, x in enumerate(sw.xs):
+            small = sw.grid(xi)
+            for e in objects_of(full & ~x):
+                cases = (small & ~above[sw.digits, e] == 0).all(axis=1)
+                checked += int(np.count_nonzero(cases))
+                big = sw.grid(x_index[x | 1 << e])[cases]
+                if (big & small[cases] != small[cases]).any():
+                    return Verdict.of(False, {"ok": False, "checked": checked})
     return Verdict.of(True, {"ok": True, "checked": checked})
 
 

@@ -107,7 +107,7 @@ def _envy_like(rule, domain, name, pairs_of, ok):
     quotas = domain.quotas or (None,) * sw.n
     checked = 0
     for xi in range(len(sw.xs)):
-        for code, alloc in enumerate(sw.grid(xi)):
+        for code, alloc in enumerate(sw.grid(xi).tolist()):
             checked += 1
             profile = sw.profile(code)
             for a, b in pairs_of(sw):
@@ -157,7 +157,7 @@ def check_rm(rule, domain) -> AxiomReport:
     ]
     checked = 0
     for bi, si in pairs:
-        big_grid, small_grid = sw.grid(bi), sw.grid(si)
+        big_grid, small_grid = sw.grid(bi).tolist(), sw.grid(si).tolist()
         for code in sw.codes():
             checked += 1
             big_alloc, small_alloc = big_grid[code], small_grid[code]
@@ -187,7 +187,7 @@ def _sp_like(rule, domain, weak: bool) -> AxiomReport:
     name = "WSP" if weak else "SP"
     checked = 0
     for xi in range(len(sw.xs)):
-        grid = sw.grid(xi)
+        grid = sw.grid(xi).tolist()
         targets = _misreport_targets(sw, xi)
         for code, alloc in enumerate(grid):
             profile = sw.profile(code)
@@ -230,7 +230,7 @@ def check_msp_certificate(rule, domain) -> AxiomReport:
     sw = _sweep(rule, domain)
     checked = 0
     for xi in range(len(sw.xs)):
-        grid = sw.grid(xi)
+        grid = sw.grid(xi).tolist()
         targets = _misreport_targets(sw, xi)
         for truth_idx in range(sw.P):
             pref = sw.prefs[truth_idx]
@@ -278,7 +278,7 @@ def _report_change(rule, domain, kind: str) -> AxiomReport:
     targets = _truncation_targets(sw, 0 if kind == "TP" else 1)
     checked = 0
     for xi in range(len(sw.xs)):
-        grid = sw.grid(xi)
+        grid = sw.grid(xi).tolist()
         for code, alloc in enumerate(grid):
             profile = sw.profile(code)
             for slot in range(sw.n):
@@ -313,7 +313,7 @@ def check_ti(rule, domain) -> AxiomReport:
     targets = _truncation_targets(sw, 0)
     checked = 0
     for xi in range(len(sw.xs)):
-        grid = sw.grid(xi)
+        grid = sw.grid(xi).tolist()
         for code, alloc in enumerate(grid):
             for slot in range(sw.n):
                 for alt in targets[sw.slot_index(code, slot)]:
@@ -344,7 +344,7 @@ def check_nw(rule, domain) -> AxiomReport:
     sw = _sweep(rule, domain)
     checked = 0
     for xi, x in enumerate(sw.xs):
-        for code, alloc in enumerate(sw.grid(xi)):
+        for code, alloc in enumerate(sw.grid(xi).tolist()):
             checked += 1
             if _union(alloc) != x:
                 prob = sw.problem(xi, code)
@@ -367,7 +367,7 @@ def check_wrp(rule, domain, priority: Priority) -> AxiomReport:
     order = sorted(range(sw.n), key=lambda i: pos[sw.agents[i]])
     checked = 0
     for xi in range(len(sw.xs)):
-        for code, alloc in enumerate(sw.grid(xi)):
+        for code, alloc in enumerate(sw.grid(xi).tolist()):
             checked += 1
             sizes = [bundle_size(alloc[i]) for i in order]
             if any(a < b for a, b in zip(sizes, sizes[1:])):
@@ -389,7 +389,7 @@ def check_rt(rule, domain) -> AxiomReport:
     sw = _sweep(rule, domain)
     checked = 0
     for xi in range(len(sw.xs)):
-        for code, alloc in enumerate(sw.grid(xi)):
+        for code, alloc in enumerate(sw.grid(xi).tolist()):
             checked += 1
             profile = sw.profile(code)
             cycle = _trade_cycle(profile, alloc)
@@ -412,7 +412,7 @@ def check_ir(rule, domain) -> AxiomReport:
     sw = _sweep(rule, domain)
     checked = 0
     for xi in range(len(sw.xs)):
-        for code, alloc in enumerate(sw.grid(xi)):
+        for code, alloc in enumerate(sw.grid(xi).tolist()):
             checked += 1
             profile = sw.profile(code)
             for i in range(sw.n):
@@ -437,7 +437,7 @@ def check_nw_star(rule, domain) -> AxiomReport:
     sw = _sweep(rule, domain)
     checked = 0
     for xi, x in enumerate(sw.xs):
-        for code, alloc in enumerate(sw.grid(xi)):
+        for code, alloc in enumerate(sw.grid(xi).tolist()):
             checked += 1
             profile = sw.profile(code)
             wanted = 0
@@ -464,7 +464,7 @@ def check_wrp_star(rule, domain, priority: Priority) -> AxiomReport:
     pos = {a: priority.index(a) for a in sw.agents}
     checked = 0
     for xi in range(len(sw.xs)):
-        for code, alloc in enumerate(sw.grid(xi)):
+        for code, alloc in enumerate(sw.grid(xi).tolist()):
             checked += 1
             profile = sw.profile(code)
             for i in range(sw.n):
@@ -514,7 +514,7 @@ def check_wrp_quota(rule, domain, priority: Priority) -> AxiomReport:
     pos = {a: priority.index(a) for a in sw.agents}
     checked = 0
     for xi in range(len(sw.xs)):
-        for code, alloc in enumerate(sw.grid(xi)):
+        for code, alloc in enumerate(sw.grid(xi).tolist()):
             checked += 1
             for i in range(sw.n):
                 size_i = bundle_size(alloc[i])
@@ -545,7 +545,7 @@ def check_nw_quota(rule, domain) -> AxiomReport:
     checked = 0
     for xi, x in enumerate(sw.xs):
         target = min(bundle_size(x), total)
-        for code, alloc in enumerate(sw.grid(xi)):
+        for code, alloc in enumerate(sw.grid(xi).tolist()):
             checked += 1
             if bundle_size(_union(alloc)) != target:
                 prob = sw.problem(xi, code)
@@ -810,7 +810,7 @@ def _vsweep(rule, domain) -> VariableSweep:
 
 def _var_problems(sw: VariableSweep, pop, x):
     """(code, profile, allocation) at (pop, x), in profile-code order."""
-    grid = sw.grid(pop, x)
+    grid = sw.grid(pop, x).tolist()
     for code, combo in enumerate(product(sw.prefs_of(x), repeat=len(pop))):
         yield code, combo, grid[code]
 
@@ -821,7 +821,7 @@ def _alloc_at(sw: VariableSweep, pop, x, profile) -> Allocation:
     code = 0
     for p in profile:
         code = code * len(rankings) + rankings.index(p.ranking)
-    return sw.grid(pop, x)[code]
+    return tuple(sw.grid(pop, x)[code].tolist())
 
 
 def _var_problem(pop, x, profile) -> Problem:

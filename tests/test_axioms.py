@@ -410,7 +410,7 @@ def test_critical_agent_exists_for_draft_everywhere():
     dom = fixed_domain(3, 3)
     sw = FixedSweep(draft_rule((1, 2, 3)), dom)
     for xi in range(len(sw.xs)):
-        for alloc in sw.grid(xi):
+        for alloc in sw.grid(xi).tolist():
             assert critical_agent((1, 2, 3), alloc, (1, 2, 3)) is not None
 
 
@@ -429,7 +429,7 @@ def test_truthful_maxmin_equals_unanimous_adversary_utility():
     sw = FixedSweep(draft_rule(PI2), dom)
     scheme = geometric_scheme(3)
     for xi in range(len(sw.xs)):
-        grid = sw.grid(xi)
+        grid = sw.grid(xi).tolist()
         for slot in range(2):
             other = 1 - slot
             for truth_idx in range(sw.P):

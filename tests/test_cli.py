@@ -311,6 +311,24 @@ def test_cli_verify_grid_capacity_is_undecided(monkeypatch, capsys, theorem):
     assert out.err.startswith("undecided: 7 objects exceeds the grid") and out.out == ""
 
 
+@pytest.mark.parametrize("theorem", ["L9", "T1"])
+def test_cli_verify_past_row_capacity_is_undecided(monkeypatch, capsys, tmp_path, theorem):
+    from draftkit import cli
+
+    def unreachable(**kwargs):
+        raise AssertionError("verify ran past the allocation arrays' capacity")
+
+    entry = cli.VERIFY_IDS[theorem]
+    monkeypatch.setitem(cli.VERIFY_IDS, theorem, entry._replace(driver=unreachable))
+    out_file = tmp_path / "report.json"
+    argv = ["--out", str(out_file), "--no-timestamp", "verify", theorem, "--objects", "9"]
+    assert main(argv + ["--i-know-this-is-huge"]) == 3
+    out = capsys.readouterr()
+    assert out.err.startswith("undecided: 9 objects exceeds the allocation arrays' capacity (8)")
+    assert out.out == ""
+    assert json.loads(out_file.read_text())["exit"] == 3
+
+
 @pytest.mark.parametrize("variant", ["fixed", "variable"])
 def test_cli_check_past_row_capacity_is_undecided(monkeypatch, capsys, tmp_path, variant):
     from draftkit import cli

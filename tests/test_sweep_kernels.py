@@ -26,7 +26,7 @@ from draftkit.axioms import (
     unacceptable_domain,
     variable_domain,
 )
-from draftkit.core import INFINITE
+from draftkit.core import INFINITE, validate_allocation
 from draftkit.csp import _all_allocations
 from draftkit.rules import (
     Rule,
@@ -41,6 +41,7 @@ from draftkit.rules import (
     quota_draft_rule,
     rm_counterexample,
     rm_star_counterexample,
+    serial_dictatorship_rule,
     snake_draft_rule,
     tabulated_rule,
     ti_counterexample,
@@ -163,6 +164,57 @@ def test_refuting_check_fills_the_same_grids(checker, rule, domain):
     assert getattr(axioms, checker)(fast, domain) == getattr(oracle, checker)(slow, domain)
     assert sorted(fast._grids) == sorted(slow._grids)
     assert len(fast._grids) < len(fast.xs)
+
+
+def _fill_cases():
+    pi = (1, 2)
+    anywhere = {
+        "serial-dictatorship": serial_dictatorship_rule(pi),
+        "pi-dictatorship": dictatorship_rule(pi),
+        "null": null_rule(),
+    }
+    piecewise = {"wrp-cx": wrp_counterexample(2, 3), "rm-cx": rm_counterexample(2, 3)}
+    cases = {  # quotas (1, 2) admit neither dictatorship
+        "fixed23": (
+            fixed_domain(2, 3),
+            {"draft": draft_rule(pi), **anywhere, "snake": snake_draft_rule(pi), **piecewise},
+        ),
+        "quota23": (
+            quota_domain(2, 3, (1, 2)),
+            {"draft": quota_draft_rule(pi), "null": null_rule()},
+        ),
+        "unacceptable23": (
+            unacceptable_domain(2, 3),
+            {"draft": unacceptable_draft_rule(pi), **anywhere, "ti-cx": ti_counterexample(2, 3)},
+        ),
+        "variable23": (
+            variable_domain(2, 3),
+            {"draft": variable_draft_rule(pi), **anywhere, "snake": snake_draft_rule(pi)},
+        ),
+    }
+    for label, (domain, rules) in cases.items():
+        for name, rule in rules.items():
+            yield pytest.param(domain, rule, id=f"{label}-{name}")
+
+
+@pytest.mark.parametrize("domain, rule", _fill_cases())
+def test_sweep_rows_are_the_rule_allocations(domain, rule):
+    """Every decoded row, in the domain's enumeration order, is the rule's valid allocation."""
+    if domain.variant == "variable":
+        sw = VariableSweep(rule, domain)
+        blocks = [(pop, x) for pop in domain.populations for x in domain.available_sets]
+    else:
+        sw = FixedSweep(rule, domain)
+        blocks = [(xi,) for xi in range(len(sw.xs))]
+    problems = iter(domain.problems())
+    for block in blocks:
+        for code in range(len(sw.grid(*block))):
+            problem, alloc = next(problems), sw.allocation(*block, code)
+            assert sw.problem(*block, code) == problem
+            assert all(type(b) is int for b in alloc)
+            assert alloc == rule.allocate(problem)
+            assert validate_allocation(problem, alloc) is None
+    assert next(problems, None) is None
 
 
 # --- property test: random tabulated rules put witnesses anywhere -------------

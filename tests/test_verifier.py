@@ -201,4 +201,4 @@ def test_rm_lemma_driver():
     from draftkit.verifier import verify_rm_lemma
 
     rep = verify_rm_lemma()
-    assert rep.outcome == REPRODUCED and rep.detail["checked"] > 100000
+    assert rep.outcome == REPRODUCED and rep.detail["checked"] == 533664
