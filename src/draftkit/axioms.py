@@ -35,7 +35,7 @@ from .core import (
     top_k,
 )
 from .dominance import WeightScheme, additive_utility, relation_table, weakly_dominates
-from .rules import Rule
+from .rules import Rule, pick_table
 
 OBJECT_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
@@ -192,13 +192,20 @@ def _digits(P: int, n: int) -> np.ndarray:
     return np.indices((P,) * n).reshape(n, -1).T
 
 
-def _fill(rule: Rule, domain: ProblemDomain, agents, x: Bundle, prefs) -> np.ndarray:
+def _fill(rule: Rule, domain: ProblemDomain, agents, x: Bundle, prefs, digits) -> np.ndarray:
     """The rule's allocation at every profile over `prefs` at (agents, x), as a uint8
-    (len(prefs)ⁿ, n) array: row = profile code (product order), column = agent slot."""
+    (len(prefs)ⁿ, n) array: row = profile code (product order), column = agent slot.
+
+    `digits` holds each row's preference indexes. A rule with an array engine fills
+    the block in one call; any other rule is run problem by problem."""
     if domain.n_objects > MAX_ROW_OBJECTS:
         raise ValueError(f"allocation arrays hold bundles of at most {MAX_ROW_OBJECTS} objects")
-    n, rows, allocate = len(agents), len(prefs) ** len(agents), rule.allocate
-    variant, quotas = domain.variant, domain.quotas
+    n, variant, quotas = len(agents), domain.variant, domain.quotas
+    if rule.fill is not None:
+        # the block's problems differ only in their profiles: one stands for all in Problem's checks
+        Problem(variant, agents, x, (prefs[0],) * n, quotas)
+        return rule.fill(variant, agents, x, prefs, quotas, digits)
+    rows, allocate = len(prefs) ** n, rule.allocate
     cells = chain.from_iterable(
         allocate(Problem(variant, agents, x, combo, quotas)) for combo in product(prefs, repeat=n)
     )
@@ -217,8 +224,9 @@ class FixedSweep:
     a profile code is the base-P encoding of per-agent preference indexes, slot
     0 most significant. Cross-problem checks (misreports, subsets, truncations)
     are then pure index arithmetic, so a rule is run exactly once per problem.
-    Each set keeps one uint8 array, filled on first use, that the gather
-    checkers read; witnesses decode their one failing row with `allocation`.
+    Each set keeps one uint8 array, filled on first use (by the rule's array
+    engine when it has one), that the gather checkers read; witnesses decode
+    their one failing row with `allocation`.
     """
 
     def __init__(self, rule: Rule, domain: ProblemDomain):
@@ -274,7 +282,9 @@ class FixedSweep:
         """The set's allocations, uint8 (Pⁿ, n): row = profile code, column = slot."""
         if x_idx not in self._grids:
             x = self.xs[x_idx]
-            self._grids[x_idx] = _fill(self.rule, self.domain, self.agents, x, self.prefs)
+            self._grids[x_idx] = _fill(
+                self.rule, self.domain, self.agents, x, self.prefs, self.digits
+            )
         return self._grids[x_idx]
 
     def allocation(self, x_idx: int, code: int) -> Allocation:
@@ -1232,20 +1242,6 @@ def full_index(x: Bundle, n_objects: int) -> np.ndarray:
     return _index_array([index[r + rest] for r in _rankings(objects_of(x))])
 
 
-@lru_cache(maxsize=None)
-def _top_table(n_objects: int) -> np.ndarray:
-    """TOP[pref, s]: the bit of the best object of bundle s under preference_space(n_objects)[pref]
-    (0 for the empty bundle)."""
-    rankings = np.array(_rankings(tuple(range(n_objects))), dtype=np.intp)
-    subsets = np.arange(1 << n_objects)
-    table = np.zeros((len(rankings), 1 << n_objects), dtype=np.uint8)
-    for pos in range(n_objects - 1, -1, -1):  # better positions overwrite worse ones
-        obj = rankings[:, pos][:, None]
-        table = np.where(subsets >> obj & 1 == 1, (1 << obj).astype(np.uint8), table)
-    table.flags.writeable = False
-    return table
-
-
 class Relabeling(NamedTuple):
     """A bijection sigma from an available set onto `target`, as index maps.
 
@@ -1310,7 +1306,9 @@ class VariableSweep:
         """The block's allocations, uint8 (|X|!ⁿ, n): row = profile code, column = slot."""
         key = (self.pop_index[pop], self.x_index[x])
         if key not in self._grids:
-            self._grids[key] = _fill(self.rule, self.domain, pop, x, self.prefs_of(x))
+            self._grids[key] = _fill(
+                self.rule, self.domain, pop, x, self.prefs_of(x), self.digits(pop, x)
+            )
         return self._grids[key]
 
     def allocation(self, pop: tuple[Agent, ...], x: Bundle, code: int) -> Allocation:
@@ -1521,7 +1519,7 @@ def check_tcon(rule, domain) -> AxiomReport:
     """Removing every agent's best assigned object leaves the rest of each bundle unchanged."""
     sw = _vsweep(rule, domain)
     m = sw.domain.n_objects
-    tops_of = _top_table(m)
+    tops_of = pick_table(preference_space(m))
     checked = 0
     for pop in sw.domain.populations:
         for x in sw.domain.available_sets:

@@ -206,7 +206,18 @@ def _past_row_capacity(objects: int) -> str:
     )
 
 
+def _axiom_list(text: str) -> list[str]:
+    axioms = [a.strip() for a in text.split(",") if a.strip()]
+    if not axioms:
+        raise InputError("--axioms names no axiom")
+    repeated = sorted({a for a in axioms if axioms.count(a) > 1})
+    if repeated:
+        raise InputError(f"--axioms repeats {', '.join(repeated)}")
+    return axioms
+
+
 def cmd_check(args) -> int:
+    axioms = _axiom_list(args.axioms)
     if args.agents < 1 or args.objects < 1:
         raise InputError("--agents and --objects must be at least 1")
     if args.objects > ENUMERATION_CAP and not args.i_know_this_is_huge:
@@ -228,7 +239,6 @@ def cmd_check(args) -> int:
             raise InputError(f"--priority must list the agent ids 1..{args.agents} once each")
         priority = tuple(int(p) for p in args.priority)
     rule = _build_rule(args.rule, args.variant, priority)
-    axioms = [a.strip() for a in args.axioms.split(",") if a.strip()]
     run_one = _axiom_runner(domain, rule, priority, axioms)
     reports = [run_one(a) for a in axioms]
 

@@ -1,20 +1,34 @@
 """Allocation engines: drafts in all four variants, reference rules, and rule combinators.
 
-Every engine returns ``(allocation, trace)``. A trace is a tuple of
+Each engine comes in up to two forms. The scalar engine runs one problem and
+returns ``(allocation, trace)``. A trace is a tuple of
 ``(step, agent, object-or-None)`` entries, 1-based steps; ``None`` records that
 the agent passed (was handed the null selection). Passed steps never reach the
 returned bundles. Replaying a trace greedily reproduces the allocation; the
-theorem verifier consumes selection orders, so traces are first class.
+theorem verifier consumes selection orders, so traces are first class, and
+they come only from the scalar engine (`Rule.run`).
+
+The algorithmic rules also have an array engine (`Rule.fill`) that allocates
+a whole sweep block at once: every profile over one population and one
+available set, as the uint8 ``(rows, agents)`` array the axiom sweeps read.
+The picking rules share one kernel, `_pick_rows`, driven by `pick_table`.
+Tabulated, piecewise and hand-written rules have no array engine; the sweeps
+fill their blocks through `Rule.allocate`, one problem at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .core import (
+    INFINITE,
     Agent,
     Allocation,
+    Bundle,
     PickingSequence,
     Preference,
     Priority,
@@ -25,6 +39,10 @@ from .core import (
 )
 
 Trace = tuple[tuple[int, Agent, int | None], ...]
+# An array engine: fill(variant, agents, available, prefs, quotas, digits) -> uint8 (rows, n).
+# The first five describe the block, as the fields of its problems do; digits[r, slot]
+# indexes prefs at row r. Row r of the result is the allocation at that profile.
+Fill = Callable[..., np.ndarray]
 
 
 def _assemble(problem: Problem, trace: list[tuple[int, Agent, int | None]]) -> Allocation:
@@ -35,11 +53,87 @@ def _assemble(problem: Problem, trace: list[tuple[int, Agent, int | None]]) -> A
     return tuple(bundles[a] for a in problem.agents)
 
 
+# ---------------------------------------------------------------------------
+# Array engines: one call allocates every profile of a block
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def pick_table(prefs: tuple[Preference, ...]) -> np.ndarray:
+    """TOP[pref, s]: the bit of prefs[pref]'s best acceptable object in bundle s, or 0 (a pass)
+    when s holds none; uint8 (len(prefs), 2^w), w the highest ranked object + 1 (at most 8)."""
+    width = max(p.ranked_mask for p in prefs).bit_length()
+    rankings = np.array([p.ranking for p in prefs], dtype=np.uint8).reshape(len(prefs), -1)
+    cutoffs = np.array([len(p.ranking) if p.cutoff is None else p.cutoff for p in prefs])
+    subsets = np.arange(1 << width, dtype=np.uint8)
+    table = np.zeros((len(prefs), 1 << width), dtype=np.uint8)
+    for pos in range(rankings.shape[1] - 1, -1, -1):  # better positions overwrite worse ones
+        obj = rankings[:, pos, None]
+        hit = subsets >> obj & 1 == 1
+        hit &= (pos < cutoffs)[:, None]
+        np.copyto(table, np.left_shift(1, obj, dtype=np.uint8), where=hit)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
+def _acceptable_table(prefs: tuple[Preference, ...]) -> np.ndarray:
+    """Per preference index, the uint8 mask of its acceptable objects."""
+    table = np.array([p.acceptable for p in prefs], dtype=np.uint8)
+    table.flags.writeable = False
+    return table
+
+
+def _pick_rows(prefs, digits: np.ndarray, x: Bundle, turns, limits=None, passes=True):
+    """Every row of a block run through the same turns at once.
+
+    At turn k the agent in slot turns[k] takes her best acceptable remaining
+    object, one gather `TOP[digits[:, slot], remaining]` over all rows; a slot
+    that holds limits[k] objects already passes. Without `passes` a turn that
+    finds nothing raises, as the scalar `_sequential` does.
+    """
+    table = pick_table(tuple(prefs))
+    flat, width = table.reshape(-1), table.shape[1]
+    base = {slot: digits[:, slot] * width for slot in set(turns)}
+    cols = [np.zeros(len(digits), dtype=np.uint8) for _ in range(digits.shape[1])]
+    remaining = np.full(len(digits), x, dtype=np.uint8)
+    for k, slot in enumerate(turns):
+        bit = flat[base[slot] + remaining]
+        if limits is not None and limits[k] != INFINITE:
+            bit[np.bitwise_count(cols[slot]) >= limits[k]] = 0
+        if not passes and not bit.all():
+            raise RuntimeError("sequential pick found no object")
+        cols[slot] |= bit
+        remaining ^= bit
+    return np.stack(cols, axis=1)
+
+
+def _turns(agents: tuple[Agent, ...], agent_at, steps: int) -> list[int]:
+    """Slot of the agent at each of the first `steps` steps (ValueError for an absent agent,
+    as `Problem.pref_of` raises it)."""
+    return [agents.index(agent_at(k)) for k in range(steps)]
+
+
+# ---------------------------------------------------------------------------
+# Draft engines
+# ---------------------------------------------------------------------------
+
+
 def draft(problem: Problem, sequence: PickingSequence) -> tuple[Allocation, Trace]:
     """Sequential allocation: at step k the sequence's agent takes her best remaining object."""
     if problem.variant != "fixed":
         raise ValueError("draft runs on fixed-variant problems")
     return _sequential(problem, sequence.at)
+
+
+def _draft_fill(sequence: PickingSequence) -> Fill:
+    def fill(variant, agents, x, prefs, quotas, digits):
+        if variant != "fixed":
+            raise ValueError("draft runs on fixed-variant problems")
+        turns = _turns(agents, sequence.at, bundle_size(x))
+        return _pick_rows(prefs, digits, x, turns, passes=False)
+
+    return fill
 
 
 def priority_draft(problem: Problem, priority: Priority) -> tuple[Allocation, Trace]:
@@ -72,6 +166,24 @@ def _omega_terminated(problem: Problem, priority: Priority, may_pick) -> tuple[A
     return _assemble(problem, trace), tuple(trace)
 
 
+def _omega_fill(priority: Priority, quota_limited: bool) -> Fill:
+    """Array form of `_omega_terminated`: a pass is final (a filled quota stays filled, the
+    remaining objects only shrink), so each round that picks nothing ends the draft and
+    n·|X| turns make every pick."""
+
+    def fill(variant, agents, x, prefs, quotas, digits):
+        if quota_limited and quotas is None:
+            raise ValueError("quota draft needs quotas")
+        slot_of = {a: slot for slot, a in enumerate(agents)}
+        # the scalar loop's first round, with the lookups (and errors) of its bookkeeping
+        turns = [slot_of[priority[k]] for k in range(len(agents))]
+        rounds = bundle_size(x)
+        limits = [quotas[slot] for slot in turns] * rounds if quota_limited else None
+        return _pick_rows(prefs, digits, x, turns * rounds, limits)
+
+    return fill
+
+
 def quota_draft(
     problem: Problem, priority: Priority, quotas: Sequence[int | float] | None = None
 ) -> tuple[Allocation, Trace]:
@@ -99,18 +211,44 @@ def unacceptable_draft(problem: Problem, priority: Priority) -> tuple[Allocation
     return _omega_terminated(problem, priority, may_pick)
 
 
-def _population_order(problem: Problem, priority: Priority) -> list[Agent]:
-    order = [a for a in priority if a in problem.agents]
-    missing = [a for a in problem.agents if a not in order]
+def _population_order(agents: tuple[Agent, ...], priority: Priority) -> list[Agent]:
+    order = [a for a in priority if a in agents]
+    missing = [a for a in agents if a not in order]
     if missing:
         raise ValueError(f"priority does not cover agents {missing}")
     return order
 
 
+def _cyclic(order: list[Agent]):
+    return lambda k: order[k % len(order)]
+
+
+def _snake(order: list[Agent]):
+    def agent_at(k):
+        rnd, pos = divmod(k, len(order))
+        return order[pos] if rnd % 2 == 0 else order[len(order) - 1 - pos]
+
+    return agent_at
+
+
 def variable_draft(problem: Problem, priority: Priority) -> tuple[Allocation, Trace]:
     """Draft for variable populations: the priority restricted to the present agents."""
-    order = _population_order(problem, priority)
-    return _sequential(problem, lambda k: order[k % len(order)])
+    return _sequential(problem, _cyclic(_population_order(problem.agents, priority)))
+
+
+def snake_draft(problem: Problem, priority: Priority) -> tuple[Allocation, Trace]:
+    """Priority order in odd rounds, reversed order in even rounds."""
+    return _sequential(problem, _snake(_population_order(problem.agents, priority)))
+
+
+def _ordered_fill(priority: Priority, pattern) -> Fill:
+    """Array form of a `_sequential` draft whose agent at step k is pattern(order)(k)."""
+
+    def fill(variant, agents, x, prefs, quotas, digits):
+        turns = _turns(agents, pattern(_population_order(agents, priority)), bundle_size(x))
+        return _pick_rows(prefs, digits, x, turns, passes=False)
+
+    return fill
 
 
 def _sequential(problem: Problem, agent_at) -> tuple[Allocation, Trace]:
@@ -126,37 +264,52 @@ def _sequential(problem: Problem, agent_at) -> tuple[Allocation, Trace]:
     return _assemble(problem, trace), tuple(trace)
 
 
-def snake_draft(problem: Problem, priority: Priority) -> tuple[Allocation, Trace]:
-    """Priority order in odd rounds, reversed order in even rounds."""
-    order = _population_order(problem, priority)
-    n = len(order)
-
-    def agent_at(k):
-        rnd, pos = divmod(k, n)
-        return order[pos] if rnd % 2 == 0 else order[n - 1 - pos]
-
-    return _sequential(problem, agent_at)
-
-
 def serial_dictatorship(problem: Problem, priority: Priority) -> tuple[Allocation, None]:
     """Each agent, in priority order, takes every remaining object she finds acceptable."""
     remaining = problem.available
     bundles = {a: 0 for a in problem.agents}
-    for agent in _population_order(problem, priority):
+    for agent in _population_order(problem.agents, priority):
         take = remaining & problem.pref_of(agent).acceptable
         bundles[agent] = take
         remaining &= ~take
     return tuple(bundles[a] for a in problem.agents), None
 
 
+def _serial_dictatorship_fill(priority: Priority) -> Fill:
+    def fill(variant, agents, x, prefs, quotas, digits):
+        acceptable = _acceptable_table(tuple(prefs))
+        out = np.zeros(digits.shape, dtype=np.uint8)
+        remaining = np.full(len(digits), x, dtype=np.uint8)
+        for agent in _population_order(agents, priority):
+            slot = agents.index(agent)
+            out[:, slot] = take = remaining & acceptable[digits[:, slot]]
+            remaining ^= take
+        return out
+
+    return fill
+
+
 def dictatorship(problem: Problem, priority: Priority) -> tuple[Allocation, None]:
     """The highest-priority agent present takes the whole available set."""
-    order = _population_order(problem, priority)
+    order = _population_order(problem.agents, priority)
     return tuple(problem.available if a == order[0] else 0 for a in problem.agents), None
+
+
+def _dictatorship_fill(priority: Priority) -> Fill:
+    def fill(variant, agents, x, prefs, quotas, digits):
+        out = np.zeros(digits.shape, dtype=np.uint8)
+        out[:, agents.index(_population_order(agents, priority)[0])] = x
+        return out
+
+    return fill
 
 
 def null_allocation(problem: Problem) -> tuple[Allocation, None]:
     return tuple(0 for _ in problem.agents), None
+
+
+def _null_fill(variant, agents, x, prefs, quotas, digits):
+    return np.zeros(digits.shape, dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -167,11 +320,18 @@ class Rule:
     enumerated problem domain). ``restriction_invariant`` declares that the
     outcome depends on preferences only through their restriction to the
     available set; checkers may exploit it, so combinators must not claim it.
+
+    ``run`` and ``allocate`` solve one problem through the scalar engine, and
+    only ``run`` gives the trace. ``fill``, when set, is the rule's array
+    engine: it allocates a whole sweep block (see `Fill`) and must agree with
+    ``allocate`` row by row, errors included. The sweeps use it when it is
+    set and call ``allocate`` per problem otherwise.
     """
 
     name: str
     runner: Callable[[Problem], tuple[Allocation, Trace | None]]
     restriction_invariant: bool = True
+    fill: Fill | None = None
 
     def run(self, problem: Problem) -> tuple[Allocation, Trace | None]:
         return self.runner(problem)
@@ -180,44 +340,51 @@ class Rule:
         return self.runner(problem)[0]
 
 
-def _engine_rule(name, engine, *args, restriction_invariant=True) -> Rule:
-    return Rule(name, lambda p: engine(p, *args), restriction_invariant)
+def _engine_rule(name, engine, *args, fill: Fill) -> Rule:
+    return Rule(name, lambda p: engine(p, *args), fill=fill)
 
 
 def draft_rule(priority: Priority) -> Rule:
-    return _engine_rule(f"draft{list(priority)}", priority_draft, priority)
+    fill = _draft_fill(PickingSequence.round_robin(priority))
+    return _engine_rule(f"draft{list(priority)}", priority_draft, priority, fill=fill)
 
 
 def sequence_draft_rule(sequence: PickingSequence, name: str = "draft-seq") -> Rule:
-    return _engine_rule(name, draft, sequence)
+    return _engine_rule(name, draft, sequence, fill=_draft_fill(sequence))
 
 
 def quota_draft_rule(priority: Priority) -> Rule:
-    return _engine_rule(f"draft-quota{list(priority)}", quota_draft, priority)
+    fill = _omega_fill(priority, quota_limited=True)
+    return _engine_rule(f"draft-quota{list(priority)}", quota_draft, priority, fill=fill)
 
 
 def unacceptable_draft_rule(priority: Priority) -> Rule:
-    return _engine_rule(f"u-draft{list(priority)}", unacceptable_draft, priority)
+    fill = _omega_fill(priority, quota_limited=False)
+    return _engine_rule(f"u-draft{list(priority)}", unacceptable_draft, priority, fill=fill)
 
 
 def variable_draft_rule(priority: Priority) -> Rule:
-    return _engine_rule(f"draft-variable{list(priority)}", variable_draft, priority)
+    fill = _ordered_fill(priority, _cyclic)
+    return _engine_rule(f"draft-variable{list(priority)}", variable_draft, priority, fill=fill)
 
 
 def serial_dictatorship_rule(priority: Priority) -> Rule:
-    return _engine_rule(f"serial-dictatorship{list(priority)}", serial_dictatorship, priority)
+    name, fill = f"serial-dictatorship{list(priority)}", _serial_dictatorship_fill(priority)
+    return _engine_rule(name, serial_dictatorship, priority, fill=fill)
 
 
 def dictatorship_rule(priority: Priority) -> Rule:
-    return _engine_rule(f"pi-dictatorship{list(priority)}", dictatorship, priority)
+    fill = _dictatorship_fill(priority)
+    return _engine_rule(f"pi-dictatorship{list(priority)}", dictatorship, priority, fill=fill)
 
 
 def null_rule() -> Rule:
-    return Rule("null", null_allocation)
+    return Rule("null", null_allocation, fill=_null_fill)
 
 
 def snake_draft_rule(priority: Priority) -> Rule:
-    return _engine_rule(f"snake{list(priority)}", snake_draft, priority)
+    fill = _ordered_fill(priority, _snake)
+    return _engine_rule(f"snake{list(priority)}", snake_draft, priority, fill=fill)
 
 
 def problem_key(problem: Problem):
@@ -429,7 +596,7 @@ def population_rm_counterexample(priority: Priority) -> Rule:
     """
 
     def runner(problem: Problem):
-        order = _population_order(problem, priority)
+        order = _population_order(problem.agents, priority)
         n, m = len(order), bundle_size(problem.available)
         c = m % n
         if c == 0:
@@ -475,7 +642,7 @@ def neutrality_counterexample(
         return special_priority if x == special_object else priority
 
     def runner(problem: Problem):
-        order = _population_order(problem, priority)
+        order = _population_order(problem.agents, priority)
         remaining = problem.available
         bundles = {a: 0 for a in problem.agents}
         while remaining:

@@ -1,9 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from draftkit.cli import main
+from draftkit.core import INFINITE, VARIANTS, Preference, Problem, objects_of
 from draftkit.problemfile import (
+    ProblemDocument,
     ProblemFileError,
     ingest_csv,
     parse_problem,
@@ -90,6 +93,41 @@ pref j: b > a > c
     assert doc.problem.quotas[0] == 1 and doc.problem.quotas[1] == float("inf")
     with pytest.raises(ProblemFileError, match="missing quotas"):
         parse_problem(text.replace("quota: i=1 j=inf", "quota: i=1"))
+
+
+NAMES = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_-", min_size=1, max_size=4)
+
+
+@st.composite
+def problem_documents(draw):
+    """Any valid document: variant, names, available set, cutoffs, quotas and priority."""
+    variant = draw(st.sampled_from(VARIANTS))
+    objects = tuple(draw(st.lists(NAMES, min_size=1, max_size=5, unique=True)))
+    agents = tuple(draw(st.lists(NAMES, min_size=1, max_size=4, unique=True)))
+    ids = tuple(range(1, len(agents) + 1))
+    available = draw(st.integers(0 if variant == "variable" else 1, (1 << len(objects)) - 1))
+    ranked = objects_of(available) if variant == "variable" else tuple(range(len(objects)))
+    profile = []
+    for _ in agents:
+        ranking = tuple(draw(st.permutations(ranked)))
+        cutoff = draw(st.integers(0, len(ranking))) if variant == "unacceptable" else None
+        profile.append(Preference(ranking, cutoff))
+    quotas = None
+    if variant == "quota":
+        quota = st.one_of(st.integers(1, 6), st.just(INFINITE))
+        quotas = tuple(draw(st.lists(quota, min_size=len(ids), max_size=len(ids))))
+    priority = draw(st.none() | st.permutations(ids).map(tuple))
+    problem = Problem(variant, ids, available, tuple(profile), quotas)
+    return ProblemDocument(problem, objects, agents, priority)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(problem_documents())
+def test_problem_documents_round_trip(doc):
+    text = serialize_problem(doc)
+    back = parse_problem(text)
+    assert back == doc
+    assert serialize_problem(back) == text
 
 
 def test_csv_ingest(tmp_path):
@@ -213,6 +251,23 @@ def test_cli_check_refuses_bad_sizes(capsys, argv):
     rule = "draft-quota" if "quota" in argv else "draft"
     assert main(["check", "--rule", rule, "--axioms", "NW"] + argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "axioms, message",
+    [
+        (",", "names no axiom"),
+        (" , ,", "names no axiom"),
+        ("EF1,EF1", "repeats EF1"),
+        ("NW,EF1,NW,EF1", "repeats EF1, NW"),
+    ],
+)
+def test_cli_check_refuses_empty_or_repeated_axioms(capsys, axioms, message):
+    argv = ["check", "--rule", "draft", "--axioms", axioms, "--agents", "2", "--objects", "2"]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.err == f"error: --axioms {message}\n"
+    assert out.out == ""  # refused before any axiom runs
 
 
 UNIQUE = "uniqueness over the checked domain"

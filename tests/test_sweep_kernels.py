@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import lru_cache
+from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,7 +28,7 @@ from draftkit.axioms import (
     unacceptable_domain,
     variable_domain,
 )
-from draftkit.core import INFINITE, validate_allocation
+from draftkit.core import INFINITE, PickingSequence, validate_allocation
 from draftkit.csp import _all_allocations
 from draftkit.rules import (
     Rule,
@@ -41,6 +43,7 @@ from draftkit.rules import (
     quota_draft_rule,
     rm_counterexample,
     rm_star_counterexample,
+    sequence_draft_rule,
     serial_dictatorship_rule,
     snake_draft_rule,
     tabulated_rule,
@@ -197,17 +200,18 @@ def _fill_cases():
             yield pytest.param(domain, rule, id=f"{label}-{name}")
 
 
+def _blocks(sw):
+    if isinstance(sw, VariableSweep):
+        return [(pop, x) for pop in sw.domain.populations for x in sw.domain.available_sets]
+    return [(xi,) for xi in range(len(sw.xs))]
+
+
 @pytest.mark.parametrize("domain, rule", _fill_cases())
 def test_sweep_rows_are_the_rule_allocations(domain, rule):
     """Every decoded row, in the domain's enumeration order, is the rule's valid allocation."""
-    if domain.variant == "variable":
-        sw = VariableSweep(rule, domain)
-        blocks = [(pop, x) for pop in domain.populations for x in domain.available_sets]
-    else:
-        sw = FixedSweep(rule, domain)
-        blocks = [(xi,) for xi in range(len(sw.xs))]
+    sw = (VariableSweep if domain.variant == "variable" else FixedSweep)(rule, domain)
     problems = iter(domain.problems())
-    for block in blocks:
+    for block in _blocks(sw):
         for code in range(len(sw.grid(*block))):
             problem, alloc = next(problems), sw.allocation(*block, code)
             assert sw.problem(*block, code) == problem
@@ -215,6 +219,162 @@ def test_sweep_rows_are_the_rule_allocations(domain, rule):
             assert alloc == rule.allocate(problem)
             assert validate_allocation(problem, alloc) is None
     assert next(problems, None) is None
+
+
+def _engine_cases():
+    """The benchmark's own sweeps: every rule here fills through its array engine."""
+    pi3, pi2 = (1, 2, 3), (1, 2)
+    cases = {
+        "fixed34": (
+            fixed_domain(3, 4),
+            {
+                "draft": draft_rule(pi3),
+                "draft-reversed": draft_rule(pi3[::-1]),
+                "snake": snake_draft_rule(pi3),
+                "pi-dictatorship": dictatorship_rule(pi3),
+                "serial-dictatorship": serial_dictatorship_rule(pi3),
+            },
+        ),
+        "unacceptable24": (
+            unacceptable_domain(2, 4),
+            {
+                "u-draft": unacceptable_draft_rule(pi2),
+                "serial-dictatorship": serial_dictatorship_rule(pi2),
+            },
+        ),
+        "quota24-1-2": (quota_domain(2, 4, (1, 2)), {"draft": quota_draft_rule(pi2)}),
+        "quota24-1-inf": (quota_domain(2, 4, (1, INFINITE)), {"draft": quota_draft_rule(pi2)}),
+        "variable34": (
+            variable_domain(3, 4),
+            {"draft": variable_draft_rule(pi3), "snake": snake_draft_rule(pi3)},
+        ),
+    }
+    for label, (domain, rules) in cases.items():
+        for name, rule in rules.items():
+            yield pytest.param(domain, rule, id=f"{label}-{name}")
+
+
+@pytest.mark.parametrize("domain, rule", _engine_cases())
+def test_engine_arrays_are_the_scalar_fill(domain, rule):
+    """Block by block, the array engine's fill is the fill through Rule.allocate."""
+    assert rule.fill is not None
+    sweep = VariableSweep if domain.variant == "variable" else FixedSweep
+    fast, slow = sweep(rule, domain), sweep(replace(rule, fill=None), domain)
+    for block in _blocks(fast):
+        got, expected = fast.grid(*block), slow.grid(*block)
+        assert got.dtype == expected.dtype == np.uint8
+        assert np.array_equal(got, expected), block
+
+
+ENGINES = {
+    "draft": lambda pi, seq: draft_rule(pi),
+    "sequence-draft": lambda pi, seq: sequence_draft_rule(seq),
+    "quota-draft": lambda pi, seq: quota_draft_rule(pi),
+    "u-draft": lambda pi, seq: unacceptable_draft_rule(pi),
+    "variable-draft": lambda pi, seq: variable_draft_rule(pi),
+    "snake": lambda pi, seq: snake_draft_rule(pi),
+    "serial-dictatorship": lambda pi, seq: serial_dictatorship_rule(pi),
+    "pi-dictatorship": lambda pi, seq: dictatorship_rule(pi),
+    "null": lambda pi, seq: null_rule(),
+}
+MAX_BLOCK_ROWS = 15_000
+
+
+def _space_size(variant: str, k: int) -> int:
+    return factorial(k) * (k + 1 if variant == "unacceptable" else 1)
+
+
+@st.composite
+def engine_blocks(draw):
+    """A rule with an array engine, a domain and one of its blocks of at most MAX_BLOCK_ROWS rows.
+
+    Priorities and picking sequences may miss or add an agent, so error paths are drawn too."""
+    variant = draw(st.sampled_from(["fixed", "quota", "unacceptable", "variable"]))
+    n = draw(st.integers(1, 3))
+    agents = tuple(range(1, n + 1))
+    sizes = [k for k in range(1, 6) if _space_size(variant, k) ** n <= MAX_BLOCK_ROWS]
+    m = draw(st.sampled_from(sizes if variant != "variable" else range(1, 6)))
+    some_agents = st.lists(st.integers(1, n + 1), min_size=1, max_size=n + 1, unique=True)
+    pi = tuple(draw(st.permutations(agents) | some_agents))
+    prefix = draw(st.lists(st.integers(1, n), max_size=3))
+    seq = PickingSequence(tuple(prefix), tuple(draw(st.permutations(agents) | some_agents)))
+    name = draw(st.sampled_from(sorted(ENGINES)))
+    rule = ENGINES[name](pi, seq)
+    if variant == "quota":
+        quota = st.one_of(st.integers(1, 3), st.just(INFINITE))
+        domain = quota_domain(n, m, draw(st.lists(quota, min_size=n, max_size=n)))
+    else:
+        make = {"fixed": fixed_domain, "unacceptable": unacceptable_domain}
+        domain = make.get(variant, variable_domain)(n, m)
+    if variant == "variable":
+        sw = VariableSweep(rule, domain)
+        pop = draw(st.sampled_from(domain.populations))
+        xs = [
+            x
+            for x in domain.available_sets
+            if factorial(x.bit_count()) ** len(pop) <= MAX_BLOCK_ROWS
+        ]
+        block = (pop, draw(st.sampled_from(xs)))
+    else:
+        sw = FixedSweep(rule, domain)
+        block = (draw(st.integers(0, len(sw.xs) - 1)),)
+    return name, sw, block
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:  # the engine must fail exactly as the scalar engine does
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(engine_blocks())
+def test_engine_rows_are_the_rule_allocations(case):
+    name, sw, block = case
+    got = _outcome(lambda: sw.grid(*block))
+    rows = len(sw.digits(*block)) if isinstance(sw, VariableSweep) else sw.P**sw.n
+    for code in range(rows):
+        problem = sw.problem(*block, code)
+        expected = _outcome(lambda: sw.rule.allocate(problem))
+        if isinstance(expected, tuple) and isinstance(expected[0], type):
+            assert got == expected  # the scalar fill stops at its first error
+            return
+        assert tuple(got[code].tolist()) == expected, (problem, code)
+        if sw.domain.variant != "quota" or name in ("quota-draft", "null"):
+            assert validate_allocation(problem, expected) is None
+
+
+@pytest.mark.parametrize(
+    "rule, domain, error, message",
+    [
+        (draft_rule((1, 2)), quota_domain(2, 3, (1, 2)), ValueError, "fixed-variant"),
+        (draft_rule((1, 2)), unacceptable_domain(2, 3), ValueError, "fixed-variant"),
+        (sequence_draft_rule(PickingSequence((1,))), fixed_domain(2, 3), ValueError, "at step 1"),
+        (sequence_draft_rule(PickingSequence((3,), (1, 2))), fixed_domain(2, 3), ValueError, "not in"),
+        (quota_draft_rule((1, 2)), fixed_domain(2, 3), ValueError, "needs quotas"),
+        (quota_draft_rule((1, 2)), quota_domain(2, 3, (0, 1)), ValueError, "at least 1"),
+        (unacceptable_draft_rule((1, 3)), unacceptable_domain(2, 3), KeyError, "3"),
+        (quota_draft_rule((1,)), quota_domain(2, 3, (1, 2)), IndexError, "out of range"),
+        (variable_draft_rule((1,)), variable_domain(2, 3), ValueError, r"cover agents \[2\]"),
+        (snake_draft_rule((2,)), variable_domain(2, 3), ValueError, r"cover agents \[1\]"),
+        (serial_dictatorship_rule((2,)), fixed_domain(2, 3), ValueError, r"cover agents \[1\]"),
+        (dictatorship_rule((1,)), unacceptable_domain(2, 3), ValueError, r"cover agents \[2\]"),
+        (variable_draft_rule((1, 2)), unacceptable_domain(2, 3), RuntimeError, "found no object"),
+    ],
+)
+def test_engines_raise_their_scalar_engines_errors(rule, domain, error, message):
+    """On the domain's largest block, the array engine fails as the scalar fill does."""
+    sweep = VariableSweep if domain.variant == "variable" else FixedSweep
+    if sweep is VariableSweep:
+        block = (domain.populations[-1], domain.available_sets[-1])
+    else:
+        block = (len(domain.available_sets) - 1,)
+    with pytest.raises(error, match=message) as scalar:
+        sweep(replace(rule, fill=None), domain).grid(*block)
+    with pytest.raises(error) as engine:
+        sweep(rule, domain).grid(*block)
+    assert str(engine.value) == str(scalar.value)
 
 
 # --- property test: random tabulated rules put witnesses anywhere -------------
