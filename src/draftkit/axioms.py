@@ -485,9 +485,6 @@ DEVIATIONS: dict[str, Callable] = {"SP": sp_ok, "WSP": wsp_ok, "RM": sp_ok, "TI"
 
 # --- unary axioms: one allocation at one problem -----------------------------
 
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
-
 @dataclass(frozen=True)
 class UnaryAxiom:
     """An axiom judged on one allocation at one problem.
@@ -530,7 +527,7 @@ def _nwq_target(space, x) -> int:
 
 
 def _nwq_ok(space, x, allocs, digits):
-    return (_POPCOUNT[_union_rows(allocs)] == _nwq_target(space, x))[:, None]
+    return (np.bitwise_count(_union_rows(allocs)) == _nwq_target(space, x))[:, None]
 
 
 def _nwq_detail(space, prob, alloc, k):
@@ -557,7 +554,7 @@ def _ir_detail(space, prob, alloc, k):
 
 
 def _wrp_ok(space, x, allocs, digits):
-    size = _POPCOUNT[allocs]
+    size = np.bitwise_count(allocs)
     return _per_pair(space.ranked, len(allocs), lambda i, j: size[:, i] >= size[:, j])
 
 
@@ -569,13 +566,14 @@ def _wrp_star_ok(space, x, allocs, digits):
     acc = space.acceptable[digits]
 
     def test(i, j):
-        return _POPCOUNT[allocs[:, i] & acc[:, i]] >= _POPCOUNT[allocs[:, j] & acc[:, i]]
+        own, other = allocs[:, i] & acc[:, i], allocs[:, j] & acc[:, i]
+        return np.bitwise_count(own) >= np.bitwise_count(other)
 
     return _per_pair(space.ranked, len(allocs), test)
 
 
 def _wrpq_ok(space, x, allocs, digits):
-    size = _POPCOUNT[allocs]
+    size = np.bitwise_count(allocs)
 
     def test(i, j):
         return (size[:, i] == space.quotas[i]) | (size[:, i] >= size[:, j])

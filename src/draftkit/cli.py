@@ -393,7 +393,12 @@ def cmd_manipulate(args) -> int:
 
 
 def cmd_infer_priority(args) -> int:
-    priority = tuple(int(p) for p in args.priority)
+    try:
+        priority = tuple(int(p) for p in args.priority)
+    except ValueError:
+        raise InputError("--priority must list integer agent ids") from None
+    if len(set(priority)) != len(priority):
+        raise InputError("--priority must list each agent id once")
     rule = _build_rule(args.rule, "variable", priority)
     try:
         inferred = verifier.infer_priority(rule, sorted(priority))

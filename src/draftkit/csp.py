@@ -2,11 +2,12 @@
 
 Intra-problem axioms filter candidate sets; inter-problem axioms become binary
 constraints with precomputed allowed-masks. Propagation is queue-based arc
-consistency; search is depth-first with a deterministic variable and value
-order, so verdicts and witnesses never depend on scheduling. Unsatisfiable
-searches emit a replayable certificate: a tree of decisions whose leaves carry
-the propagation steps that empty a variable, and the replayer independently
-re-justifies every removal.
+consistency. `depth_first` is the backtracking search of this solver and of
+`grid.solve_grid`, with a deterministic variable and value order, so verdicts
+and witnesses never depend on scheduling. Unsatisfiable searches emit a
+certificate: a tree of decisions in which every node keeps the propagation
+steps that led to it and each leaf names the variable they empty. The replayer
+re-justifies every removal against its constraint, at any depth.
 """
 
 from __future__ import annotations
@@ -82,7 +83,13 @@ class PropagationStep:
 
 @dataclass
 class InfeasibilityCertificate:
-    """Branch tree: either a leaf (trace emptying a variable) or decisions on one variable."""
+    """A node of the refutation tree: a leaf whose trace empties `emptied_var`, or a branch
+    on `branch_var`, one child per remaining candidate.
+
+    Every node's trace holds the steps that led to it: root propagation at the
+    root, and below it the decision that made the node, then the propagation
+    it caused. Grid nodes carry empty traces (grid propagation records none).
+    """
 
     emptied_var: int | None = None
     trace: list[PropagationStep] = field(default_factory=list)
@@ -270,12 +277,13 @@ def _slot_alternatives(domain: ProblemDomain, prob: Problem, slot: int):
 def _propagate(
     csp: RuleCSP,
     doms: list[int],
-    queue: list[int],
+    queue: Sequence[int],
     stats: SolveStats,
     budget: int,
-    trace: list[PropagationStep] | None,
+    trace: list[PropagationStep],
 ) -> int | None:
-    """AC over the constraint queue; returns an emptied variable index or None."""
+    """AC over the constraint queue, each removal appended to the trace; returns an emptied
+    variable index or None."""
     pending = list(queue)
     in_queue = set(pending)
     while pending:
@@ -298,10 +306,8 @@ def _propagate(
                     keep |= low
                 m ^= low
             if keep != dom_var:
-                removed = dom_var & ~keep
                 doms[var] = keep
-                if trace is not None:
-                    trace.append(PropagationStep(c.name, var, removed))
+                trace.append(PropagationStep(c.name, var, dom_var & ~keep))
                 if keep == 0:
                     return var
                 for cj in csp.watchers[var]:
@@ -311,42 +317,83 @@ def _propagate(
     return None
 
 
-def solve_csp(
-    csp: RuleCSP,
-    mode: str = "find-all",
-    budget: int = 10_000_000,
-    record_trace: bool = True,
-) -> SolveResult:
-    """Exhaustive, deterministic search. find-all returns every surviving tabulated rule."""
-    stats = SolveStats()
-    doms = list(csp.domains)
+def depth_first(doms, propagate, pick, read_off, mode: str, stats: SolveStats) -> SolveResult:
+    """The backtracking search of every rule-space solver; deterministic.
+
+    `doms` holds one candidate bitmask per variable (a list of ints, or a flat
+    uint64 array). A decision keeps one candidate of a variable, lowest first.
+    The solver supplies the parts that differ:
+
+    - ``propagate(doms, var, removed)`` narrows `doms` in place after the
+      decision that removed the `removed` candidates of `var` (`var` is None at
+      the root). It returns an emptied variable or None, and the steps it took.
+    - ``pick(doms)`` names the variable to branch on, or None when none is open.
+    - ``read_off(doms)`` turns such a leaf into a solution dict, or into the
+      index of an empty variable.
+
+    Every certificate node keeps the steps that led to it, so a replay can
+    follow them at any depth. find-one and prove-unsat stop at the first
+    solution; `BudgetExceeded` leaves the search undecided.
+    """
     solutions: list[dict] = []
 
-    for var, d in enumerate(doms):
-        if d == 0:
-            cert = InfeasibilityCertificate(emptied_var=var, trace=[])
-            return SolveResult("unsat", [], cert, stats)
+    def visit(doms, var, removed) -> InfeasibilityCertificate:
+        emptied, trace = propagate(doms, var, removed)
+        if emptied is not None:
+            return InfeasibilityCertificate(emptied_var=emptied, trace=trace)
+        stats.nodes += 1
+        var = pick(doms)
+        if var is None:
+            leaf = read_off(doms)
+            if isinstance(leaf, dict):
+                solutions.append(leaf)
+                return InfeasibilityCertificate()  # not used on sat paths
+            return InfeasibilityCertificate(emptied_var=leaf, trace=trace)
+        mask = int(doms[var])
+        branches = []
+        for val in _bits(mask):
+            child = doms.copy()
+            child[var] = 1 << val
+            sub = visit(child, var, mask & ~(1 << val))
+            if solutions and mode in ("find-one", "prove-unsat"):
+                return sub
+            branches.append((val, sub))
+        return InfeasibilityCertificate(trace=trace, branch_var=var, branches=branches)
 
     try:
-        root_trace: list[PropagationStep] = [] if record_trace else None
-        emptied = _propagate(
-            csp, doms, list(range(len(csp.constraints))), stats, budget, root_trace
-        )
-        if emptied is not None:
-            cert = InfeasibilityCertificate(emptied_var=emptied, trace=root_trace or [])
-            return SolveResult("unsat", [], cert, stats)
-
-        cert = _search(csp, doms, stats, budget, mode, solutions, record_trace)
+        cert = visit(doms, None, 0)
     except BudgetExceeded:
         return SolveResult("undecided", solutions, None, stats)
-
+    finally:
+        # visit's closure holds visit itself; breaking that cycle frees the solver's
+        # tables on return instead of at the next garbage collection
+        del visit
     if solutions:
         return SolveResult("sat", solutions, None, stats)
-    cert.trace = (root_trace or []) + cert.trace
     return SolveResult("unsat", [], cert, stats)
 
 
-def _pick_var(csp: RuleCSP, doms: list[int]) -> int | None:
+def solve_csp(csp: RuleCSP, mode: str = "find-all", budget: int = 10_000_000) -> SolveResult:
+    """Exhaustive, deterministic search. find-all returns every surviving tabulated rule."""
+    stats = SolveStats()
+    for var, d in enumerate(csp.domains):
+        if d == 0:
+            return SolveResult("unsat", [], InfeasibilityCertificate(emptied_var=var), stats)
+
+    def propagate(doms, var, removed):
+        if var is None:
+            trace, queue = [], range(len(csp.constraints))
+        else:
+            trace, queue = [PropagationStep("decision", var, removed)], csp.watchers[var]
+        return _propagate(csp, doms, queue, stats, budget, trace), trace
+
+    def read_off(doms):
+        return {k: csp.candidates[i][doms[i].bit_length() - 1] for i, k in enumerate(csp.keys)}
+
+    return depth_first(list(csp.domains), propagate, _pick_var, read_off, mode, stats)
+
+
+def _pick_var(doms: list[int]) -> int | None:
     best, best_size = None, None
     for i, d in enumerate(doms):
         size = d.bit_count()
@@ -355,36 +402,6 @@ def _pick_var(csp: RuleCSP, doms: list[int]) -> int | None:
             if size == 2:
                 break
     return best
-
-
-def _search(csp, doms, stats, budget, mode, solutions, record_trace) -> InfeasibilityCertificate:
-    stats.nodes += 1
-    var = _pick_var(csp, doms)
-    if var is None:
-        solutions.append(
-            {k: csp.candidates[i][doms[i].bit_length() - 1] for i, k in enumerate(csp.keys)}
-        )
-        return InfeasibilityCertificate()  # not used on sat paths
-    branches = []
-    m = doms[var]
-    while m:
-        low = m & -m
-        m ^= low
-        val = low.bit_length() - 1
-        child = list(doms)
-        child[var] = low
-        trace = [PropagationStep("decision", var, doms[var] & ~low)] if record_trace else None
-        emptied = _propagate(csp, child, list(csp.watchers[var]), stats, budget, trace)
-        if emptied is not None:
-            branches.append(
-                (val, InfeasibilityCertificate(emptied_var=emptied, trace=trace or []))
-            )
-            continue
-        sub = _search(csp, child, stats, budget, mode, solutions, record_trace)
-        if solutions and mode in ("find-one", "prove-unsat"):
-            return sub
-        branches.append((val, sub))
-    return InfeasibilityCertificate(branch_var=var, branches=branches)
 
 
 def replay_certificate(csp: RuleCSP, cert: InfeasibilityCertificate) -> bool:

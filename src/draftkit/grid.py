@@ -4,7 +4,9 @@ The impossibility searches all share this shape: variables form a preference
 grid (one per ordered ranking pair), candidates are the full splits of the
 object pool between the two agents, and the only binary constraints are
 unilateral-deviation constraints along grid rows and columns. That structure
-lets arc consistency run as whole-row / whole-column mask arithmetic.
+lets arc consistency run as whole-row / whole-column mask arithmetic, one
+routine applied to the grid and to its transpose. The backtracking itself is
+`csp.depth_first`, over the flattened grid.
 """
 
 from __future__ import annotations
@@ -14,17 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .axioms import DEVIATIONS, AxiomSpace, ProblemDomain, admissible
-from .csp import InfeasibilityCertificate, SolveResult, SolveStats
+from .csp import BudgetExceeded, InfeasibilityCertificate, SolveResult, SolveStats, depth_first
 
 MAX_OBJECTS = 6  # candidate sets are uint64 masks with one bit per split: 2**6 = 64
-
-
-def _popcount(arr: np.ndarray) -> np.ndarray:
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(arr)
-    bytes_view = arr.astype(np.uint64).view(np.uint8).reshape(arr.shape + (8,))
-    lut = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-    return lut[bytes_view].sum(axis=-1)
 
 
 @dataclass
@@ -96,117 +90,74 @@ def _pack(alive: np.ndarray) -> np.ndarray:
     return (alive.astype(np.uint64) * pow2).sum(axis=-1, dtype=np.uint64)
 
 
-class _Budget(Exception):
-    pass
+def _revise(D: np.ndarray, m: np.ndarray, lines, same: set, cross: set, stats, budget):
+    """Revise each listed row of D against the masks m, in order; a changed row marks
+    itself in `same` and its changed positions in `cross`. Returns an emptied (row,
+    position) or None. Columns are the rows of D.T, revised against m_col."""
+    for r in sorted(lines):
+        stats.revisions += len(D)
+        if stats.revisions > budget:
+            raise BudgetExceeded
+        B = D[r]
+        newB = B & _pack(((B[None, :, None] & m) != 0).all(axis=1))
+        changed = np.nonzero(newB != B)[0]
+        if changed.size:
+            D[r] = newB
+            wiped = changed[newB[changed] == 0]
+            if wiped.size:
+                return r, int(wiped[0])
+            cross.update(changed.tolist())
+            same.add(r)
+    return None
 
 
-def _propagate(grid: GridCSP, D: np.ndarray, dirty_rows, dirty_cols, stats, budget):
-    """Row/column arc consistency to fixpoint; returns an emptied (r1, r2) or None."""
-    P = len(grid.rankings)
-    while dirty_rows or dirty_cols:
-        rows, dirty_rows = sorted(dirty_rows), set()
-        for r in rows:
-            stats.revisions += P
-            if stats.revisions > budget:
-                raise _Budget
-            B = D[r]
-            support = (B[None, :, None] & grid.m_row) != 0
-            newB = B & _pack(support.all(axis=1))
-            changed = np.nonzero(newB != B)[0]
-            if changed.size:
-                D[r] = newB
-                if (newB[changed] == 0).any():
-                    c = int(changed[np.nonzero(newB[changed] == 0)[0][0]])
-                    return (r, c)
-                dirty_cols.update(int(c) for c in changed)
-                dirty_rows.add(r)
-        cols, dirty_cols = sorted(dirty_cols), set()
-        for c in cols:
-            stats.revisions += P
-            if stats.revisions > budget:
-                raise _Budget
-            B = D[:, c]
-            support = (B[None, :, None] & grid.m_col) != 0
-            newB = B & _pack(support.all(axis=1))
-            changed = np.nonzero(newB != B)[0]
-            if changed.size:
-                D[:, c] = newB
-                if (newB[changed] == 0).any():
-                    r = int(changed[np.nonzero(newB[changed] == 0)[0][0]])
-                    return (r, c)
-                dirty_rows.update(int(r) for r in changed)
-                dirty_cols.add(c)
+def _propagate(grid: GridCSP, D: np.ndarray, rows, cols, stats, budget):
+    """Row/column arc consistency to fixpoint, dirty rows then dirty columns each round;
+    returns an emptied (r1, r2) or None."""
+    rows, cols = set(rows), set(cols)
+    while rows or cols:
+        lines, rows = rows, set()
+        wiped = _revise(D, grid.m_row, lines, rows, cols, stats, budget)
+        if wiped is not None:
+            return wiped
+        lines, cols = cols, set()
+        wiped = _revise(D.T, grid.m_col, lines, cols, rows, stats, budget)
+        if wiped is not None:
+            return wiped[::-1]
     return None
 
 
 def solve_grid(grid: GridCSP, mode: str = "prove-unsat", budget: int = 10_000_000) -> SolveResult:
-    """Backtracking with bulk propagation; deterministic; replay by re-execution."""
+    """`depth_first` over the flattened grid, with bulk propagation; deterministic.
+
+    Propagation records no steps yet, so certificate nodes carry empty traces;
+    replay re-executes the decisions instead.
+    """
     stats = SolveStats()
     P = len(grid.rankings)
-    D = grid.initial.astype(np.uint64).copy()
-    solutions: list[dict] = []
 
-    def emptied_cert(rc):
-        return InfeasibilityCertificate(emptied_var=grid.var_index(*rc))
+    def propagate(D, var, removed):
+        rows, cols = (range(P), range(P)) if var is None else ({var // P}, {var % P})
+        wiped = _propagate(grid, D.reshape(P, P), rows, cols, stats, budget)
+        return (None if wiped is None else grid.var_index(*wiped)), []
 
-    def pick_var(D):
-        sizes = _popcount(D)
+    def pick(D):
+        sizes = np.bitwise_count(D)
         open_vars = sizes > 1
         if not open_vars.any():
             return None
-        masked = np.where(open_vars, sizes, np.iinfo(sizes.dtype).max)
-        flat = int(masked.argmin())
-        return divmod(flat, P)
+        return int(np.where(open_vars, sizes, np.iinfo(sizes.dtype).max).argmin())
 
-    def extract(D):
-        out = {}
-        for r1 in range(P):
-            for r2 in range(P):
-                a = int(D[r1, r2]).bit_length() - 1
-                out[(grid.rankings[r1], grid.rankings[r2])] = a
-        return out
+    def read_off(D):
+        if (D == 0).any():
+            return int((D == 0).argmax())
+        return {
+            (grid.rankings[r1], grid.rankings[r2]): int(a).bit_length() - 1
+            for (r1, r2), a in np.ndenumerate(D.reshape(P, P))
+        }
 
-    def search(D) -> InfeasibilityCertificate:
-        stats.nodes += 1
-        var = pick_var(D)
-        if var is None:
-            if (D == 0).any():
-                flat = int((D == 0).argmax())
-                return emptied_cert(divmod(flat, P))
-            solutions.append(extract(D))
-            return InfeasibilityCertificate()
-        r1, r2 = var
-        branches = []
-        mask = int(D[r1, r2])
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
-            val = low.bit_length() - 1
-            child = D.copy()
-            child[r1, r2] = np.uint64(low)
-            wiped = _propagate(grid, child, {r1}, {r2}, stats, budget)
-            if wiped is not None:
-                branches.append((val, emptied_cert(wiped)))
-                continue
-            sub = search(child)
-            if solutions and mode in ("find-one", "prove-unsat"):
-                return sub
-            branches.append((val, sub))
-        return InfeasibilityCertificate(
-            branch_var=grid.var_index(r1, r2), branches=branches
-        )
-
-    try:
-        wiped = _propagate(grid, D, set(range(P)), set(range(P)), stats, budget)
-        if wiped is not None:
-            return SolveResult("unsat", [], emptied_cert(wiped), stats)
-        cert = search(D)
-    except _Budget:
-        return SolveResult("undecided", solutions, None, stats)
-    if solutions:
-        return SolveResult("sat", solutions, None, stats)
-    return SolveResult("unsat", [], cert, stats)
+    flat = grid.initial.astype(np.uint64).reshape(-1)
+    return depth_first(flat, propagate, pick, read_off, mode, stats)
 
 
 def replay_grid_certificate(grid: GridCSP, cert: InfeasibilityCertificate) -> bool:

@@ -186,11 +186,16 @@ def parse_problem(text: str) -> ProblemDocument:
     if extra:
         raise ProblemFileError(f"preferences for unknown agents {extra}")
 
+    problem = _problem(variant, agent_ids, available, tuple(profile), quotas)
+    return ProblemDocument(problem, object_names, agent_names, priority)
+
+
+def _problem(*fields) -> Problem:
+    """The document's `Problem`, with the checks `Problem` makes reported as file errors."""
     try:
-        problem = Problem(variant, agent_ids, available, tuple(profile), quotas)
+        return Problem(*fields)
     except ValueError as exc:
         raise ProblemFileError(str(exc))
-    return ProblemDocument(problem, object_names, agent_names, priority)
 
 
 def format_ranking(doc: ProblemDocument, pref: Preference) -> str:
@@ -281,7 +286,7 @@ def ingest_csv(path: str | Path, variant: str | None = None) -> ProblemDocument:
     if len(set(agent_names)) != len(agent_names):
         raise ProblemFileError("duplicate agent rows")
     agent_ids = tuple(range(1, len(agent_names) + 1))
-    problem = Problem(variant, agent_ids, (1 << len(object_names)) - 1, tuple(prefs))
+    problem = _problem(variant, agent_ids, (1 << len(object_names)) - 1, tuple(prefs))
     return ProblemDocument(problem, object_names, agent_names, None)
 
 

@@ -126,8 +126,12 @@ def draft(problem: Problem, sequence: PickingSequence) -> tuple[Allocation, Trac
     return _sequential(problem, sequence.at)
 
 
-def _draft_fill(sequence: PickingSequence) -> Fill:
+def _draft_fill(sequence: PickingSequence, priority: Priority | None = None) -> Fill:
+    """Array form of `draft`; with a priority, the form of `priority_draft` for its sequence."""
+
     def fill(variant, agents, x, prefs, quotas, digits):
+        if priority is not None:
+            _agent_order(agents, priority)
         if variant != "fixed":
             raise ValueError("draft runs on fixed-variant problems")
         turns = _turns(agents, sequence.at, bundle_size(x))
@@ -137,12 +141,13 @@ def _draft_fill(sequence: PickingSequence) -> Fill:
 
 
 def priority_draft(problem: Problem, priority: Priority) -> tuple[Allocation, Trace]:
-    """Draft under the round-robin picking sequence of a priority."""
-    return draft(problem, PickingSequence.round_robin(priority))
+    """Draft under the round-robin picking sequence of a priority that orders the agents."""
+    return draft(problem, PickingSequence.round_robin(_agent_order(problem.agents, priority)))
 
 
 def _omega_terminated(problem: Problem, priority: Priority, may_pick) -> tuple[Allocation, Trace]:
     # run round-robin until every agent in a full window of n steps passed
+    priority = _agent_order(problem.agents, priority)
     n = problem.n_agents
     remaining = problem.available
     picks = {a: 0 for a in problem.agents}
@@ -174,9 +179,7 @@ def _omega_fill(priority: Priority, quota_limited: bool) -> Fill:
     def fill(variant, agents, x, prefs, quotas, digits):
         if quota_limited and quotas is None:
             raise ValueError("quota draft needs quotas")
-        slot_of = {a: slot for slot, a in enumerate(agents)}
-        # the scalar loop's first round, with the lookups (and errors) of its bookkeeping
-        turns = [slot_of[priority[k]] for k in range(len(agents))]
+        turns = [agents.index(a) for a in _agent_order(agents, priority)]
         rounds = bundle_size(x)
         limits = [quotas[slot] for slot in turns] * rounds if quota_limited else None
         return _pick_rows(prefs, digits, x, turns * rounds, limits)
@@ -211,12 +214,27 @@ def unacceptable_draft(problem: Problem, priority: Priority) -> tuple[Allocation
     return _omega_terminated(problem, priority, may_pick)
 
 
-def _population_order(agents: tuple[Agent, ...], priority: Priority) -> list[Agent]:
-    order = [a for a in priority if a in agents]
+@lru_cache(maxsize=None)
+def _population_order(agents: tuple[Agent, ...], priority: Priority) -> tuple[Agent, ...]:
+    """The priority restricted to the agents present; it must name each of them, once.
+    Cached, since the scalar engines ask at every problem."""
+    repeated = sorted({a for a in priority if priority.count(a) > 1})
+    if repeated:
+        raise ValueError(f"priority repeats agents {repeated}")
+    order = tuple(a for a in priority if a in agents)
     missing = [a for a in agents if a not in order]
     if missing:
         raise ValueError(f"priority does not cover agents {missing}")
     return order
+
+
+@lru_cache(maxsize=None)
+def _agent_order(agents: tuple[Agent, ...], priority: Priority) -> tuple[Agent, ...]:
+    """The priority as an order of exactly these agents, as the fixed-population drafts need."""
+    absent = [a for a in priority if a not in agents]
+    if absent:
+        raise ValueError(f"priority names absent agents {absent}")
+    return _population_order(agents, priority)
 
 
 def _cyclic(order: list[Agent]):
@@ -345,7 +363,7 @@ def _engine_rule(name, engine, *args, fill: Fill) -> Rule:
 
 
 def draft_rule(priority: Priority) -> Rule:
-    fill = _draft_fill(PickingSequence.round_robin(priority))
+    fill = _draft_fill(PickingSequence.round_robin(priority), priority)
     return _engine_rule(f"draft{list(priority)}", priority_draft, priority, fill=fill)
 
 

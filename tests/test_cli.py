@@ -434,6 +434,22 @@ def test_cli_infer_priority(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["infer-priority", "--priority", "a", "b"], "must list integer agent ids"),
+        (["infer-priority", "--priority", "1", "1", "2"], "must list each agent id once"),
+        (["run", "ranks-nothing.csv"], "available set must be nonempty"),
+    ],
+)
+def test_cli_refuses_bad_input(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ranks-nothing.csv").write_text("a,|\n")  # one agent who ranks no object
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("error: ") and message in out.err and out.out == ""
+
+
+@pytest.mark.parametrize(
     "argv, problems",
     [
         (["--axioms", "SP,WSP,EF1,RM,NW,RP", "--variant", "fixed"], 7 * 6**2),

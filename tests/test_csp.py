@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -15,6 +15,9 @@ from draftkit.axioms import (
     unacceptable_domain,
 )
 from draftkit.csp import (
+    BinaryConstraint,
+    InfeasibilityCertificate,
+    RuleCSP,
     build_csp,
     replay_certificate,
     solve_csp,
@@ -88,6 +91,39 @@ def test_generic_unsat_certificate_replays():
     res = solve_csp(csp, mode="prove-unsat")
     assert res.status == "unsat"
     assert replay_certificate(csp, res.certificate)
+
+
+def _clique_colouring(n_vertices: int, n_colours: int) -> RuleCSP:
+    """Colouring the complete graph on n_vertices with n_colours: one "≠" constraint per edge,
+    unsatisfiable when there are fewer colours than vertices."""
+    full = (1 << n_colours) - 1
+    unlike = [full & ~(1 << c) for c in range(n_colours)]  # the colours other than c
+    edges = list(combinations(range(n_vertices), 2))
+    constraints = [BinaryConstraint("≠", u, v, unlike, unlike) for u, v in edges]
+    watchers = [[ci for ci, (u, v) in enumerate(edges) if x in (u, v)] for x in range(n_vertices)]
+    return RuleCSP(
+        None, (), list(range(n_vertices)), None, [list(range(n_colours))] * n_vertices,
+        [full] * n_vertices, constraints, watchers,
+    )
+
+
+def _without_inner_steps(node: InfeasibilityCertificate, root: bool = True):
+    """The certificate as it was when only leaves and the root kept their steps."""
+    branches = [(val, _without_inner_steps(child, False)) for val, child in node.branches]
+    inner = node.branch_var is not None and not root
+    return InfeasibilityCertificate(
+        node.emptied_var, [] if inner else node.trace, node.branch_var, branches
+    )
+
+
+@pytest.mark.parametrize("n_vertices, n_colours, nodes", [(4, 3, 4), (5, 4, 17)])
+def test_certificates_replay_at_any_depth(n_vertices, n_colours, nodes):
+    csp = _clique_colouring(n_vertices, n_colours)
+    res = solve_csp(csp, mode="prove-unsat")
+    assert res.status == "unsat" and res.stats.nodes == nodes
+    assert replay_certificate(csp, res.certificate) is True
+    # replay needs the inner nodes' steps: without them the deeper decisions are not covered
+    assert replay_certificate(csp, _without_inner_steps(res.certificate)) is False
 
 
 def test_generic_and_grid_engines_agree_on_small_impossibility():

@@ -354,13 +354,21 @@ def test_engine_rows_are_the_rule_allocations(case):
         (sequence_draft_rule(PickingSequence((3,), (1, 2))), fixed_domain(2, 3), ValueError, "not in"),
         (quota_draft_rule((1, 2)), fixed_domain(2, 3), ValueError, "needs quotas"),
         (quota_draft_rule((1, 2)), quota_domain(2, 3, (0, 1)), ValueError, "at least 1"),
-        (unacceptable_draft_rule((1, 3)), unacceptable_domain(2, 3), KeyError, "3"),
-        (quota_draft_rule((1,)), quota_domain(2, 3, (1, 2)), IndexError, "out of range"),
+        (unacceptable_draft_rule((1, 3)), unacceptable_domain(2, 3), ValueError, r"absent agents \[3\]"),
+        (quota_draft_rule((1,)), quota_domain(2, 3, (1, 2)), ValueError, r"cover agents \[2\]"),
         (variable_draft_rule((1,)), variable_domain(2, 3), ValueError, r"cover agents \[2\]"),
         (snake_draft_rule((2,)), variable_domain(2, 3), ValueError, r"cover agents \[1\]"),
         (serial_dictatorship_rule((2,)), fixed_domain(2, 3), ValueError, r"cover agents \[1\]"),
         (dictatorship_rule((1,)), unacceptable_domain(2, 3), ValueError, r"cover agents \[2\]"),
         (variable_draft_rule((1, 2)), unacceptable_domain(2, 3), RuntimeError, "found no object"),
+        (draft_rule((1,)), fixed_domain(2, 3), ValueError, r"cover agents \[2\]"),
+        (draft_rule((1, 2, 3)), fixed_domain(2, 3), ValueError, r"absent agents \[3\]"),
+        (draft_rule((1, 1)), fixed_domain(2, 3), ValueError, r"repeats agents \[1\]"),
+        (unacceptable_draft_rule((1, 1)), unacceptable_domain(2, 3), ValueError, r"repeats agents \[1\]"),
+        (quota_draft_rule((1, 1)), quota_domain(2, 3, (1, 2)), ValueError, r"repeats agents \[1\]"),
+        (variable_draft_rule((1, 1, 2)), variable_domain(2, 3), ValueError, r"repeats agents \[1\]"),
+        (snake_draft_rule((2, 1, 2)), variable_domain(2, 3), ValueError, r"repeats agents \[2\]"),
+        (serial_dictatorship_rule((1, 2, 1)), fixed_domain(2, 3), ValueError, r"repeats agents \[1\]"),
     ],
 )
 def test_engines_raise_their_scalar_engines_errors(rule, domain, error, message):
