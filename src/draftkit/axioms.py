@@ -34,7 +34,7 @@ from .core import (
     subsets_of,
     top_k,
 )
-from .dominance import WeightScheme, additive_utility, relation_table, weakly_dominates
+from .dominance import WeightScheme, additive_utility, relation_table
 from .rules import Rule, pick_table
 
 OBJECT_NAMES = "abcdefghijklmnopqrstuvwxyz"
@@ -366,39 +366,6 @@ def _trade_cycle(profile: Sequence[Preference], alloc: Allocation) -> list[int] 
     return None
 
 
-def pareto_oracle(problem: Problem, alloc: Allocation) -> bool:
-    """Brute-force efficiency: no feasible allocation strictly Pareto-dominates this one.
-
-    Unacceptable variant: individual rationality is part of the definition.
-    Dominating means every agent weakly better off and someone strictly, under
-    the variant's bundle comparison.
-    """
-    n = len(problem.agents)
-    objs = objects_of(problem.available)
-    if len(objs) > 5 or n > 3:
-        raise ValueError("oracle capped at 5 objects / 3 agents")
-    if problem.variant == "unacceptable":
-        for pref, b in zip(problem.profile, alloc):
-            if b & ~pref.acceptable:
-                return False
-    for assignment in product(range(n + 1), repeat=len(objs)):
-        bundles = [0] * n
-        for o, who in zip(objs, assignment):
-            if who < n:
-                bundles[who] |= 1 << o
-        some_strict = False
-        all_weak = True
-        for pref, b, a in zip(problem.profile, bundles, alloc):
-            if not weakly_dominates(pref, b, a):
-                all_weak = False
-                break
-            if not weakly_dominates(pref, a, b):
-                some_strict = True
-        if all_weak and some_strict:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Axiom definitions: each fixed-population axiom once, for every layer
 # ---------------------------------------------------------------------------
@@ -484,6 +451,9 @@ DEVIATIONS: dict[str, Callable] = {"SP": sp_ok, "WSP": wsp_ok, "RM": sp_ok, "TI"
 
 
 # --- unary axioms: one allocation at one problem -----------------------------
+
+_BLOCK = 1 << 15  # cells per step of a block scan; bounds its temporaries
+
 
 @dataclass(frozen=True)
 class UnaryAxiom:
@@ -607,17 +577,41 @@ def _envy(ef1: bool, ranked: bool) -> UnaryAxiom:
     return UnaryAxiom(ok, detail, ranked=ranked)
 
 
-_RT_ROWS = 256  # rows per step of the scalar RT scan; bounds its Python-list temporaries
+@lru_cache(maxsize=None)
+def _better_table(n_objects: int, cutoffs: bool) -> np.ndarray:
+    """BETTER[pref, o]: the objects that preference_space(n_objects, cutoffs)[pref]
+    ranks above o."""
+    prefs = preference_space(n_objects, cutoffs)
+    table = np.array(
+        [[bundle_of(p.ranking[: p.rank[o]]) for o in range(n_objects)] for p in prefs],
+        dtype=np.uint8,
+    ).reshape(len(prefs), n_objects)
+    table.flags.writeable = False
+    return table
 
 
 def _rt_ok(space, x, allocs, digits):
-    prefs = space.prefs
+    """No held object reaches itself in the trade relation, where o leads to y when y is
+    held by someone other than o's holder and o's holder ranks y above o.
+
+    Warshall's closure over per-row reach masks, in steps of rows.
+    """
+    m = space.n_objects
+    better = _better_table(m, space.variant == "unacceptable")
+    bits = np.arange(m, dtype=np.uint8)
     free = np.empty((len(allocs), 1), dtype=bool)
-    for lo in range(0, len(allocs), _RT_ROWS):
-        rows = zip(allocs[lo : lo + _RT_ROWS].tolist(), digits[lo : lo + _RT_ROWS].tolist())
-        free[lo : lo + _RT_ROWS, 0] = [
-            _trade_cycle([prefs[d] for d in ds], alloc) is None for alloc, ds in rows
-        ]
+    step = max(1, _BLOCK // MAX_ROW_OBJECTS)  # rows, so reach holds at most _BLOCK cells
+    for lo in range(0, len(allocs), step):
+        rows, ds = allocs[lo : lo + step], digits[lo : lo + step]
+        held = _union_rows(rows)
+        reach = np.zeros((len(rows), m), dtype=np.uint8)  # reach[r, o]: where o leads
+        for slot in range(space.n):
+            own = rows[:, slot]
+            wanted = better[ds[:, slot]] & (held & ~own)[:, None]
+            reach |= (own[:, None] >> bits & 1) * wanted
+        for k in range(m):
+            reach |= (reach >> k & 1) * reach[:, k, None]
+        free[lo : lo + step, 0] = ~(reach >> bits & 1).any(axis=1)
     return free
 
 
@@ -625,7 +619,7 @@ def _rt_detail(space, prob, alloc, k):
     return {"cycle": [OBJECT_NAMES[o] for o in _trade_cycle(prob.profile, alloc)]}
 
 
-# Table order is evaluation order where several apply: the scalar RT comes last.
+# Table order is evaluation order where several apply.
 UNARY: dict[str, UnaryAxiom] = {
     "NW": UnaryAxiom(_nw_ok, _nw_detail),
     "NWq": UnaryAxiom(_nwq_ok, _nwq_detail, ("quota",)),
@@ -667,8 +661,7 @@ def require_variant(name: str, domain: ProblemDomain) -> None:
 def admissible(space: AxiomSpace, x: Bundle, allocs, digits, names) -> np.ndarray:
     """Which rows pass every named unary axiom; EFF stands for its parts, other names are skipped.
 
-    Entries run in table order, each only on the rows still alive, so the
-    scalar RT sees the fewest rows.
+    Entries run in table order, each only on the rows still alive.
     """
     names = set(names)
     if "EFF" in names:
@@ -684,9 +677,6 @@ def admissible(space: AxiomSpace, x: Bundle, allocs, digits, names) -> np.ndarra
 # ---------------------------------------------------------------------------
 # First-violation scans over a FixedSweep
 # ---------------------------------------------------------------------------
-
-_BLOCK = 1 << 15  # gathered cells per step of a deviation scan; bounds its temporaries
-
 
 def _first_violation(bad: np.ndarray, counted: np.ndarray | None = None):
     """First True cell of `bad` in row-major order, and the checks made up to it.
@@ -1016,45 +1006,75 @@ def check_msp_certificate(rule, domain) -> AxiomReport:
     return AxiomReport("MSP-certificate", "proved", None, checked)
 
 
-def _adversary_bundles(sw: FixedSweep, xi: int, slot: int) -> list[list[Bundle]]:
-    """Per report index of the slot, its bundles against every adversary profile of set xi,
-    adversaries in enumeration order."""
+def _adversary_bundles(sw: FixedSweep, xi: int, slot: int) -> np.ndarray:
+    """uint8 (P, A): per report index of the slot, its bundles against every adversary
+    profile of set xi, adversaries in enumeration order."""
     adversaries = np.flatnonzero(sw.digits[:, slot] == 0)
     codes = adversaries + np.arange(sw.P)[:, None] * sw._pow[slot]
-    return sw.grid(xi)[codes, slot].tolist()
+    return sw.grid(xi)[codes, slot]
+
+
+def _utility_codes(prefs, schemes: Sequence[WeightScheme], n_objects: int):
+    """UTIL[s, p, b], the additive utility of bundle b under prefs[p] and schemes[s], coded
+    as its rank among scheme s's distinct values; and per scheme those values in rank order.
+
+    Codes compare exactly as the `Fraction`s they stand for, within one scheme.
+    """
+    bundles = range(1 << n_objects)
+    util = np.empty((len(schemes), len(prefs), len(bundles)), dtype=np.intp)
+    values = []
+    for s, scheme in enumerate(schemes):
+        table = [[additive_utility(p, scheme, b) for b in bundles] for p in prefs]
+        distinct = sorted(set(chain.from_iterable(table)))
+        rank = {v: i for i, v in enumerate(distinct)}
+        util[s] = [[rank[v] for v in row] for row in table]
+        values.append(distinct)
+    return util, values
+
+
+def _truth_steps(sw: FixedSweep, cells_per_truth: int):
+    """Truthful preference indexes in order, in slices of `_BLOCK` cells' worth."""
+    step = max(1, _BLOCK // max(1, cells_per_truth))
+    truths = np.arange(sw.P)
+    return [truths[lo : lo + step] for lo in range(0, sw.P, step)]
 
 
 def check_msp_falsify(rule, domain, schemes: Sequence[WeightScheme]) -> AxiomReport:
-    """Sound maxmin falsifier: truth must attain the maxmin utility under every given scheme."""
+    """Sound maxmin falsifier: truth must attain the maxmin utility under every given scheme.
+
+    One check per (set, slot, truth, scheme), in that order: each report's
+    worst case is its least utility over the adversary profiles, and truth
+    fails where some report's worst case is higher than its own.
+    """
     sw = _sweep(rule, domain)
+    util, values = _utility_codes(sw.prefs, schemes, sw.domain.n_objects)
     checked = 0
     for xi in range(len(sw.xs)):
         for slot in range(sw.n):
             bundles = _adversary_bundles(sw, xi, slot)
-            for truth_idx in range(sw.P):
-                pref = sw.prefs[truth_idx]
-                for scheme in schemes:
-                    checked += 1
-                    values = {
-                        report_idx: min(additive_utility(pref, scheme, b) for b in column)
-                        for report_idx, column in enumerate(bundles)
-                    }
-                    if values[truth_idx] < max(values.values()):
-                        better = max(values, key=lambda r: values[r])
-                        return AxiomReport(
-                            "MSP-falsifier",
-                            "refuted",
-                            {
-                                "available": format_bundle(sw.xs[xi]),
-                                "agent": sw.agents[slot],
-                                "truth": format_pref(pref),
-                                "scheme": scheme.name,
-                                "better_report": format_pref(sw.prefs[better]),
-                                "maxmin": str(max(values.values())),
-                                "truthful_min": str(values[truth_idx]),
-                            },
-                            checked,
-                        )
+            for truths in _truth_steps(sw, len(schemes) * bundles.size):
+                worst = util[:, truths][:, :, bundles].min(axis=-1)  # (scheme, truth, report)
+                own = worst[:, np.arange(len(truths)), truths]
+                maxmin = worst.max(axis=-1)
+                hit, checks = _first_violation((own < maxmin).T)
+                checked += checks
+                if hit is not None:
+                    i, s = hit
+                    better = int(worst[s, i].argmax())
+                    return AxiomReport(
+                        "MSP-falsifier",
+                        "refuted",
+                        {
+                            "available": format_bundle(sw.xs[xi]),
+                            "agent": sw.agents[slot],
+                            "truth": format_pref(sw.prefs[truths[i]]),
+                            "scheme": schemes[s].name,
+                            "better_report": format_pref(sw.prefs[better]),
+                            "maxmin": str(values[s][maxmin[s, i]]),
+                            "truthful_min": str(values[s][own[s, i]]),
+                        },
+                        checked,
+                    )
     return AxiomReport(
         "MSP-falsifier", "holds", None, checked, note="no falsification under given schemes"
     )
@@ -1078,44 +1098,44 @@ def check_msp(rule, domain, schemes: Sequence[WeightScheme]) -> AxiomReport:
 
 
 def check_truthful_best_case(rule, domain, schemes: Sequence[WeightScheme]) -> AxiomReport:
-    """Best case over adversaries of truthful play equals the utility of the k best objects."""
+    """Best case over adversaries of truthful play equals the utility of the k best objects.
+
+    One check per (set, slot, truth, scheme), in that order; a truth whose
+    bundle size varies with the adversaries fails before its schemes are checked.
+    """
     sw = _sweep(rule, domain)
+    util, values = _utility_codes(sw.prefs, schemes, sw.domain.n_objects)
     checked = 0
     for xi, x in enumerate(sw.xs):
         for slot in range(sw.n):
-            adversary_bundles = _adversary_bundles(sw, xi, slot)
-            for truth_idx in range(sw.P):
-                pref = sw.prefs[truth_idx]
-                bundles = set(adversary_bundles[truth_idx])
-                k = bundle_size(next(iter(bundles)))
-                if any(bundle_size(b) != k for b in bundles):
-                    return _violated(
-                        "best-case-top-k",
-                        checked,
-                        {
-                            "available": format_bundle(x),
-                            "agent": sw.agents[slot],
-                            "note": "bundle size varies with adversaries",
-                        },
-                    )
-                best = top_k(pref, x, min(k, bundle_size(x)))
-                for scheme in schemes:
-                    checked += 1
-                    target = additive_utility(pref, scheme, best)
-                    got = max(additive_utility(pref, scheme, b) for b in bundles)
-                    if got != target:
-                        return _violated(
-                            "best-case-top-k",
-                            checked,
-                            {
-                                "available": format_bundle(x),
-                                "agent": sw.agents[slot],
-                                "truth": format_pref(pref),
-                                "scheme": scheme.name,
-                                "best_bundle_utility": str(got),
-                                "top_k_utility": str(target),
-                            },
-                        )
+            bundles = _adversary_bundles(sw, xi, slot)
+            sizes = np.bitwise_count(bundles)
+            for truths in _truth_steps(sw, len(schemes) * bundles.shape[1]):
+                own = bundles[truths]
+                varies = (sizes[truths] != sizes[truths, :1]).any(axis=1)
+                k = np.minimum(sizes[truths, 0], bundle_size(x)).tolist()
+                best = [top_k(sw.prefs[t], x, kt) for t, kt in zip(truths.tolist(), k)]
+                got = util[:, truths[:, None], own].max(axis=-1)  # (scheme, truth)
+                target = util[:, truths, best]
+                bad = (got != target).T
+                failing = varies | bad.any(axis=1)
+                if not failing.any():
+                    checked += bad.size
+                    continue
+                i = int(failing.argmax())
+                checked += i * len(schemes)
+                witness = {"available": format_bundle(x), "agent": sw.agents[slot]}
+                if varies[i]:
+                    witness["note"] = "bundle size varies with adversaries"
+                    return _violated("best-case-top-k", checked, witness)
+                s = int(bad[i].argmax())
+                witness |= {
+                    "truth": format_pref(sw.prefs[truths[i]]),
+                    "scheme": schemes[s].name,
+                    "best_bundle_utility": str(values[s][got[s, i]]),
+                    "top_k_utility": str(values[s][target[s, i]]),
+                }
+                return _violated("best-case-top-k", checked + s + 1, witness)
     return _holds("best-case-top-k", checked)
 
 

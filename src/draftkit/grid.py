@@ -162,25 +162,25 @@ def solve_grid(grid: GridCSP, mode: str = "prove-unsat", budget: int = 10_000_00
 
 def replay_grid_certificate(grid: GridCSP, cert: InfeasibilityCertificate) -> bool:
     """Re-execute the recorded decisions; each leaf must reproduce its wipeout."""
-    stats = SolveStats()
+    return _replay(grid, cert, grid.initial.astype(np.uint64).copy(), SolveStats())
+
+
+def _replay(grid: GridCSP, node: InfeasibilityCertificate, D: np.ndarray, stats) -> bool:
+    # a module-level recursion: a nested one would hold the grid in a reference cycle
     P = len(grid.rankings)
-
-    def verify(node, D) -> bool:
-        wiped = _propagate(grid, D, set(range(P)), set(range(P)), stats, 10**9)
-        if node.emptied_var is not None:
-            return wiped is not None or bool((D == 0).any())
-        if wiped is not None:
-            return False  # recorded a branch where propagation already refutes
-        if node.branch_var is None:
+    wiped = _propagate(grid, D, set(range(P)), set(range(P)), stats, 10**9)
+    if node.emptied_var is not None:
+        return wiped is not None or bool((D == 0).any())
+    if wiped is not None:
+        return False  # recorded a branch where propagation already refutes
+    if node.branch_var is None:
+        return False
+    r1, r2 = grid.var_profile(node.branch_var)
+    covered = 0
+    for val, child in node.branches:
+        covered |= 1 << val
+        child_D = D.copy()
+        child_D[r1, r2] = np.uint64(1 << val)
+        if not _replay(grid, child, child_D, stats):
             return False
-        r1, r2 = grid.var_profile(node.branch_var)
-        covered = 0
-        for val, child in node.branches:
-            covered |= 1 << val
-            child_D = D.copy()
-            child_D[r1, r2] = np.uint64(1 << val)
-            if not verify(child, child_D):
-                return False
-        return covered & int(D[r1, r2]) == int(D[r1, r2])
-
-    return verify(cert, grid.initial.astype(np.uint64).copy())
+    return covered & int(D[r1, r2]) == int(D[r1, r2])

@@ -19,7 +19,7 @@ fill their blocks through `Rule.allocate`, one problem at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Callable, Sequence
 
 import numpy as np
@@ -58,7 +58,33 @@ def _assemble(problem: Problem, trace: list[tuple[int, Agent, int | None]]) -> A
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+_RECENT_SPACES = 64  # preference tuples whose table is found by identity
+
+
+def _per_space(build: Callable[[tuple[Preference, ...]], np.ndarray]):
+    """Cache `build(prefs)` once per preference space, for lookups whose cost does not
+    grow with len(prefs).
+
+    A lookup goes by the tuple's identity, among the most recently seen tuples
+    (each held, so its id stays its own); any other tuple is hashed by its
+    contents once, so equal spaces share one table.
+    """
+    by_contents = lru_cache(maxsize=None)(build)
+    by_id: dict[int, tuple[tuple[Preference, ...], np.ndarray]] = {}
+
+    @wraps(build)
+    def table(prefs: tuple[Preference, ...]) -> np.ndarray:
+        hit = by_id.get(id(prefs))
+        if hit is None:
+            if len(by_id) >= _RECENT_SPACES:
+                del by_id[next(iter(by_id))]
+            hit = by_id[id(prefs)] = (prefs, by_contents(prefs))
+        return hit[1]
+
+    return table
+
+
+@_per_space
 def pick_table(prefs: tuple[Preference, ...]) -> np.ndarray:
     """TOP[pref, s]: the bit of prefs[pref]'s best acceptable object in bundle s, or 0 (a pass)
     when s holds none; uint8 (len(prefs), 2^w), w the highest ranked object + 1 (at most 8)."""
@@ -76,7 +102,7 @@ def pick_table(prefs: tuple[Preference, ...]) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=None)
+@_per_space
 def _acceptable_table(prefs: tuple[Preference, ...]) -> np.ndarray:
     """Per preference index, the uint8 mask of its acceptable objects."""
     table = np.array([p.acceptable for p in prefs], dtype=np.uint8)

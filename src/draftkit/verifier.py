@@ -9,7 +9,9 @@ scope note saying so.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from functools import lru_cache
+from itertools import combinations, groupby, permutations, product
+from random import Random
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +24,7 @@ from .core import (
     bundle_of,
     bundle_size,
     objects_of,
+    preference_space,
 )
 from .axioms import (
     OBJECT_NAMES,
@@ -30,6 +33,7 @@ from .axioms import (
     ProblemDomain,
     VariableSweep,
     _union,
+    admissible,
     check_msp_certificate,
     check_msp_falsify,
     check_rm_var,
@@ -39,19 +43,19 @@ from .axioms import (
     describe_problem,
     fixed_domain,
     format_bundle,
-    pareto_oracle,
     quota_domain,
     sp_ok,
     unacceptable_domain,
     variable_domain,
 )
-from .csp import SCOPE_NOTE, SolveResult, build_csp, solve_csp
+from .csp import SCOPE_NOTE, SolveResult, _all_allocations, build_csp, distinct_problems, solve_csp
 from .dominance import (
     PD_ROWS,
     geometric_scheme,
     linear_scheme,
     random_scheme,
     strictly_dominates,
+    weakly_dominates_oracle,
 )
 from .grid import MAX_OBJECTS as GRID_MAX_OBJECTS
 from .grid import build_grid, replay_grid_certificate, solve_grid
@@ -545,6 +549,90 @@ def verify_t5(
 # ---------------------------------------------------------------------------
 
 
+ORACLE_MAX_OBJECTS, ORACLE_MAX_AGENTS = 5, 3  # the oracle tries (agents + 1)^objects splits
+_ORACLE_CELLS = 1 << 18  # (problem, split, allocation) cells per step of the Pareto oracle
+_DECOMPOSITION_ROWS = 1 << 15  # (problem, allocation) rows per step of the EFF comparison
+
+
+def _oracle_capacity(n_objects: int, n_agents: int) -> None:
+    if n_objects > ORACLE_MAX_OBJECTS or n_agents > ORACLE_MAX_AGENTS:
+        raise CapacityError(
+            f"{n_objects} objects and {n_agents} agents exceed the Pareto oracle's capacity "
+            f"({ORACLE_MAX_OBJECTS} objects, {ORACLE_MAX_AGENTS} agents): "
+            "it tries every split of the available objects"
+        )
+
+
+@lru_cache(maxsize=None)
+def _oracle_relation(n_objects: int, cutoffs: bool) -> tuple[dict, np.ndarray]:
+    """The index of each preference in preference_space(n_objects, cutoffs), and
+    WD[pref, s * 2^n_objects + t]: `weakly_dominates_oracle` (bipartite matching) at every
+    pair of bundles."""
+    prefs, bundles = preference_space(n_objects, cutoffs), range(1 << n_objects)
+    table = np.array(
+        [[weakly_dominates_oracle(p, s, t) for s in bundles for t in bundles] for p in prefs],
+        dtype=bool,
+    ).reshape(len(prefs), -1)
+    table.flags.writeable = False
+    return {p: i for i, p in enumerate(prefs)}, table
+
+
+@lru_cache(maxsize=None)
+def _splits(available: int, n: int) -> np.ndarray:
+    """Every assignment of the available objects to one of n agents or to nobody,
+    uint8 (splits, n), in product order."""
+    objs = objects_of(available)
+    owner = np.array(list(product(range(n + 1), repeat=len(objs))), dtype=np.intp)
+    owner = owner.reshape(-1, len(objs))  # owner n is nobody
+    bits = np.left_shift(1, np.array(objs, dtype=np.intp))
+    out = ((owner[:, :, None] == np.arange(n)) * bits[:, None]).sum(axis=1).astype(np.uint8)
+    out.flags.writeable = False
+    return out
+
+
+def pareto_efficient(
+    problems: Sequence[Problem], allocs: np.ndarray, n_objects: int
+) -> np.ndarray:
+    """Brute-force efficiency, bool (problems, rows): at each problem, whether no split of
+    the available objects leaves every agent weakly better off than row `allocs[r]` (uint8
+    (rows, n)) and one strictly.
+
+    The problems share one variant, population and available set, and rank
+    objects 0..n_objects-1. Bundles compare by `weakly_dominates_oracle`; with
+    unacceptable objects, individual rationality is part of the definition.
+    """
+    first = problems[0]
+    n, available = len(first.agents), first.available
+    shared = (first.variant, first.agents, available)
+    if any((p.variant, p.agents, p.available) != shared for p in problems):
+        raise ValueError("the problems must share one variant, population and available set")
+    _oracle_capacity(bundle_size(available), n)
+    cutoffs = first.variant == "unacceptable"
+    index, table = _oracle_relation(n_objects, cutoffs)
+    digits = np.array([[index[p] for p in prob.profile] for prob in problems], dtype=np.intp)
+    splits, size = _splits(available, n), 1 << n_objects
+    # per agent, where each (split, row) pair and its reverse sit in a row of the table
+    ahead = [splits[:, i, None] * size + allocs[None, :, i].astype(np.intp) for i in range(n)]
+    behind = [allocs[None, :, i].astype(np.intp) * size + splits[:, i, None] for i in range(n)]
+    efficient = np.empty((len(problems), len(allocs)), dtype=bool)
+    step = max(1, _ORACLE_CELLS // max(1, len(splits) * len(allocs)))
+    for lo in range(0, len(problems), step):
+        d = digits[lo : lo + step]
+        weak = np.ones((len(d), len(splits), len(allocs)), dtype=bool)
+        strict = np.zeros_like(weak)
+        for i in range(n):
+            wd = table[d[:, i]]
+            weak &= wd[:, ahead[i]]
+            strict |= ~wd[:, behind[i]]
+        efficient[lo : lo + step] = ~(weak & strict).any(axis=1)
+    if cutoffs:
+        acceptable = np.array(
+            [[p.acceptable for p in prob.profile] for prob in problems], dtype=np.uint8
+        )
+        efficient &= (allocs[None] & ~acceptable[:, None, :] == 0).all(axis=2)
+    return efficient
+
+
 @dataclass
 class EquivalenceReport:
     checked_pairs: int
@@ -563,40 +651,41 @@ def verify_efficiency_decomposition(
 
     Exhausts every allocation at every problem key, then runs the seeded random
     tabulated rules through the same verdicts as a rule-level spot check.
+    Domains past the oracle's cap raise CapacityError before any enumeration.
     """
-    from random import Random
-
-    from .csp import _all_allocations, distinct_problems
-
+    _oracle_capacity(domain.n_objects, max(len(pop) for pop in domain.populations))
     _, keys = distinct_problems(domain)
     space = AxiomSpace(domain)
     disagreements = []
     checked = 0
-    verdicts: list[dict] = []
-    for prob in keys:
-        table = {}
-        allocs = _all_allocations(prob)
-        for alloc, fast in zip(allocs, space.admits(prob, allocs, ("EFF",)).tolist()):
-            checked += 1
-            slow = pareto_oracle(prob, alloc)
-            table[alloc] = (fast, slow)
-            if fast != slow:
+    agreements: list[list[bool]] = []
+    for (_, x), group in groupby(keys, key=lambda prob: (prob.agents, prob.available)):
+        group = list(group)
+        allocs = _all_allocations(group[0])  # the same at every problem of the group
+        rows = np.array(allocs, dtype=np.uint8).reshape(len(allocs), -1)
+        step = max(1, _DECOMPOSITION_ROWS // len(allocs))
+        for lo in range(0, len(group), step):
+            probs = group[lo : lo + step]
+            digits = np.array([[space.index[p] for p in prob.profile] for prob in probs])
+            tiled, repeated = np.tile(rows, (len(probs), 1)), np.repeat(digits, len(allocs), axis=0)
+            fast = admissible(space, x, tiled, repeated, ("EFF",)).reshape(len(probs), len(allocs))
+            slow = pareto_efficient(probs, rows, domain.n_objects)
+            checked += fast.size
+            for k, i in np.argwhere(fast != slow).tolist():
                 disagreements.append(
                     {
-                        "problem": describe_problem(prob),
-                        "allocation": [format_bundle(b) for b in alloc],
-                        "decomposed": fast,
-                        "oracle": slow,
+                        "problem": describe_problem(probs[k]),
+                        "allocation": [format_bundle(b) for b in allocs[i]],
+                        "decomposed": bool(fast[k, i]),
+                        "oracle": bool(slow[k, i]),
                     }
                 )
-        verdicts.append(table)
+            agreements.extend((fast == slow).tolist())
 
     rng = Random(seed)
-    choices = [list(table) for table in verdicts]
     for _ in range(n_random_rules):
-        for prob, table, allocs in zip(keys, verdicts, choices):
-            fast, slow = table[rng.choice(allocs)]
-            if fast != slow:  # unreachable given the exhaustive pass; kept for honesty
+        for prob, agree in zip(keys, agreements):
+            if not rng.choice(agree):  # unreachable given the exhaustive pass; kept for honesty
                 disagreements.append({"problem": describe_problem(prob)})
     return EquivalenceReport(checked, n_random_rules, disagreements)
 
@@ -605,10 +694,7 @@ def verify_truncation_invariance_implication(
     n_objects: int = 2, n_random_rules: int = 200, seed: int = 97
 ) -> Verdict:
     """IR + TP + EP imply TI, over the passing draft, its mutants, and random rules."""
-    from random import Random
-
     from .axioms import check_ep, check_ir, check_ti, check_tp
-    from .csp import _all_allocations, distinct_problems
     from .rules import tabulated_rule
 
     domain = unacceptable_domain(2, n_objects)

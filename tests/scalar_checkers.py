@@ -7,8 +7,8 @@ first violation, so their
 ``AxiomReport`` (verdict, ``checked`` count and witness) is the definition the
 fast checkers must reproduce exactly. They share only the sweep's grid, the
 witness formatting and the trade-cycle search with the code under test;
-restriction classes, truncation targets and both dominance relations are
-recomputed here.
+restriction classes, truncation targets, adversary columns, both dominance
+relations and the brute-force Pareto oracle are recomputed here.
 """
 
 from __future__ import annotations
@@ -39,8 +39,9 @@ from draftkit.core import (
     objects_of,
     subsets_of,
     top,
+    top_k,
 )
-from draftkit.dominance import quota_weakly_dominates, weakly_dominates
+from draftkit.dominance import additive_utility, quota_weakly_dominates, weakly_dominates
 
 
 def _sweep(rule, domain) -> FixedSweep:
@@ -271,6 +272,94 @@ def check_msp_certificate(rule, domain) -> AxiomReport:
                         checked,
                     )
     return AxiomReport("MSP-certificate", "proved", None, checked)
+
+
+def _adversary_columns(sw: FixedSweep, xi: int, slot: int) -> list[list[int]]:
+    """Per report index of the slot, its bundles against every adversary profile, in order."""
+    grid = sw.grid(xi).tolist()
+    adversaries = [code for code in sw.codes() if sw.slot_index(code, slot) == 0]
+    return [
+        [grid[sw.replace(code, slot, report)][slot] for code in adversaries]
+        for report in range(sw.P)
+    ]
+
+
+def check_msp_falsify(rule, domain, schemes) -> AxiomReport:
+    """Sound maxmin falsifier: truth must attain the maxmin utility under every given scheme."""
+    sw = _sweep(rule, domain)
+    checked = 0
+    for xi in range(len(sw.xs)):
+        for slot in range(sw.n):
+            bundles = _adversary_columns(sw, xi, slot)
+            for truth_idx in range(sw.P):
+                pref = sw.prefs[truth_idx]
+                for scheme in schemes:
+                    checked += 1
+                    values = {
+                        report_idx: min(additive_utility(pref, scheme, b) for b in column)
+                        for report_idx, column in enumerate(bundles)
+                    }
+                    if values[truth_idx] < max(values.values()):
+                        better = max(values, key=lambda r: values[r])
+                        return AxiomReport(
+                            "MSP-falsifier",
+                            "refuted",
+                            {
+                                "available": format_bundle(sw.xs[xi]),
+                                "agent": sw.agents[slot],
+                                "truth": format_pref(pref),
+                                "scheme": scheme.name,
+                                "better_report": format_pref(sw.prefs[better]),
+                                "maxmin": str(max(values.values())),
+                                "truthful_min": str(values[truth_idx]),
+                            },
+                            checked,
+                        )
+    return AxiomReport(
+        "MSP-falsifier", "holds", None, checked, note="no falsification under given schemes"
+    )
+
+
+def check_truthful_best_case(rule, domain, schemes) -> AxiomReport:
+    """Best case over adversaries of truthful play equals the utility of the k best objects."""
+    sw = _sweep(rule, domain)
+    checked = 0
+    for xi, x in enumerate(sw.xs):
+        for slot in range(sw.n):
+            adversary_bundles = _adversary_columns(sw, xi, slot)
+            for truth_idx in range(sw.P):
+                pref = sw.prefs[truth_idx]
+                bundles = set(adversary_bundles[truth_idx])
+                k = bundle_size(next(iter(bundles)))
+                if any(bundle_size(b) != k for b in bundles):
+                    return _violated(
+                        "best-case-top-k",
+                        checked,
+                        {
+                            "available": format_bundle(x),
+                            "agent": sw.agents[slot],
+                            "note": "bundle size varies with adversaries",
+                        },
+                    )
+                best = top_k(pref, x, min(k, bundle_size(x)))
+                for scheme in schemes:
+                    checked += 1
+                    target = additive_utility(pref, scheme, best)
+                    got = max(additive_utility(pref, scheme, b) for b in bundles)
+                    if got != target:
+                        return _violated(
+                            "best-case-top-k",
+                            checked,
+                            {
+                                "available": format_bundle(x),
+                                "agent": sw.agents[slot],
+                                "truth": format_pref(pref),
+                                "scheme": scheme.name,
+                                "best_bundle_utility": str(got),
+                                "top_k_utility": str(target),
+                            },
+                        )
+    return _holds("best-case-top-k", checked)
 
 
 def _report_change(rule, domain, kind: str) -> AxiomReport:
@@ -505,6 +594,39 @@ def check_eff(rule, domain) -> AxiomReport:
             return _violated(name, rep.checked, rep.witness, note=f"fails {rep.axiom}")
     name = "EFF*" if domain.variant == "unacceptable" else "EFF"
     return _holds(name, checked)
+
+
+def pareto_oracle(problem: Problem, alloc: Allocation) -> bool:
+    """Brute-force efficiency: no feasible allocation strictly Pareto-dominates this one.
+
+    Unacceptable variant: individual rationality is part of the definition.
+    Dominating means every agent weakly better off and someone strictly, under
+    the variant's bundle comparison.
+    """
+    n = len(problem.agents)
+    objs = objects_of(problem.available)
+    if len(objs) > 5 or n > 3:
+        raise ValueError("oracle capped at 5 objects / 3 agents")
+    if problem.variant == "unacceptable":
+        for pref, b in zip(problem.profile, alloc):
+            if b & ~pref.acceptable:
+                return False
+    for assignment in product(range(n + 1), repeat=len(objs)):
+        bundles = [0] * n
+        for o, who in zip(objs, assignment):
+            if who < n:
+                bundles[who] |= 1 << o
+        some_strict = False
+        all_weak = True
+        for pref, b, a in zip(problem.profile, bundles, alloc):
+            if not weakly_dominates(pref, b, a):
+                all_weak = False
+                break
+            if not weakly_dominates(pref, a, b):
+                some_strict = True
+        if all_weak and some_strict:
+            return False
+    return True
 
 
 def check_wrp_quota(rule, domain, priority: Priority) -> AxiomReport:

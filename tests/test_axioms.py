@@ -1,5 +1,6 @@
 from itertools import product
 
+import numpy as np
 import pytest
 
 from draftkit.axioms import (
@@ -35,7 +36,6 @@ from draftkit.axioms import (
     check_wrp_star,
     critical_agent,
     fixed_domain,
-    pareto_oracle,
     quota_domain,
     unacceptable_domain,
     variable_domain,
@@ -63,8 +63,10 @@ from draftkit.rules import (
     wrp_counterexample,
     wrp_star_counterexample,
 )
+from draftkit.verifier import pareto_efficient
 
 from helpers import bundle, fixed_problem, pref
+from scalar_checkers import pareto_oracle
 
 D23 = fixed_domain(2, 3)
 PI2 = (1, 2)
@@ -127,13 +129,19 @@ def test_rt_verdicts():
     assert not rep.holds and len(rep.witness["cycle"]) == 2
 
 
+def _array_oracle(prob, alloc) -> bool:
+    rows = np.array([alloc], dtype=np.uint8)
+    return bool(pareto_efficient([prob], rows, len(prob.profile[0].ranking))[0, 0])
+
+
 def test_pareto_oracle_examples():
-    prob = fixed_problem("abcd", "dcba")
-    assert not pareto_oracle(prob, (bundle("ac"), bundle("bd")))
-    assert pareto_oracle(prob, (bundle("ab"), bundle("cd")))
-    single = fixed_problem("a", "a", available="a")
-    assert pareto_oracle(single, (bundle("a"), 0))
-    assert not pareto_oracle(single, (0, 0))
+    for oracle in (pareto_oracle, _array_oracle):
+        prob = fixed_problem("abcd", "dcba")
+        assert not oracle(prob, (bundle("ac"), bundle("bd")))
+        assert oracle(prob, (bundle("ab"), bundle("cd")))
+        single = fixed_problem("a", "a", available="a")
+        assert oracle(single, (bundle("a"), 0))
+        assert not oracle(single, (0, 0))
 
 
 def test_efficiency_decomposition_matches_oracle_exhaustively():

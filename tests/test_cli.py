@@ -384,6 +384,28 @@ def test_cli_verify_past_row_capacity_is_undecided(monkeypatch, capsys, tmp_path
     assert json.loads(out_file.read_text())["exit"] == 3
 
 
+@pytest.mark.parametrize("theorem", ["P1", "P3"])
+def test_cli_verify_past_pareto_oracle_capacity_is_undecided(
+    monkeypatch, capsys, tmp_path, theorem
+):
+    from draftkit import axioms
+
+    def unreachable(self):
+        raise AssertionError("verify enumerated a domain past the Pareto oracle's capacity")
+
+    monkeypatch.setattr(axioms.ProblemDomain, "problems", unreachable)
+    out_file = tmp_path / "report.json"
+    argv = ["--out", str(out_file), "--no-timestamp", "verify", theorem, "--objects", "6"]
+    assert main(argv + ["--i-know-this-is-huge"]) == 3
+    out = capsys.readouterr()
+    assert out.err == (
+        "undecided: 6 objects and 2 agents exceed the Pareto oracle's capacity "
+        "(5 objects, 3 agents): it tries every split of the available objects\n"
+    )
+    assert out.out == ""
+    assert json.loads(out_file.read_text())["exit"] == 3
+
+
 @pytest.mark.parametrize("variant", ["fixed", "variable"])
 def test_cli_check_past_row_capacity_is_undecided(monkeypatch, capsys, tmp_path, variant):
     from draftkit import cli

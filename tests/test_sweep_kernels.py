@@ -11,13 +11,14 @@ from __future__ import annotations
 from dataclasses import replace
 from functools import lru_cache
 from math import factorial
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import scalar_checkers as oracle
-from draftkit import axioms
+from draftkit import axioms, verifier
 from draftkit.axioms import (
     OBJECT_NAMES,
     FixedSweep,
@@ -28,8 +29,9 @@ from draftkit.axioms import (
     unacceptable_domain,
     variable_domain,
 )
-from draftkit.core import INFINITE, PickingSequence, validate_allocation
-from draftkit.csp import _all_allocations
+from draftkit.core import INFINITE, PickingSequence, Preference, Problem, validate_allocation
+from draftkit.csp import _all_allocations, distinct_problems
+from draftkit.dominance import geometric_scheme, linear_scheme, random_scheme
 from draftkit.rules import (
     Rule,
     dictatorship_rule,
@@ -39,6 +41,7 @@ from draftkit.rules import (
     null_rule,
     pairwise_consistency_counterexample,
     population_rm_counterexample,
+    priority_draft,
     problem_key,
     quota_draft_rule,
     rm_counterexample,
@@ -101,14 +104,16 @@ def _cases():
 
 
 LARGE_FIXED = {
-    "draft": ("check_ef", "check_ef1", "RP", "check_nw", "WRP"),
+    "draft": ("check_ef", "check_ef1", "RP", "check_nw", "WRP", "check_rt", "check_eff"),
     "dictatorship": ("check_ef1", "check_rm", "check_msp_certificate", "WRP*", "check_ir"),
     "null": ("check_ef", "check_eff", "check_nw_star"),
     "rm-cx": ("check_rm", "check_msp_certificate", "check_rt"),
     "wrp-cx": ("check_sp", "check_wsp", "check_msp_certificate", "RP", "WRP"),
 }
 LARGE_UNACCEPTABLE = {
-    "u-draft": ("check_ti", "check_ef1", "check_ir", "check_nw_star", "WRP*"),
+    "u-draft": (
+        "check_ti", "check_ef1", "check_ir", "check_nw_star", "WRP*", "check_rt", "check_eff"
+    ),
     "ti-cx": ("check_ti", "check_ep", "check_tp", "check_eff"),
     "rm*-cx": ("check_rm", "check_ef", "RP", "WRP"),
 }
@@ -516,3 +521,155 @@ def test_refuting_variable_check_fills_only_up_to_the_witness():
 def test_random_tabulated_rules_match_scalar_oracle_on_variable_domains(case):
     domain, rule = case
     _assert_same_variable(VariableSweep(rule, domain))
+
+
+# --- trade cycles: the Warshall closure against the depth-first search ---------
+
+
+@st.composite
+def rt_blocks(draw):
+    """Random allocation rows over a fixed or cutoff preference space, possibly none."""
+    variant = draw(st.sampled_from(["fixed", "unacceptable"]))
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    domain = (fixed_domain if variant == "fixed" else unacceptable_domain)(n, m)
+    P = _space_size(variant, m)
+    rows = draw(st.integers(0, 40))
+
+    def rows_of(values, width):
+        row = st.lists(values, min_size=width, max_size=width)
+        return draw(st.lists(row, min_size=rows, max_size=rows))
+
+    owners = rows_of(st.integers(0, n), m)  # owner n is nobody
+    digits = np.array(rows_of(st.integers(0, P - 1), n), dtype=np.intp).reshape(rows, n)
+    bundles = [[sum(1 << o for o, who in enumerate(r) if who == i) for i in range(n)] for r in owners]
+    allocs = np.array(bundles, dtype=np.uint8).reshape(rows, n)
+    return domain, allocs, digits, draw(st.sampled_from([1, 3, 1 << 15]))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(rt_blocks())
+def test_rt_closure_is_the_trade_cycle_search(case):
+    domain, allocs, digits, block = case
+    space = axioms.AxiomSpace(domain)
+    x = (1 << domain.n_objects) - 1
+    with mock.patch.object(axioms, "_BLOCK", block):  # small blocks split the rows
+        got = axioms.UNARY["RT"].ok(space, x, allocs, digits)
+    assert got.shape == (len(allocs), 1)
+    expected = [
+        axioms._trade_cycle([space.prefs[d] for d in ds], alloc) is None
+        for alloc, ds in zip(allocs.tolist(), digits.tolist())
+    ]
+    assert got[:, 0].tolist() == expected
+
+
+def test_rt_closure_finds_a_three_agent_cycle():
+    # each agent ranks first the object the next one holds: a -> b -> c -> a
+    domain = fixed_domain(3, 3)
+    space = axioms.AxiomSpace(domain)
+    prefs = [(1, 0, 2), (2, 1, 0), (0, 2, 1)]
+    digits = np.array([[space.index[Preference(r)] for r in prefs]])
+    allocs = np.array([[0b001, 0b010, 0b100]], dtype=np.uint8)
+    assert not axioms.UNARY["RT"].ok(space, 0b111, allocs, digits)[0, 0]
+    assert len(axioms._trade_cycle([Preference(r) for r in prefs], (1, 2, 4))) == 3
+
+
+def test_rt_witness_of_a_tabulated_rule_passing_nw():
+    profile = (Preference((0, 1, 2, 3)), Preference((3, 2, 1, 0)))
+    special = Problem("fixed", (1, 2), 0b1111, profile)
+    table = {problem_key(special): (0b0101, 0b1010)}
+    rule = tabulated_rule("swap-tops", table, fallback=draft_rule((1, 2)))
+    domain = fixed_domain(2, 4)
+    assert axioms.check_nw(rule, domain).holds
+    rep = axioms.check_rt(rule, domain)
+    assert rep == oracle.check_rt(rule, domain)
+    assert (rep.verdict, rep.checked) == ("violated", 8088)
+    assert rep.witness == {
+        "problem": axioms.describe_problem(special),
+        "allocation": {1: "{a,c}", 2: "{b,d}"},
+        "cycle": ["c", "b"],
+    }
+    eff = axioms.check_eff(rule, domain)
+    assert (eff.verdict, eff.note, eff.witness) == ("violated", "fails RT", rep.witness)
+
+
+# --- the array Pareto oracle against the scalar one ---------------------------
+
+
+@pytest.mark.parametrize(
+    "domain",
+    [fixed_domain(2, 3), unacceptable_domain(2, 3), fixed_domain(3, 3)],
+    ids=["fixed23", "unacceptable23", "fixed33"],
+)
+def test_pareto_oracle_matches_scalar_oracle(domain):
+    """Every allocation at every problem key, the keys of one available set in one call."""
+    keys = distinct_problems(domain)[1]
+    for x in domain.available_sets:
+        probs = [prob for prob in keys if prob.available == x]
+        allocs = _all_allocations(probs[0])
+        rows = np.array(allocs, dtype=np.uint8)
+        with mock.patch.object(verifier, "_ORACLE_CELLS", 1000):  # steps of one or many problems
+            got = verifier.pareto_efficient(probs, rows, domain.n_objects)
+        assert got.tolist() == [[oracle.pareto_oracle(p, a) for a in allocs] for p in probs], x
+
+
+# --- maxmin falsifier and truthful best case against their scalar loops ------
+
+TRUTH_ABC = Preference((0, 1, 2))
+
+
+def _punish(p: Problem):
+    """The draft, except that everyone gets nothing when agent 1 reports a > b > c."""
+    if p.profile[0] == TRUTH_ABC:
+        return (0,) * len(p.agents), None
+    return priority_draft(p, tuple(range(1, len(p.agents) + 1)))
+
+
+def _worst_first(p: Problem):
+    """The draft, except that agent 1 picks by the reverse of the reported ranking."""
+    flipped = Preference(p.profile[0].ranking[::-1])
+    p = replace(p, profile=(flipped,) + p.profile[1:])
+    return priority_draft(p, tuple(range(1, len(p.agents) + 1)))
+
+
+def _msp_rules(n: int) -> dict:
+    return {
+        "draft": draft_rule(tuple(range(1, n + 1))),
+        "punish": Rule("punish", _punish, restriction_invariant=False),
+        "worst-first": Rule("worst-first", _worst_first, restriction_invariant=False),
+    }
+
+
+SCHEMES = [geometric_scheme(3), linear_scheme(3)] + [random_scheme(3, 7 + k) for k in range(10)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", ["draft", "punish", "worst-first"])
+@pytest.mark.parametrize("checker", ["check_msp_falsify", "check_truthful_best_case"])
+def test_maxmin_checks_match_scalar_loops(checker, name, n):
+    domain = fixed_domain(n, 3)
+    sw = FixedSweep(_msp_rules(n)[name], domain)
+    rep = getattr(axioms, checker)(sw, domain, SCHEMES)
+    assert rep == getattr(oracle, checker)(sw, domain, SCHEMES)
+    if name == "draft":
+        assert rep.holds and rep.checked == len(sw.xs) * n * sw.P * len(SCHEMES)
+    elif checker == "check_msp_falsify" and name == "punish":
+        assert (rep.verdict, rep.checked) == ("refuted", 1)
+    else:
+        assert not rep.holds
+
+
+def test_maxmin_falsifier_splits_truths_into_blocks():
+    domain = fixed_domain(3, 3)
+    sw = FixedSweep(_msp_rules(3)["worst-first"], domain)
+    with mock.patch.object(axioms, "_BLOCK", 1):
+        for checker in ("check_msp_falsify", "check_truthful_best_case"):
+            assert getattr(axioms, checker)(sw, domain, SCHEMES) == getattr(oracle, checker)(
+                sw, domain, SCHEMES
+            )
+
+
+def test_short_scheme_raises_as_additive_utility_does():
+    short = geometric_scheme(2)
+    for checker in ("check_msp_falsify", "check_truthful_best_case"):
+        with pytest.raises(ValueError, match="scheme too short"):
+            getattr(axioms, checker)(draft_rule((1, 2)), fixed_domain(2, 3), [short])
