@@ -32,6 +32,7 @@ from .dominance import (
     weakly_dominates_oracle,
 )
 from .rules import (
+    Case,
     Rule,
     dictatorship,
     draft,

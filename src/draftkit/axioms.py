@@ -35,7 +35,7 @@ from .core import (
     top_k,
 )
 from .dominance import WeightScheme, additive_utility, relation_table
-from .rules import Rule, pick_table
+from .rules import Rule, fill_rows, pick_table
 
 OBJECT_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
@@ -187,6 +187,14 @@ def all_priorities(agents: Iterable[Agent]) -> list[Priority]:
 MAX_ROW_OBJECTS = 8  # allocation rows are uint8: one bit per object
 
 
+def past_row_capacity(objects: int) -> str:
+    """Why a request over this many objects is undecided."""
+    return (
+        f"{objects} objects exceeds the allocation arrays' capacity "
+        f"({MAX_ROW_OBJECTS}); bundles are stored as 8-bit rows"
+    )
+
+
 def _digits(P: int, n: int) -> np.ndarray:
     """(Pⁿ, n) preference index of each slot at each profile code, slot 0 most significant."""
     return np.indices((P,) * n).reshape(n, -1).T
@@ -196,20 +204,12 @@ def _fill(rule: Rule, domain: ProblemDomain, agents, x: Bundle, prefs, digits) -
     """The rule's allocation at every profile over `prefs` at (agents, x), as a uint8
     (len(prefs)ⁿ, n) array: row = profile code (product order), column = agent slot.
 
-    `digits` holds each row's preference indexes. A rule with an array engine fills
-    the block in one call; any other rule is run problem by problem."""
+    `digits` holds each row's preference indexes; `fill_rows` fills them."""
     if domain.n_objects > MAX_ROW_OBJECTS:
         raise ValueError(f"allocation arrays hold bundles of at most {MAX_ROW_OBJECTS} objects")
-    n, variant, quotas = len(agents), domain.variant, domain.quotas
-    if rule.fill is not None:
-        # the block's problems differ only in their profiles: one stands for all in Problem's checks
-        Problem(variant, agents, x, (prefs[0],) * n, quotas)
-        return rule.fill(variant, agents, x, prefs, quotas, digits)
-    rows, allocate = len(prefs) ** n, rule.allocate
-    cells = chain.from_iterable(
-        allocate(Problem(variant, agents, x, combo, quotas)) for combo in product(prefs, repeat=n)
-    )
-    return np.fromiter(cells, np.uint8, rows * n).reshape(rows, n)
+    # the block's problems differ only in their profiles: one stands for all in Problem's checks
+    Problem(domain.variant, agents, x, (prefs[0],) * len(agents), domain.quotas)
+    return fill_rows(rule, domain.variant, agents, x, prefs, domain.quotas, digits)
 
 
 # ---------------------------------------------------------------------------

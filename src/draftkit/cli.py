@@ -25,6 +25,7 @@ from .axioms import (
     ProblemDomain,
     VariableSweep,
     fixed_domain,
+    past_row_capacity,
     quota_domain,
     unacceptable_domain,
     variable_domain,
@@ -199,13 +200,6 @@ def _axiom_runner(domain, rule, priority, axioms):
     return run_one
 
 
-def _past_row_capacity(objects: int) -> str:
-    return (
-        f"{objects} objects exceeds the allocation arrays' capacity "
-        f"({MAX_ROW_OBJECTS}); bundles are stored as 8-bit rows"
-    )
-
-
 def _axiom_list(text: str) -> list[str]:
     axioms = [a.strip() for a in text.split(",") if a.strip()]
     if not axioms:
@@ -229,7 +223,7 @@ def cmd_check(args) -> int:
         _emit({"command": "check", "verdicts": {}, "exit": 3, "note": "cap exceeded"}, args)
         return 3
     if args.objects > MAX_ROW_OBJECTS:
-        print(f"undecided: {_past_row_capacity(args.objects)}", file=sys.stderr)
+        print(f"undecided: {past_row_capacity(args.objects)}", file=sys.stderr)
         _emit({"command": "check", "verdicts": {}, "exit": 3, "note": "capacity exceeded"}, args)
         return 3
     domain = _make_domain(args)
@@ -339,7 +333,7 @@ def cmd_verify(args) -> int:
             "pass --i-know-this-is-huge to force",
         )
     if values.get("objects", 0) > MAX_ROW_OBJECTS:
-        return _verify_undecided(args, _past_row_capacity(values["objects"]))
+        return _verify_undecided(args, past_row_capacity(values["objects"]))
     try:
         verdict = entry.driver(**{PARAMETERS.get(f, f): v for f, v in values.items()})
     except verifier.CapacityError as exc:
@@ -361,7 +355,12 @@ def cmd_manipulate(args) -> int:
     if args.agent not in doc.agent_names:
         raise InputError(f"unknown agent {args.agent!r}")
     agent = prob.agents[doc.agent_names.index(args.agent)]
-    found = verifier.find_manipulation(rule, prob, agent)
+    try:
+        found = verifier.find_manipulation(rule, prob, agent)
+    except verifier.CapacityError as exc:
+        print(f"undecided: {exc}", file=sys.stderr)
+        _emit({"command": "manipulate", "exit": 3, "note": "capacity exceeded"}, args)
+        return 3
     if found is None:
         print("no profitable misreport at this problem")
         _emit({"command": "manipulate", "found": False, "exit": 0}, args)

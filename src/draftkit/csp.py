@@ -411,41 +411,39 @@ def replay_certificate(csp: RuleCSP, cert: InfeasibilityCertificate) -> bool:
     is applied; every leaf must end with the stated variable emptied; every
     branch node must cover the whole remaining candidate set of its variable.
     """
+    return _replay(csp, cert, list(csp.domains))
 
-    def verify(node: InfeasibilityCertificate, doms: list[int]) -> bool:
-        for step in node.trace:
-            if step.constraint == "decision":
-                doms[step.var] &= ~step.removed
-                continue
-            justified = False
-            for ci in csp.watchers[step.var]:
-                c = csp.constraints[ci]
-                if c.name != step.constraint:
-                    continue
-                other = c.other(step.var)
-                if all(
-                    not (c.allowed(step.var, val) & doms[other])
-                    for val in _bits(step.removed)
-                ):
-                    justified = True
-                    break
-            if not justified:
-                return False
+
+def _replay(csp: RuleCSP, node: InfeasibilityCertificate, doms: list[int]) -> bool:
+    # a module-level recursion: a nested one would hold the CSP in a reference cycle
+    for step in node.trace:
+        if step.constraint == "decision":
             doms[step.var] &= ~step.removed
-        if node.emptied_var is not None:
-            return doms[node.emptied_var] == 0
-        if node.branch_var is None:
+            continue
+        justified = False
+        for ci in csp.watchers[step.var]:
+            c = csp.constraints[ci]
+            if c.name != step.constraint:
+                continue
+            other = c.other(step.var)
+            if all(not (c.allowed(step.var, val) & doms[other]) for val in _bits(step.removed)):
+                justified = True
+                break
+        if not justified:
             return False
-        covered = 0
-        for val, child in node.branches:
-            covered |= 1 << val
-            child_doms = list(doms)
-            child_doms[node.branch_var] = 1 << val
-            if not verify(child, child_doms):
-                return False
-        return covered & doms[node.branch_var] == doms[node.branch_var]
-
-    return verify(cert, list(csp.domains))
+        doms[step.var] &= ~step.removed
+    if node.emptied_var is not None:
+        return doms[node.emptied_var] == 0
+    if node.branch_var is None:
+        return False
+    covered = 0
+    for val, child in node.branches:
+        covered |= 1 << val
+        child_doms = list(doms)
+        child_doms[node.branch_var] = 1 << val
+        if not _replay(csp, child, child_doms):
+            return False
+    return covered & doms[node.branch_var] == doms[node.branch_var]
 
 
 def _bits(mask: int):

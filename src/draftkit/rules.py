@@ -9,17 +9,23 @@ theorem verifier consumes selection orders, so traces are first class, and
 they come only from the scalar engine (`Rule.run`).
 
 The algorithmic rules also have an array engine (`Rule.fill`) that allocates
-a whole sweep block at once: every profile over one population and one
-available set, as the uint8 ``(rows, agents)`` array the axiom sweeps read.
-The picking rules share one kernel, `_pick_rows`, driven by `pick_table`.
-Tabulated, piecewise and hand-written rules have no array engine; the sweeps
-fill their blocks through `Rule.allocate`, one problem at a time.
+a block of profiles at once: rows of per-slot preference indexes over one
+population and one available set, as the uint8 ``(rows, agents)`` array the
+axiom sweeps and the manipulation search read. The picking rules share one
+kernel, `_pick_rows`, driven by `pick_table`. A piecewise rule fills through
+its default rule's engine and overwrites the rows where an override's `Case`
+matches; the IR counterexample runs the passing draft's engine over the
+complete extensions. `fill_rows` is the one block entry point: it runs the
+engine when a rule has one, and otherwise runs `Rule.allocate` row by row
+(tabulated and hand-written rules, and the override rules pinned to a few
+problems).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, wraps
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -59,6 +65,7 @@ def _assemble(problem: Problem, trace: list[tuple[int, Agent, int | None]]) -> A
 
 
 _RECENT_SPACES = 64  # preference tuples whose table is found by identity
+_TABLE_ROWS = 1 << 12  # preferences per step of a table build
 
 
 def _per_space(build: Callable[[tuple[Preference, ...]], np.ndarray]):
@@ -93,11 +100,13 @@ def pick_table(prefs: tuple[Preference, ...]) -> np.ndarray:
     cutoffs = np.array([len(p.ranking) if p.cutoff is None else p.cutoff for p in prefs])
     subsets = np.arange(1 << width, dtype=np.uint8)
     table = np.zeros((len(prefs), 1 << width), dtype=np.uint8)
-    for pos in range(rankings.shape[1] - 1, -1, -1):  # better positions overwrite worse ones
-        obj = rankings[:, pos, None]
-        hit = subsets >> obj & 1 == 1
-        hit &= (pos < cutoffs)[:, None]
-        np.copyto(table, np.left_shift(1, obj, dtype=np.uint8), where=hit)
+    for lo in range(0, len(prefs), _TABLE_ROWS):  # row blocks bound the temporaries
+        rows = slice(lo, lo + _TABLE_ROWS)
+        for pos in range(rankings.shape[1] - 1, -1, -1):  # better positions overwrite worse
+            obj = rankings[rows, pos, None]
+            hit = subsets >> obj & 1 == 1
+            hit &= (pos < cutoffs[rows])[:, None]
+            np.copyto(table[rows], np.left_shift(1, obj, dtype=np.uint8), where=hit)
     table.flags.writeable = False
     return table
 
@@ -108,6 +117,11 @@ def _acceptable_table(prefs: tuple[Preference, ...]) -> np.ndarray:
     table = np.array([p.acceptable for p in prefs], dtype=np.uint8)
     table.flags.writeable = False
     return table
+
+
+def _complete_extensions(prefs: Sequence[Preference]) -> tuple[Preference, ...]:
+    """Each preference with every ranked object acceptable, as `ir_counterexample` reads it."""
+    return tuple(Preference(q.ranking, len(q.ranking)) for q in prefs)
 
 
 def _pick_rows(prefs, digits: np.ndarray, x: Bundle, turns, limits=None, passes=True):
@@ -367,9 +381,11 @@ class Rule:
 
     ``run`` and ``allocate`` solve one problem through the scalar engine, and
     only ``run`` gives the trace. ``fill``, when set, is the rule's array
-    engine: it allocates a whole sweep block (see `Fill`) and must agree with
-    ``allocate`` row by row, errors included. The sweeps use it when it is
-    set and call ``allocate`` per problem otherwise.
+    engine: it allocates a block of profiles (see `Fill`) and must agree with
+    ``allocate`` row by row, errors included. Every draft, both
+    dictatorships, null, the piecewise counterexamples and the IR
+    counterexample have one. Callers go through `fill_rows`, which uses the
+    engine when it is set and calls ``allocate`` per row otherwise.
     """
 
     name: str
@@ -382,6 +398,22 @@ class Rule:
 
     def allocate(self, problem: Problem) -> Allocation:
         return self.runner(problem)[0]
+
+
+def fill_rows(rule: Rule, variant: str, agents, x: Bundle, prefs, quotas, digits) -> np.ndarray:
+    """The rule's allocation at each row of `digits` over (agents, x), as a uint8 (rows, n)
+    array; digits[r, slot] indexes prefs at row r.
+
+    A rule with an array engine fills every row in one call; any other rule is run row
+    by row through `Rule.allocate`."""
+    if rule.fill is not None:
+        return rule.fill(variant, agents, x, prefs, quotas, digits)
+    rows, n, allocate = len(digits), len(agents), rule.allocate
+    columns = [map(prefs.__getitem__, column) for column in digits.T]
+    cells = chain.from_iterable(
+        allocate(Problem(variant, agents, x, profile, quotas)) for profile in zip(*columns)
+    )
+    return np.fromiter(cells, np.uint8, rows * n).reshape(rows, n)
 
 
 def _engine_rule(name, engine, *args, fill: Fill) -> Rule:
@@ -459,16 +491,73 @@ def tabulated_rule(name: str, table: dict, fallback: Rule | None = None) -> Rule
     return Rule(name, runner)
 
 
-def piecewise_rule(default: Rule, overrides, name: str = "piecewise") -> Rule:
-    """First matching (predicate, rule) override wins, else the default rule."""
+@dataclass(frozen=True)
+class Case:
+    """Where a piecewise rule's override applies: an optional test on the available set
+    and an optional test on each slot's preference, all of which must pass.
 
-    def runner(problem: Problem):
-        for predicate, rule in overrides:
-            if predicate(problem):
+    A problem with fewer agents than `slots` never matches; slots past them are free.
+    ``Case(problem)`` decides one problem, `rows` every row of a block at once.
+    """
+
+    available: Callable[[Bundle], bool] | None = None
+    slots: tuple[Callable[[Preference], bool] | None, ...] = ()
+
+    def __call__(self, problem: Problem) -> bool:
+        if self.available is not None and not self.available(problem.available):
+            return False
+        if len(problem.profile) < len(self.slots):
+            return False
+        return all(test is None or test(p) for test, p in zip(self.slots, problem.profile))
+
+    def rows(self, x: Bundle, prefs, digits: np.ndarray) -> np.ndarray:
+        """Case(problem) at each row of `digits` over x, as a bool array: each slot test
+        runs once per preference and is gathered by the slot's digits."""
+        if (self.available is not None and not self.available(x)) or (
+            digits.shape[1] < len(self.slots)
+        ):
+            return np.zeros(len(digits), dtype=bool)
+        hit = np.ones(len(digits), dtype=bool)
+        for slot, test in enumerate(self.slots):
+            if test is not None:
+                hit &= np.fromiter(map(test, prefs), bool, len(prefs))[digits[:, slot]]
+        return hit
+
+
+@dataclass(frozen=True)
+class Piecewise:
+    """A default rule with (Case, rule) overrides: the first matching case's rule decides."""
+
+    default: Rule
+    overrides: tuple[tuple[Case, Rule], ...]
+
+    def __call__(self, problem: Problem):
+        for case, rule in self.overrides:
+            if case(problem):
                 return rule.run(problem)
-        return default.run(problem)
+        return self.default.run(problem)
 
-    return Rule(name, runner, restriction_invariant=False)
+    def fill(self, variant, agents, x, prefs, quotas, digits):
+        """Each override fills the rows its case takes first; the default fills the rest."""
+        parts, taken = [], np.zeros(len(digits), dtype=bool)
+        for case, rule in self.overrides:
+            hit = case.rows(x, prefs, digits) & ~taken
+            if hit.any():
+                parts.append((hit, rule))
+                taken |= hit
+        if not parts:
+            return fill_rows(self.default, variant, agents, x, prefs, quotas, digits)
+        out = np.empty((len(digits), len(agents)), dtype=np.uint8)
+        for hit, rule in parts + [(~taken, self.default)]:
+            if hit.any():
+                out[hit] = fill_rows(rule, variant, agents, x, prefs, quotas, digits[hit])
+        return out
+
+
+def piecewise_rule(default: Rule, overrides, name: str = "piecewise") -> Rule:
+    """First matching (Case, rule) override wins, else the default rule."""
+    piecewise = Piecewise(default, tuple(overrides))
+    return Rule(name, piecewise, restriction_invariant=False, fill=piecewise.fill)
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +568,11 @@ def piecewise_rule(default: Rule, overrides, name: str = "piecewise") -> Rule:
 def _ascending_ranking(head: Sequence[int], n_objects: int) -> tuple[int, ...]:
     rest = tuple(o for o in range(n_objects) if o not in head)
     return tuple(head) + rest
+
+
+def _profile_case(profile: tuple[Preference, ...], available=None) -> Case:
+    """The case of exactly this profile, at the available sets that pass `available`."""
+    return Case(available, tuple((lambda q, p=p: q == p) for p in profile))
 
 
 def wrp_counterexample(n_agents: int, n_objects: int) -> Rule:
@@ -492,7 +586,7 @@ def wrp_counterexample(n_agents: int, n_objects: int) -> Rule:
     pi1, pi2 = agents, agents[::-1]
     return piecewise_rule(
         draft_rule(pi2),
-        [(lambda p: p.profile == unanimous, draft_rule(pi1))],
+        [(_profile_case(unanimous), draft_rule(pi1))],
         name="wrp-counterexample",
     )
 
@@ -515,30 +609,33 @@ def rm_counterexample(n_agents: int, n_objects: int | None = None) -> Rule:
         prof.append(Preference(_ascending_ranking(list(range(1, n_agents + 1)) + [0], n_objects)))
     special_profile = tuple(prof)
     seq = PickingSequence(prefix=(1,), cycle=agents)  # picks run 1, 1, 2, ..., n
-
-    def is_special(p: Problem) -> bool:
-        return p.profile == special_profile and p.available == special_x
-
+    special = _profile_case(special_profile, lambda x: x == special_x)
     return piecewise_rule(
         draft_rule(agents),
-        [(is_special, sequence_draft_rule(seq))],
+        [(special, sequence_draft_rule(seq))],
         name="rm-counterexample",
     )
 
 
 def ir_counterexample(priority: Priority) -> Rule:
     """Runs the draft on the complete extensions, so unacceptable objects get assigned."""
+    u_draft = _omega_fill(priority, quota_limited=False)
 
     def runner(problem: Problem):
         extended = Problem(
             problem.variant,
             problem.agents,
             problem.available,
-            tuple(Preference(q.ranking, len(q.ranking)) for q in problem.profile),
+            _complete_extensions(problem.profile),
         )
         return unacceptable_draft(extended, priority)
 
-    return Rule("ir-counterexample", runner)
+    def fill(variant, agents, x, prefs, quotas, digits):
+        extended = _complete_extensions(prefs)
+        Problem(variant, agents, x, (extended[0],) * len(agents))  # the runner's checks
+        return u_draft(variant, agents, x, extended, quotas, digits)
+
+    return Rule("ir-counterexample", runner, fill=fill)
 
 
 def wrp_star_counterexample(n_agents: int, special_object: int = 0) -> Rule:
@@ -546,9 +643,7 @@ def wrp_star_counterexample(n_agents: int, special_object: int = 0) -> Rule:
     agents = tuple(range(1, n_agents + 1))
     pi1, pi2 = agents, agents[::-1]
 
-    def agent1_tops_special(p: Problem) -> bool:
-        return p.profile[0].ranking[0] == special_object
-
+    agent1_tops_special = Case(slots=(lambda q: q.ranking[0] == special_object,))
     return piecewise_rule(
         unacceptable_draft_rule(pi2),
         [(agent1_tops_special, unacceptable_draft_rule(pi1))],
@@ -569,23 +664,17 @@ def rm_star_counterexample(n_agents: int, n_objects: int | None = None) -> Rule:
         raise ValueError("needs at least n+1 objects")
     agents = tuple(range(1, n_agents + 1))
     special_x = (1 << (n_agents + 1)) - 1
-    # reference profile: exactly the objects of the pinned set are acceptable
-    base = [Preference(_ascending_ranking(range(n_agents + 1), n_objects), n_agents + 1)]
-    for _ in agents[1:]:
-        base.append(
-            Preference(
-                _ascending_ranking(list(range(1, n_agents + 1)) + [0], n_objects), n_agents + 1
-            )
-        )
-
-    def is_special(p: Problem) -> bool:
-        # truncations/extensions of the reference profile, read tail-order-preserving:
-        # same ranking, any cutoff (the wider prefix-only class breaks truncation invariance)
-        if p.available != special_x:
-            return False
-        if not (p.profile[0].acceptable & 1):  # object 0 acceptable to agent 1
-            return False
-        return all(q.ranking == b.ranking for q, b in zip(p.profile, base))
+    # reference rankings; the reference profile accepts exactly the pinned set's objects
+    first = _ascending_ranking(range(n_agents + 1), n_objects)
+    rest = _ascending_ranking(list(range(1, n_agents + 1)) + [0], n_objects)
+    # truncations/extensions of the reference profile, read tail-order-preserving:
+    # same ranking, any cutoff (the wider prefix-only class breaks truncation invariance),
+    # with object 0 acceptable to agent 1
+    is_special = Case(
+        lambda x: x == special_x,
+        (lambda q: q.ranking == first and bool(q.acceptable & 1),)
+        + (lambda q: q.ranking == rest,) * (n_agents - 1),
+    )
 
     def special_runner(problem: Problem):
         reduced = Problem(
@@ -616,10 +705,7 @@ def ti_counterexample(n_agents: int, n_objects: int) -> Rule:
     prof.append(Preference(tuple(range(n_objects)), 1))
     for _ in agents[2:]:
         prof.append(Preference(tuple(range(n_objects)), 0))
-    special_profile = tuple(prof)
-
-    def is_special(p: Problem) -> bool:
-        return p.profile == special_profile and p.available | 0b11 == 0b11
+    is_special = _profile_case(tuple(prof), lambda x: x | 0b11 == 0b11)
 
     def special_runner(problem: Problem):
         return (problem.available,) + (0,) * (len(agents) - 1), None

@@ -27,6 +27,7 @@ from .core import (
     preference_space,
 )
 from .axioms import (
+    MAX_ROW_OBJECTS,
     OBJECT_NAMES,
     AxiomSpace,
     FixedSweep,
@@ -43,6 +44,7 @@ from .axioms import (
     describe_problem,
     fixed_domain,
     format_bundle,
+    past_row_capacity,
     quota_domain,
     sp_ok,
     unacceptable_domain,
@@ -62,6 +64,7 @@ from .grid import build_grid, replay_grid_certificate, solve_grid
 from .rules import (
     Rule,
     draft_rule,
+    fill_rows,
     quota_draft_rule,
     snake_draft_rule,
     unacceptable_draft_rule,
@@ -480,41 +483,52 @@ def replay_theorem4_cases() -> dict:
 
 def misreport_space(problem: Problem) -> list[Preference]:
     """All unilateral reports within the problem's object universe, canonical order."""
-    objs = sorted(
-        set().union(*[p.ranking for p in problem.profile])
-        if problem.profile
-        else objects_of(problem.available)
-    )
-    if problem.variant == "unacceptable":
-        return [
-            Preference(r, c)
-            for r in permutations(objs)
-            for c in range(len(objs) + 1)
-        ]
-    return [Preference(r) for r in permutations(objs)]
+    return list(_report_space(problem.variant, _universe(problem))[0])
+
+
+def _universe(problem: Problem) -> tuple[int, ...]:
+    if not problem.profile:
+        return objects_of(problem.available)
+    return tuple(sorted(set().union(*[p.ranking for p in problem.profile])))
+
+
+@lru_cache(maxsize=16)
+def _report_space(variant: str, objs: tuple[int, ...]) -> tuple[tuple[Preference, ...], dict]:
+    """The reports over these objects in canonical order, and each one's index."""
+    if variant == "unacceptable":
+        space = tuple(Preference(r, c) for r in permutations(objs) for c in range(len(objs) + 1))
+    else:
+        space = tuple(Preference(r) for r in permutations(objs))
+    return space, {p: i for i, p in enumerate(space)}
 
 
 def find_manipulation(rule: Rule, problem: Problem, agent: Agent):
-    """First misreport (canonical order) whose bundle strictly dominates the truthful one."""
+    """First misreport (canonical order) whose bundle strictly dominates the truthful one.
+
+    One `fill_rows` call allocates the truthful profile (row 0) and every misreport
+    (row r + 1 puts report r in the agent's slot). Past the allocation rows' 8 objects
+    it raises CapacityError before enumerating anything."""
+    objs = _universe(problem)
+    width = (bundle_of(objs) | problem.available).bit_length()
+    if width > MAX_ROW_OBJECTS:
+        raise CapacityError(past_row_capacity(width))
     slot = problem.agents.index(agent)
-    truth = rule.allocate(problem)[slot]
-    pref = problem.profile[slot]
-    for report in misreport_space(problem):
-        if report == pref:
-            continue
-        new_profile = list(problem.profile)
-        new_profile[slot] = report
-        deviated = Problem(
-            problem.variant,
-            problem.agents,
-            problem.available,
-            tuple(new_profile),
-            problem.quotas,
-        )
-        gained = rule.allocate(deviated)[slot]
-        if strictly_dominates(pref, gained, truth):
-            return report, gained, truth
-    return None
+    reports, index = _report_space(problem.variant, objs)
+    prefs = reports + tuple(p for p in dict.fromkeys(problem.profile) if p not in index)
+    if len(prefs) > len(reports):  # a profile ranking fewer objects than the universe
+        index = {p: i for i, p in enumerate(prefs)}
+    digits = np.tile([index[p] for p in problem.profile], (len(reports) + 1, 1))
+    digits[1:, slot] = np.arange(len(reports))
+    bundles = fill_rows(
+        rule, problem.variant, problem.agents, problem.available, prefs, problem.quotas, digits
+    )[:, slot]
+    truth, pref = int(bundles[0]), problem.profile[slot]
+    gains, first = np.unique(bundles[1:], return_index=True)
+    rows = [r for b, r in zip(gains.tolist(), first.tolist()) if strictly_dominates(pref, b, truth)]
+    if not rows:
+        return None
+    r = min(rows)
+    return reports[r], int(bundles[r + 1]), truth
 
 
 def verify_t5(

@@ -8,7 +8,9 @@ first violation, so their
 fast checkers must reproduce exactly. They share only the sweep's grid, the
 witness formatting and the trade-cycle search with the code under test;
 restriction classes, truncation targets, adversary columns, both dominance
-relations and the brute-force Pareto oracle are recomputed here.
+relations and the brute-force Pareto oracle are recomputed here. The
+misreport-by-misreport manipulation search is here too, as the oracle of the
+one-block `verifier.find_manipulation`.
 """
 
 from __future__ import annotations
@@ -41,7 +43,12 @@ from draftkit.core import (
     top,
     top_k,
 )
-from draftkit.dominance import additive_utility, quota_weakly_dominates, weakly_dominates
+from draftkit.dominance import (
+    additive_utility,
+    quota_weakly_dominates,
+    strictly_dominates,
+    weakly_dominates,
+)
 
 
 def _sweep(rule, domain) -> FixedSweep:
@@ -1184,3 +1191,32 @@ def check_neu(rule, domain) -> AxiomReport:
 
 def check_2neu(rule, domain) -> AxiomReport:
     return _check_neu_like(rule, domain, pair_only=True)
+
+
+def find_manipulation(rule, problem: Problem, agent):
+    """First misreport (canonical order) whose bundle strictly dominates the truthful one,
+    one `Rule.allocate` per misreport."""
+    objs = sorted(
+        set().union(*[p.ranking for p in problem.profile])
+        if problem.profile
+        else objects_of(problem.available)
+    )
+    if problem.variant == "unacceptable":
+        space = [Preference(r, c) for r in permutations(objs) for c in range(len(objs) + 1)]
+    else:
+        space = [Preference(r) for r in permutations(objs)]
+    slot = problem.agents.index(agent)
+    truth = rule.allocate(problem)[slot]
+    pref = problem.profile[slot]
+    for report in space:
+        if report == pref:
+            continue
+        new_profile = list(problem.profile)
+        new_profile[slot] = report
+        deviated = Problem(
+            problem.variant, problem.agents, problem.available, tuple(new_profile), problem.quotas
+        )
+        gained = rule.allocate(deviated)[slot]
+        if strictly_dominates(pref, gained, truth):
+            return report, gained, truth
+    return None

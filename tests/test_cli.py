@@ -449,6 +449,28 @@ def test_cli_manipulate_worked_example(tmp_path, capsys):
     assert "b > a > c" in out and "{a, b}" in out
 
 
+def test_cli_manipulate_past_row_capacity_is_undecided(monkeypatch, capsys, tmp_path):
+    from draftkit import verifier
+
+    def unreachable(*args):
+        raise AssertionError("manipulate allocated past the allocation arrays' capacity")
+
+    monkeypatch.setattr(verifier, "fill_rows", unreachable)
+    objs = "abcdefghi"
+    path = tmp_path / "nine.txt"
+    path.write_text(
+        f"universe: {' '.join(objs)}\nagents: i j\nvariant: fixed\n"
+        f"pref i: {' > '.join(objs)}\npref j: {' > '.join(reversed(objs))}\n"
+    )
+    out_file = tmp_path / "report.json"
+    argv = ["--out", str(out_file), "--no-timestamp", "manipulate", str(path), "--agent", "i"]
+    assert main(argv) == 3
+    out = capsys.readouterr()
+    assert out.err.startswith("undecided: 9 objects exceeds the allocation arrays' capacity (8)")
+    assert out.out == ""
+    assert json.loads(out_file.read_text())["exit"] == 3
+
+
 def test_cli_infer_priority(capsys):
     code = main(["infer-priority", "--rule", "draft-variable", "--priority", "2", "1", "3"])
     assert code == 0

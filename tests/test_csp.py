@@ -1,3 +1,5 @@
+import gc
+import weakref
 from itertools import combinations, product
 
 import numpy as np
@@ -124,6 +126,21 @@ def test_certificates_replay_at_any_depth(n_vertices, n_colours, nodes):
     assert replay_certificate(csp, res.certificate) is True
     # replay needs the inner nodes' steps: without them the deeper decisions are not covered
     assert replay_certificate(csp, _without_inner_steps(res.certificate)) is False
+
+
+def test_replay_leaves_no_reference_cycle():
+    """With the cyclic collector off, the CSP is freed as soon as its replay returns."""
+    csp = _clique_colouring(4, 3)
+    cert = solve_csp(csp, mode="prove-unsat").certificate
+    gc.collect()
+    gc.disable()
+    try:
+        assert replay_certificate(csp, cert) is True
+        alive = weakref.ref(csp)
+        del csp
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_generic_and_grid_engines_agree_on_small_impossibility():

@@ -13,6 +13,7 @@ from draftkit.core import (
     validate_allocation,
 )
 from draftkit.rules import (
+    Case,
     Rule,
     dictatorship,
     draft_rule,
@@ -201,8 +202,8 @@ def test_piecewise_first_match_wins():
     rule = piecewise_rule(
         draft_rule((1, 2)),
         [
-            (lambda p: True, Rule("zero", lambda p: ((0,) * len(p.agents), None))),
-            (lambda p: True, draft_rule((2, 1))),
+            (Case(), Rule("zero", lambda p: ((0,) * len(p.agents), None))),
+            (Case(), draft_rule((2, 1))),
         ],
     )
     assert rule.allocate(fixed_problem("ab", "ab")) == (0, 0)

@@ -54,6 +54,7 @@ from draftkit.rules import (
     unacceptable_draft_rule,
     variable_draft_rule,
     wrp_counterexample,
+    wrp_star_counterexample,
 )
 
 DEVIATION = ("check_sp", "check_wsp", "check_msp_certificate")
@@ -226,6 +227,23 @@ def test_sweep_rows_are_the_rule_allocations(domain, rule):
     assert next(problems, None) is None
 
 
+# the piecewise counterexamples on the domains where the benchmark refutes them
+PIECEWISE = {
+    "fixed34": (
+        fixed_domain(3, 4),
+        {"wrp-cx": wrp_counterexample(3, 4), "rm-cx": rm_counterexample(3, 4)},
+    ),
+    "unacceptable24": (
+        unacceptable_domain(2, 4),
+        {
+            "wrp*-cx": wrp_star_counterexample(2, 0),
+            "rm*-cx": rm_star_counterexample(2, 4),
+            "ti-cx": ti_counterexample(2, 4),
+        },
+    ),
+}
+
+
 def _engine_cases():
     """The benchmark's own sweeps: every rule here fills through its array engine."""
     pi3, pi2 = (1, 2, 3), (1, 2)
@@ -238,6 +256,7 @@ def _engine_cases():
                 "snake": snake_draft_rule(pi3),
                 "pi-dictatorship": dictatorship_rule(pi3),
                 "serial-dictatorship": serial_dictatorship_rule(pi3),
+                **PIECEWISE["fixed34"][1],
             },
         ),
         "unacceptable24": (
@@ -245,6 +264,8 @@ def _engine_cases():
             {
                 "u-draft": unacceptable_draft_rule(pi2),
                 "serial-dictatorship": serial_dictatorship_rule(pi2),
+                "ir-cx": ir_counterexample(pi2),
+                **PIECEWISE["unacceptable24"][1],
             },
         ),
         "quota24-1-2": (quota_domain(2, 4, (1, 2)), {"draft": quota_draft_rule(pi2)}),
@@ -271,6 +292,24 @@ def test_engine_arrays_are_the_scalar_fill(domain, rule):
         assert np.array_equal(got, expected), block
 
 
+def _piecewise_cases():
+    for label, (domain, rules) in PIECEWISE.items():
+        for name, rule in rules.items():
+            yield pytest.param(domain, rule, id=f"{label}-{name}")
+
+
+@pytest.mark.parametrize("domain, rule", _piecewise_cases())
+def test_every_case_hits_and_its_rows_are_its_problems(domain, rule):
+    """Case.rows is Case(problem) at every row of every block, and each case hits a row."""
+    sw = FixedSweep(rule, domain)
+    assert rule.runner.overrides
+    for case, _ in rule.runner.overrides:
+        rows = np.concatenate([case.rows(x, sw.prefs, sw.digits) for x in sw.xs])
+        scalar = np.fromiter(map(case, domain.problems()), bool, len(rows))
+        assert np.array_equal(rows, scalar)
+        assert rows.any()
+
+
 ENGINES = {
     "draft": lambda pi, seq: draft_rule(pi),
     "sequence-draft": lambda pi, seq: sequence_draft_rule(seq),
@@ -281,6 +320,7 @@ ENGINES = {
     "serial-dictatorship": lambda pi, seq: serial_dictatorship_rule(pi),
     "pi-dictatorship": lambda pi, seq: dictatorship_rule(pi),
     "null": lambda pi, seq: null_rule(),
+    "ir-cx": lambda pi, seq: ir_counterexample(pi),
 }
 MAX_BLOCK_ROWS = 15_000
 

@@ -1,10 +1,14 @@
 import time
 from itertools import permutations
+from random import Random
 
 import pytest
 
+import scalar_checkers as oracle
+from draftkit.cli import RULE_FACTORIES
+
 from draftkit.axioms import fixed_domain, unacceptable_domain, variable_domain
-from draftkit.core import Preference, Problem
+from draftkit.core import INFINITE, Preference, Problem, objects_of
 from draftkit.csp import build_csp, solve_csp
 from draftkit.rules import (
     Rule,
@@ -106,6 +110,54 @@ def test_find_manipulation_none_at_unanimous_adversary():
     for p1 in permutations(range(3)):
         prob = Problem("fixed", (1, 2), bundle("abc"), (Preference(p1), Preference(p1)))
         assert find_manipulation(rule, prob, 1) is None
+
+
+def _random_problem(rng: Random, variant: str, n: int, m: int) -> Problem:
+    """A problem of the variant with agents 1..n over objects 0..m-1."""
+    objs = list(range(m))
+    x = rng.randrange(0 if variant == "variable" else 1, 1 << m)
+    if variant == "variable":
+        objs = list(objects_of(x))
+    profile = []
+    for _ in range(n):
+        ranking = tuple(rng.sample(objs, len(objs)))
+        cutoff = rng.randint(0, len(objs)) if variant == "unacceptable" else None
+        profile.append(Preference(ranking, cutoff))
+    quotas = tuple(rng.choice((1, 2, INFINITE)) for _ in range(n)) if variant == "quota" else None
+    return Problem(variant, tuple(range(1, n + 1)), x, tuple(profile), quotas)
+
+
+def _manipulation_cases():
+    for name, (factory, variants) in RULE_FACTORIES.items():
+        for variant in variants:
+            yield pytest.param(factory, variant, id=f"{name}-{variant}")
+
+
+@pytest.mark.parametrize("factory, variant", _manipulation_cases())
+def test_find_manipulation_matches_the_misreport_loop(factory, variant):
+    """The one-block search returns the scalar loop's first manipulation, at every agent."""
+    rng = Random(f"{factory.__name__}:{variant}")
+    for n in (2, 3):
+        for m in (3, 4):
+            for _ in range(6):
+                prob = _random_problem(rng, variant, n, m)
+                rule = factory(tuple(rng.sample(prob.agents, n)))
+                for agent in prob.agents:
+                    expected = oracle.find_manipulation(rule, prob, agent)
+                    assert find_manipulation(rule, prob, agent) == expected, (prob, agent)
+
+
+def test_find_manipulation_matches_the_misreport_loop_on_seeded_3x5_drafts():
+    rng = Random(20240801)
+    found = 0
+    for _ in range(200):
+        prob = _random_problem(rng, "fixed", 3, 5)
+        rule = draft_rule(tuple(rng.sample(prob.agents, 3)))
+        for agent in prob.agents:
+            expected = oracle.find_manipulation(rule, prob, agent)
+            assert find_manipulation(rule, prob, agent) == expected, (prob, agent)
+            found += expected is not None
+    assert found > 0
 
 
 def test_infer_priority_recovers_draft_priority():
