@@ -35,19 +35,13 @@ from .rules import (
     Case,
     Rule,
     dictatorship,
-    draft,
     draft_rule,
     null_allocation,
     null_rule,
     piecewise_rule,
-    priority_draft,
     problem_key,
-    quota_draft,
     serial_dictatorship,
-    snake_draft,
     tabulated_rule,
-    unacceptable_draft,
-    variable_draft,
 )
 from .axioms import (
     AxiomReport,

@@ -233,6 +233,8 @@ class Problem:
             raise ValueError("quotas present iff variant is 'quota'")
         if self.quotas is not None and any(q != INFINITE and q < 1 for q in self.quotas):
             raise ValueError("quotas must be at least 1")
+        if self.quotas is not None:  # a tuple, so a problem's fields key the rules' caches
+            object.__setattr__(self, "quotas", tuple(self.quotas))
 
     def pref_of(self, agent: Agent) -> Preference:
         return self.profile[self.agents.index(agent)]

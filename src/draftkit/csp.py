@@ -39,6 +39,9 @@ from .axioms import (
 from .rules import Rule, problem_key, tabulated_rule
 
 SCOPE_NOTE = "finite-domain result: quantifies over the checked domain only"
+# find-all stops, undecided, past this many solutions: the revision budget does not bound a
+# search whose variables no constraint links (every verify driver's search pins one rule)
+MAX_SOLUTIONS = 10_000
 
 
 class BudgetExceeded(Exception):
@@ -333,7 +336,8 @@ def depth_first(doms, propagate, pick, read_off, mode: str, stats: SolveStats) -
 
     Every certificate node keeps the steps that led to it, so a replay can
     follow them at any depth. find-one and prove-unsat stop at the first
-    solution; `BudgetExceeded` leaves the search undecided.
+    solution; `BudgetExceeded`, and find-all past `MAX_SOLUTIONS` solutions,
+    leave the search undecided.
     """
     solutions: list[dict] = []
 
@@ -347,6 +351,8 @@ def depth_first(doms, propagate, pick, read_off, mode: str, stats: SolveStats) -
             leaf = read_off(doms)
             if isinstance(leaf, dict):
                 solutions.append(leaf)
+                if len(solutions) > MAX_SOLUTIONS:
+                    raise BudgetExceeded
                 return InfeasibilityCertificate()  # not used on sat paths
             return InfeasibilityCertificate(emptied_var=leaf, trace=trace)
         mask = int(doms[var])

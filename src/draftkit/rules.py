@@ -1,24 +1,30 @@
 """Allocation engines: drafts in all four variants, reference rules, and rule combinators.
 
-Each engine comes in up to two forms. The scalar engine runs one problem and
-returns ``(allocation, trace)``. A trace is a tuple of
-``(step, agent, object-or-None)`` entries, 1-based steps; ``None`` records that
-the agent passed (was handed the null selection). Passed steps never reach the
-returned bundles. Replaying a trace greedily reproduces the allocation; the
-theorem verifier consumes selection orders, so traces are first class, and
-they come only from the scalar engine (`Rule.run`).
-
-The algorithmic rules also have an array engine (`Rule.fill`) that allocates
+A picking rule is defined once, as a turn plan: ``plan(variant, agents,
+available, quotas) -> (turns, limits, passes)`` gives the slot that picks at
+each turn, an optional per-turn quota past which that slot passes, and whether
+a turn may pass at all; the plan also raises for a problem the rule is not
+defined on. Two interpreters run every plan. `_pick_one` runs one problem, at
+any number of objects, and returns ``(allocation, trace)``; `_pick_rows` runs
 a block of profiles at once: rows of per-slot preference indexes over one
 population and one available set, as the uint8 ``(rows, agents)`` array the
-axiom sweeps and the manipulation search read. The picking rules share one
-kernel, `_pick_rows`, driven by `pick_table`. A piecewise rule fills through
-its default rule's engine and overwrites the rows where an override's `Case`
-matches; the IR counterexample runs the passing draft's engine over the
-complete extensions. `fill_rows` is the one block entry point: it runs the
-engine when a rule has one, and otherwise runs `Rule.allocate` row by row
-(tabulated and hand-written rules, and the override rules pinned to a few
-problems).
+axiom sweeps and the manipulation search read, through `pick_table`. Every
+draft (fixed, quota, unacceptable, variable, snake, any picking sequence) and
+the population-RM and pairwise-consistency counterexamples are plans.
+
+A trace is a tuple of ``(step, agent, object-or-None)`` entries, 1-based
+steps; ``None`` records that the agent passed (was handed the null
+selection). Passed steps never reach the returned bundles. Replaying a trace
+greedily reproduces the allocation; the theorem verifier consumes selection
+orders, so traces are first class, and they come only from `Rule.run`.
+
+Serial dictatorship, π-dictatorship and null keep a scalar runner and an array
+engine of their own (`Rule.fill`). A piecewise rule fills through its default
+rule's engine and overwrites the rows where an override's `Case` matches; the
+IR counterexample runs the unacceptable draft over the complete extensions.
+`fill_rows` is the one block entry point: it runs the engine when a rule has
+one, and otherwise runs `Rule.allocate` row by row (tabulated rules, the
+neutrality counterexample, and the override rules pinned to a few problems).
 """
 
 from __future__ import annotations
@@ -49,23 +55,18 @@ Trace = tuple[tuple[int, Agent, int | None], ...]
 # The first five describe the block, as the fields of its problems do; digits[r, slot]
 # indexes prefs at row r. Row r of the result is the allocation at that profile.
 Fill = Callable[..., np.ndarray]
-
-
-def _assemble(problem: Problem, trace: list[tuple[int, Agent, int | None]]) -> Allocation:
-    bundles = {a: 0 for a in problem.agents}
-    for _, agent, obj in trace:
-        if obj is not None:
-            bundles[agent] |= 1 << obj
-    return tuple(bundles[a] for a in problem.agents)
+# A turn plan: plan(variant, agents, available, quotas) -> (turns, limits, passes).
+Plan = Callable[..., tuple[tuple[int, ...], tuple[int | float, ...] | None, bool]]
 
 
 # ---------------------------------------------------------------------------
-# Array engines: one call allocates every profile of a block
+# Interpreters: `_pick_rows` runs turns on a block, `_pick_one` on one problem
 # ---------------------------------------------------------------------------
 
 
-_RECENT_SPACES = 64  # preference tuples whose table is found by identity
+_RECENT_SPACES = 64  # preference spaces whose tables each cache keeps
 _TABLE_ROWS = 1 << 12  # preferences per step of a table build
+_PLANS = 256  # turn plans each picking rule keeps
 
 
 def _per_space(build: Callable[[tuple[Preference, ...]], np.ndarray]):
@@ -74,9 +75,11 @@ def _per_space(build: Callable[[tuple[Preference, ...]], np.ndarray]):
 
     A lookup goes by the tuple's identity, among the most recently seen tuples
     (each held, so its id stays its own); any other tuple is hashed by its
-    contents once, so equal spaces share one table.
+    contents once, so equal spaces share one table. Both caches keep the
+    `_RECENT_SPACES` latest spaces, so a long-running process that meets ever
+    new spaces holds at most twice that many tables.
     """
-    by_contents = lru_cache(maxsize=None)(build)
+    by_contents = lru_cache(maxsize=_RECENT_SPACES)(build)
     by_id: dict[int, tuple[tuple[Preference, ...], np.ndarray]] = {}
 
     @wraps(build)
@@ -130,7 +133,7 @@ def _pick_rows(prefs, digits: np.ndarray, x: Bundle, turns, limits=None, passes=
     At turn k the agent in slot turns[k] takes her best acceptable remaining
     object, one gather `TOP[digits[:, slot], remaining]` over all rows; a slot
     that holds limits[k] objects already passes. Without `passes` a turn that
-    finds nothing raises, as the scalar `_sequential` does.
+    finds nothing raises, as `_pick_one` does.
     """
     table = pick_table(tuple(prefs))
     flat, width = table.reshape(-1), table.shape[1]
@@ -148,116 +151,47 @@ def _pick_rows(prefs, digits: np.ndarray, x: Bundle, turns, limits=None, passes=
     return np.stack(cols, axis=1)
 
 
-def _turns(agents: tuple[Agent, ...], agent_at, steps: int) -> list[int]:
-    """Slot of the agent at each of the first `steps` steps (ValueError for an absent agent,
-    as `Problem.pref_of` raises it)."""
-    return [agents.index(agent_at(k)) for k in range(steps)]
+def _pick_one(problem: Problem, turns, limits=None, passes=True) -> tuple[Allocation, Trace]:
+    """One problem run through the turns, at any number of objects, with its trace.
 
-
-# ---------------------------------------------------------------------------
-# Draft engines
-# ---------------------------------------------------------------------------
-
-
-def draft(problem: Problem, sequence: PickingSequence) -> tuple[Allocation, Trace]:
-    """Sequential allocation: at step k the sequence's agent takes her best remaining object."""
-    if problem.variant != "fixed":
-        raise ValueError("draft runs on fixed-variant problems")
-    return _sequential(problem, sequence.at)
-
-
-def _draft_fill(sequence: PickingSequence, priority: Priority | None = None) -> Fill:
-    """Array form of `draft`; with a priority, the form of `priority_draft` for its sequence."""
-
-    def fill(variant, agents, x, prefs, quotas, digits):
-        if priority is not None:
-            _agent_order(agents, priority)
-        if variant != "fixed":
-            raise ValueError("draft runs on fixed-variant problems")
-        turns = _turns(agents, sequence.at, bundle_size(x))
-        return _pick_rows(prefs, digits, x, turns, passes=False)
-
-    return fill
-
-
-def priority_draft(problem: Problem, priority: Priority) -> tuple[Allocation, Trace]:
-    """Draft under the round-robin picking sequence of a priority that orders the agents."""
-    return draft(problem, PickingSequence.round_robin(_agent_order(problem.agents, priority)))
-
-
-def _omega_terminated(problem: Problem, priority: Priority, may_pick) -> tuple[Allocation, Trace]:
-    # run round-robin until every agent in a full window of n steps passed
-    priority = _agent_order(problem.agents, priority)
-    n = problem.n_agents
+    The same turns as `_pick_rows`, on Python ints. With `passes`, the draft ends
+    at n consecutive passes, where `_pick_rows` runs out the turns: in every plan a
+    pass is final (a slot's limit is the same at each of its turns, a filled quota
+    stays filled and the remaining objects only shrink), so no later turn could pick.
+    """
+    agents, profile = problem.agents, problem.profile
+    bundles = [0] * len(agents)
     remaining = problem.available
-    picks = {a: 0 for a in problem.agents}
-    trace: list[tuple[int, Agent, int | None]] = []
-    omega_run = 0
-    k = 0
-    limit = n * (bundle_size(problem.available) + 1) + n
-    while omega_run < n:
-        if k >= limit:  # cannot happen: each n-window without a pass assigns an object
-            raise RuntimeError("draft failed to terminate")
-        agent = priority[k % n]
-        picked = may_pick(agent, remaining, picks[agent])
-        if picked is None:
-            omega_run += 1
+    trace = []
+    passed = 0
+    for k, slot in enumerate(turns):
+        if limits is not None and bundles[slot].bit_count() >= limits[k]:
+            picked = None
         else:
-            omega_run = 0
-            picks[agent] += 1
-            remaining &= ~(1 << picked)
-        trace.append((k + 1, agent, picked))
-        k += 1
-    return _assemble(problem, trace), tuple(trace)
+            picked = top(profile[slot], remaining)
+        if picked is not None:
+            passed = 0
+            bundles[slot] |= 1 << picked
+            remaining ^= 1 << picked
+        elif not passes:
+            raise RuntimeError("sequential pick found no object")
+        else:
+            passed += 1
+        trace.append((k + 1, agents[slot], picked))
+        if passed == len(agents):
+            break
+    return tuple(bundles), tuple(trace)
 
 
-def _omega_fill(priority: Priority, quota_limited: bool) -> Fill:
-    """Array form of `_omega_terminated`: a pass is final (a filled quota stays filled, the
-    remaining objects only shrink), so each round that picks nothing ends the draft and
-    n·|X| turns make every pick."""
-
-    def fill(variant, agents, x, prefs, quotas, digits):
-        if quota_limited and quotas is None:
-            raise ValueError("quota draft needs quotas")
-        turns = [agents.index(a) for a in _agent_order(agents, priority)]
-        rounds = bundle_size(x)
-        limits = [quotas[slot] for slot in turns] * rounds if quota_limited else None
-        return _pick_rows(prefs, digits, x, turns * rounds, limits)
-
-    return fill
-
-
-def quota_draft(
-    problem: Problem, priority: Priority, quotas: Sequence[int | float] | None = None
-) -> tuple[Allocation, Trace]:
-    """Draft where an agent whose quota is filled passes; stops after n consecutive passes."""
-    if quotas is None:
-        if problem.quotas is None:
-            raise ValueError("quota draft needs quotas")
-        quotas = problem.quotas
-    quota_of = dict(zip(problem.agents, quotas))
-
-    def may_pick(agent, remaining, count):
-        if count >= quota_of[agent]:
-            return None
-        return top(problem.pref_of(agent), remaining)
-
-    return _omega_terminated(problem, priority, may_pick)
-
-
-def unacceptable_draft(problem: Problem, priority: Priority) -> tuple[Allocation, Trace]:
-    """Draft that never assigns an unacceptable object; an agent with none left passes."""
-
-    def may_pick(agent, remaining, count):
-        return top(problem.pref_of(agent), remaining)
-
-    return _omega_terminated(problem, priority, may_pick)
+# ---------------------------------------------------------------------------
+# Picking rules: each is one turn plan
+# ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
 def _population_order(agents: tuple[Agent, ...], priority: Priority) -> tuple[Agent, ...]:
     """The priority restricted to the agents present; it must name each of them, once.
-    Cached, since the scalar engines ask at every problem."""
+    Cached, since the plans ask at every problem."""
     repeated = sorted({a for a in priority if priority.count(a) > 1})
     if repeated:
         raise ValueError(f"priority repeats agents {repeated}")
@@ -277,49 +211,54 @@ def _agent_order(agents: tuple[Agent, ...], priority: Priority) -> tuple[Agent, 
     return _population_order(agents, priority)
 
 
-def _cyclic(order: list[Agent]):
-    return lambda k: order[k % len(order)]
+def _slots(agents: tuple[Agent, ...], order) -> tuple[int, ...]:
+    """Slot of each agent of `order` (ValueError for an absent agent, as `Problem.pref_of`)."""
+    return tuple(agents.index(agent) for agent in order)
 
 
-def _snake(order: list[Agent]):
-    def agent_at(k):
-        rnd, pos = divmod(k, len(order))
-        return order[pos] if rnd % 2 == 0 else order[len(order) - 1 - pos]
-
-    return agent_at
+def _cycle(slots: tuple[int, ...], steps: int) -> tuple[int, ...]:
+    """The first `steps` turns of the slots repeated."""
+    return tuple(slots[k % len(slots)] for k in range(steps))
 
 
-def variable_draft(problem: Problem, priority: Priority) -> tuple[Allocation, Trace]:
-    """Draft for variable populations: the priority restricted to the present agents."""
-    return _sequential(problem, _cyclic(_population_order(problem.agents, priority)))
+def _plan_rule(name: str, plan: Plan) -> Rule:
+    """The rule a turn plan defines: `_pick_one` runs it on one problem, `_pick_rows` on a
+    block. A plan depends only on the block's description, so each is built once."""
+    plan = lru_cache(maxsize=_PLANS)(plan)
 
-
-def snake_draft(problem: Problem, priority: Priority) -> tuple[Allocation, Trace]:
-    """Priority order in odd rounds, reversed order in even rounds."""
-    return _sequential(problem, _snake(_population_order(problem.agents, priority)))
-
-
-def _ordered_fill(priority: Priority, pattern) -> Fill:
-    """Array form of a `_sequential` draft whose agent at step k is pattern(order)(k)."""
+    def runner(problem: Problem) -> tuple[Allocation, Trace]:
+        turns = plan(problem.variant, problem.agents, problem.available, problem.quotas)
+        return _pick_one(problem, *turns)
 
     def fill(variant, agents, x, prefs, quotas, digits):
-        turns = _turns(agents, pattern(_population_order(agents, priority)), bundle_size(x))
-        return _pick_rows(prefs, digits, x, turns, passes=False)
+        return _pick_rows(prefs, digits, x, *plan(variant, agents, x, quotas))
 
-    return fill
+    return Rule(name, runner, fill=fill)
 
 
-def _sequential(problem: Problem, agent_at) -> tuple[Allocation, Trace]:
-    remaining = problem.available
-    trace = []
-    for k in range(bundle_size(problem.available)):
-        agent = agent_at(k)
-        picked = top(problem.pref_of(agent), remaining)
-        if picked is None:
-            raise RuntimeError("sequential pick found no object")
-        remaining &= ~(1 << picked)
-        trace.append((k + 1, agent, picked))
-    return _assemble(problem, trace), tuple(trace)
+def _omega_plan(priority: Priority, quota_limited: bool) -> Plan:
+    """Round robin in priority order where a turn may pass. Each round before the draft
+    ends makes a pick, so |X| + 1 rounds reach the n consecutive passes that end it."""
+
+    def plan(variant, agents, x, quotas):
+        if quota_limited and quotas is None:
+            raise ValueError("quota draft needs quotas")
+        turns = _slots(agents, _agent_order(agents, priority)) * (bundle_size(x) + 1)
+        limits = tuple(quotas[slot] for slot in turns) if quota_limited else None
+        return turns, limits, True
+
+    return plan
+
+
+def _order_plan(priority: Priority, turns_of) -> Plan:
+    """A draft whose |X| turns are turns_of(slots, |X|), the slots of the priority restricted
+    to the agents present; a turn never passes."""
+
+    def plan(variant, agents, x, quotas):
+        slots = _slots(agents, _population_order(agents, priority))
+        return turns_of(slots, bundle_size(x)), None, False
+
+    return plan
 
 
 def serial_dictatorship(problem: Problem, priority: Priority) -> tuple[Allocation, None]:
@@ -379,13 +318,17 @@ class Rule:
     outcome depends on preferences only through their restriction to the
     available set; checkers may exploit it, so combinators must not claim it.
 
-    ``run`` and ``allocate`` solve one problem through the scalar engine, and
-    only ``run`` gives the trace. ``fill``, when set, is the rule's array
-    engine: it allocates a block of profiles (see `Fill`) and must agree with
-    ``allocate`` row by row, errors included. Every draft, both
-    dictatorships, null, the piecewise counterexamples and the IR
-    counterexample have one. Callers go through `fill_rows`, which uses the
-    engine when it is set and calls ``allocate`` per row otherwise.
+    ``run`` and ``allocate`` solve one problem through ``runner``, and only
+    ``run`` gives the trace. ``fill``, when set, is the rule's array engine: it
+    allocates a block of profiles (see `Fill`) and must agree with
+    ``allocate`` row by row, errors included. A picking rule (every draft and
+    the population-RM and pairwise-consistency counterexamples) is one turn
+    plan, and `_plan_rule` makes both from it: ``runner`` is `_pick_one` and
+    ``fill`` is `_pick_rows`. Serial dictatorship, π-dictatorship and null
+    keep a (runner, fill) pair of their own; the piecewise counterexamples and
+    the IR counterexample fill through the engines of the rules they run.
+    Callers go through `fill_rows`, which uses the engine when it is set and
+    calls ``allocate`` per row otherwise.
     """
 
     name: str
@@ -421,27 +364,49 @@ def _engine_rule(name, engine, *args, fill: Fill) -> Rule:
 
 
 def draft_rule(priority: Priority) -> Rule:
-    fill = _draft_fill(PickingSequence.round_robin(priority), priority)
-    return _engine_rule(f"draft{list(priority)}", priority_draft, priority, fill=fill)
+    """Draft of fixed-population problems: round robin in priority order, each turn taking
+    the agent's best remaining object."""
+
+    def plan(variant, agents, x, quotas):
+        slots = _slots(agents, _agent_order(agents, priority))
+        if variant != "fixed":
+            raise ValueError("draft runs on fixed-variant problems")
+        return _cycle(slots, bundle_size(x)), None, False
+
+    return _plan_rule(f"draft{list(priority)}", plan)
 
 
 def sequence_draft_rule(sequence: PickingSequence, name: str = "draft-seq") -> Rule:
-    return _engine_rule(name, draft, sequence, fill=_draft_fill(sequence))
+    """Draft of fixed-population problems whose agent at step k is sequence.at(k)."""
+
+    def plan(variant, agents, x, quotas):
+        if variant != "fixed":
+            raise ValueError("draft runs on fixed-variant problems")
+        return _slots(agents, map(sequence.at, range(bundle_size(x)))), None, False
+
+    return _plan_rule(name, plan)
 
 
 def quota_draft_rule(priority: Priority) -> Rule:
-    fill = _omega_fill(priority, quota_limited=True)
-    return _engine_rule(f"draft-quota{list(priority)}", quota_draft, priority, fill=fill)
+    """Draft where an agent whose quota is filled passes; it ends after n consecutive passes."""
+    return _plan_rule(f"draft-quota{list(priority)}", _omega_plan(priority, quota_limited=True))
 
 
 def unacceptable_draft_rule(priority: Priority) -> Rule:
-    fill = _omega_fill(priority, quota_limited=False)
-    return _engine_rule(f"u-draft{list(priority)}", unacceptable_draft, priority, fill=fill)
+    """Draft that never assigns an unacceptable object: an agent with none left passes."""
+    return _plan_rule(f"u-draft{list(priority)}", _omega_plan(priority, quota_limited=False))
 
 
 def variable_draft_rule(priority: Priority) -> Rule:
-    fill = _ordered_fill(priority, _cyclic)
-    return _engine_rule(f"draft-variable{list(priority)}", variable_draft, priority, fill=fill)
+    """Draft for variable populations: round robin over the priority restricted to the
+    agents present."""
+    return _plan_rule(f"draft-variable{list(priority)}", _order_plan(priority, _cycle))
+
+
+def snake_draft_rule(priority: Priority) -> Rule:
+    """Priority order in odd rounds, reversed order in even rounds."""
+    snake = _order_plan(priority, lambda slots, steps: _cycle(slots + slots[::-1], steps))
+    return _plan_rule(f"snake{list(priority)}", snake)
 
 
 def serial_dictatorship_rule(priority: Priority) -> Rule:
@@ -456,11 +421,6 @@ def dictatorship_rule(priority: Priority) -> Rule:
 
 def null_rule() -> Rule:
     return Rule("null", null_allocation, fill=_null_fill)
-
-
-def snake_draft_rule(priority: Priority) -> Rule:
-    fill = _ordered_fill(priority, _snake)
-    return _engine_rule(f"snake{list(priority)}", snake_draft, priority, fill=fill)
 
 
 def problem_key(problem: Problem):
@@ -619,7 +579,7 @@ def rm_counterexample(n_agents: int, n_objects: int | None = None) -> Rule:
 
 def ir_counterexample(priority: Priority) -> Rule:
     """Runs the draft on the complete extensions, so unacceptable objects get assigned."""
-    u_draft = _omega_fill(priority, quota_limited=False)
+    u_draft = unacceptable_draft_rule(priority)
 
     def runner(problem: Problem):
         extended = Problem(
@@ -628,12 +588,12 @@ def ir_counterexample(priority: Priority) -> Rule:
             problem.available,
             _complete_extensions(problem.profile),
         )
-        return unacceptable_draft(extended, priority)
+        return u_draft.run(extended)
 
     def fill(variant, agents, x, prefs, quotas, digits):
         extended = _complete_extensions(prefs)
         Problem(variant, agents, x, (extended[0],) * len(agents))  # the runner's checks
-        return u_draft(variant, agents, x, extended, quotas, digits)
+        return u_draft.fill(variant, agents, x, extended, quotas, digits)
 
     return Rule("ir-counterexample", runner, fill=fill)
 
@@ -676,15 +636,17 @@ def rm_star_counterexample(n_agents: int, n_objects: int | None = None) -> Rule:
         + (lambda q: q.ranking == rest,) * (n_agents - 1),
     )
 
+    u_draft = unacceptable_draft_rule(agents)
+
     def special_runner(problem: Problem):
         reduced = Problem(
             problem.variant, problem.agents, problem.available & ~1, problem.profile
         )
-        alloc, _ = unacceptable_draft(reduced, agents)
+        alloc = u_draft.allocate(reduced)
         return (alloc[0] | 1,) + alloc[1:], None
 
     return piecewise_rule(
-        unacceptable_draft_rule(agents),
+        u_draft,
         [(is_special, Rule("rm*-special", special_runner))],
         name="rm*-counterexample",
     )
@@ -725,30 +687,21 @@ def population_rm_counterexample(priority: Priority) -> Rule:
     agent's haul, breaking resource monotonicity across object sets only.
     """
 
-    def runner(problem: Problem):
-        order = _population_order(problem.agents, priority)
-        n, m = len(order), bundle_size(problem.available)
-        c = m % n
-        if c == 0:
-            return variable_draft(problem, priority)
-        tail = order[n - c :]
+    def tail_first(slots, steps):
+        c = steps % len(slots)
+        return slots[len(slots) - c :] + _cycle(slots, steps - c)
 
-        def agent_at(k):
-            return tail[k] if k < c else order[(k - c) % n]
-
-        return _sequential(problem, agent_at)
-
-    return Rule("population-rm-counterexample", runner)
+    return _plan_rule("population-rm-counterexample", _order_plan(priority, tail_first))
 
 
 def pairwise_consistency_counterexample(priority: Priority) -> Rule:
     """Uses the priority for two-agent problems and its reversal otherwise."""
+    pairs, others = _order_plan(priority, _cycle), _order_plan(priority[::-1], _cycle)
 
-    def runner(problem: Problem):
-        order = priority if problem.n_agents == 2 else priority[::-1]
-        return variable_draft(problem, order)
+    def plan(variant, agents, x, quotas):
+        return (pairs if len(agents) == 2 else others)(variant, agents, x, quotas)
 
-    return Rule("2con-counterexample", runner, restriction_invariant=True)
+    return _plan_rule("2con-counterexample", plan)
 
 
 def neutrality_counterexample(

@@ -481,11 +481,6 @@ def replay_theorem4_cases() -> dict:
 # ---------------------------------------------------------------------------
 
 
-def misreport_space(problem: Problem) -> list[Preference]:
-    """All unilateral reports within the problem's object universe, canonical order."""
-    return list(_report_space(problem.variant, _universe(problem))[0])
-
-
 def _universe(problem: Problem) -> tuple[int, ...]:
     if not problem.profile:
         return objects_of(problem.available)
@@ -776,8 +771,9 @@ def infer_priority(
         for x, y in ((a, b), (b, a)):
             aligned = _pair_problem(i, j, (x, y), ((x, y), (x, y)))
             opposed = _pair_problem(i, j, (x, y), ((x, y), (y, x)))
+            allocs = {}
             for prob in (aligned, opposed):
-                alloc = rule.allocate(prob)
+                alloc = allocs[prob] = rule.allocate(prob)
                 if _union(alloc) != prob.available or any(
                     bundle_size(bd) > 1 for bd in alloc
                 ):
@@ -785,13 +781,12 @@ def infer_priority(
                         "rule is not efficient and envy-bounded on the probe problems",
                         describe_problem(prob),
                     )
-            if rule.allocate(opposed) != (1 << x, 1 << y):
+            if allocs[opposed] != (1 << x, 1 << y):
                 raise PriorityInferenceError(
                     "opposed-preferences probe is not the efficient split",
                     describe_problem(opposed),
                 )
-            first = rule.allocate(aligned) == (1 << x, 1 << y)
-            answers.append(first)
+            answers.append(allocs[aligned] == (1 << x, 1 << y))
         if answers[0] != answers[1]:
             raise PriorityInferenceError(
                 "probe answers flip under object relabeling: pairwise neutrality fails",

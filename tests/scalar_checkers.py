@@ -10,7 +10,8 @@ witness formatting and the trade-cycle search with the code under test;
 restriction classes, truncation targets, adversary columns, both dominance
 relations and the brute-force Pareto oracle are recomputed here. The
 misreport-by-misreport manipulation search is here too, as the oracle of the
-one-block `verifier.find_manipulation`.
+one-block `verifier.find_manipulation`, and so are the step-by-step draft
+engines, as the oracle of the turn plans that `Rule.run` interprets.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from draftkit.axioms import (
 from draftkit.core import (
     INFINITE,
     Allocation,
+    PickingSequence,
     Preference,
     Priority,
     Problem,
@@ -49,6 +51,7 @@ from draftkit.dominance import (
     strictly_dominates,
     weakly_dominates,
 )
+from draftkit.rules import _agent_order, _population_order
 
 
 def _sweep(rule, domain) -> FixedSweep:
@@ -1220,3 +1223,116 @@ def find_manipulation(rule, problem: Problem, agent):
         if strictly_dominates(pref, gained, truth):
             return report, gained, truth
     return None
+
+
+# --- draft engines: each rule's turns recomputed step by step ---------------
+
+
+def _assemble(problem: Problem, trace) -> Allocation:
+    bundles = {a: 0 for a in problem.agents}
+    for _, agent, obj in trace:
+        if obj is not None:
+            bundles[agent] |= 1 << obj
+    return tuple(bundles[a] for a in problem.agents)
+
+
+def _sequential(problem: Problem, agent_at):
+    remaining = problem.available
+    trace = []
+    for k in range(bundle_size(problem.available)):
+        agent = agent_at(k)
+        picked = top(problem.pref_of(agent), remaining)
+        if picked is None:
+            raise RuntimeError("sequential pick found no object")
+        remaining &= ~(1 << picked)
+        trace.append((k + 1, agent, picked))
+    return _assemble(problem, trace), tuple(trace)
+
+
+def _omega_terminated(problem: Problem, priority: Priority, may_pick):
+    # run round-robin until every agent in a full window of n steps passed
+    priority = _agent_order(problem.agents, priority)
+    n = problem.n_agents
+    remaining = problem.available
+    picks = {a: 0 for a in problem.agents}
+    trace = []
+    omega_run = 0
+    k = 0
+    limit = n * (bundle_size(problem.available) + 1) + n
+    while omega_run < n:
+        if k >= limit:  # cannot happen: each n-window without a pass assigns an object
+            raise RuntimeError("draft failed to terminate")
+        agent = priority[k % n]
+        picked = may_pick(agent, remaining, picks[agent])
+        if picked is None:
+            omega_run += 1
+        else:
+            omega_run = 0
+            picks[agent] += 1
+            remaining &= ~(1 << picked)
+        trace.append((k + 1, agent, picked))
+        k += 1
+    return _assemble(problem, trace), tuple(trace)
+
+
+def sequence_draft(problem: Problem, sequence: PickingSequence):
+    if problem.variant != "fixed":
+        raise ValueError("draft runs on fixed-variant problems")
+    return _sequential(problem, sequence.at)
+
+
+def draft(problem: Problem, priority: Priority):
+    return sequence_draft(
+        problem, PickingSequence.round_robin(_agent_order(problem.agents, priority))
+    )
+
+
+def quota_draft(problem: Problem, priority: Priority):
+    if problem.quotas is None:
+        raise ValueError("quota draft needs quotas")
+    quota_of = dict(zip(problem.agents, problem.quotas))
+
+    def may_pick(agent, remaining, count):
+        if count >= quota_of[agent]:
+            return None
+        return top(problem.pref_of(agent), remaining)
+
+    return _omega_terminated(problem, priority, may_pick)
+
+
+def unacceptable_draft(problem: Problem, priority: Priority):
+    def may_pick(agent, remaining, count):
+        return top(problem.pref_of(agent), remaining)
+
+    return _omega_terminated(problem, priority, may_pick)
+
+
+def variable_draft(problem: Problem, priority: Priority):
+    order = _population_order(problem.agents, priority)
+    return _sequential(problem, lambda k: order[k % len(order)])
+
+
+def snake_draft(problem: Problem, priority: Priority):
+    order = _population_order(problem.agents, priority)
+
+    def agent_at(k):
+        rnd, pos = divmod(k, len(order))
+        return order[pos] if rnd % 2 == 0 else order[len(order) - 1 - pos]
+
+    return _sequential(problem, agent_at)
+
+
+def population_rm_draft(problem: Problem, priority: Priority):
+    """The population-RM counterexample: partial rounds start at the priority's tail."""
+    order = _population_order(problem.agents, priority)
+    n, m = len(order), bundle_size(problem.available)
+    c = m % n
+    if c == 0:
+        return variable_draft(problem, priority)
+    tail = order[n - c :]
+    return _sequential(problem, lambda k: tail[k] if k < c else order[(k - c) % n])
+
+
+def pairwise_consistency_draft(problem: Problem, priority: Priority):
+    """The 2-CON counterexample: the priority for two agents, its reversal otherwise."""
+    return variable_draft(problem, priority if problem.n_agents == 2 else priority[::-1])

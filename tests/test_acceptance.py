@@ -58,7 +58,6 @@ from draftkit.rules import (
     null_rule,
     pairwise_consistency_counterexample,
     population_rm_counterexample,
-    priority_draft,
     quota_draft_rule,
     rm_counterexample,
     rm_star_counterexample,
@@ -119,9 +118,10 @@ def _shared_sweeps():
 
 def test_c01_worked_example_run():
     prob = fixed_problem("abcd", "cdba", "adcb")
-    priority_draft(prob, (1, 2, 3))  # warm caches
+    draft = draft_rule((1, 2, 3))
+    draft.run(prob)  # warm caches
     t0 = time.perf_counter()
-    alloc, trace = priority_draft(prob, (1, 2, 3))
+    alloc, trace = draft.run(prob)
     elapsed = time.perf_counter() - t0
     assert alloc == (bundle("ab"), bundle("c"), bundle("d"))
     assert [obj for _, _, obj in trace] == [0, 2, 3, 1]  # selections a, c, d, b

@@ -247,9 +247,7 @@ def test_msp_falsifier_draft_clean_and_refutes_truth_punisher():
     def punish(p: Problem):
         if p.profile[0] == truth_abc:
             return (0,) * len(p.agents), None
-        from draftkit.rules import priority_draft
-
-        return priority_draft(p, PI2)
+        return draft_rule(PI2).run(p)
 
     rep = check_msp_falsify(Rule("punish", punish, restriction_invariant=False), D23, schemes)
     assert rep.verdict == "refuted"
@@ -278,9 +276,7 @@ def test_quota_wrp_violation_when_agent2_overfed():
     def greedy2(p: Problem):
         if p.available == bundle("ab"):
             return (0, bundle("ab")), None
-        from draftkit.rules import quota_draft
-
-        return quota_draft(p, PI2)
+        return quota_draft_rule(PI2).run(p)
 
     rep = check_wrp_quota(Rule("greedy2", greedy2), dom, PI2)
     assert not rep.holds

@@ -157,6 +157,53 @@ def test_cli_run_worked_example(worked_file, capsys, tmp_path):
     assert report["unassigned"] == []
 
 
+TWELVE_OBJECTS = "universe: a b c d e f g h i j k l\nagents: x y z\n"
+TWELVE_FIXED = TWELVE_OBJECTS + (
+    "variant: fixed\n"
+    "pref x: a > b > c > d > e > f > g > h > i > j > k > l\n"
+    "pref y: l > k > j > i > h > g > f > e > d > c > b > a\n"
+    "pref z: f > a > l > g > b > k > h > c > j > i > d > e\n"
+)
+TWELVE_UNACCEPTABLE = TWELVE_OBJECTS + (
+    "variant: unacceptable\n"
+    "pref x: a > b > c > d > e | f > g > h > i > j > k > l\n"
+    "pref y: a > l > k > j > i > h > g | f > e > d > c > b\n"
+    "pref z: f > a > l > g > b > k > h > c > j | i > d > e\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, rule, trace",
+    [
+        (
+            TWELVE_FIXED,
+            "draft",
+            "1:x->a 2:y->l 3:z->f 4:x->b 5:y->k 6:z->g 7:x->c 8:y->j 9:z->h 10:x->d 11:y->i "
+            "12:z->e",
+        ),
+        (
+            TWELVE_FIXED,
+            "snake",
+            "1:x->a 2:y->l 3:z->f 4:z->g 5:y->k 6:x->b 7:x->c 8:y->j 9:z->h 10:z->i 11:y->e "
+            "12:x->d",
+        ),
+        (
+            TWELVE_UNACCEPTABLE,
+            "u-draft",
+            "1:x->a 2:y->l 3:z->f 4:x->b 5:y->k 6:z->g 7:x->c 8:y->j 9:z->h 10:x->d 11:y->i "
+            "12:z->pass 13:x->e 14:y->pass 15:z->pass 16:x->pass",
+        ),
+    ],
+    ids=["draft", "snake", "u-draft"],
+)
+def test_cli_run_drafts_twelve_objects(tmp_path, capsys, text, rule, trace):
+    """`run` solves one problem at any width: past the 8-object block engines."""
+    path = tmp_path / "twelve.txt"
+    path.write_text(text)
+    assert main(["--no-timestamp", "run", str(path), "--rule", rule]) == 0
+    assert f"trace: {trace}\n" in capsys.readouterr().out
+
+
 def test_cli_reports_are_deterministic(worked_file, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     main(["--out", str(a), "--no-timestamp", "run", worked_file])

@@ -17,6 +17,7 @@ from draftkit.axioms import (
     unacceptable_domain,
 )
 from draftkit.csp import (
+    MAX_SOLUTIONS,
     BinaryConstraint,
     InfeasibilityCertificate,
     RuleCSP,
@@ -50,6 +51,17 @@ def test_empty_axiom_set_no_pruning():
     for prob, cands in zip(csp.problems, csp.candidates):
         assert len(cands) == len(_all_allocations(prob))
     assert not csp.constraints
+
+
+def test_find_all_past_the_solution_cap_is_undecided():
+    """36 four-candidate variables that no constraint links have 4^36 solutions and make no
+    revision, so only the solution cap stops the search."""
+    dom = ProblemDomain("fixed", 3, ((1, 2),), (bundle("abc"),))
+    csp = build_csp(dom, ["NW", "EF1"])
+    assert not csp.constraints and [d.bit_count() for d in csp.domains] == [4] * 36
+    res = solve_csp(csp)
+    assert (res.status, res.stats.revisions) == ("undecided", 0)
+    assert len(res.solutions) == MAX_SOLUTIONS + 1
 
 
 def test_characterization_propagation_pins_draft_small():

@@ -41,7 +41,6 @@ from draftkit.rules import (
     null_rule,
     pairwise_consistency_counterexample,
     population_rm_counterexample,
-    priority_draft,
     problem_key,
     quota_draft_rule,
     rm_counterexample,
@@ -198,7 +197,13 @@ def _fill_cases():
         ),
         "variable23": (
             variable_domain(2, 3),
-            {"draft": variable_draft_rule(pi), **anywhere, "snake": snake_draft_rule(pi)},
+            {
+                "draft": variable_draft_rule(pi),
+                **anywhere,
+                "snake": snake_draft_rule(pi),
+                "population-rm-cx": population_rm_counterexample(pi),
+                "2con-cx": pairwise_consistency_counterexample(pi),
+            },
         ),
     }
     for label, (domain, rules) in cases.items():
@@ -272,7 +277,12 @@ def _engine_cases():
         "quota24-1-inf": (quota_domain(2, 4, (1, INFINITE)), {"draft": quota_draft_rule(pi2)}),
         "variable34": (
             variable_domain(3, 4),
-            {"draft": variable_draft_rule(pi3), "snake": snake_draft_rule(pi3)},
+            {
+                "draft": variable_draft_rule(pi3),
+                "snake": snake_draft_rule(pi3),
+                "population-rm-cx": population_rm_counterexample(pi3),
+                "2con-cx": pairwise_consistency_counterexample(pi3),
+            },
         ),
     }
     for label, (domain, rules) in cases.items():
@@ -321,6 +331,8 @@ ENGINES = {
     "pi-dictatorship": lambda pi, seq: dictatorship_rule(pi),
     "null": lambda pi, seq: null_rule(),
     "ir-cx": lambda pi, seq: ir_counterexample(pi),
+    "population-rm-cx": lambda pi, seq: population_rm_counterexample(pi),
+    "2con-cx": lambda pi, seq: pairwise_consistency_counterexample(pi),
 }
 MAX_BLOCK_ROWS = 15_000
 
@@ -661,14 +673,14 @@ def _punish(p: Problem):
     """The draft, except that everyone gets nothing when agent 1 reports a > b > c."""
     if p.profile[0] == TRUTH_ABC:
         return (0,) * len(p.agents), None
-    return priority_draft(p, tuple(range(1, len(p.agents) + 1)))
+    return draft_rule(tuple(range(1, len(p.agents) + 1))).run(p)
 
 
 def _worst_first(p: Problem):
     """The draft, except that agent 1 picks by the reverse of the reported ranking."""
     flipped = Preference(p.profile[0].ranking[::-1])
     p = replace(p, profile=(flipped,) + p.profile[1:])
-    return priority_draft(p, tuple(range(1, len(p.agents) + 1)))
+    return draft_rule(tuple(range(1, len(p.agents) + 1))).run(p)
 
 
 def _msp_rules(n: int) -> dict:

@@ -169,6 +169,13 @@ def test_infer_priority_snake_matches_draft_on_probes():
     assert infer_priority(snake_draft_rule((1, 2, 3)), (1, 2, 3)) == (1, 2, 3)
 
 
+def test_infer_priority_allocates_each_probe_once():
+    base, probes = variable_draft_rule((1, 2, 3)), []
+    rule = Rule("counted", lambda p: probes.append(p) or base.run(p))
+    assert infer_priority(rule, (1, 2, 3)) == (1, 2, 3)
+    assert len(probes) == len(set(probes)) == 3 * 4  # 3 pairs, 2 labelings, 2 probes
+
+
 def test_infer_priority_reports_relabeling_inconsistency():
     base = variable_draft_rule((1, 2))
 
