@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, permutations, product
+from math import factorial
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -31,6 +32,7 @@ from .core import (
     bundle_size,
     objects_of,
     preference_space,
+    restrict,
     subsets_of,
     top_k,
 )
@@ -185,14 +187,27 @@ def all_priorities(agents: Iterable[Agent]) -> list[Priority]:
 
 
 MAX_ROW_OBJECTS = 8  # allocation rows are uint8: one bit per object
+# profile codes per available set (Pⁿ): a set's block keeps an intp (Pⁿ, n) index array
+# beside its rows, and its checks make temporaries of that length, so 2²¹ codes keep a
+# three-agent block near 60 MB; Tier-1's largest sets hold 14,400 codes, fixed 3×5 1.7 M
+MAX_PROFILE_CODES = 1 << 21
 
 
-def past_row_capacity(objects: int) -> str:
-    """Why a request over this many objects is undecided."""
-    return (
-        f"{objects} objects exceeds the allocation arrays' capacity "
-        f"({MAX_ROW_OBJECTS}); bundles are stored as 8-bit rows"
-    )
+def past_capacity(n_objects: int, n_agents: int = 1, cutoffs: bool = False) -> str | None:
+    """Why a request of this size is undecided, or None when its arrays fit. One agent
+    never passes the profile bound, so callers without a population check only the rows."""
+    if n_objects > MAX_ROW_OBJECTS:
+        return (
+            f"{n_objects} objects exceeds the allocation arrays' capacity "
+            f"({MAX_ROW_OBJECTS}); bundles are stored as 8-bit rows"
+        )
+    codes = (factorial(n_objects) * (n_objects + 1 if cutoffs else 1)) ** n_agents
+    if codes > MAX_PROFILE_CODES:
+        return (
+            f"{n_agents} agents over {n_objects} objects make {codes} profiles per available "
+            f"set, more than a sweep holds ({MAX_PROFILE_CODES})"
+        )
+    return None
 
 
 def _digits(P: int, n: int) -> np.ndarray:
@@ -217,6 +232,15 @@ def _fill(rule: Rule, domain: ProblemDomain, agents, x: Bundle, prefs, digits) -
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def restriction_reps(domain: ProblemDomain, x: Bundle) -> np.ndarray:
+    """Per index into the domain's preference space, the first index whose restriction to
+    x is the same: the first index of its restriction class at x."""
+    first: dict[Preference, int] = {}
+    prefs = domain.preference_space()
+    return _index_array([first.setdefault(restrict(p, x), i) for i, p in enumerate(prefs)])
+
+
 class FixedSweep:
     """Evaluates a rule over a whole fixed-population domain once.
 
@@ -224,9 +248,11 @@ class FixedSweep:
     a profile code is the base-P encoding of per-agent preference indexes, slot
     0 most significant. Cross-problem checks (misreports, subsets, truncations)
     are then pure index arithmetic, so a rule is run exactly once per problem.
-    Each set keeps one uint8 array, filled on first use (by the rule's array
-    engine when it has one), that the gather checkers read; witnesses decode
-    their one failing row with `allocation`.
+    A restriction-invariant rule is sent one misreport per restriction class
+    (`restriction_reps`), the classes that code `csp.ProblemKeys`. Each set
+    keeps one uint8 array, filled on first use (by the rule's array engine when
+    it has one), that the gather checkers read; witnesses decode their one
+    failing row with `allocation`.
     """
 
     def __init__(self, rule: Rule, domain: ProblemDomain):
@@ -242,7 +268,6 @@ class FixedSweep:
         # grids are filled in itertools.product order: slot 0 is the most significant digit
         self._pow = tuple(self.P ** (self.n - 1 - slot) for slot in range(self.n))
         self._grids: dict[int, np.ndarray] = {}
-        self._reps: dict[int, np.ndarray] = {}
 
     # --- profile codes ---
 
@@ -295,23 +320,6 @@ class FixedSweep:
     def digits(self) -> np.ndarray:
         """(Pⁿ, n) preference index of each slot at each profile code."""
         return _digits(self.P, self.n)
-
-    def restriction_reps(self, x_idx: int) -> np.ndarray:
-        """Per preference index, the first index whose restriction to this set is the same."""
-        if x_idx not in self._reps:
-            x = self.xs[x_idx]
-            first: dict = {}
-            reps = []
-            for i, p in enumerate(self.prefs):
-                ranking = tuple(o for o in p.ranking if x >> o & 1)
-                cut = (
-                    None
-                    if p.cutoff is None
-                    else sum(1 for o in ranking if p.acceptable >> o & 1)
-                )
-                reps.append(first.setdefault((ranking, cut), i))
-            self._reps[x_idx] = np.array(reps)
-        return self._reps[x_idx]
 
 
 def _union(alloc: Allocation) -> Bundle:
@@ -421,12 +429,6 @@ class AxiomSpace:
         """DOM[pref, s, t] (or EF1OK) under the slot's quota; no slot reads no quota."""
         quota = None if slot is None or self.quotas is None else self.quotas[slot]
         return relation_table(self.n_objects, self.variant == "unacceptable", quota, ef1)
-
-    def admits(self, problem: Problem, allocs: Sequence[Allocation], names) -> np.ndarray:
-        """Which of the allocations at one problem pass every named unary axiom."""
-        rows = np.array(allocs, dtype=np.uint8).reshape(len(allocs), self.n)
-        digits = np.tile([self.index[p] for p in problem.profile], (len(allocs), 1))
-        return admissible(self, problem.available, rows, digits, names)
 
 
 # --- deviation relations: (table, preference index, own bundle, other bundle) ---
@@ -890,7 +892,8 @@ def _misreport_targets(sw: FixedSweep, xi: int):
     so one report per restriction class is enough, minus the truth's own
     class; any other rule is checked against every other report.
     """
-    key = sw.restriction_reps(xi) if sw.rule.restriction_invariant else np.arange(sw.P)
+    invariant = sw.rule.restriction_invariant
+    key = restriction_reps(sw.domain, sw.xs[xi]) if invariant else np.arange(sw.P)
     reps = np.flatnonzero(key == np.arange(sw.P))  # each class's rep is its first index
     return np.broadcast_to(reps, (sw.P, len(reps))), reps[None, :] != key[:, None]
 

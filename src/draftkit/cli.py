@@ -18,14 +18,13 @@ from typing import Callable, NamedTuple
 from .axioms import (
     AXIOM_CHECKERS,
     AXIOM_VARIANTS,
-    MAX_ROW_OBJECTS,
     PRIORITY_AXIOM_CHECKERS,
     VARIABLE_AXIOM_CHECKERS,
     FixedSweep,
     ProblemDomain,
     VariableSweep,
     fixed_domain,
-    past_row_capacity,
+    past_capacity,
     quota_domain,
     unacceptable_domain,
     variable_domain,
@@ -69,6 +68,12 @@ RULE_FACTORIES = {
 
 class InputError(Exception):
     pass
+
+
+def _undecided(args, reason: str, report: dict) -> int:
+    print(f"undecided: {reason}", file=sys.stderr)
+    _emit(report | {"exit": 3}, args)
+    return 3
 
 
 def _emit(report: dict, args) -> None:
@@ -166,6 +171,8 @@ def _parse_quotas(text: str | None, n: int):
 
 
 def _make_domain(args) -> ProblemDomain:
+    if args.quotas is not None and args.variant != "quota":
+        raise InputError(f"--quotas applies to the quota variant, not {args.variant!r}")
     if args.variant == "fixed":
         return fixed_domain(args.agents, args.objects)
     if args.variant == "quota":
@@ -214,18 +221,16 @@ def cmd_check(args) -> int:
     axioms = _axiom_list(args.axioms)
     if args.agents < 1 or args.objects < 1:
         raise InputError("--agents and --objects must be at least 1")
+    report = {"command": "check", "verdicts": {}}
     if args.objects > ENUMERATION_CAP and not args.i_know_this_is_huge:
-        print(
-            f"undecided: {args.objects} objects exceeds the enumeration cap "
-            f"({ENUMERATION_CAP}); pass --i-know-this-is-huge to force",
-            file=sys.stderr,
+        reason = (
+            f"{args.objects} objects exceeds the enumeration cap "
+            f"({ENUMERATION_CAP}); pass --i-know-this-is-huge to force"
         )
-        _emit({"command": "check", "verdicts": {}, "exit": 3, "note": "cap exceeded"}, args)
-        return 3
-    if args.objects > MAX_ROW_OBJECTS:
-        print(f"undecided: {past_row_capacity(args.objects)}", file=sys.stderr)
-        _emit({"command": "check", "verdicts": {}, "exit": 3, "note": "capacity exceeded"}, args)
-        return 3
+        return _undecided(args, reason, report | {"note": "cap exceeded"})
+    reason = past_capacity(args.objects, args.agents, cutoffs=args.variant == "unacceptable")
+    if reason:
+        return _undecided(args, reason, report | {"note": "capacity exceeded"})
     domain = _make_domain(args)
     priority = tuple(range(1, args.agents + 1))
     if args.priority:
@@ -305,14 +310,8 @@ EXIT_CODES = {verifier.REPRODUCED: 0, verifier.NOT_REPRODUCED: 1, verifier.UNDEC
 EXIT_CRASH = 4
 
 
-def _verify_undecided(args, reason: str) -> int:
-    print(f"undecided: {reason}", file=sys.stderr)
-    _emit({"command": "verify", "theorem": args.theorem, "exit": 3}, args)
-    return 3
-
-
 def cmd_verify(args) -> int:
-    entry = VERIFY_IDS[args.theorem]
+    entry, stub = VERIFY_IDS[args.theorem], {"command": "verify", "theorem": args.theorem}
     for flag in VERIFY_FLAGS:
         if getattr(args, flag) is not None and flag not in entry.flags:
             raise InputError(f"{args.theorem} does not read --{flag}")
@@ -327,17 +326,19 @@ def cmd_verify(args) -> int:
     if "quotas" in values:
         values["quotas"] = _parse_quotas(values["quotas"], 2)
     if values.get("objects", 0) > SEARCH_CAP and not args.i_know_this_is_huge:
-        return _verify_undecided(
+        return _undecided(
             args,
             f"{values['objects']} objects exceeds the search cap ({SEARCH_CAP}); "
             "pass --i-know-this-is-huge to force",
+            stub,
         )
-    if values.get("objects", 0) > MAX_ROW_OBJECTS:
-        return _verify_undecided(args, past_row_capacity(values["objects"]))
+    reason = past_capacity(values.get("objects", 0), values.get("agents", 1))
+    if reason:
+        return _undecided(args, reason, stub)
     try:
         verdict = entry.driver(**{PARAMETERS.get(f, f): v for f, v in values.items()})
     except verifier.CapacityError as exc:
-        return _verify_undecided(args, str(exc))
+        return _undecided(args, str(exc), stub)
     code = EXIT_CODES[verdict.outcome]
     print(f"{args.theorem}: {verdict.outcome}")
     for key, value in verdict.detail.items():
@@ -358,9 +359,7 @@ def cmd_manipulate(args) -> int:
     try:
         found = verifier.find_manipulation(rule, prob, agent)
     except verifier.CapacityError as exc:
-        print(f"undecided: {exc}", file=sys.stderr)
-        _emit({"command": "manipulate", "exit": 3, "note": "capacity exceeded"}, args)
-        return 3
+        return _undecided(args, str(exc), {"command": "manipulate", "note": "capacity exceeded"})
     if found is None:
         print("no profitable misreport at this problem")
         _emit({"command": "manipulate", "found": False, "exit": 0}, args)

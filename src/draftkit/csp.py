@@ -1,40 +1,37 @@
 """Rule-space constraint search: one variable per problem key, candidates are allocations.
 
-Intra-problem axioms filter candidate sets; inter-problem axioms become binary
-constraints with precomputed allowed-masks. Propagation is queue-based arc
-consistency. `depth_first` is the backtracking search of this solver and of
-`grid.solve_grid`, with a deterministic variable and value order, so verdicts
-and witnesses never depend on scheduling. Unsatisfiable searches emit a
-certificate: a tree of decisions in which every node keeps the propagation
-steps that led to it and each leaf names the variable they empty. The replayer
-re-justifies every removal against its constraint, at any depth.
+Keys, the keys each constraint links and the candidates all come from
+restriction-class codes (`ProblemKeys`). Intra-problem axioms filter candidate
+sets; inter-problem axioms become binary constraints with precomputed
+allowed-masks. Propagation is queue-based arc consistency. `depth_first` is
+the backtracking search of this solver and of `grid.solve_grid`, with a
+deterministic variable and value order, so verdicts and witnesses never depend
+on scheduling. Unsatisfiable searches emit a certificate: a tree of decisions
+in which every node keeps the propagation steps that led to it and each leaf
+names the variable they empty. The replayer re-justifies every removal against
+its constraint, at any depth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    Allocation,
-    Preference,
-    Priority,
-    Problem,
-    bundle_size,
-    objects_of,
-    restrict,
-    subsets_of,
-)
+from .core import Allocation, Bundle, Priority, Problem, objects_of, subsets_of
 from .axioms import (
     DEVIATIONS,
     UNARY,
     AxiomSpace,
     ProblemDomain,
-    _rankings,
+    _change_targets,
+    _digits,
+    admissible,
     require_variant,
+    restriction_reps,
 )
 from .rules import Rule, problem_key, tabulated_rule
 
@@ -120,29 +117,83 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 
 
+class ProblemKeys:
+    """The problem keys of a fixed-population domain, as restriction-class codes.
+
+    At available set X, preferences that restrict to X alike form one class,
+    and the first index of each class (`restriction_reps`) stands for it. The
+    keys at X are the profile codes whose every digit is such a first index,
+    in code order, and sets follow the domain's order: the order in which
+    `ProblemDomain.problems()` first meets each key. Key k is variable k of a
+    rule search; the keys at set xi start at `offsets[xi]`, and `digits[xi]`
+    holds their preference indexes. Other problems are found by mapping digits
+    through the classes, never by restricting preferences.
+    """
+
+    def __init__(self, domain: ProblemDomain):
+        if domain.variant == "variable":
+            raise ValueError("problem keys are indexed on fixed-population domains only")
+        self.domain, self.xs, self.n = domain, domain.available_sets, len(domain.populations[0])
+        reps = [restriction_reps(domain, x) for x in self.xs]
+        self.firsts = [np.flatnonzero(r == np.arange(len(r))) for r in reps]
+        # per set: each preference index's class position, and each slot's place value
+        self._classes = [np.searchsorted(f, r) for f, r in zip(self.firsts, reps)]
+        self._weights = [len(f) ** np.arange(self.n - 1, -1, -1) for f in self.firsts]
+        self.digits = [f[_digits(len(f), self.n)] for f in self.firsts]
+        self.offsets = np.cumsum([0] + [len(d) for d in self.digits]).tolist()
+
+    def find(self, xi: int, digits: np.ndarray) -> np.ndarray:
+        """The key at set xi of each profile in `digits` (preference indexes, slots last)."""
+        return self.offsets[xi] + self._classes[xi][digits] @ self._weights[xi]
+
+    def steps(self, xi: int, slot: int, alts: np.ndarray) -> np.ndarray:
+        """(keys, k): from each key at set xi, the distance in keys to the key whose slot's
+        digit is each preference index of its row of `alts` (one row serves all keys)."""
+        classes, own = self._classes[xi], self.digits[xi][:, slot, None]
+        return (classes[alts] - classes[own]) * self._weights[xi][slot]
+
+    def problems(self, xi: int) -> list[Problem]:
+        """The first problem of each key at set xi."""
+        d, prefs = self.domain, self.domain.preference_space()
+        make = partial(Problem, d.variant, d.populations[0], self.xs[xi], quotas=d.quotas)
+        return [make(tuple(map(prefs.__getitem__, row))) for row in self.digits[xi].tolist()]
+
+
 def distinct_problems(domain: ProblemDomain) -> tuple[list, list[Problem]]:
-    """Each problem key of the domain once, in enumeration order, with its first problem."""
-    first: dict = {}
-    for prob in domain.problems():
-        first.setdefault(problem_key(prob), prob)
-    return list(first), list(first.values())
+    """Each problem key of a fixed-population domain once, in enumeration order, with its
+    first problem; `problem_key` runs once per key."""
+    index = ProblemKeys(domain)
+    problems = [prob for xi in range(len(index.xs)) for prob in index.problems(xi)]
+    return [problem_key(prob) for prob in problems], problems
 
 
-def _all_allocations(problem: Problem) -> list[Allocation]:
-    objs = objects_of(problem.available)
-    n = len(problem.agents)
-    out = []
-    for assign in product(range(n + 1), repeat=len(objs)):
-        bundles = [0] * n
-        for o, who in zip(objs, assign):
-            if who < n:
-                bundles[who] |= 1 << o
-        alloc = tuple(bundles)
-        if problem.quotas is not None and any(
-            bundle_size(b) > q for b, q in zip(alloc, problem.quotas)
-        ):
-            continue
-        out.append(alloc)
+@lru_cache(maxsize=None)
+def _splits(available: int, n: int, quotas: tuple | None = None) -> np.ndarray:
+    """Every assignment of the available objects to one of n agents or to nobody that
+    gives no agent more objects than its quota, uint8 (splits, n), in product order."""
+    objs = objects_of(available)
+    owner = np.array(list(product(range(n + 1), repeat=len(objs))), dtype=np.intp)
+    owner = owner.reshape(-1, len(objs))  # owner n is nobody
+    bits = np.left_shift(1, np.array(objs, dtype=np.intp))
+    out = ((owner[:, :, None] == np.arange(n)) * bits[:, None]).sum(axis=1).astype(np.uint8)
+    if quotas is not None:
+        out = out[(np.bitwise_count(out) <= np.array(quotas)).all(axis=1)]
+    out.flags.writeable = False
+    return out
+
+
+_ADMIT_ROWS = 1 << 15  # (key, split) rows per admissible call; bounds its temporaries
+
+
+def admitted(space: AxiomSpace, x: Bundle, splits: np.ndarray, digits: np.ndarray, names):
+    """bool (keys, splits): which splits pass every named unary axiom at each key of set x
+    (rows of preference indexes), at most _ADMIT_ROWS (key, split) rows per step."""
+    out = np.empty((len(digits), len(splits)), dtype=bool)
+    step = max(1, _ADMIT_ROWS // len(splits))
+    for lo in range(0, len(digits), step):
+        d = digits[lo : lo + step]
+        tiled, repeated = np.tile(splits, (len(d), 1)), np.repeat(d, len(splits), axis=0)
+        out[lo : lo + step] = admissible(space, x, tiled, repeated, names).reshape(len(d), -1)
     return out
 
 
@@ -158,10 +209,13 @@ def _masks(allowed: np.ndarray) -> list[int]:
 def build_csp(domain: ProblemDomain, axioms: Sequence[str], priority: Priority | None = None) -> RuleCSP:
     """Encode the axioms over the domain; unary ones filter candidates up front.
 
-    Problem keys restrict profiles to the available set, so the variables range
-    over tabulated rules in the sense of the search's target class. Candidates
-    are filtered by the unary axiom table, and each binary constraint's allowed
-    masks are its deviation relation gathered over the two candidate lists.
+    Variables are the domain's problem keys (`ProblemKeys`), so they range over
+    tabulated rules in the sense of the search's target class. A key's
+    candidates are the splits of its set within the quotas that pass the unary
+    axiom table. A binary constraint links a key to one found from its digits:
+    RM maps them to each smaller set's classes, SP and WSP put each other class
+    in one slot, and TI the classes of that slot's truncations. Its allowed
+    masks are the deviation relation gathered over the two candidate lists.
     """
     for ax in axioms:
         if ax not in ENCODED_AXIOMS:
@@ -171,18 +225,18 @@ def build_csp(domain: ProblemDomain, axioms: Sequence[str], priority: Priority |
     for ax in axioms:
         require_variant(ax, domain)
 
-    keys, problems = distinct_problems(domain)
-    key_index = {k: i for i, k in enumerate(keys)}
-
+    index = ProblemKeys(domain)
     space = AxiomSpace(domain, priority)
     n = space.n
-    candidates, rows, digits = [], [], []
-    for prob in problems:
-        cands = _all_allocations(prob)
-        cands = [a for a, keep in zip(cands, space.admits(prob, cands, axioms)) if keep]
-        candidates.append(cands)
-        rows.append(np.array(cands, dtype=np.uint8).reshape(len(cands), n))
-        digits.append([space.index[p] for p in prob.profile])
+    problems, candidates, rows = [], [], []
+    for xi, x in enumerate(index.xs):
+        splits = _splits(x, n, domain.quotas)
+        problems += index.problems(xi)
+        for keep in admitted(space, x, splits, index.digits[xi], axioms):
+            rows.append(splits[keep])
+            candidates.append(list(map(tuple, rows[-1].tolist())))
+    keys = [problem_key(prob) for prob in problems]
+    digits = np.concatenate(index.digits)
     domains = [(1 << len(c)) - 1 for c in candidates]
     tables = [space.relation(slot) for slot in range(n)]
 
@@ -196,61 +250,44 @@ def build_csp(domain: ProblemDomain, axioms: Sequence[str], priority: Priority |
 
     if "RM" in axioms:
         ok = DEVIATIONS["RM"]
-        for u, prob in enumerate(problems):
-            for small in subsets_of(prob.available):
-                if small == prob.available:
-                    continue
-                reduced = Problem(
-                    prob.variant, prob.agents, small, prob.profile, prob.quotas
-                )
-                v = key_index[problem_key(reduced)]
-                allowed = np.ones((len(candidates[u]), len(candidates[v])), dtype=bool)
-                for slot in range(n):
-                    allowed &= ok(tables[slot], digits[u][slot], *columns(u, v, slot))
-                add_pair("RM", u, v, allowed)
+        set_index = {x: i for i, x in enumerate(index.xs)}
+        for xi, x in enumerate(index.xs):
+            ys = [set_index[y] for y in subsets_of(x) if y != x]
+            smaller = [index.find(yi, index.digits[xi]) for yi in ys]
+            for u, found in enumerate(zip(*(f.tolist() for f in smaller)), index.offsets[xi]):
+                for v in found:
+                    allowed = np.ones((len(candidates[u]), len(candidates[v])), dtype=bool)
+                    for slot in range(n):
+                        allowed &= ok(tables[slot], digits[u, slot], *columns(u, v, slot))
+                    add_pair("RM", u, v, allowed)
 
     if "SP" in axioms or "WSP" in axioms:
         name = "WSP" if "WSP" in axioms else "SP"
         ok = DEVIATIONS[name]
-        seen_pairs = set()
-        for u, prob in enumerate(problems):
-            for slot in range(len(prob.agents)):
-                for alt in _slot_alternatives(domain, prob, slot):
-                    new_profile = list(prob.profile)
-                    new_profile[slot] = alt
-                    other = Problem(
-                        prob.variant,
-                        prob.agents,
-                        prob.available,
-                        tuple(new_profile),
-                        prob.quotas,
-                    )
-                    v = key_index[problem_key(other)]
-                    if v == u or (min(u, v), max(u, v), slot) in seen_pairs:
-                        continue
-                    seen_pairs.add((min(u, v), max(u, v), slot))
-                    # truth at u must not gain by moving to v, nor truth at v by moving to u
-                    a, b = columns(u, v, slot)
-                    dom = tables[slot]
-                    add_pair(name, u, v, ok(dom, digits[u][slot], a, b) & ok(dom, digits[v][slot], b, a))
+        for xi, firsts in enumerate(index.firsts):
+            step = np.stack([index.steps(xi, slot, firsts) for slot in range(n)], axis=1)
+            # each unordered pair once, from its lower key; key-major, then slot, then class
+            for k, slot, j in np.argwhere(step > 0).tolist():
+                u = index.offsets[xi] + k
+                v = u + int(step[k, slot, j])
+                # truth at u must not gain by moving to v, nor truth at v by moving to u
+                (a, b), dom = columns(u, v, slot), tables[slot]
+                allowed = ok(dom, digits[u, slot], a, b) & ok(dom, digits[v, slot], b, a)
+                add_pair(name, u, v, allowed)
 
     if "TI" in axioms:
         ok = DEVIATIONS["TI"]
-        for u, prob in enumerate(problems):
-            for slot in range(len(prob.agents)):
-                rpref = restrict(prob.profile[slot], prob.available)
-                for alt in _slot_alternatives(domain, prob, slot):
-                    if alt.ranking != rpref.ranking or alt.cutoff >= rpref.cutoff:
-                        continue  # truncations of the key preference only
-                    new_profile = list(prob.profile)
-                    new_profile[slot] = alt
-                    other = Problem(
-                        prob.variant, prob.agents, prob.available, tuple(new_profile)
-                    )
-                    v = key_index[problem_key(other)]
-                    # v's representative restricts to alt, so it has alt's acceptable objects here
-                    allowed = ok(space.acceptable, digits[v][slot], *columns(u, v, slot))
-                    add_pair("TI", u, v, allowed)
+        truncations, counted = _change_targets(domain.n_objects, 0)
+        for xi in range(len(index.xs)):
+            own = index.digits[xi]
+            step = np.stack([index.steps(xi, i, truncations[own[:, i]]) for i in range(n)], 1)
+            # truncations come in cutoff order, so the classes they reach do too: take each once
+            fresh = np.diff(step, axis=2, prepend=step.min() - 1) != 0
+            for k, slot, j in np.argwhere(counted[own] & fresh & (step != 0)).tolist():
+                u = index.offsets[xi] + k
+                v = u + int(step[k, slot, j])
+                # v's first problem has the truncation's acceptable objects here
+                add_pair("TI", u, v, ok(space.acceptable, digits[v, slot], *columns(u, v, slot)))
 
     watchers: list[list[int]] = [[] for _ in keys]
     for ci, c in enumerate(constraints):
@@ -260,16 +297,6 @@ def build_csp(domain: ProblemDomain, axioms: Sequence[str], priority: Priority |
     return RuleCSP(
         domain, tuple(axioms), keys, problems, candidates, domains, constraints, watchers
     )
-
-
-def _slot_alternatives(domain: ProblemDomain, prob: Problem, slot: int):
-    """All key-level preferences one agent could report at this problem (including her own)."""
-    objs = objects_of(prob.available)
-    if domain.variant == "unacceptable":
-        return [
-            Preference(r, c) for r in _rankings(objs) for c in range(len(objs) + 1)
-        ]
-    return [Preference(r) for r in _rankings(objs)]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, groupby, permutations, product
+from itertools import combinations, permutations
 from random import Random
 from typing import Sequence
 
@@ -27,14 +27,12 @@ from .core import (
     preference_space,
 )
 from .axioms import (
-    MAX_ROW_OBJECTS,
     OBJECT_NAMES,
     AxiomSpace,
     FixedSweep,
     ProblemDomain,
     VariableSweep,
     _union,
-    admissible,
     check_msp_certificate,
     check_msp_falsify,
     check_rm_var,
@@ -44,13 +42,22 @@ from .axioms import (
     describe_problem,
     fixed_domain,
     format_bundle,
-    past_row_capacity,
+    past_capacity,
     quota_domain,
     sp_ok,
     unacceptable_domain,
     variable_domain,
 )
-from .csp import SCOPE_NOTE, SolveResult, _all_allocations, build_csp, distinct_problems, solve_csp
+from .csp import (
+    SCOPE_NOTE,
+    ProblemKeys,
+    SolveResult,
+    _splits,
+    admitted,
+    build_csp,
+    distinct_problems,
+    solve_csp,
+)
 from .dominance import (
     PD_ROWS,
     geometric_scheme,
@@ -269,8 +276,10 @@ class _CaseEngine:
     def candidates(self, profile: tuple) -> list[tuple]:
         bigs = map(bundle_of, combinations(range(_T4_OBJECTS), 3))
         splits = [self.alloc(big, _T4_FULL & ~big) for big in bigs]
-        prob = Problem("fixed", (1, 2), _T4_FULL, tuple(Preference(r) for r in profile))
-        return [c for c, keep in zip(splits, self.space.admits(prob, splits, ("EF1",))) if keep]
+        digits = np.array([[self.space.index[Preference(r)] for r in profile]])
+        rows = np.array(splits, dtype=np.uint8)
+        keep = admitted(self.space, _T4_FULL, rows, digits, ("EF1",))[0]
+        return [c for c, kept in zip(splits, keep.tolist()) if kept]
 
     def pin(self, profile: tuple, expect: set | None, label: str) -> list[tuple]:
         cands = self.candidates(profile)
@@ -504,9 +513,9 @@ def find_manipulation(rule: Rule, problem: Problem, agent: Agent):
     (row r + 1 puts report r in the agent's slot). Past the allocation rows' 8 objects
     it raises CapacityError before enumerating anything."""
     objs = _universe(problem)
-    width = (bundle_of(objs) | problem.available).bit_length()
-    if width > MAX_ROW_OBJECTS:
-        raise CapacityError(past_row_capacity(width))
+    reason = past_capacity((bundle_of(objs) | problem.available).bit_length())
+    if reason:
+        raise CapacityError(reason)
     slot = problem.agents.index(agent)
     reports, index = _report_space(problem.variant, objs)
     prefs = reports + tuple(p for p in dict.fromkeys(problem.profile) if p not in index)
@@ -560,7 +569,6 @@ def verify_t5(
 
 ORACLE_MAX_OBJECTS, ORACLE_MAX_AGENTS = 5, 3  # the oracle tries (agents + 1)^objects splits
 _ORACLE_CELLS = 1 << 18  # (problem, split, allocation) cells per step of the Pareto oracle
-_DECOMPOSITION_ROWS = 1 << 15  # (problem, allocation) rows per step of the EFF comparison
 
 
 def _oracle_capacity(n_objects: int, n_agents: int) -> None:
@@ -584,19 +592,6 @@ def _oracle_relation(n_objects: int, cutoffs: bool) -> tuple[dict, np.ndarray]:
     ).reshape(len(prefs), -1)
     table.flags.writeable = False
     return {p: i for i, p in enumerate(prefs)}, table
-
-
-@lru_cache(maxsize=None)
-def _splits(available: int, n: int) -> np.ndarray:
-    """Every assignment of the available objects to one of n agents or to nobody,
-    uint8 (splits, n), in product order."""
-    objs = objects_of(available)
-    owner = np.array(list(product(range(n + 1), repeat=len(objs))), dtype=np.intp)
-    owner = owner.reshape(-1, len(objs))  # owner n is nobody
-    bits = np.left_shift(1, np.array(objs, dtype=np.intp))
-    out = ((owner[:, :, None] == np.arange(n)) * bits[:, None]).sum(axis=1).astype(np.uint8)
-    out.flags.writeable = False
-    return out
 
 
 def pareto_efficient(
@@ -663,33 +658,28 @@ def verify_efficiency_decomposition(
     Domains past the oracle's cap raise CapacityError before any enumeration.
     """
     _oracle_capacity(domain.n_objects, max(len(pop) for pop in domain.populations))
-    _, keys = distinct_problems(domain)
-    space = AxiomSpace(domain)
+    index, space = ProblemKeys(domain), AxiomSpace(domain)
     disagreements = []
     checked = 0
+    keys: list[Problem] = []
     agreements: list[list[bool]] = []
-    for (_, x), group in groupby(keys, key=lambda prob: (prob.agents, prob.available)):
-        group = list(group)
-        allocs = _all_allocations(group[0])  # the same at every problem of the group
-        rows = np.array(allocs, dtype=np.uint8).reshape(len(allocs), -1)
-        step = max(1, _DECOMPOSITION_ROWS // len(allocs))
-        for lo in range(0, len(group), step):
-            probs = group[lo : lo + step]
-            digits = np.array([[space.index[p] for p in prob.profile] for prob in probs])
-            tiled, repeated = np.tile(rows, (len(probs), 1)), np.repeat(digits, len(allocs), axis=0)
-            fast = admissible(space, x, tiled, repeated, ("EFF",)).reshape(len(probs), len(allocs))
-            slow = pareto_efficient(probs, rows, domain.n_objects)
-            checked += fast.size
-            for k, i in np.argwhere(fast != slow).tolist():
-                disagreements.append(
-                    {
-                        "problem": describe_problem(probs[k]),
-                        "allocation": [format_bundle(b) for b in allocs[i]],
-                        "decomposed": bool(fast[k, i]),
-                        "oracle": bool(slow[k, i]),
-                    }
-                )
-            agreements.extend((fast == slow).tolist())
+    for xi, x in enumerate(index.xs):
+        probs = index.problems(xi)
+        rows = _splits(x, index.n, domain.quotas)  # the same at every problem of the set
+        fast = admitted(space, x, rows, index.digits[xi], ("EFF",))
+        slow = pareto_efficient(probs, rows, domain.n_objects)
+        checked += fast.size
+        for k, i in np.argwhere(fast != slow).tolist():
+            disagreements.append(
+                {
+                    "problem": describe_problem(probs[k]),
+                    "allocation": [format_bundle(b) for b in rows[i].tolist()],
+                    "decomposed": bool(fast[k, i]),
+                    "oracle": bool(slow[k, i]),
+                }
+            )
+        keys += probs
+        agreements.extend((fast == slow).tolist())
 
     rng = Random(seed)
     for _ in range(n_random_rules):
@@ -708,7 +698,7 @@ def verify_truncation_invariance_implication(
 
     domain = unacceptable_domain(2, n_objects)
     keys = list(zip(*distinct_problems(domain)))
-    cands = [_all_allocations(prob) for _, prob in keys]
+    cands = [list(map(tuple, _splits(prob.available, 2).tolist())) for _, prob in keys]
 
     udraft = unacceptable_draft_rule((1, 2))
     base_table = {k: udraft.allocate(prob) for k, prob in keys}

@@ -8,7 +8,9 @@ first violation, so their
 fast checkers must reproduce exactly. They share only the sweep's grid, the
 witness formatting and the trade-cycle search with the code under test;
 restriction classes, truncation targets, adversary columns, both dominance
-relations and the brute-force Pareto oracle are recomputed here. The
+relations and the brute-force Pareto oracle are recomputed here, and so are the
+rule-space search's problem keys (a first-occurrence scan of every problem),
+candidate allocations and report alternatives, per problem. The
 misreport-by-misreport manipulation search is here too, as the oracle of the
 one-block `verifier.find_manipulation`, and so are the step-by-step draft
 engines, as the oracle of the turn plans that `Rule.run` interprets.
@@ -748,19 +750,52 @@ def _unary_ok(axiom, problem, alloc, priority) -> bool:
     return True
 
 
+def distinct_problems(domain):
+    """Each problem key once with its first problem: a scan of every problem in order."""
+    from draftkit.rules import problem_key
+
+    first: dict = {}
+    for prob in domain.problems():
+        first.setdefault(problem_key(prob), prob)
+    return list(first), list(first.values())
+
+
+def _all_allocations(problem: Problem) -> list[Allocation]:
+    """Every split of the available objects within the quotas, in product order."""
+    objs = objects_of(problem.available)
+    n = len(problem.agents)
+    out = []
+    for assign in product(range(n + 1), repeat=len(objs)):
+        bundles = [0] * n
+        for o, who in zip(objs, assign):
+            if who < n:
+                bundles[who] |= 1 << o
+        alloc = tuple(bundles)
+        if problem.quotas is not None and any(
+            bundle_size(b) > q for b, q in zip(alloc, problem.quotas)
+        ):
+            continue
+        out.append(alloc)
+    return out
+
+
+def _slot_alternatives(domain, prob: Problem, slot: int):
+    """All key-level preferences one agent could report at this problem (including her own)."""
+    objs = objects_of(prob.available)
+    rankings = list(permutations(objs))
+    if domain.variant == "unacceptable":
+        return [Preference(r, c) for r in rankings for c in range(len(objs) + 1)]
+    return [Preference(r) for r in rankings]
+
+
 def build_csp(domain, axioms, priority=None):
     """Candidates and allowed masks, one scalar comparison per allocation pair."""
     from draftkit.core import restrict
-    from draftkit.csp import BinaryConstraint, _all_allocations, _slot_alternatives
+    from draftkit.csp import BinaryConstraint
     from draftkit.rules import problem_key
 
-    keys, key_index, problems = [], {}, []
-    for prob in domain.problems():
-        k = problem_key(prob)
-        if k not in key_index:
-            key_index[k] = len(keys)
-            keys.append(k)
-            problems.append(prob)
+    keys, problems = distinct_problems(domain)
+    key_index = {k: i for i, k in enumerate(keys)}
 
     unary = [ax for ax in axioms if ax not in ("RM", "SP", "WSP", "TI")]
     candidates = [

@@ -300,6 +300,15 @@ def test_cli_check_refuses_bad_sizes(capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("variant, rule", [("fixed", "draft"), ("unacceptable", "u-draft")])
+def test_cli_check_refuses_quotas_off_the_quota_variant(capsys, variant, rule):
+    argv = ["check", "--rule", rule, "--axioms", "EF1", "--variant", variant, "--quotas", "1,2"]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.err == f"error: --quotas applies to the quota variant, not '{variant}'\n"
+    assert out.out == ""
+
+
 @pytest.mark.parametrize(
     "axioms, message",
     [
@@ -354,6 +363,54 @@ def test_cli_verify_extension_detail_is_pinned(tmp_path, capsys, argv, detail):
     assert main(["--out", str(out), "--no-timestamp", "verify"] + argv) == 0
     expected = {"command": "verify", "detail": detail, "exit": 0, "theorem": argv[0]}
     assert out.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+def _verify_stdout(theorem: str, summary: list[str], detail: dict) -> str:
+    report = {"command": "verify", "detail": detail, "exit": 0, "theorem": theorem}
+    lines = [f"{theorem}: reproduced"] + [f"  {line}" for line in summary]
+    return "\n".join(lines) + "\n" + json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+T1_STDOUT = _verify_stdout(
+    "T1",
+    ["status: unique", "survivors: 1", "equals_draft: [True]", f"note: {UNIQUE}"],
+    {"equals_draft": [True], "note": UNIQUE, "status": "unique", "survivors": 1},
+)
+UNIQUE_SUMMARY = ["status: unique", "survivors: 1", f"note: {UNIQUE}"]
+UNIQUE_DETAIL = {"note": UNIQUE, "status": "unique", "survivors": 1}
+
+
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        (["T1"], T1_STDOUT),
+        (["T1", "--agents", "3", "--objects", "3"], T1_STDOUT),
+        (["T6"], _verify_stdout("T6", UNIQUE_SUMMARY, UNIQUE_DETAIL)),
+        (["T7"], _verify_stdout("T7", UNIQUE_SUMMARY, UNIQUE_DETAIL)),
+        (
+            ["P4"],
+            _verify_stdout(
+                "P4",
+                ["rules_checked: 209", "premise_holds: 1", "violations: 0"],
+                {"premise_holds": 1, "rules_checked": 209, "violations": 0},
+            ),
+        ),
+        (
+            ["L1"],
+            _verify_stdout(
+                "L1",
+                ["ok: True", "checked: 1764", "survivors_swept: 1"],
+                {"checked": 1764, "ok": True, "survivors_swept": 1},
+            ),
+        ),
+    ],
+)
+def test_cli_verify_csp_reports_are_pinned(capsys, argv, stdout):
+    """The --json reports of the ids that build a rule-space CSP or read its problem keys,
+    byte for byte."""
+    assert main(["--json", "--no-timestamp", "verify"] + argv) == 0
+    out = capsys.readouterr()
+    assert out.out == stdout and out.err == ""
 
 
 def test_cli_verify_t1(capsys):
@@ -467,6 +524,52 @@ def test_cli_check_past_row_capacity_is_undecided(monkeypatch, capsys, tmp_path,
     assert main(argv + ["--i-know-this-is-huge"]) == 3
     out = capsys.readouterr()
     assert out.err.startswith("undecided: 9 objects exceeds the allocation arrays' capacity (8)")
+    assert out.out == ""
+    assert json.loads(out_file.read_text())["exit"] == 3
+
+
+@pytest.mark.parametrize(
+    "variant, agents, objects, profiles",
+    [("fixed", 9, 4, 24**9), ("unacceptable", 2, 6, (720 * 7) ** 2), ("variable", 5, 4, 24**5)],
+)
+def test_cli_check_past_profile_capacity_is_undecided(
+    monkeypatch, capsys, tmp_path, variant, agents, objects, profiles
+):
+    from draftkit import cli
+
+    def make_domain(args):
+        raise AssertionError("the domain was built past the sweeps' capacity")
+
+    monkeypatch.setattr(cli, "_make_domain", make_domain)
+    out_file = tmp_path / "report.json"
+    argv = ["--out", str(out_file), "--no-timestamp", "check", "--rule", "pi-dictatorship"]
+    argv += ["--axioms", "NW", "--agents", str(agents), "--objects", str(objects)]
+    assert main(argv + ["--variant", variant]) == 3
+    out = capsys.readouterr()
+    assert out.err == (
+        f"undecided: {agents} agents over {objects} objects make {profiles} profiles per "
+        "available set, more than a sweep holds (2097152)\n"
+    )
+    assert out.out == ""
+    assert json.loads(out_file.read_text())["exit"] == 3
+
+
+@pytest.mark.parametrize("theorem", ["T1", "T5", "L1", "T8", "L9"])
+def test_cli_verify_past_profile_capacity_is_undecided(monkeypatch, capsys, tmp_path, theorem):
+    """Each id that sizes a sweep or search by --agents refuses 9 agents before building it."""
+    from draftkit import cli
+
+    def unreachable(**kwargs):
+        raise AssertionError("verify built a domain past the sweeps' capacity")
+
+    entry = cli.VERIFY_IDS[theorem]
+    monkeypatch.setitem(cli.VERIFY_IDS, theorem, entry._replace(driver=unreachable))
+    out_file = tmp_path / "report.json"
+    argv = ["--out", str(out_file), "--no-timestamp", "verify", theorem, "--agents", "9"]
+    assert main(argv) == 3
+    out = capsys.readouterr()
+    assert out.err.startswith("undecided: 9 agents over ")
+    assert out.err.endswith("profiles per available set, more than a sweep holds (2097152)\n")
     assert out.out == ""
     assert json.loads(out_file.read_text())["exit"] == 3
 

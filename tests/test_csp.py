@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import scalar_checkers as oracle
+from draftkit.core import INFINITE
 from draftkit.axioms import (
     ProblemDomain,
     check_ef1,
@@ -21,11 +22,12 @@ from draftkit.csp import (
     BinaryConstraint,
     InfeasibilityCertificate,
     RuleCSP,
+    _splits,
     build_csp,
+    distinct_problems,
     replay_certificate,
     solve_csp,
     solutions_as_rules,
-    _all_allocations,
 )
 from draftkit.grid import build_grid, replay_grid_certificate, solve_grid
 from draftkit.rules import draft_rule, tabulated_rule
@@ -49,7 +51,7 @@ def test_empty_axiom_set_no_pruning():
     dom = ProblemDomain("fixed", 2, ((1, 2),), (bundle("ab"),))
     csp = build_csp(dom, [])
     for prob, cands in zip(csp.problems, csp.candidates):
-        assert len(cands) == len(_all_allocations(prob))
+        assert len(cands) == len(oracle._all_allocations(prob))
     assert not csp.constraints
 
 
@@ -82,7 +84,7 @@ def test_solver_exhaustiveness_matches_brute_force():
     res = solve_csp(csp, mode="find-all")
 
     keys, problems = csp.keys, csp.problems
-    cands = [_all_allocations(p) for p in problems]
+    cands = [oracle._all_allocations(p) for p in problems]
     brute = []
     for combo in product(*cands):
         table = dict(zip(keys, combo))
@@ -222,13 +224,21 @@ CSP_CASES = [
         ("IR",), ("NW*",), ("WRP*",), ("EFF",), ("EF1",), ("IR", "TI"), ("NW*", "IR", "SP"),
         ("WRP*", "EF1", "NW*", "RM", "IR", "TI"),
     ]
+] + [
+    (fixed_domain(3, 3), ("WRP", "EF1", "NW", "RM"), (1, 2, 3)),
+    (fixed_domain(3, 3), ("NW", "SP"), (1, 2, 3)),
+    (quota_domain(3, 3, (1, 1, INFINITE)), ("NWq", "RM", "SP"), (1, 2, 3)),
+    (unacceptable_domain(2, 4), ("IR", "TI", "NW*"), (1, 2)),
 ]
 
 
 @pytest.mark.parametrize(
     "domain, axioms, priority",
     CSP_CASES,
-    ids=[f"{d.variant}{d.n_objects}-{'+'.join(a)}-{p[0]}" for d, a, p in CSP_CASES],
+    ids=[
+        f"{d.variant}{'' if len(p) == 2 else f'{len(p)}x'}{d.n_objects}-{'+'.join(a)}-{p[0]}"
+        for d, a, p in CSP_CASES
+    ],
 )
 def test_build_csp_matches_scalar_build(domain, axioms, priority):
     csp = build_csp(domain, axioms, priority)
@@ -236,6 +246,23 @@ def test_build_csp_matches_scalar_build(domain, axioms, priority):
     assert csp.keys == keys
     assert csp.candidates == candidates
     assert csp.constraints == constraints
+
+
+KEY_DOMAINS = [fixed_domain(3, 3), quota_domain(2, 4, (1, 2)), unacceptable_domain(2, 3)]
+KEY_IDS = ["fixed33", "quota24", "unacceptable23"]
+
+
+@pytest.mark.parametrize("domain", KEY_DOMAINS, ids=KEY_IDS)
+def test_distinct_problems_is_the_first_occurrence_scan(domain):
+    assert distinct_problems(domain) == oracle.distinct_problems(domain)
+
+
+@pytest.mark.parametrize("domain", KEY_DOMAINS, ids=KEY_IDS)
+def test_splits_within_quotas_are_the_scalar_candidates(domain):
+    for prob in oracle.distinct_problems(domain)[1]:
+        got = _splits(prob.available, len(prob.agents), domain.quotas)
+        assert got.dtype == np.uint8
+        assert list(map(tuple, got.tolist())) == oracle._all_allocations(prob)
 
 
 @pytest.mark.parametrize("n_objects", [3, 4])

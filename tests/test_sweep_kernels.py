@@ -30,7 +30,7 @@ from draftkit.axioms import (
     variable_domain,
 )
 from draftkit.core import INFINITE, PickingSequence, Preference, Problem, validate_allocation
-from draftkit.csp import _all_allocations, distinct_problems
+from draftkit.csp import distinct_problems
 from draftkit.dominance import geometric_scheme, linear_scheme, random_scheme
 from draftkit.rules import (
     Rule,
@@ -459,7 +459,7 @@ def _table_space(kind: str):
         key = problem_key(prob)
         if key not in table:
             keys.append(key)
-            cands.append(_all_allocations(prob))
+            cands.append(oracle._all_allocations(prob))
             table[key] = base.allocate(prob)
     return domain, keys, cands, table
 
@@ -657,7 +657,7 @@ def test_pareto_oracle_matches_scalar_oracle(domain):
     keys = distinct_problems(domain)[1]
     for x in domain.available_sets:
         probs = [prob for prob in keys if prob.available == x]
-        allocs = _all_allocations(probs[0])
+        allocs = oracle._all_allocations(probs[0])
         rows = np.array(allocs, dtype=np.uint8)
         with mock.patch.object(verifier, "_ORACLE_CELLS", 1000):  # steps of one or many problems
             got = verifier.pareto_efficient(probs, rows, domain.n_objects)
