@@ -286,7 +286,7 @@ VERIFY_IDS = {
     "T1": VerifyId(verifier.verify_t1, {"agents": 2, "objects": 3, "budget": DEFAULT_BUDGET}),
     "T2": VerifyId(verifier.verify_t2, {"objects": 3, "budget": DEFAULT_BUDGET}),
     "T3": VerifyId(verifier.verify_t3, {"objects": 4, "budget": DEFAULT_BUDGET}),
-    "T4": VerifyId(verifier.verify_theorem4_unsat, {"budget": DEFAULT_BUDGET}),
+    "T4": VerifyId(verifier.verify_theorem4_unsat, {"objects": 5, "budget": DEFAULT_BUDGET}),
     "T4-replay": VerifyId(_verify_theorem4_cases, {}),
     "T5": VerifyId(verifier.verify_t5, {"agents": 3, "objects": 4, "seed": DEFAULT_SEED}, 2),
     "T6": VerifyId(verifier.verify_t6, {"objects": 3, "quotas": "1,2", "budget": DEFAULT_BUDGET}),

@@ -200,10 +200,79 @@ def admitted(space: AxiomSpace, x: Bundle, splits: np.ndarray, digits: np.ndarra
 ENCODED_AXIOMS = {*UNARY, "EFF", *DEVIATIONS}
 
 
-def _masks(allowed: np.ndarray) -> list[int]:
-    """Row i of a bool matrix as an int with bit j set where allowed[i, j]."""
-    packed = np.packbits(allowed, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+def _concat(parts: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
+
+
+def _int_rows(allowed: np.ndarray) -> list[list[int]]:
+    """Bool (E, W, W) as ints: entry [e][i] has bit j set where allowed[e, i, j]."""
+    packed = np.packbits(allowed, axis=-1, bitorder="little")
+    words = max(1, -(-packed.shape[-1] // 8))
+    pad = ((0, 0), (0, 0), (0, 8 * words - packed.shape[-1]))
+    value = np.pad(packed, pad).view("<u8")  # (E, W, words), least significant word first
+    if words == 1:
+        return value[..., 0].tolist()
+    out = value[..., 0].astype(object)
+    for k in range(1, words):
+        out |= value[..., k].astype(object) << (64 * k)
+    return out.tolist()
+
+
+class _PairBatch:
+    """The allowed masks of many constraints at once, from the candidate rows.
+
+    Each step gathers the rows of its constraints' two variables, each side
+    padded to its widest candidate list in the step and masked by width, judges
+    every (row, row) cell in one call and packs the result to ints once. A step
+    holds at most _ADMIT_ROWS padded rows of the widest list.
+    """
+
+    def __init__(self, rows: list[np.ndarray]):
+        self.flat = np.concatenate(rows)
+        self.widths = np.array([len(r) for r in rows], dtype=np.intp)
+        self.starts = np.cumsum(self.widths) - self.widths
+        self.step = max(1, _ADMIT_ROWS // max(1, int(self.widths.max(initial=0))))
+
+    def _gather(self, var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        j = np.arange(self.widths[var].max(initial=0))
+        valid = j < self.widths[var][:, None]
+        return self.flat[np.where(valid, self.starts[var][:, None] + j, 0)], valid
+
+    def constraints(self, name: str, u: np.ndarray, v: np.ndarray, judge) -> list:
+        """One constraint per pair (u[e], v[e]), in order. `judge(sel, a, b)` gives bool
+        (E, Wu, Wv) for the pairs `sel` from their padded rows, a (E, Wu, 1, n) at u and
+        b (E, 1, Wv, n) at v."""
+        out = []
+        for lo in range(0, len(u), self.step):
+            sel = slice(lo, lo + self.step)
+            (a, ok_a), (b, ok_b) = self._gather(u[sel]), self._gather(v[sel])
+            allowed = judge(sel, a[:, :, None], b[:, None, :])
+            allowed &= ok_a[:, :, None] & ok_b[:, None, :]
+            forward, backward = _int_rows(allowed), _int_rows(allowed.transpose(0, 2, 1))
+            ends = zip(u[sel].tolist(), v[sel].tolist(), ok_a.sum(1).tolist(), ok_b.sum(1).tolist())
+            out += [
+                BinaryConstraint(name, x, y, fwd[:wx], bwd[:wy])
+                for (x, y, wx, wy), fwd, bwd in zip(ends, forward, backward)
+            ]
+        return out
+
+
+def _slot_links(index: ProblemKeys, per_set) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, v, slot) index arrays of one-slot links. `per_set` gives, for each set, a
+    (keys, n, j) array of key steps and a mask of the ones to take: key k links to the
+    key step[k, slot, j] further on, key-major, then slot, then j."""
+    us, vs, ss = [], [], []
+    for offset, (step, take) in zip(index.offsets, per_set):
+        k, slot, j = np.nonzero(take)
+        us.append(offset + k)
+        vs.append(us[-1] + step[k, slot, j])
+        ss.append(slot)
+    return _concat(us), _concat(vs), _concat(ss)
+
+
+def _at_slot(rows: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Padded rows, (E, Wu, 1, n) or (E, 1, Wv, n), at each pair's own slot."""
+    return np.take_along_axis(rows, slots[:, None, None, None], -1)[..., 0]
 
 
 def build_csp(domain: ProblemDomain, axioms: Sequence[str], priority: Priority | None = None) -> RuleCSP:
@@ -214,8 +283,10 @@ def build_csp(domain: ProblemDomain, axioms: Sequence[str], priority: Priority |
     candidates are the splits of its set within the quotas that pass the unary
     axiom table. A binary constraint links a key to one found from its digits:
     RM maps them to each smaller set's classes, SP and WSP put each other class
-    in one slot, and TI the classes of that slot's truncations. Its allowed
-    masks are the deviation relation gathered over the two candidate lists.
+    in one slot, and TI the classes of that slot's truncations. Each axiom
+    collects its (u, v, slot) links as index arrays, and their allowed masks,
+    the deviation relation gathered over the two candidate lists, are built in
+    one batch (`_PairBatch`).
     """
     for ax in axioms:
         if ax not in ENCODED_AXIOMS:
@@ -239,55 +310,72 @@ def build_csp(domain: ProblemDomain, axioms: Sequence[str], priority: Priority |
     digits = np.concatenate(index.digits)
     domains = [(1 << len(c)) - 1 for c in candidates]
     tables = [space.relation(slot) for slot in range(n)]
-
+    batch = _PairBatch(rows)
     constraints: list[BinaryConstraint] = []
-
-    def add_pair(name, u, v, allowed):
-        constraints.append(BinaryConstraint(name, u, v, _masks(allowed), _masks(allowed.T)))
-
-    def columns(u, v, slot):
-        return rows[u][:, slot, None], rows[v][None, :, slot]
 
     if "RM" in axioms:
         ok = DEVIATIONS["RM"]
         set_index = {x: i for i, x in enumerate(index.xs)}
+        us, vs = [], []
         for xi, x in enumerate(index.xs):
             ys = [set_index[y] for y in subsets_of(x) if y != x]
-            smaller = [index.find(yi, index.digits[xi]) for yi in ys]
-            for u, found in enumerate(zip(*(f.tolist() for f in smaller)), index.offsets[xi]):
-                for v in found:
-                    allowed = np.ones((len(candidates[u]), len(candidates[v])), dtype=bool)
-                    for slot in range(n):
-                        allowed &= ok(tables[slot], digits[u, slot], *columns(u, v, slot))
-                    add_pair("RM", u, v, allowed)
+            if ys:
+                # key-major, then each smaller set in subset order
+                found = np.stack([index.find(yi, index.digits[xi]) for yi in ys], axis=1)
+                us.append(np.repeat(index.offsets[xi] + np.arange(len(found)), len(ys)))
+                vs.append(found.reshape(-1))
+        u, v = _concat(us), _concat(vs)
+
+        def rm(sel, a, b):
+            d = digits[u[sel]]
+            out = ok(tables[0], d[:, 0, None, None], a[..., 0], b[..., 0])
+            for slot in range(1, n):
+                out &= ok(tables[slot], d[:, slot, None, None], a[..., slot], b[..., slot])
+            return out
+
+        constraints += batch.constraints("RM", u, v, rm)
 
     if "SP" in axioms or "WSP" in axioms:
         name = "WSP" if "WSP" in axioms else "SP"
         ok = DEVIATIONS[name]
-        for xi, firsts in enumerate(index.firsts):
+
+        def classes(xi):
+            firsts = index.firsts[xi]
             step = np.stack([index.steps(xi, slot, firsts) for slot in range(n)], axis=1)
-            # each unordered pair once, from its lower key; key-major, then slot, then class
-            for k, slot, j in np.argwhere(step > 0).tolist():
-                u = index.offsets[xi] + k
-                v = u + int(step[k, slot, j])
-                # truth at u must not gain by moving to v, nor truth at v by moving to u
-                (a, b), dom = columns(u, v, slot), tables[slot]
-                allowed = ok(dom, digits[u, slot], a, b) & ok(dom, digits[v, slot], b, a)
-                add_pair(name, u, v, allowed)
+            return step, step > 0  # each unordered pair once, from its lower key
+
+        u, v, slots = _slot_links(index, map(classes, range(len(index.xs))))
+        # one relation for every slot: row (slot, preference) of the stacked tables
+        stacked, P = np.concatenate(tables), len(tables[0])
+        du, dv = slots * P + digits[u, slots], slots * P + digits[v, slots]
+
+        def sp(sel, a, b):
+            a, b, s = _at_slot(a, slots[sel]), _at_slot(b, slots[sel]), (sel, None, None)
+            # truth at u must not gain by moving to v, nor truth at v by moving to u
+            return ok(stacked, du[s], a, b) & ok(stacked, dv[s], b, a)
+
+        constraints += batch.constraints(name, u, v, sp)
 
     if "TI" in axioms:
         ok = DEVIATIONS["TI"]
         truncations, counted = _change_targets(domain.n_objects, 0)
-        for xi in range(len(index.xs)):
+
+        def truncated(xi):
             own = index.digits[xi]
             step = np.stack([index.steps(xi, i, truncations[own[:, i]]) for i in range(n)], 1)
             # truncations come in cutoff order, so the classes they reach do too: take each once
             fresh = np.diff(step, axis=2, prepend=step.min() - 1) != 0
-            for k, slot, j in np.argwhere(counted[own] & fresh & (step != 0)).tolist():
-                u = index.offsets[xi] + k
-                v = u + int(step[k, slot, j])
-                # v's first problem has the truncation's acceptable objects here
-                add_pair("TI", u, v, ok(space.acceptable, digits[v, slot], *columns(u, v, slot)))
+            return step, counted[own] & fresh & (step != 0)
+
+        u, v, slots = _slot_links(index, map(truncated, range(len(index.xs))))
+        # v's first problem has the truncation's acceptable objects here
+        dv = digits[v, slots]
+
+        def ti(sel, a, b):
+            s = slots[sel]
+            return ok(space.acceptable, dv[sel, None, None], _at_slot(a, s), _at_slot(b, s))
+
+        constraints += batch.constraints("TI", u, v, ti)
 
     watchers: list[list[int]] = [[] for _ in keys]
     for ci, c in enumerate(constraints):

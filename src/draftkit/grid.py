@@ -4,8 +4,10 @@ The impossibility searches all share this shape: variables form a preference
 grid (one per ordered ranking pair), candidates are the full splits of the
 object pool between the two agents, and the only binary constraints are
 unilateral-deviation constraints along grid rows and columns. That structure
-lets arc consistency run as whole-row / whole-column mask arithmetic, one
-routine applied to the grid and to its transpose. The backtracking itself is
+lets arc consistency run line by line, one routine applied to the grid and to
+its transpose: a deviation constraint's allowed mask is the AND of one factor
+per end, so a line is revised from its live (position, candidate) pairs and two
+(P, C) factors, never from a (P, P, C) tensor. The backtracking itself is
 `csp.depth_first`, over the flattened grid.
 """
 
@@ -15,8 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .axioms import DEVIATIONS, AxiomSpace, ProblemDomain, admissible
-from .csp import BudgetExceeded, InfeasibilityCertificate, SolveResult, SolveStats, depth_first
+from .axioms import DEVIATIONS, AxiomSpace, ProblemDomain, _digits
+from .csp import (
+    BudgetExceeded,
+    InfeasibilityCertificate,
+    SolveResult,
+    SolveStats,
+    admitted,
+    depth_first,
+)
 
 MAX_OBJECTS = 6  # candidate sets are uint64 masks with one bit per split: 2**6 = 64
 
@@ -28,7 +37,9 @@ class GridCSP:
     rankings: list[tuple[int, ...]]
     candidates: list[int]  # agent-1 bundles; agent 2 holds the complement (NW built in)
     initial: np.ndarray  # (P, P) uint64 candidate masks after unary filters
-    m_row: np.ndarray  # (P, P, C) allowed masks for same-row (agent-2 deviation) pairs
+    # (2, P, C) uint64 factored cones of the same-row (agent-2 deviation) constraints: the
+    # pair of positions (r, r2) allows at candidate a the mask m_row[0, r, a] & m_row[1, r2, a]
+    m_row: np.ndarray
     m_col: np.ndarray  # same for columns (agent-1 deviations)
 
     def var_index(self, r1: int, r2: int) -> int:
@@ -39,15 +50,16 @@ class GridCSP:
 
 
 def _cones(ok, dom: np.ndarray, own: np.ndarray) -> np.ndarray:
-    """Allowed masks of one agent's deviation constraints, from the deviation relation.
+    """The two factors of one agent's deviation constraints, from the deviation relation.
 
-    `own[a]` is the agent's bundle under candidate a. Entry [r, r2, a] has bit
-    b set where truth r at a does not gain from b and truth r2 at b does not
-    gain from a: the relation read in both directions.
+    `own[a]` is the agent's bundle under candidate a. Factor 0 at [r, a] has
+    bit b set where truth r at a does not gain from b, factor 1 at [r2, a]
+    where truth r2 at b does not gain from a; the pair (r, r2) allows at a the
+    AND of the two, the relation read in both directions.
     """
     d = np.arange(len(dom))[:, None, None]
     s, t = own[None, :, None], own[None, None, :]
-    return _pack(ok(dom, d, s, t))[:, None, :] & _pack(ok(dom, d, t, s))[None, :, :]
+    return np.stack([_pack(ok(dom, d, s, t)), _pack(ok(dom, d, t, s))])
 
 
 def build_grid(n_objects: int, axioms, priority=(1, 2)) -> GridCSP:
@@ -66,42 +78,56 @@ def build_grid(n_objects: int, axioms, priority=(1, 2)) -> GridCSP:
     rankings = [p.ranking for p in space.prefs]
     P = len(rankings)
     candidates = list(range(1 << n_objects))
-    C = len(candidates)
     splits = np.array([(a, full & ~a) for a in candidates], dtype=np.uint8)
 
     ok, dom = DEVIATIONS[deviation[0]], space.relation()
     m_col = _cones(ok, dom, splits[:, 0])
     m_row = _cones(ok, dom, splits[:, 1])
 
-    # the unary table, one grid row (agent 1's ranking) at a time: rows are (r2, split) pairs
-    allocs = np.tile(splits, (P, 1))
-    digits = np.repeat(np.arange(P), C)[:, None].repeat(2, axis=1)
-    initial = np.empty((P, P), dtype=np.uint64)
-    for r1 in range(P):
-        digits[:, 0] = r1
-        initial[r1] = _pack(admissible(space, full, allocs, digits, unary).reshape(P, C))
+    # the unary table over every profile, in code order: profile (r1, r2) is cell r1 * P + r2
+    initial = _pack(admitted(space, full, splits, _digits(P, 2), unary)).reshape(P, P)
 
     return GridCSP(n_objects, axioms, rankings, candidates, initial, m_row, m_col)
 
 
 def _pack(alive: np.ndarray) -> np.ndarray:
-    """Bool (..., C) as uint64 masks: bit a set where alive[..., a]."""
-    pow2 = np.uint64(1) << np.arange(alive.shape[-1], dtype=np.uint64)
-    return (alive.astype(np.uint64) * pow2).sum(axis=-1, dtype=np.uint64)
+    """Bool (..., C) as uint64 masks, C at most 64: bit a set where alive[..., a]."""
+    packed = np.packbits(alive, axis=-1, bitorder="little")
+    pad = [(0, 0)] * (packed.ndim - 1) + [(0, 8 - packed.shape[-1])]
+    return np.pad(packed, pad).view("<u8")[..., 0].astype(np.uint64, copy=False)
 
 
-def _revise(D: np.ndarray, m: np.ndarray, lines, same: set, cross: set, stats, budget):
-    """Revise each listed row of D against the masks m, in order; a changed row marks
-    itself in `same` and its changed positions in `cross`. Returns an emptied (row,
-    position) or None. Columns are the rows of D.T, revised against m_col."""
+_BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
+_LIVE_CELLS = 1 << 19  # (live pair, position) cells per step of a line's revision
+
+
+def _revise(D: np.ndarray, cones: np.ndarray, lines, same: set, cross: set, stats, budget):
+    """Revise each listed row of D against the factored cones, in order; a changed row
+    marks itself in `same` and its changed positions in `cross`. Returns an emptied (row,
+    position) or None. Columns are the rows of D.T, revised against m_col.
+
+    Candidate a at position c survives iff X[c, a] & Y[c2, a] meets the row at every
+    position c2, itself included, with the row as it stood before its revision: with
+    Z = Y & row, that is a check of X[c, a] against the column Z[:, a] for each live
+    (c, a) pair, K * P work for K live pairs, in steps of at most _LIVE_CELLS cells.
+    """
+    X, Y = cones
+    bits, step = _BITS[: X.shape[1]], max(1, _LIVE_CELLS // len(D))
     for r in sorted(lines):
         stats.revisions += len(D)
         if stats.revisions > budget:
             raise BudgetExceeded
         B = D[r]
-        newB = B & _pack(((B[None, :, None] & m) != 0).all(axis=1))
-        changed = np.nonzero(newB != B)[0]
-        if changed.size:
+        pos, a = np.nonzero(B[:, None] & bits)
+        Z = np.ascontiguousarray((Y & B[:, None]).T)
+        dead = np.empty(len(pos), dtype=bool)
+        for lo in range(0, len(pos), step):
+            k = slice(lo, lo + step)
+            dead[k] = ~((X[pos[k], a[k], None] & Z[a[k]]) != 0).all(axis=1)
+        if dead.any():
+            newB = B.copy()
+            np.bitwise_xor.at(newB, pos[dead], bits[a[dead]])
+            changed = np.unique(pos[dead])
             D[r] = newB
             wiped = changed[newB[changed] == 0]
             if wiped.size:

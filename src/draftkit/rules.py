@@ -134,17 +134,29 @@ def _pick_rows(prefs, digits: np.ndarray, x: Bundle, turns, limits=None, passes=
     object, one gather `TOP[digits[:, slot], remaining]` over all rows; a slot
     that holds limits[k] objects already passes. Without `passes` a turn that
     finds nothing raises, as `_pick_one` does.
+
+    Like `_pick_one`, a block whose turns may pass stops once n consecutive
+    turns pick in no row, and never gathers a turn past the first n·|X|: a row
+    still running at turn k picked in each of the k // n windows of n turns
+    before it, so from turn n·|X| on it has nothing left to pick.
     """
     table = pick_table(tuple(prefs))
     flat, width = table.reshape(-1), table.shape[1]
     base = {slot: digits[:, slot] * width for slot in set(turns)}
     cols = [np.zeros(len(digits), dtype=np.uint8) for _ in range(digits.shape[1])]
     remaining = np.full(len(digits), x, dtype=np.uint8)
+    if passes:
+        turns = turns[: len(cols) * bundle_size(x)]
+    idle = 0
     for k, slot in enumerate(turns):
         bit = flat[base[slot] + remaining]
         if limits is not None and limits[k] != INFINITE:
             bit[np.bitwise_count(cols[slot]) >= limits[k]] = 0
-        if not passes and not bit.all():
+        if passes:
+            idle = 0 if bit.any() else idle + 1
+            if idle == len(cols):
+                break
+        elif not bit.all():
             raise RuntimeError("sequential pick found no object")
         cols[slot] |= bit
         remaining ^= bit
@@ -155,8 +167,8 @@ def _pick_one(problem: Problem, turns, limits=None, passes=True) -> tuple[Alloca
     """One problem run through the turns, at any number of objects, with its trace.
 
     The same turns as `_pick_rows`, on Python ints. With `passes`, the draft ends
-    at n consecutive passes, where `_pick_rows` runs out the turns: in every plan a
-    pass is final (a slot's limit is the same at each of its turns, a filled quota
+    at n consecutive passes, and `_pick_rows` at n consecutive turns that pick in no
+    row: in every plan a pass is final (a slot's limit is the same at each of its turns, a filled quota
     stays filled and the remaining objects only shrink), so no later turn could pick.
     """
     agents, profile = problem.agents, problem.profile

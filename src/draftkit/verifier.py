@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import factorial
 from random import Random
 from typing import Sequence
 
@@ -206,9 +207,10 @@ def verify_t3(n_objects: int = 4, budget: int = 10_000_000) -> Verdict:
     return _grid_impossibility(n_objects, ("EFF", "EF1", "WSP"), budget=budget)
 
 
-def verify_theorem4_unsat(budget: int = 10_000_000) -> Verdict:
-    """Generic (not proof-guided) search: NW + EF1 + SP unsat on five objects, two agents."""
-    return _grid_impossibility(5, ("NW", "EF1", "SP"), budget=budget)
+def verify_theorem4_unsat(n_objects: int = 5, budget: int = 10_000_000) -> Verdict:
+    """Generic (not proof-guided) search: NW + EF1 + SP unsat for two agents (the paper's
+    case analysis is on five objects)."""
+    return _grid_impossibility(n_objects, ("NW", "EF1", "SP"), budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -950,8 +952,17 @@ def verify_rm_lemma() -> Verdict:
     return Verdict.of(True, {"ok": True, "checked": checked})
 
 
+PRIORITY_RECOVERY_MAX_AGENTS = 7  # n! priorities, each recovered from fresh probes: 5,040 at 7
+
+
 def verify_priority_recovery(n_agents: int = 4) -> Verdict:
-    """Pairwise probes recover every priority over the given number of agents exactly."""
+    """Pairwise probes recover every priority over the given number of agents exactly.
+    Past PRIORITY_RECOVERY_MAX_AGENTS agents it raises CapacityError before any probe."""
+    if n_agents > PRIORITY_RECOVERY_MAX_AGENTS:
+        raise CapacityError(
+            f"{n_agents} agents make {factorial(n_agents)} priorities to recover, more than "
+            f"L8 enumerates (at most {PRIORITY_RECOVERY_MAX_AGENTS} agents)"
+        )
     checked = 0
     for perm in permutations(range(1, n_agents + 1)):
         checked += 1

@@ -13,7 +13,9 @@ rule-space search's problem keys (a first-occurrence scan of every problem),
 candidate allocations and report alternatives, per problem. The
 misreport-by-misreport manipulation search is here too, as the oracle of the
 one-block `verifier.find_manipulation`, and so are the step-by-step draft
-engines, as the oracle of the turn plans that `Rule.run` interprets.
+engines, as the oracle of the turn plans that `Rule.run` interprets. The
+per-pair `build_csp` and the dense (P, P, C) grid revision are kept as the
+oracles of the batched constraint build and the live-pair grid kernel.
 """
 
 from __future__ import annotations
@@ -883,6 +885,76 @@ def build_csp(domain, axioms, priority=None):
     return keys, candidates, constraints
 
 
+def build_csp_pairwise(domain, axioms, priority=None):
+    """`csp.build_csp`'s constraints, each built by its own call chain: the allowed matrix
+    of one (u, v, slot) gathered from the relation and packed to ints row by row. The
+    batched build must give the same list, in the same order."""
+    import numpy as np
+
+    from draftkit.axioms import DEVIATIONS, AxiomSpace, _change_targets
+    from draftkit.csp import BinaryConstraint, ProblemKeys, _splits, admitted
+
+    index = ProblemKeys(domain)
+    space = AxiomSpace(domain, priority)
+    n = space.n
+    rows = []
+    for xi, x in enumerate(index.xs):
+        splits = _splits(x, n, domain.quotas)
+        rows += [splits[keep] for keep in admitted(space, x, splits, index.digits[xi], axioms)]
+    digits = np.concatenate(index.digits)
+    tables = [space.relation(slot) for slot in range(n)]
+    constraints = []
+
+    def masks(allowed):
+        packed = np.packbits(allowed, axis=1, bitorder="little")
+        return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+    def add_pair(name, u, v, allowed):
+        constraints.append(BinaryConstraint(name, u, v, masks(allowed), masks(allowed.T)))
+
+    def columns(u, v, slot):
+        return rows[u][:, slot, None], rows[v][None, :, slot]
+
+    if "RM" in axioms:
+        ok = DEVIATIONS["RM"]
+        set_index = {x: i for i, x in enumerate(index.xs)}
+        for xi, x in enumerate(index.xs):
+            ys = [set_index[y] for y in subsets_of(x) if y != x]
+            smaller = [index.find(yi, index.digits[xi]) for yi in ys]
+            for u, found in enumerate(zip(*(f.tolist() for f in smaller)), index.offsets[xi]):
+                for v in found:
+                    allowed = np.ones((len(rows[u]), len(rows[v])), dtype=bool)
+                    for slot in range(n):
+                        allowed &= ok(tables[slot], digits[u, slot], *columns(u, v, slot))
+                    add_pair("RM", u, v, allowed)
+
+    if "SP" in axioms or "WSP" in axioms:
+        name = "WSP" if "WSP" in axioms else "SP"
+        ok = DEVIATIONS[name]
+        for xi, firsts in enumerate(index.firsts):
+            step = np.stack([index.steps(xi, slot, firsts) for slot in range(n)], axis=1)
+            for k, slot, j in np.argwhere(step > 0).tolist():
+                u = index.offsets[xi] + k
+                v = u + int(step[k, slot, j])
+                (a, b), dom = columns(u, v, slot), tables[slot]
+                allowed = ok(dom, digits[u, slot], a, b) & ok(dom, digits[v, slot], b, a)
+                add_pair(name, u, v, allowed)
+
+    if "TI" in axioms:
+        ok = DEVIATIONS["TI"]
+        truncations, counted = _change_targets(domain.n_objects, 0)
+        for xi in range(len(index.xs)):
+            own = index.digits[xi]
+            step = np.stack([index.steps(xi, i, truncations[own[:, i]]) for i in range(n)], 1)
+            fresh = np.diff(step, axis=2, prepend=step.min() - 1) != 0
+            for k, slot, j in np.argwhere(counted[own] & fresh & (step != 0)).tolist():
+                u = index.offsets[xi] + k
+                v = u + int(step[k, slot, j])
+                add_pair("TI", u, v, ok(space.acceptable, digits[v, slot], *columns(u, v, slot)))
+
+    return constraints
+
+
 # --- grid encoder: cones by a triple loop over scalar rank-mask dominance -----
 
 
@@ -966,6 +1038,56 @@ def build_grid(n_objects, axioms, priority=(1, 2)):
                         keep |= 1 << a
                 initial[r1, r2] = keep
     return initial, m_row, m_col
+
+
+# --- grid propagation: the dense revision the live-pair kernel replaces ---------
+
+
+def grid_cones(cones):
+    """(P, P, C) allowed masks of a factored (2, P, C) cone pair."""
+    return cones[0][:, None, :] & cones[1][None, :, :]
+
+
+def _grid_revise(D, m, lines, same, cross, stats, budget):
+    """Each listed row of D against the (P, P, C) masks m, in order, through one
+    (P, P, C) temporary per row."""
+    import numpy as np
+
+    from draftkit.csp import BudgetExceeded
+
+    pow2 = np.uint64(1) << np.arange(m.shape[-1], dtype=np.uint64)
+    for r in sorted(lines):
+        stats.revisions += len(D)
+        if stats.revisions > budget:
+            raise BudgetExceeded
+        B = D[r]
+        alive = ((B[None, :, None] & m) != 0).all(axis=1)
+        newB = B & (alive.astype(np.uint64) * pow2).sum(axis=-1, dtype=np.uint64)
+        changed = np.nonzero(newB != B)[0]
+        if changed.size:
+            D[r] = newB
+            wiped = changed[newB[changed] == 0]
+            if wiped.size:
+                return r, int(wiped[0])
+            cross.update(changed.tolist())
+            same.add(r)
+    return None
+
+
+def grid_propagate(m_row, m_col, D, rows, cols, stats, budget=10**9):
+    """Row/column arc consistency to fixpoint over dense masks, dirty rows then dirty
+    columns each round; returns an emptied (r1, r2) or None."""
+    rows, cols = set(rows), set(cols)
+    while rows or cols:
+        lines, rows = rows, set()
+        wiped = _grid_revise(D, m_row, lines, rows, cols, stats, budget)
+        if wiped is not None:
+            return wiped
+        lines, cols = cols, set()
+        wiped = _grid_revise(D.T, m_col, lines, cols, rows, stats, budget)
+        if wiped is not None:
+            return wiped[::-1]
+    return None
 
 
 # --- variable-population checkers: the per-problem loops over a VariableSweep --

@@ -435,6 +435,24 @@ def test_cli_verify_cap(capsys):
     assert main(["verify", "T1", "--objects", "6"]) == 3
 
 
+def test_cli_verify_l8_past_its_agent_cap_is_undecided(monkeypatch, capsys):
+    from draftkit import verifier
+
+    def infer_priority(*args, **kwargs):
+        raise AssertionError("L8 inferred a priority past its agent cap")
+
+    monkeypatch.setattr(verifier, "infer_priority", infer_priority)
+    assert main(["verify", "L8", "--agents", str(verifier.PRIORITY_RECOVERY_MAX_AGENTS + 1)]) == 3
+    out = capsys.readouterr()
+    assert out.err.startswith("undecided: 8 agents make 40320 priorities") and out.out == ""
+
+
+def test_cli_verify_t4_reads_objects(capsys):
+    """Below the paper's five objects NW + EF1 + SP can be met: the search finds a rule."""
+    assert main(["verify", "T4", "--objects", "4"]) == 1
+    assert "status: sat" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -442,7 +460,7 @@ def test_cli_verify_cap(capsys):
         ["L1", "--agents", "0"],
         ["T2", "--objects", "-1"],
         ["T5", "--agents", "1"],
-        ["T4", "--objects", "3"],
+        ["T4", "--agents", "3"],
         ["L2", "--agents", "2"],
         ["L8", "--objects", "3"],
         ["T1", "--quotas", "1,2"],
@@ -457,7 +475,7 @@ def test_cli_verify_refuses_bad_sizes(capsys, argv):
     assert out.err.startswith("error: ") and out.out == ""
 
 
-@pytest.mark.parametrize("theorem", ["T2", "T3"])
+@pytest.mark.parametrize("theorem", ["T2", "T3", "T4"])
 def test_cli_verify_grid_capacity_is_undecided(monkeypatch, capsys, theorem):
     from draftkit import verifier
 

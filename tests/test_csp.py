@@ -22,6 +22,7 @@ from draftkit.csp import (
     BinaryConstraint,
     InfeasibilityCertificate,
     RuleCSP,
+    SolveStats,
     _splits,
     build_csp,
     distinct_problems,
@@ -29,7 +30,7 @@ from draftkit.csp import (
     solve_csp,
     solutions_as_rules,
 )
-from draftkit.grid import build_grid, replay_grid_certificate, solve_grid
+from draftkit.grid import _propagate, build_grid, replay_grid_certificate, solve_grid
 from draftkit.rules import draft_rule, tabulated_rule
 
 from helpers import bundle
@@ -277,8 +278,88 @@ def test_splits_within_quotas_are_the_scalar_candidates(domain):
 )
 def test_build_grid_matches_triple_loop(n_objects, axioms, priority):
     grid = build_grid(n_objects, axioms, priority=priority)
-    for got, want in zip((grid.initial, grid.m_row, grid.m_col), oracle.build_grid(n_objects, axioms, priority)):
+    P, C = len(grid.rankings), 1 << n_objects
+    assert grid.m_row.shape == grid.m_col.shape == (2, P, C)
+    # the cones are stored factored: X[:, None, :] & Y[None, :, :] is the oracle's tensor
+    cones = (grid.initial, oracle.grid_cones(grid.m_row), oracle.grid_cones(grid.m_col))
+    for got, want in zip(cones, oracle.build_grid(n_objects, axioms, priority)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+GRID_AXIOMS = [
+    ("RP", "EF1", "NW", "WSP"), ("EFF", "EF1", "WSP"), ("NW", "EF1", "SP"), ("NW", "EF1", "WSP"),
+    ("NW", "SP"),
+]
+
+
+def _assert_propagates_as_dense_revision(grid):
+    """Root propagation, then a decision on each of the first open cells, give the dense
+    oracle's fixpoint, emptied cell and revision count."""
+    P = len(grid.rankings)
+    dense = oracle.grid_cones(grid.m_row), oracle.grid_cones(grid.m_col)
+
+    def both(D, rows, cols):
+        got, want = D.copy(), D.copy()
+        got_stats, want_stats = SolveStats(), SolveStats()
+        wiped = _propagate(grid, got, rows, cols, got_stats, 10**9)
+        assert wiped == oracle.grid_propagate(*dense, want, rows, cols, want_stats)
+        assert got_stats.revisions == want_stats.revisions and np.array_equal(got, want)
+        return got, wiped
+
+    D, wiped = both(grid.initial, range(P), range(P))
+    if wiped is None:
+        for var in np.flatnonzero(np.bitwise_count(D.reshape(-1)) > 1)[:8].tolist():
+            r1, r2 = divmod(var, P)
+            child, mask = D.copy(), int(D[r1, r2])
+            child[r1, r2] = mask & -mask
+            both(child, {r1}, {r2})
+
+
+@pytest.mark.parametrize("priority", [(1, 2), (2, 1)])
+@pytest.mark.parametrize("axioms", GRID_AXIOMS, ids="+".join)
+@pytest.mark.parametrize("n_objects", [3, 4])
+def test_grid_propagation_matches_dense_revision(n_objects, axioms, priority):
+    _assert_propagates_as_dense_revision(build_grid(n_objects, axioms, priority=priority))
+
+
+@pytest.mark.parametrize(
+    "axioms, priority",
+    [
+        (("RP", "EF1", "NW", "WSP"), (1, 2)),
+        (("RP", "EF1", "NW", "WSP"), (2, 1)),
+        (("EFF", "EF1", "WSP"), (1, 2)),
+        (("NW", "EF1", "SP"), (1, 2)),
+    ],
+    ids=["T2-1", "T2-2", "T3", "T4"],
+)
+def test_five_object_grids_propagate_as_dense_revision(axioms, priority):
+    _assert_propagates_as_dense_revision(build_grid(5, axioms, priority=priority))
+
+
+T1, T6 = ("WRP", "EF1", "NW", "RM"), ("WRPq", "EF1", "NWq", "RM")
+T7 = ("WRP*", "EF1", "NW*", "RM", "IR", "TI")
+# with CSP_CASES, every T1/T2/T6/T7 rule-space CSP that the verify drivers build in these tests
+PAIRWISE_CASES = CSP_CASES + [
+    (fixed_domain(2, 2), T1, (1, 2)),
+    *((quota_domain(2, m, q), T6, (1, 2)) for m, q in [(2, (1, 1)), (2, (1, 2)), (3, (1, 2))]),
+    (unacceptable_domain(2, 2), T7, (1, 2)),
+    (fixed_domain(2, 4), ("RM",), (1, 2)),  # 81 candidates: masks wider than one word
+]
+
+
+@pytest.mark.parametrize(
+    "domain, axioms, priority",
+    PAIRWISE_CASES,
+    ids=[
+        f"{d.variant}{len(p)}x{d.n_objects}-{'+'.join(a)}-{p[0]}"
+        + (f"-q{''.join(map(str, d.quotas))}" if d.quotas else "")
+        for d, a, p in PAIRWISE_CASES
+    ],
+)
+def test_build_csp_batch_matches_pairwise_build(domain, axioms, priority):
+    assert build_csp(domain, axioms, priority).constraints == oracle.build_csp_pairwise(
+        domain, axioms, priority
+    )
 
 
 def test_constraint_axioms_refused_off_their_variant():

@@ -2,6 +2,7 @@ import gc
 import weakref
 from itertools import product
 
+import numpy as np
 import pytest
 
 import scalar_checkers as oracle
@@ -19,6 +20,7 @@ from draftkit.core import (
 )
 from draftkit.rules import (
     _RECENT_SPACES,
+    _pick_rows,
     Case,
     Rule,
     dictatorship,
@@ -379,3 +381,25 @@ def test_tables_of_past_preference_spaces_are_freed():
     tables = [weakref.ref(pick_table((Preference((0, 1, 2)),) * k)) for k in range(1, 201)]
     gc.collect()
     assert sum(table() is not None for table in tables) <= 2 * _RECENT_SPACES
+
+
+def test_block_draft_gathers_no_turn_after_the_last_possible_pick():
+    """A block whose turns may pass reads no turn past n·|X|, and stops at n turns that
+    pick in no row; the allocations are those of running every turn."""
+    seen = []
+
+    class Reads(tuple):
+        def __getitem__(self, k):
+            seen.append(k)
+            return tuple.__getitem__(self, k)
+
+    nothing, everything = Preference((0, 1, 2), 0), Preference((0, 1, 2), 3)
+    turns = (0, 1) * 4  # two agents, three objects: the passing draft's |X| + 1 rounds
+    limits = Reads((INFINITE,) * len(turns))
+    digits = np.array([[0, 1], [1, 0], [1, 1]])
+    got = _pick_rows((nothing, everything), digits, 0b111, turns, limits)
+    assert got.tolist() == [[0, 0b111], [0b111, 0], [0b101, 0b010]]
+    assert seen == list(range(6))  # agent 2 alone picks until turn 5; the last round is not read
+    seen.clear()
+    got = _pick_rows((nothing, everything), digits[2:], 0b111, turns, limits)
+    assert got.tolist() == [[0b101, 0b010]] and seen == list(range(5))  # turns 3 and 4 pick nothing
