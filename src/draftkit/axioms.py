@@ -467,12 +467,18 @@ class UnaryAxiom:
     (one, or one per slot or slot pair), all of which must hold.
     `detail(space, problem, alloc, k)` gives the extra witness fields of a
     failing allocation whose first failing column is k.
+
+    `reads(space)` declares, per column, the one slot whose preference that
+    column reads, or None where it reads no preference; an entry without it
+    reads the whole profile. `csp.admitted` judges declared columns once per
+    (preference at the slot, allocation) and relies on the declaration.
     """
 
     ok: Callable
     detail: Callable
     variants: tuple[str, ...] = FIXED_POPULATION
     ranked: bool = False  # reads the priority; reports are named like "RP-[1, 2]"
+    reads: Callable | None = None
 
 
 def _union_rows(allocs: np.ndarray) -> np.ndarray:
@@ -576,7 +582,7 @@ def _envy(ef1: bool, ranked: bool) -> UnaryAxiom:
         a, b = pairs(space)[k]
         return {"envious": prob.agents[a], "envied": prob.agents[b]}
 
-    return UnaryAxiom(ok, detail, ranked=ranked)
+    return UnaryAxiom(ok, detail, ranked=ranked, reads=lambda sp: tuple(a for a, _ in pairs(sp)))
 
 
 @lru_cache(maxsize=None)
@@ -623,13 +629,19 @@ def _rt_detail(space, prob, alloc, k):
 
 # Table order is evaluation order where several apply.
 UNARY: dict[str, UnaryAxiom] = {
-    "NW": UnaryAxiom(_nw_ok, _nw_detail),
-    "NWq": UnaryAxiom(_nwq_ok, _nwq_detail, ("quota",)),
+    "NW": UnaryAxiom(_nw_ok, _nw_detail, reads=lambda sp: (None,)),
+    "NWq": UnaryAxiom(_nwq_ok, _nwq_detail, ("quota",), reads=lambda sp: (None,)),
     "NW*": UnaryAxiom(_nw_star_ok, _nw_star_detail),
-    "IR": UnaryAxiom(_ir_ok, _ir_detail),
-    "WRP": UnaryAxiom(_wrp_ok, _wrp_detail, ranked=True),
-    "WRP*": UnaryAxiom(_wrp_star_ok, _ranked_detail, ranked=True),
-    "WRPq": UnaryAxiom(_wrpq_ok, _ranked_detail, ("quota",), ranked=True),
+    "IR": UnaryAxiom(_ir_ok, _ir_detail, reads=lambda sp: tuple(range(sp.n))),
+    "WRP": UnaryAxiom(
+        _wrp_ok, _wrp_detail, ranked=True, reads=lambda sp: (None,) * len(sp.ranked)
+    ),
+    "WRP*": UnaryAxiom(
+        _wrp_star_ok, _ranked_detail, ranked=True, reads=lambda sp: tuple(i for i, _ in sp.ranked)
+    ),
+    "WRPq": UnaryAxiom(
+        _wrpq_ok, _ranked_detail, ("quota",), ranked=True, reads=lambda sp: (None,) * len(sp.ranked)
+    ),
     "EF": _envy(ef1=False, ranked=False),
     "EF1": _envy(ef1=True, ranked=False),
     "RP": _envy(ef1=False, ranked=True),
@@ -660,19 +672,24 @@ def require_variant(name: str, domain: ProblemDomain) -> None:
         raise ValueError(f"axiom {name!r} is not defined on {domain.variant!r} domains")
 
 
+def unary_entries(names, variant: str) -> list[UnaryAxiom]:
+    """The named unary entries in table order; EFF stands for its parts, other names are
+    skipped."""
+    names = set(names)
+    if "EFF" in names:
+        names.update(efficiency_parts(variant))
+    return [entry for name, entry in UNARY.items() if name in names]
+
+
 def admissible(space: AxiomSpace, x: Bundle, allocs, digits, names) -> np.ndarray:
-    """Which rows pass every named unary axiom; EFF stands for its parts, other names are skipped.
+    """Which rows pass every named unary axiom (see `unary_entries`).
 
     Entries run in table order, each only on the rows still alive.
     """
-    names = set(names)
-    if "EFF" in names:
-        names.update(efficiency_parts(space.variant))
     alive = np.ones(len(allocs), dtype=bool)
-    for name, entry in UNARY.items():
-        if name in names:
-            rows = np.flatnonzero(alive)
-            alive[rows] = entry.ok(space, x, allocs[rows], digits[rows]).all(axis=1)
+    for entry in unary_entries(names, space.variant):
+        rows = np.flatnonzero(alive)
+        alive[rows] = entry.ok(space, x, allocs[rows], digits[rows]).all(axis=1)
     return alive
 
 

@@ -29,11 +29,11 @@ from .axioms import (
     ProblemDomain,
     _change_targets,
     _digits,
-    admissible,
     require_variant,
     restriction_reps,
+    unary_entries,
 )
-from .rules import Rule, problem_key, tabulated_rule
+from .rules import Rule, restricted_key, tabulated_rule
 
 SCOPE_NOTE = "finite-domain result: quantifies over the checked domain only"
 # find-all stops, undecided, past this many solutions: the revision budget does not bound a
@@ -158,13 +158,22 @@ class ProblemKeys:
         make = partial(Problem, d.variant, d.populations[0], self.xs[xi], quotas=d.quotas)
         return [make(tuple(map(prefs.__getitem__, row))) for row in self.digits[xi].tolist()]
 
+    def keys(self, xi: int) -> list:
+        """The `problem_key` of each key at set xi, restricting each class's first
+        preference once."""
+        d, x, prefs = self.domain, self.xs[xi], self.domain.preference_space()
+        sig = {f: restricted_key(prefs[f], x) for f in self.firsts[xi].tolist()}
+        head, rows = (d.variant, d.populations[0], x), self.digits[xi].tolist()
+        return [(*head, tuple(map(sig.__getitem__, row)), d.quotas) for row in rows]
+
 
 def distinct_problems(domain: ProblemDomain) -> tuple[list, list[Problem]]:
     """Each problem key of a fixed-population domain once, in enumeration order, with its
-    first problem; `problem_key` runs once per key."""
+    first problem."""
     index = ProblemKeys(domain)
-    problems = [prob for xi in range(len(index.xs)) for prob in index.problems(xi)]
-    return [problem_key(prob) for prob in problems], problems
+    sets = range(len(index.xs))
+    keys = [key for xi in sets for key in index.keys(xi)]
+    return keys, [prob for xi in sets for prob in index.problems(xi)]
 
 
 @lru_cache(maxsize=None)
@@ -182,18 +191,60 @@ def _splits(available: int, n: int, quotas: tuple | None = None) -> np.ndarray:
     return out
 
 
-_ADMIT_ROWS = 1 << 15  # (key, split) rows per admissible call; bounds its temporaries
+_ADMIT_ROWS = 1 << 15  # (key, split) cells per step of admitted; bounds its temporaries
+
+
+def _slot_tables(space: AxiomSpace, x: Bundle, splits: np.ndarray, digits: np.ndarray, entries):
+    """The declared columns of the entries (`UnaryAxiom.reads`), each judged once per
+    (preference that occurs in `digits`, split).
+
+    Returns bool (splits,), the columns that read no preference, and for each
+    slot that some column reads a table: table[d, a] holds the slot's columns
+    at preference index d and split a, where d occurs.
+    """
+    C, P = len(splits), len(space.prefs)
+    values = np.flatnonzero(np.bincount(digits.reshape(-1), minlength=P))
+    # every slot of a probe row holds its value: a column reads only its declared slot
+    tiled = np.tile(splits, (len(values), 1))
+    rows = np.repeat(values, C)[:, None].repeat(digits.shape[1], axis=1)
+    free, tables = np.ones(C, dtype=bool), {}
+    for entry in entries:
+        reads = entry.reads(space)
+        judged = entry.ok(space, x, tiled, rows).reshape(len(values), C, len(reads))
+        for slot in set(reads):
+            ok = judged[..., [k for k, s in enumerate(reads) if s == slot]].all(axis=2)
+            if slot is None:
+                free &= ok.all(axis=0)  # the same at every value
+            else:
+                tables.setdefault(slot, np.ones((P, C), dtype=bool))[values] &= ok
+    return free, tables
 
 
 def admitted(space: AxiomSpace, x: Bundle, splits: np.ndarray, digits: np.ndarray, names):
-    """bool (keys, splits): which splits pass every named unary axiom at each key of set x
-    (rows of preference indexes), at most _ADMIT_ROWS (key, split) rows per step."""
+    """bool (keys, splits): which splits pass every named unary axiom (`unary_entries`) at
+    each key of set x (rows of preference indexes).
+
+    Columns that read one slot's preference, or none, are judged once per
+    (preference that occurs among the keys, split) and gathered by each key's
+    digits. Entries that read the whole profile then run only on the (key,
+    split) cells still alive. Keys go in steps of at most _ADMIT_ROWS cells.
+    """
+    entries = unary_entries(names, space.variant)
+    whole = [entry for entry in entries if entry.reads is None]
+    declared = [entry for entry in entries if entry.reads is not None]
+    free, per_slot = _slot_tables(space, x, splits, digits, declared)
     out = np.empty((len(digits), len(splits)), dtype=bool)
     step = max(1, _ADMIT_ROWS // len(splits))
     for lo in range(0, len(digits), step):
-        d = digits[lo : lo + step]
-        tiled, repeated = np.tile(splits, (len(d), 1)), np.repeat(d, len(splits), axis=0)
-        out[lo : lo + step] = admissible(space, x, tiled, repeated, names).reshape(len(d), -1)
+        alive = out[lo : lo + step]
+        alive[:] = free
+        for slot, table in per_slot.items():
+            alive &= table[digits[lo : lo + step, slot]]
+        for entry in whole:
+            cells = np.flatnonzero(alive)
+            key, split = np.divmod(cells, len(splits))
+            ok = entry.ok(space, x, splits[split], digits[lo + key])
+            alive.reshape(-1)[cells] = ok.all(axis=1)
     return out
 
 
@@ -299,14 +350,14 @@ def build_csp(domain: ProblemDomain, axioms: Sequence[str], priority: Priority |
     index = ProblemKeys(domain)
     space = AxiomSpace(domain, priority)
     n = space.n
-    problems, candidates, rows = [], [], []
+    keys, problems, candidates, rows = [], [], [], []
     for xi, x in enumerate(index.xs):
         splits = _splits(x, n, domain.quotas)
+        keys += index.keys(xi)
         problems += index.problems(xi)
         for keep in admitted(space, x, splits, index.digits[xi], axioms):
             rows.append(splits[keep])
             candidates.append(list(map(tuple, rows[-1].tolist())))
-    keys = [problem_key(prob) for prob in problems]
     digits = np.concatenate(index.digits)
     domains = [(1 << len(c)) - 1 for c in candidates]
     tables = [space.relation(slot) for slot in range(n)]

@@ -6,9 +6,9 @@ object pool between the two agents, and the only binary constraints are
 unilateral-deviation constraints along grid rows and columns. That structure
 lets arc consistency run line by line, one routine applied to the grid and to
 its transpose: a deviation constraint's allowed mask is the AND of one factor
-per end, so a line is revised from its live (position, candidate) pairs and two
-(P, C) factors, never from a (P, P, C) tensor. The backtracking itself is
-`csp.depth_first`, over the flattened grid.
+per end, so a line is revised from its live (position, candidate) pairs and the
+distinct masks of two (P, C) factors, never from a (P, P, C) tensor. The
+backtracking itself is `csp.depth_first`, over the flattened grid.
 """
 
 from __future__ import annotations
@@ -98,7 +98,18 @@ def _pack(alive: np.ndarray) -> np.ndarray:
 
 
 _BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
-_LIVE_CELLS = 1 << 19  # (live pair, position) cells per step of a line's revision
+_ONES = np.uint64(2**64 - 1)
+_LIVE_CELLS = 1 << 19  # (live pair, distinct mask) cells per step of a line's revision
+
+
+def _distinct_columns(Z: np.ndarray) -> np.ndarray:
+    """(C, U): the distinct values of each row of Z (C, P), then all-ones up to the
+    widest row's count U. All-ones meets every nonzero mask, so it decides nothing."""
+    S = np.sort(Z, axis=1)
+    repeat = S[:, 1:] == S[:, :-1]
+    S[:, 1:][repeat] = _ONES
+    S.sort(axis=1)
+    return S[:, : S.shape[1] - int(repeat.sum(axis=1).min())]
 
 
 def _revise(D: np.ndarray, cones: np.ndarray, lines, same: set, cross: set, stats, budget):
@@ -107,23 +118,29 @@ def _revise(D: np.ndarray, cones: np.ndarray, lines, same: set, cross: set, stat
     position) or None. Columns are the rows of D.T, revised against m_col.
 
     Candidate a at position c survives iff X[c, a] & Y[c2, a] meets the row at every
-    position c2, itself included, with the row as it stood before its revision: with
-    Z = Y & row, that is a check of X[c, a] against the column Z[:, a] for each live
-    (c, a) pair, K * P work for K live pairs, in steps of at most _LIVE_CELLS cells.
+    position c2, itself included, with the row as it stood before its revision. With
+    Z = Y & row, that is a check of X[c, a] against each distinct value of the column
+    Z[:, a], taken only for the candidates live in the row: K * U work for K live pairs
+    and U distinct values in the widest column, in steps of at most _LIVE_CELLS cells.
     """
     X, Y = cones
-    bits, step = _BITS[: X.shape[1]], max(1, _LIVE_CELLS // len(D))
+    bits = _BITS[: X.shape[1]]
     for r in sorted(lines):
         stats.revisions += len(D)
         if stats.revisions > budget:
             raise BudgetExceeded
         B = D[r]
-        pos, a = np.nonzero(B[:, None] & bits)
-        Z = np.ascontiguousarray((Y & B[:, None]).T)
+        cols = np.flatnonzero(np.bitwise_or.reduce(B) & bits)
+        pos, k = np.nonzero(B[:, None] & bits[cols])  # live pair: position, index into cols
+        if not len(pos):
+            continue
+        a = cols[k]
+        Z = _distinct_columns((Y[:, cols] & B[:, None]).T)
+        step = max(1, _LIVE_CELLS // Z.shape[1])
         dead = np.empty(len(pos), dtype=bool)
         for lo in range(0, len(pos), step):
-            k = slice(lo, lo + step)
-            dead[k] = ~((X[pos[k], a[k], None] & Z[a[k]]) != 0).all(axis=1)
+            s = slice(lo, lo + step)
+            dead[s] = ~((X[pos[s], a[s], None] & Z[k[s]]) != 0).all(axis=1)
         if dead.any():
             newB = B.copy()
             np.bitwise_xor.at(newB, pos[dead], bits[a[dead]])

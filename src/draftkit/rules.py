@@ -441,14 +441,17 @@ def problem_key(problem: Problem):
     Restriction in the key keeps tabulated-rule tables finite; rules whose
     outcome depends on rankings outside the available set cannot be tabulated.
     """
-    sig = []
-    for pref in problem.profile:
-        if problem.available == 0:
-            sig.append(((), pref.cutoff if pref.cutoff is None else 0))
-        else:
-            r = restrict(pref, problem.available)
-            sig.append((r.ranking, r.cutoff))
-    return (problem.variant, problem.agents, problem.available, tuple(sig), problem.quotas)
+    sig = tuple(restricted_key(pref, problem.available) for pref in problem.profile)
+    return (problem.variant, problem.agents, problem.available, sig, problem.quotas)
+
+
+def restricted_key(pref: Preference, available: Bundle) -> tuple:
+    """One slot of a `problem_key`: the preference restricted to the available set, as
+    (ranking, cutoff)."""
+    if available == 0:
+        return (), pref.cutoff if pref.cutoff is None else 0
+    r = restrict(pref, available)
+    return r.ranking, r.cutoff
 
 
 def tabulated_rule(name: str, table: dict, fallback: Rule | None = None) -> Rule:

@@ -15,7 +15,9 @@ misreport-by-misreport manipulation search is here too, as the oracle of the
 one-block `verifier.find_manipulation`, and so are the step-by-step draft
 engines, as the oracle of the turn plans that `Rule.run` interprets. The
 per-pair `build_csp` and the dense (P, P, C) grid revision are kept as the
-oracles of the batched constraint build and the live-pair grid kernel.
+oracles of the batched constraint build and the live-pair grid kernel, and
+the all-rows unary table (`admissible` on every (key, split) row) as the
+oracle of the slot-factored `csp.admitted`.
 """
 
 from __future__ import annotations
@@ -885,6 +887,22 @@ def build_csp(domain, axioms, priority=None):
     return keys, candidates, constraints
 
 
+def admitted(space, x, splits, digits, names):
+    """`csp.admitted` as the all-rows loop: `admissible` on every (key, split) row, the
+    splits tiled and the keys' digits repeated, in steps of at most 2**15 rows."""
+    import numpy as np
+
+    from draftkit.axioms import admissible
+
+    out = np.empty((len(digits), len(splits)), dtype=bool)
+    step = max(1, (1 << 15) // len(splits))
+    for lo in range(0, len(digits), step):
+        d = digits[lo : lo + step]
+        tiled, repeated = np.tile(splits, (len(d), 1)), np.repeat(d, len(splits), axis=0)
+        out[lo : lo + step] = admissible(space, x, tiled, repeated, names).reshape(len(d), -1)
+    return out
+
+
 def build_csp_pairwise(domain, axioms, priority=None):
     """`csp.build_csp`'s constraints, each built by its own call chain: the allowed matrix
     of one (u, v, slot) gathered from the relation and packed to ints row by row. The
@@ -892,7 +910,7 @@ def build_csp_pairwise(domain, axioms, priority=None):
     import numpy as np
 
     from draftkit.axioms import DEVIATIONS, AxiomSpace, _change_targets
-    from draftkit.csp import BinaryConstraint, ProblemKeys, _splits, admitted
+    from draftkit.csp import BinaryConstraint, ProblemKeys, _splits
 
     index = ProblemKeys(domain)
     space = AxiomSpace(domain, priority)

@@ -8,7 +8,10 @@ import pytest
 import scalar_checkers as oracle
 from draftkit.core import INFINITE
 from draftkit.axioms import (
+    UNARY,
+    AxiomSpace,
     ProblemDomain,
+    _digits,
     check_ef1,
     check_nw,
     check_rm,
@@ -21,9 +24,11 @@ from draftkit.csp import (
     MAX_SOLUTIONS,
     BinaryConstraint,
     InfeasibilityCertificate,
+    ProblemKeys,
     RuleCSP,
     SolveStats,
     _splits,
+    admitted,
     build_csp,
     distinct_problems,
     replay_certificate,
@@ -31,7 +36,7 @@ from draftkit.csp import (
     solutions_as_rules,
 )
 from draftkit.grid import _propagate, build_grid, replay_grid_certificate, solve_grid
-from draftkit.rules import draft_rule, tabulated_rule
+from draftkit.rules import draft_rule, problem_key, tabulated_rule
 
 from helpers import bundle
 
@@ -256,6 +261,88 @@ KEY_IDS = ["fixed33", "quota24", "unacceptable23"]
 @pytest.mark.parametrize("domain", KEY_DOMAINS, ids=KEY_IDS)
 def test_distinct_problems_is_the_first_occurrence_scan(domain):
     assert distinct_problems(domain) == oracle.distinct_problems(domain)
+
+
+def _domain_id(d):
+    quotas = f"-q{''.join(map(str, d.quotas))}" if d.quotas else ""
+    return f"{d.variant}{len(d.populations[0])}x{d.n_objects}{quotas}"
+
+
+CASE_DOMAINS = list(dict.fromkeys(d for d, _, _ in CSP_CASES))
+
+
+@pytest.mark.parametrize("domain", CASE_DOMAINS, ids=map(_domain_id, CASE_DOMAINS))
+def test_keys_are_the_problem_keys_of_their_problems(domain):
+    keys, problems = distinct_problems(domain)
+    assert keys == [problem_key(p) for p in problems]
+    csp = build_csp(domain, ())
+    assert csp.keys == keys and csp.problems == problems
+
+
+# --- the slot-factored unary table against the all-rows loop -------------------
+
+ADMIT_DOMAINS = [
+    fixed_domain(2, 3), fixed_domain(3, 3), quota_domain(2, 4, (1, 2)), unacceptable_domain(2, 3)
+]
+
+
+def _unary_names(variant: str) -> list[str]:
+    """Every unary entry defined on the variant, alone, and EFF."""
+    return [name for name, entry in UNARY.items() if variant in entry.variants] + ["EFF"]
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["priority", "reversed"])
+@pytest.mark.parametrize("domain", ADMIT_DOMAINS, ids=map(_domain_id, ADMIT_DOMAINS))
+def test_admitted_is_the_all_rows_table(domain, reverse):
+    agents = domain.populations[0]
+    space = AxiomSpace(domain, agents[::-1] if reverse else agents)
+    index = ProblemKeys(domain)
+    for xi, x in enumerate(index.xs):
+        splits, digits = _splits(x, index.n, domain.quotas), index.digits[xi]
+        for name in _unary_names(domain.variant):
+            got = admitted(space, x, splits, digits, (name,))
+            assert np.array_equal(got, oracle.admitted(space, x, splits, digits, (name,))), name
+
+
+@pytest.mark.parametrize("priority", [(1, 2), (2, 1)])
+@pytest.mark.parametrize("n_objects", [3, 4, 5])
+def test_admitted_grid_tables_are_the_all_rows_table(n_objects, priority):
+    full = (1 << n_objects) - 1
+    space = AxiomSpace(ProblemDomain("fixed", n_objects, ((1, 2),), (full,)), priority)
+    splits = np.array([(a, full & ~a) for a in range(1 << n_objects)], dtype=np.uint8)
+    digits = _digits(len(space.prefs), 2)
+    grid_tables = [("RP", "EF1", "NW"), ("EFF", "EF1"), ("NW", "EF1")]
+    for names in [(name,) for name in _unary_names("fixed")] + grid_tables:
+        got = admitted(space, full, splits, digits, names)
+        assert np.array_equal(got, oracle.admitted(space, full, splits, digits, names)), names
+
+
+DECLARED_DOMAINS = [fixed_domain(3, 4), quota_domain(2, 4, (1, 2)), unacceptable_domain(3, 3)]
+
+
+@pytest.mark.parametrize("name", [name for name, e in UNARY.items() if e.reads is not None])
+def test_unary_columns_read_only_their_declared_slot(name):
+    """Changing a slot's preference never changes a column that does not declare it."""
+    entry, rng = UNARY[name], np.random.default_rng(2024)
+    for domain in DECLARED_DOMAINS:
+        if domain.variant not in entry.variants:
+            continue
+        agents = domain.populations[0]
+        for priority in (agents, agents[::-1]):
+            space = AxiomSpace(domain, priority)
+            reads, P = entry.reads(space), len(space.prefs)
+            for x in domain.available_sets:
+                splits = _splits(x, space.n, domain.quotas)
+                allocs = splits[rng.integers(len(splits), size=500)]
+                digits = rng.integers(P, size=(500, space.n))
+                before = entry.ok(space, x, allocs, digits)
+                assert before.shape[1] == len(reads)
+                for slot in range(space.n):
+                    changed = digits.copy()
+                    changed[:, slot] = rng.integers(P, size=500)
+                    after = entry.ok(space, x, allocs, changed)
+                    blind = [k for k, s in enumerate(reads) if s != slot]
+                    assert np.array_equal(after[:, blind], before[:, blind]), (slot, x)
 
 
 @pytest.mark.parametrize("domain", KEY_DOMAINS, ids=KEY_IDS)
