@@ -14,6 +14,7 @@ its constraint, at any depth.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import product
@@ -453,10 +454,10 @@ def _propagate(
 ) -> int | None:
     """AC over the constraint queue, each removal appended to the trace; returns an emptied
     variable index or None."""
-    pending = list(queue)
+    pending = deque(queue)
     in_queue = set(pending)
     while pending:
-        ci = pending.pop(0)
+        ci = pending.popleft()
         in_queue.discard(ci)
         c = csp.constraints[ci]
         for var in (c.u, c.v):

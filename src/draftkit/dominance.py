@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import INFINITE, Bundle, Preference, bundle_size, objects_of, preference_space, top_k
+from .core import INFINITE, Bundle, Preference, bundle_size, objects_of, preference_space
 
 ORACLE_SIZE_CAP = 12
 
@@ -74,13 +74,23 @@ def strictly_dominates(pref: Preference, s: Bundle, t: Bundle) -> bool:
 
 
 def quota_weakly_dominates(pref: Preference, quota: int | float, s: Bundle, t: Bundle) -> bool:
-    """Dominance where the agent only counts her best `quota` objects of each bundle."""
+    """Dominance where the agent only counts her best `quota` objects of each bundle.
+
+    In rank space a bundle's best objects are the lowest bits of its rank mask,
+    so each mask keeps its lowest `quota` bits; a cutoff then keeps the rank
+    prefix `(1 << cutoff) - 1`, as `weakly_dominates` does.
+    """
     if quota < 1:
         raise ValueError("quota must be at least 1")
-    if quota != INFINITE:
-        s = top_k(pref, s, min(int(quota), bundle_size(s)))
-        t = top_k(pref, t, min(int(quota), bundle_size(t)))
-    return weakly_dominates(pref, s, t)
+    s, t = pref.rank_mask(s), pref.rank_mask(t)
+    while s.bit_count() > quota:
+        s ^= 1 << (s.bit_length() - 1)
+    while t.bit_count() > quota:
+        t ^= 1 << (t.bit_length() - 1)
+    if pref.cutoff is not None:
+        s &= (1 << pref.cutoff) - 1
+        t &= (1 << pref.cutoff) - 1
+    return dominates_rank_masks(s, t)
 
 
 def envies(pref: Preference, own: Bundle, other: Bundle, quota: int | float = INFINITE) -> bool:

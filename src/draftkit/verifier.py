@@ -47,12 +47,14 @@ from .axioms import (
     quota_domain,
     sp_ok,
     unacceptable_domain,
+    unary_entries,
     variable_domain,
 )
 from .csp import (
     SCOPE_NOTE,
     ProblemKeys,
     SolveResult,
+    _slot_tables,
     _splits,
     admitted,
     build_csp,
@@ -262,6 +264,14 @@ class _CaseEngine:
         self.log = log
         self.env: dict[tuple, tuple] = {}
         self.space = AxiomSpace(fixed_domain(2, _T4_OBJECTS))
+        bigs = map(bundle_of, combinations(range(_T4_OBJECTS), 3))
+        self.splits = [self.alloc(big, _T4_FULL & ~big) for big in bigs]
+        # EF1's columns read one slot each: judged once at every preference in both slots
+        every = np.repeat(np.arange(len(self.space.prefs))[:, None], 2, axis=1)
+        rows = np.array(self.splits, dtype=np.uint8)
+        ef1 = unary_entries(("EF1",), "fixed")
+        free, per_slot = _slot_tables(self.space, _T4_FULL, rows, every, ef1)
+        self.ef1 = (free & per_slot[0], per_slot[1])  # bool (preferences, splits) per slot
 
     def profile(self, big_word: str, small_word: str) -> tuple:
         ranks = [None, None]
@@ -276,12 +286,9 @@ class _CaseEngine:
         return tuple(out)
 
     def candidates(self, profile: tuple) -> list[tuple]:
-        bigs = map(bundle_of, combinations(range(_T4_OBJECTS), 3))
-        splits = [self.alloc(big, _T4_FULL & ~big) for big in bigs]
-        digits = np.array([[self.space.index[Preference(r)] for r in profile]])
-        rows = np.array(splits, dtype=np.uint8)
-        keep = admitted(self.space, _T4_FULL, rows, digits, ("EF1",))[0]
-        return [c for c, kept in zip(splits, keep.tolist()) if kept]
+        d0, d1 = (self.space.index[Preference(r)] for r in profile)
+        keep = self.ef1[0][d0] & self.ef1[1][d1]
+        return [c for c, kept in zip(self.splits, keep.tolist()) if kept]
 
     def pin(self, profile: tuple, expect: set | None, label: str) -> list[tuple]:
         cands = self.candidates(profile)
@@ -655,16 +662,19 @@ def verify_efficiency_decomposition(
 ) -> EquivalenceReport:
     """Check (NW[*] and IR and RT) == brute-force efficiency on every (problem, allocation).
 
-    Exhausts every allocation at every problem key, then runs the seeded random
-    tabulated rules through the same verdicts as a rule-level spot check.
-    Domains past the oracle's cap raise CapacityError before any enumeration.
+    Exhausts every allocation at every problem key, then spot-checks
+    `n_random_rules` seeded random tabulated rules against the same verdicts:
+    one seeded array gather (`_random_rule_misses`) draws each rule's split at
+    every key and reads whether the two sides agree there. Domains past the
+    oracle's cap raise CapacityError before any enumeration.
     """
     _oracle_capacity(domain.n_objects, max(len(pop) for pop in domain.populations))
     index, space = ProblemKeys(domain), AxiomSpace(domain)
     disagreements = []
     checked = 0
     keys: list[Problem] = []
-    agreements: list[list[bool]] = []
+    agree: list[np.ndarray] = []  # per set, (keys, splits) flattened: the verdicts agree
+    counts: list[np.ndarray] = []  # per key, its number of splits
     for xi, x in enumerate(index.xs):
         probs = index.problems(xi)
         rows = _splits(x, index.n, domain.quotas)  # the same at every problem of the set
@@ -681,14 +691,42 @@ def verify_efficiency_decomposition(
                 }
             )
         keys += probs
-        agreements.extend((fast == slow).tolist())
-
-    rng = Random(seed)
-    for _ in range(n_random_rules):
-        for prob, agree in zip(keys, agreements):
-            if not rng.choice(agree):  # unreachable given the exhaustive pass; kept for honesty
-                disagreements.append({"problem": describe_problem(prob)})
+        agree.append((fast == slow).reshape(-1))
+        counts.append(np.full(len(probs), len(rows)))
+    agree_at, counts_at = np.concatenate(agree), np.concatenate(counts)
+    for k in _random_rule_misses(agree_at, counts_at, n_random_rules, seed):
+        disagreements.append({"problem": describe_problem(keys[k])})
     return EquivalenceReport(checked, n_random_rules, disagreements)
+
+
+_SPOT_CELLS = 1 << 14  # (rule, key) cells per step of the random-rule spot check
+
+
+def _random_rule_misses(agree: np.ndarray, counts: np.ndarray, n_rules: int, seed: int) -> list:
+    """The key of each (rule, key) cell, rule-major, at which a seeded random rule picks a
+    split where the decomposition and the oracle disagree.
+
+    `agree` holds each key's splits in turn, `counts[k]` of them at key k. Every
+    cell draws a 32-bit word from `Random(seed).randbytes` and maps it to a split
+    index below its key's count by multiply-shift (w * count >> 32); rules and
+    keys go in steps of at most _SPOT_CELLS cells.
+    """
+    rng, n_keys = Random(seed), len(counts)
+    starts = np.cumsum(counts) - counts
+    key_step = min(max(1, n_keys), _SPOT_CELLS)
+    rule_step = max(1, _SPOT_CELLS // key_step)
+    misses = []
+    for lo in range(0, n_rules, rule_step):
+        n = min(rule_step, n_rules - lo)
+        for k0 in range(0, n_keys, key_step):  # one rule per step once keys fill a step
+            at = slice(k0, k0 + key_step)
+            words = np.frombuffer(rng.randbytes(4 * n * len(counts[at])), dtype="<u4")
+            picks = words.reshape(n, -1).astype(np.int64)
+            picks *= counts[at]
+            picks >>= 32
+            picks += starts[at]
+            misses += (k0 + np.nonzero(~agree[picks])[1]).tolist()
+    return misses
 
 
 def verify_truncation_invariance_implication(

@@ -17,12 +17,15 @@ engines, as the oracle of the turn plans that `Rule.run` interprets. The
 per-pair `build_csp` and the dense (P, P, C) grid revision are kept as the
 oracles of the batched constraint build and the live-pair grid kernel, and
 the all-rows unary table (`admissible` on every (key, split) row) as the
-oracle of the slot-factored `csp.admitted`.
+oracle of the slot-factored `csp.admitted`. The per-draw random-rule loop
+defines the report shape of the efficiency decomposition's seeded spot check,
+and the `top_k` form of quota dominance is the oracle of its rank-space form.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
+from random import Random
 
 from draftkit.axioms import (
     NEU_SIZE_CAP,
@@ -51,12 +54,7 @@ from draftkit.core import (
     top,
     top_k,
 )
-from draftkit.dominance import (
-    additive_utility,
-    quota_weakly_dominates,
-    strictly_dominates,
-    weakly_dominates,
-)
+from draftkit.dominance import additive_utility, strictly_dominates, weakly_dominates
 from draftkit.rules import _agent_order, _population_order
 
 
@@ -70,6 +68,17 @@ def _holds(axiom, checked):
 
 def _violated(axiom, checked, witness, note=""):
     return AxiomReport(axiom, "violated", witness, checked, note)
+
+
+def quota_weakly_dominates(pref, quota, s, t) -> bool:
+    """`dominance.quota_weakly_dominates` in object space: `top_k` keeps each bundle's best
+    `quota` objects by the ranking, then `weakly_dominates` compares them."""
+    if quota < 1:
+        raise ValueError("quota must be at least 1")
+    if quota != INFINITE:
+        s = top_k(pref, s, min(int(quota), bundle_size(s)))
+        t = top_k(pref, t, min(int(quota), bundle_size(t)))
+    return weakly_dominates(pref, s, t)
 
 
 def _dominates(pref, quota, s, t) -> bool:
@@ -1398,6 +1407,19 @@ def find_manipulation(rule, problem: Problem, agent):
         if strictly_dominates(pref, gained, truth):
             return report, gained, truth
     return None
+
+
+def random_rule_misses(keys, agreements, n_rules: int, seed: int) -> list:
+    """The random-rule pass of `verifier.verify_efficiency_decomposition` as a per-draw
+    loop: rule by rule and key by key, one `Random(seed).choice` among the key's
+    agreement bools (one per split); each miss lists the key's problem."""
+    rng = Random(seed)
+    out = []
+    for _ in range(n_rules):
+        for prob, agree in zip(keys, agreements):
+            if not rng.choice(agree):
+                out.append({"problem": describe_problem(prob)})
+    return out
 
 
 # --- draft engines: each rule's turns recomputed step by step ---------------

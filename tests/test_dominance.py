@@ -3,6 +3,7 @@ from itertools import permutations
 
 import pytest
 
+import scalar_checkers as oracle
 from draftkit.core import INFINITE, Preference, bundle_size, objects_of, subsets_of, top_k
 from draftkit.dominance import (
     WeightScheme,
@@ -83,6 +84,30 @@ def test_quota_variants_match_oracle_after_truncation():
                     assert quota_weakly_dominates(p, q, s, t) == weakly_dominates_oracle(
                         p, ss, tt
                     )
+
+
+@pytest.mark.parametrize(
+    "rankings",
+    [list(permutations(range(4))), [tuple(range(5))], [tuple(range(6))]],
+    ids=["every-4", "identity-5", "identity-6"],
+)
+def test_rank_space_quota_dominance_matches_top_k_form(rankings):
+    # every quota and cutoff, every pair of bundles
+    m = len(rankings[0])
+    bundles = list(subsets_of((1 << m) - 1, nonempty=False))
+    for ranking in rankings:
+        for cutoff in [None, *range(m + 1)]:
+            p = Preference(ranking, cutoff)
+            for q in [*range(1, m + 1), INFINITE]:
+                for s in bundles:
+                    for t in bundles:
+                        expected = oracle.quota_weakly_dominates(p, q, s, t)
+                        assert quota_weakly_dominates(p, q, s, t) == expected, (p, q, s, t)
+
+
+def test_quota_below_one_rejected():
+    with pytest.raises(ValueError):
+        quota_weakly_dominates(pref("ab"), 0, bundle("a"), bundle("b"))
 
 
 def test_unacceptable_variant_matches_oracle_on_acceptable_parts():

@@ -7,9 +7,10 @@ import pytest
 import scalar_checkers as oracle
 from draftkit.cli import RULE_FACTORIES
 
-from draftkit.axioms import fixed_domain, unacceptable_domain, variable_domain
+from draftkit import verifier
+from draftkit.axioms import describe_problem, fixed_domain, unacceptable_domain, variable_domain
 from draftkit.core import INFINITE, Preference, Problem, objects_of
-from draftkit.csp import build_csp, solve_csp
+from draftkit.csp import ProblemKeys, _splits, build_csp, solve_csp
 from draftkit.rules import (
     Rule,
     dictatorship_rule,
@@ -221,6 +222,62 @@ def test_t5_small():
 def test_efficiency_decomposition_small():
     rep = verify_efficiency_decomposition(fixed_domain(2, 3), n_random_rules=25)
     assert rep.ok and rep.checked_pairs > 0
+    assert rep.disagreements == [] and rep.random_rules == 25
+
+
+def _flip_admitted(monkeypatch, flips):
+    """Patch the decomposition's `admitted` so that, at fixed 2x3's full set, the verdict
+    of each (key, split) in `flips` is inverted (split None: every split of the key)."""
+    real = verifier.admitted
+
+    def flipped(space, x, splits, digits, names):
+        out = real(space, x, splits, digits, names)
+        if x == 0b111:
+            for key, split in flips:
+                out[key, slice(None) if split is None else split] ^= True
+        return out
+
+    monkeypatch.setattr(verifier, "admitted", flipped)
+    index = ProblemKeys(fixed_domain(2, 3))
+    xi = index.xs.index(0b111)
+    return index, xi
+
+
+def test_efficiency_decomposition_lists_a_flipped_key_once_per_rule(monkeypatch):
+    index, xi = _flip_admitted(monkeypatch, [(5, None)])
+    n_rules = 30
+    rep = verify_efficiency_decomposition(fixed_domain(2, 3), n_random_rules=n_rules)
+    flipped = describe_problem(index.problems(xi)[5])
+    n_splits = len(_splits(0b111, 2))
+    exhaustive, spot = rep.disagreements[:n_splits], rep.disagreements[n_splits:]
+    assert [d["problem"] for d in exhaustive] == [flipped] * n_splits
+    assert all(d["decomposed"] != d["oracle"] for d in exhaustive)
+    # every split of the key disagrees, so every rule misses there whatever it draws
+    keys = [prob for i in range(len(index.xs)) for prob in index.problems(i)]
+    agreements = [
+        [k != index.offsets[xi] + 5] * len(_splits(prob.available, 2))
+        for k, prob in enumerate(keys)
+    ]
+    assert spot == oracle.random_rule_misses(keys, agreements, n_rules, seed=1)
+    assert spot == [{"problem": flipped}] * n_rules
+
+
+def test_efficiency_decomposition_lists_misses_rule_major(monkeypatch):
+    index, xi = _flip_admitted(monkeypatch, [(9, None), (2, None)])
+    rep = verify_efficiency_decomposition(fixed_domain(2, 3), n_random_rules=4)
+    first, second = (describe_problem(index.problems(xi)[k]) for k in (2, 9))
+    spot = [d["problem"] for d in rep.disagreements if "allocation" not in d]
+    assert spot == [first, second] * 4
+
+
+def test_efficiency_decomposition_spot_check_names_a_flipped_cell(monkeypatch):
+    index, xi = _flip_admitted(monkeypatch, [(7, 3)])
+    n_rules = 200
+    rep = verify_efficiency_decomposition(fixed_domain(2, 3), n_random_rules=n_rules)
+    flipped = describe_problem(index.problems(xi)[7])
+    exhaustive, spot = rep.disagreements[:1], rep.disagreements[1:]
+    assert exhaustive[0]["problem"] == flipped and "allocation" in exhaustive[0]
+    assert len(spot) <= n_rules and all(d == {"problem": flipped} for d in spot)
 
 
 def test_efficiency_decomposition_unacceptable_small():
