@@ -37,7 +37,7 @@ from .core import (
     top_k,
 )
 from .dominance import WeightScheme, additive_utility, relation_table
-from .rules import Rule, fill_rows, pick_table
+from .rules import Rule, pick_table
 
 OBJECT_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
@@ -219,12 +219,12 @@ def _fill(rule: Rule, domain: ProblemDomain, agents, x: Bundle, prefs, digits) -
     """The rule's allocation at every profile over `prefs` at (agents, x), as a uint8
     (len(prefs)ⁿ, n) array: row = profile code (product order), column = agent slot.
 
-    `digits` holds each row's preference indexes; `fill_rows` fills them."""
+    `digits` holds each row's preference indexes; the rule's engine fills them."""
     if domain.n_objects > MAX_ROW_OBJECTS:
         raise ValueError(f"allocation arrays hold bundles of at most {MAX_ROW_OBJECTS} objects")
     # the block's problems differ only in their profiles: one stands for all in Problem's checks
     Problem(domain.variant, agents, x, (prefs[0],) * len(agents), domain.quotas)
-    return fill_rows(rule, domain.variant, agents, x, prefs, domain.quotas, digits)
+    return rule.fill(domain.variant, agents, x, prefs, domain.quotas, digits)
 
 
 # ---------------------------------------------------------------------------

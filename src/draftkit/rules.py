@@ -18,20 +18,19 @@ selection). Passed steps never reach the returned bundles. Replaying a trace
 greedily reproduces the allocation; the theorem verifier consumes selection
 orders, so traces are first class, and they come only from `Rule.run`.
 
-Serial dictatorship, π-dictatorship and null keep a scalar runner and an array
-engine of their own (`Rule.fill`). A piecewise rule fills through its default
-rule's engine and overwrites the rows where an override's `Case` matches; the
-IR counterexample runs the unacceptable draft over the complete extensions.
-`fill_rows` is the one block entry point: it runs the engine when a rule has
-one, and otherwise runs `Rule.allocate` row by row (tabulated rules, the
-neutrality counterexample, and the override rules pinned to a few problems).
+Every rule is its array engine, `Rule.fill`. A piecewise rule fills through its
+default rule's engine and overwrites the rows an override's `Case` takes; a
+tabulated rule looks each distinct row of restriction classes up once; the IR
+and neutrality counterexamples run over the whole block. Only the plan rules
+(through `_pick_one`, which traces at any size) and serial dictatorship,
+π-dictatorship and null (which `draftkit run` serves past 8 objects) keep a
+scalar runner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, wraps
-from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,6 +45,7 @@ from .core import (
     Priority,
     Problem,
     bundle_size,
+    complete_extension,
     restrict,
     top,
 )
@@ -99,6 +99,8 @@ def pick_table(prefs: tuple[Preference, ...]) -> np.ndarray:
     """TOP[pref, s]: the bit of prefs[pref]'s best acceptable object in bundle s, or 0 (a pass)
     when s holds none; uint8 (len(prefs), 2^w), w the highest ranked object + 1 (at most 8)."""
     width = max(p.ranked_mask for p in prefs).bit_length()
+    if width > 8:
+        raise ValueError(f"pick tables hold bundles of at most 8 objects, not {width}")
     rankings = np.array([p.ranking for p in prefs], dtype=np.uint8).reshape(len(prefs), -1)
     cutoffs = np.array([len(p.ranking) if p.cutoff is None else p.cutoff for p in prefs])
     subsets = np.arange(1 << width, dtype=np.uint8)
@@ -120,11 +122,6 @@ def _acceptable_table(prefs: tuple[Preference, ...]) -> np.ndarray:
     table = np.array([p.acceptable for p in prefs], dtype=np.uint8)
     table.flags.writeable = False
     return table
-
-
-def _complete_extensions(prefs: Sequence[Preference]) -> tuple[Preference, ...]:
-    """Each preference with every ranked object acceptable, as `ir_counterexample` reads it."""
-    return tuple(Preference(q.ranking, len(q.ranking)) for q in prefs)
 
 
 def _pick_rows(prefs, digits: np.ndarray, x: Bundle, turns, limits=None, passes=True):
@@ -245,7 +242,7 @@ def _plan_rule(name: str, plan: Plan) -> Rule:
     def fill(variant, agents, x, prefs, quotas, digits):
         return _pick_rows(prefs, digits, x, *plan(variant, agents, x, quotas))
 
-    return Rule(name, runner, fill=fill)
+    return Rule(name, fill, runner)
 
 
 def _omega_plan(priority: Priority, quota_limited: bool) -> Plan:
@@ -325,54 +322,36 @@ def _null_fill(variant, agents, x, prefs, quotas, digits):
 class Rule:
     """The unit the axiom checkers and the rule-space search quantify over.
 
-    Either algorithmic (wraps an engine) or tabulated (explicit lookup over an
-    enumerated problem domain). ``restriction_invariant`` declares that the
-    outcome depends on preferences only through their restriction to the
-    available set; checkers may exploit it, so combinators must not claim it.
+    ``fill`` is the rule's array engine (see `Fill`) and its one definition.
+    ``restriction_invariant`` declares that the outcome depends on preferences
+    only through their restriction to the available set; checkers may exploit
+    it, so combinators must not claim it.
 
-    ``run`` and ``allocate`` solve one problem through ``runner``, and only
-    ``run`` gives the trace. ``fill``, when set, is the rule's array engine: it
-    allocates a block of profiles (see `Fill`) and must agree with
-    ``allocate`` row by row, errors included. A picking rule (every draft and
-    the population-RM and pairwise-consistency counterexamples) is one turn
-    plan, and `_plan_rule` makes both from it: ``runner`` is `_pick_one` and
-    ``fill`` is `_pick_rows`. Serial dictatorship, π-dictatorship and null
-    keep a (runner, fill) pair of their own; the piecewise counterexamples and
-    the IR counterexample fill through the engines of the rules they run.
-    Callers go through `fill_rows`, which uses the engine when it is set and
-    calls ``allocate`` per row otherwise.
+    ``run`` and ``allocate`` solve one problem through the scalar ``runner`` when
+    the rule has one, else through one row of the engine, untraced and within its
+    8-object rows. A picking rule is one turn plan, and `_plan_rule` makes both
+    from it: ``runner`` is `_pick_one`, the only tracer, and ``fill`` is
+    `_pick_rows`. Serial dictatorship, π-dictatorship and null are the only other
+    rules with a runner.
     """
 
     name: str
-    runner: Callable[[Problem], tuple[Allocation, Trace | None]]
+    fill: Fill
+    runner: Callable[[Problem], tuple[Allocation, Trace | None]] | None = None
     restriction_invariant: bool = True
-    fill: Fill | None = None
 
     def run(self, problem: Problem) -> tuple[Allocation, Trace | None]:
-        return self.runner(problem)
+        if self.runner is not None:
+            return self.runner(problem)
+        prefs = tuple(dict.fromkeys(problem.profile))
+        digits = np.array([[prefs.index(p) for p in problem.profile]], dtype=np.intp)
+        row = self.fill(
+            problem.variant, problem.agents, problem.available, prefs, problem.quotas, digits
+        )
+        return tuple(row[0].tolist()), None
 
     def allocate(self, problem: Problem) -> Allocation:
-        return self.runner(problem)[0]
-
-
-def fill_rows(rule: Rule, variant: str, agents, x: Bundle, prefs, quotas, digits) -> np.ndarray:
-    """The rule's allocation at each row of `digits` over (agents, x), as a uint8 (rows, n)
-    array; digits[r, slot] indexes prefs at row r.
-
-    A rule with an array engine fills every row in one call; any other rule is run row
-    by row through `Rule.allocate`."""
-    if rule.fill is not None:
-        return rule.fill(variant, agents, x, prefs, quotas, digits)
-    rows, n, allocate = len(digits), len(agents), rule.allocate
-    columns = [map(prefs.__getitem__, column) for column in digits.T]
-    cells = chain.from_iterable(
-        allocate(Problem(variant, agents, x, profile, quotas)) for profile in zip(*columns)
-    )
-    return np.fromiter(cells, np.uint8, rows * n).reshape(rows, n)
-
-
-def _engine_rule(name, engine, *args, fill: Fill) -> Rule:
-    return Rule(name, lambda p: engine(p, *args), fill=fill)
+        return self.run(problem)[0]
 
 
 def draft_rule(priority: Priority) -> Rule:
@@ -423,16 +402,16 @@ def snake_draft_rule(priority: Priority) -> Rule:
 
 def serial_dictatorship_rule(priority: Priority) -> Rule:
     name, fill = f"serial-dictatorship{list(priority)}", _serial_dictatorship_fill(priority)
-    return _engine_rule(name, serial_dictatorship, priority, fill=fill)
+    return Rule(name, fill, lambda p: serial_dictatorship(p, priority))
 
 
 def dictatorship_rule(priority: Priority) -> Rule:
     fill = _dictatorship_fill(priority)
-    return _engine_rule(f"pi-dictatorship{list(priority)}", dictatorship, priority, fill=fill)
+    return Rule(f"pi-dictatorship{list(priority)}", fill, lambda p: dictatorship(p, priority))
 
 
 def null_rule() -> Rule:
-    return Rule("null", null_allocation, fill=_null_fill)
+    return Rule("null", _null_fill, null_allocation)
 
 
 def problem_key(problem: Problem):
@@ -455,15 +434,31 @@ def restricted_key(pref: Preference, available: Bundle) -> tuple:
 
 
 def tabulated_rule(name: str, table: dict, fallback: Rule | None = None) -> Rule:
-    def runner(problem: Problem):
-        key = problem_key(problem)
-        if key in table:
-            return table[key], None
-        if fallback is not None:
-            return fallback.allocate(problem), None
-        raise KeyError(f"rule {name!r} is not defined at this problem")
+    """The rule that allocates table[problem_key(problem)], or the fallback's allocation
+    where the table has no entry; without a fallback a missing entry raises KeyError."""
 
-    return Rule(name, runner)
+    def fill(variant, agents, x, prefs, quotas, digits):
+        classes: dict = {}  # restricted key -> class code, per preference of the block
+        codes = np.array([classes.setdefault(restricted_key(p, x), len(classes)) for p in prefs])
+        keys, rows = list(classes), codes[digits]
+        code = np.zeros(len(rows), dtype=np.int64)
+        for column in rows.T:  # renumbered per slot, so a code stays below rows × classes
+            code = np.unique(code * len(keys) + column, return_inverse=True)[1]
+        _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+        found = [
+            table.get((variant, agents, x, tuple(keys[c] for c in row), quotas))
+            for row in rows[first].tolist()
+        ]
+        missing = np.array([alloc is None for alloc in found])[inverse]
+        zeros = (0,) * len(agents)
+        out = np.array([zeros if a is None else a for a in found], dtype=np.uint8)[inverse]
+        if missing.any():
+            if fallback is None:
+                raise KeyError(f"rule {name!r} is not defined at this problem")
+            out[missing] = fallback.fill(variant, agents, x, prefs, quotas, digits[missing])
+        return out
+
+    return Rule(name, fill)
 
 
 @dataclass(frozen=True)
@@ -472,22 +467,14 @@ class Case:
     and an optional test on each slot's preference, all of which must pass.
 
     A problem with fewer agents than `slots` never matches; slots past them are free.
-    ``Case(problem)`` decides one problem, `rows` every row of a block at once.
     """
 
     available: Callable[[Bundle], bool] | None = None
     slots: tuple[Callable[[Preference], bool] | None, ...] = ()
 
-    def __call__(self, problem: Problem) -> bool:
-        if self.available is not None and not self.available(problem.available):
-            return False
-        if len(problem.profile) < len(self.slots):
-            return False
-        return all(test is None or test(p) for test, p in zip(self.slots, problem.profile))
-
     def rows(self, x: Bundle, prefs, digits: np.ndarray) -> np.ndarray:
-        """Case(problem) at each row of `digits` over x, as a bool array: each slot test
-        runs once per preference and is gathered by the slot's digits."""
+        """Whether the case holds at each row of `digits` over x, as a bool array: each
+        slot test runs once per preference and is gathered by the slot's digits."""
         if (self.available is not None and not self.available(x)) or (
             digits.shape[1] < len(self.slots)
         ):
@@ -506,12 +493,6 @@ class Piecewise:
     default: Rule
     overrides: tuple[tuple[Case, Rule], ...]
 
-    def __call__(self, problem: Problem):
-        for case, rule in self.overrides:
-            if case(problem):
-                return rule.run(problem)
-        return self.default.run(problem)
-
     def fill(self, variant, agents, x, prefs, quotas, digits):
         """Each override fills the rows its case takes first; the default fills the rest."""
         parts, taken = [], np.zeros(len(digits), dtype=bool)
@@ -521,18 +502,18 @@ class Piecewise:
                 parts.append((hit, rule))
                 taken |= hit
         if not parts:
-            return fill_rows(self.default, variant, agents, x, prefs, quotas, digits)
+            return self.default.fill(variant, agents, x, prefs, quotas, digits)
         out = np.empty((len(digits), len(agents)), dtype=np.uint8)
         for hit, rule in parts + [(~taken, self.default)]:
             if hit.any():
-                out[hit] = fill_rows(rule, variant, agents, x, prefs, quotas, digits[hit])
+                out[hit] = rule.fill(variant, agents, x, prefs, quotas, digits[hit])
         return out
 
 
 def piecewise_rule(default: Rule, overrides, name: str = "piecewise") -> Rule:
     """First matching (Case, rule) override wins, else the default rule."""
     piecewise = Piecewise(default, tuple(overrides))
-    return Rule(name, piecewise, restriction_invariant=False, fill=piecewise.fill)
+    return Rule(name, piecewise.fill, restriction_invariant=False)
 
 
 # ---------------------------------------------------------------------------
@@ -596,21 +577,12 @@ def ir_counterexample(priority: Priority) -> Rule:
     """Runs the draft on the complete extensions, so unacceptable objects get assigned."""
     u_draft = unacceptable_draft_rule(priority)
 
-    def runner(problem: Problem):
-        extended = Problem(
-            problem.variant,
-            problem.agents,
-            problem.available,
-            _complete_extensions(problem.profile),
-        )
-        return u_draft.run(extended)
-
     def fill(variant, agents, x, prefs, quotas, digits):
-        extended = _complete_extensions(prefs)
-        Problem(variant, agents, x, (extended[0],) * len(agents))  # the runner's checks
+        extended = tuple(map(complete_extension, prefs))
+        Problem(variant, agents, x, (extended[0],) * len(agents))  # refuses a quota block
         return u_draft.fill(variant, agents, x, extended, quotas, digits)
 
-    return Rule("ir-counterexample", runner, fill=fill)
+    return Rule("ir-counterexample", fill)
 
 
 def wrp_star_counterexample(n_agents: int, special_object: int = 0) -> Rule:
@@ -653,16 +625,14 @@ def rm_star_counterexample(n_agents: int, n_objects: int | None = None) -> Rule:
 
     u_draft = unacceptable_draft_rule(agents)
 
-    def special_runner(problem: Problem):
-        reduced = Problem(
-            problem.variant, problem.agents, problem.available & ~1, problem.profile
-        )
-        alloc = u_draft.allocate(reduced)
-        return (alloc[0] | 1,) + alloc[1:], None
+    def special(variant, agents, x, prefs, quotas, digits):
+        out = u_draft.fill(variant, agents, x & ~1, prefs, quotas, digits)
+        out[:, 0] |= 1
+        return out
 
     return piecewise_rule(
         u_draft,
-        [(is_special, Rule("rm*-special", special_runner))],
+        [(is_special, Rule("rm*-special", special))],
         name="rm*-counterexample",
     )
 
@@ -684,12 +654,14 @@ def ti_counterexample(n_agents: int, n_objects: int) -> Rule:
         prof.append(Preference(tuple(range(n_objects)), 0))
     is_special = _profile_case(tuple(prof), lambda x: x | 0b11 == 0b11)
 
-    def special_runner(problem: Problem):
-        return (problem.available,) + (0,) * (len(agents) - 1), None
+    def special(variant, agents, x, prefs, quotas, digits):
+        out = np.zeros(digits.shape, dtype=np.uint8)
+        out[:, 0] = x
+        return out
 
     return piecewise_rule(
         unacceptable_draft_rule(agents),
-        [(is_special, Rule("ti-special", special_runner))],
+        [(is_special, Rule("ti-special", special))],
         name="ti-counterexample",
     )
 
@@ -736,22 +708,34 @@ def neutrality_counterexample(
     if special_priority[0] != priority[0]:
         raise ValueError("the distinguished priority must keep the same top agent")
 
-    def winner_priority(x: int) -> Priority:
-        return special_priority if x == special_object else priority
+    def fill(variant, agents, x, prefs, quotas, digits):
+        """|X| contests over the whole block, each awarding one object."""
+        table = pick_table(tuple(prefs))
+        flat, width = table.reshape(-1), table.shape[1]
+        orders = [
+            _slots(agents, _population_order(agents, p)) for p in (priority, special_priority)
+        ]
+        at = [digits[:, slot] * width for slot in range(len(agents))]
+        cols = [np.zeros(len(digits), dtype=np.uint8) for _ in agents]
+        active = [np.ones(len(digits), dtype=bool) for _ in agents]
+        remaining = np.full(len(digits), x, dtype=np.uint8)
+        for _ in range(bundle_size(x)):
+            tops = [flat[a + remaining] for a in at]
+            head = np.zeros(len(digits), dtype=np.uint8)
+            for slot in orders[0][::-1]:  # the turn owner: the first active slot in base order
+                head = np.where(active[slot], tops[slot], head)
+            special = head == 1 << special_object
+            for order, skip in zip(orders, (special, ~special)):  # the head's own order decides
+                taken = skip.copy()
+                for slot in order:  # its first active contender wins and leaves the round
+                    win = active[slot] & (tops[slot] == head) & ~taken
+                    taken |= win
+                    np.bitwise_or(cols[slot], head, out=cols[slot], where=win)
+                    active[slot] &= ~win
+            remaining ^= head
+            idle = ~np.logical_or.reduce(active)  # every slot has won: a new round starts
+            for slot_active in active:
+                slot_active |= idle
+        return np.stack(cols, axis=1)
 
-    def runner(problem: Problem):
-        order = _population_order(problem.agents, priority)
-        remaining = problem.available
-        bundles = {a: 0 for a in problem.agents}
-        while remaining:
-            active = list(order)
-            while active and remaining:
-                x = top(problem.pref_of(active[0]), remaining)
-                contenders = [a for a in active if top(problem.pref_of(a), remaining) == x]
-                w = next(a for a in winner_priority(x) if a in contenders)
-                bundles[w] |= 1 << x
-                remaining &= ~(1 << x)
-                active.remove(w)
-        return tuple(bundles[a] for a in problem.agents), None
-
-    return Rule("2neu-counterexample", runner)
+    return Rule("2neu-counterexample", fill)

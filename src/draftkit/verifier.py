@@ -74,7 +74,6 @@ from .grid import build_grid, replay_grid_certificate, solve_grid
 from .rules import (
     Rule,
     draft_rule,
-    fill_rows,
     quota_draft_rule,
     snake_draft_rule,
     unacceptable_draft_rule,
@@ -106,6 +105,15 @@ class Verdict:
         return cls(REPRODUCED if ok else NOT_REPRODUCED, detail)
 
 
+def _within_capacity(domain: ProblemDomain) -> None:
+    """Raise CapacityError when the domain's profiles per available set pass the sweeps'
+    bound, before any key of it is built."""
+    cutoffs = domain.variant == "unacceptable"
+    reason = past_capacity(domain.n_objects, len(domain.populations[0]), cutoffs=cutoffs)
+    if reason:
+        raise CapacityError(reason)
+
+
 def characterization_search(
     domain: ProblemDomain,
     axioms: Sequence[str],
@@ -117,6 +125,7 @@ def characterization_search(
 ) -> Verdict:
     """Find every rule on the domain satisfying the axioms; reproduced when the target
     is the only one. ``show_matches`` lists, per survivor, whether it equals the target."""
+    _within_capacity(domain)
     csp = build_csp(domain, axioms, priority)
     result = solve_csp(csp, mode="find-all", budget=budget)
     survivors = result.solutions if result.status == "sat" else []
@@ -518,7 +527,7 @@ def _report_space(variant: str, objs: tuple[int, ...]) -> tuple[tuple[Preference
 def find_manipulation(rule: Rule, problem: Problem, agent: Agent):
     """First misreport (canonical order) whose bundle strictly dominates the truthful one.
 
-    One `fill_rows` call allocates the truthful profile (row 0) and every misreport
+    One call of the rule's engine allocates the truthful profile (row 0) and every misreport
     (row r + 1 puts report r in the agent's slot). Past the allocation rows' 8 objects
     it raises CapacityError before enumerating anything."""
     objs = _universe(problem)
@@ -532,8 +541,8 @@ def find_manipulation(rule: Rule, problem: Problem, agent: Agent):
         index = {p: i for i, p in enumerate(prefs)}
     digits = np.tile([index[p] for p in problem.profile], (len(reports) + 1, 1))
     digits[1:, slot] = np.arange(len(reports))
-    bundles = fill_rows(
-        rule, problem.variant, problem.agents, problem.available, prefs, problem.quotas, digits
+    bundles = rule.fill(
+        problem.variant, problem.agents, problem.available, prefs, problem.quotas, digits
     )[:, slot]
     truth, pref = int(bundles[0]), problem.profile[slot]
     gains, first = np.unique(bundles[1:], return_index=True)
@@ -737,6 +746,7 @@ def verify_truncation_invariance_implication(
     from .rules import tabulated_rule
 
     domain = unacceptable_domain(2, n_objects)
+    _within_capacity(domain)
     keys = list(zip(*distinct_problems(domain)))
     cands = [list(map(tuple, _splits(prob.available, 2).tolist())) for _, prob in keys]
 

@@ -20,11 +20,15 @@ the all-rows unary table (`admissible` on every (key, split) row) as the
 oracle of the slot-factored `csp.admitted`. The per-draw random-rule loop
 defines the report shape of the efficiency decomposition's seeded spot check,
 and the `top_k` form of quota dominance is the oracle of its rank-space form.
+The rules that draftkit defines only as array engines (tabulated, piecewise,
+the IR and neutrality counterexamples and the pinned overrides) keep their
+scalar runners here, with the row-by-row fill that runs a rule through one, as
+the oracle of those engines.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from random import Random
 
 from draftkit.axioms import (
@@ -55,7 +59,14 @@ from draftkit.core import (
     top_k,
 )
 from draftkit.dominance import additive_utility, strictly_dominates, weakly_dominates
-from draftkit.rules import _agent_order, _population_order
+from draftkit.rules import (
+    Case,
+    Rule,
+    _agent_order,
+    _population_order,
+    problem_key,
+    unacceptable_draft_rule,
+)
 
 
 def _sweep(rule, domain) -> FixedSweep:
@@ -1533,3 +1544,122 @@ def population_rm_draft(problem: Problem, priority: Priority):
 def pairwise_consistency_draft(problem: Problem, priority: Priority):
     """The 2-CON counterexample: the priority for two agents, its reversal otherwise."""
     return variable_draft(problem, priority if problem.n_agents == 2 else priority[::-1])
+
+
+# --- rules draftkit defines only as engines: their scalar runners and row fill ---
+
+
+def row_fill(runner):
+    """The fill of a rule given by a scalar runner: each row's Problem built and run, in
+    row order, so the first failing row raises."""
+    import numpy as np
+
+    def fill(variant, agents, x, prefs, quotas, digits):
+        rows, n = digits.shape
+        columns = [map(prefs.__getitem__, column) for column in digits.T]
+        cells = chain.from_iterable(
+            runner(Problem(variant, agents, x, profile, quotas))[0] for profile in zip(*columns)
+        )
+        return np.fromiter(cells, np.uint8, rows * n).reshape(rows, n)
+
+    return fill
+
+
+def scalar_rule(name, runner, restriction_invariant=True) -> Rule:
+    """A rule known by its scalar runner alone, filled row by row through it."""
+    return Rule(name, row_fill(runner), runner, restriction_invariant)
+
+
+def case_holds(case: Case, problem: Problem) -> bool:
+    """Whether a piecewise rule's case holds at one problem."""
+    if case.available is not None and not case.available(problem.available):
+        return False
+    if len(problem.profile) < len(case.slots):
+        return False
+    return all(test is None or test(p) for test, p in zip(case.slots, problem.profile))
+
+
+def _rm_star_special(problem: Problem):
+    """rm*-special: the unacceptable draft without object 0, then object 0 to the first agent."""
+    reduced = Problem(problem.variant, problem.agents, problem.available & ~1, problem.profile)
+    alloc = unacceptable_draft_rule(problem.agents).allocate(reduced)
+    return (alloc[0] | 1,) + alloc[1:], None
+
+
+def _ti_special(problem: Problem):
+    """ti-special: the whole available set to the first agent."""
+    return (problem.available,) + (0,) * (len(problem.agents) - 1), None
+
+
+_OVERRIDES = {"rm*-special": _rm_star_special, "ti-special": _ti_special}
+
+
+def scalar_runner(rule: Rule):
+    """The scalar runner that defines a rule: its own runner, the oracle's copy of a pinned
+    override, or, for a piecewise rule, the first override whose case holds."""
+    if rule.runner is not None:
+        return rule.runner
+    if rule.name in _OVERRIDES:
+        return _OVERRIDES[rule.name]
+    piecewise = rule.fill.__self__  # a piecewise rule's engine is its Piecewise's fill
+    overrides = [(case, scalar_runner(r)) for case, r in piecewise.overrides]
+    default = scalar_runner(piecewise.default)
+
+    def runner(problem: Problem):
+        for case, run in overrides:
+            if case_holds(case, problem):
+                return run(problem)
+        return default(problem)
+
+    return runner
+
+
+def tabulated_runner(name: str, table: dict, fallback: Rule | None = None):
+    """`rules.tabulated_rule` at one problem: a lookup by `problem_key`."""
+
+    def runner(problem: Problem):
+        key = problem_key(problem)
+        if key in table:
+            return table[key], None
+        if fallback is not None:
+            return scalar_runner(fallback)(problem)[0], None
+        raise KeyError(f"rule {name!r} is not defined at this problem")
+
+    return runner
+
+
+def ir_counterexample_runner(priority: Priority):
+    """`rules.ir_counterexample` at one problem: the unacceptable draft over the profile
+    with every ranked object acceptable."""
+
+    u_draft = unacceptable_draft_rule(priority)
+
+    def runner(problem: Problem):
+        extended = tuple(Preference(q.ranking, len(q.ranking)) for q in problem.profile)
+        return u_draft.run(Problem(problem.variant, problem.agents, problem.available, extended))
+
+    return runner
+
+
+def neutrality_runner(priority: Priority, special_object: int, special_priority=None):
+    """`rules.neutrality_counterexample` at one problem, contest by contest."""
+    if special_priority is None:
+        special_priority = (priority[0],) + tuple(reversed(priority[1:]))
+
+    def runner(problem: Problem):
+        order = _population_order(problem.agents, priority)
+        remaining = problem.available
+        bundles = {a: 0 for a in problem.agents}
+        while remaining:
+            active = list(order)
+            while active and remaining:
+                x = top(problem.pref_of(active[0]), remaining)
+                contenders = [a for a in active if top(problem.pref_of(a), remaining) == x]
+                own = special_priority if x == special_object else priority
+                w = next(a for a in own if a in contenders)
+                bundles[w] |= 1 << x
+                remaining &= ~(1 << x)
+                active.remove(w)
+        return tuple(bundles[a] for a in problem.agents), None
+
+    return runner

@@ -43,7 +43,6 @@ from draftkit.axioms import (
 from draftkit.core import Preference, Problem
 from draftkit.dominance import geometric_scheme, linear_scheme, random_scheme
 from draftkit.rules import (
-    Rule,
     draft_rule,
     dictatorship_rule,
     ir_counterexample,
@@ -66,7 +65,7 @@ from draftkit.rules import (
 from draftkit.verifier import pareto_efficient
 
 from helpers import bundle, fixed_problem, pref
-from scalar_checkers import pareto_oracle
+from scalar_checkers import pareto_oracle, scalar_rule
 
 D23 = fixed_domain(2, 3)
 PI2 = (1, 2)
@@ -249,7 +248,8 @@ def test_msp_falsifier_draft_clean_and_refutes_truth_punisher():
             return (0,) * len(p.agents), None
         return draft_rule(PI2).run(p)
 
-    rep = check_msp_falsify(Rule("punish", punish, restriction_invariant=False), D23, schemes)
+    punisher = scalar_rule("punish", punish, restriction_invariant=False)
+    rep = check_msp_falsify(punisher, D23, schemes)
     assert rep.verdict == "refuted"
     assert check_msp(draft_rule(PI2), D23, schemes).verdict == "proved"
 
@@ -278,7 +278,7 @@ def test_quota_wrp_violation_when_agent2_overfed():
             return (0, bundle("ab")), None
         return quota_draft_rule(PI2).run(p)
 
-    rep = check_wrp_quota(Rule("greedy2", greedy2), dom, PI2)
+    rep = check_wrp_quota(scalar_rule("greedy2", greedy2), dom, PI2)
     assert not rep.holds
 
 

@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scalar_checkers as oracle
 from draftkit.cli import main
 from draftkit.core import INFINITE, VARIANTS, Preference, Problem, objects_of
 from draftkit.problemfile import (
@@ -592,6 +594,29 @@ def test_cli_verify_past_profile_capacity_is_undecided(monkeypatch, capsys, tmp_
     assert json.loads(out_file.read_text())["exit"] == 3
 
 
+@pytest.mark.parametrize("theorem, objects", [("T7", 6), ("P4", 6), ("T6", 7)])
+def test_cli_verify_past_key_capacity_is_undecided(monkeypatch, capsys, tmp_path, theorem, objects):
+    """The rule-space searches and P4 refuse a domain past the sweeps' profile codes per
+    available set before building any of its problem keys."""
+    from draftkit import verifier
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("verify built problem keys past the sweeps' capacity")
+
+    monkeypatch.setattr(verifier, "build_csp", unreachable)
+    monkeypatch.setattr(verifier, "distinct_problems", unreachable)
+    out_file = tmp_path / "report.json"
+    argv = ["--out", str(out_file), "--no-timestamp", "verify", theorem, "--objects", str(objects)]
+    assert main(argv + ["--i-know-this-is-huge"]) == 3
+    out = capsys.readouterr()
+    assert out.err == (
+        f"undecided: 2 agents over {objects} objects make 25401600 profiles per "
+        "available set, more than a sweep holds (2097152)\n"
+    )
+    assert out.out == ""
+    assert json.loads(out_file.read_text())["exit"] == 3
+
+
 def test_cli_crash_exits_4_with_traceback(monkeypatch, capsys):
     from draftkit import cli
 
@@ -618,12 +643,13 @@ def test_cli_manipulate_worked_example(tmp_path, capsys):
 
 
 def test_cli_manipulate_past_row_capacity_is_undecided(monkeypatch, capsys, tmp_path):
-    from draftkit import verifier
+    from draftkit import cli
 
     def unreachable(*args):
         raise AssertionError("manipulate allocated past the allocation arrays' capacity")
 
-    monkeypatch.setattr(verifier, "fill_rows", unreachable)
+    build = cli._build_rule
+    monkeypatch.setattr(cli, "_build_rule", lambda *args: replace(build(*args), fill=unreachable))
     objs = "abcdefghi"
     path = tmp_path / "nine.txt"
     path.write_text(
@@ -671,14 +697,15 @@ def test_cli_refuses_bad_input(tmp_path, monkeypatch, capsys, argv, message):
 def test_cli_check_allocates_each_problem_once(monkeypatch, capsys, argv, problems):
     from draftkit import cli
     from draftkit.axioms import variable_domain
-    from draftkit.rules import Rule
 
     calls = []
     build = cli._build_rule
 
     def counting_rule(name, variant, priority):
         rule = build(name, variant, priority)
-        return Rule(rule.name, lambda p: calls.append(p) or rule.run(p), rule.restriction_invariant)
+        return oracle.scalar_rule(
+            rule.name, lambda p: calls.append(p) or rule.run(p), rule.restriction_invariant
+        )
 
     monkeypatch.setattr(cli, "_build_rule", counting_rule)
     code = main(["check", "--rule", "pi-dictatorship", "--agents", "2", "--objects", "3"] + argv)

@@ -22,9 +22,10 @@ from draftkit.rules import (
     _RECENT_SPACES,
     _pick_rows,
     Case,
-    Rule,
     dictatorship,
     draft_rule,
+    ir_counterexample,
+    neutrality_counterexample,
     null_allocation,
     pairwise_consistency_counterexample,
     pick_table,
@@ -219,7 +220,7 @@ def test_piecewise_first_match_wins():
     rule = piecewise_rule(
         draft_rule((1, 2)),
         [
-            (Case(), Rule("zero", lambda p: ((0,) * len(p.agents), None))),
+            (Case(), oracle.scalar_rule("zero", lambda p: ((0,) * len(p.agents), None))),
             (Case(), draft_rule((2, 1))),
         ],
     )
@@ -249,6 +250,16 @@ def test_tabulated_rule_lookup_and_miss():
     assert rule.allocate(prob) == (bundle("b"), bundle("a"))
     with pytest.raises(KeyError):
         rule.allocate(fixed_problem("ab", "ab"))
+
+
+def test_engine_only_rules_refuse_problems_past_eight_objects():
+    """A rule without a scalar runner allocates through one row of its engine, whose
+    bundles are 8-bit; a plan rule's runner still serves nine objects."""
+    nine = Problem("unacceptable", (1, 2), 0b11, (Preference(tuple(range(9)), 9),) * 2)
+    assert unacceptable_draft_rule((1, 2)).allocate(nine) == (0b01, 0b10)
+    for rule in (ir_counterexample((1, 2)), neutrality_counterexample((1, 2), 0)):
+        with pytest.raises(ValueError, match="at most 8 objects, not 9"):
+            rule.allocate(nine)
 
 
 def test_problem_key_restricts_to_available():

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import replace
 from functools import lru_cache
 from math import factorial
+from random import Random
 from unittest import mock
 
 import numpy as np
@@ -33,7 +34,6 @@ from draftkit.core import INFINITE, PickingSequence, Preference, Problem, valida
 from draftkit.csp import distinct_problems
 from draftkit.dominance import geometric_scheme, linear_scheme, random_scheme
 from draftkit.rules import (
-    Rule,
     dictatorship_rule,
     draft_rule,
     ir_counterexample,
@@ -219,15 +219,17 @@ def _blocks(sw):
 
 @pytest.mark.parametrize("domain, rule", _fill_cases())
 def test_sweep_rows_are_the_rule_allocations(domain, rule):
-    """Every decoded row, in the domain's enumeration order, is the rule's valid allocation."""
+    """Every decoded row, in the domain's enumeration order, is the valid allocation of the
+    rule's scalar runner."""
     sw = (VariableSweep if domain.variant == "variable" else FixedSweep)(rule, domain)
+    runner = oracle.scalar_runner(rule)
     problems = iter(domain.problems())
     for block in _blocks(sw):
         for code in range(len(sw.grid(*block))):
             problem, alloc = next(problems), sw.allocation(*block, code)
             assert sw.problem(*block, code) == problem
             assert all(type(b) is int for b in alloc)
-            assert alloc == rule.allocate(problem)
+            assert alloc == runner(problem)[0]
             assert validate_allocation(problem, alloc) is None
     assert next(problems, None) is None
 
@@ -249,8 +251,30 @@ PIECEWISE = {
 }
 
 
+TABLE_DOMAINS = {  # domain and draft of each kind of random table
+    "fixed": (fixed_domain(2, 3), draft_rule((1, 2))),
+    "variable": (variable_domain(2, 3), variable_draft_rule((1, 2))),
+    "unacceptable": (unacceptable_domain(2, 2), unacceptable_draft_rule((1, 2))),
+}
+
+
+@lru_cache(maxsize=None)
+def _table_space(kind: str):
+    """Distinct problem keys of a domain, their candidate allocations, and the draft's pick."""
+    domain, base = TABLE_DOMAINS[kind]
+    keys, cands, table = [], [], {}
+    for prob in domain.problems():
+        key = problem_key(prob)
+        if key not in table:
+            keys.append(key)
+            cands.append(oracle._all_allocations(prob))
+            table[key] = base.allocate(prob)
+    return domain, keys, cands, table
+
+
 def _engine_cases():
-    """The benchmark's own sweeps: every rule here fills through its array engine."""
+    """The benchmark's own sweeps and random tables: each engine against the oracle's
+    row-by-row fill through the rule's scalar runner."""
     pi3, pi2 = (1, 2, 3), (1, 2)
     cases = {
         "fixed34": (
@@ -269,7 +293,7 @@ def _engine_cases():
             {
                 "u-draft": unacceptable_draft_rule(pi2),
                 "serial-dictatorship": serial_dictatorship_rule(pi2),
-                "ir-cx": ir_counterexample(pi2),
+                "ir-cx": (ir_counterexample(pi2), oracle.ir_counterexample_runner(pi2)),
                 **PIECEWISE["unacceptable24"][1],
             },
         ),
@@ -285,21 +309,46 @@ def _engine_cases():
             },
         ),
     }
+    for n, m in ((2, 3), (3, 3), (3, 4)):
+        pi = tuple(range(1, n + 1))
+        rules = cases.setdefault(f"variable{n}{m}", (variable_domain(n, m), {}))[1]
+        rules["neutrality-cx"] = (neutrality_counterexample(pi, 0), oracle.neutrality_runner(pi, 0))
+    tables = {"fixed23": "fixed", "unacceptable22": "unacceptable", "variable23": "variable"}
+    for label, kind in tables.items():
+        domain, keys, cands, _ = _table_space(kind)
+        rules, draft = cases.setdefault(label, (domain, {}))[1], TABLE_DOMAINS[kind][1]
+        for seed in range(2):  # complete, half with the draft as fallback, half without one
+            rng = Random(seed)
+            table = {key: rng.choice(cand) for key, cand in zip(keys, cands)}
+            half = dict(rng.sample(list(table.items()), len(table) // 2))
+            for name, args in (
+                (f"tabulated-{seed}", (table,)),
+                (f"tabulated-fallback-{seed}", (half, draft)),
+                (f"tabulated-miss-{seed}", (half,)),
+            ):
+                rules[name] = (tabulated_rule(name, *args), oracle.tabulated_runner(name, *args))
     for label, (domain, rules) in cases.items():
         for name, rule in rules.items():
-            yield pytest.param(domain, rule, id=f"{label}-{name}")
+            rule, runner = rule if isinstance(rule, tuple) else (rule, oracle.scalar_runner(rule))
+            yield pytest.param(domain, rule, runner, id=f"{label}-{name}")
 
 
-@pytest.mark.parametrize("domain, rule", _engine_cases())
-def test_engine_arrays_are_the_scalar_fill(domain, rule):
-    """Block by block, the array engine's fill is the fill through Rule.allocate."""
-    assert rule.fill is not None
+@pytest.mark.parametrize("domain, rule, runner", _engine_cases())
+def test_engine_arrays_are_the_scalar_fill(domain, rule, runner):
+    """Block by block, the array engine's fill is the oracle's row-by-row fill through the
+    rule's scalar runner, errors included; only a table with a miss raises."""
     sweep = VariableSweep if domain.variant == "variable" else FixedSweep
-    fast, slow = sweep(rule, domain), sweep(replace(rule, fill=None), domain)
+    fast, slow = sweep(rule, domain), sweep(replace(rule, fill=oracle.row_fill(runner)), domain)
+    raised = False
     for block in _blocks(fast):
-        got, expected = fast.grid(*block), slow.grid(*block)
+        got, expected = _outcome(lambda: fast.grid(*block)), _outcome(lambda: slow.grid(*block))
+        if isinstance(expected, tuple):
+            assert got == expected, block
+            raised = True
+            continue
         assert got.dtype == expected.dtype == np.uint8
         assert np.array_equal(got, expected), block
+    assert raised == ("-miss-" in rule.name)
 
 
 def _piecewise_cases():
@@ -310,12 +359,15 @@ def _piecewise_cases():
 
 @pytest.mark.parametrize("domain, rule", _piecewise_cases())
 def test_every_case_hits_and_its_rows_are_its_problems(domain, rule):
-    """Case.rows is Case(problem) at every row of every block, and each case hits a row."""
+    """Case.rows is the oracle's case test at every row of every block, and each case hits
+    a row."""
     sw = FixedSweep(rule, domain)
-    assert rule.runner.overrides
-    for case, _ in rule.runner.overrides:
+    overrides = rule.fill.__self__.overrides  # a piecewise rule's engine is its Piecewise's fill
+    assert overrides
+    for case, _ in overrides:
         rows = np.concatenate([case.rows(x, sw.prefs, sw.digits) for x in sw.xs])
-        scalar = np.fromiter(map(case, domain.problems()), bool, len(rows))
+        holds = (oracle.case_holds(case, problem) for problem in domain.problems())
+        scalar = np.fromiter(holds, bool, len(rows))
         assert np.array_equal(rows, scalar)
         assert rows.any()
 
@@ -330,10 +382,11 @@ ENGINES = {
     "serial-dictatorship": lambda pi, seq: serial_dictatorship_rule(pi),
     "pi-dictatorship": lambda pi, seq: dictatorship_rule(pi),
     "null": lambda pi, seq: null_rule(),
-    "ir-cx": lambda pi, seq: ir_counterexample(pi),
+    "ir-cx": lambda pi, seq: ir_counterexample(pi),  # its runner: RUNNERS
     "population-rm-cx": lambda pi, seq: population_rm_counterexample(pi),
     "2con-cx": lambda pi, seq: pairwise_consistency_counterexample(pi),
 }
+RUNNERS = {"ir-cx": lambda pi, seq: oracle.ir_counterexample_runner(pi)}  # others: their own
 MAX_BLOCK_ROWS = 15_000
 
 
@@ -343,7 +396,8 @@ def _space_size(variant: str, k: int) -> int:
 
 @st.composite
 def engine_blocks(draw):
-    """A rule with an array engine, a domain and one of its blocks of at most MAX_BLOCK_ROWS rows.
+    """A rule, a domain, one of its blocks of at most MAX_BLOCK_ROWS rows, and the rule's
+    scalar runner.
 
     Priorities and picking sequences may miss or add an agent, so error paths are drawn too."""
     variant = draw(st.sampled_from(["fixed", "quota", "unacceptable", "variable"]))
@@ -357,6 +411,7 @@ def engine_blocks(draw):
     seq = PickingSequence(tuple(prefix), tuple(draw(st.permutations(agents) | some_agents)))
     name = draw(st.sampled_from(sorted(ENGINES)))
     rule = ENGINES[name](pi, seq)
+    runner = RUNNERS[name](pi, seq) if name in RUNNERS else rule.runner
     if variant == "quota":
         quota = st.one_of(st.integers(1, 3), st.just(INFINITE))
         domain = quota_domain(n, m, draw(st.lists(quota, min_size=n, max_size=n)))
@@ -375,7 +430,7 @@ def engine_blocks(draw):
     else:
         sw = FixedSweep(rule, domain)
         block = (draw(st.integers(0, len(sw.xs) - 1)),)
-    return name, sw, block
+    return name, sw, block, runner
 
 
 def _outcome(fn):
@@ -388,12 +443,12 @@ def _outcome(fn):
 @settings(max_examples=60, deadline=None, database=None)
 @given(engine_blocks())
 def test_engine_rows_are_the_rule_allocations(case):
-    name, sw, block = case
+    name, sw, block, runner = case
     got = _outcome(lambda: sw.grid(*block))
     rows = len(sw.digits(*block)) if isinstance(sw, VariableSweep) else sw.P**sw.n
     for code in range(rows):
         problem = sw.problem(*block, code)
-        expected = _outcome(lambda: sw.rule.allocate(problem))
+        expected = _outcome(lambda: runner(problem)[0])
         if isinstance(expected, tuple) and isinstance(expected[0], type):
             assert got == expected  # the scalar fill stops at its first error
             return
@@ -436,32 +491,13 @@ def test_engines_raise_their_scalar_engines_errors(rule, domain, error, message)
     else:
         block = (len(domain.available_sets) - 1,)
     with pytest.raises(error, match=message) as scalar:
-        sweep(replace(rule, fill=None), domain).grid(*block)
+        sweep(replace(rule, fill=oracle.row_fill(rule.runner)), domain).grid(*block)
     with pytest.raises(error) as engine:
         sweep(rule, domain).grid(*block)
     assert str(engine.value) == str(scalar.value)
 
 
 # --- property test: random tabulated rules put witnesses anywhere -------------
-
-
-@lru_cache(maxsize=None)
-def _table_space(kind: str):
-    """Distinct problem keys of a domain, their candidate allocations, and the draft's pick."""
-    if kind == "fixed":
-        domain, base = fixed_domain(2, 3), draft_rule((1, 2))
-    elif kind == "variable":
-        domain, base = variable_domain(2, 3), variable_draft_rule((1, 2))
-    else:
-        domain, base = unacceptable_domain(2, 2), unacceptable_draft_rule((1, 2))
-    keys, cands, table = [], [], {}
-    for prob in domain.problems():
-        key = problem_key(prob)
-        if key not in table:
-            keys.append(key)
-            cands.append(oracle._all_allocations(prob))
-            table[key] = base.allocate(prob)
-    return domain, keys, cands, table
 
 
 @st.composite
@@ -553,7 +589,7 @@ def test_variable_checkers_match_scalar_oracle(n, m, name, checkers):
 def test_refuting_variable_check_fills_only_up_to_the_witness():
     domain = variable_domain(3, 4)
     base, calls = population_rm_counterexample((1, 2, 3)), []
-    rule = Rule(base.name, lambda p: calls.append(p) or base.run(p))
+    rule = oracle.scalar_rule(base.name, lambda p: calls.append(p) or base.run(p))
     sw = VariableSweep(rule, domain)
     rep = axioms.check_rm_var(sw, domain)
     assert (rep.verdict, rep.checked) == ("violated", 1513)
@@ -686,8 +722,8 @@ def _worst_first(p: Problem):
 def _msp_rules(n: int) -> dict:
     return {
         "draft": draft_rule(tuple(range(1, n + 1))),
-        "punish": Rule("punish", _punish, restriction_invariant=False),
-        "worst-first": Rule("worst-first", _worst_first, restriction_invariant=False),
+        "punish": oracle.scalar_rule("punish", _punish, restriction_invariant=False),
+        "worst-first": oracle.scalar_rule("worst-first", _worst_first, restriction_invariant=False),
     }
 
 

@@ -12,7 +12,6 @@ from draftkit.axioms import describe_problem, fixed_domain, unacceptable_domain,
 from draftkit.core import INFINITE, Preference, Problem, objects_of
 from draftkit.csp import ProblemKeys, _splits, build_csp, solve_csp
 from draftkit.rules import (
-    Rule,
     dictatorship_rule,
     draft_rule,
     snake_draft_rule,
@@ -172,7 +171,7 @@ def test_infer_priority_snake_matches_draft_on_probes():
 
 def test_infer_priority_allocates_each_probe_once():
     base, probes = variable_draft_rule((1, 2, 3)), []
-    rule = Rule("counted", lambda p: probes.append(p) or base.run(p))
+    rule = oracle.scalar_rule("counted", lambda p: probes.append(p) or base.run(p))
     assert infer_priority(rule, (1, 2, 3)) == (1, 2, 3)
     assert len(probes) == len(set(probes)) == 3 * 4  # 3 pairs, 2 labelings, 2 probes
 
@@ -189,7 +188,7 @@ def test_infer_priority_reports_relabeling_inconsistency():
         return base.run(problem)
 
     with pytest.raises(PriorityInferenceError, match="neutrality"):
-        infer_priority(Rule("weird", runner), (1, 2))
+        infer_priority(oracle.scalar_rule("weird", runner), (1, 2))
 
 
 def test_extension_lemma_draft_and_snake():
