@@ -3,21 +3,31 @@
 The impossibility searches all share this shape: variables form a preference
 grid (one per ordered ranking pair), candidates are the full splits of the
 object pool between the two agents, and the only binary constraints are
-unilateral-deviation constraints along grid rows and columns. That structure
-lets arc consistency run line by line, one routine applied to the grid and to
-its transpose: a deviation constraint's allowed mask is the AND of one factor
-per end, so a line is revised from its live (position, candidate) pairs and the
-distinct masks of two (P, C) factors, never from a (P, P, C) tensor. The
-backtracking itself is `csp.depth_first`, over the flattened grid.
+unilateral-deviation constraints along grid rows and columns. A deviation
+constraint's allowed mask is the AND of one factor per end, so the cones are
+stored as two (P, C) factors and no (P, P, C) tensor is built.
+
+Every grid axiom is neutral in objects: relabeling the objects in both
+rankings and in the splits maps the network onto itself, and `build_grid`
+refuses a network that two generators of the relabelings do not fix. The
+relabelings act freely on the first ranking, so each orbit of profiles holds
+exactly one profile (identity, s), and the arc-consistency fixpoint of a
+symmetric network is symmetric. Root propagation therefore runs on those P
+quotient cells; a wipeout there is the verdict. Otherwise the fixpoint,
+relabeled onto every profile, seeds `csp.depth_first` over the flattened
+grid, whose decisions revise one row and one column: a line is revised from
+its live (position, candidate) pairs and the distinct masks of the factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, partial
+from itertools import permutations
 
 import numpy as np
 
-from .axioms import DEVIATIONS, AxiomSpace, ProblemDomain, _digits
+from .axioms import DEVIATIONS, AxiomSpace, ProblemDomain
 from .csp import (
     BudgetExceeded,
     InfeasibilityCertificate,
@@ -34,19 +44,67 @@ MAX_OBJECTS = 6  # candidate sets are uint64 masks with one bit per split: 2**6 
 class GridCSP:
     n_objects: int
     axioms: tuple[str, ...]
-    rankings: list[tuple[int, ...]]
+    rankings: list[tuple[int, ...]]  # permutation order: the identity is ranking 0
     candidates: list[int]  # agent-1 bundles; agent 2 holds the complement (NW built in)
-    initial: np.ndarray  # (P, P) uint64 candidate masks after unary filters
+    initial: np.ndarray  # (P,) uint64 candidate masks after unary filters at (identity, s)
     # (2, P, C) uint64 factored cones of the same-row (agent-2 deviation) constraints: the
     # pair of positions (r, r2) allows at candidate a the mask m_row[0, r, a] & m_row[1, r2, a]
     m_row: np.ndarray
     m_col: np.ndarray  # same for columns (agent-1 deviations)
+    # (P, C) the column constraint between cells (identity, s) and (r, s) at candidate a,
+    # relabeled by sigma_r: m_quot[r, a] = sigma_r(m_col[0, 0, a] & m_col[1, r, a])
+    m_quot: np.ndarray
 
     def var_index(self, r1: int, r2: int) -> int:
         return r1 * len(self.rankings) + r2
 
     def var_profile(self, var: int) -> tuple[int, int]:
         return divmod(var, len(self.rankings))
+
+
+@dataclass(frozen=True)
+class Relabelings:
+    """The object relabelings of one pool size, as index tables over rankings (in
+    permutation order) and splits (agent-1 bundles). sigma_r is the relabeling that sends
+    ranking r to the identity."""
+
+    RP: np.ndarray  # (P, P): the quotient cell of profile (r1, r2), sigma_r1(r2)
+    RC: np.ndarray  # (P, C): split a relabeled by sigma_r
+    RC_inv: np.ndarray  # (P, C): split a relabeled by sigma_r's inverse
+    # per generator, the transposition (0 1) and the m-cycle o -> o + 1: its ranking map
+    # (P,), its split map (C,) and its inverse's split map (C,)
+    generators: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+
+@lru_cache(maxsize=MAX_OBJECTS)
+def relabelings(n_objects: int) -> Relabelings:
+    """The tables of one pool size, built on first use."""
+    m = n_objects
+    perms = np.array(list(permutations(range(m))), dtype=np.intp).reshape(-1, m)
+    place = m ** np.arange(m - 1, -1, -1)
+    codes = perms @ place  # ascending: permutation order is the order of base-m codes
+    position = np.argsort(perms, axis=1).astype(np.uint8)  # position[r, o] = sigma_r(o)
+    members = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1  # (C, m)
+
+    def ranking(objs):  # rankings as (..., m) objects, best first -> ranking indexes
+        code = sum(objs[..., i].astype(np.intp) * place[i] for i in range(m))
+        return np.searchsorted(codes, code)
+
+    def split_map(relabel):  # (..., m) object maps -> (..., C) split maps
+        return (members << relabel[..., None, :]).sum(axis=-1)
+
+    swap, cycle = np.arange(m), np.roll(np.arange(m), -1)
+    swap[:2] = swap[:2][::-1]
+    gens = {tuple(g): g for g in (swap, cycle) if (g != np.arange(m)).any()}.values()
+    tables = Relabelings(
+        ranking(position[:, perms]),
+        split_map(position),
+        split_map(perms),
+        tuple((ranking(g[perms]), split_map(g), split_map(np.argsort(g))) for g in gens),
+    )
+    for table in (tables.RP, tables.RC, tables.RC_inv, *sum(tables.generators, ())):
+        table.flags.writeable = False
+    return tables
 
 
 def _cones(ok, dom: np.ndarray, own: np.ndarray) -> np.ndarray:
@@ -63,7 +121,13 @@ def _cones(ok, dom: np.ndarray, own: np.ndarray) -> np.ndarray:
 
 
 def build_grid(n_objects: int, axioms, priority=(1, 2)) -> GridCSP:
-    """Unary axioms filter the splits; exactly one of SP/WSP forms the deviation constraints."""
+    """Unary axioms filter the splits; exactly one of SP/WSP forms the deviation constraints.
+
+    The unary table is judged on the quotient's profiles (identity, s) and on
+    their images under each generator, which must be those profiles' masks
+    relabeled; the cone factors must be fixed by each generator in full.
+    Otherwise the axioms are not neutral in objects and ValueError is raised.
+    """
     axioms = tuple(axioms)
     deviation = [ax for ax in axioms if ax in ("SP", "WSP")]
     if len(deviation) != 1:
@@ -82,24 +146,61 @@ def build_grid(n_objects: int, axioms, priority=(1, 2)) -> GridCSP:
 
     ok, dom = DEVIATIONS[deviation[0]], space.relation()
     m_col = _cones(ok, dom, splits[:, 0])
-    m_row = _cones(ok, dom, splits[:, 1])
+    # agent 2's bundle under split a is agent 1's under the complement split C - 1 - a
+    flip = np.arange(len(candidates))[::-1]
+    m_row = _relabel(m_col[:, :, flip], flip)
 
-    # the unary table over every profile, in code order: profile (r1, r2) is cell r1 * P + r2
-    initial = _pack(admitted(space, full, splits, _digits(P, 2), unary)).reshape(P, P)
+    tables = relabelings(n_objects)
+    # the profiles (identity, s), then (g(identity), g(s)) for each generator g
+    maps = [np.arange(P)] + [g[0] for g in tables.generators]
+    digits = np.concatenate([np.stack([np.full(P, g[0]), g], axis=1) for g in maps])
+    initial, *images = _pack(admitted(space, full, splits, digits, unary)).reshape(-1, P)
+    for (to_rank, to_split, back), image in zip(tables.generators, images):
+        if not np.array_equal(image, _relabel(initial, back)):
+            raise ValueError(f"the unary axioms of {axioms} are not neutral in objects")
+        for cones in (m_row, m_col):
+            if not np.array_equal(cones[:, to_rank][:, :, to_split], _relabel(cones, back)):
+                raise ValueError(f"the {deviation[0]} cones are not neutral in objects")
 
-    return GridCSP(n_objects, axioms, rankings, candidates, initial, m_row, m_col)
+    m_quot = _relabel(m_col[0, 0] & m_col[1], tables.RC_inv[:, None, :])
+    return GridCSP(n_objects, axioms, rankings, candidates, initial, m_row, m_col, m_quot)
 
 
 def _pack(alive: np.ndarray) -> np.ndarray:
     """Bool (..., C) as uint64 masks, C at most 64: bit a set where alive[..., a]."""
     packed = np.packbits(alive, axis=-1, bitorder="little")
-    pad = [(0, 0)] * (packed.ndim - 1) + [(0, 8 - packed.shape[-1])]
-    return np.pad(packed, pad).view("<u8")[..., 0].astype(np.uint64, copy=False)
+    octets = np.zeros(packed.shape[:-1] + (8,), dtype=np.uint8)
+    octets[..., : packed.shape[-1]] = packed
+    return octets.view("<u8")[..., 0].astype(np.uint64, copy=False)
+
+
+def _relabel(masks: np.ndarray, source: np.ndarray) -> np.ndarray:
+    """uint64 masks over C candidates whose bit c is bit source[..., c] of `masks`.
+    `source` is one (C,) map for every mask, or one map per leading index of `masks`
+    with a 1 in place of its second to last axis."""
+    octets = np.ascontiguousarray(masks, dtype="<u8")[..., None].view(np.uint8)
+    bits = np.unpackbits(octets, axis=-1, count=source.shape[-1], bitorder="little")
+    if source.ndim == 1:
+        return _pack(np.take(bits, source, axis=-1))
+    return _pack(np.take_along_axis(bits, source, axis=-1))
 
 
 _BITS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 _ONES = np.uint64(2**64 - 1)
 _LIVE_CELLS = 1 << 19  # (live pair, distinct mask) cells per step of a line's revision
+_QUOTIENT_CELLS = 1 << 16  # (live pair, column cell) masks per step of a column revision
+
+
+def expand(grid: GridCSP, Dq: np.ndarray) -> np.ndarray:
+    """(P, P) masks of every profile from the quotient cells' masks Dq: profile (r1, r2)
+    holds split a where Dq[RP[r1, r2]] holds RC[r1, a]."""
+    tables, P = relabelings(grid.n_objects), len(Dq)
+    out = np.empty((P, P), dtype=np.uint64)
+    step = max(1, _LIVE_CELLS // (P * len(grid.candidates)))
+    for lo in range(0, P, step):
+        rows = slice(lo, lo + step)
+        out[rows] = _relabel(Dq[tables.RP[rows]], tables.RC[rows, None, :])
+    return out
 
 
 def _distinct_columns(Z: np.ndarray) -> np.ndarray:
@@ -126,7 +227,7 @@ def _revise(D: np.ndarray, cones: np.ndarray, lines, same: set, cross: set, stat
     X, Y = cones
     bits = _BITS[: X.shape[1]]
     for r in sorted(lines):
-        stats.revisions += len(D)
+        stats.revisions += D.shape[1]
         if stats.revisions > budget:
             raise BudgetExceeded
         B = D[r]
@@ -170,8 +271,77 @@ def _propagate(grid: GridCSP, D: np.ndarray, rows, cols, stats, budget):
     return None
 
 
+def _revise_quotient_columns(grid: GridCSP, Dq: np.ndarray, stats, budget):
+    """Revise every quotient cell s against its column, as Dq stood before: candidate a
+    survives iff m_quot[r, a] meets Dq[RP[r, s]] at every r, the column's cell (r, s)
+    read as its quotient cell. Returns an emptied cell or None."""
+    stats.revisions += len(Dq)
+    if stats.revisions > budget:
+        raise BudgetExceeded
+    bits = _BITS[: grid.m_quot.shape[1]]
+    cell, a = np.nonzero(Dq[:, None] & bits)  # live pairs
+    seen = Dq[relabelings(grid.n_objects).RP]  # [r, s]: the column's cell r, relabeled
+    step = max(1, _QUOTIENT_CELLS // len(Dq))
+    dead = np.empty(len(cell), dtype=bool)
+    for lo in range(0, len(cell), step):
+        k = slice(lo, lo + step)
+        meets = grid.m_quot[:, a[k]]
+        meets &= seen[:, cell[k]]
+        dead[k] = ~meets.all(axis=0)
+    np.bitwise_xor.at(Dq, cell[dead], bits[a[dead]])
+    changed = np.unique(cell[dead])
+    wiped = changed[Dq[changed] == 0]
+    return int(wiped[0]) if wiped.size else None
+
+
+def _propagate_quotient(grid: GridCSP, Dq: np.ndarray, stats, budget):
+    """Arc consistency on the quotient cells to fixpoint: the identity row's revision,
+    then every cell's column revision, until a round removes nothing. Returns an
+    emptied cell or None."""
+    while True:
+        before = Dq.copy()
+        wiped = _revise(Dq[None, :], grid.m_row, (0,), set(), set(), stats, budget)
+        if wiped is not None:
+            return wiped[1]
+        wiped = _revise_quotient_columns(grid, Dq, stats, budget)
+        if wiped is not None:
+            return wiped
+        if np.array_equal(before, Dq):
+            return None
+
+
+def _root(grid: GridCSP, D: np.ndarray, stats, budget) -> int | None:
+    """Root propagation on the quotient. Returns the emptied variable (identity, s), or
+    None with the fixpoint relabeled onto every profile of D (P, P)."""
+    Dq = grid.initial.copy()
+    wiped = _propagate_quotient(grid, Dq, stats, budget)
+    if wiped is not None:
+        return grid.var_index(0, wiped)
+    D[:] = expand(grid, Dq)
+    return None
+
+
+def _pick(D: np.ndarray) -> int | None:
+    sizes = np.bitwise_count(D)
+    open_vars = sizes > 1
+    if not open_vars.any():
+        return None
+    return int(np.where(open_vars, sizes, np.iinfo(sizes.dtype).max).argmin())
+
+
+def _read_off(grid: GridCSP, D: np.ndarray):
+    if (D == 0).any():
+        return int((D == 0).argmax())
+    P = len(grid.rankings)
+    return {
+        (grid.rankings[r1], grid.rankings[r2]): int(a).bit_length() - 1
+        for (r1, r2), a in np.ndenumerate(D.reshape(P, P))
+    }
+
+
 def solve_grid(grid: GridCSP, mode: str = "prove-unsat", budget: int = 10_000_000) -> SolveResult:
-    """`depth_first` over the flattened grid, with bulk propagation; deterministic.
+    """`depth_first` over the flattened grid: quotient propagation at the root, then bulk
+    propagation from each decision's row and column; deterministic.
 
     Propagation records no steps yet, so certificate nodes carry empty traces;
     replay re-executes the decisions instead.
@@ -180,50 +350,39 @@ def solve_grid(grid: GridCSP, mode: str = "prove-unsat", budget: int = 10_000_00
     P = len(grid.rankings)
 
     def propagate(D, var, removed):
-        rows, cols = (range(P), range(P)) if var is None else ({var // P}, {var % P})
-        wiped = _propagate(grid, D.reshape(P, P), rows, cols, stats, budget)
+        if var is None:
+            return _root(grid, D.reshape(P, P), stats, budget), []
+        wiped = _propagate(grid, D.reshape(P, P), {var // P}, {var % P}, stats, budget)
         return (None if wiped is None else grid.var_index(*wiped)), []
 
-    def pick(D):
-        sizes = np.bitwise_count(D)
-        open_vars = sizes > 1
-        if not open_vars.any():
-            return None
-        return int(np.where(open_vars, sizes, np.iinfo(sizes.dtype).max).argmin())
-
-    def read_off(D):
-        if (D == 0).any():
-            return int((D == 0).argmax())
-        return {
-            (grid.rankings[r1], grid.rankings[r2]): int(a).bit_length() - 1
-            for (r1, r2), a in np.ndenumerate(D.reshape(P, P))
-        }
-
-    flat = grid.initial.astype(np.uint64).reshape(-1)
-    return depth_first(flat, propagate, pick, read_off, mode, stats)
+    flat = np.zeros(P * P, dtype=np.uint64)  # the root fills it
+    return depth_first(flat, propagate, _pick, partial(_read_off, grid), mode, stats)
 
 
 def replay_grid_certificate(grid: GridCSP, cert: InfeasibilityCertificate) -> bool:
-    """Re-execute the recorded decisions; each leaf must reproduce its wipeout."""
-    return _replay(grid, cert, grid.initial.astype(np.uint64).copy(), SolveStats())
+    """Re-execute the recorded decisions as the solve does: each leaf must empty exactly
+    its recorded variable, and each branch must cover its variable's candidates."""
+    P, stats = len(grid.rankings), SolveStats()
+    D = np.zeros((P, P), dtype=np.uint64)
+    return _replay(grid, cert, D, _root(grid, D, stats, 10**9), stats)
 
 
-def _replay(grid: GridCSP, node: InfeasibilityCertificate, D: np.ndarray, stats) -> bool:
+def _replay(grid: GridCSP, node: InfeasibilityCertificate, D, wiped, stats) -> bool:
     # a module-level recursion: a nested one would hold the grid in a reference cycle
-    P = len(grid.rankings)
-    wiped = _propagate(grid, D, set(range(P)), set(range(P)), stats, 10**9)
+    if wiped is None and (D == 0).any():
+        wiped = int((D == 0).argmax())  # a leaf that `_read_off` reports
     if node.emptied_var is not None:
-        return wiped is not None or bool((D == 0).any())
-    if wiped is not None:
-        return False  # recorded a branch where propagation already refutes
-    if node.branch_var is None:
-        return False
+        return wiped == node.emptied_var
+    if wiped is not None or node.branch_var is None:
+        return False  # a branch where propagation already refutes, or a leaf that does not
     r1, r2 = grid.var_profile(node.branch_var)
     covered = 0
     for val, child in node.branches:
         covered |= 1 << val
         child_D = D.copy()
         child_D[r1, r2] = np.uint64(1 << val)
-        if not _replay(grid, child, child_D, stats):
+        emptied = _propagate(grid, child_D, {r1}, {r2}, stats, 10**9)
+        emptied = None if emptied is None else grid.var_index(*emptied)
+        if not _replay(grid, child, child_D, emptied, stats):
             return False
-    return covered & int(D[r1, r2]) == int(D[r1, r2])
+    return covered == int(D[r1, r2])

@@ -8,6 +8,12 @@ from draftkit.core import Preference, Problem, bundle_of
 
 LETTERS = "abcdefgh"
 
+# the grid searches' axiom sets: T2, T3, T4, the WSP probe's, and NW + SP
+GRID_AXIOMS = [
+    ("RP", "EF1", "NW", "WSP"), ("EFF", "EF1", "WSP"), ("NW", "EF1", "SP"), ("NW", "EF1", "WSP"),
+    ("NW", "SP"),
+]
+
 
 def obj(name: str) -> int:
     return LETTERS.index(name)

@@ -35,10 +35,17 @@ from draftkit.csp import (
     solve_csp,
     solutions_as_rules,
 )
-from draftkit.grid import _propagate, build_grid, replay_grid_certificate, solve_grid
+from draftkit.grid import (
+    _propagate,
+    build_grid,
+    expand,
+    relabelings,
+    replay_grid_certificate,
+    solve_grid,
+)
 from draftkit.rules import draft_rule, problem_key, tabulated_rule
 
-from helpers import bundle
+from helpers import GRID_AXIOMS, bundle
 
 
 def test_unsupported_axiom_refused_by_name():
@@ -366,17 +373,17 @@ def test_splits_within_quotas_are_the_scalar_candidates(domain):
 def test_build_grid_matches_triple_loop(n_objects, axioms, priority):
     grid = build_grid(n_objects, axioms, priority=priority)
     P, C = len(grid.rankings), 1 << n_objects
-    assert grid.m_row.shape == grid.m_col.shape == (2, P, C)
+    assert grid.m_row.shape == grid.m_col.shape == (2, P, C) and grid.initial.shape == (P,)
+    # the identity row, read through the relabelings: profile (r1, r2) admits split a
+    # where its quotient cell RP[r1, r2] admits RC[r1, a]
+    tables = relabelings(n_objects)
+    bits = grid.initial[tables.RP][:, :, None] >> tables.RC[:, None, :].astype(np.uint64)
+    initial = (bits & np.uint64(1)) << np.arange(C, dtype=np.uint64)
+    initial = np.bitwise_or.reduce(initial, axis=-1)
     # the cones are stored factored: X[:, None, :] & Y[None, :, :] is the oracle's tensor
-    cones = (grid.initial, oracle.grid_cones(grid.m_row), oracle.grid_cones(grid.m_col))
+    cones = (initial, oracle.grid_cones(grid.m_row), oracle.grid_cones(grid.m_col))
     for got, want in zip(cones, oracle.build_grid(n_objects, axioms, priority)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
-
-
-GRID_AXIOMS = [
-    ("RP", "EF1", "NW", "WSP"), ("EFF", "EF1", "WSP"), ("NW", "EF1", "SP"), ("NW", "EF1", "WSP"),
-    ("NW", "SP"),
-]
 
 
 def _assert_propagates_as_dense_revision(grid):
@@ -393,7 +400,7 @@ def _assert_propagates_as_dense_revision(grid):
         assert got_stats.revisions == want_stats.revisions and np.array_equal(got, want)
         return got, wiped
 
-    D, wiped = both(grid.initial, range(P), range(P))
+    D, wiped = both(expand(grid, grid.initial), range(P), range(P))
     if wiped is None:
         for var in np.flatnonzero(np.bitwise_count(D.reshape(-1)) > 1)[:8].tolist():
             r1, r2 = divmod(var, P)
