@@ -296,9 +296,7 @@ VERIFY_IDS = {
     "P3": VerifyId(
         partial(_verify_efficiency, unacceptable_domain), {"objects": 3, "seed": DEFAULT_SEED}
     ),
-    "P4": VerifyId(
-        verifier.verify_truncation_invariance_implication, {"objects": 2, "seed": DEFAULT_SEED}
-    ),
+    "P4": VerifyId(verifier.verify_truncation_invariance_implication, {"objects": 2}),
     "L1": VerifyId(verifier.verify_critical_agent, {"agents": 3, "objects": 3}),
     "L2": VerifyId(verifier.verify_rm_lemma, {}),
     "L8": VerifyId(verifier.verify_priority_recovery, {"agents": 4}),

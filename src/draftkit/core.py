@@ -239,13 +239,6 @@ class Problem:
     def pref_of(self, agent: Agent) -> Preference:
         return self.profile[self.agents.index(agent)]
 
-    def quota_of(self, agent: Agent) -> int | float:
-        return self.quotas[self.agents.index(agent)] if self.quotas else INFINITE
-
-    @property
-    def n_agents(self) -> int:
-        return len(self.agents)
-
 
 Allocation = tuple[Bundle, ...]  # aligned with problem.agents
 

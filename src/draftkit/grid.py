@@ -123,10 +123,10 @@ def _cones(ok, dom: np.ndarray, own: np.ndarray) -> np.ndarray:
 def build_grid(n_objects: int, axioms, priority=(1, 2)) -> GridCSP:
     """Unary axioms filter the splits; exactly one of SP/WSP forms the deviation constraints.
 
-    The unary table is judged on the quotient's profiles (identity, s) and on
-    their images under each generator, which must be those profiles' masks
-    relabeled; the cone factors must be fixed by each generator in full.
-    Otherwise the axioms are not neutral in objects and ValueError is raised.
+    The unary table is judged on the quotient's profiles (identity, s) only. ValueError
+    is raised where a generator moves the identity row (against the rows judged at its
+    2P image profiles) or any cone factor. A unary table that is not neutral at other
+    profiles passes, and the quotient then solves its neutral copy.
     """
     axioms = tuple(axioms)
     deviation = [ax for ax in axioms if ax in ("SP", "WSP")]

@@ -1,9 +1,9 @@
-"""Theorem-level machinery: characterization searches, impossibility certificates,
-the guided case-table replay, manipulation search, priority inference, and the
-extension-lemma comparison.
+"""Theorem-level machinery: characterization searches, impossibility certificates, the
+guided case-table replay, the efficiency and truncation-invariance lemmas, manipulation
+search, priority inference, and the extension-lemma comparison.
 
-Desk-scale results quantify over finite domains only; every report carries a
-scope note saying so.
+Desk-scale results quantify over finite domains only; every search report carries a scope
+note saying so. The truncation-invariance lemma is checked for every rule, sampling none.
 """
 
 from __future__ import annotations
@@ -33,19 +33,25 @@ from .axioms import (
     FixedSweep,
     ProblemDomain,
     VariableSweep,
+    _change_targets,
     _union,
+    check_ep,
+    check_ir,
     check_msp_certificate,
     check_msp_falsify,
     check_rm_var,
     check_tcon,
+    check_tp,
     check_truthful_best_case,
     critical_agent,
     describe_problem,
     fixed_domain,
     format_bundle,
+    format_pref,
     past_capacity,
     quota_domain,
     sp_ok,
+    ti_ok,
     unacceptable_domain,
     unary_entries,
     variable_domain,
@@ -58,7 +64,6 @@ from .csp import (
     _splits,
     admitted,
     build_csp,
-    distinct_problems,
     solve_csp,
 )
 from .dominance import (
@@ -451,16 +456,8 @@ def _check_tables(log: list, orientation: int):
         if key not in entries:
             raise Theorem4ReplayError(f"missing table cell {step!r} at {(big, small)}")
         derived = entries[key]
-        if value is None:
-            expected = []
-        elif isinstance(value, set):
-            expected = sorted(
-                (format_bundle(_mask_word(b)), format_bundle(_mask_word(s)))
-                for b, s in value
-            )
-        else:
-            b, s = value
-            expected = [(format_bundle(_mask_word(b)), format_bundle(_mask_word(s)))]
+        pairs = [] if value is None else value if isinstance(value, set) else [value]
+        expected = sorted(tuple(format_bundle(_mask_word(w)) for w in pair) for pair in pairs)
         if [tuple(d) for d in derived] != expected:
             raise Theorem4ReplayError(
                 f"table cell {step!r} at {(big, small)}: derived {derived}, expected {expected}"
@@ -738,43 +735,51 @@ def _random_rule_misses(agree: np.ndarray, counts: np.ndarray, n_rules: int, see
     return misses
 
 
-def verify_truncation_invariance_implication(
-    n_objects: int = 2, n_random_rules: int = 200, seed: int = 97
-) -> Verdict:
-    """IR + TP + EP imply TI, over the passing draft, its mutants, and random rules."""
-    from .axioms import check_ep, check_ir, check_ti, check_tp
-    from .rules import tabulated_rule
+# The premise beyond IR at cell (d, t, a, b): the (preference, own, other) each sp_ok reads
+TI_PREMISE = {"TP": ("d", "a", "b"), "EP": ("t", "b", "a")}
 
+
+def verify_truncation_invariance_implication(n_objects: int = 2) -> Verdict:
+    """IR + TP + EP imply TI for every rule, checked cell by cell.
+
+    Each TP, EP and TI instance is one agent switching between a preference d
+    and its truncation t, the others fixed, with bundle a under d and b under t.
+    So the lemma holds for every rule if `ti_ok` holds at each cell (d, t, a, b)
+    where a is acceptable under d, b under t, and each TI_PREMISE entry holds,
+    on the relation table and on the Pareto oracle's. The first failing cell is
+    the witness. The passing draft meets the premise, so it is not vacuous.
+    """
     domain = unacceptable_domain(2, n_objects)
     _within_capacity(domain)
-    keys = list(zip(*distinct_problems(domain)))
-    cands = [list(map(tuple, _splits(prob.available, 2).tolist())) for _, prob in keys]
+    sweep = FixedSweep(unacceptable_draft_rule((1, 2)), domain)
+    draft_premise = all(check(sweep, domain).holds for check in (check_ir, check_tp, check_ep))
 
-    udraft = unacceptable_draft_rule((1, 2))
-    base_table = {k: udraft.allocate(prob) for k, prob in keys}
-    rng = Random(seed)
-    rules = [udraft]
-    for i in range(8):  # mutants: the passing draft with a few cells scrambled
-        table = dict(base_table)
-        for _ in range(1 + i % 3):
-            j = rng.randrange(len(keys))
-            table[keys[j][0]] = rng.choice(cands[j])
-        rules.append(tabulated_rule(f"mutant-{i}", table))
-    for i in range(n_random_rules):
-        table = {k: rng.choice(c) for (k, _), c in zip(keys, cands)}
-        rules.append(tabulated_rule(f"random-{i}", table))
-
-    premise_holds = violations = 0
-    for rule in rules:
-        if (
-            check_ir(rule, domain).holds
-            and check_tp(rule, domain).holds
-            and check_ep(rule, domain).holds
-        ):
-            premise_holds += 1
-            violations += not check_ti(rule, domain).holds
-    detail = {"rules_checked": len(rules), "premise_holds": premise_holds, "violations": violations}
-    return Verdict.of(not violations and premise_holds > 0, detail)
+    space, size = AxiomSpace(domain), 1 << n_objects
+    acc, (targets, counted) = space.acceptable, _change_targets(n_objects, 0)
+    d, k = np.nonzero(counted)
+    t, a = targets[d, k], np.arange(size)[:, None]
+    cell = {"d": d[:, None, None], "t": t[:, None, None], "a": a, "b": a[:, 0]}
+    # IR holds and TI fails: a premise at any of these cells is a violation
+    suspect = (a & ~acc[cell["d"]] == 0) & (cell["b"] & ~acc[cell["t"]] == 0)
+    suspect &= ~ti_ok(acc, cell["t"], a, cell["b"])
+    relations = {"table": space.relation(), "oracle": _oracle_relation(n_objects, True)[1]}
+    bad = np.stack([suspect] * len(relations))
+    for i, dom in enumerate(relations.values()):
+        for roles in TI_PREMISE.values():
+            bad[i] &= sp_ok(dom.reshape(-1, size, size), *map(cell.get, roles))
+    failing = bad.any(axis=0)
+    detail = {"links": len(d), "cells": failing.size, "draft_premise": draft_premise}
+    detail["violations"] = int(np.count_nonzero(failing))
+    if detail["violations"]:
+        link, own, other = np.argwhere(failing)[0].tolist()
+        detail["witness"] = {
+            "relation": list(relations)[int(bad[:, link, own, other].argmax())],
+            "preference": format_pref(space.prefs[d[link]]),
+            "truncation": format_pref(space.prefs[t[link]]),
+            "bundle_before": format_bundle(own),
+            "bundle_after": format_bundle(other),
+        }
+    return Verdict.of(not detail["violations"] and draft_premise, detail)
 
 
 # ---------------------------------------------------------------------------

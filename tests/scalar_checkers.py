@@ -17,7 +17,9 @@ engines, as the oracle of the turn plans that `Rule.run` interprets. The
 per-pair `build_csp` and the dense (P, P, C) grid revision are kept as the
 oracles of the batched constraint build and the live-pair grid kernel, and
 the all-rows unary table (`admissible` on every (key, split) row) as the
-oracle of the slot-factored `csp.admitted`. The per-draw random-rule loop
+oracle of the slot-factored `csp.admitted`. The truncation-invariance lemma's
+cell check is here on Preference objects and `weakly_dominates_oracle`, as the
+oracle of P4's array check. The per-draw random-rule loop
 defines the report shape of the efficiency decomposition's seeded spot check,
 and the `top_k` form of quota dominance is the oracle of its rank-space form.
 The rules that draftkit defines only as array engines (tabulated, piecewise,
@@ -53,12 +55,18 @@ from draftkit.core import (
     Problem,
     bundle_of,
     bundle_size,
+    is_truncation_of,
     objects_of,
     subsets_of,
     top,
     top_k,
 )
-from draftkit.dominance import additive_utility, strictly_dominates, weakly_dominates
+from draftkit.dominance import (
+    additive_utility,
+    strictly_dominates,
+    weakly_dominates,
+    weakly_dominates_oracle,
+)
 from draftkit.rules import (
     Case,
     Rule,
@@ -1420,6 +1428,39 @@ def find_manipulation(rule, problem: Problem, agent):
     return None
 
 
+def ti_implication(n_objects: int, flip_ep: bool = False) -> dict:
+    """The cell check of `verifier.verify_truncation_invariance_implication` on Preference
+    objects: each preference d and each truncation t of it (`is_truncation_of`), each
+    truthful bundle a and reported bundle b. The premise is IR, TP and EP (read the other
+    way round when `flip_ep`) by `weakly_dominates_oracle`; a premise cell where a is
+    acceptable under t and b differs from a violates TI. Returns the links, cells,
+    violations and the first violation's witness."""
+    prefs = [
+        Preference(r, c) for r in permutations(range(n_objects)) for c in range(n_objects + 1)
+    ]
+    links = [(d, t) for d in prefs for t in prefs if t != d and is_truncation_of(t, d)]
+    bundles = range(1 << n_objects)
+    violations, witness = 0, None
+    for d, t in links:
+        for a in bundles:
+            for b in bundles:
+                if a & ~d.acceptable or b & ~t.acceptable:
+                    continue
+                ep = (a, b) if flip_ep else (b, a)
+                if not (weakly_dominates_oracle(d, a, b) and weakly_dominates_oracle(t, *ep)):
+                    continue
+                if not a & ~t.acceptable and a != b:
+                    violations += 1
+                    witness = witness or {
+                        "preference": format_pref(d),
+                        "truncation": format_pref(t),
+                        "bundle_before": format_bundle(a),
+                        "bundle_after": format_bundle(b),
+                    }
+    cells = len(links) * len(bundles) ** 2
+    return {"links": len(links), "cells": cells, "violations": violations, "witness": witness}
+
+
 def random_rule_misses(keys, agreements, n_rules: int, seed: int) -> list:
     """The random-rule pass of `verifier.verify_efficiency_decomposition` as a per-draw
     loop: rule by rule and key by key, one `Random(seed).choice` among the key's
@@ -1460,7 +1501,7 @@ def _sequential(problem: Problem, agent_at):
 def _omega_terminated(problem: Problem, priority: Priority, may_pick):
     # run round-robin until every agent in a full window of n steps passed
     priority = _agent_order(problem.agents, priority)
-    n = problem.n_agents
+    n = len(problem.agents)
     remaining = problem.available
     picks = {a: 0 for a in problem.agents}
     trace = []
@@ -1543,7 +1584,7 @@ def population_rm_draft(problem: Problem, priority: Priority):
 
 def pairwise_consistency_draft(problem: Problem, priority: Priority):
     """The 2-CON counterexample: the priority for two agents, its reversal otherwise."""
-    return variable_draft(problem, priority if problem.n_agents == 2 else priority[::-1])
+    return variable_draft(problem, priority if len(problem.agents) == 2 else priority[::-1])
 
 
 # --- rules draftkit defines only as engines: their scalar runners and row fill ---

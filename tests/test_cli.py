@@ -355,7 +355,7 @@ UNSAT = {"certificate_replays": True, "note": FINITE, "status": "unsat"}
         (["T6"], {"note": UNIQUE, "status": "unique", "survivors": 1}),
         (["T7"], {"note": UNIQUE, "status": "unique", "survivors": 1}),
         (["P3"], {"checked_pairs": 16560, "disagreements": 0}),
-        (["P4"], {"premise_holds": 1, "rules_checked": 209, "violations": 0}),
+        (["P4"], {"cells": 96, "draft_premise": True, "links": 6, "violations": 0}),
         (["L1"], {"checked": 1764, "ok": True, "survivors_swept": 1}),
         (["L8"], {"checked": 24, "ok": True}),
     ],
@@ -393,8 +393,8 @@ UNIQUE_DETAIL = {"note": UNIQUE, "status": "unique", "survivors": 1}
             ["P4"],
             _verify_stdout(
                 "P4",
-                ["rules_checked: 209", "premise_holds: 1", "violations: 0"],
-                {"premise_holds": 1, "rules_checked": 209, "violations": 0},
+                ["links: 6", "cells: 96", "draft_premise: True", "violations: 0"],
+                {"cells": 96, "draft_premise": True, "links": 6, "violations": 0},
             ),
         ),
         (
@@ -597,14 +597,15 @@ def test_cli_verify_past_profile_capacity_is_undecided(monkeypatch, capsys, tmp_
 @pytest.mark.parametrize("theorem, objects", [("T7", 6), ("P4", 6), ("T6", 7)])
 def test_cli_verify_past_key_capacity_is_undecided(monkeypatch, capsys, tmp_path, theorem, objects):
     """The rule-space searches and P4 refuse a domain past the sweeps' profile codes per
-    available set before building any of its problem keys."""
+    available set before building any of its problem keys, sweeps or relations."""
     from draftkit import verifier
 
     def unreachable(*args, **kwargs):
-        raise AssertionError("verify built problem keys past the sweeps' capacity")
+        raise AssertionError("verify built a search, sweep or relation past the sweeps' capacity")
 
     monkeypatch.setattr(verifier, "build_csp", unreachable)
-    monkeypatch.setattr(verifier, "distinct_problems", unreachable)
+    monkeypatch.setattr(verifier, "FixedSweep", unreachable)
+    monkeypatch.setattr(verifier, "_oracle_relation", unreachable)
     out_file = tmp_path / "report.json"
     argv = ["--out", str(out_file), "--no-timestamp", "verify", theorem, "--objects", str(objects)]
     assert main(argv + ["--i-know-this-is-huge"]) == 3

@@ -1,3 +1,4 @@
+import json
 import time
 from itertools import permutations
 from random import Random
@@ -5,15 +6,22 @@ from random import Random
 import pytest
 
 import scalar_checkers as oracle
-from draftkit.cli import RULE_FACTORIES
+from draftkit.cli import RULE_FACTORIES, main
 
 from draftkit import verifier
-from draftkit.axioms import describe_problem, fixed_domain, unacceptable_domain, variable_domain
+from draftkit.axioms import (
+    AxiomSpace,
+    describe_problem,
+    fixed_domain,
+    unacceptable_domain,
+    variable_domain,
+)
 from draftkit.core import INFINITE, Preference, Problem, objects_of
 from draftkit.csp import ProblemKeys, _splits, build_csp, solve_csp
 from draftkit.rules import (
     dictatorship_rule,
     draft_rule,
+    ir_counterexample,
     snake_draft_rule,
     variable_draft_rule,
 )
@@ -285,9 +293,93 @@ def test_efficiency_decomposition_unacceptable_small():
 
 
 def test_ti_implication_report():
-    rep = verify_truncation_invariance_implication(2, n_random_rules=40)
+    rep = verify_truncation_invariance_implication(2)
     assert rep.outcome == REPRODUCED
-    assert rep.detail["violations"] == 0 and rep.detail["premise_holds"] >= 1
+    assert rep.detail == {"links": 6, "cells": 96, "draft_premise": True, "violations": 0}
+
+
+EP_FLIPPED = ("t", "a", "b")  # EP read as: truthful t keeps the extension's a over b
+
+
+@pytest.mark.parametrize("flip_ep", [False, True], ids=["premise", "ep-flipped"])
+@pytest.mark.parametrize("n_objects", [2, 3, 4])
+def test_ti_implication_is_the_scalar_cell_check(monkeypatch, n_objects, flip_ep):
+    """Same links, cells, violations and first witness as the check on Preference objects
+    and `weakly_dominates_oracle`, with the lemma's premise and with EP reversed."""
+    if flip_ep:
+        monkeypatch.setitem(verifier.TI_PREMISE, "EP", EP_FLIPPED)
+    detail = dict(verify_truncation_invariance_implication(n_objects).detail)
+    witness = detail.pop("witness", None)
+    if witness is not None:
+        assert witness.pop("relation") == "table"
+    expected = oracle.ti_implication(n_objects, flip_ep)
+    assert detail.pop("draft_premise") is True
+    assert detail | {"witness": witness} == expected
+    assert (expected["violations"] > 0) == flip_ep
+
+
+# the first preference "a>b|" truncated to "a|b", receiving {a} and then nothing
+P4_WITNESS = {
+    "preference": "a>b|",
+    "truncation": "a|b",
+    "bundle_before": "{a}",
+    "bundle_after": "{}",
+}
+
+
+def _p4_report(capsys) -> dict:
+    assert main(["--json", "--no-timestamp", "verify", "P4"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("P4: NOT reproduced\n")
+    return json.loads(out[out.index("\n{\n") :])["detail"]
+
+
+def _flip_empty_over_a(dom):
+    # under "a|b" (index 1), the empty bundle now weakly dominates {a}
+    dom = dom.copy()
+    dom.reshape(len(dom), 4, 4)[1, 0, 1] ^= True
+    return dom
+
+
+def test_p4_refutes_ep_read_the_other_way(monkeypatch, capsys):
+    monkeypatch.setitem(verifier.TI_PREMISE, "EP", EP_FLIPPED)
+    detail = _p4_report(capsys)
+    assert detail["witness"] == P4_WITNESS | {"relation": "table"}
+    # the same cell under each ranking, "b>a|" to "b|a" too
+    assert detail["draft_premise"] is True and detail["violations"] == 2
+
+
+def test_p4_refutes_one_flipped_cell_of_the_relation_table(monkeypatch, capsys):
+    relation = AxiomSpace.relation
+
+    def flipped(space, slot=None, ef1=False):
+        return _flip_empty_over_a(relation(space, slot, ef1))
+
+    monkeypatch.setattr(AxiomSpace, "relation", flipped)
+    detail = _p4_report(capsys)
+    assert detail["witness"] == P4_WITNESS | {"relation": "table"}
+    assert detail["draft_premise"] is True and detail["violations"] == 1
+
+
+def test_p4_needs_the_draft_to_meet_the_premise(monkeypatch, capsys):
+    """A vacuous premise is no evidence: with a rule that breaks IR in place of the passing
+    draft, P4 is not reproduced though no cell fails."""
+    monkeypatch.setattr(verifier, "unacceptable_draft_rule", ir_counterexample)
+    detail = _p4_report(capsys)
+    assert detail == {"links": 6, "cells": 96, "draft_premise": False, "violations": 0}
+
+
+def test_p4_refutes_one_flipped_cell_of_the_oracle_relation(monkeypatch, capsys):
+    oracle_relation = verifier._oracle_relation
+
+    def flipped(n_objects, cutoffs):
+        index, table = oracle_relation(n_objects, cutoffs)
+        return index, _flip_empty_over_a(table)
+
+    monkeypatch.setattr(verifier, "_oracle_relation", flipped)
+    detail = _p4_report(capsys)
+    assert detail["witness"] == P4_WITNESS | {"relation": "oracle"}
+    assert detail["draft_premise"] is True and detail["violations"] == 1
 
 
 def test_wsp_conjecture_probe_carries_caveat():
