@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, permutations, product
 from math import factorial
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -1280,39 +1280,29 @@ def full_index(x: Bundle, n_objects: int) -> np.ndarray:
     return _index_array([index[r + rest] for r in _rankings(objects_of(x))])
 
 
-class Relabeling(NamedTuple):
-    """A bijection sigma from an available set onto `target`, as index maps.
-
-    `prefs` takes a preference index over the source set to the index over
-    target of its relabeled ranking; `bundles` takes a subset of the source
-    set to its image.
-    """
-
-    target: Bundle
-    sigma: dict
-    prefs: np.ndarray
-    bundles: np.ndarray
-
-
 @lru_cache(maxsize=None)
-def _relabelings(x: Bundle, targets: tuple[Bundle, ...]) -> tuple[Relabeling, ...]:
-    """Every bijection from x onto each target in turn (images in permutation order),
-    except the identity."""
-    src = objects_of(x)
-    out = []
-    for target in targets:
-        index = _ranking_index(objects_of(target))
-        for image in permutations(objects_of(target)):
-            if target == x and image == src:
-                continue
-            sigma = dict(zip(src, image))
-            bundles = np.zeros(1 << x.bit_length(), dtype=np.uint8)
-            for b in subsets_of(x):
-                bundles[b] = bundle_of(sigma[o] for o in objects_of(b))
-            bundles.flags.writeable = False
-            prefs = _index_array([index[tuple(sigma[o] for o in r)] for r in _rankings(src)])
-            out.append(Relabeling(target, sigma, prefs, bundles))
-    return tuple(out)
+def canonical_relabelings(x: Bundle, t: Bundle) -> tuple[np.ndarray, np.ndarray]:
+    """The bijections from x onto t, a set of the same size, as two index tables.
+
+    Row r0 is the bijection that sends ranking r0 over x to t's ascending order.
+    CANON[r0, r] is the index over t of ranking r relabeled by it, and BACK[r0, b]
+    is b ⊆ t mapped back into x. A ranking of all of x fixes a bijection, so each
+    is row CANON[r0, 0] (the image of x's ascending order) of exactly one row r0.
+    """
+    k = bundle_size(x)
+    perms = np.array(_rankings(tuple(range(k))), dtype=np.intp).reshape(factorial(k), k)
+    position = np.argsort(perms, axis=1)  # position[r0, o]: where ranking r0 places o
+    code = np.zeros((len(perms),) * 2, dtype=np.intp)
+    for i in range(k):  # base-k codes of the relabeled rankings, one place at a time
+        code *= k
+        code += position[:, perms[:, i]]
+    canon = np.searchsorted(perms @ k ** np.arange(k - 1, -1, -1), code)
+    images = np.left_shift(1, np.array(objects_of(x), dtype=np.intp)[perms])
+    members = np.arange(1 << t.bit_length())[:, None] >> np.array(objects_of(t), dtype=np.intp)
+    back = images @ (members & 1).T
+    for table in (canon, back):
+        table.flags.writeable = False
+    return canon, back
 
 
 class VariableSweep:
@@ -1323,7 +1313,7 @@ class VariableSweep:
     per-agent indexes, slot 0 most significant. Each block keeps one uint8
     array, filled on first use, that the gather checkers read; they reach
     other problems' allocations through index maps (`restriction_map`,
-    `_relabelings`) and the relation tables through `full_index`. Witnesses
+    `canonical_relabelings`) and the relation tables through `full_index`. Witnesses
     decode their one failing row with `allocation`.
     """
 
@@ -1597,58 +1587,78 @@ def check_tcon(rule, domain) -> AxiomReport:
     return _holds("T-CON", checked)
 
 
-NEU_SIZE_CAP = 4  # factorial growth: |X|! bijections per target set
+def _canonical_steps(sw: VariableSweep, pop, x: Bundle, t: Bundle):
+    """Per step of rows at (pop, x), in order: its first code, the codes at t of its rows'
+    canonical problems, and where each row's allocation is its canonical one's mapped back."""
+    canon, back = canonical_relabelings(x, t)
+    digits, allocs, step = sw.digits(pop, x), sw.grid(pop, x), max(1, _BLOCK // len(pop))
+    for lo in range(0, len(digits), step):
+        d = digits[lo : lo + step]
+        codes = sw.encode(t, canon[d[:, :1], d])
+        yield lo, codes, (back[d[:, :1], sw.grid(pop, t)[codes]] == allocs[lo : lo + step]).all(1)
+
+
+def _neu_violation(sw: VariableSweep, name: str, checked: int, pop, x: Bundle, code: int, targets):
+    """The report of the row at `code`, at its first relabeling (targets in order, images
+    in permutation order, the identity skipped) that does not relabel its allocation."""
+    d, alloc = sw.digits(pop, x)[code], sw.grid(pop, x)[code]
+    checked += code * (len(sw.prefs_of(x)) * len(targets) - 1)
+    for t in targets:
+        canon, back = canonical_relabelings(x, t)
+        r0 = canon[:, 0]  # image j of x's ascending order is relabeling r0[j]
+        codes = sw.encode(t, canon[r0][:, d])
+        bad = (back[r0[:, None], sw.grid(pop, t)[codes]] != alloc).any(axis=1)
+        if not bad.any():
+            checked += len(bad) - (t == x)
+            continue
+        image, tgt_code = int(bad.argmax()), int(codes[bad.argmax()])
+        sigma = zip(objects_of(x), _rankings(objects_of(t))[image])
+        prob, tgt = sw.problem(pop, x, code), sw.problem(pop, t, tgt_code)
+        return _violated(
+            name,
+            checked + image + (t != x),
+            {
+                "problem": describe_problem(prob),
+                "allocation": describe_allocation(prob, sw.allocation(pop, x, code)),
+                "relabeling": {OBJECT_NAMES[a]: OBJECT_NAMES[b] for a, b in sigma},
+                "relabeled_problem": describe_problem(tgt),
+                "relabeled_allocation": describe_allocation(tgt, sw.allocation(pop, t, tgt_code)),
+            },
+        )
+    raise AssertionError("the row's orbit is neutral")
 
 
 def _check_neu_like(rule, domain, pair_only: bool) -> AxiomReport:
+    """Every bijection onto a set of the same size relabels the allocation (2-NEU: two
+    agents only); each (problem, relabeling) is one check.
+
+    A ranking of X fixes a bijection, so each orbit holds one canonical problem: at the
+    first set of its size, with the first ranking ascending. If a row is not its canonical
+    row mapped back, every row of its orbit fails some relabeling. An orbit holds k! rows
+    at each set of size k, so the witness is the first such row of the first set.
+    """
     sw = _vsweep(rule, domain)
     name = "2-NEU" if pair_only else "NEU"
-    checked = 0
-    capped = False
-    by_size: dict[int, list[Bundle]] = {}
+    same_size: dict[int, list[Bundle]] = {}
     for x in sw.domain.available_sets:
-        by_size.setdefault(bundle_size(x), []).append(x)
+        same_size.setdefault(bundle_size(x), []).append(x)
+    checked = 0
     for pop in sw.domain.populations:
         if pair_only and len(pop) != 2:
             continue
         for x in sw.domain.available_sets:
-            k = bundle_size(x)
-            if k > NEU_SIZE_CAP:
-                capped = True
-                continue
-            moves = _relabelings(x, tuple(by_size[k]))
-
-            def target_codes(move, codes):
-                return sw.encode(move.target, move.prefs[sw.digits(pop, x)[codes]])
-
-            def bad_of(move, codes):
-                got = sw.grid(pop, move.target)[target_codes(move, codes)]
-                return (got != move.bundles[sw.grid(pop, x)[codes]]).any(axis=1)[:, None]
-
-            hit, checks = _scan_moves(sw, pop, x, moves, 1, bad_of)
-            checked += checks
-            if hit is not None:
-                code, j, _ = hit
-                move, prob = moves[j], sw.problem(pop, x, code)
-                tgt_code = int(target_codes(move, code))
-                tgt = sw.problem(pop, move.target, tgt_code)
-                return _violated(
-                    name,
-                    checked,
-                    {
-                        "problem": describe_problem(prob),
-                        "allocation": describe_allocation(prob, sw.allocation(pop, x, code)),
-                        "relabeling": {
-                            OBJECT_NAMES[a]: OBJECT_NAMES[b] for a, b in move.sigma.items()
-                        },
-                        "relabeled_problem": describe_problem(tgt),
-                        "relabeled_allocation": describe_allocation(
-                            tgt, sw.allocation(pop, move.target, tgt_code)
-                        ),
-                    },
-                )
-    note = f"relabelings capped at |X| <= {NEU_SIZE_CAP}" if capped else ""
-    return _holds(name, checked, note)
+            targets, P = same_size[bundle_size(x)], factorial(bundle_size(x))
+            if x == targets[0]:  # the sets after it hold when its orbits do
+                failing = np.zeros(P ** len(pop), dtype=bool)  # per canonical code
+                for y in targets:
+                    for _, codes, same in _canonical_steps(sw, pop, y, x):
+                        failing[codes[~same]] = True
+                for lo, codes, _ in _canonical_steps(sw, pop, x, x) if failing.any() else ():
+                    if failing[codes].any():
+                        code = lo + int(failing[codes].argmax())
+                        return _neu_violation(sw, name, checked, pop, x, code, targets)
+            checked += P ** len(pop) * (P * len(targets) - 1)
+    return _holds(name, checked)
 
 
 def check_neu(rule, domain) -> AxiomReport:

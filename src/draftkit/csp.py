@@ -168,15 +168,6 @@ class ProblemKeys:
         return [(*head, tuple(map(sig.__getitem__, row)), d.quotas) for row in rows]
 
 
-def distinct_problems(domain: ProblemDomain) -> tuple[list, list[Problem]]:
-    """Each problem key of a fixed-population domain once, in enumeration order, with its
-    first problem."""
-    index = ProblemKeys(domain)
-    sets = range(len(index.xs))
-    keys = [key for xi in sets for key in index.keys(xi)]
-    return keys, [prob for xi in sets for prob in index.problems(xi)]
-
-
 @lru_cache(maxsize=None)
 def _splits(available: int, n: int, quotas: tuple | None = None) -> np.ndarray:
     """Every assignment of the available objects to one of n agents or to nobody that

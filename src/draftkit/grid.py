@@ -17,17 +17,18 @@ quotient cells; a wipeout there is the verdict. Otherwise the fixpoint,
 relabeled onto every profile, seeds `csp.depth_first` over the flattened
 grid, whose decisions revise one row and one column: a line is revised from
 its live (position, candidate) pairs and the distinct masks of the factors.
+The relabeling tables are `axioms.canonical_relabelings` of the pool onto
+itself, the tables that NEU reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import permutations
 
 import numpy as np
 
-from .axioms import DEVIATIONS, AxiomSpace, ProblemDomain
+from .axioms import DEVIATIONS, AxiomSpace, ProblemDomain, _ranking_index, canonical_relabelings
 from .csp import (
     BudgetExceeded,
     InfeasibilityCertificate,
@@ -78,33 +79,17 @@ class Relabelings:
 
 @lru_cache(maxsize=MAX_OBJECTS)
 def relabelings(n_objects: int) -> Relabelings:
-    """The tables of one pool size, built on first use."""
-    m = n_objects
-    perms = np.array(list(permutations(range(m))), dtype=np.intp).reshape(-1, m)
-    place = m ** np.arange(m - 1, -1, -1)
-    codes = perms @ place  # ascending: permutation order is the order of base-m codes
-    position = np.argsort(perms, axis=1).astype(np.uint8)  # position[r, o] = sigma_r(o)
-    members = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1  # (C, m)
-
-    def ranking(objs):  # rankings as (..., m) objects, best first -> ranking indexes
-        code = sum(objs[..., i].astype(np.intp) * place[i] for i in range(m))
-        return np.searchsorted(codes, code)
-
-    def split_map(relabel):  # (..., m) object maps -> (..., C) split maps
-        return (members << relabel[..., None, :]).sum(axis=-1)
-
-    swap, cycle = np.arange(m), np.roll(np.arange(m), -1)
-    swap[:2] = swap[:2][::-1]
-    gens = {tuple(g): g for g in (swap, cycle) if (g != np.arange(m)).any()}.values()
-    tables = Relabelings(
-        ranking(position[:, perms]),
-        split_map(position),
-        split_map(perms),
-        tuple((ranking(g[perms]), split_map(g), split_map(np.argsort(g))) for g in gens),
-    )
-    for table in (tables.RP, tables.RC, tables.RC_inv, *sum(tables.generators, ())):
-        table.flags.writeable = False
-    return tables
+    """The tables of one pool size: `axioms.canonical_relabelings` of the full pool onto
+    itself, whose row r is sigma_r. Each generator is the row of the ranking it maps to
+    the identity, (1, 0, 2, ...) and (m - 1, 0, ..., m - 2)."""
+    full = (1 << n_objects) - 1
+    RP, RC_inv = canonical_relabelings(full, full)
+    RC = np.argsort(RC_inv, axis=1)
+    RC.flags.writeable = False
+    identity = tuple(range(n_objects))
+    gens = (identity[1::-1] + identity[2:], identity[-1:] + identity[:-1])
+    rows = [_ranking_index(identity)[g] for g in dict.fromkeys(gens) if g != identity]
+    return Relabelings(RP, RC, RC_inv, tuple((RP[r], RC[r], RC_inv[r]) for r in rows))
 
 
 def _cones(ok, dom: np.ndarray, own: np.ndarray) -> np.ndarray:

@@ -33,6 +33,7 @@ from .axioms import (
     FixedSweep,
     ProblemDomain,
     VariableSweep,
+    _better_table,
     _change_targets,
     _union,
     check_ep,
@@ -988,10 +989,7 @@ def verify_rm_lemma() -> Verdict:
     for n, m in ((2, 4), (2, 5), (3, 3), (3, 4)):
         agents = tuple(range(1, n + 1))
         sw = FixedSweep(draft_rule(agents), fixed_domain(n, m))
-        above = np.array(  # ABOVE[pref, e]: the objects pref ranks above e
-            [[bundle_of(p.ranking[: p.rank[e]]) for e in range(m)] for p in sw.prefs],
-            dtype=np.uint8,
-        )
+        above = _better_table(m, False)  # [pref, e]: the objects pref ranks above e
         x_index = {x: i for i, x in enumerate(sw.xs)}
         full = (1 << m) - 1
         for xi, x in enumerate(sw.xs):

@@ -5,6 +5,7 @@ from __future__ import annotations
 from itertools import permutations
 
 from draftkit.core import Preference, Problem, bundle_of
+from draftkit.csp import ProblemKeys
 
 LETTERS = "abcdefgh"
 
@@ -76,3 +77,12 @@ def all_profiles(n_agents: int, n_objects: int):
     rankings = list(permutations(range(n_objects)))
     for combo in product(rankings, repeat=n_agents):
         yield tuple(Preference(r) for r in combo)
+
+
+def distinct_problems(domain) -> tuple[list, list[Problem]]:
+    """Each problem key of a fixed-population domain once, in enumeration order, with its
+    first problem, read off the `csp.ProblemKeys` index."""
+    index = ProblemKeys(domain)
+    sets = range(len(index.xs))
+    keys = [key for xi in sets for key in index.keys(xi)]
+    return keys, [prob for xi in sets for prob in index.problems(xi)]

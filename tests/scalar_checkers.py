@@ -34,7 +34,6 @@ from itertools import chain, combinations, permutations, product
 from random import Random
 
 from draftkit.axioms import (
-    NEU_SIZE_CAP,
     OBJECT_NAMES,
     AxiomReport,
     FixedSweep,
@@ -1346,7 +1345,6 @@ def _check_neu_like(rule, domain, pair_only: bool) -> AxiomReport:
     sw = _vsweep(rule, domain)
     name = "2-NEU" if pair_only else "NEU"
     checked = 0
-    capped = False
     by_size: dict[int, list] = {}
     for x in domain.available_sets:
         by_size.setdefault(bundle_size(x), []).append(x)
@@ -1355,9 +1353,6 @@ def _check_neu_like(rule, domain, pair_only: bool) -> AxiomReport:
             continue
         for x in domain.available_sets:
             k = bundle_size(x)
-            if k > NEU_SIZE_CAP:
-                capped = True
-                continue
             src = objects_of(x)
             for code, profile, alloc in _var_problems(sw, pop, x):
                 for target in by_size.get(k, []):
@@ -1387,8 +1382,7 @@ def _check_neu_like(rule, domain, pair_only: bool) -> AxiomReport:
                                     "relabeled_allocation": describe_allocation(tgt, relabeled),
                                 },
                             )
-    note = f"relabelings capped at |X| <= {NEU_SIZE_CAP}" if capped else ""
-    return AxiomReport(name, "holds", None, checked, note)
+    return AxiomReport(name, "holds", None, checked)
 
 
 def check_neu(rule, domain) -> AxiomReport:

@@ -404,6 +404,30 @@ def test_variable_counterexamples():
         assert chk(vnull, dom).holds, chk.__name__
 
 
+def test_neutrality_counterexample_witnesses_past_four_objects():
+    """Both reports count every relabeling of the sets of five objects before the witness."""
+    dom = variable_domain(3, 5)
+    neu = neutrality_counterexample((1, 2, 3), special_object=0)
+    witness = {
+        "problem": {
+            "variant": "variable", "agents": [2, 3], "available": "{a}",
+            "profile": {2: "a", 3: "a"},
+        },
+        "allocation": {2: "{}", 3: "{a}"},
+        "relabeling": {"a": "b"},
+        "relabeled_problem": {
+            "variant": "variable", "agents": [2, 3], "available": "{b}",
+            "profile": {2: "b", 3: "b"},
+        },
+        "relabeled_allocation": {2: "{b}", 3: "{}"},
+    }
+    for chk, checked in ((check_neu, 4_254_181), (check_2neu, 4_156_681)):
+        rep = chk(neu, dom)
+        assert (rep.verdict, rep.checked, rep.note, rep.witness) == (
+            "violated", checked, "", witness
+        ), chk.__name__
+
+
 def test_critical_agent_examples():
     assert critical_agent((1, 2, 3), (bundle("ab"), bundle("c"), bundle("d")), (1, 2, 3)) == 1
     assert critical_agent((1, 2, 3), (bundle("a"), bundle("b"), bundle("c")), (1, 2, 3)) == 3

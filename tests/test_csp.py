@@ -30,7 +30,6 @@ from draftkit.csp import (
     _splits,
     admitted,
     build_csp,
-    distinct_problems,
     replay_certificate,
     solve_csp,
     solutions_as_rules,
@@ -45,7 +44,7 @@ from draftkit.grid import (
 )
 from draftkit.rules import draft_rule, problem_key, tabulated_rule
 
-from helpers import GRID_AXIOMS, bundle
+from helpers import GRID_AXIOMS, bundle, distinct_problems
 
 
 def test_unsupported_axiom_refused_by_name():

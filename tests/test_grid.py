@@ -8,6 +8,7 @@ to planted faults, and its replay to mutated certificates.
 
 from dataclasses import replace
 from functools import partial
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ import pytest
 import scalar_checkers as oracle
 from draftkit import grid
 from draftkit.axioms import AxiomSpace, ProblemDomain, _digits
+from draftkit.core import bundle_of, objects_of
 from draftkit.csp import SolveStats, admitted, depth_first
 from draftkit.grid import (
     _pick,
@@ -113,6 +115,31 @@ def test_build_grid_refuses_a_cone_factor_with_one_flipped_bit(
     monkeypatch.setattr(grid, "_cones", flipped)
     with pytest.raises(ValueError, match="cones are not neutral"):
         build_grid(3, ("NW", "EF1", "SP"))
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_relabeling_tables_are_the_dict_bijections(m):
+    """RP, RC, RC_inv and the generators, built from one dict per relabeling."""
+    rankings = list(permutations(range(m)))
+    index = {r: i for i, r in enumerate(rankings)}
+
+    def tables(sigma):  # its ranking map, split map and inverse's split map
+        inverse = {b: a for a, b in sigma.items()}
+        ranks = [index[tuple(sigma[o] for o in r)] for r in rankings]
+        splits = [[bundle_of(s[o] for o in objects_of(a)) for a in range(1 << m)]
+                  for s in (sigma, inverse)]
+        return ranks, *splits
+
+    # sigma_r sends ranking r to the identity
+    RP, RC, RC_inv = zip(*(tables({o: r.index(o) for o in r}) for r in rankings))
+    got = relabelings(m)
+    assert (got.RP.tolist(), got.RC.tolist(), got.RC_inv.tolist()) == (
+        list(RP), list(RC), list(RC_inv)
+    )
+    # the transposition (0 1) and the m-cycle o -> o + 1, which is (0 1) at two objects
+    swap = [{0: 1, 1: 0} | {o: o for o in range(2, m)}] if m > 1 else []
+    gens = swap + ([{o: (o + 1) % m for o in range(m)}] if m > 2 else [])
+    assert [[t.tolist() for t in g] for g in got.generators] == [list(tables(g)) for g in gens]
 
 
 def test_replay_accepts_only_the_recorded_emptied_variable():

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import lru_cache
+from itertools import permutations, product
 from math import factorial
 from random import Random
 from unittest import mock
@@ -30,16 +31,27 @@ from draftkit.axioms import (
     unacceptable_domain,
     variable_domain,
 )
-from draftkit.core import INFINITE, PickingSequence, Preference, Problem, validate_allocation
-from draftkit.csp import distinct_problems
+from draftkit.core import (
+    INFINITE,
+    PickingSequence,
+    Preference,
+    Problem,
+    bundle_of,
+    bundle_size,
+    objects_of,
+    subsets_of,
+    validate_allocation,
+)
 from draftkit.dominance import geometric_scheme, linear_scheme, random_scheme
 from draftkit.rules import (
+    Case,
     dictatorship_rule,
     draft_rule,
     ir_counterexample,
     neutrality_counterexample,
     null_rule,
     pairwise_consistency_counterexample,
+    piecewise_rule,
     population_rm_counterexample,
     problem_key,
     quota_draft_rule,
@@ -55,6 +67,8 @@ from draftkit.rules import (
     wrp_counterexample,
     wrp_star_counterexample,
 )
+
+from helpers import distinct_problems, pref
 
 DEVIATION = ("check_sp", "check_wsp", "check_msp_certificate")
 PAIRWISE = ("check_ef", "check_ef1", "check_rm")
@@ -565,7 +579,7 @@ def _variable_cases():
     for n, m in ((2, 3), (3, 3)):
         for name in _variable_rules(n):
             yield pytest.param(n, m, name, VARIABLE, id=f"variable{n}{m}-{name}")
-    # one agent and five objects: the relabeling cap's note
+    # one agent and five objects: NEU relabels the full set of five objects too
     yield pytest.param(1, 5, "variable-draft", VARIABLE, id="variable15-variable-draft")
     for name, checkers in LARGE_VARIABLE.items():
         yield pytest.param(3, 4, name, checkers, id=f"variable34-{name}")
@@ -584,6 +598,42 @@ def test_variable_checkers_match_scalar_oracle(n, m, name, checkers):
         for x in domain.available_sets:
             sw.grid(pop, x)
     _assert_same_variable(sw, checkers)
+
+
+def test_neu_relabels_sets_of_five_objects():
+    """One planted cell at the full set of five objects: ranking bacde gets nothing."""
+    full = (1 << 5) - 1
+    planted = Case(lambda x: x == full, (lambda q: q == pref("bacde"),))
+    rule = piecewise_rule(variable_draft_rule((1,)), [(planted, null_rule())])
+    domain = variable_domain(1, 5)
+    rep = axioms.check_neu(rule, domain)
+    assert rep == oracle.check_neu(rule, domain)
+    assert (rep.verdict, rep.note) == ("violated", "")
+    assert rep.witness["problem"]["available"] == "{a,b,c,d,e}"
+    assert rep.witness["relabeled_problem"]["profile"] == {1: "b>a>c>d>e"}
+
+
+def _relabeling_oracle(x: int, t: int):
+    """CANON and BACK of `canonical_relabelings` on t's subsets, one dict per bijection."""
+    index = {r: i for i, r in enumerate(permutations(objects_of(t)))}
+    rankings = list(permutations(objects_of(x)))
+    canon, back = [], []
+    for r0 in rankings:
+        sigma = dict(zip(r0, objects_of(t)))  # ranking r0 onto t's ascending order
+        inverse = {b: a for a, b in sigma.items()}
+        canon.append([index[tuple(sigma[o] for o in r)] for r in rankings])
+        back.append([bundle_of(inverse[o] for o in objects_of(b)) for b in subsets_of(t, False)])
+    return canon, back
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_canonical_relabelings_are_the_dict_bijections(m):
+    for x, t in product(range(1 << m), repeat=2):
+        if bundle_size(x) == bundle_size(t):
+            canon, back = axioms.canonical_relabelings(x, t)
+            want_canon, want_back = _relabeling_oracle(x, t)
+            assert canon.tolist() == want_canon, (x, t)
+            assert back[:, list(subsets_of(t, False))].tolist() == want_back, (x, t)
 
 
 def test_refuting_variable_check_fills_only_up_to_the_witness():
