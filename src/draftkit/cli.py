@@ -9,6 +9,7 @@ are dropped with --no-timestamp.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from datetime import datetime, timezone
 from functools import partial
@@ -340,6 +341,8 @@ def cmd_verify(args) -> int:
     code = EXIT_CODES[verdict.outcome]
     print(f"{args.theorem}: {verdict.outcome}")
     for key, value in verdict.detail.items():
+        if isinstance(value, (dict, list)):  # nested values as the JSON report writes them
+            value = json.dumps(value, sort_keys=True)
         print(f"  {key}: {value}")
     report = {"command": "verify", "theorem": args.theorem, "detail": verdict.detail, "exit": code}
     _emit(report, args)

@@ -1,28 +1,57 @@
-"""Rule-space constraint search: one variable per problem key, candidates are allocations.
+"""Rule-space constraint search: one variable per problem key, candidates are allocations,
+propagated modulo object relabeling.
 
 Keys, the keys each constraint links and the candidates all come from
 restriction-class codes (`ProblemKeys`). Intra-problem axioms filter candidate
 sets; inter-problem axioms become binary constraints with precomputed
-allowed-masks. Propagation is queue-based arc consistency. `depth_first` is
-the backtracking search of this solver and of `grid.solve_grid`, with a
-deterministic variable and value order, so verdicts and witnesses never depend
-on scheduling. Unsatisfiable searches emit a certificate: a tree of decisions
-in which every node keeps the propagation steps that led to it and each leaf
-names the variable they empty. The replayer re-justifies every removal against
-its constraint, at any depth.
+allowed-masks. Propagation is queue-based arc consistency.
+
+Every encoded axiom is neutral in objects: relabeling the objects of a key's
+available set X, of its preferences and of its candidate splits maps the
+network onto itself. A key's first preference ranks all of X (in the
+unacceptable variant too, since a key keeps the order of the unacceptable
+tail), so exactly one bijection from X onto t, the first set of X's size,
+sends that ranking to t's ascending order. The relabelings therefore act
+freely on the keys: each orbit holds |X|!·C(m, |X|) keys and one
+representative, the key at t whose first ranking ascends, and no removal ever
+needs closing under a stabilizer. `build_csp` gives the quotient one variable
+per representative and one constraint per orbit of constraints: the links out
+of each representative, whose far end's candidates are read through its
+relabeling onto its own representative (`axioms.canonical_relabelings`, the
+tables NEU reads). It refuses, with ValueError, a domain whose available sets
+a relabeling moves outside it, and a network that one of two generators of
+the relabelings changes, at a representative's unary table or at a quotient
+link. Non-neutral entries elsewhere pass, and the quotient then solves their
+neutral copy, as `grid.build_grid` does.
+
+The arc-consistency fixpoint of a neutral network is neutral, so root
+propagation runs on the representatives. A wipeout there is the verdict: its
+certificate relabels each removal onto every key of the orbit and replays on
+the full network. A fixpoint whose every variable is a singleton is the one
+solution, relabeled onto every key. Otherwise the full network, built only
+then, takes the relabeled fixpoint and `depth_first` branches on it.
+`depth_first` is the backtracking search of this solver and of
+`grid.solve_grid`, the specialised path for two agents and one available set;
+its variable and value order is deterministic, so verdicts and witnesses never
+depend on scheduling. Unsatisfiable searches emit a certificate: a tree of
+decisions in which every node keeps the propagation steps that led to it and
+each leaf names the variable they empty. The replayer re-justifies every
+removal against its constraint, at any depth.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import product
-from typing import Sequence
+from math import comb
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Allocation, Bundle, Priority, Problem, objects_of, subsets_of
+from .core import Allocation, Bundle, Priority, Problem, bundle_size, objects_of, subsets_of
 from .axioms import (
     DEVIATIONS,
     UNARY,
@@ -30,7 +59,10 @@ from .axioms import (
     ProblemDomain,
     _change_targets,
     _digits,
+    _ranking_index,
+    canonical_relabelings,
     require_variant,
+    restriction_map,
     restriction_reps,
     unary_entries,
 )
@@ -50,6 +82,7 @@ class BudgetExceeded(Exception):
 class BinaryConstraint:
     """Allowed-pairs relation between two variables, stored as per-value masks."""
 
+    __slots__ = ("name", "u", "v", "forward", "backward")  # networks hold 10^5 and more
     name: str
     u: int
     v: int
@@ -63,16 +96,18 @@ class BinaryConstraint:
         return self.v if var == self.u else self.u
 
 
-@dataclass
-class RuleCSP:
-    domain: ProblemDomain
-    axioms: tuple[str, ...]
-    keys: list
-    problems: list[Problem]  # canonical representative per key
-    candidates: list[list[Allocation]]
-    domains: list[int]  # current candidate bitmask per variable
-    constraints: list[BinaryConstraint]
-    watchers: list[list[int]]  # var -> constraint indexes
+class Network:
+    """A binary network: each variable's name (`keys`, what a solution is keyed by),
+    candidate list and candidate bitmask, the constraints, and per variable the
+    indexes of the constraints that watch it."""
+
+    def __init__(self, keys: list, candidates: list, domains: list[int], constraints: list):
+        self.keys, self.candidates = keys, candidates
+        self.domains, self.constraints = domains, constraints
+        self.watchers: list[list[int]] = [[] for _ in keys]
+        for ci, c in enumerate(self.constraints):
+            self.watchers[c.u].append(ci)
+            self.watchers[c.v].append(ci)
 
 
 @dataclass
@@ -127,8 +162,8 @@ class ProblemKeys:
     in code order, and sets follow the domain's order: the order in which
     `ProblemDomain.problems()` first meets each key. Key k is variable k of a
     rule search; the keys at set xi start at `offsets[xi]`, and `digits[xi]`
-    holds their preference indexes. Other problems are found by mapping digits
-    through the classes, never by restricting preferences.
+    holds their preference indexes (a view of `all_digits`). Other problems are
+    found by mapping digits through the classes, never by restricting preferences.
     """
 
     def __init__(self, domain: ProblemDomain):
@@ -140,18 +175,20 @@ class ProblemKeys:
         # per set: each preference index's class position, and each slot's place value
         self._classes = [np.searchsorted(f, r) for f, r in zip(self.firsts, reps)]
         self._weights = [len(f) ** np.arange(self.n - 1, -1, -1) for f in self.firsts]
-        self.digits = [f[_digits(len(f), self.n)] for f in self.firsts]
-        self.offsets = np.cumsum([0] + [len(d) for d in self.digits]).tolist()
+        self.offsets = np.cumsum([0] + [len(f) ** self.n for f in self.firsts]).tolist()
+        self.all_digits = np.concatenate([f[_digits(len(f), self.n)] for f in self.firsts])
+        self.digits = [self.all_digits[lo:hi] for lo, hi in zip(self.offsets, self.offsets[1:])]
 
     def find(self, xi: int, digits: np.ndarray) -> np.ndarray:
         """The key at set xi of each profile in `digits` (preference indexes, slots last)."""
         return self.offsets[xi] + self._classes[xi][digits] @ self._weights[xi]
 
-    def steps(self, xi: int, slot: int, alts: np.ndarray) -> np.ndarray:
-        """(keys, k): from each key at set xi, the distance in keys to the key whose slot's
-        digit is each preference index of its row of `alts` (one row serves all keys)."""
-        classes, own = self._classes[xi], self.digits[xi][:, slot, None]
-        return (classes[alts] - classes[own]) * self._weights[xi][slot]
+    def steps(self, xi: int, slot: int, alts: np.ndarray, own: np.ndarray) -> np.ndarray:
+        """(keys, k): from each key at set xi with digits `own`, the distance in keys to the
+        key whose slot's digit is each preference index of its row of `alts` (one row
+        serves all keys)."""
+        classes = self._classes[xi]
+        return (classes[alts] - classes[own[:, slot, None]]) * self._weights[xi][slot]
 
     def problems(self, xi: int) -> list[Problem]:
         """The first problem of each key at set xi."""
@@ -164,8 +201,61 @@ class ProblemKeys:
         preference once."""
         d, x, prefs = self.domain, self.xs[xi], self.domain.preference_space()
         sig = {f: restricted_key(prefs[f], x) for f in self.firsts[xi].tolist()}
-        head, rows = (d.variant, d.populations[0], x), self.digits[xi].tolist()
-        return [(*head, tuple(map(sig.__getitem__, row)), d.quotas) for row in rows]
+        slots = zip(*(map(sig.__getitem__, column) for column in self.digits[xi].T.tolist()))
+        return [(d.variant, d.populations[0], x, profile, d.quotas) for profile in slots]
+
+    @cached_property
+    def _canonical_sets(self) -> dict[int, int]:
+        """Per set size, the index of the first set of that size; ValueError where some size
+        lacks sets, so that a relabeling moves a set outside the domain."""
+        m, first = self.domain.n_objects, {}
+        for xi, x in enumerate(self.xs):
+            first.setdefault(bundle_size(x), xi)
+        for size in first:
+            if sum(bundle_size(x) == size for x in self.xs) != comb(m, size):
+                raise ValueError(
+                    f"the available sets of size {size} are not closed under object relabeling"
+                )
+        return first
+
+    def back(self, xi: int) -> np.ndarray:
+        """`canonical_relabelings(x, t)`'s BACK table: row r0 maps bundles within t, the first
+        set of x's size, into x by the bijection that sends ranking r0 of x to t's ascending
+        order."""
+        x = self.xs[xi]
+        return canonical_relabelings(x, self.xs[self._canonical_sets[bundle_size(x)]])[1]
+
+    def _restricted(self, xi: int) -> np.ndarray:
+        """Per class at set xi, the code of its restriction: the index over x of its ranking,
+        times |x| + 1 plus its cutoff in the unacceptable variant."""
+        d, x, f = self.domain, self.xs[xi], self.firsts[xi]
+        to_x = restriction_map((1 << d.n_objects) - 1, x)
+        if d.variant != "unacceptable":
+            return to_x[f]
+        rank = f // (d.n_objects + 1)
+        accepted = np.array([p.acceptable for p in d.preference_space()])[f] & x
+        return to_x[rank] * (bundle_size(x) + 1) + np.bitwise_count(accepted)
+
+    def orbits(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per key, its orbit's representative (a key index) and the row r0 of its set's
+        `back` table that relabels the representative onto it.
+
+        The bijection is the one that sends the key's first ranking to the
+        ascending order of t, the first set of its size, so the representatives
+        are the keys at t whose first ranking ascends.
+        """
+        rep, row = [], []
+        for xi, x in enumerate(self.xs):
+            size, ti = bundle_size(x), self._canonical_sets[bundle_size(x)]
+            canon = canonical_relabelings(x, self.xs[ti])[0]
+            width = size + 1 if self.domain.variant == "unacceptable" else 1
+            at_t = np.empty(len(canon) * width, dtype=np.intp)  # restriction code -> class
+            at_t[self._restricted(ti)] = np.arange(len(self.firsts[ti]))
+            rank, cut = np.divmod(self._restricted(xi)[self._classes[xi][self.digits[xi]]], width)
+            image = at_t[canon[rank[:, :1], rank] * width + cut]
+            rep.append(self.offsets[ti] + image @ self._weights[ti])
+            row.append(rank[:, 0])
+        return np.concatenate(rep), np.concatenate(row)
 
 
 @lru_cache(maxsize=None)
@@ -181,6 +271,29 @@ def _splits(available: int, n: int, quotas: tuple | None = None) -> np.ndarray:
         out = out[(np.bitwise_count(out) <= np.array(quotas)).all(axis=1)]
     out.flags.writeable = False
     return out
+
+
+@lru_cache(maxsize=None)
+def generator_rows(n_objects: int) -> tuple[int, ...]:
+    """Rows of `canonical_relabelings` of the pool onto itself that generate every relabeling:
+    those of the rankings (1, 0, 2, ...) and (m - 1, 0, ..., m - 2)."""
+    identity = tuple(range(n_objects))
+    gens = (identity[1::-1] + identity[2:], identity[-1:] + identity[:-1])
+    return tuple(_ranking_index(identity)[g] for g in dict.fromkeys(gens) if g != identity)
+
+
+@lru_cache(maxsize=None)
+def _generators(n_objects: int, cutoffs: bool) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The generators as maps of the preference space's indexes and of bundles (uint8)."""
+    full = (1 << n_objects) - 1
+    canon, back = canonical_relabelings(full, full)
+    out = []
+    for r in generator_rows(n_objects):
+        prefs = canon[r]
+        if cutoffs:  # a preference index is ranking * (m + 1) + cutoff
+            prefs = (prefs[:, None] * (n_objects + 1) + np.arange(n_objects + 1)).reshape(-1)
+        out.append((prefs, np.argsort(back[r]).astype(np.uint8)))
+    return tuple(out)
 
 
 _ADMIT_ROWS = 1 << 15  # (key, split) cells per step of admitted; bounds its temporaries
@@ -261,56 +374,80 @@ def _int_rows(allowed: np.ndarray) -> list[list[int]]:
     return out.tolist()
 
 
-class _PairBatch:
-    """The allowed masks of many constraints at once, from the candidate rows.
+class _Links:
+    """One axiom's links: key u[e] to key v[e], reading slot slots[e] (0 for RM).
+    `judge(du, dv, slots, a, b)` gives bool (E, Wu, Wv) from the ends' digits and
+    padded rows, a (E, Wu, 1, n) and b (E, 1, Wv, n). With `both_ways`, a link is
+    listed from each of its ends."""
 
-    Each step gathers the rows of its constraints' two variables, each side
-    padded to its widest candidate list in the step and masked by width, judges
-    every (row, row) cell in one call and packs the result to ints once. A step
-    holds at most _ADMIT_ROWS padded rows of the widest list.
+    def __init__(self, name: str, u, v, slots, judge: Callable, both_ways: bool = False):
+        self.name, self.u, self.v, self.slots, self.judge = name, u, v, slots, judge
+        self.both_ways = both_ways
+
+    def only(self, keep: np.ndarray) -> _Links:
+        return _Links(self.name, self.u[keep], self.v[keep], self.slots[keep], self.judge)
+
+
+class _PairBatch:
+    """The allowed masks of many links at once, from the candidate rows.
+
+    Row list i is `widths[i]` rows of `flat` from `starts[i]`. Each step
+    gathers the two ends' row lists, each side padded to its widest list in the
+    step and masked by width, judges every (row, row) cell in one call and
+    packs the result to ints once. A step holds at most _ADMIT_ROWS padded rows
+    of the widest list.
     """
 
-    def __init__(self, rows: list[np.ndarray]):
-        self.flat = np.concatenate(rows)
-        self.widths = np.array([len(r) for r in rows], dtype=np.intp)
-        self.starts = np.cumsum(self.widths) - self.widths
-        self.step = max(1, _ADMIT_ROWS // max(1, int(self.widths.max(initial=0))))
+    def __init__(self, flat: np.ndarray, widths: np.ndarray, digits: np.ndarray):
+        self.flat, self.widths, self.digits = flat, widths, digits
+        self.starts = np.cumsum(widths) - widths
+        self.step = max(1, _ADMIT_ROWS // max(1, int(widths.max(initial=0))))
 
-    def _gather(self, var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        j = np.arange(self.widths[var].max(initial=0))
-        valid = j < self.widths[var][:, None]
-        return self.flat[np.where(valid, self.starts[var][:, None] + j, 0)], valid
+    def _gather(self, lists: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        j = np.arange(self.widths[lists].max(initial=0))
+        valid = j < self.widths[lists][:, None]
+        return self.flat[np.where(valid, self.starts[lists][:, None] + j, 0)], valid
 
-    def constraints(self, name: str, u: np.ndarray, v: np.ndarray, judge) -> list:
-        """One constraint per pair (u[e], v[e]), in order. `judge(sel, a, b)` gives bool
-        (E, Wu, Wv) for the pairs `sel` from their padded rows, a (E, Wu, 1, n) at u and
-        b (E, 1, Wv, n) at v."""
+    def masks(self, links: _Links, bu: np.ndarray, bv: np.ndarray, generators=()) -> list:
+        """Per link e, (forward, backward) between row lists bu[e] and bv[e]. ValueError
+        where a generator, a (preference map, bundle map) pair, changes a link's table."""
         out = []
-        for lo in range(0, len(u), self.step):
+        for lo in range(0, len(bu), self.step):
             sel = slice(lo, lo + self.step)
-            (a, ok_a), (b, ok_b) = self._gather(u[sel]), self._gather(v[sel])
-            allowed = judge(sel, a[:, :, None], b[:, None, :])
+            (a, ok_a), (b, ok_b) = self._gather(bu[sel]), self._gather(bv[sel])
+            du, dv, s = self.digits[links.u[sel]], self.digits[links.v[sel]], links.slots[sel]
+            allowed = links.judge(du, dv, s, a[:, :, None], b[:, None, :])
+            for prefs, bundles in generators:
+                a_image, b_image = bundles[a][:, :, None], bundles[b][:, None, :]
+                image = links.judge(prefs[du], prefs[dv], s, a_image, b_image)
+                if not np.array_equal(image, allowed):
+                    raise ValueError(f"the {links.name} constraints are not neutral in objects")
             allowed &= ok_a[:, :, None] & ok_b[:, None, :]
             forward, backward = _int_rows(allowed), _int_rows(allowed.transpose(0, 2, 1))
-            ends = zip(u[sel].tolist(), v[sel].tolist(), ok_a.sum(1).tolist(), ok_b.sum(1).tolist())
-            out += [
-                BinaryConstraint(name, x, y, fwd[:wx], bwd[:wy])
-                for (x, y, wx, wy), fwd, bwd in zip(ends, forward, backward)
-            ]
+            widths = zip(ok_a.sum(1).tolist(), ok_b.sum(1).tolist())
+            out += [(f[:wu], w[:wv]) for (wu, wv), f, w in zip(widths, forward, backward)]
         return out
 
 
-def _slot_links(index: ProblemKeys, per_set) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(u, v, slot) index arrays of one-slot links. `per_set` gives, for each set, a
-    (keys, n, j) array of key steps and a mask of the ones to take: key k links to the
-    key step[k, slot, j] further on, key-major, then slot, then j."""
+def _slot_links(index: ProblemKeys, local, per_set) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, v, slot) index arrays of one-slot links from the keys at positions local[xi] of
+    each set. `per_set(xi, own)` gives, from those keys' digits, a (keys, n, j) array of key
+    steps and a mask of the ones to take: each key links to the key step[k, slot, j]
+    further on, key-major, then slot, then j."""
     us, vs, ss = [], [], []
-    for offset, (step, take) in zip(index.offsets, per_set):
-        k, slot, j = np.nonzero(take)
-        us.append(offset + k)
-        vs.append(us[-1] + step[k, slot, j])
-        ss.append(slot)
+    for xi, rows in enumerate(local):
+        if len(rows):
+            step, take = per_set(xi, index.digits[xi][rows])
+            k, slot, j = np.nonzero(take)
+            us.append(index.offsets[xi] + rows[k])
+            vs.append(us[-1] + step[k, slot, j])
+            ss.append(slot)
     return _concat(us), _concat(vs), _concat(ss)
+
+
+def _at(digits: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """(E,): each link's digit at its own slot, as a (E, 1, 1) column."""
+    return np.take_along_axis(digits, slots[:, None], 1)[:, :, None]
 
 
 def _at_slot(rows: np.ndarray, slots: np.ndarray) -> np.ndarray:
@@ -318,18 +455,223 @@ def _at_slot(rows: np.ndarray, slots: np.ndarray) -> np.ndarray:
     return np.take_along_axis(rows, slots[:, None, None, None], -1)[..., 0]
 
 
-def build_csp(domain: ProblemDomain, axioms: Sequence[str], priority: Priority | None = None) -> RuleCSP:
-    """Encode the axioms over the domain; unary ones filter candidates up front.
+def _links(index: ProblemKeys, space: AxiomSpace, axioms, local) -> list[_Links]:
+    """Every encoded axiom's links out of the keys at positions local[xi] of each set.
+
+    RM maps a key's digits to each smaller set's classes, SP and WSP put each
+    other class in one slot (listed from both ends), and TI the classes of that
+    slot's truncations. The judges are the deviation relations read over the
+    two candidate lists.
+    """
+    n, out = space.n, []
+    tables = [space.relation(slot) for slot in range(n)]
+
+    if "RM" in axioms:
+        set_index = {x: i for i, x in enumerate(index.xs)}
+        us, vs = [], []
+        for xi, x in enumerate(index.xs):
+            ys = [set_index[y] for y in subsets_of(x) if y != x]
+            if ys and len(local[xi]):
+                # key-major, then each smaller set in subset order
+                own = index.digits[xi][local[xi]]
+                found = np.stack([index.find(yi, own) for yi in ys], axis=1)
+                us.append(np.repeat(index.offsets[xi] + local[xi], len(ys)))
+                vs.append(found.reshape(-1))
+
+        def rm(du, dv, s, a, b, ok=DEVIATIONS["RM"]):
+            out = ok(tables[0], du[:, 0, None, None], a[..., 0], b[..., 0])
+            for slot in range(1, n):
+                out &= ok(tables[slot], du[:, slot, None, None], a[..., slot], b[..., slot])
+            return out
+
+        u = _concat(us)
+        out.append(_Links("RM", u, _concat(vs), np.zeros_like(u), rm))
+
+    if "SP" in axioms or "WSP" in axioms:
+        name = "WSP" if "WSP" in axioms else "SP"
+
+        def classes(xi, own):
+            firsts = index.firsts[xi]
+            step = np.stack([index.steps(xi, slot, firsts, own) for slot in range(n)], axis=1)
+            return step, step != 0
+
+        # one relation for every slot: row (slot, preference) of the stacked tables
+        stacked, P = np.concatenate(tables), len(tables[0])
+
+        def sp(du, dv, s, a, b, ok=DEVIATIONS[name]):
+            a, b, row = _at_slot(a, s), _at_slot(b, s), s[:, None, None] * P
+            # truth at u must not gain by moving to v, nor truth at v by moving to u
+            return ok(stacked, row + _at(du, s), a, b) & ok(stacked, row + _at(dv, s), b, a)
+
+        out.append(_Links(name, *_slot_links(index, local, classes), sp, both_ways=True))
+
+    if "TI" in axioms:
+        truncations, counted = _change_targets(index.domain.n_objects, 0)
+
+        def truncated(xi, own):
+            step = np.stack([index.steps(xi, i, truncations[own[:, i]], own) for i in range(n)], 1)
+            # truncations come in cutoff order, so the classes they reach do too: take each once
+            fresh = np.diff(step, axis=2, prepend=step.min() - 1) != 0
+            return step, counted[own] & fresh & (step != 0)
+
+        def ti(du, dv, s, a, b, ok=DEVIATIONS["TI"]):
+            # v's first problem has the truncation's acceptable objects here
+            return ok(space.acceptable, _at(dv, s), _at_slot(a, s), _at_slot(b, s))
+
+        out.append(_Links("TI", *_slot_links(index, local, truncated), ti))
+    return out
+
+
+class _Constraints(SequenceABC):
+    """The full network's constraints: the length is known up front, the list is built on
+    first use of anything else."""
+
+    def __init__(self, csp: RuleCSP):
+        self._csp = csp
+
+    def __len__(self) -> int:
+        return self._csp.n_constraints
+
+    def __getitem__(self, i):
+        return self._csp.network.constraints[i]
+
+    def __iter__(self):
+        return iter(self._csp.network.constraints)
+
+    def __eq__(self, other) -> bool:
+        return self._csp.network.constraints == other
+
+
+class RuleCSP:
+    """A rule search over one domain, held as its quotient modulo object relabeling.
+
+    `keys` and `problems` cover every key. `quotient` is the network on the
+    orbit representatives: its variable i is key `quotient.keys[i]`, with the
+    candidate rows `rows[i]`. Key k is representative `orbit[k]` relabeled by
+    row `relabeling[k]` of its set's `ProblemKeys.back` table. The full network
+    over every key (`network`) is built on first use; `candidates` and
+    `domains` read it, and so does `constraints`, whose length
+    (`n_constraints`) the quotient gives.
+    """
+
+    def __init__(self, domain, axioms, index, space, quotient, rows, orbit, relabeling, count):
+        self.domain, self.axioms, self.index, self.space = domain, axioms, index, space
+        self.quotient, self.rows, self.orbit, self.relabeling = quotient, rows, orbit, relabeling
+        self.n_constraints = count
+        self.keys = [key for xi in range(len(index.xs)) for key in index.keys(xi)]
+
+    @cached_property
+    def problems(self) -> list[Problem]:
+        return [p for xi in range(len(self.index.xs)) for p in self.index.problems(xi)]
+
+    @cached_property
+    def _full(self) -> tuple[Network, list[np.ndarray]]:
+        """The network over every key, and per set the admitted splits of each key."""
+        index, space, quotas = self.index, self.space, self.domain.quotas
+        admits, rows = [], []
+        for xi, x in enumerate(index.xs):
+            splits = _splits(x, space.n, quotas)
+            admits.append(admitted(space, x, splits, index.digits[xi], self.axioms))
+            rows += [splits[keep] for keep in admits[-1]]
+        widths = np.array([len(r) for r in rows], dtype=np.intp)
+        batch = _PairBatch(_concat(rows), widths, index.all_digits)
+        constraints = []
+        for links in _links(index, space, self.axioms, [np.arange(len(d)) for d in index.digits]):
+            if links.both_ways:
+                links = links.only(links.u < links.v)  # each pair once, from its lower key
+            ends = zip(links.u.tolist(), links.v.tolist(), batch.masks(links, links.u, links.v))
+            constraints += [BinaryConstraint(links.name, u, v, f, b) for u, v, (f, b) in ends]
+        return _network(self.keys, rows, constraints), admits
+
+    @property
+    def network(self) -> Network:
+        return self._full[0]
+
+    @property
+    def candidates(self) -> list[list[Allocation]]:
+        return self.network.candidates
+
+    @property
+    def domains(self) -> list[int]:
+        return self.network.domains
+
+    @property
+    def constraints(self) -> _Constraints:
+        return _Constraints(self)
+
+    def table(self, doms: list[int]) -> dict:
+        """The solution where every representative holds the one candidate of its mask
+        `doms[i]`, relabeled onto every key."""
+        index = self.index
+        chosen = np.stack([rows[d.bit_length() - 1] for rows, d in zip(self.rows, doms)])
+        out = np.empty((len(self.keys), index.n), dtype=np.intp)
+        for xi, lo, hi in zip(range(len(index.xs)), index.offsets, index.offsets[1:]):
+            out[lo:hi] = index.back(xi)[self.relabeling[lo:hi, None], chosen[self.orbit[lo:hi]]]
+        # keys with the same allocation share one tuple
+        codes = out @ 256 ** np.arange(index.n)
+        splits, which = np.unique(codes, return_index=True, return_inverse=True)[1:]
+        allocations = list(zip(*out[splits].T.tolist()))
+        return dict(zip(self.keys, map(allocations.__getitem__, which.tolist())))
+
+    @cached_property
+    def _places(self) -> list[np.ndarray]:
+        """Per key, the index in its own candidate list of each candidate of its
+        representative, relabeled onto it. ValueError where the two lists differ, which
+        a unary table that is not neutral at the key shows."""
+        index, admits, out = self.index, self._full[1], []
+        widths, code = np.array([len(r) for r in self.rows]), 256 ** np.arange(index.n)
+        padded = np.zeros((len(self.rows), widths.max(initial=0), index.n), dtype=np.uint8)
+        for rows, pad in zip(self.rows, padded):
+            pad[: len(rows)] = rows
+        for xi, x, lo, hi in zip(range(len(index.xs)), index.xs, index.offsets, index.offsets[1:]):
+            orbit = self.orbit[lo:hi]
+            valid = np.arange(padded.shape[1]) < widths[orbit][:, None]
+            moved = index.back(xi)[self.relabeling[lo:hi, None, None], padded[orbit]]
+            codes = _splits(x, index.n, self.domain.quotas) @ code  # a split's index by its code
+            order = np.argsort(codes)
+            split, keep = order[np.searchsorted(codes[order], moved @ code)], admits[xi]
+            hit = np.take_along_axis(keep, split, 1) | ~valid
+            if not hit.all() or not np.array_equal(keep.sum(1), widths[orbit]):
+                raise ValueError(f"the unary axioms of {self.axioms} are not neutral in objects")
+            place = np.take_along_axis(np.cumsum(keep, axis=1) - 1, split, 1)
+            out += [row[:w] for row, w in zip(place.tolist(), widths[orbit].tolist())]
+        return out
+
+    def expand(self, k: int, mask: int) -> int:
+        """A mask over key k's representative's candidates, read as one over k's own."""
+        place = self._places[k]
+        return sum(1 << place[j] for j in _bits(mask))
+
+    def expand_trace(self, trace: list[PropagationStep]) -> list[PropagationStep]:
+        """Each quotient step, in order, as one step at every key of the orbit."""
+        order = np.argsort(self.orbit, kind="stable")
+        members = np.split(order, np.cumsum(np.bincount(self.orbit))[:-1])
+        return [
+            PropagationStep(s.constraint, k, self.expand(k, s.removed))
+            for s in trace
+            for k in members[s.var].tolist()
+        ]
+
+
+def _network(keys: list, rows: list[np.ndarray], constraints) -> Network:
+    """The network whose variables hold the candidate rows `rows`, all of them live."""
+    candidates = [list(map(tuple, r.tolist())) for r in rows]
+    return Network(keys, candidates, [(1 << len(r)) - 1 for r in rows], constraints)
+
+
+def build_csp(domain: ProblemDomain, axioms: Sequence[str], priority: Priority | None = None):
+    """Encode the axioms over the domain's problem keys, modulo object relabeling.
 
     Variables are the domain's problem keys (`ProblemKeys`), so they range over
     tabulated rules in the sense of the search's target class. A key's
     candidates are the splits of its set within the quotas that pass the unary
-    axiom table. A binary constraint links a key to one found from its digits:
-    RM maps them to each smaller set's classes, SP and WSP put each other class
-    in one slot, and TI the classes of that slot's truncations. Each axiom
-    collects its (u, v, slot) links as index arrays, and their allowed masks,
-    the deviation relation gathered over the two candidate lists, are built in
-    one batch (`_PairBatch`).
+    axiom table. A binary constraint links a key to one found from its digits
+    (`_links`). The quotient holds the representatives' candidates and the links
+    out of them, each far end's candidate rows relabeled into its
+    representative's order, so that the masks read that representative's
+    candidates directly; all masks are built in one batch (`_PairBatch`).
+    ValueError where a generator of the relabelings moves a representative's
+    unary row or a quotient link's masks (see the module docstring).
     """
     for ax in axioms:
         if ax not in ENCODED_AXIOMS:
@@ -339,95 +681,50 @@ def build_csp(domain: ProblemDomain, axioms: Sequence[str], priority: Priority |
     for ax in axioms:
         require_variant(ax, domain)
 
-    index = ProblemKeys(domain)
+    axioms, index = tuple(axioms), ProblemKeys(domain)
     space = AxiomSpace(domain, priority)
-    n = space.n
-    keys, problems, candidates, rows = [], [], [], []
-    for xi, x in enumerate(index.xs):
-        splits = _splits(x, n, domain.quotas)
-        keys += index.keys(xi)
-        problems += index.problems(xi)
-        for keep in admitted(space, x, splits, index.digits[xi], axioms):
-            rows.append(splits[keep])
-            candidates.append(list(map(tuple, rows[-1].tolist())))
-    digits = np.concatenate(index.digits)
-    domains = [(1 << len(c)) - 1 for c in candidates]
-    tables = [space.relation(slot) for slot in range(n)]
-    batch = _PairBatch(rows)
-    constraints: list[BinaryConstraint] = []
+    reps, relabeling = index.orbits()
+    rep_keys = np.flatnonzero(reps == np.arange(len(reps)))
+    orbit = np.searchsorted(rep_keys, reps)
+    generators = _generators(domain.n_objects, domain.variant == "unacceptable")
 
-    if "RM" in axioms:
-        ok = DEVIATIONS["RM"]
-        set_index = {x: i for i, x in enumerate(index.xs)}
-        us, vs = [], []
-        for xi, x in enumerate(index.xs):
-            ys = [set_index[y] for y in subsets_of(x) if y != x]
-            if ys:
-                # key-major, then each smaller set in subset order
-                found = np.stack([index.find(yi, index.digits[xi]) for yi in ys], axis=1)
-                us.append(np.repeat(index.offsets[xi] + np.arange(len(found)), len(ys)))
-                vs.append(found.reshape(-1))
-        u, v = _concat(us), _concat(vs)
+    local, rows = [], []
+    for xi, x, lo, hi in zip(range(len(index.xs)), index.xs, index.offsets, index.offsets[1:]):
+        local.append(rep_keys[(rep_keys >= lo) & (rep_keys < hi)] - lo)
+        if len(local[-1]):
+            splits, digits = _splits(x, space.n, domain.quotas), index.digits[xi][local[-1]]
+            keep = admitted(space, x, splits, digits, axioms)
+            for prefs, bundles in generators:
+                image = admitted(space, int(bundles[x]), bundles[splits], prefs[digits], axioms)
+                if not np.array_equal(image, keep):
+                    raise ValueError(f"the unary axioms of {axioms} are not neutral in objects")
+            rows += [splits[k] for k in keep]
 
-        def rm(sel, a, b):
-            d = digits[u[sel]]
-            out = ok(tables[0], d[:, 0, None, None], a[..., 0], b[..., 0])
-            for slot in range(1, n):
-                out &= ok(tables[slot], d[:, slot, None, None], a[..., slot], b[..., slot])
-            return out
-
-        constraints += batch.constraints("RM", u, v, rm)
-
-    if "SP" in axioms or "WSP" in axioms:
-        name = "WSP" if "WSP" in axioms else "SP"
-        ok = DEVIATIONS[name]
-
-        def classes(xi):
-            firsts = index.firsts[xi]
-            step = np.stack([index.steps(xi, slot, firsts) for slot in range(n)], axis=1)
-            return step, step > 0  # each unordered pair once, from its lower key
-
-        u, v, slots = _slot_links(index, map(classes, range(len(index.xs))))
-        # one relation for every slot: row (slot, preference) of the stacked tables
-        stacked, P = np.concatenate(tables), len(tables[0])
-        du, dv = slots * P + digits[u, slots], slots * P + digits[v, slots]
-
-        def sp(sel, a, b):
-            a, b, s = _at_slot(a, slots[sel]), _at_slot(b, slots[sel]), (sel, None, None)
-            # truth at u must not gain by moving to v, nor truth at v by moving to u
-            return ok(stacked, du[s], a, b) & ok(stacked, dv[s], b, a)
-
-        constraints += batch.constraints(name, u, v, sp)
-
-    if "TI" in axioms:
-        ok = DEVIATIONS["TI"]
-        truncations, counted = _change_targets(domain.n_objects, 0)
-
-        def truncated(xi):
-            own = index.digits[xi]
-            step = np.stack([index.steps(xi, i, truncations[own[:, i]]) for i in range(n)], 1)
-            # truncations come in cutoff order, so the classes they reach do too: take each once
-            fresh = np.diff(step, axis=2, prepend=step.min() - 1) != 0
-            return step, counted[own] & fresh & (step != 0)
-
-        u, v, slots = _slot_links(index, map(truncated, range(len(index.xs))))
-        # v's first problem has the truncation's acceptable objects here
-        dv = digits[v, slots]
-
-        def ti(sel, a, b):
-            s = slots[sel]
-            return ok(space.acceptable, dv[sel, None, None], _at_slot(a, s), _at_slot(b, s))
-
-        constraints += batch.constraints("TI", u, v, ti)
-
-    watchers: list[list[int]] = [[] for _ in keys]
-    for ci, c in enumerate(constraints):
-        watchers[c.u].append(ci)
-        watchers[c.v].append(ci)
-
-    return RuleCSP(
-        domain, tuple(axioms), keys, problems, candidates, domains, constraints, watchers
+    links = _links(index, space, axioms, local)
+    # the far ends' rows: each target's representative's rows, relabeled onto the target
+    targets = np.unique(_concat([l.v for l in links]))
+    widths = np.array([len(r) for r in rows], dtype=np.intp)
+    flat, starts, moved = _concat(rows), np.cumsum(widths) - widths, []
+    for xi, lo, hi in zip(range(len(index.xs)), index.offsets, index.offsets[1:]):
+        here = targets[(targets >= lo) & (targets < hi)]
+        w = widths[orbit[here]]
+        source = np.repeat(starts[orbit[here]] - np.cumsum(w) + w, w) + np.arange(w.sum())
+        moved.append(index.back(xi)[np.repeat(relabeling[here], w)[:, None], flat[source]])
+    batch = _PairBatch(
+        _concat([flat, *moved]), np.concatenate([widths, widths[orbit[targets]]]), index.all_digits
     )
+
+    sizes, constraints, n_constraints = np.bincount(orbit), [], 0
+    for l in links:
+        n_constraints += int(sizes[orbit[l.u]].sum()) // (2 if l.both_ways else 1)
+        if l.both_ways:  # one of a pair's two listings, the one from the lower representative
+            l = l.only(orbit[l.u] <= orbit[l.v])
+        bu, bv = orbit[l.u], len(rows) + np.searchsorted(targets, l.v)
+        ends = zip(bu.tolist(), orbit[l.v].tolist(), batch.masks(l, bu, bv, generators))
+        constraints += [BinaryConstraint(l.name, u, v, f, b) for u, v, (f, b) in ends]
+
+    quotient = _network(rep_keys.tolist(), rows, constraints)
+    return RuleCSP(domain, axioms, index, space, quotient, rows, orbit, relabeling, n_constraints)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +733,7 @@ def build_csp(domain: ProblemDomain, axioms: Sequence[str], priority: Priority |
 
 
 def _propagate(
-    csp: RuleCSP,
+    net: Network,
     doms: list[int],
     queue: Sequence[int],
     stats: SolveStats,
@@ -444,15 +741,14 @@ def _propagate(
     trace: list[PropagationStep],
 ) -> int | None:
     """AC over the constraint queue, each removal appended to the trace; returns an emptied
-    variable index or None."""
+    variable index or None. A constraint may link a variable to itself."""
     pending = deque(queue)
     in_queue = set(pending)
     while pending:
         ci = pending.popleft()
         in_queue.discard(ci)
-        c = csp.constraints[ci]
-        for var in (c.u, c.v):
-            other = c.other(var)
+        c = net.constraints[ci]
+        for var, other, masks in ((c.u, c.v, c.forward), (c.v, c.u, c.backward)):
             dom_other = doms[other]
             dom_var = doms[var]
             stats.revisions += 1
@@ -462,8 +758,7 @@ def _propagate(
             m = dom_var
             while m:
                 low = m & -m
-                val = low.bit_length() - 1
-                if c.allowed(var, val) & dom_other:
+                if masks[low.bit_length() - 1] & dom_other:
                     keep |= low
                 m ^= low
             if keep != dom_var:
@@ -471,7 +766,7 @@ def _propagate(
                 trace.append(PropagationStep(c.name, var, dom_var & ~keep))
                 if keep == 0:
                     return var
-                for cj in csp.watchers[var]:
+                for cj in net.watchers[var]:
                     if cj != ci and cj not in in_queue:
                         pending.append(cj)
                         in_queue.add(cj)
@@ -537,24 +832,55 @@ def depth_first(doms, propagate, pick, read_off, mode: str, stats: SolveStats) -
     return SolveResult("unsat", [], cert, stats)
 
 
-def solve_csp(csp: RuleCSP, mode: str = "find-all", budget: int = 10_000_000) -> SolveResult:
-    """Exhaustive, deterministic search. find-all returns every surviving tabulated rule."""
+def solve_csp(csp: RuleCSP | Network, mode: str = "find-all", budget: int = 10_000_000):
+    """Exhaustive, deterministic search. find-all returns every surviving tabulated rule.
+
+    A `RuleCSP` propagates its quotient at the root (see the module docstring);
+    a `Network` is searched as it stands.
+    """
     stats = SolveStats()
-    for var, d in enumerate(csp.domains):
-        if d == 0:
-            return SolveResult("unsat", [], InfeasibilityCertificate(emptied_var=var), stats)
+    if isinstance(csp, Network):
+        return _search(csp, mode, budget, stats)
+    quotient, trace = csp.quotient, []
+    doms, everything = list(quotient.domains), range(len(quotient.constraints))
+    try:
+        wiped = next((var for var, d in enumerate(doms) if d == 0), None)
+        if wiped is None:
+            wiped = _propagate(quotient, doms, everything, stats, budget, trace)
+    except BudgetExceeded:
+        return SolveResult("undecided", [], None, stats)
+    if wiped is not None:
+        cert = InfeasibilityCertificate(quotient.keys[wiped], csp.expand_trace(trace))
+        return SolveResult("unsat", [], cert, stats)
+    if all(d & (d - 1) == 0 for d in doms):
+        stats.nodes += 1
+        return SolveResult("sat", [csp.table(doms)], None, stats)
+    fixpoint = [csp.expand(k, doms[i]) for k, i in enumerate(csp.orbit.tolist())]
+    return _search(csp.network, mode, budget, stats, (fixpoint, csp.expand_trace(trace)))
+
+
+def _search(net: Network, mode: str, budget: int, stats: SolveStats, root=None) -> SolveResult:
+    """`depth_first` over the network, from root propagation over every constraint, or
+    from `root`: a fixpoint already reached and the steps that reach it."""
+    if root is None:
+        for var, d in enumerate(net.domains):
+            if d == 0:
+                return SolveResult("unsat", [], InfeasibilityCertificate(emptied_var=var), stats)
 
     def propagate(doms, var, removed):
         if var is None:
-            trace, queue = [], range(len(csp.constraints))
+            if root is not None:
+                return None, list(root[1])
+            trace, queue = [], range(len(net.constraints))
         else:
-            trace, queue = [PropagationStep("decision", var, removed)], csp.watchers[var]
-        return _propagate(csp, doms, queue, stats, budget, trace), trace
+            trace, queue = [PropagationStep("decision", var, removed)], net.watchers[var]
+        return _propagate(net, doms, queue, stats, budget, trace), trace
 
     def read_off(doms):
-        return {k: csp.candidates[i][doms[i].bit_length() - 1] for i, k in enumerate(csp.keys)}
+        return {k: net.candidates[i][doms[i].bit_length() - 1] for i, k in enumerate(net.keys)}
 
-    return depth_first(list(csp.domains), propagate, _pick_var, read_off, mode, stats)
+    doms = list(net.domains if root is None else root[0])
+    return depth_first(doms, propagate, _pick_var, read_off, mode, stats)
 
 
 def _pick_var(doms: list[int]) -> int | None:
@@ -568,25 +894,27 @@ def _pick_var(doms: list[int]) -> int | None:
     return best
 
 
-def replay_certificate(csp: RuleCSP, cert: InfeasibilityCertificate) -> bool:
-    """Independently verify an unsatisfiability certificate against the initial CSP.
+def replay_certificate(csp: RuleCSP | Network, cert: InfeasibilityCertificate) -> bool:
+    """Independently verify an unsatisfiability certificate against the initial CSP, the
+    full network over every key.
 
     Every recorded removal must be justified by its constraint at the moment it
     is applied; every leaf must end with the stated variable emptied; every
     branch node must cover the whole remaining candidate set of its variable.
     """
-    return _replay(csp, cert, list(csp.domains))
+    net = csp.network if isinstance(csp, RuleCSP) else csp
+    return _replay(net, cert, list(net.domains))
 
 
-def _replay(csp: RuleCSP, node: InfeasibilityCertificate, doms: list[int]) -> bool:
+def _replay(net: Network, node: InfeasibilityCertificate, doms: list[int]) -> bool:
     # a module-level recursion: a nested one would hold the CSP in a reference cycle
     for step in node.trace:
         if step.constraint == "decision":
             doms[step.var] &= ~step.removed
             continue
         justified = False
-        for ci in csp.watchers[step.var]:
-            c = csp.constraints[ci]
+        for ci in net.watchers[step.var]:
+            c = net.constraints[ci]
             if c.name != step.constraint:
                 continue
             other = c.other(step.var)
@@ -605,7 +933,7 @@ def _replay(csp: RuleCSP, node: InfeasibilityCertificate, doms: list[int]) -> bo
         covered |= 1 << val
         child_doms = list(doms)
         child_doms[node.branch_var] = 1 << val
-        if not _replay(csp, child, child_doms):
+        if not _replay(net, child, child_doms):
             return False
     return covered & doms[node.branch_var] == doms[node.branch_var]
 

@@ -1,4 +1,5 @@
-"""Vectorized rule-space search for two-agent domains with one fixed available set.
+"""Vectorized rule-space search for two-agent domains with one fixed available set: the
+specialised path of `csp`'s search modulo object relabeling.
 
 The impossibility searches all share this shape: variables form a preference
 grid (one per ordered ranking pair), candidates are the full splits of the
@@ -28,7 +29,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .axioms import DEVIATIONS, AxiomSpace, ProblemDomain, _ranking_index, canonical_relabelings
+from .axioms import DEVIATIONS, AxiomSpace, ProblemDomain, canonical_relabelings
 from .csp import (
     BudgetExceeded,
     InfeasibilityCertificate,
@@ -36,6 +37,7 @@ from .csp import (
     SolveStats,
     admitted,
     depth_first,
+    generator_rows,
 )
 
 MAX_OBJECTS = 6  # candidate sets are uint64 masks with one bit per split: 2**6 = 64
@@ -80,15 +82,12 @@ class Relabelings:
 @lru_cache(maxsize=MAX_OBJECTS)
 def relabelings(n_objects: int) -> Relabelings:
     """The tables of one pool size: `axioms.canonical_relabelings` of the full pool onto
-    itself, whose row r is sigma_r. Each generator is the row of the ranking it maps to
-    the identity, (1, 0, 2, ...) and (m - 1, 0, ..., m - 2)."""
+    itself, whose row r is sigma_r. The generators are the rows of `csp.generator_rows`."""
     full = (1 << n_objects) - 1
     RP, RC_inv = canonical_relabelings(full, full)
     RC = np.argsort(RC_inv, axis=1)
     RC.flags.writeable = False
-    identity = tuple(range(n_objects))
-    gens = (identity[1::-1] + identity[2:], identity[-1:] + identity[:-1])
-    rows = [_ranking_index(identity)[g] for g in dict.fromkeys(gens) if g != identity]
+    rows = generator_rows(n_objects)
     return Relabelings(RP, RC, RC_inv, tuple((RP[r], RC[r], RC_inv[r]) for r in rows))
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from math import factorial
 from random import Random
 from typing import Sequence
@@ -35,6 +35,7 @@ from .axioms import (
     VariableSweep,
     _better_table,
     _change_targets,
+    _fill,
     _union,
     check_ep,
     check_ir,
@@ -135,10 +136,7 @@ def characterization_search(
     csp = build_csp(domain, axioms, priority)
     result = solve_csp(csp, mode="find-all", budget=budget)
     survivors = result.solutions if result.status == "sat" else []
-    matches = [
-        all(table[k] == target.allocate(prob) for k, prob in zip(csp.keys, csp.problems))
-        for table in survivors
-    ]
+    matches = _equal_to_target(csp, survivors, target) if survivors else []
     if result.status == "sat":
         status = "unique" if len(survivors) == 1 else "not-unique"
     else:
@@ -148,6 +146,23 @@ def characterization_search(
         detail["equals_draft"] = matches
     detail["note"] = UNIQUENESS_NOTE
     return Verdict.of(status == "unique" and matches == [True], detail, status != "undecided")
+
+
+def _equal_to_target(csp, tables: list[dict], target: Rule) -> list[bool]:
+    """Per table, whether it allocates as the target at every key's first problem: one
+    target fill per available set, over the keys' digits."""
+    index, domain = csp.index, csp.domain
+    prefs, agents = domain.preference_space(), domain.populations[0]
+    expected = np.concatenate(
+        [_fill(target, domain, agents, x, prefs, index.digits[xi]) for xi, x in enumerate(index.xs)]
+    )
+    return [
+        np.array_equal(
+            np.fromiter(chain.from_iterable(map(table.__getitem__, csp.keys)), np.uint8),
+            expected.reshape(-1),
+        )
+        for table in tables
+    ]
 
 
 def verify_t1(n_agents: int = 2, n_objects: int = 3, budget: int = 10_000_000) -> Verdict:

@@ -30,6 +30,7 @@ the oracle of those engines.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain, combinations, permutations, product
 from random import Random
 
@@ -56,6 +57,7 @@ from draftkit.core import (
     bundle_size,
     is_truncation_of,
     objects_of,
+    restrict,
     subsets_of,
     top,
     top_k,
@@ -72,6 +74,7 @@ from draftkit.rules import (
     _agent_order,
     _population_order,
     problem_key,
+    restricted_key,
     unacceptable_draft_rule,
 )
 
@@ -781,20 +784,30 @@ def _unary_ok(axiom, problem, alloc, priority) -> bool:
     return True
 
 
+# restricted preferences and the key slots made from them, memoised per (preference, set)
+_restricted = lru_cache(maxsize=None)(restrict)
+_restricted_key = lru_cache(maxsize=None)(restricted_key)
+
+
+def _problem_key(problem: Problem):
+    """`rules.problem_key`, from the memoised restrictions."""
+    sig = tuple(_restricted_key(p, problem.available) for p in problem.profile)
+    return (problem.variant, problem.agents, problem.available, sig, problem.quotas)
+
+
 def distinct_problems(domain):
     """Each problem key once with its first problem: a scan of every problem in order."""
-    from draftkit.rules import problem_key
-
     first: dict = {}
     for prob in domain.problems():
-        first.setdefault(problem_key(prob), prob)
+        first.setdefault(_problem_key(prob), prob)
     return list(first), list(first.values())
 
 
-def _all_allocations(problem: Problem) -> list[Allocation]:
-    """Every split of the available objects within the quotas, in product order."""
-    objs = objects_of(problem.available)
-    n = len(problem.agents)
+@lru_cache(maxsize=None)
+def _splits_of(available: int, n: int, quotas) -> tuple[Allocation, ...]:
+    """Every split of the available objects among n agents within the quotas, in product
+    order; memoised per (set, n, quotas)."""
+    objs = objects_of(available)
     out = []
     for assign in product(range(n + 1), repeat=len(objs)):
         bundles = [0] * n
@@ -802,28 +815,34 @@ def _all_allocations(problem: Problem) -> list[Allocation]:
             if who < n:
                 bundles[who] |= 1 << o
         alloc = tuple(bundles)
-        if problem.quotas is not None and any(
-            bundle_size(b) > q for b, q in zip(alloc, problem.quotas)
-        ):
+        if quotas is not None and any(bundle_size(b) > q for b, q in zip(alloc, quotas)):
             continue
         out.append(alloc)
-    return out
+    return tuple(out)
+
+
+def _all_allocations(problem: Problem) -> list[Allocation]:
+    """Every split of the available objects within the quotas, in product order."""
+    return list(_splits_of(problem.available, len(problem.agents), problem.quotas))
+
+
+@lru_cache(maxsize=None)
+def _alternatives(variant: str, available: int) -> tuple[Preference, ...]:
+    """Every key-level preference over the available set, memoised per (variant, set)."""
+    rankings = list(permutations(objects_of(available)))
+    if variant == "unacceptable":
+        return tuple(Preference(r, c) for r in rankings for c in range(len(r) + 1))
+    return tuple(Preference(r) for r in rankings)
 
 
 def _slot_alternatives(domain, prob: Problem, slot: int):
     """All key-level preferences one agent could report at this problem (including her own)."""
-    objs = objects_of(prob.available)
-    rankings = list(permutations(objs))
-    if domain.variant == "unacceptable":
-        return [Preference(r, c) for r in rankings for c in range(len(objs) + 1)]
-    return [Preference(r) for r in rankings]
+    return _alternatives(domain.variant, prob.available)
 
 
 def build_csp(domain, axioms, priority=None):
     """Candidates and allowed masks, one scalar comparison per allocation pair."""
-    from draftkit.core import restrict
     from draftkit.csp import BinaryConstraint
-    from draftkit.rules import problem_key
 
     keys, problems = distinct_problems(domain)
     key_index = {k: i for i, k in enumerate(keys)}
@@ -853,7 +872,7 @@ def build_csp(domain, axioms, priority=None):
                 if small == prob.available:
                     continue
                 reduced = Problem(prob.variant, prob.agents, small, prob.profile, prob.quotas)
-                v = key_index[problem_key(reduced)]
+                v = key_index[_problem_key(reduced)]
 
                 def rm_ok(a, b, profile=prob.profile):
                     return all(
@@ -873,7 +892,7 @@ def build_csp(domain, axioms, priority=None):
                     other = Problem(
                         prob.variant, prob.agents, prob.available, tuple(new_profile), prob.quotas
                     )
-                    v = key_index[problem_key(other)]
+                    v = key_index[_problem_key(other)]
                     if v == u or (min(u, v), max(u, v), slot) in seen_pairs:
                         continue
                     seen_pairs.add((min(u, v), max(u, v), slot))
@@ -897,14 +916,14 @@ def build_csp(domain, axioms, priority=None):
     if "TI" in axioms:
         for u, prob in enumerate(problems):
             for slot in range(len(prob.agents)):
-                rpref = restrict(prob.profile[slot], prob.available)
+                rpref = _restricted(prob.profile[slot], prob.available)
                 for alt in _slot_alternatives(domain, prob, slot):
                     if alt.ranking != rpref.ranking or alt.cutoff >= rpref.cutoff:
                         continue
                     new_profile = list(prob.profile)
                     new_profile[slot] = alt
                     other = Problem(prob.variant, prob.agents, prob.available, tuple(new_profile))
-                    v = key_index[problem_key(other)]
+                    v = key_index[_problem_key(other)]
 
                     def ti_ok(a, b, acc=alt.acceptable, slot=slot):
                         return bool(a[slot] & ~acc) or b[slot] == a[slot]
@@ -977,7 +996,8 @@ def build_csp_pairwise(domain, axioms, priority=None):
         name = "WSP" if "WSP" in axioms else "SP"
         ok = DEVIATIONS[name]
         for xi, firsts in enumerate(index.firsts):
-            step = np.stack([index.steps(xi, slot, firsts) for slot in range(n)], axis=1)
+            own = index.digits[xi]
+            step = np.stack([index.steps(xi, slot, firsts, own) for slot in range(n)], axis=1)
             for k, slot, j in np.argwhere(step > 0).tolist():
                 u = index.offsets[xi] + k
                 v = u + int(step[k, slot, j])
@@ -990,7 +1010,7 @@ def build_csp_pairwise(domain, axioms, priority=None):
         truncations, counted = _change_targets(domain.n_objects, 0)
         for xi in range(len(index.xs)):
             own = index.digits[xi]
-            step = np.stack([index.steps(xi, i, truncations[own[:, i]]) for i in range(n)], 1)
+            step = np.stack([index.steps(xi, i, truncations[own[:, i]], own) for i in range(n)], 1)
             fresh = np.diff(step, axis=2, prepend=step.min() - 1) != 0
             for k, slot, j in np.argwhere(counted[own] & fresh & (step != 0)).tolist():
                 u = index.offsets[xi] + k

@@ -375,7 +375,7 @@ def _verify_stdout(theorem: str, summary: list[str], detail: dict) -> str:
 
 T1_STDOUT = _verify_stdout(
     "T1",
-    ["status: unique", "survivors: 1", "equals_draft: [True]", f"note: {UNIQUE}"],
+    ["status: unique", "survivors: 1", "equals_draft: [true]", f"note: {UNIQUE}"],
     {"equals_draft": [True], "note": UNIQUE, "status": "unique", "survivors": 1},
 )
 UNIQUE_SUMMARY = ["status: unique", "survivors: 1", f"note: {UNIQUE}"]
@@ -616,6 +616,25 @@ def test_cli_verify_past_key_capacity_is_undecided(monkeypatch, capsys, tmp_path
     )
     assert out.out == ""
     assert json.loads(out_file.read_text())["exit"] == 3
+
+
+def test_cli_verify_text_prints_nested_detail_as_json(monkeypatch, capsys):
+    """A failing P4-style detail: the summary prints its witness dict and list as the JSON
+    report does, not as Python reprs."""
+    from draftkit import cli, verifier
+
+    witness = {"relation": "table", "preference": "a > b | c", "bundle_before": "{a}"}
+    detail = {"links": 3, "draft_premise": True, "witness": witness, "equals_draft": [True]}
+    driver = lambda **kwargs: verifier.Verdict.of(False, detail)  # noqa: E731
+    monkeypatch.setitem(cli.VERIFY_IDS, "P4", cli.VERIFY_IDS["P4"]._replace(driver=driver))
+    assert main(["--no-timestamp", "verify", "P4"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "P4: NOT reproduced",
+        "  links: 3",
+        "  draft_premise: True",
+        '  witness: {"bundle_before": "{a}", "preference": "a > b | c", "relation": "table"}',
+        "  equals_draft: [true]",
+    ]
 
 
 def test_cli_crash_exits_4_with_traceback(monkeypatch, capsys):

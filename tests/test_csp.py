@@ -1,12 +1,13 @@
 import gc
 import weakref
 from itertools import combinations, product
+from math import comb, factorial
 
 import numpy as np
 import pytest
 
 import scalar_checkers as oracle
-from draftkit.core import INFINITE
+from draftkit.core import INFINITE, bundle_size
 from draftkit.axioms import (
     UNARY,
     AxiomSpace,
@@ -23,10 +24,12 @@ from draftkit.axioms import (
 from draftkit.csp import (
     MAX_SOLUTIONS,
     BinaryConstraint,
+    PropagationStep,
     InfeasibilityCertificate,
+    Network,
     ProblemKeys,
-    RuleCSP,
     SolveStats,
+    _propagate as _propagate_csp,
     _splits,
     admitted,
     build_csp,
@@ -121,17 +124,16 @@ def test_generic_unsat_certificate_replays():
     assert replay_certificate(csp, res.certificate)
 
 
-def _clique_colouring(n_vertices: int, n_colours: int) -> RuleCSP:
+def _clique_colouring(n_vertices: int, n_colours: int) -> Network:
     """Colouring the complete graph on n_vertices with n_colours: one "≠" constraint per edge,
     unsatisfiable when there are fewer colours than vertices."""
     full = (1 << n_colours) - 1
     unlike = [full & ~(1 << c) for c in range(n_colours)]  # the colours other than c
     edges = list(combinations(range(n_vertices), 2))
     constraints = [BinaryConstraint("≠", u, v, unlike, unlike) for u, v in edges]
-    watchers = [[ci for ci, (u, v) in enumerate(edges) if x in (u, v)] for x in range(n_vertices)]
-    return RuleCSP(
-        None, (), list(range(n_vertices)), None, [list(range(n_colours))] * n_vertices,
-        [full] * n_vertices, constraints, watchers,
+    return Network(
+        list(range(n_vertices)), [list(range(n_colours))] * n_vertices, [full] * n_vertices,
+        constraints,
     )
 
 
@@ -460,3 +462,142 @@ def test_constraint_axioms_refused_off_their_variant():
         build_csp(fixed_domain(2, 2), ["NW", "TI"])
     with pytest.raises(ValueError, match="'NWq' is not defined on 'fixed'"):
         build_csp(fixed_domain(2, 2), ["NWq"])
+
+
+# --- the quotient modulo object relabeling against the full network ------------
+
+QUOTIENT_CASES = [
+    (fixed_domain(2, 3), T1, (1, 2)),
+    (fixed_domain(2, 4), T1, (1, 2)),
+    (fixed_domain(3, 3), T1, (1, 2, 3)),
+    (fixed_domain(3, 4), T1, (1, 2, 3)),
+    (quota_domain(2, 4, (1, 2)), T6, (1, 2)),
+    (unacceptable_domain(2, 3), T7, (1, 2)),
+    (unacceptable_domain(2, 4), T7, (1, 2)),
+    (fixed_domain(2, 3), ("RP", "EF1", "NW", "WSP"), (1, 2)),
+    (fixed_domain(1, 3), ("NW", "SP"), (1,)),  # one agent: a pair's two ends share an orbit
+]
+
+
+def _root(net, stats=None):
+    doms = list(net.domains)
+    wiped = _propagate_csp(net, doms, range(len(net.constraints)), stats or SolveStats(), 10**9, [])
+    return wiped, doms
+
+
+@pytest.mark.parametrize(
+    "domain, axioms, priority",
+    QUOTIENT_CASES,
+    ids=[f"{_domain_id(d)}-{'+'.join(a)}" for d, a, _ in QUOTIENT_CASES],
+)
+def test_quotient_root_is_the_full_root_relabeled(domain, axioms, priority):
+    """Root propagation on the representatives, relabeled onto every key, is the full
+    network's fixpoint cell for cell, and both give the same verdict and solutions."""
+    csp = build_csp(domain, axioms, priority)
+    (wiped, quotient), (full_wiped, full) = _root(csp.quotient), _root(csp.network)
+    assert (wiped is None) == (full_wiped is None)
+    if wiped is None:
+        assert [csp.expand(k, quotient[i]) for k, i in enumerate(csp.orbit.tolist())] == full
+    got, want = solve_csp(csp), solve_csp(csp.network)
+    assert (got.status, got.solutions) == (want.status, want.solutions)
+    if got.status == "unsat":
+        assert replay_certificate(csp, got.certificate)
+
+
+def test_relabeled_root_steps_replay_on_the_full_network():
+    """WRP + NW + RM on fixed 2×3 removes candidates at the root and leaves some open, so
+    the search branches on the full network from the relabeled fixpoint: the relabeled
+    steps are each justified there and reach that fixpoint."""
+    csp = build_csp(fixed_domain(2, 3), ("WRP", "NW", "RM"), (1, 2))
+    trace, quotient = [], list(csp.quotient.domains)
+    constraints = range(len(csp.quotient.constraints))
+    assert _propagate_csp(csp.quotient, quotient, constraints, SolveStats(), 10**9, trace) is None
+    steps = csp.expand_trace(trace)
+    doms = list(csp.domains)
+    for step in steps:
+        doms[step.var] &= ~step.removed
+    assert doms == [csp.expand(k, quotient[i]) for k, i in enumerate(csp.orbit.tolist())]
+    assert any(d.bit_count() > 1 for d in doms) and len(steps) > len(trace) > 0
+    # a final decision empties variable 0: the replay then hinges on every step's justification
+    empty = InfeasibilityCertificate(0, steps + [PropagationStep("decision", 0, doms[0])])
+    assert replay_certificate(csp, empty)
+    first = steps[0]
+    empty.trace[0] = PropagationStep(first.constraint, first.var, csp.domains[first.var])
+    assert not replay_certificate(csp, empty)  # removing a supported candidate is refused
+
+
+def test_propagation_revises_a_self_loop_from_both_ends():
+    """A constraint between two keys of one orbit links their representative to itself; its
+    second end is revised through the backward masks: candidate 1 supports nothing there."""
+    loop = BinaryConstraint("loop", 0, 0, [0b01, 0b01], [0b11, 0b00])
+    net, doms = Network([0], [[0, 1]], [0b11], [loop]), [0b11]
+    assert _propagate_csp(net, doms, [0], SolveStats(), 10, []) is None
+    assert doms == [0b01]
+
+
+ORBIT_DOMAINS = [fixed_domain(3, 3), quota_domain(2, 4, (1, 2)), unacceptable_domain(2, 4)]
+
+
+@pytest.mark.parametrize("domain", ORBIT_DOMAINS, ids=_domain_id)
+def test_relabelings_act_freely_on_keys(domain):
+    """Each orbit holds |X|!·C(m, |X|) keys, the unacceptable variant included: a key keeps
+    its first ranking of X whole, so no relabeling but the identity fixes it."""
+    index = ProblemKeys(domain)
+    reps, _ = index.orbits()
+    m = domain.n_objects
+    sizes = {x: factorial(bundle_size(x)) * comb(m, bundle_size(x)) for x in index.xs}
+    for xi, x in enumerate(index.xs):
+        at = np.unique(reps[index.offsets[xi] : index.offsets[xi + 1]])
+        assert (np.bincount(reps)[at] == sizes[x]).all()
+        assert (reps[at] == at).all()  # a representative stands for itself
+
+
+LENGTH_CASES = [
+    (fixed_domain(2, 4), T1, (1, 2)),
+    (fixed_domain(3, 3), ("NW", "SP"), (1, 2, 3)),
+    (quota_domain(3, 3, (1, 1, INFINITE)), ("NWq", "RM", "SP"), (1, 2, 3)),
+    (unacceptable_domain(2, 3), T7, (1, 2)),
+    (fixed_domain(1, 3), ("NW", "SP"), (1,)),
+]
+
+
+@pytest.mark.parametrize("domain, axioms, priority", LENGTH_CASES)
+def test_constraint_count_is_known_before_the_full_build(domain, axioms, priority):
+    csp = build_csp(domain, axioms, priority)
+    n = len(csp.constraints)
+    assert "_full" not in vars(csp)  # the length did not build the full network
+    assert n == len(csp.network.constraints)
+
+
+def test_non_neutral_unary_entry_is_refused(monkeypatch):
+    """Planted: at the full set, agent 1 never receives object a."""
+    from draftkit import csp as csp_module
+
+    real = csp_module.admitted
+
+    def planted(space, x, splits, digits, names):
+        out = real(space, x, splits, digits, names)
+        if x == 0b111:
+            out[:, splits[:, 0] & 1 != 0] = False
+        return out
+
+    monkeypatch.setattr(csp_module, "admitted", planted)
+    with pytest.raises(ValueError, match="unary axioms .* not neutral in objects"):
+        build_csp(fixed_domain(2, 3), T1, (1, 2))
+
+
+def test_non_neutral_constraint_is_refused(monkeypatch):
+    """Planted: RM also holds whenever the larger problem's bundle holds object a."""
+    from draftkit.axioms import DEVIATIONS, sp_ok
+
+    def planted(dom, d, own, other):
+        return sp_ok(dom, d, own, other) | (own & 1 == 1)
+
+    monkeypatch.setitem(DEVIATIONS, "RM", planted)
+    with pytest.raises(ValueError, match="the RM constraints are not neutral in objects"):
+        build_csp(fixed_domain(2, 3), T1, (1, 2))
+
+
+def test_sets_that_a_relabeling_moves_out_of_the_domain_are_refused():
+    with pytest.raises(ValueError, match="not closed under object relabeling"):
+        build_csp(ProblemDomain("fixed", 3, ((1, 2),), (bundle("ab"),)), ["NW"])

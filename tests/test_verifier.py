@@ -13,6 +13,7 @@ from draftkit.axioms import (
     AxiomSpace,
     describe_problem,
     fixed_domain,
+    quota_domain,
     unacceptable_domain,
     variable_domain,
 )
@@ -61,6 +62,45 @@ def test_t1_uniqueness_three_objects():
     assert time.time() - t < 30
     csp = build_csp(fixed_domain(2, 3), ("WRP", "EF1", "NW", "RM"), (1, 2))
     assert solve_csp(csp, mode="find-all").stats.nodes <= 1  # propagation alone pins every variable
+
+
+def test_survivor_unlike_its_target_is_not_reproduced():
+    """T1's survivor under priority (1, 2) is that priority's draft, not the reversed one."""
+    domain, axioms = fixed_domain(2, 3), ("WRP", "EF1", "NW", "RM")
+    rep = verifier.characterization_search(
+        domain, axioms, (1, 2), draft_rule((2, 1)), show_matches=True
+    )
+    assert rep.outcome == verifier.NOT_REPRODUCED
+    assert rep.detail["status"] == "unique" and rep.detail["equals_draft"] == [False]
+
+
+@pytest.mark.parametrize(
+    "domain, axioms",
+    [
+        (fixed_domain(2, 3), ("WRP", "EF1", "NW", "RM")),
+        (fixed_domain(3, 3), ("WRP", "EF1", "NW", "RM")),
+        (quota_domain(2, 3, (1, 2)), ("WRPq", "EF1", "NWq", "RM")),
+        (unacceptable_domain(2, 3), ("WRP*", "EF1", "NW*", "RM", "IR", "TI")),
+    ],
+    ids=["fixed23", "fixed33", "quota23", "unacceptable23"],
+)
+def test_survivor_comparison_is_the_per_key_loop(domain, axioms):
+    """One target fill per set gives what `allocate` at each key's first problem gives, for
+    the matching draft, the reversed-priority draft and, off the quota variant, serial
+    dictatorship."""
+    agents = domain.populations[0]
+    csp = build_csp(domain, axioms, agents)
+    tables = solve_csp(csp).solutions
+    variant = {"fixed": "draft", "quota": "draft-quota", "unacceptable": "u-draft"}
+    for name in (variant[domain.variant], "serial-dictatorship"):
+        factory, variants = RULE_FACTORIES[name]
+        for priority in (agents, agents[::-1]) if domain.variant in variants else ():
+            target = factory(priority)
+            per_key = [
+                all(t[k] == target.allocate(p) for k, p in zip(csp.keys, csp.problems))
+                for t in tables
+            ]
+            assert verifier._equal_to_target(csp, tables, target) == per_key, (name, priority)
 
 
 def test_t2_unsat_both_priorities():
