@@ -21,15 +21,15 @@ relabeling onto its own representative (`axioms.canonical_relabelings`, the
 tables NEU reads). It refuses, with ValueError, a domain whose available sets
 a relabeling moves outside it, and a network that one of two generators of
 the relabelings changes, at a representative's unary table or at a quotient
-link. Non-neutral entries elsewhere pass, and the quotient then solves their
-neutral copy, as `grid.build_grid` does.
+link. Non-neutral entries elsewhere pass, and a root that the quotient pins
+is then the solution of their neutral copy, as in `grid.build_grid`.
 
 The arc-consistency fixpoint of a neutral network is neutral, so root
-propagation runs on the representatives. A wipeout there is the verdict: its
-certificate relabels each removal onto every key of the orbit and replays on
-the full network. A fixpoint whose every variable is a singleton is the one
-solution, relabeled onto every key. Otherwise the full network, built only
-then, takes the relabeled fixpoint and `depth_first` branches on it.
+propagation runs on the representatives. A fixpoint whose every variable is a
+singleton is the one solution, relabeled onto every key. A wipeout or an open
+fixpoint is searched on the full network, built only then, from its own
+domains: the quotient decides only a pinned root or a spent budget, and every
+certificate is made on the network it replays on.
 `depth_first` is the backtracking search of this solver and of
 `grid.solve_grid`, the specialised path for two agents and one available set;
 its variable and value order is deterministic, so verdicts and witnesses never
@@ -61,6 +61,7 @@ from .axioms import (
     _digits,
     _ranking_index,
     canonical_relabelings,
+    format_bundle,
     require_variant,
     restriction_map,
     restriction_reps,
@@ -470,6 +471,12 @@ def _links(index: ProblemKeys, space: AxiomSpace, axioms, local) -> list[_Links]
         set_index = {x: i for i, x in enumerate(index.xs)}
         us, vs = [], []
         for xi, x in enumerate(index.xs):
+            missing = [y for y in subsets_of(x) if y not in set_index]
+            if missing:
+                raise ValueError(
+                    f"RM links each available set to its subsets: {format_bundle(missing[0])}, "
+                    f"a subset of {format_bundle(x)}, is not an available set"
+                )
             ys = [set_index[y] for y in subsets_of(x) if y != x]
             if ys and len(local[xi]):
                 # key-major, then each smaller set in subset order
@@ -548,10 +555,11 @@ class RuleCSP:
     `keys` and `problems` cover every key. `quotient` is the network on the
     orbit representatives: its variable i is key `quotient.keys[i]`, with the
     candidate rows `rows[i]`. Key k is representative `orbit[k]` relabeled by
-    row `relabeling[k]` of its set's `ProblemKeys.back` table. The full network
-    over every key (`network`) is built on first use; `candidates` and
-    `domains` read it, and so does `constraints`, whose length
-    (`n_constraints`) the quotient gives.
+    row `relabeling[k]` of its set's `ProblemKeys.back` table, which is how
+    `table` reads a pinned quotient onto every key. The full network over every
+    key (`network`) is built on first use, by every search the quotient does
+    not decide; `candidates` and `domains` read it, and so does `constraints`,
+    whose length (`n_constraints`) the quotient gives.
     """
 
     def __init__(self, domain, axioms, index, space, quotient, rows, orbit, relabeling, count):
@@ -565,14 +573,13 @@ class RuleCSP:
         return [p for xi in range(len(self.index.xs)) for p in self.index.problems(xi)]
 
     @cached_property
-    def _full(self) -> tuple[Network, list[np.ndarray]]:
-        """The network over every key, and per set the admitted splits of each key."""
+    def network(self) -> Network:
+        """The network over every key."""
         index, space, quotas = self.index, self.space, self.domain.quotas
-        admits, rows = [], []
+        rows = []
         for xi, x in enumerate(index.xs):
             splits = _splits(x, space.n, quotas)
-            admits.append(admitted(space, x, splits, index.digits[xi], self.axioms))
-            rows += [splits[keep] for keep in admits[-1]]
+            rows += [splits[k] for k in admitted(space, x, splits, index.digits[xi], self.axioms)]
         widths = np.array([len(r) for r in rows], dtype=np.intp)
         batch = _PairBatch(_concat(rows), widths, index.all_digits)
         constraints = []
@@ -581,11 +588,7 @@ class RuleCSP:
                 links = links.only(links.u < links.v)  # each pair once, from its lower key
             ends = zip(links.u.tolist(), links.v.tolist(), batch.masks(links, links.u, links.v))
             constraints += [BinaryConstraint(links.name, u, v, f, b) for u, v, (f, b) in ends]
-        return _network(self.keys, rows, constraints), admits
-
-    @property
-    def network(self) -> Network:
-        return self._full[0]
+        return _network(self.keys, rows, constraints)
 
     @property
     def candidates(self) -> list[list[Allocation]]:
@@ -612,45 +615,6 @@ class RuleCSP:
         splits, which = np.unique(codes, return_index=True, return_inverse=True)[1:]
         allocations = list(zip(*out[splits].T.tolist()))
         return dict(zip(self.keys, map(allocations.__getitem__, which.tolist())))
-
-    @cached_property
-    def _places(self) -> list[np.ndarray]:
-        """Per key, the index in its own candidate list of each candidate of its
-        representative, relabeled onto it. ValueError where the two lists differ, which
-        a unary table that is not neutral at the key shows."""
-        index, admits, out = self.index, self._full[1], []
-        widths, code = np.array([len(r) for r in self.rows]), 256 ** np.arange(index.n)
-        padded = np.zeros((len(self.rows), widths.max(initial=0), index.n), dtype=np.uint8)
-        for rows, pad in zip(self.rows, padded):
-            pad[: len(rows)] = rows
-        for xi, x, lo, hi in zip(range(len(index.xs)), index.xs, index.offsets, index.offsets[1:]):
-            orbit = self.orbit[lo:hi]
-            valid = np.arange(padded.shape[1]) < widths[orbit][:, None]
-            moved = index.back(xi)[self.relabeling[lo:hi, None, None], padded[orbit]]
-            codes = _splits(x, index.n, self.domain.quotas) @ code  # a split's index by its code
-            order = np.argsort(codes)
-            split, keep = order[np.searchsorted(codes[order], moved @ code)], admits[xi]
-            hit = np.take_along_axis(keep, split, 1) | ~valid
-            if not hit.all() or not np.array_equal(keep.sum(1), widths[orbit]):
-                raise ValueError(f"the unary axioms of {self.axioms} are not neutral in objects")
-            place = np.take_along_axis(np.cumsum(keep, axis=1) - 1, split, 1)
-            out += [row[:w] for row, w in zip(place.tolist(), widths[orbit].tolist())]
-        return out
-
-    def expand(self, k: int, mask: int) -> int:
-        """A mask over key k's representative's candidates, read as one over k's own."""
-        place = self._places[k]
-        return sum(1 << place[j] for j in _bits(mask))
-
-    def expand_trace(self, trace: list[PropagationStep]) -> list[PropagationStep]:
-        """Each quotient step, in order, as one step at every key of the orbit."""
-        order = np.argsort(self.orbit, kind="stable")
-        members = np.split(order, np.cumsum(np.bincount(self.orbit))[:-1])
-        return [
-            PropagationStep(s.constraint, k, self.expand(k, s.removed))
-            for s in trace
-            for k in members[s.var].tolist()
-        ]
 
 
 def _network(keys: list, rows: list[np.ndarray], constraints) -> Network:
@@ -835,42 +799,32 @@ def depth_first(doms, propagate, pick, read_off, mode: str, stats: SolveStats) -
 def solve_csp(csp: RuleCSP | Network, mode: str = "find-all", budget: int = 10_000_000):
     """Exhaustive, deterministic search. find-all returns every surviving tabulated rule.
 
-    A `RuleCSP` propagates its quotient at the root (see the module docstring);
-    a `Network` is searched as it stands.
+    A `RuleCSP` propagates its quotient at the root and, where that pins every
+    representative, reads the one solution off it. A wipeout or an open fixpoint
+    is searched on the full network from its own domains, as a `Network` is.
     """
     stats = SolveStats()
-    if isinstance(csp, Network):
-        return _search(csp, mode, budget, stats)
-    quotient, trace = csp.quotient, []
-    doms, everything = list(quotient.domains), range(len(quotient.constraints))
-    try:
-        wiped = next((var for var, d in enumerate(doms) if d == 0), None)
-        if wiped is None:
-            wiped = _propagate(quotient, doms, everything, stats, budget, trace)
-    except BudgetExceeded:
-        return SolveResult("undecided", [], None, stats)
-    if wiped is not None:
-        cert = InfeasibilityCertificate(quotient.keys[wiped], csp.expand_trace(trace))
-        return SolveResult("unsat", [], cert, stats)
-    if all(d & (d - 1) == 0 for d in doms):
-        stats.nodes += 1
-        return SolveResult("sat", [csp.table(doms)], None, stats)
-    fixpoint = [csp.expand(k, doms[i]) for k, i in enumerate(csp.orbit.tolist())]
-    return _search(csp.network, mode, budget, stats, (fixpoint, csp.expand_trace(trace)))
+    if isinstance(csp, RuleCSP):
+        quotient, doms = csp.quotient, list(csp.quotient.domains)
+        try:
+            _propagate(quotient, doms, range(len(quotient.constraints)), stats, budget, [])
+        except BudgetExceeded:  # the full search would stop at its first revision
+            return SolveResult("undecided", [], None, stats)
+        if all(d.bit_count() == 1 for d in doms):
+            stats.nodes += 1
+            return SolveResult("sat", [csp.table(doms)], None, stats)
+        csp = csp.network
+    return _search(csp, mode, budget, stats)
 
 
-def _search(net: Network, mode: str, budget: int, stats: SolveStats, root=None) -> SolveResult:
-    """`depth_first` over the network, from root propagation over every constraint, or
-    from `root`: a fixpoint already reached and the steps that reach it."""
-    if root is None:
-        for var, d in enumerate(net.domains):
-            if d == 0:
-                return SolveResult("unsat", [], InfeasibilityCertificate(emptied_var=var), stats)
+def _search(net: Network, mode: str, budget: int, stats: SolveStats) -> SolveResult:
+    """`depth_first` over the network, from root propagation over every constraint."""
+    for var, d in enumerate(net.domains):
+        if d == 0:
+            return SolveResult("unsat", [], InfeasibilityCertificate(emptied_var=var), stats)
 
     def propagate(doms, var, removed):
         if var is None:
-            if root is not None:
-                return None, list(root[1])
             trace, queue = [], range(len(net.constraints))
         else:
             trace, queue = [PropagationStep("decision", var, removed)], net.watchers[var]
@@ -879,8 +833,7 @@ def _search(net: Network, mode: str, budget: int, stats: SolveStats, root=None) 
     def read_off(doms):
         return {k: net.candidates[i][doms[i].bit_length() - 1] for i, k in enumerate(net.keys)}
 
-    doms = list(net.domains if root is None else root[0])
-    return depth_first(doms, propagate, _pick_var, read_off, mode, stats)
+    return depth_first(list(net.domains), propagate, _pick_var, read_off, mode, stats)
 
 
 def _pick_var(doms: list[int]) -> int | None:

@@ -29,6 +29,7 @@ from draftkit.csp import (
     Network,
     ProblemKeys,
     SolveStats,
+    _bits,
     _propagate as _propagate_csp,
     _splits,
     admitted,
@@ -93,14 +94,18 @@ def test_characterization_propagation_pins_draft_small():
 
 
 def test_solver_exhaustiveness_matches_brute_force():
-    # independently enumerate every tabulated rule and filter by the axiom checkers
+    """One enumeration of every tabulated rule on fixed 2×2, filtered by the axiom checkers,
+    gives the survivors of WRP+NW+RM and, among them, of T1. T1 is decided at the quotient
+    root; WRP+NW+RM leaves variables open there and is searched on the full network."""
     dom = fixed_domain(2, 2)
-    csp = build_csp(dom, ["WRP", "EF1", "NW", "RM"], priority=(1, 2))
-    res = solve_csp(csp, mode="find-all")
+    csp, weak = (build_csp(dom, axioms, priority=(1, 2)) for axioms in (T1, ("WRP", "NW", "RM")))
+    wiped, doms = _root(weak.quotient)
+    assert wiped is None and sum(d.bit_count() > 1 for d in doms) == 2
 
     keys, problems = csp.keys, csp.problems
+    assert weak.keys == keys
     cands = [oracle._all_allocations(p) for p in problems]
-    brute = []
+    brute, brute_weak = [], []
     for combo in product(*cands):
         table = dict(zip(keys, combo))
         rule = tabulated_rule("t", table)
@@ -108,12 +113,14 @@ def test_solver_exhaustiveness_matches_brute_force():
             continue
         if not check_wrp(rule, dom, (1, 2)).holds:
             continue
-        if not check_ef1(rule, dom).holds:
-            continue
         if not check_rm(rule, dom).holds:
             continue
-        brute.append(table)
-    assert sorted(map(str, brute)) == sorted(map(str, res.solutions))
+        brute_weak.append(table)
+        if check_ef1(rule, dom).holds:
+            brute.append(table)
+    assert len(brute_weak) == 16 and len(brute) == 1
+    for got, want in ((csp, brute), (weak, brute_weak)):
+        assert sorted(map(str, want)) == sorted(map(str, solve_csp(got, mode="find-all").solutions))
 
 
 def test_generic_unsat_certificate_replays():
@@ -144,6 +151,82 @@ def _without_inner_steps(node: InfeasibilityCertificate, root: bool = True):
     return InfeasibilityCertificate(
         node.emptied_var, [] if inner else node.trace, node.branch_var, branches
     )
+
+
+def _nodes(node: InfeasibilityCertificate, doms: list[int]):
+    """Each node of a certificate with the domains its trace starts from, in replay order."""
+    yield node, list(doms)
+    for step in node.trace:
+        doms[step.var] &= ~step.removed
+    for val, child in node.branches:
+        child_doms = list(doms)
+        child_doms[node.branch_var] = 1 << val
+        yield from _nodes(child, child_doms)
+
+
+def _mutations(net: Network, cert: InfeasibilityCertificate):
+    """Edit `cert` in place, one edit at a time, and yield the kind of each edit; the edit
+    is undone when the generator resumes. Kinds: "flip" trades one removed bit of a
+    propagation step for a candidate every constraint of that name still supports, "drop
+    step" drops the step that empties a leaf's variable, "emptied_var" names a variable
+    left alive at a leaf, "drop branch" drops a branch node's last branch."""
+    for node, doms in list(_nodes(cert, list(net.domains))):
+        for i, step in enumerate(list(node.trace)):
+            if step.constraint != "decision":
+                same = [net.constraints[ci] for ci in net.watchers[step.var]]
+                same = [c for c in same if c.name == step.constraint]
+                supported = [
+                    val
+                    for val in _bits(doms[step.var] & ~step.removed)
+                    if all(c.allowed(step.var, val) & doms[c.other(step.var)] for c in same)
+                ]
+                if supported:
+                    low = step.removed & -step.removed
+                    flipped = step.removed ^ low | 1 << supported[0]
+                    node.trace[i] = PropagationStep(step.constraint, step.var, flipped)
+                    yield "flip"
+                    node.trace[i] = step
+            doms[step.var] &= ~step.removed
+        if node.emptied_var is not None:
+            last = node.trace.pop()
+            yield "drop step"
+            node.trace.append(last)
+            emptied = node.emptied_var
+            node.emptied_var = next(var for var, d in enumerate(doms) if d)
+            yield "emptied_var"
+            node.emptied_var = emptied
+        if node.branches:
+            last = node.branches.pop()
+            yield "drop branch"
+            node.branches.append(last)
+
+
+def _assert_mutations_refused(net: Network, cert: InfeasibilityCertificate) -> set[str]:
+    """Every edit of `_mutations` makes the replay fail; returns the kinds that applied."""
+    kinds = set()
+    for kind in _mutations(net, cert):
+        assert replay_certificate(net, cert) is False, kind
+        kinds.add(kind)
+    assert replay_certificate(net, cert) is True  # every edit was undone
+    return kinds
+
+
+def test_rule_space_certificate_mutations_are_refused():
+    """The fixed 2×3 RP+EF1+NW+WSP refutation empties a variable at the root of the full
+    network, so it has steps and a leaf but no branch."""
+    csp = build_csp(fixed_domain(2, 3), ("RP", "EF1", "NW", "WSP"), (1, 2))
+    res = solve_csp(csp, mode="prove-unsat")
+    assert res.status == "unsat" and not res.certificate.branches
+    kinds = _assert_mutations_refused(csp.network, res.certificate)
+    assert kinds == {"flip", "drop step", "emptied_var"}
+
+
+def test_clique_colouring_certificate_mutations_are_refused():
+    csp = _clique_colouring(5, 4)
+    res = solve_csp(csp, mode="prove-unsat")
+    assert res.status == "unsat"
+    kinds = _assert_mutations_refused(csp, res.certificate)
+    assert kinds == {"flip", "drop step", "emptied_var", "drop branch"}
 
 
 @pytest.mark.parametrize("n_vertices, n_colours, nodes", [(4, 3, 4), (5, 4, 17)])
@@ -186,6 +269,7 @@ def test_budget_exhaustion_is_reported_not_truncated():
     csp = build_csp(dom, ["WRP", "EF1", "NW", "RM"], priority=(1, 2))
     res = solve_csp(csp, budget=10)
     assert res.status == "undecided"
+    assert "network" not in vars(csp)  # spent on the quotient root, before the full build
 
 
 def test_survivors_pass_the_axiom_suite():
@@ -492,38 +576,25 @@ def _root(net, stats=None):
 )
 def test_quotient_root_is_the_full_root_relabeled(domain, axioms, priority):
     """Root propagation on the representatives, relabeled onto every key, is the full
-    network's fixpoint cell for cell, and both give the same verdict and solutions."""
+    network's fixpoint: at each key the same allocations stay alive. Both searches give the
+    same verdict and solutions, and an unsat certificate replays and refuses each edit."""
     csp = build_csp(domain, axioms, priority)
     (wiped, quotient), (full_wiped, full) = _root(csp.quotient), _root(csp.network)
     assert (wiped is None) == (full_wiped is None)
     if wiped is None:
-        assert [csp.expand(k, quotient[i]) for k, i in enumerate(csp.orbit.tolist())] == full
+        index, candidates = csp.index, csp.network.candidates
+        for xi, lo, hi in zip(range(len(index.xs)), index.offsets, index.offsets[1:]):
+            back = index.back(xi)
+            for k in range(lo, hi):
+                i = csp.orbit[k]
+                rows = csp.rows[i][list(_bits(quotient[i]))]
+                moved = back[csp.relabeling[k]][rows]  # the representative's rows, at key k
+                alive = [candidates[k][j] for j in _bits(full[k])]
+                assert sorted(map(tuple, moved.tolist())) == sorted(alive)
     got, want = solve_csp(csp), solve_csp(csp.network)
     assert (got.status, got.solutions) == (want.status, want.solutions)
     if got.status == "unsat":
-        assert replay_certificate(csp, got.certificate)
-
-
-def test_relabeled_root_steps_replay_on_the_full_network():
-    """WRP + NW + RM on fixed 2×3 removes candidates at the root and leaves some open, so
-    the search branches on the full network from the relabeled fixpoint: the relabeled
-    steps are each justified there and reach that fixpoint."""
-    csp = build_csp(fixed_domain(2, 3), ("WRP", "NW", "RM"), (1, 2))
-    trace, quotient = [], list(csp.quotient.domains)
-    constraints = range(len(csp.quotient.constraints))
-    assert _propagate_csp(csp.quotient, quotient, constraints, SolveStats(), 10**9, trace) is None
-    steps = csp.expand_trace(trace)
-    doms = list(csp.domains)
-    for step in steps:
-        doms[step.var] &= ~step.removed
-    assert doms == [csp.expand(k, quotient[i]) for k, i in enumerate(csp.orbit.tolist())]
-    assert any(d.bit_count() > 1 for d in doms) and len(steps) > len(trace) > 0
-    # a final decision empties variable 0: the replay then hinges on every step's justification
-    empty = InfeasibilityCertificate(0, steps + [PropagationStep("decision", 0, doms[0])])
-    assert replay_certificate(csp, empty)
-    first = steps[0]
-    empty.trace[0] = PropagationStep(first.constraint, first.var, csp.domains[first.var])
-    assert not replay_certificate(csp, empty)  # removing a supported candidate is refused
+        assert _assert_mutations_refused(csp.network, got.certificate)
 
 
 def test_propagation_revises_a_self_loop_from_both_ends():
@@ -565,7 +636,7 @@ LENGTH_CASES = [
 def test_constraint_count_is_known_before_the_full_build(domain, axioms, priority):
     csp = build_csp(domain, axioms, priority)
     n = len(csp.constraints)
-    assert "_full" not in vars(csp)  # the length did not build the full network
+    assert "network" not in vars(csp)  # the length did not build the full network
     assert n == len(csp.network.constraints)
 
 
@@ -601,3 +672,14 @@ def test_non_neutral_constraint_is_refused(monkeypatch):
 def test_sets_that_a_relabeling_moves_out_of_the_domain_are_refused():
     with pytest.raises(ValueError, match="not closed under object relabeling"):
         build_csp(ProblemDomain("fixed", 3, ((1, 2),), (bundle("ab"),)), ["NW"])
+
+
+@pytest.mark.parametrize(
+    "sets, axioms",
+    [((0b111,), ("EF1", "NW", "RM", "SP")), ((0b111, 0b011, 0b101, 0b110), ("NW", "RM"))],
+    ids=["full-set-only", "no-singletons"],
+)
+def test_rm_without_the_subsets_of_a_set_is_refused(sets, axioms):
+    """RM links each available set to each of its subsets, so a missing subset is named."""
+    with pytest.raises(ValueError, match=r"\{a\}, a subset of \{a,b,c\}, is not an available set"):
+        build_csp(ProblemDomain("fixed", 3, ((1, 2),), sets), axioms)
