@@ -34,13 +34,10 @@ from .dominance import (
 from .rules import (
     Case,
     Rule,
-    dictatorship,
     draft_rule,
-    null_allocation,
     null_rule,
     piecewise_rule,
     problem_key,
-    serial_dictatorship,
     tabulated_rule,
 )
 from .axioms import (

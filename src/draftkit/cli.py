@@ -276,11 +276,13 @@ def _verify_theorem4_cases() -> verifier.Verdict:
 
 
 class VerifyId(NamedTuple):
-    """One `verify` id: its driver, the flags it reads and the least agent count it takes."""
+    """One `verify` id: its driver, the flags it reads and the least agent and object counts
+    it takes."""
 
     driver: Callable[..., verifier.Verdict]
     flags: dict  # every flag the driver reads -> its default
     min_agents: int = 1
+    min_objects: int = 1
 
 
 VERIFY_IDS = {
@@ -292,7 +294,8 @@ VERIFY_IDS = {
     "T5": VerifyId(verifier.verify_t5, {"agents": 3, "objects": 4, "seed": DEFAULT_SEED}, 2),
     "T6": VerifyId(verifier.verify_t6, {"objects": 3, "quotas": "1,2", "budget": DEFAULT_BUDGET}),
     "T7": VerifyId(verifier.verify_t7, {"objects": 3, "budget": DEFAULT_BUDGET}),
-    "T8": VerifyId(verifier.verify_t8, {"agents": 3, "objects": 4}),
+    # below 2 agents or 3 objects no population drafts a second round: the snake is the draft
+    "T8": VerifyId(verifier.verify_t8, {"agents": 3, "objects": 4}, 2, 3),
     "P1": VerifyId(partial(_verify_efficiency, fixed_domain), {"objects": 4, "seed": DEFAULT_SEED}),
     "P3": VerifyId(
         partial(_verify_efficiency, unacceptable_domain), {"objects": 3, "seed": DEFAULT_SEED}
@@ -301,7 +304,7 @@ VERIFY_IDS = {
     "L1": VerifyId(verifier.verify_critical_agent, {"agents": 3, "objects": 3}),
     "L2": VerifyId(verifier.verify_rm_lemma, {}),
     "L8": VerifyId(verifier.verify_priority_recovery, {"agents": 4}),
-    "L9": VerifyId(verifier.verify_extension_comparison, {"agents": 2, "objects": 3}),
+    "L9": VerifyId(verifier.verify_extension_comparison, {"agents": 2, "objects": 3}, 2, 3),
 }
 VERIFY_FLAGS = ("agents", "objects", "quotas")  # verify's own flags: None when not given
 PARAMETERS = {"agents": "n_agents", "objects": "n_objects"}  # other flags keep their names
@@ -320,8 +323,8 @@ def cmd_verify(args) -> int:
     }
     if "agents" in values and values["agents"] < entry.min_agents:
         raise InputError(f"{args.theorem} needs --agents of at least {entry.min_agents}")
-    if "objects" in values and values["objects"] < 1:
-        raise InputError("--objects must be at least 1")
+    if "objects" in values and values["objects"] < entry.min_objects:
+        raise InputError(f"{args.theorem} needs --objects of at least {entry.min_objects}")
     if "quotas" in values:
         values["quotas"] = _parse_quotas(values["quotas"], 2)
     if values.get("objects", 0) > SEARCH_CAP and not args.i_know_this_is_huge:

@@ -42,7 +42,6 @@ removal against its constraint, at any depth.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from itertools import product
@@ -51,7 +50,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Allocation, Bundle, Priority, Problem, bundle_size, objects_of, subsets_of
+from .core import Bundle, Priority, Problem, bundle_size, objects_of, subsets_of
 from .axioms import (
     DEVIATIONS,
     UNARY,
@@ -283,17 +282,40 @@ def generator_rows(n_objects: int) -> tuple[int, ...]:
     return tuple(_ranking_index(identity)[g] for g in dict.fromkeys(gens) if g != identity)
 
 
+@dataclass(frozen=True)
+class Relabelings:
+    """The object relabelings of one pool size, as index tables over rankings (in
+    permutation order) and splits (agent-1 bundles). sigma_r is the relabeling that sends
+    ranking r to the identity."""
+
+    RP: np.ndarray  # (P, P): the quotient cell of profile (r1, r2), sigma_r1(r2)
+    RC: np.ndarray  # (P, C): split a relabeled by sigma_r
+    RC_inv: np.ndarray  # (P, C): split a relabeled by sigma_r's inverse
+    # per generator, the transposition (0 1) and the m-cycle o -> o + 1: its ranking map
+    # (P,), its split map (C,) and its inverse's split map (C,)
+    generators: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+
+@lru_cache(maxsize=None)
+def relabelings(n_objects: int) -> Relabelings:
+    """The tables of one pool size: `axioms.canonical_relabelings` of the full pool onto
+    itself, whose row r is sigma_r. The generators are the rows of `generator_rows`."""
+    full = (1 << n_objects) - 1
+    RP, RC_inv = canonical_relabelings(full, full)
+    RC = np.argsort(RC_inv, axis=1)
+    RC.flags.writeable = False
+    rows = generator_rows(n_objects)
+    return Relabelings(RP, RC, RC_inv, tuple((RP[r], RC[r], RC_inv[r]) for r in rows))
+
+
 @lru_cache(maxsize=None)
 def _generators(n_objects: int, cutoffs: bool) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """The generators as maps of the preference space's indexes and of bundles (uint8)."""
-    full = (1 << n_objects) - 1
-    canon, back = canonical_relabelings(full, full)
     out = []
-    for r in generator_rows(n_objects):
-        prefs = canon[r]
+    for prefs, bundles, _ in relabelings(n_objects).generators:
         if cutoffs:  # a preference index is ranking * (m + 1) + cutoff
             prefs = (prefs[:, None] * (n_objects + 1) + np.arange(n_objects + 1)).reshape(-1)
-        out.append((prefs, np.argsort(back[r]).astype(np.uint8)))
+        out.append((prefs, bundles.astype(np.uint8)))
     return tuple(out)
 
 
@@ -529,24 +551,14 @@ def _links(index: ProblemKeys, space: AxiomSpace, axioms, local) -> list[_Links]
     return out
 
 
-class _Constraints(SequenceABC):
-    """The full network's constraints: the length is known up front, the list is built on
-    first use of anything else."""
+class _Constraints:
+    """The full network's constraints as their count, known before the network is built."""
 
-    def __init__(self, csp: RuleCSP):
-        self._csp = csp
+    def __init__(self, count: int):
+        self._count = count
 
     def __len__(self) -> int:
-        return self._csp.n_constraints
-
-    def __getitem__(self, i):
-        return self._csp.network.constraints[i]
-
-    def __iter__(self):
-        return iter(self._csp.network.constraints)
-
-    def __eq__(self, other) -> bool:
-        return self._csp.network.constraints == other
+        return self._count
 
 
 class RuleCSP:
@@ -558,8 +570,8 @@ class RuleCSP:
     row `relabeling[k]` of its set's `ProblemKeys.back` table, which is how
     `table` reads a pinned quotient onto every key. The full network over every
     key (`network`) is built on first use, by every search the quotient does
-    not decide; `candidates` and `domains` read it, and so does `constraints`,
-    whose length (`n_constraints`) the quotient gives.
+    not decide; `constraints` holds only its length (`n_constraints`), which the
+    quotient gives.
     """
 
     def __init__(self, domain, axioms, index, space, quotient, rows, orbit, relabeling, count):
@@ -591,16 +603,8 @@ class RuleCSP:
         return _network(self.keys, rows, constraints)
 
     @property
-    def candidates(self) -> list[list[Allocation]]:
-        return self.network.candidates
-
-    @property
-    def domains(self) -> list[int]:
-        return self.network.domains
-
-    @property
     def constraints(self) -> _Constraints:
-        return _Constraints(self)
+        return _Constraints(self.n_constraints)
 
     def table(self, doms: list[int]) -> dict:
         """The solution where every representative holds the one candidate of its mask

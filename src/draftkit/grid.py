@@ -18,18 +18,18 @@ quotient cells; a wipeout there is the verdict. Otherwise the fixpoint,
 relabeled onto every profile, seeds `csp.depth_first` over the flattened
 grid, whose decisions revise one row and one column: a line is revised from
 its live (position, candidate) pairs and the distinct masks of the factors.
-The relabeling tables are `axioms.canonical_relabelings` of the pool onto
-itself, the tables that NEU reads.
+The relabeling tables are `csp.relabelings`: `axioms.canonical_relabelings` of
+the pool onto itself, the tables that NEU reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
-from .axioms import DEVIATIONS, AxiomSpace, ProblemDomain, canonical_relabelings
+from .axioms import DEVIATIONS, AxiomSpace, ProblemDomain
 from .csp import (
     BudgetExceeded,
     InfeasibilityCertificate,
@@ -37,7 +37,7 @@ from .csp import (
     SolveStats,
     admitted,
     depth_first,
-    generator_rows,
+    relabelings,
 )
 
 MAX_OBJECTS = 6  # candidate sets are uint64 masks with one bit per split: 2**6 = 64
@@ -63,32 +63,6 @@ class GridCSP:
 
     def var_profile(self, var: int) -> tuple[int, int]:
         return divmod(var, len(self.rankings))
-
-
-@dataclass(frozen=True)
-class Relabelings:
-    """The object relabelings of one pool size, as index tables over rankings (in
-    permutation order) and splits (agent-1 bundles). sigma_r is the relabeling that sends
-    ranking r to the identity."""
-
-    RP: np.ndarray  # (P, P): the quotient cell of profile (r1, r2), sigma_r1(r2)
-    RC: np.ndarray  # (P, C): split a relabeled by sigma_r
-    RC_inv: np.ndarray  # (P, C): split a relabeled by sigma_r's inverse
-    # per generator, the transposition (0 1) and the m-cycle o -> o + 1: its ranking map
-    # (P,), its split map (C,) and its inverse's split map (C,)
-    generators: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-
-
-@lru_cache(maxsize=MAX_OBJECTS)
-def relabelings(n_objects: int) -> Relabelings:
-    """The tables of one pool size: `axioms.canonical_relabelings` of the full pool onto
-    itself, whose row r is sigma_r. The generators are the rows of `csp.generator_rows`."""
-    full = (1 << n_objects) - 1
-    RP, RC_inv = canonical_relabelings(full, full)
-    RC = np.argsort(RC_inv, axis=1)
-    RC.flags.writeable = False
-    rows = generator_rows(n_objects)
-    return Relabelings(RP, RC, RC_inv, tuple((RP[r], RC[r], RC_inv[r]) for r in rows))
 
 
 def _cones(ok, dom: np.ndarray, own: np.ndarray) -> np.ndarray:

@@ -21,10 +21,10 @@ orders, so traces are first class, and they come only from `Rule.run`.
 Every rule is its array engine, `Rule.fill`. A piecewise rule fills through its
 default rule's engine and overwrites the rows an override's `Case` takes; a
 tabulated rule looks each distinct row of restriction classes up once; the IR
-and neutrality counterexamples run over the whole block. Only the plan rules
-(through `_pick_one`, which traces at any size) and serial dictatorship,
-π-dictatorship and null (which `draftkit run` serves past 8 objects) keep a
-scalar runner.
+and neutrality counterexamples run over the whole block. Serial dictatorship,
+π-dictatorship and null fill rows of the narrowest unsigned type that holds the
+available set, so one row of their engine serves `Rule.run` at any number of
+objects. Only the plan rules carry a scalar runner: `_pick_one`, the one tracer.
 """
 
 from __future__ import annotations
@@ -51,9 +51,9 @@ from .core import (
 )
 
 Trace = tuple[tuple[int, Agent, int | None], ...]
-# An array engine: fill(variant, agents, available, prefs, quotas, digits) -> uint8 (rows, n).
-# The first five describe the block, as the fields of its problems do; digits[r, slot]
-# indexes prefs at row r. Row r of the result is the allocation at that profile.
+# An array engine: fill(variant, agents, available, prefs, quotas, digits) -> (rows, n), uint8
+# through 8 objects. The first five describe the block, as the fields of its problems do;
+# digits[r, slot] indexes prefs at row r. Row r of the result is the allocation at that profile.
 Fill = Callable[..., np.ndarray]
 # A turn plan: plan(variant, agents, available, quotas) -> (turns, limits, passes).
 Plan = Callable[..., tuple[tuple[int, ...], tuple[int | float, ...] | None, bool]]
@@ -118,8 +118,10 @@ def pick_table(prefs: tuple[Preference, ...]) -> np.ndarray:
 
 @_per_space
 def _acceptable_table(prefs: tuple[Preference, ...]) -> np.ndarray:
-    """Per preference index, the uint8 mask of its acceptable objects."""
-    table = np.array([p.acceptable for p in prefs], dtype=np.uint8)
+    """Per preference index, the mask of its acceptable objects, in the narrowest unsigned
+    type that holds them all."""
+    masks = [p.acceptable for p in prefs]
+    table = np.array(masks, dtype=np.min_scalar_type(max(masks, default=0)))
     table.flags.writeable = False
     return table
 
@@ -270,52 +272,36 @@ def _order_plan(priority: Priority, turns_of) -> Plan:
     return plan
 
 
-def serial_dictatorship(problem: Problem, priority: Priority) -> tuple[Allocation, None]:
-    """Each agent, in priority order, takes every remaining object she finds acceptable."""
-    remaining = problem.available
-    bundles = {a: 0 for a in problem.agents}
-    for agent in _population_order(problem.agents, priority):
-        take = remaining & problem.pref_of(agent).acceptable
-        bundles[agent] = take
-        remaining &= ~take
-    return tuple(bundles[a] for a in problem.agents), None
-
-
 def _serial_dictatorship_fill(priority: Priority) -> Fill:
+    """Each agent, in priority order, takes every remaining object she finds acceptable."""
+
     def fill(variant, agents, x, prefs, quotas, digits):
         acceptable = _acceptable_table(tuple(prefs))
-        out = np.zeros(digits.shape, dtype=np.uint8)
-        remaining = np.full(len(digits), x, dtype=np.uint8)
+        out = np.zeros(digits.shape, dtype=np.min_scalar_type(x))
+        remaining = np.full(len(digits), x, dtype=out.dtype)
         for agent in _population_order(agents, priority):
             slot = agents.index(agent)
-            out[:, slot] = take = remaining & acceptable[digits[:, slot]]
+            take = out[:, slot]  # a subset of remaining, so it fits out's type
+            np.bitwise_and(remaining, acceptable[digits[:, slot]], out=take, casting="unsafe")
             remaining ^= take
         return out
 
     return fill
 
 
-def dictatorship(problem: Problem, priority: Priority) -> tuple[Allocation, None]:
-    """The highest-priority agent present takes the whole available set."""
-    order = _population_order(problem.agents, priority)
-    return tuple(problem.available if a == order[0] else 0 for a in problem.agents), None
-
-
 def _dictatorship_fill(priority: Priority) -> Fill:
+    """The highest-priority agent present takes the whole available set."""
+
     def fill(variant, agents, x, prefs, quotas, digits):
-        out = np.zeros(digits.shape, dtype=np.uint8)
+        out = np.zeros(digits.shape, dtype=np.min_scalar_type(x))
         out[:, agents.index(_population_order(agents, priority)[0])] = x
         return out
 
     return fill
 
 
-def null_allocation(problem: Problem) -> tuple[Allocation, None]:
-    return tuple(0 for _ in problem.agents), None
-
-
 def _null_fill(variant, agents, x, prefs, quotas, digits):
-    return np.zeros(digits.shape, dtype=np.uint8)
+    return np.zeros(digits.shape, dtype=np.min_scalar_type(x))
 
 
 @dataclass(frozen=True)
@@ -328,11 +314,12 @@ class Rule:
     it, so combinators must not claim it.
 
     ``run`` and ``allocate`` solve one problem through the scalar ``runner`` when
-    the rule has one, else through one row of the engine, untraced and within its
-    8-object rows. A picking rule is one turn plan, and `_plan_rule` makes both
-    from it: ``runner`` is `_pick_one`, the only tracer, and ``fill`` is
-    `_pick_rows`. Serial dictatorship, π-dictatorship and null are the only other
-    rules with a runner.
+    the rule has one, else through one row of the engine, untraced. A picking rule
+    is one turn plan, and `_plan_rule` makes both from it: ``runner`` is
+    `_pick_one`, the only tracer, and ``fill`` is `_pick_rows`; no other rule has
+    a runner. An engine whose rows widen with the available set (serial
+    dictatorship, π-dictatorship, null) serves any number of objects; the others
+    stop at 8.
     """
 
     name: str
@@ -401,17 +388,15 @@ def snake_draft_rule(priority: Priority) -> Rule:
 
 
 def serial_dictatorship_rule(priority: Priority) -> Rule:
-    name, fill = f"serial-dictatorship{list(priority)}", _serial_dictatorship_fill(priority)
-    return Rule(name, fill, lambda p: serial_dictatorship(p, priority))
+    return Rule(f"serial-dictatorship{list(priority)}", _serial_dictatorship_fill(priority))
 
 
 def dictatorship_rule(priority: Priority) -> Rule:
-    fill = _dictatorship_fill(priority)
-    return Rule(f"pi-dictatorship{list(priority)}", fill, lambda p: dictatorship(p, priority))
+    return Rule(f"pi-dictatorship{list(priority)}", _dictatorship_fill(priority))
 
 
 def null_rule() -> Rule:
-    return Rule("null", _null_fill, null_allocation)
+    return Rule("null", _null_fill)
 
 
 def problem_key(problem: Problem):

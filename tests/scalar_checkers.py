@@ -22,14 +22,16 @@ cell check is here on Preference objects and `weakly_dominates_oracle`, as the
 oracle of P4's array check. The per-draw random-rule loop
 defines the report shape of the efficiency decomposition's seeded spot check,
 and the `top_k` form of quota dominance is the oracle of its rank-space form.
-The rules that draftkit defines only as array engines (tabulated, piecewise,
-the IR and neutrality counterexamples and the pinned overrides) keep their
-scalar runners here, with the row-by-row fill that runs a rule through one, as
-the oracle of those engines.
+The rules that draftkit defines only as array engines (serial dictatorship,
+π-dictatorship, null, tabulated, piecewise, the IR and neutrality
+counterexamples and the pinned overrides) keep their scalar runners here, with
+the row-by-row fill that runs a rule through one, as the oracle of those
+engines.
 """
 
 from __future__ import annotations
 
+from ast import literal_eval
 from functools import lru_cache
 from itertools import chain, combinations, permutations, product
 from random import Random
@@ -1634,6 +1636,31 @@ def case_holds(case: Case, problem: Problem) -> bool:
     return all(test is None or test(p) for test, p in zip(case.slots, problem.profile))
 
 
+def serial_dictatorship(problem: Problem, priority: Priority):
+    """Each agent, in priority order, takes every remaining object she finds acceptable."""
+    remaining = problem.available
+    bundles = {a: 0 for a in problem.agents}
+    for agent in _population_order(problem.agents, priority):
+        take = remaining & problem.pref_of(agent).acceptable
+        bundles[agent] = take
+        remaining &= ~take
+    return tuple(bundles[a] for a in problem.agents), None
+
+
+def dictatorship(problem: Problem, priority: Priority):
+    """The highest-priority agent present takes the whole available set."""
+    order = _population_order(problem.agents, priority)
+    return tuple(problem.available if a == order[0] else 0 for a in problem.agents), None
+
+
+def null_allocation(problem: Problem):
+    return tuple(0 for _ in problem.agents), None
+
+
+# the reference rules by name prefix; the priority is the list that follows it in the name
+_REFERENCE = {"serial-dictatorship": serial_dictatorship, "pi-dictatorship": dictatorship}
+
+
 def _rm_star_special(problem: Problem):
     """rm*-special: the unacceptable draft without object 0, then object 0 to the first agent."""
     reduced = Problem(problem.variant, problem.agents, problem.available & ~1, problem.profile)
@@ -1650,10 +1677,17 @@ _OVERRIDES = {"rm*-special": _rm_star_special, "ti-special": _ti_special}
 
 
 def scalar_runner(rule: Rule):
-    """The scalar runner that defines a rule: its own runner, the oracle's copy of a pinned
-    override, or, for a piecewise rule, the first override whose case holds."""
+    """The scalar runner that defines a rule: its own runner, the oracle's loop of a reference
+    rule or a pinned override, or, for a piecewise rule, the first override whose case
+    holds."""
     if rule.runner is not None:
         return rule.runner
+    if rule.name == "null":
+        return null_allocation
+    head, bracket, tail = rule.name.partition("[")
+    if head in _REFERENCE:
+        priority = tuple(literal_eval(bracket + tail))
+        return lambda problem: _REFERENCE[head](problem, priority)
     if rule.name in _OVERRIDES:
         return _OVERRIDES[rule.name]
     piecewise = rule.fill.__self__  # a piecewise rule's engine is its Piecewise's fill

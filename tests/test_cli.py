@@ -174,36 +174,79 @@ TWELVE_UNACCEPTABLE = TWELVE_OBJECTS + (
 )
 
 
+TWENTY_UNACCEPTABLE = (
+    "universe: a b c d e f g h i j k l m n o p q r s t\n"
+    "variant: unacceptable\n"
+    "agents: x y z\n"
+    "priority: z x y\n"
+    "pref x: a > b > c > d > e > f > g > h > i > j | k > l > m > n > o > p > q > r > s > t\n"
+    "pref y: t > s > r > q > p > o > n > m > l > k > j > i > h | g > f > e > d > c > b > a\n"
+    "pref z: e > j > o > t | a > b > c > d > f > g > h > i > k > l > m > n > p > q > r > s\n"
+)
+
+
+def _bundles(**rows) -> str:
+    """`run`'s bundle lines, one per agent in file order."""
+    return "".join(f"  {agent:>12}  {objects}\n" for agent, objects in rows.items())
+
+
+TWELVE = "a, b, c, d, e, f, g, h, i, j, k, l"
+
+
 @pytest.mark.parametrize(
-    "text, rule, trace",
+    "text, rule, expected",
     [
         (
             TWELVE_FIXED,
             "draft",
-            "1:x->a 2:y->l 3:z->f 4:x->b 5:y->k 6:z->g 7:x->c 8:y->j 9:z->h 10:x->d 11:y->i "
-            "12:z->e",
+            "trace: 1:x->a 2:y->l 3:z->f 4:x->b 5:y->k 6:z->g 7:x->c 8:y->j 9:z->h 10:x->d "
+            "11:y->i 12:z->e\n",
         ),
         (
             TWELVE_FIXED,
             "snake",
-            "1:x->a 2:y->l 3:z->f 4:z->g 5:y->k 6:x->b 7:x->c 8:y->j 9:z->h 10:z->i 11:y->e "
-            "12:x->d",
+            "trace: 1:x->a 2:y->l 3:z->f 4:z->g 5:y->k 6:x->b 7:x->c 8:y->j 9:z->h 10:z->i "
+            "11:y->e 12:x->d\n",
         ),
         (
             TWELVE_UNACCEPTABLE,
             "u-draft",
-            "1:x->a 2:y->l 3:z->f 4:x->b 5:y->k 6:z->g 7:x->c 8:y->j 9:z->h 10:x->d 11:y->i "
-            "12:z->pass 13:x->e 14:y->pass 15:z->pass 16:x->pass",
+            "trace: 1:x->a 2:y->l 3:z->f 4:x->b 5:y->k 6:z->g 7:x->c 8:y->j 9:z->h 10:x->d "
+            "11:y->i 12:z->pass 13:x->e 14:y->pass 15:z->pass 16:x->pass\n",
+        ),
+        (
+            TWELVE_UNACCEPTABLE,
+            "serial-dictatorship",
+            _bundles(x="a, b, c, d, e", y="g, h, i, j, k, l", z="f"),
+        ),
+        (TWELVE_UNACCEPTABLE, "pi-dictatorship", _bundles(x=TWELVE, y="-", z="-")),
+        (TWELVE_FIXED, "null", _bundles(x="-", y="-", z="-") + f"unassigned: {TWELVE}\n"),
+        (
+            TWENTY_UNACCEPTABLE,
+            "serial-dictatorship",
+            _bundles(x="a, b, c, d, f, g, h, i", y="k, l, m, n, p, q, r, s", z="e, j, o, t"),
         ),
     ],
-    ids=["draft", "snake", "u-draft"],
+    ids=[
+        "draft",
+        "snake",
+        "u-draft",
+        "serial-dictatorship",
+        "pi-dictatorship",
+        "null",
+        "serial-dictatorship-twenty",
+    ],
 )
-def test_cli_run_drafts_twelve_objects(tmp_path, capsys, text, rule, trace):
-    """`run` solves one problem at any width: past the 8-object block engines."""
-    path = tmp_path / "twelve.txt"
+def test_cli_run_drafts_twelve_objects(tmp_path, capsys, text, rule, expected):
+    """`run` solves one problem at any width: a plan rule through its tracer, and serial
+    dictatorship, π-dictatorship and null through one row of their engines, which widens
+    past 8 objects (uint16 at 12, uint32 at 20)."""
+    path = tmp_path / "wide.txt"
     path.write_text(text)
     assert main(["--no-timestamp", "run", str(path), "--rule", rule]) == 0
-    assert f"trace: {trace}\n" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert expected in out
+    assert ("trace: " in out) == expected.startswith("trace: ")
 
 
 def test_cli_reports_are_deterministic(worked_file, tmp_path):
@@ -358,6 +401,8 @@ UNSAT = {"certificate_replays": True, "note": FINITE, "status": "unsat"}
         (["P4"], {"cells": 96, "draft_premise": True, "links": 6, "violations": 0}),
         (["L1"], {"checked": 1764, "ok": True, "survivors_swept": 1}),
         (["L8"], {"checked": 24, "ok": True}),
+        (["L9", "--agents", "3", "--objects", "4"], {"extension_ok": True, "snake_diverges": True}),
+        (["L9", "--agents", "5", "--objects", "3"], {"extension_ok": True, "snake_diverges": True}),
     ],
 )
 def test_cli_verify_extension_detail_is_pinned(tmp_path, capsys, argv, detail):
@@ -475,6 +520,23 @@ def test_cli_verify_refuses_bad_sizes(capsys, argv):
     assert main(["verify"] + argv) == 2
     out = capsys.readouterr()
     assert out.err.startswith("error: ") and out.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["L9", "--agents", "2", "--objects", "2"], "L9 needs --objects of at least 3"),
+        (["L9", "--agents", "1", "--objects", "3"], "L9 needs --agents of at least 2"),
+        (["T8", "--agents", "2", "--objects", "2"], "T8 needs --objects of at least 3"),
+    ],
+)
+def test_cli_verify_refuses_sizes_without_a_second_round(capsys, argv, message):
+    """Below 2 agents or 3 objects no population drafts a second round, so the snake draft
+    is the draft and the extension comparison has nothing to show: an input error, not a
+    NOT reproduced."""
+    assert main(["verify"] + argv) == 2
+    out = capsys.readouterr()
+    assert out.err == f"error: {message}\n" and out.out == ""
 
 
 @pytest.mark.parametrize("theorem", ["T2", "T3", "T4"])

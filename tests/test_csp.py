@@ -35,6 +35,7 @@ from draftkit.csp import (
     admitted,
     build_csp,
     replay_certificate,
+    relabelings,
     solve_csp,
     solutions_as_rules,
 )
@@ -42,7 +43,6 @@ from draftkit.grid import (
     _propagate,
     build_grid,
     expand,
-    relabelings,
     replay_grid_certificate,
     solve_grid,
 )
@@ -59,14 +59,14 @@ def test_unsupported_axiom_refused_by_name():
 def test_nw_ef1_on_one_problem_leaves_the_two_splits():
     dom = ProblemDomain("fixed", 2, ((1, 2),), (bundle("ab"),))
     csp = build_csp(dom, ["NW", "EF1"])
-    for cands in csp.candidates:
+    for cands in csp.network.candidates:
         assert sorted(cands) == [(bundle("a"), bundle("b")), (bundle("b"), bundle("a"))]
 
 
 def test_empty_axiom_set_no_pruning():
     dom = ProblemDomain("fixed", 2, ((1, 2),), (bundle("ab"),))
     csp = build_csp(dom, [])
-    for prob, cands in zip(csp.problems, csp.candidates):
+    for prob, cands in zip(csp.problems, csp.network.candidates):
         assert len(cands) == len(oracle._all_allocations(prob))
     assert not csp.constraints
 
@@ -76,7 +76,7 @@ def test_find_all_past_the_solution_cap_is_undecided():
     revision, so only the solution cap stops the search."""
     dom = ProblemDomain("fixed", 3, ((1, 2),), (bundle("abc"),))
     csp = build_csp(dom, ["NW", "EF1"])
-    assert not csp.constraints and [d.bit_count() for d in csp.domains] == [4] * 36
+    assert not csp.constraints and [d.bit_count() for d in csp.network.domains] == [4] * 36
     res = solve_csp(csp)
     assert (res.status, res.stats.revisions) == ("undecided", 0)
     assert len(res.solutions) == MAX_SOLUTIONS + 1
@@ -342,8 +342,8 @@ def test_build_csp_matches_scalar_build(domain, axioms, priority):
     csp = build_csp(domain, axioms, priority)
     keys, candidates, constraints = oracle.build_csp(domain, axioms, priority)
     assert csp.keys == keys
-    assert csp.candidates == candidates
-    assert csp.constraints == constraints
+    assert csp.network.candidates == candidates
+    assert csp.network.constraints == constraints
 
 
 KEY_DOMAINS = [fixed_domain(3, 3), quota_domain(2, 4, (1, 2)), unacceptable_domain(2, 3)]
@@ -536,9 +536,8 @@ PAIRWISE_CASES = CSP_CASES + [
     ],
 )
 def test_build_csp_batch_matches_pairwise_build(domain, axioms, priority):
-    assert build_csp(domain, axioms, priority).constraints == oracle.build_csp_pairwise(
-        domain, axioms, priority
-    )
+    csp = build_csp(domain, axioms, priority)
+    assert csp.network.constraints == oracle.build_csp_pairwise(domain, axioms, priority)
 
 
 def test_constraint_axioms_refused_off_their_variant():

@@ -17,13 +17,12 @@ import scalar_checkers as oracle
 from draftkit import grid
 from draftkit.axioms import AxiomSpace, ProblemDomain, _digits
 from draftkit.core import bundle_of, objects_of
-from draftkit.csp import SolveStats, admitted, depth_first
+from draftkit.csp import SolveStats, admitted, depth_first, relabelings
 from draftkit.grid import (
     _pick,
     _read_off,
     _root,
     build_grid,
-    relabelings,
     replay_grid_certificate,
     solve_grid,
 )

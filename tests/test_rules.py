@@ -22,11 +22,11 @@ from draftkit.rules import (
     _RECENT_SPACES,
     _pick_rows,
     Case,
-    dictatorship,
+    dictatorship_rule,
     draft_rule,
     ir_counterexample,
     neutrality_counterexample,
-    null_allocation,
+    null_rule,
     pairwise_consistency_counterexample,
     pick_table,
     piecewise_rule,
@@ -35,7 +35,7 @@ from draftkit.rules import (
     quota_draft_rule,
     rm_counterexample,
     sequence_draft_rule,
-    serial_dictatorship,
+    serial_dictatorship_rule,
     snake_draft_rule,
     tabulated_rule,
     unacceptable_draft_rule,
@@ -177,12 +177,12 @@ def test_variable_draft_empty_available():
 
 def test_serial_dictatorship_fixed_equals_dictatorship():
     prob = fixed_problem("abc", "cba")
-    assert serial_dictatorship(prob, (1, 2))[0] == dictatorship(prob, (1, 2))[0]
+    assert serial_dictatorship_rule((1, 2)).run(prob) == dictatorship_rule((1, 2)).run(prob)
 
 
 def test_serial_dictatorship_unacceptable_recursion():
     prob = unacc_problem("ab|c", "a|bc", "abc|")
-    alloc, _ = serial_dictatorship(prob, (1, 2, 3))
+    alloc, _ = serial_dictatorship_rule((1, 2, 3)).run(prob)
     # displayed recursion: X ∩ U(1), then X ∩ U(2) minus taken, then X ∩ U(3) minus taken
     taken = 0
     expected = []
@@ -196,8 +196,8 @@ def test_serial_dictatorship_unacceptable_recursion():
 
 def test_null_and_dictatorship():
     prob = fixed_problem("abc", "bac")
-    assert null_allocation(prob)[0] == (0, 0)
-    assert dictatorship(prob, (2, 1))[0] == (0, bundle("abc"))
+    assert null_rule().run(prob) == ((0, 0), None)
+    assert dictatorship_rule((2, 1)).run(prob) == ((0, bundle("abc")), None)
 
 
 def test_snake_single_round_equals_draft():
@@ -253,10 +253,15 @@ def test_tabulated_rule_lookup_and_miss():
 
 
 def test_engine_only_rules_refuse_problems_past_eight_objects():
-    """A rule without a scalar runner allocates through one row of its engine, whose
-    bundles are 8-bit; a plan rule's runner still serves nine objects."""
+    """A rule without a scalar runner allocates through one row of its engine. The pick
+    table's bundles are 8-bit, so the engines that read it refuse nine objects; a plan
+    rule's runner and the reference rules' widening rows still serve them."""
     nine = Problem("unacceptable", (1, 2), 0b11, (Preference(tuple(range(9)), 9),) * 2)
     assert unacceptable_draft_rule((1, 2)).allocate(nine) == (0b01, 0b10)
+    wide = Problem("unacceptable", (1, 2), 0x1FF, (Preference(tuple(range(9)), 5),) * 2)
+    assert serial_dictatorship_rule((2, 1)).run(wide) == ((0, 0x1F), None)
+    assert dictatorship_rule((2, 1)).run(wide) == ((0, 0x1FF), None)
+    assert null_rule().run(wide) == ((0, 0), None)
     for rule in (ir_counterexample((1, 2)), neutrality_counterexample((1, 2), 0)):
         with pytest.raises(ValueError, match="at most 8 objects, not 9"):
             rule.allocate(nine)
@@ -297,9 +302,9 @@ def test_every_engine_output_validates():
         (prob, unacceptable_draft_rule((1, 2)).run(prob)[0]),
         (quota, quota_draft_rule((1, 2)).run(quota)[0]),
         (fixed, draft_rule((1, 2)).run(fixed)[0]),
-        (fixed, serial_dictatorship(fixed, (1, 2))[0]),
-        (fixed, dictatorship(fixed, (1, 2))[0]),
-        (fixed, null_allocation(fixed)[0]),
+        (fixed, serial_dictatorship_rule((1, 2)).run(fixed)[0]),
+        (fixed, dictatorship_rule((1, 2)).run(fixed)[0]),
+        (fixed, null_rule().run(fixed)[0]),
         (var, variable_draft_rule((2, 1)).run(var)[0]),
         (var, snake_draft_rule((1, 2)).run(var)[0]),
     ]

@@ -400,7 +400,7 @@ ENGINES = {
     "population-rm-cx": lambda pi, seq: population_rm_counterexample(pi),
     "2con-cx": lambda pi, seq: pairwise_consistency_counterexample(pi),
 }
-RUNNERS = {"ir-cx": lambda pi, seq: oracle.ir_counterexample_runner(pi)}  # others: their own
+RUNNERS = {"ir-cx": lambda pi, seq: oracle.ir_counterexample_runner(pi)}  # others: scalar_runner
 MAX_BLOCK_ROWS = 15_000
 
 
@@ -425,7 +425,7 @@ def engine_blocks(draw):
     seq = PickingSequence(tuple(prefix), tuple(draw(st.permutations(agents) | some_agents)))
     name = draw(st.sampled_from(sorted(ENGINES)))
     rule = ENGINES[name](pi, seq)
-    runner = RUNNERS[name](pi, seq) if name in RUNNERS else rule.runner
+    runner = RUNNERS[name](pi, seq) if name in RUNNERS else oracle.scalar_runner(rule)
     if variant == "quota":
         quota = st.one_of(st.integers(1, 3), st.just(INFINITE))
         domain = quota_domain(n, m, draw(st.lists(quota, min_size=n, max_size=n)))
@@ -504,8 +504,9 @@ def test_engines_raise_their_scalar_engines_errors(rule, domain, error, message)
         block = (domain.populations[-1], domain.available_sets[-1])
     else:
         block = (len(domain.available_sets) - 1,)
+    slow = sweep(replace(rule, fill=oracle.row_fill(oracle.scalar_runner(rule))), domain)
     with pytest.raises(error, match=message) as scalar:
-        sweep(replace(rule, fill=oracle.row_fill(rule.runner)), domain).grid(*block)
+        slow.grid(*block)
     with pytest.raises(error) as engine:
         sweep(rule, domain).grid(*block)
     assert str(engine.value) == str(scalar.value)
