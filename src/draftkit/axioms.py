@@ -425,10 +425,10 @@ class AxiomSpace:
     def acceptable(self) -> np.ndarray:
         return np.array([p.acceptable for p in self.prefs], dtype=np.uint8)
 
-    def relation(self, slot: int | None = None, ef1: bool = False) -> np.ndarray:
-        """DOM[pref, s, t] (or EF1OK) under the slot's quota; no slot reads no quota."""
+    def relation(self, slot: int | None = None) -> np.ndarray:
+        """DOM[pref, s, t] under the slot's quota; no slot reads no quota."""
         quota = None if slot is None or self.quotas is None else self.quotas[slot]
-        return relation_table(self.n_objects, self.variant == "unacceptable", quota, ef1)
+        return relation_table(self.n_objects, self.variant == "unacceptable", quota)
 
 
 # --- deviation relations: (table, preference index, own bundle, other bundle) ---
@@ -565,18 +565,21 @@ def _ranked_detail(space, prob, alloc, k):
 
 
 def _envy(ef1: bool, ranked: bool) -> UnaryAxiom:
-    """EF, EF1 or RP: the first agent of each pair passes DOM (or EF1OK) against the second."""
+    """EF, EF1 or RP: the first agent of each pair passes DOM against the second (under EF1,
+    against the second's bundle less its best acceptable object, read from `pick_table`)."""
 
     def pairs(space):
         return space.ranked if ranked else space.pairs
 
     def ok(space, x, allocs, digits):
-        tables = [space.relation(a, ef1) for a in range(space.n)]
-        return _per_pair(
-            pairs(space),
-            len(allocs),
-            lambda a, b: tables[a][digits[:, a], allocs[:, a], allocs[:, b]],
-        )
+        tables = [space.relation(a) for a in range(space.n)]
+        top = pick_table(space.prefs) if ef1 else None
+
+        def passes(a, b):
+            d, other = digits[:, a], allocs[:, b]
+            return tables[a][d, allocs[:, a], other ^ top[d, other] if ef1 else other]
+
+        return _per_pair(pairs(space), len(allocs), passes)
 
     def detail(space, prob, alloc, k):
         a, b = pairs(space)[k]

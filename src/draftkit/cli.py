@@ -240,7 +240,10 @@ def cmd_check(args) -> int:
         priority = tuple(int(p) for p in args.priority)
     rule = _build_rule(args.rule, args.variant, priority)
     run_one = _axiom_runner(domain, rule, priority, axioms)
-    reports = [run_one(a) for a in axioms]
+    try:
+        reports = [run_one(a) for a in axioms]
+    except verifier.CapacityError as exc:
+        return _undecided(args, str(exc), report | {"note": "capacity exceeded"})
 
     verdicts = {}
     all_hold = True

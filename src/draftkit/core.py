@@ -19,6 +19,10 @@ Bundle = int  # bitmask over object ids
 INFINITE = float("inf")  # quota value meaning "no cap"
 
 
+class CapacityError(ValueError):
+    """The request is larger than the engine that would decide it can represent."""
+
+
 def bundle_of(objects: Iterable[int]) -> Bundle:
     mask = 0
     for o in objects:

@@ -551,16 +551,6 @@ def _links(index: ProblemKeys, space: AxiomSpace, axioms, local) -> list[_Links]
     return out
 
 
-class _Constraints:
-    """The full network's constraints as their count, known before the network is built."""
-
-    def __init__(self, count: int):
-        self._count = count
-
-    def __len__(self) -> int:
-        return self._count
-
-
 class RuleCSP:
     """A rule search over one domain, held as its quotient modulo object relabeling.
 
@@ -570,8 +560,8 @@ class RuleCSP:
     row `relabeling[k]` of its set's `ProblemKeys.back` table, which is how
     `table` reads a pinned quotient onto every key. The full network over every
     key (`network`) is built on first use, by every search the quotient does
-    not decide; `constraints` holds only its length (`n_constraints`), which the
-    quotient gives.
+    not decide; `constraints` is the range of its constraint ids, whose count
+    (`n_constraints`) the quotient gives.
     """
 
     def __init__(self, domain, axioms, index, space, quotient, rows, orbit, relabeling, count):
@@ -603,8 +593,8 @@ class RuleCSP:
         return _network(self.keys, rows, constraints)
 
     @property
-    def constraints(self) -> _Constraints:
-        return _Constraints(self.n_constraints)
+    def constraints(self) -> range:
+        return range(self.n_constraints)
 
     def table(self, doms: list[int]) -> dict:
         """The solution where every representative holds the one candidate of its mask

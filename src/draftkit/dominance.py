@@ -1,58 +1,62 @@
 """Pairwise-dominance comparison of bundles, its variants, and additive utility schemes.
 
 A bundle S weakly dominates T under a ranking when some injection maps each
-object of T to a weakly better object of S. The fast test works in rank space:
-sort both bundles best-first and compare position by position. Its equivalence
-with injection existence is a tested claim against `weakly_dominates_oracle`
-(exhaustive bipartite matching), not an assumption.
+object of T to a weakly better object of S. In rank space (bit k of a mask is
+the object ranked k-th) that is Hall's condition on nested sets: every prefix of
+the ranks holds at least as many objects of S as of T. `_pd_matrix` is the one
+definition of that relation, read by the scalar comparisons and gathered per
+preference by `dominance_table`. Its equivalence with injection existence is a
+tested claim against `weakly_dominates_oracle` (exhaustive bipartite matching).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
+from math import factorial
 from random import Random
 from typing import Sequence
 
 import numpy as np
 
-from .core import INFINITE, Bundle, Preference, bundle_size, objects_of, preference_space
+from .core import (
+    INFINITE,
+    Bundle,
+    CapacityError,
+    Preference,
+    bundle_size,
+    objects_of,
+    preference_space,
+)
 
 ORACLE_SIZE_CAP = 12
+MAX_RELATION_CELLS = 1 << 30  # bools in one relation table: 7 objects with cutoffs fit, 8 do not
 
 
-def _rank_masks_dominate(s: int, t: int) -> bool:
-    """Rank-space test: i-th best of s at least as good (lower bit) as i-th best of t."""
-    if s.bit_count() < t.bit_count():
-        return False
-    while t:
-        if (s & -s) > (t & -t):
-            return False
-        s &= s - 1
-        t &= t - 1
-    return True
+@cache
+def _pd_matrix(size: int) -> np.ndarray:
+    """Bool (2**size, 2**size): [s, t] iff each prefix of the ranks holds at least as many
+    bits of s as of t. Built one prefix at a time, so temporaries stay (2**size, 2**size)."""
+    masks = np.arange(1 << size)
+    count = np.zeros(1 << size, dtype=np.intp)  # bits of each mask among the k best ranks
+    table = np.ones((1 << size, 1 << size), dtype=bool)
+    for k in range(size):
+        count += masks >> k & 1
+        table &= count[:, None] >= count[None, :]
+    table.flags.writeable = False
+    return table
 
 
-def _build_table(size: int) -> list[int]:
-    rows = []
-    for s in range(1 << size):
-        row = 0
-        for t in range(1 << size):
-            if _rank_masks_dominate(s, t):
-                row |= 1 << t
-        rows.append(row)
-    return rows
-
-
-# row s has bit t set iff rank-space bundle s weakly dominates t (universes up to 6 objects)
-PD_ROWS = _build_table(6)
+@cache
+def _pd_rows(size: int) -> list[int]:
+    """Row s of `_pd_matrix(size)` as an int: bit t set iff s dominates t."""
+    packed = np.packbits(_pd_matrix(size), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def dominates_rank_masks(s: int, t: int) -> bool:
-    if s < 64 and t < 64:
-        return PD_ROWS[s] >> t & 1 == 1
-    return _rank_masks_dominate(s, t)
+    return _pd_rows((s | t).bit_length())[s] >> t & 1 == 1
 
 
 def weakly_dominates(pref: Preference, s: Bundle, t: Bundle) -> bool:
@@ -100,22 +104,13 @@ def envies(pref: Preference, own: Bundle, other: Bundle, quota: int | float = IN
     return not weakly_dominates(pref, own, other)
 
 
-def _pd_matrix(size: int) -> np.ndarray:
-    """Bool (2**size, 2**size) form of the rank-space relation: [s, t] iff s dominates t."""
-    if size <= 6:
-        rows = np.array(PD_ROWS[: 1 << size], dtype=np.uint64)
-        return (rows[:, None] >> np.arange(1 << size, dtype=np.uint64) & 1).astype(bool)
-    masks = range(1 << size)
-    return np.array([[_rank_masks_dominate(s, t) for t in masks] for s in masks])
-
-
 def dominance_table(
     prefs: Sequence[Preference], n_objects: int, quota: int | None = None
 ) -> np.ndarray:
     """DOM[p, s, t]: under prefs[p] bundle s weakly dominates bundle t, for all s, t < 2**n_objects.
 
     Each preference maps every bundle to rank space through one array (cutoff
-    and quota applied there), and the pairs are looked up in `PD_ROWS`. A quota
+    and quota applied there), and the pairs are looked up in `_pd_matrix`. A quota
     keeps the agent's `quota` best objects of each bundle, as in
     `quota_weakly_dominates`. Every preference must rank objects 0..n_objects-1.
     """
@@ -136,33 +131,27 @@ def dominance_table(
     return table
 
 
-def ef1_table(dom: np.ndarray, n_objects: int) -> np.ndarray:
-    """EF1OK[p, own, other]: `own` dominates `other` with at most one object of `other` removed."""
-    ok = dom.copy()
-    others = np.arange(1 << n_objects)
-    for o in range(n_objects):
-        holding = others[others >> o & 1 == 1]
-        ok[:, :, holding] |= dom[:, :, holding ^ (1 << o)]
-    ok.flags.writeable = False
-    return ok
-
-
 def relation_table(
-    n_objects: int, cutoffs: bool = False, quota: int | float | None = None, ef1: bool = False
+    n_objects: int, cutoffs: bool = False, quota: int | float | None = None
 ) -> np.ndarray:
-    """DOM (or, with ef1, EF1OK) over `preference_space(n_objects, cutoffs)` under one quota.
+    """DOM over `preference_space(n_objects, cutoffs)` under one quota.
 
     Each table is built on first use and cached for the life of the process;
-    no quota and an infinite quota share one table.
+    no quota and an infinite quota share one table. A table of more than
+    MAX_RELATION_CELLS cells raises CapacityError before anything is built.
     """
     q = None if quota is None or quota == INFINITE else int(quota)
-    return _relation_table(n_objects, cutoffs, q, ef1)
+    return _relation_table(n_objects, cutoffs, q)
 
 
-@lru_cache(maxsize=None)
-def _relation_table(n_objects: int, cutoffs: bool, quota: int | None, ef1: bool) -> np.ndarray:
-    if ef1:
-        return ef1_table(_relation_table(n_objects, cutoffs, quota, False), n_objects)
+@cache
+def _relation_table(n_objects: int, cutoffs: bool, quota: int | None) -> np.ndarray:
+    cells = factorial(n_objects) * (n_objects + 1 if cutoffs else 1) << 2 * n_objects
+    if cells > MAX_RELATION_CELLS:
+        raise CapacityError(
+            f"{n_objects} objects make a relation table of {cells} cells, "
+            f"more than one table holds ({MAX_RELATION_CELLS})"
+        )
     return dominance_table(preference_space(n_objects, cutoffs), n_objects, quota)
 
 

@@ -93,6 +93,19 @@ def _violated(axiom, checked, witness, note=""):
     return AxiomReport(axiom, "violated", witness, checked, note)
 
 
+def rank_masks_dominate(s: int, t: int) -> bool:
+    """Rank-space dominance by position: the i-th best of s is at least as good (a lower bit)
+    as the i-th best of t, for every i up to |t|."""
+    if s.bit_count() < t.bit_count():
+        return False
+    while t:
+        if (s & -s) > (t & -t):
+            return False
+        s &= s - 1
+        t &= t - 1
+    return True
+
+
 def quota_weakly_dominates(pref, quota, s, t) -> bool:
     """`dominance.quota_weakly_dominates` in object space: `top_k` keeps each bundle's best
     `quota` objects by the ranking, then `weakly_dominates` compares them."""
@@ -1032,7 +1045,6 @@ def build_grid(n_objects, axioms, priority=(1, 2)):
     import numpy as np
 
     from draftkit.core import Preference
-    from draftkit.dominance import dominates_rank_masks
 
     deviation = "SP" if "SP" in axioms else "WSP"
     unary = [ax for ax in axioms if ax not in ("SP", "WSP")]
@@ -1050,9 +1062,9 @@ def build_grid(n_objects, axioms, priority=(1, 2)):
             for a in range(C):
                 d = u = 0
                 for b in range(C):
-                    if dominates_rank_masks(rk[r][a], rk[r][b]):
+                    if rank_masks_dominate(rk[r][a], rk[r][b]):
                         d |= 1 << b
-                    if dominates_rank_masks(rk[r][b], rk[r][a]):
+                    if rank_masks_dominate(rk[r][b], rk[r][a]):
                         u |= 1 << b
                 down[r, a], up[r, a] = d, u
                 sdown[r, a], sup[r, a] = d & ~u, u & ~d
@@ -1069,10 +1081,10 @@ def build_grid(n_objects, axioms, priority=(1, 2)):
         m_row = (allmask ^ sup2)[:, None, :] & (allmask ^ sdown2)[None, :, :]
 
     def ef1_side(p, own, other):
-        if dominates_rank_masks(p.rank_mask(own), p.rank_mask(other)):
+        if rank_masks_dominate(p.rank_mask(own), p.rank_mask(other)):
             return True
         return any(
-            dominates_rank_masks(p.rank_mask(own), p.rank_mask(other & ~(1 << o)))
+            rank_masks_dominate(p.rank_mask(own), p.rank_mask(other & ~(1 << o)))
             for o in objects_of(other)
         )
 
@@ -1087,9 +1099,9 @@ def build_grid(n_objects, axioms, priority=(1, 2)):
                 ok2 = ok2 and ef1_side(p, full & ~a, a)
             if "RP" in unary:
                 if priority == (1, 2):
-                    ok1 = ok1 and dominates_rank_masks(p.rank_mask(a), p.rank_mask(full & ~a))
+                    ok1 = ok1 and rank_masks_dominate(p.rank_mask(a), p.rank_mask(full & ~a))
                 else:
-                    ok2 = ok2 and dominates_rank_masks(p.rank_mask(full & ~a), p.rank_mask(a))
+                    ok2 = ok2 and rank_masks_dominate(p.rank_mask(full & ~a), p.rank_mask(a))
             rmask |= ok1 << a
             cmask |= ok2 << a
         row_ok[r], col_ok[r] = rmask, cmask

@@ -636,6 +636,33 @@ def test_cli_check_past_profile_capacity_is_undecided(
     assert json.loads(out_file.read_text())["exit"] == 3
 
 
+@pytest.mark.parametrize(
+    "variant, rule, cells",
+    [("fixed", "draft", 40320 << 16), ("unacceptable", "u-draft", 40320 * 9 << 16)],
+)
+def test_cli_check_past_relation_capacity_is_undecided(
+    monkeypatch, capsys, tmp_path, variant, rule, cells
+):
+    from draftkit import dominance
+
+    def dominance_table(*args):
+        raise AssertionError("a relation table was built past its capacity")
+
+    monkeypatch.setattr(dominance, "dominance_table", dominance_table)
+    out_file = tmp_path / "report.json"
+    argv = ["--out", str(out_file), "--no-timestamp", "check", "--rule", rule, "--axioms", "RM"]
+    argv += ["--agents", "1", "--objects", "8", "--variant", variant, "--i-know-this-is-huge"]
+    assert main(argv) == 3
+    out = capsys.readouterr()
+    assert out.err == (
+        f"undecided: 8 objects make a relation table of {cells} cells, "
+        "more than one table holds (1073741824)\n"
+    )
+    assert out.out == ""
+    report = json.loads(out_file.read_text())
+    assert report == {"command": "check", "exit": 3, "note": "capacity exceeded", "verdicts": {}}
+
+
 @pytest.mark.parametrize("theorem", ["T1", "T5", "L1", "T8", "L9"])
 def test_cli_verify_past_profile_capacity_is_undecided(monkeypatch, capsys, tmp_path, theorem):
     """Each id that sizes a sweep or search by --agents refuses 9 agents before building it."""

@@ -7,9 +7,10 @@ import scalar_checkers as oracle
 from draftkit.core import INFINITE, Preference, bundle_size, objects_of, subsets_of, top_k
 from draftkit.dominance import (
     WeightScheme,
+    _pd_matrix,
     additive_utility,
     dominance_table,
-    ef1_table,
+    dominates_rank_masks,
     envies,
     geometric_scheme,
     linear_scheme,
@@ -19,6 +20,7 @@ from draftkit.dominance import (
     weakly_dominates,
     weakly_dominates_oracle,
 )
+from draftkit.rules import pick_table
 
 from helpers import bundle, pref
 
@@ -260,9 +262,9 @@ def test_relation_tables_match_scalar_dominance(m, cutoffs):
     else:
         prefs = [Preference(r) for r in rankings]
         quotas = [None] + list(range(1, m + 1))
+    top = pick_table(tuple(prefs))
     for q in quotas:
         dom = dominance_table(prefs, m, q)
-        ef1 = ef1_table(dom, m)
 
         def rel(p, s, t):
             return weakly_dominates(p, s, t) if q is None else quota_weakly_dominates(p, q, s, t)
@@ -271,6 +273,17 @@ def test_relation_tables_match_scalar_dominance(m, cutoffs):
             for s in range(1 << m):
                 for t in range(1 << m):
                     assert dom[i, s, t] == rel(p, s, t)
-                    assert ef1[i, s, t] == (
+                    # EF1 as `axioms._envy` reads it: t less its best acceptable object
+                    assert dom[i, s, t ^ top[i, t]] == (
                         rel(p, s, t) or any(rel(p, s, t & ~(1 << o)) for o in objects_of(t))
                     )
+
+
+@pytest.mark.parametrize("size", range(1, 9))
+def test_rank_space_relation_is_the_positionwise_comparison(size):
+    """The prefix-count relation, as a table and as the scalar rows, on every mask pair."""
+    table, masks = _pd_matrix(size), range(1 << size)
+    for s in masks:
+        expected = [oracle.rank_masks_dominate(s, t) for t in masks]
+        assert table[s].tolist() == expected
+        assert [dominates_rank_masks(s, t) for t in masks] == expected

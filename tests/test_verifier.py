@@ -392,8 +392,8 @@ def test_p4_refutes_ep_read_the_other_way(monkeypatch, capsys):
 def test_p4_refutes_one_flipped_cell_of_the_relation_table(monkeypatch, capsys):
     relation = AxiomSpace.relation
 
-    def flipped(space, slot=None, ef1=False):
-        return _flip_empty_over_a(relation(space, slot, ef1))
+    def flipped(space, slot=None):
+        return _flip_empty_over_a(relation(space, slot))
 
     monkeypatch.setattr(AxiomSpace, "relation", flipped)
     detail = _p4_report(capsys)
