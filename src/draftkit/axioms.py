@@ -32,7 +32,6 @@ from .core import (
     bundle_size,
     objects_of,
     preference_space,
-    restrict,
     subsets_of,
     top_k,
 )
@@ -233,12 +232,26 @@ def _fill(rule: Rule, domain: ProblemDomain, agents, x: Bundle, prefs, digits) -
 
 
 @lru_cache(maxsize=None)
+def restriction_codes(domain: ProblemDomain, x: Bundle) -> np.ndarray:
+    """Per index into the domain's preference space, the code of its restriction to x: the
+    index over x of its ranking, times |x| + 1 plus its acceptable objects in x in the
+    unacceptable variant. Two indexes restrict to x alike exactly when their codes agree."""
+    m = domain.n_objects
+    to_x = restriction_map((1 << m) - 1, x)
+    if domain.variant != "unacceptable":
+        return to_x
+    accepted = np.array([p.acceptable for p in domain.preference_space()]) & x
+    # a preference index is ranking * (m + 1) + cutoff
+    return _index_array(np.repeat(to_x, m + 1) * (bundle_size(x) + 1) + np.bitwise_count(accepted))
+
+
+@lru_cache(maxsize=None)
 def restriction_reps(domain: ProblemDomain, x: Bundle) -> np.ndarray:
     """Per index into the domain's preference space, the first index whose restriction to
     x is the same: the first index of its restriction class at x."""
-    first: dict[Preference, int] = {}
-    prefs = domain.preference_space()
-    return _index_array([first.setdefault(restrict(p, x), i) for i, p in enumerate(prefs)])
+    first: dict[int, int] = {}
+    codes = restriction_codes(domain, x).tolist()
+    return _index_array([first.setdefault(code, i) for i, code in enumerate(codes)])
 
 
 class FixedSweep:

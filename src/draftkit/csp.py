@@ -4,7 +4,8 @@ propagated modulo object relabeling.
 Keys, the keys each constraint links and the candidates all come from
 restriction-class codes (`ProblemKeys`). Intra-problem axioms filter candidate
 sets; inter-problem axioms become binary constraints with precomputed
-allowed-masks. Propagation is queue-based arc consistency.
+allowed-masks, and one builder (`_build`) makes both networks below.
+Propagation is queue-based arc consistency.
 
 Every encoded axiom is neutral in objects: relabeling the objects of a key's
 available set X, of its preferences and of its candidate splits maps the
@@ -62,7 +63,7 @@ from .axioms import (
     canonical_relabelings,
     format_bundle,
     require_variant,
-    restriction_map,
+    restriction_codes,
     restriction_reps,
     unary_entries,
 )
@@ -156,10 +157,10 @@ class SolveResult:
 class ProblemKeys:
     """The problem keys of a fixed-population domain, as restriction-class codes.
 
-    At available set X, preferences that restrict to X alike form one class,
-    and the first index of each class (`restriction_reps`) stands for it. The
-    keys at X are the profile codes whose every digit is such a first index,
-    in code order, and sets follow the domain's order: the order in which
+    At available set X, preferences that restrict to X alike (`restriction_codes`)
+    form one class, and the first index of each class (`restriction_reps`) stands
+    for it. The keys at X are the profile codes whose every digit is such a first
+    index, in code order, and sets follow the domain's order: the order in which
     `ProblemDomain.problems()` first meets each key. Key k is variable k of a
     rule search; the keys at set xi start at `offsets[xi]`, and `digits[xi]`
     holds their preference indexes (a view of `all_digits`). Other problems are
@@ -225,17 +226,6 @@ class ProblemKeys:
         x = self.xs[xi]
         return canonical_relabelings(x, self.xs[self._canonical_sets[bundle_size(x)]])[1]
 
-    def _restricted(self, xi: int) -> np.ndarray:
-        """Per class at set xi, the code of its restriction: the index over x of its ranking,
-        times |x| + 1 plus its cutoff in the unacceptable variant."""
-        d, x, f = self.domain, self.xs[xi], self.firsts[xi]
-        to_x = restriction_map((1 << d.n_objects) - 1, x)
-        if d.variant != "unacceptable":
-            return to_x[f]
-        rank = f // (d.n_objects + 1)
-        accepted = np.array([p.acceptable for p in d.preference_space()])[f] & x
-        return to_x[rank] * (bundle_size(x) + 1) + np.bitwise_count(accepted)
-
     def orbits(self) -> tuple[np.ndarray, np.ndarray]:
         """Per key, its orbit's representative (a key index) and the row r0 of its set's
         `back` table that relabels the representative onto it.
@@ -244,14 +234,15 @@ class ProblemKeys:
         ascending order of t, the first set of its size, so the representatives
         are the keys at t whose first ranking ascends.
         """
-        rep, row = [], []
+        d, rep, row = self.domain, [], []
         for xi, x in enumerate(self.xs):
             size, ti = bundle_size(x), self._canonical_sets[bundle_size(x)]
             canon = canonical_relabelings(x, self.xs[ti])[0]
-            width = size + 1 if self.domain.variant == "unacceptable" else 1
+            width = size + 1 if d.variant == "unacceptable" else 1
+            firsts, codes = self.firsts[ti], restriction_codes(d, self.xs[ti])
             at_t = np.empty(len(canon) * width, dtype=np.intp)  # restriction code -> class
-            at_t[self._restricted(ti)] = np.arange(len(self.firsts[ti]))
-            rank, cut = np.divmod(self._restricted(xi)[self._classes[xi][self.digits[xi]]], width)
+            at_t[codes[firsts]] = np.arange(len(firsts))
+            rank, cut = np.divmod(restriction_codes(d, x)[self.digits[xi]], width)
             image = at_t[canon[rank[:, :1], rank] * width + cut]
             rep.append(self.offsets[ti] + image @ self._weights[ti])
             row.append(rank[:, 0])
@@ -407,9 +398,6 @@ class _Links:
         self.name, self.u, self.v, self.slots, self.judge = name, u, v, slots, judge
         self.both_ways = both_ways
 
-    def only(self, keep: np.ndarray) -> _Links:
-        return _Links(self.name, self.u[keep], self.v[keep], self.slots[keep], self.judge)
-
 
 class _PairBatch:
     """The allowed masks of many links at once, from the candidate rows.
@@ -431,7 +419,7 @@ class _PairBatch:
         valid = j < self.widths[lists][:, None]
         return self.flat[np.where(valid, self.starts[lists][:, None] + j, 0)], valid
 
-    def masks(self, links: _Links, bu: np.ndarray, bv: np.ndarray, generators=()) -> list:
+    def masks(self, links: _Links, bu: np.ndarray, bv: np.ndarray, generators) -> list:
         """Per link e, (forward, backward) between row lists bu[e] and bv[e]. ValueError
         where a generator, a (preference map, bundle map) pair, changes a link's table."""
         out = []
@@ -551,6 +539,61 @@ def _links(index: ProblemKeys, space: AxiomSpace, axioms, local) -> list[_Links]
     return out
 
 
+def _build(
+    index: ProblemKeys, space, axioms, keys, variables, orbit, relabeling=None, generators=()
+) -> tuple[Network, list[np.ndarray], int]:
+    """The network whose variable i is key variables[i], named keys[i], its candidate
+    rows, and the count of constraints among every key.
+
+    Key k is variable orbit[k]'s key relabeled by row relabeling[k] of its set's
+    `ProblemKeys.back` table, or without `relabeling` variable orbit[k] itself. A
+    variable's candidates are the splits of its set within the quotas that pass the
+    unary axiom table. A binary constraint links a variable to a key found from its
+    digits (`_links`), reading that key's rows relabeled from its variable's, so that
+    the masks index that variable's candidates; all masks are built in one batch
+    (`_PairBatch`). ValueError where one of the `generators` changes a variable's
+    unary row or a link's masks.
+    """
+    quotas, local, rows = index.domain.quotas, [], []
+    for xi, x, lo, hi in zip(range(len(index.xs)), index.xs, index.offsets, index.offsets[1:]):
+        local.append(variables[(variables >= lo) & (variables < hi)] - lo)
+        if len(local[-1]):
+            splits, digits = _splits(x, space.n, quotas), index.digits[xi][local[-1]]
+            keep = admitted(space, x, splits, digits, axioms)
+            for prefs, bundles in generators:
+                image = admitted(space, int(bundles[x]), bundles[splits], prefs[digits], axioms)
+                if not np.array_equal(image, keep):
+                    raise ValueError(f"the unary axioms of {axioms} are not neutral in objects")
+            rows += [splits[k] for k in keep]
+
+    links = _links(index, space, axioms, local)
+    widths = np.array([len(r) for r in rows], dtype=np.intp)
+    flat, targets = _concat(rows), None
+    if relabeling is not None:  # the far ends' rows, relabeled from their variables' rows
+        targets = np.unique(_concat([l.v for l in links]))
+        starts, moved = np.cumsum(widths) - widths, []
+        for xi, lo, hi in zip(range(len(index.xs)), index.offsets, index.offsets[1:]):
+            here = targets[(targets >= lo) & (targets < hi)]
+            w = widths[orbit[here]]
+            source = np.repeat(starts[orbit[here]] - np.cumsum(w) + w, w) + np.arange(w.sum())
+            moved.append(index.back(xi)[np.repeat(relabeling[here], w)[:, None], flat[source]])
+        flat, widths = _concat([flat, *moved]), np.concatenate([widths, widths[orbit[targets]]])
+    batch = _PairBatch(flat, widths, index.all_digits)
+
+    sizes, constraints, count = np.bincount(orbit), [], 0
+    for l in links:
+        count += int(sizes[orbit[l.u]].sum()) // (2 if l.both_ways else 1)
+        if l.both_ways:  # one of a pair's two listings, the one from the lower variable
+            keep = orbit[l.u] <= orbit[l.v]
+            l = _Links(l.name, l.u[keep], l.v[keep], l.slots[keep], l.judge)
+        bu, bv = orbit[l.u], orbit[l.v]
+        far = bv if targets is None else len(rows) + np.searchsorted(targets, l.v)
+        ends = zip(bu.tolist(), bv.tolist(), batch.masks(l, bu, far, generators))
+        constraints += [BinaryConstraint(l.name, u, v, f, b) for u, v, (f, b) in ends]
+    candidates = [list(map(tuple, r.tolist())) for r in rows]
+    return Network(keys, candidates, [(1 << len(r)) - 1 for r in rows], constraints), rows, count
+
+
 class RuleCSP:
     """A rule search over one domain, held as its quotient modulo object relabeling.
 
@@ -559,9 +602,9 @@ class RuleCSP:
     candidate rows `rows[i]`. Key k is representative `orbit[k]` relabeled by
     row `relabeling[k]` of its set's `ProblemKeys.back` table, which is how
     `table` reads a pinned quotient onto every key. The full network over every
-    key (`network`) is built on first use, by every search the quotient does
-    not decide; `constraints` is the range of its constraint ids, whose count
-    (`n_constraints`) the quotient gives.
+    key (`network`), each key its own variable, is built on first use, by every
+    search the quotient does not decide; `constraints` is the range of its
+    constraint ids, whose count (`n_constraints`) the quotient's build gives.
     """
 
     def __init__(self, domain, axioms, index, space, quotient, rows, orbit, relabeling, count):
@@ -576,21 +619,9 @@ class RuleCSP:
 
     @cached_property
     def network(self) -> Network:
-        """The network over every key."""
-        index, space, quotas = self.index, self.space, self.domain.quotas
-        rows = []
-        for xi, x in enumerate(index.xs):
-            splits = _splits(x, space.n, quotas)
-            rows += [splits[k] for k in admitted(space, x, splits, index.digits[xi], self.axioms)]
-        widths = np.array([len(r) for r in rows], dtype=np.intp)
-        batch = _PairBatch(_concat(rows), widths, index.all_digits)
-        constraints = []
-        for links in _links(index, space, self.axioms, [np.arange(len(d)) for d in index.digits]):
-            if links.both_ways:
-                links = links.only(links.u < links.v)  # each pair once, from its lower key
-            ends = zip(links.u.tolist(), links.v.tolist(), batch.masks(links, links.u, links.v))
-            constraints += [BinaryConstraint(links.name, u, v, f, b) for u, v, (f, b) in ends]
-        return _network(self.keys, rows, constraints)
+        """The network over every key, each key its own variable."""
+        every = np.arange(len(self.keys))
+        return _build(self.index, self.space, self.axioms, self.keys, every, every)[0]
 
     @property
     def constraints(self) -> range:
@@ -611,25 +642,15 @@ class RuleCSP:
         return dict(zip(self.keys, map(allocations.__getitem__, which.tolist())))
 
 
-def _network(keys: list, rows: list[np.ndarray], constraints) -> Network:
-    """The network whose variables hold the candidate rows `rows`, all of them live."""
-    candidates = [list(map(tuple, r.tolist())) for r in rows]
-    return Network(keys, candidates, [(1 << len(r)) - 1 for r in rows], constraints)
-
-
 def build_csp(domain: ProblemDomain, axioms: Sequence[str], priority: Priority | None = None):
     """Encode the axioms over the domain's problem keys, modulo object relabeling.
 
     Variables are the domain's problem keys (`ProblemKeys`), so they range over
-    tabulated rules in the sense of the search's target class. A key's
-    candidates are the splits of its set within the quotas that pass the unary
-    axiom table. A binary constraint links a key to one found from its digits
-    (`_links`). The quotient holds the representatives' candidates and the links
-    out of them, each far end's candidate rows relabeled into its
-    representative's order, so that the masks read that representative's
-    candidates directly; all masks are built in one batch (`_PairBatch`).
-    ValueError where a generator of the relabelings moves a representative's
-    unary row or a quotient link's masks (see the module docstring).
+    tabulated rules in the sense of the search's target class. The quotient is
+    `_build`'s network on the orbit representatives (`ProblemKeys.orbits`), each
+    far end's rows relabeled from its representative's. ValueError where a
+    generator of the relabelings moves a representative's unary row or a
+    quotient link's masks (see the module docstring).
     """
     for ax in axioms:
         if ax not in ENCODED_AXIOMS:
@@ -645,44 +666,10 @@ def build_csp(domain: ProblemDomain, axioms: Sequence[str], priority: Priority |
     rep_keys = np.flatnonzero(reps == np.arange(len(reps)))
     orbit = np.searchsorted(rep_keys, reps)
     generators = _generators(domain.n_objects, domain.variant == "unacceptable")
-
-    local, rows = [], []
-    for xi, x, lo, hi in zip(range(len(index.xs)), index.xs, index.offsets, index.offsets[1:]):
-        local.append(rep_keys[(rep_keys >= lo) & (rep_keys < hi)] - lo)
-        if len(local[-1]):
-            splits, digits = _splits(x, space.n, domain.quotas), index.digits[xi][local[-1]]
-            keep = admitted(space, x, splits, digits, axioms)
-            for prefs, bundles in generators:
-                image = admitted(space, int(bundles[x]), bundles[splits], prefs[digits], axioms)
-                if not np.array_equal(image, keep):
-                    raise ValueError(f"the unary axioms of {axioms} are not neutral in objects")
-            rows += [splits[k] for k in keep]
-
-    links = _links(index, space, axioms, local)
-    # the far ends' rows: each target's representative's rows, relabeled onto the target
-    targets = np.unique(_concat([l.v for l in links]))
-    widths = np.array([len(r) for r in rows], dtype=np.intp)
-    flat, starts, moved = _concat(rows), np.cumsum(widths) - widths, []
-    for xi, lo, hi in zip(range(len(index.xs)), index.offsets, index.offsets[1:]):
-        here = targets[(targets >= lo) & (targets < hi)]
-        w = widths[orbit[here]]
-        source = np.repeat(starts[orbit[here]] - np.cumsum(w) + w, w) + np.arange(w.sum())
-        moved.append(index.back(xi)[np.repeat(relabeling[here], w)[:, None], flat[source]])
-    batch = _PairBatch(
-        _concat([flat, *moved]), np.concatenate([widths, widths[orbit[targets]]]), index.all_digits
+    quotient, rows, count = _build(
+        index, space, axioms, rep_keys.tolist(), rep_keys, orbit, relabeling, generators
     )
-
-    sizes, constraints, n_constraints = np.bincount(orbit), [], 0
-    for l in links:
-        n_constraints += int(sizes[orbit[l.u]].sum()) // (2 if l.both_ways else 1)
-        if l.both_ways:  # one of a pair's two listings, the one from the lower representative
-            l = l.only(orbit[l.u] <= orbit[l.v])
-        bu, bv = orbit[l.u], len(rows) + np.searchsorted(targets, l.v)
-        ends = zip(bu.tolist(), orbit[l.v].tolist(), batch.masks(l, bu, bv, generators))
-        constraints += [BinaryConstraint(l.name, u, v, f, b) for u, v, (f, b) in ends]
-
-    quotient = _network(rep_keys.tolist(), rows, constraints)
-    return RuleCSP(domain, axioms, index, space, quotient, rows, orbit, relabeling, n_constraints)
+    return RuleCSP(domain, axioms, index, space, quotient, rows, orbit, relabeling, count)
 
 
 # ---------------------------------------------------------------------------
@@ -892,7 +879,5 @@ def _bits(mask: int):
         mask ^= low
 
 
-def solutions_as_rules(csp: RuleCSP, result: SolveResult, name: str = "survivor") -> list[Rule]:
-    return [
-        tabulated_rule(f"{name}-{i}", table) for i, table in enumerate(result.solutions)
-    ]
+def solutions_as_rules(result: SolveResult, name: str = "survivor") -> list[Rule]:
+    return [tabulated_rule(f"{name}-{i}", table) for i, table in enumerate(result.solutions)]

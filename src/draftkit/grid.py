@@ -30,6 +30,7 @@ from functools import partial
 import numpy as np
 
 from .axioms import DEVIATIONS, AxiomSpace, ProblemDomain
+from .core import CapacityError
 from .csp import (
     BudgetExceeded,
     InfeasibilityCertificate,
@@ -81,11 +82,17 @@ def _cones(ok, dom: np.ndarray, own: np.ndarray) -> np.ndarray:
 def build_grid(n_objects: int, axioms, priority=(1, 2)) -> GridCSP:
     """Unary axioms filter the splits; exactly one of SP/WSP forms the deviation constraints.
 
-    The unary table is judged on the quotient's profiles (identity, s) only. ValueError
-    is raised where a generator moves the identity row (against the rows judged at its
-    2P image profiles) or any cone factor. A unary table that is not neutral at other
-    profiles passes, and the quotient then solves its neutral copy.
+    CapacityError past MAX_OBJECTS objects, before anything is built. The unary
+    table is judged on the quotient's profiles (identity, s) only. ValueError is
+    raised where a generator moves the identity row (against the rows judged at its
+    2P image profiles) or any cone factor. A unary table that is not neutral at
+    other profiles passes, and the quotient then solves its neutral copy.
     """
+    if n_objects > MAX_OBJECTS:
+        raise CapacityError(
+            f"{n_objects} objects exceeds the grid search's capacity ({MAX_OBJECTS}): "
+            "its candidate sets are 64-bit masks with one bit per split of the pool"
+        )
     axioms = tuple(axioms)
     deviation = [ax for ax in axioms if ax in ("SP", "WSP")]
     if len(deviation) != 1:

@@ -67,6 +67,7 @@ from .csp import (
     _splits,
     admitted,
     build_csp,
+    solutions_as_rules,
     solve_csp,
 )
 from .dominance import (
@@ -77,7 +78,6 @@ from .dominance import (
     strictly_dominates,
     weakly_dominates_oracle,
 )
-from .grid import MAX_OBJECTS as GRID_MAX_OBJECTS
 from .grid import build_grid, replay_grid_certificate, solve_grid
 from .rules import (
     Rule,
@@ -204,11 +204,6 @@ def _grid_impossibility(
 ) -> Verdict:
     """No two-agent rule on the pool meets the axioms: reproduced when the grid search is
     unsat under every priority and each certificate replays."""
-    if n_objects > GRID_MAX_OBJECTS:
-        raise CapacityError(
-            f"{n_objects} objects exceeds the grid search's capacity ({GRID_MAX_OBJECTS}): "
-            "its candidate sets are 64-bit masks with one bit per split of the pool"
-        )
     statuses, replays = [], True
     for pi in priorities:
         grid = build_grid(n_objects, axioms, priority=pi)
@@ -967,12 +962,10 @@ def verify_extension_comparison(n_agents: int = 2, n_objects: int = 3) -> Verdic
 def verify_critical_agent(n_agents: int = 3, n_objects: int = 3) -> Verdict:
     """Rules passing WRP + EF1 have a pivot agent at every problem: the draft and every
     desk-scale characterization survivor are swept."""
-    from .csp import solutions_as_rules, build_csp, solve_csp
-
     pi = tuple(range(1, n_agents + 1))
     small = fixed_domain(2, min(n_objects, 3))
     csp = build_csp(small, ("WRP", "EF1", "NW", "RM"), (1, 2))
-    rules_small = solutions_as_rules(csp, solve_csp(csp, mode="find-all"))
+    rules_small = solutions_as_rules(solve_csp(csp, mode="find-all"))
 
     checked = 0
     for rule, domain, prio in [(draft_rule(pi), fixed_domain(n_agents, n_objects), pi)] + [

@@ -8,8 +8,9 @@ first violation, so their
 fast checkers must reproduce exactly. They share only the sweep's grid, the
 witness formatting and the trade-cycle search with the code under test;
 restriction classes, truncation targets, adversary columns, both dominance
-relations and the brute-force Pareto oracle are recomputed here, and so are the
-rule-space search's problem keys (a first-occurrence scan of every problem),
+relations and the brute-force Pareto oracle are recomputed here (the `core.restrict`
+scan is the oracle of the restriction codes), and so are the rule-space search's
+problem keys (a first-occurrence scan of every problem),
 candidate allocations and report alternatives, per problem. The
 misreport-by-misreport manipulation search is here too, as the oracle of the
 one-block `verifier.find_manipulation`, and so are the step-by-step draft
@@ -133,6 +134,14 @@ def _restriction_key(pref, x):
     ranking = tuple(o for o in pref.ranking if x >> o & 1)
     cut = None if pref.cutoff is None else sum(1 for o in ranking if pref.acceptable >> o & 1)
     return ranking, cut
+
+
+def restriction_reps(domain, x) -> list[int]:
+    """Per index into the domain's preference space, the first index whose `core.restrict`
+    to x is the same."""
+    first: dict = {}
+    prefs = domain.preference_space()
+    return [first.setdefault(restrict(p, x), i) for i, p in enumerate(prefs)]
 
 
 def _misreport_targets(sw: FixedSweep, xi: int) -> list[list[int]]:

@@ -541,12 +541,12 @@ def test_cli_verify_refuses_sizes_without_a_second_round(capsys, argv, message):
 
 @pytest.mark.parametrize("theorem", ["T2", "T3", "T4"])
 def test_cli_verify_grid_capacity_is_undecided(monkeypatch, capsys, theorem):
-    from draftkit import verifier
+    from draftkit import grid
 
-    def build_grid(*args, **kwargs):
+    def cones(*args, **kwargs):
         raise AssertionError("the grid was built past its capacity")
 
-    monkeypatch.setattr(verifier, "build_grid", build_grid)
+    monkeypatch.setattr(grid, "_cones", cones)
     assert main(["verify", theorem, "--objects", "7", "--i-know-this-is-huge"]) == 3
     out = capsys.readouterr()
     assert out.err.startswith("undecided: 7 objects exceeds the grid") and out.out == ""

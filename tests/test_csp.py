@@ -276,7 +276,7 @@ def test_survivors_pass_the_axiom_suite():
     dom = fixed_domain(2, 2)
     csp = build_csp(dom, ["WRP", "EF1", "NW", "RM"], priority=(1, 2))
     res = solve_csp(csp, mode="find-all")
-    for rule in solutions_as_rules(csp, res):
+    for rule in solutions_as_rules(res):
         assert check_nw(rule, dom).holds
         assert check_wrp(rule, dom, (1, 2)).holds
         assert check_ef1(rule, dom).holds

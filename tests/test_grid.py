@@ -16,7 +16,7 @@ import pytest
 import scalar_checkers as oracle
 from draftkit import grid
 from draftkit.axioms import AxiomSpace, ProblemDomain, _digits
-from draftkit.core import bundle_of, objects_of
+from draftkit.core import CapacityError, bundle_of, objects_of
 from draftkit.csp import SolveStats, admitted, depth_first, relabelings
 from draftkit.grid import (
     _pick,
@@ -26,6 +26,7 @@ from draftkit.grid import (
     replay_grid_certificate,
     solve_grid,
 )
+from draftkit.verifier import probe_wsp_conjecture
 
 from helpers import GRID_AXIOMS
 
@@ -114,6 +115,23 @@ def test_build_grid_refuses_a_cone_factor_with_one_flipped_bit(
     monkeypatch.setattr(grid, "_cones", flipped)
     with pytest.raises(ValueError, match="cones are not neutral"):
         build_grid(3, ("NW", "EF1", "SP"))
+
+
+@pytest.mark.parametrize(
+    "search",
+    [partial(build_grid, 7, ("NW", "EF1", "SP")), partial(probe_wsp_conjecture, 7)],
+    ids=["build_grid", "probe_wsp_conjecture"],
+)
+def test_grid_past_capacity_raises_before_building(monkeypatch, search):
+    """Past MAX_OBJECTS objects a split's bit no longer fits a 64-bit candidate mask: the
+    builder raises CapacityError before it builds the deviation relation's cones."""
+
+    def unreachable(*args):
+        raise AssertionError("the grid was built past its capacity")
+
+    monkeypatch.setattr(grid, "_cones", unreachable)
+    with pytest.raises(CapacityError, match=r"^7 objects exceeds the grid search's capacity"):
+        search()
 
 
 @pytest.mark.parametrize("m", range(1, 7))

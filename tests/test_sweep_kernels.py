@@ -637,6 +637,21 @@ def test_canonical_relabelings_are_the_dict_bijections(m):
             assert back[:, list(subsets_of(t, False))].tolist() == want_back, (x, t)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "make",
+    [fixed_domain, lambda n, m: quota_domain(n, m, (1, 2)), unacceptable_domain],
+    ids=["fixed", "quota12", "unacceptable"],
+)
+def test_restriction_reps_are_the_restrict_scan(make, m):
+    """The first index of each restriction-code class is the first index whose
+    `core.restrict` to the set is the same, at every preference index and every set."""
+    domain = make(2, m)
+    for x in domain.available_sets:
+        want = oracle.restriction_reps(domain, x)
+        assert axioms.restriction_reps(domain, x).tolist() == want, (domain.variant, x)
+
+
 def test_refuting_variable_check_fills_only_up_to_the_witness():
     domain = variable_domain(3, 4)
     base, calls = population_rm_counterexample((1, 2, 3)), []
