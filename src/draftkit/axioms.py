@@ -123,21 +123,24 @@ class ProblemDomain:
             raise ValueError("variable domains have per-available-set preference spaces")
         return preference_space(self.n_objects, cutoffs=self.variant == "unacceptable")
 
-    def rankings_of(self, available: Bundle) -> tuple[Preference, ...]:
-        return _restricted_prefs(objects_of(available))
+    def prefs_at(self, available: Bundle) -> tuple[Preference, ...]:
+        """The preference space at an available set: the domain's `preference_space()`, or
+        on a variable domain every ranking of exactly that set."""
+        if self.variant == "variable":
+            return _restricted_prefs(objects_of(available))
+        return self.preference_space()
+
+    @cached_property
+    def block_index(self) -> dict[tuple[tuple[Agent, ...], Bundle], tuple[int, int]]:
+        """The (population index, set index) key of each (population, available set), in
+        `problems()` order."""
+        pops, xs = enumerate(self.populations), tuple(enumerate(self.available_sets))
+        return {(pop, x): (pi, xi) for pi, pop in pops for xi, x in xs}
 
     def problems(self) -> Iterator[Problem]:
-        if self.variant == "variable":
-            for pop in self.populations:
-                for x in self.available_sets:
-                    space = self.rankings_of(x) if x else (Preference(()),)
-                    for combo in product(space, repeat=len(pop)):
-                        yield Problem("variable", pop, x, combo)
-            return
-        prefs = self.preference_space()
         for pop in self.populations:
             for x in self.available_sets:
-                for combo in product(prefs, repeat=len(pop)):
+                for combo in product(self.prefs_at(x), repeat=len(pop)):
                     yield Problem(self.variant, pop, x, combo, self.quotas)
 
 
@@ -227,7 +230,7 @@ def _fill(rule: Rule, domain: ProblemDomain, agents, x: Bundle, prefs, digits) -
 
 
 # ---------------------------------------------------------------------------
-# Indexed sweep over a fixed-population domain (fixed / quota / unacceptable)
+# Indexed sweep: one block store, viewed by set (fixed) or by population and set
 # ---------------------------------------------------------------------------
 
 
@@ -254,41 +257,85 @@ def restriction_reps(domain: ProblemDomain, x: Bundle) -> np.ndarray:
     return _index_array([first.setdefault(code, i) for i, code in enumerate(codes)])
 
 
-class FixedSweep:
-    """Evaluates a rule over a whole fixed-population domain once.
+class Sweep:
+    """Evaluates a rule over a whole domain once, block by block.
 
-    Allocations live in arrays indexed by (available-set index, profile code);
-    a profile code is the base-P encoding of per-agent preference indexes, slot
-    0 most significant. Cross-problem checks (misreports, subsets, truncations)
-    are then pure index arithmetic, so a rule is run exactly once per problem.
-    A restriction-invariant rule is sent one misreport per restriction class
-    (`restriction_reps`), the classes that code `csp.ProblemKeys`. Each set
-    keeps one uint8 array, filled on first use (by the rule's array engine when
-    it has one), that the gather checkers read; witnesses decode their one
-    failing row with `allocation`.
+    A block is one (population, available set), keyed by their indexes into
+    the domain; `blocks()` yields the keys in `ProblemDomain.problems()` order.
+    At a block, preference indexes run over `prefs_at(key)` and a profile code
+    is the base-P encoding of the per-agent indexes, slot 0 most significant.
+    Each block keeps one uint8 array of rows, filled on first use (by the
+    rule's array engine when it has one), that the gather checkers read;
+    witnesses decode their one failing row with `problem_at` and
+    `allocation_at`. Checkers name blocks through one of two views of this
+    store: `FixedSweep` by set, `VariableSweep` by (population, set).
     """
 
     def __init__(self, rule: Rule, domain: ProblemDomain):
-        if domain.variant == "variable":
-            raise ValueError("use VariableSweep for variable domains")
         self.rule = rule
         self.domain = domain
-        self.prefs = domain.preference_space()
+        self._grids: dict[tuple[int, int], np.ndarray] = {}
+        self._digits: dict[tuple[int, int], np.ndarray] = {}  # by (P, n)
+
+    def blocks(self) -> Iterable[tuple[int, int]]:
+        return self.domain.block_index.values()
+
+    def block(self, key: tuple[int, int]) -> tuple[tuple[Agent, ...], Bundle]:
+        """The block's population and available set."""
+        return self.domain.populations[key[0]], self.domain.available_sets[key[1]]
+
+    def prefs_at(self, key: tuple[int, int]) -> tuple[Preference, ...]:
+        return self.domain.prefs_at(self.domain.available_sets[key[1]])
+
+    def digits_at(self, key: tuple[int, int]) -> np.ndarray:
+        """(Pⁿ, n) preference index of each slot at each profile code of the block."""
+        shape = (len(self.prefs_at(key)), len(self.domain.populations[key[0]]))
+        if shape not in self._digits:
+            self._digits[shape] = _digits(*shape)
+        return self._digits[shape]
+
+    def rows(self, key: tuple[int, int]) -> np.ndarray:
+        """The block's allocations, uint8 (Pⁿ, n): row = profile code, column = slot."""
+        if key not in self._grids:
+            block = (*self.block(key), self.prefs_at(key), self.digits_at(key))
+            self._grids[key] = _fill(self.rule, self.domain, *block)
+        return self._grids[key]
+
+    def problem_at(self, key: tuple[int, int], code: int) -> Problem:
+        prefs, variant, quotas = self.prefs_at(key), self.domain.variant, self.domain.quotas
+        profile = tuple(prefs[i] for i in self.digits_at(key)[code].tolist())
+        return Problem(variant, *self.block(key), profile, quotas)
+
+    def allocation_at(self, key: tuple[int, int], code: int) -> Allocation:
+        """One row of rows(key) as an allocation of Python ints, for witnesses."""
+        return tuple(self.rows(key)[code].tolist())
+
+
+class FixedSweep(Sweep):
+    """The fixed-population view of a Sweep (fixed / quota / unacceptable): blocks are
+    named by set index, and one preference space serves every set.
+
+    A profile code thus means the same profile at every set, so cross-problem
+    checks (misreports, subsets, truncations) are pure code arithmetic, and a
+    rule is run exactly once per problem. A restriction-invariant rule is sent
+    one misreport per restriction class (`restriction_reps`), the classes that
+    code `csp.ProblemKeys`.
+    """
+
+    def __init__(self, rule: Rule, domain: ProblemDomain):
+        super().__init__(rule, domain)
+        self.prefs = domain.preference_space()  # refuses variable domains
         self.agents = domain.populations[0]
         self.n = len(self.agents)
         self.P = len(self.prefs)
         self.xs = domain.available_sets
         # grids are filled in itertools.product order: slot 0 is the most significant digit
         self._pow = tuple(self.P ** (self.n - 1 - slot) for slot in range(self.n))
-        self._grids: dict[int, np.ndarray] = {}
 
     # --- profile codes ---
 
     def codes(self) -> range:
         return range(self.P**self.n)
-
-    def decode(self, code: int) -> tuple[int, ...]:
-        return tuple(code // p % self.P for p in self._pow)
 
     def encode(self, idxs: Sequence[int]) -> int:
         code = 0
@@ -305,34 +352,62 @@ class FixedSweep:
         return code // self._pow[slot] % self.P
 
     def profile(self, code: int) -> tuple[Preference, ...]:
-        return tuple(self.prefs[i] for i in self.decode(code))
+        return tuple(self.prefs[i] for i in self.digits[code].tolist())
+
+    # --- blocks by set index ---
 
     def problem(self, x_idx: int, code: int) -> Problem:
-        return Problem(
-            self.domain.variant,
-            self.agents,
-            self.xs[x_idx],
-            self.profile(code),
-            self.domain.quotas,
-        )
+        return self.problem_at((0, x_idx), code)
 
     def grid(self, x_idx: int) -> np.ndarray:
-        """The set's allocations, uint8 (Pⁿ, n): row = profile code, column = slot."""
-        if x_idx not in self._grids:
-            x = self.xs[x_idx]
-            self._grids[x_idx] = _fill(
-                self.rule, self.domain, self.agents, x, self.prefs, self.digits
-            )
-        return self._grids[x_idx]
+        return self.rows((0, x_idx))
 
     def allocation(self, x_idx: int, code: int) -> Allocation:
-        """One row of grid(x_idx) as an allocation of Python ints, for witnesses."""
-        return tuple(self.grid(x_idx)[code].tolist())
+        return self.allocation_at((0, x_idx), code)
 
     @cached_property
     def digits(self) -> np.ndarray:
-        """(Pⁿ, n) preference index of each slot at each profile code."""
-        return _digits(self.P, self.n)
+        """(Pⁿ, n) preference index of each slot at each profile code, at every set."""
+        return self.digits_at((0, 0))
+
+
+class VariableSweep(Sweep):
+    """The variable-population view of a Sweep: blocks are named by (population,
+    available set).
+
+    At available set X every preference ranks exactly X, so preference indexes
+    run over X's rankings and a profile code is the base-|X|! encoding of the
+    per-agent indexes. The checkers reach other problems' allocations through
+    index maps (`restriction_map`, `canonical_relabelings`) and the relation
+    tables through `full_index`.
+    """
+
+    def grid(self, pop: tuple[Agent, ...], x: Bundle) -> np.ndarray:
+        return self.rows(self.domain.block_index[pop, x])
+
+    def allocation(self, pop: tuple[Agent, ...], x: Bundle, code: int) -> Allocation:
+        return self.allocation_at(self.domain.block_index[pop, x], code)
+
+    def digits(self, pop: tuple[Agent, ...], x: Bundle) -> np.ndarray:
+        return self.digits_at(self.domain.block_index[pop, x])
+
+    def problem(self, pop: tuple[Agent, ...], x: Bundle, code: int) -> Problem:
+        return self.problem_at(self.domain.block_index[pop, x], code)
+
+    def encode(self, x: Bundle, digits: np.ndarray) -> np.ndarray:
+        """Profile codes at x of rows of per-slot preference indexes over x."""
+        P, n = len(self.domain.prefs_at(x)), digits.shape[-1]
+        return digits @ P ** np.arange(n - 1, -1, -1)
+
+
+def _sweep(rule, domain, axiom: str | None = None, variants: tuple[str, ...] = ()) -> Sweep:
+    """The rule's sweep over the domain, in its variant's view (a sweep is its own). Given
+    an axiom, it first refuses a variant the axiom is not defined on (`require_variant`)."""
+    if not isinstance(rule, Sweep):
+        rule = (VariableSweep if domain.variant == "variable" else FixedSweep)(rule, domain)
+    if axiom is not None:
+        require_variant(axiom, rule.domain, variants)
+    return rule
 
 
 def _union(alloc: Allocation) -> Bundle:
@@ -392,6 +467,7 @@ def _trade_cycle(profile: Sequence[Preference], alloc: Allocation) -> list[int] 
 # ---------------------------------------------------------------------------
 
 FIXED_POPULATION = ("fixed", "quota", "unacceptable")
+_EVERY_VARIANT = FIXED_POPULATION + ("variable",)
 
 
 class AxiomSpace:
@@ -402,10 +478,11 @@ class AxiomSpace:
     slot pairs and, given a priority, `ranked` the pairs whose first slot has
     the higher priority, both in the order witnesses report them.
 
-    On a variable domain the rows are those of one population, `agents`, and
-    `prefs` is every ranking of all the domain's objects: a ranking of an
-    available set X is read as itself followed by the objects outside X (see
-    `full_index`), which compares bundles within X exactly as it does.
+    The rows are those of one population, `agents`, which a domain of one
+    population may leave out. `prefs` is every preference over all the
+    domain's objects, so on a variable domain a ranking of an available set X
+    is read as itself followed by the objects outside X (see `full_index`),
+    which compares bundles within X exactly as it does.
     """
 
     def __init__(
@@ -416,8 +493,8 @@ class AxiomSpace:
     ):
         if domain.n_objects > MAX_ROW_OBJECTS:
             raise ValueError(f"allocation rows hold bundles of at most {MAX_ROW_OBJECTS} objects")
-        if (agents is None) == (domain.variant == "variable"):
-            raise ValueError("agents are given for variable domains, and only for them")
+        if agents is None and len(domain.populations) > 1:
+            raise ValueError("agents are given where the domain has several populations")
         self.variant = domain.variant
         self.n_objects = domain.n_objects
         self.quotas = domain.quotas
@@ -577,7 +654,7 @@ def _ranked_detail(space, prob, alloc, k):
     return {"higher": prob.agents[i], "lower": prob.agents[j]}
 
 
-def _envy(ef1: bool, ranked: bool) -> UnaryAxiom:
+def _envy(ef1: bool, ranked: bool, variants=FIXED_POPULATION) -> UnaryAxiom:
     """EF, EF1 or RP: the first agent of each pair passes DOM against the second (under EF1,
     against the second's bundle less its best acceptable object, read from `pick_table`)."""
 
@@ -598,7 +675,7 @@ def _envy(ef1: bool, ranked: bool) -> UnaryAxiom:
         a, b = pairs(space)[k]
         return {"envious": prob.agents[a], "envied": prob.agents[b]}
 
-    return UnaryAxiom(ok, detail, ranked=ranked, reads=lambda sp: tuple(a for a, _ in pairs(sp)))
+    return UnaryAxiom(ok, detail, variants, ranked, lambda sp: tuple(a for a, _ in pairs(sp)))
 
 
 @lru_cache(maxsize=None)
@@ -645,7 +722,7 @@ def _rt_detail(space, prob, alloc, k):
 
 # Table order is evaluation order where several apply.
 UNARY: dict[str, UnaryAxiom] = {
-    "NW": UnaryAxiom(_nw_ok, _nw_detail, reads=lambda sp: (None,)),
+    "NW": UnaryAxiom(_nw_ok, _nw_detail, _EVERY_VARIANT, reads=lambda sp: (None,)),
     "NWq": UnaryAxiom(_nwq_ok, _nwq_detail, ("quota",), reads=lambda sp: (None,)),
     "NW*": UnaryAxiom(_nw_star_ok, _nw_star_detail),
     "IR": UnaryAxiom(_ir_ok, _ir_detail, reads=lambda sp: tuple(range(sp.n))),
@@ -659,7 +736,7 @@ UNARY: dict[str, UnaryAxiom] = {
         _wrpq_ok, _ranked_detail, ("quota",), ranked=True, reads=lambda sp: (None,) * len(sp.ranked)
     ),
     "EF": _envy(ef1=False, ranked=False),
-    "EF1": _envy(ef1=True, ranked=False),
+    "EF1": _envy(ef1=True, ranked=False, variants=_EVERY_VARIANT),
     "RP": _envy(ef1=False, ranked=True),
     "RT": UnaryAxiom(_rt_ok, _rt_detail),
 }
@@ -682,9 +759,10 @@ AXIOM_VARIANTS: dict[str, tuple[str, ...]] = {
 }
 
 
-def require_variant(name: str, domain: ProblemDomain) -> None:
-    """Refuse an axiom on a domain variant it is not defined on."""
-    if domain.variant not in AXIOM_VARIANTS[name]:
+def require_variant(name: str, domain: ProblemDomain, variants: tuple[str, ...] = ()) -> None:
+    """Refuse an axiom on a domain variant it is not defined on (by AXIOM_VARIANTS, unless
+    its variants are given)."""
+    if domain.variant not in (variants or AXIOM_VARIANTS[name]):
         raise ValueError(f"axiom {name!r} is not defined on {domain.variant!r} domains")
 
 
@@ -777,32 +855,32 @@ def _deviation_scan(sw: FixedSweep, xi: int, codes, targets, counted, ok, admit=
 
 
 # ---------------------------------------------------------------------------
-# Fixed-family checkers
+# The unary scan (every variant) and the fixed-family checkers
 # ---------------------------------------------------------------------------
 
 
-def _sweep(rule, domain) -> FixedSweep:
-    if isinstance(rule, FixedSweep):
-        return rule
-    return FixedSweep(rule, domain)
-
-
-def _check_unary(name: str, rule, domain, priority: Priority | None = None) -> AxiomReport:
+def _check_unary(
+    name: str, rule, domain, priority: Priority | None = None, entry: UnaryAxiom | None = None
+) -> AxiomReport:
     """First problem, in enumeration order, whose allocation fails a unary axiom.
 
-    Each problem is one check; sets are visited in order and filled on first use.
+    Each problem is one check; blocks are visited in `ProblemDomain.problems()`
+    order and filled on first use. `entry` stands in for UNARY[name] where given.
     """
-    sw = _sweep(rule, domain)
-    require_variant(name, sw.domain)
-    entry, space = UNARY[name], AxiomSpace(sw.domain, priority)
+    entry = entry or UNARY[name]
+    sw = _sweep(rule, domain, name, entry.variants)
+    spaces = [AxiomSpace(sw.domain, priority, pop) for pop in sw.domain.populations]
     label = f"{name}-{list(priority)}" if entry.ranked else name
     checked = 0
-    for xi, x in enumerate(sw.xs):
-        hit, checks = _first_code(~entry.ok(space, x, sw.grid(xi), sw.digits))
+    for key in sw.blocks():
+        space, x, digits = spaces[key[0]], sw.block(key)[1], sw.digits_at(key)
+        if sw.domain.variant == "variable":  # rankings of x read in the full preference space
+            digits = full_index(x, sw.domain.n_objects)[digits]
+        hit, checks = _first_code(~entry.ok(space, x, sw.rows(key), digits))
         checked += checks
         if hit is not None:
             code, k = hit
-            prob, alloc = sw.problem(xi, code), sw.allocation(xi, code)
+            prob, alloc = sw.problem_at(key, code), sw.allocation_at(key, code)
             witness = {
                 "problem": describe_problem(prob),
                 "allocation": describe_allocation(prob, alloc),
@@ -869,7 +947,7 @@ def check_wrp_star(rule, domain, priority: Priority) -> AxiomReport:
 
 def check_eff(rule, domain) -> AxiomReport:
     """Efficiency via its two-way decomposition: NW+RT, or IR+NW*+RT with unacceptable objects."""
-    sw = _sweep(rule, domain)
+    sw = _sweep(rule, domain, "EFF")
     name = "EFF*" if sw.domain.variant == "unacceptable" else "EFF"
     checked = 0
     for part in efficiency_parts(sw.domain.variant):
@@ -882,7 +960,7 @@ def check_eff(rule, domain) -> AxiomReport:
 
 def check_rm(rule, domain) -> AxiomReport:
     """Resource monotonicity: growing the available set weakly improves every agent."""
-    sw = _sweep(rule, domain)
+    sw = _sweep(rule, domain, "RM")
     space = AxiomSpace(sw.domain)
     ok, tables = DEVIATIONS["RM"], [space.relation(i) for i in range(sw.n)]
     pairs = [
@@ -942,7 +1020,7 @@ def check_wsp(rule, domain) -> AxiomReport:
 
 
 def _check_sp_like(rule, domain, name: str) -> AxiomReport:
-    sw = _sweep(rule, domain)
+    sw = _sweep(rule, domain, name)
     space = AxiomSpace(sw.domain)
     rel, tables = DEVIATIONS[name], [space.relation(s) for s in range(sw.n)]
 
@@ -991,7 +1069,7 @@ def check_msp_certificate(rule, domain) -> AxiomReport:
     these make the truthful worst case both attained at the unanimous profile
     and maximal, for every utility consistent with the ranking.
     """
-    sw = _sweep(rule, domain)
+    sw = _sweep(rule, domain, "MSP-certificate", FIXED_POPULATION)
     dom = AxiomSpace(sw.domain).relation()
     unanimous = np.arange(sw.P) * sum(sw._pow)  # code of the profile where all report idx
 
@@ -1082,7 +1160,7 @@ def check_msp_falsify(rule, domain, schemes: Sequence[WeightScheme]) -> AxiomRep
     worst case is its least utility over the adversary profiles, and truth
     fails where some report's worst case is higher than its own.
     """
-    sw = _sweep(rule, domain)
+    sw = _sweep(rule, domain, "MSP-falsifier", FIXED_POPULATION)
     util, values = _utility_codes(sw.prefs, schemes, sw.domain.n_objects)
     checked = 0
     for xi in range(len(sw.xs)):
@@ -1139,7 +1217,7 @@ def check_truthful_best_case(rule, domain, schemes: Sequence[WeightScheme]) -> A
     One check per (set, slot, truth, scheme), in that order; a truth whose
     bundle size varies with the adversaries fails before its schemes are checked.
     """
-    sw = _sweep(rule, domain)
+    sw = _sweep(rule, domain, "best-case-top-k", FIXED_POPULATION)
     util, values = _utility_codes(sw.prefs, schemes, sw.domain.n_objects)
     checked = 0
     for xi, x in enumerate(sw.xs):
@@ -1210,8 +1288,7 @@ def _change_targets(m: int, pick: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _check_report_change(rule, domain, kind: str) -> AxiomReport:
     """Shared sweep for truncation-proofness (TP) and extension-proofness (EP)."""
-    sw = _sweep(rule, domain)
-    require_variant(kind, sw.domain)
+    sw = _sweep(rule, domain, kind)
     change = _change_targets(sw.domain.n_objects, 0 if kind == "TP" else 1)
     dom = AxiomSpace(sw.domain).relation()
 
@@ -1234,8 +1311,7 @@ def check_ep(rule, domain) -> AxiomReport:
 
 def check_ti(rule, domain) -> AxiomReport:
     """Truncation invariance: truncating while keeping one's bundle acceptable changes nothing."""
-    sw = _sweep(rule, domain)
-    require_variant("TI", sw.domain)
+    sw = _sweep(rule, domain, "TI")
     change = _change_targets(sw.domain.n_objects, 0)
     acc = AxiomSpace(sw.domain).acceptable
 
@@ -1263,7 +1339,7 @@ def check_nw_quota(rule, domain) -> AxiomReport:
 
 
 # ---------------------------------------------------------------------------
-# Variable-population sweep and checkers
+# Variable-population index maps and checkers
 # ---------------------------------------------------------------------------
 
 
@@ -1321,114 +1397,22 @@ def canonical_relabelings(x: Bundle, t: Bundle) -> tuple[np.ndarray, np.ndarray]
     return canon, back
 
 
-class VariableSweep:
-    """Per-(population, available set) allocation grids for a variable-population domain.
-
-    At available set X every preference ranks exactly X: preference indexes
-    run over `prefs_of(X)` and a profile code is the base-|X|! encoding of the
-    per-agent indexes, slot 0 most significant. Each block keeps one uint8
-    array, filled on first use, that the gather checkers read; they reach
-    other problems' allocations through index maps (`restriction_map`,
-    `canonical_relabelings`) and the relation tables through `full_index`. Witnesses
-    decode their one failing row with `allocation`.
-    """
-
-    def __init__(self, rule: Rule, domain: ProblemDomain):
-        if domain.variant != "variable":
-            raise ValueError("VariableSweep needs a variable domain")
-        self.rule = rule
-        self.domain = domain
-        self.pop_index = {pop: i for i, pop in enumerate(domain.populations)}
-        self.x_index = {x: i for i, x in enumerate(domain.available_sets)}
-        self._grids: dict[tuple[int, int], np.ndarray] = {}
-        self._digits: dict[tuple[int, int], np.ndarray] = {}
-
-    def prefs_of(self, x: Bundle) -> tuple[Preference, ...]:
-        return self.domain.rankings_of(x)
-
-    def grid(self, pop: tuple[Agent, ...], x: Bundle) -> np.ndarray:
-        """The block's allocations, uint8 (|X|!ⁿ, n): row = profile code, column = slot."""
-        key = (self.pop_index[pop], self.x_index[x])
-        if key not in self._grids:
-            self._grids[key] = _fill(
-                self.rule, self.domain, pop, x, self.prefs_of(x), self.digits(pop, x)
-            )
-        return self._grids[key]
-
-    def allocation(self, pop: tuple[Agent, ...], x: Bundle, code: int) -> Allocation:
-        """One row of grid(pop, x) as an allocation of Python ints, for witnesses."""
-        return tuple(self.grid(pop, x)[code].tolist())
-
-    def digits(self, pop: tuple[Agent, ...], x: Bundle) -> np.ndarray:
-        """(|X|!ⁿ, n) preference index over X of each slot at each profile code."""
-        key = (len(self.prefs_of(x)), len(pop))
-        if key not in self._digits:
-            self._digits[key] = _digits(*key)
-        return self._digits[key]
-
-    def encode(self, x: Bundle, digits: np.ndarray) -> np.ndarray:
-        """Profile codes at x of rows of per-slot preference indexes over x."""
-        P, n = len(self.prefs_of(x)), digits.shape[-1]
-        return digits @ P ** np.arange(n - 1, -1, -1)
-
-    def problem(self, pop: tuple[Agent, ...], x: Bundle, code: int) -> Problem:
-        prefs = self.prefs_of(x)
-        profile = tuple(prefs[d] for d in self.digits(pop, x)[code])
-        return Problem("variable", pop, x, profile)
-
-
-def _vsweep(rule, domain) -> VariableSweep:
-    if isinstance(rule, VariableSweep):
-        return rule
-    return VariableSweep(rule, domain)
-
-
-def _check_var_unary(name: str, rule, domain, details: bool = False) -> AxiomReport:
-    """First problem, in enumeration order, whose allocation fails NW, EF1 or EFF (NW + RT).
-
-    Each problem is one check; rows are read in the full preference space,
-    where the relation tables and the trade-cycle search compare bundles
-    within the available set as its own ranking does. With `details` the
-    entry's witness fields are added.
-    """
-    sw = _vsweep(rule, domain)
-    m = sw.domain.n_objects
-    checked = 0
-    for pop in sw.domain.populations:
-        space = AxiomSpace(sw.domain, agents=pop)
-        for x in sw.domain.available_sets:
-            allocs = sw.grid(pop, x)
-            digits = full_index(x, m)[sw.digits(pop, x)]
-            if name == "EFF":
-                ok = admissible(space, x, allocs, digits, ("EFF",))[:, None]
-            else:
-                ok = UNARY[name].ok(space, x, allocs, digits)
-            hit, checks = _first_code(~ok)
-            checked += checks
-            if hit is not None:
-                code, k = hit
-                prob, alloc = sw.problem(pop, x, code), sw.allocation(pop, x, code)
-                witness = {
-                    "problem": describe_problem(prob),
-                    "allocation": describe_allocation(prob, alloc),
-                }
-                if details:
-                    witness |= UNARY[name].detail(space, prob, alloc, k)
-                return _violated(name, checked, witness)
-    return _holds(name, checked)
-
-
 def check_nw_var(rule, domain) -> AxiomReport:
-    return _check_var_unary("NW", rule, domain)
+    return _check_unary("NW", rule, domain)
 
 
 def check_ef1_var(rule, domain) -> AxiomReport:
-    return _check_var_unary("EF1", rule, domain, details=True)
+    return _check_unary("EF1", rule, domain)
 
 
 def check_eff_var(rule, domain) -> AxiomReport:
-    """Efficiency (NW + RT) on every variable-population problem."""
-    return _check_var_unary("EFF", rule, domain)
+    """Efficiency (NW + RT) on every variable-population problem: one check per problem,
+    failing where either part does."""
+
+    def ok(space, x, allocs, digits):
+        return admissible(space, x, allocs, digits, ("EFF",))[:, None]
+
+    return _check_unary("EFF", rule, domain, entry=UnaryAxiom(ok, lambda *_: {}, ("variable",)))
 
 
 def _scan_moves(sw: VariableSweep, pop, x, moves: Sequence, width: int, bad_of):
@@ -1470,7 +1454,7 @@ def _reduced_allocs(sw: VariableSweep, pop, x: Bundle, ys: np.ndarray, digits: n
 
 def check_rm_var(rule, domain) -> AxiomReport:
     """Resource monotonicity across nested available sets, preferences restricted."""
-    sw = _vsweep(rule, domain)
+    sw = _sweep(rule, domain, "RM+", ("variable",))
     m = sw.domain.n_objects
     dom, ok = relation_table(m), DEVIATIONS["RM"]
     checked = 0
@@ -1506,8 +1490,8 @@ def check_rm_var(rule, domain) -> AxiomReport:
 
 def _check_con_like(rule, domain, pair_only: bool) -> AxiomReport:
     """Removing a subgroup with its bundles leaves the rest unchanged (2-CON: remainder of 2)."""
-    sw = _vsweep(rule, domain)
     name = "2-CON" if pair_only else "CON"
+    sw = _sweep(rule, domain, name, ("variable",))
     checked = 0
     for pop in sw.domain.populations:
         n = len(pop)
@@ -1561,7 +1545,7 @@ def check_2con(rule, domain) -> AxiomReport:
 
 def check_tcon(rule, domain) -> AxiomReport:
     """Removing every agent's best assigned object leaves the rest of each bundle unchanged."""
-    sw = _vsweep(rule, domain)
+    sw = _sweep(rule, domain, "T-CON", ("variable",))
     m = sw.domain.n_objects
     tops_of = pick_table(preference_space(m))
     checked = 0
@@ -1618,7 +1602,7 @@ def _neu_violation(sw: VariableSweep, name: str, checked: int, pop, x: Bundle, c
     """The report of the row at `code`, at its first relabeling (targets in order, images
     in permutation order, the identity skipped) that does not relabel its allocation."""
     d, alloc = sw.digits(pop, x)[code], sw.grid(pop, x)[code]
-    checked += code * (len(sw.prefs_of(x)) * len(targets) - 1)
+    checked += code * (len(sw.domain.prefs_at(x)) * len(targets) - 1)
     for t in targets:
         canon, back = canonical_relabelings(x, t)
         r0 = canon[:, 0]  # image j of x's ascending order is relabeling r0[j]
@@ -1653,8 +1637,8 @@ def _check_neu_like(rule, domain, pair_only: bool) -> AxiomReport:
     row mapped back, every row of its orbit fails some relabeling. An orbit holds k! rows
     at each set of size k, so the witness is the first such row of the first set.
     """
-    sw = _vsweep(rule, domain)
     name = "2-NEU" if pair_only else "NEU"
+    sw = _sweep(rule, domain, name, ("variable",))
     same_size: dict[int, list[Bundle]] = {}
     for x in sw.domain.available_sets:
         same_size.setdefault(bundle_size(x), []).append(x)

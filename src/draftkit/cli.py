@@ -21,9 +21,8 @@ from .axioms import (
     AXIOM_VARIANTS,
     PRIORITY_AXIOM_CHECKERS,
     VARIABLE_AXIOM_CHECKERS,
-    FixedSweep,
     ProblemDomain,
-    VariableSweep,
+    _sweep,
     fixed_domain,
     past_capacity,
     quota_domain,
@@ -196,7 +195,7 @@ def _axiom_runner(domain, rule, priority, axioms):
         elif domain.variant not in AXIOM_VARIANTS[name]:
             raise InputError(f"axiom {name!r} is not defined for {domain.variant} domains")
     # one sweep serves every axiom of the run, so each problem is allocated once
-    sweep = (VariableSweep if domain.variant == "variable" else FixedSweep)(rule, domain)
+    sweep = _sweep(rule, domain)
 
     def run_one(name: str):
         if domain.variant == "variable":

@@ -38,10 +38,14 @@ from .axioms import (
     _change_targets,
     _fill,
     _union,
+    check_con,
+    check_ef1_var,
+    check_eff_var,
     check_ep,
     check_ir,
     check_msp_certificate,
     check_msp_falsify,
+    check_neu,
     check_rm_var,
     check_tcon,
     check_tp,
@@ -925,13 +929,14 @@ def _extension_comparison(dom: ProblemDomain, pi: Priority, draft: Verdict) -> d
 
 
 def verify_t8(n_agents: int = 3, n_objects: int = 4) -> Verdict:
-    """Desk-scale variable-population characterization, by the two-lemma route:
-    the draft passes all six axioms; pairwise probes recover every priority;
-    and the extension comparison confirms the draft while exposing the snake
-    draft's divergence despite matching on single-unit problems.
+    """Desk-scale variable-population characterization, one direction, by the two-lemma
+    route: the draft passes all six axioms; pairwise probes recover every priority over
+    n_agents (so past PRIORITY_RECOVERY_MAX_AGENTS it raises CapacityError before any
+    sweep); and the extension comparison confirms the draft while exposing the snake
+    draft's divergence despite matching on single-unit problems. No search asks whether
+    another rule passes the six axioms.
     """
-    from .axioms import check_con, check_ef1_var, check_eff_var, check_neu
-
+    recovered = verify_priority_recovery(n_agents).outcome == REPRODUCED
     dom = variable_domain(n_agents, n_objects)
     pi = tuple(range(1, n_agents + 1))
     # one sweep serves the six checks and the draft's side of the extension comparison
@@ -943,9 +948,9 @@ def verify_t8(n_agents: int = 3, n_objects: int = 4) -> Verdict:
     draft = _extension_lemma(sweep, pi, holds[check_rm_var], holds[check_tcon])
     detail = {
         "sweep_ok": all(holds.values()),
-        "priorities_recovered": verify_priority_recovery(4).outcome == REPRODUCED,
+        "priorities_recovered": recovered,
         **_extension_comparison(dom, pi, draft),
-        "note": UNIQUENESS_NOTE,
+        "note": SCOPE_NOTE,
     }
     return Verdict.of(all(detail[k] for k in detail if k != "note"), detail)
 

@@ -1188,13 +1188,13 @@ def _vsweep(rule, domain) -> VariableSweep:
 def _var_problems(sw: VariableSweep, pop, x):
     """(code, profile, allocation) at (pop, x), in profile-code order."""
     grid = sw.grid(pop, x).tolist()
-    for code, combo in enumerate(product(sw.prefs_of(x), repeat=len(pop))):
+    for code, combo in enumerate(product(sw.domain.prefs_at(x), repeat=len(pop))):
         yield code, combo, grid[code]
 
 
 def _alloc_at(sw: VariableSweep, pop, x, profile) -> Allocation:
     # product order: the first agent's preference is the most significant digit
-    rankings = [p.ranking for p in sw.prefs_of(x)]
+    rankings = [p.ranking for p in sw.domain.prefs_at(x)]
     code = 0
     for p in profile:
         code = code * len(rankings) + rankings.index(p.ranking)
@@ -1224,6 +1224,7 @@ def check_nw_var(rule, domain) -> AxiomReport:
                         {
                             "problem": describe_problem(prob),
                             "allocation": describe_allocation(prob, alloc),
+                            "unassigned": format_bundle(x & ~_union(alloc)),
                         },
                     )
     return _holds("NW", checked)

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from draftkit.axioms import (
+    AXIOM_CHECKERS,
+    PRIORITY_AXIOM_CHECKERS,
+    VARIABLE_AXIOM_CHECKERS,
     FixedSweep,
     check_2con,
     check_2neu,
@@ -21,6 +24,7 @@ from draftkit.axioms import (
     check_neu,
     check_nw,
     check_nw_quota,
+    check_nw_var,
     check_nw_star,
     check_rm,
     check_rm_var,
@@ -312,11 +316,43 @@ def test_ir_counterexample_fails_only_ir():
         (check_nw_quota, D23, ()),
         (check_nw_quota, unacceptable_domain(2, 2), ()),
         (check_wrp_quota, D23, (PI2,)),
+        (check_msp_certificate, variable_domain(2, 2), ()),
+        (check_msp_falsify, variable_domain(2, 2), ([linear_scheme(2)],)),
+        (check_truthful_best_case, variable_domain(1, 2), ([linear_scheme(2)],)),
     ],
 )
 def test_checkers_refuse_variants_they_are_not_defined_on(checker, domain, extra):
     with pytest.raises(ValueError, match="is not defined on"):
         checker(draft_rule(PI2), domain, *extra)
+
+
+def _cross_variant_cases():
+    for name, checker in {**AXIOM_CHECKERS, **PRIORITY_AXIOM_CHECKERS}.items():
+        extra = (PI2,) if name in PRIORITY_AXIOM_CHECKERS else ()
+        yield pytest.param(name, checker, variable_domain(2, 2), extra, id=f"{name}-variable")
+    for name, checker in VARIABLE_AXIOM_CHECKERS.items():
+        yield pytest.param(name, checker, fixed_domain(2, 2), (), id=f"{name}-fixed")
+
+
+@pytest.mark.parametrize("name, checker, domain, extra", _cross_variant_cases())
+def test_checkers_refuse_the_other_population_model(name, checker, domain, extra):
+    """The sweep takes the view of the domain's variant, so each checker refuses a variant
+    it is not defined on itself; NW and EF1 alone are defined on every variant."""
+    rule = variable_draft_rule(PI2) if domain.variant == "variable" else draft_rule(PI2)
+    if name in ("NW", "EF1"):
+        assert checker(rule, domain, *extra).holds
+        return
+    with pytest.raises(ValueError, match="is not defined on"):
+        checker(rule, domain, *extra)
+
+
+@pytest.mark.parametrize(
+    "rule", [variable_draft_rule(PI2), null_rule(), dictatorship_rule(PI2)], ids=lambda r: r.name
+)
+def test_nw_and_ef1_are_one_scan_on_variable_domains(rule):
+    domain = variable_domain(2, 3)
+    assert check_nw(rule, domain) == check_nw_var(rule, domain)
+    assert check_ef1(rule, domain) == check_ef1_var(rule, domain)
 
 
 def test_ti_counterexample_replays_displayed_instance():

@@ -384,7 +384,7 @@ UNSAT = {"certificate_replays": True, "note": FINITE, "status": "unsat"}
             ["T8", "--agents", "2", "--objects", "3"],
             {
                 "extension_ok": True,
-                "note": UNIQUE,
+                "note": FINITE,
                 "priorities_recovered": True,
                 "snake_diverges": True,
                 "sweep_ok": True,
@@ -490,6 +490,21 @@ def test_cli_verify_l8_past_its_agent_cap_is_undecided(monkeypatch, capsys):
 
     monkeypatch.setattr(verifier, "infer_priority", infer_priority)
     assert main(["verify", "L8", "--agents", str(verifier.PRIORITY_RECOVERY_MAX_AGENTS + 1)]) == 3
+    out = capsys.readouterr()
+    assert out.err.startswith("undecided: 8 agents make 40320 priorities") and out.out == ""
+
+
+def test_cli_verify_t8_past_the_priority_recovery_cap_is_undecided(monkeypatch, capsys):
+    """T8 recovers priorities at its --agents, so 8 agents (whose 6^8 profiles per set a
+    sweep would hold) are refused before any probe or sweep."""
+    from draftkit import verifier
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("T8 probed or swept past the priority-recovery cap")
+
+    monkeypatch.setattr(verifier, "infer_priority", unreachable)
+    monkeypatch.setattr(verifier, "VariableSweep", unreachable)
+    assert main(["verify", "T8", "--agents", "8", "--objects", "3"]) == 3
     out = capsys.readouterr()
     assert out.err.startswith("undecided: 8 agents make 40320 priorities") and out.out == ""
 

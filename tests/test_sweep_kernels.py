@@ -225,23 +225,17 @@ def _fill_cases():
             yield pytest.param(domain, rule, id=f"{label}-{name}")
 
 
-def _blocks(sw):
-    if isinstance(sw, VariableSweep):
-        return [(pop, x) for pop in sw.domain.populations for x in sw.domain.available_sets]
-    return [(xi,) for xi in range(len(sw.xs))]
-
-
 @pytest.mark.parametrize("domain, rule", _fill_cases())
 def test_sweep_rows_are_the_rule_allocations(domain, rule):
     """Every decoded row, in the domain's enumeration order, is the valid allocation of the
     rule's scalar runner."""
-    sw = (VariableSweep if domain.variant == "variable" else FixedSweep)(rule, domain)
+    sw = axioms._sweep(rule, domain)
     runner = oracle.scalar_runner(rule)
     problems = iter(domain.problems())
-    for block in _blocks(sw):
-        for code in range(len(sw.grid(*block))):
-            problem, alloc = next(problems), sw.allocation(*block, code)
-            assert sw.problem(*block, code) == problem
+    for key in sw.blocks():
+        for code in range(len(sw.rows(key))):
+            problem, alloc = next(problems), sw.allocation_at(key, code)
+            assert sw.problem_at(key, code) == problem
             assert all(type(b) is int for b in alloc)
             assert alloc == runner(problem)[0]
             assert validate_allocation(problem, alloc) is None
@@ -351,17 +345,17 @@ def _engine_cases():
 def test_engine_arrays_are_the_scalar_fill(domain, rule, runner):
     """Block by block, the array engine's fill is the oracle's row-by-row fill through the
     rule's scalar runner, errors included; only a table with a miss raises."""
-    sweep = VariableSweep if domain.variant == "variable" else FixedSweep
-    fast, slow = sweep(rule, domain), sweep(replace(rule, fill=oracle.row_fill(runner)), domain)
+    fast = axioms._sweep(rule, domain)
+    slow = axioms._sweep(replace(rule, fill=oracle.row_fill(runner)), domain)
     raised = False
-    for block in _blocks(fast):
-        got, expected = _outcome(lambda: fast.grid(*block)), _outcome(lambda: slow.grid(*block))
+    for key in fast.blocks():
+        got, expected = _outcome(lambda: fast.rows(key)), _outcome(lambda: slow.rows(key))
         if isinstance(expected, tuple):
-            assert got == expected, block
+            assert got == expected, key
             raised = True
             continue
         assert got.dtype == expected.dtype == np.uint8
-        assert np.array_equal(got, expected), block
+        assert np.array_equal(got, expected), key
     assert raised == ("-miss-" in rule.name)
 
 
@@ -432,19 +426,11 @@ def engine_blocks(draw):
     else:
         make = {"fixed": fixed_domain, "unacceptable": unacceptable_domain}
         domain = make.get(variant, variable_domain)(n, m)
-    if variant == "variable":
-        sw = VariableSweep(rule, domain)
-        pop = draw(st.sampled_from(domain.populations))
-        xs = [
-            x
-            for x in domain.available_sets
-            if factorial(x.bit_count()) ** len(pop) <= MAX_BLOCK_ROWS
-        ]
-        block = (pop, draw(st.sampled_from(xs)))
-    else:
-        sw = FixedSweep(rule, domain)
-        block = (draw(st.integers(0, len(sw.xs) - 1)),)
-    return name, sw, block, runner
+    sw = axioms._sweep(rule, domain)
+    pop = draw(st.integers(0, len(domain.populations) - 1))
+    size = len(domain.populations[pop])
+    small = [k for k in sw.blocks() if len(sw.prefs_at(k)) ** size <= MAX_BLOCK_ROWS]
+    return name, sw, draw(st.sampled_from([k for k in small if k[0] == pop])), runner
 
 
 def _outcome(fn):
@@ -457,11 +443,10 @@ def _outcome(fn):
 @settings(max_examples=60, deadline=None, database=None)
 @given(engine_blocks())
 def test_engine_rows_are_the_rule_allocations(case):
-    name, sw, block, runner = case
-    got = _outcome(lambda: sw.grid(*block))
-    rows = len(sw.digits(*block)) if isinstance(sw, VariableSweep) else sw.P**sw.n
-    for code in range(rows):
-        problem = sw.problem(*block, code)
+    name, sw, key, runner = case
+    got = _outcome(lambda: sw.rows(key))
+    for code in range(len(sw.digits_at(key))):
+        problem = sw.problem_at(key, code)
         expected = _outcome(lambda: runner(problem)[0])
         if isinstance(expected, tuple) and isinstance(expected[0], type):
             assert got == expected  # the scalar fill stops at its first error
@@ -499,16 +484,12 @@ def test_engine_rows_are_the_rule_allocations(case):
 )
 def test_engines_raise_their_scalar_engines_errors(rule, domain, error, message):
     """On the domain's largest block, the array engine fails as the scalar fill does."""
-    sweep = VariableSweep if domain.variant == "variable" else FixedSweep
-    if sweep is VariableSweep:
-        block = (domain.populations[-1], domain.available_sets[-1])
-    else:
-        block = (len(domain.available_sets) - 1,)
-    slow = sweep(replace(rule, fill=oracle.row_fill(oracle.scalar_runner(rule))), domain)
+    key = (len(domain.populations) - 1, len(domain.available_sets) - 1)
+    slow = axioms._sweep(replace(rule, fill=oracle.row_fill(oracle.scalar_runner(rule))), domain)
     with pytest.raises(error, match=message) as scalar:
-        slow.grid(*block)
+        slow.rows(key)
     with pytest.raises(error) as engine:
-        sweep(rule, domain).grid(*block)
+        axioms._sweep(rule, domain).rows(key)
     assert str(engine.value) == str(scalar.value)
 
 
