@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, permutations, product
-from math import factorial
+from math import comb, factorial
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -36,7 +36,7 @@ from .core import (
     top_k,
 )
 from .dominance import WeightScheme, additive_utility, relation_table
-from .rules import Rule, pick_table
+from .rules import Rule, pick_table, restricted_key
 
 OBJECT_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
@@ -235,6 +235,60 @@ def _fill(rule: Rule, domain: ProblemDomain, agents, x: Bundle, prefs, digits) -
 
 
 @lru_cache(maxsize=None)
+def _ranking_index(objects: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    return {r: i for i, r in enumerate(_rankings(objects))}
+
+
+def _index_array(values) -> np.ndarray:
+    out = np.array(values, dtype=np.intp)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def restriction_map(x: Bundle, y: Bundle) -> np.ndarray:
+    """Per preference index over x, the index over y (a subset of x) of its restriction to y."""
+    index = _ranking_index(objects_of(y))
+    return _index_array(
+        [index[tuple(o for o in r if y >> o & 1)] for r in _rankings(objects_of(x))]
+    )
+
+
+@lru_cache(maxsize=None)
+def full_index(x: Bundle, n_objects: int) -> np.ndarray:
+    """Per preference index over x, the index in preference_space(n_objects) of its ranking
+    followed by the objects outside x, ascending; on bundles within x both compare alike."""
+    index = _ranking_index(tuple(range(n_objects)))
+    rest = tuple(o for o in range(n_objects) if not x >> o & 1)
+    return _index_array([index[r + rest] for r in _rankings(objects_of(x))])
+
+
+@lru_cache(maxsize=None)
+def canonical_relabelings(x: Bundle, t: Bundle) -> tuple[np.ndarray, np.ndarray]:
+    """The bijections from x onto t, a set of the same size, as two index tables.
+
+    Row r0 is the bijection that sends ranking r0 over x to t's ascending order.
+    CANON[r0, r] is the index over t of ranking r relabeled by it, and BACK[r0, b]
+    is b ⊆ t mapped back into x. A ranking of all of x fixes a bijection, so each
+    is row CANON[r0, 0] (the image of x's ascending order) of exactly one row r0.
+    """
+    k = bundle_size(x)
+    perms = np.array(_rankings(tuple(range(k))), dtype=np.intp).reshape(factorial(k), k)
+    position = np.argsort(perms, axis=1)  # position[r0, o]: where ranking r0 places o
+    code = np.zeros((len(perms),) * 2, dtype=np.intp)
+    for i in range(k):  # base-k codes of the relabeled rankings, one place at a time
+        code *= k
+        code += position[:, perms[:, i]]
+    canon = np.searchsorted(perms @ k ** np.arange(k - 1, -1, -1), code)
+    images = np.left_shift(1, np.array(objects_of(x), dtype=np.intp)[perms])
+    members = np.arange(1 << t.bit_length())[:, None] >> np.array(objects_of(t), dtype=np.intp)
+    back = images @ (members & 1).T
+    for table in (canon, back):
+        table.flags.writeable = False
+    return canon, back
+
+
+@lru_cache(maxsize=None)
 def restriction_codes(domain: ProblemDomain, x: Bundle) -> np.ndarray:
     """Per index into the domain's preference space, the code of its restriction to x: the
     index over x of its ranking, times |x| + 1 plus its acceptable objects in x in the
@@ -257,6 +311,129 @@ def restriction_reps(domain: ProblemDomain, x: Bundle) -> np.ndarray:
     return _index_array([first.setdefault(code, i) for i, code in enumerate(codes)])
 
 
+class ProblemKeys:
+    """The problem keys of a domain, block by block: profiles of classes of preferences.
+
+    Blocks are the (population, available set) pairs in `ProblemDomain.problems()`
+    order; on a fixed-population domain block xi is set xi. At block b,
+    `_classes[b]` maps each full-space preference index (`AxiomSpace.prefs`) to
+    its class and `firsts[b]` holds the index that stands for each class. Block
+    b's keys are the base-len(firsts[b]) codes of class profiles, slot 0 most
+    significant, from `offsets[b]` on: the order in which `problems()` first
+    meets them. A class is a ranking of X on a variable domain (`restriction_map`,
+    standing as `full_index`), so each problem is a key, as in a sweep; a
+    restriction class at X on a fixed-population domain (`restriction_codes`,
+    standing as its first index), so the keys are a rule search's variables; or,
+    with `rows`, one preference index, so the keys are a fixed sweep's rows.
+    `code` thus reads every block from full-space digits by one formula, never by
+    restricting preferences, and per-key arrays (`digits`) are built on first use.
+    """
+
+    def __init__(self, domain: ProblemDomain, rows: bool = False):
+        m, self.domain, self.n = domain.n_objects, domain, len(domain.populations[0])
+        self.blocks = list(domain.block_index)  # (population, available set) per block
+        self.xs = [x for _, x in self.blocks]
+        self.firsts, self._classes = [], []
+        for x in self.xs:
+            if domain.variant == "variable":
+                classes, firsts = restriction_map((1 << m) - 1, x), full_index(x, m)
+            elif rows:
+                classes = firsts = np.arange(len(domain.preference_space()))
+            else:  # codes ascend with first indexes, so np.unique keeps the classes' order
+                codes = restriction_codes(domain, x)
+                firsts, classes = np.unique(codes, return_index=True, return_inverse=True)[1:]
+            self.firsts.append(firsts)
+            self._classes.append(classes)
+        sizes = [(len(f), len(pop)) for f, (pop, _) in zip(self.firsts, self.blocks)]
+        self._weights = [P ** np.arange(n - 1, -1, -1) for P, n in sizes]
+        self.offsets = np.cumsum([0] + [P**n for P, n in sizes]).tolist()
+
+    @cached_property
+    def all_digits(self) -> np.ndarray:
+        """(keys, n) full-space preference index of each slot of each key (one population)."""
+        return np.concatenate([f[_digits(len(f), self.n)] for f in self.firsts])
+
+    @cached_property
+    def digits(self) -> list[np.ndarray]:
+        """Per block, its keys' rows of `all_digits`."""
+        return [self.all_digits[lo:hi] for lo, hi in zip(self.offsets, self.offsets[1:])]
+
+    def code(self, b: int, digits: np.ndarray) -> np.ndarray:
+        """The code within block b of each profile of full-space preference indexes."""
+        classes = self._classes[b]  # one slot at a time: no (profiles, n) temporary
+        return sum(classes[digits[..., i]] * w for i, w in enumerate(self._weights[b].tolist()))
+
+    def find(self, b: int, digits: np.ndarray) -> np.ndarray:
+        """The key at block b of each profile in `digits`."""
+        return self.offsets[b] + self.code(b, digits)
+
+    def steps(self, b: int, slot: int, alts: np.ndarray, own: np.ndarray) -> np.ndarray:
+        """(keys, k): from each key at block b with digits `own`, the distance in keys to the
+        key whose slot's digit is each preference index of its row of `alts` (one row
+        serves all keys)."""
+        classes = self._classes[b]
+        return (classes[alts] - classes[own[:, slot, None]]) * self._weights[b][slot]
+
+    def problems(self, b: int) -> list[Problem]:
+        """The first problem of each key at block b."""
+        d, (pop, x) = self.domain, self.blocks[b]
+        prefs = d.prefs_at(x)  # on a variable domain, class r is ranking r of x
+        if d.variant != "variable":
+            prefs = [prefs[f] for f in self.firsts[b].tolist()]
+        return [Problem(d.variant, pop, x, p, d.quotas) for p in product(prefs, repeat=len(pop))]
+
+    def keys(self, b: int) -> list:
+        """The `problem_key` of each key at block b, restricting each class's preference
+        once."""
+        d, (pop, x) = self.domain, self.blocks[b]
+        prefs = preference_space(d.n_objects, cutoffs=d.variant == "unacceptable")
+        sig = [restricted_key(prefs[f], x) for f in self.firsts[b].tolist()]
+        return [(d.variant, pop, x, profile, d.quotas) for profile in product(sig, repeat=len(pop))]
+
+    @cached_property
+    def _canonical_sets(self) -> dict[int, int]:
+        """Per set size, the index of the first set of that size; ValueError where some size
+        lacks sets, so that a relabeling moves a set outside the domain."""
+        m, first = self.domain.n_objects, {}
+        for xi, x in enumerate(self.xs):
+            first.setdefault(bundle_size(x), xi)
+        for size in first:
+            if sum(bundle_size(x) == size for x in self.xs) != comb(m, size):
+                raise ValueError(
+                    f"the available sets of size {size} are not closed under object relabeling"
+                )
+        return first
+
+    def back(self, xi: int) -> np.ndarray:
+        """`canonical_relabelings(x, t)`'s BACK table: row r0 maps bundles within t, the first
+        set of x's size, into x by the bijection that sends ranking r0 of x to t's ascending
+        order."""
+        x = self.xs[xi]
+        return canonical_relabelings(x, self.xs[self._canonical_sets[bundle_size(x)]])[1]
+
+    def orbits(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per key of a fixed-population domain, its orbit's representative (a key index) and
+        the row r0 of its set's `back` table that relabels the representative onto it.
+
+        The bijection is the one that sends the key's first ranking to the
+        ascending order of t, the first set of its size, so the representatives
+        are the keys at t whose first ranking ascends.
+        """
+        d, rep, row = self.domain, [], []
+        for xi, x in enumerate(self.xs):
+            size, ti = bundle_size(x), self._canonical_sets[bundle_size(x)]
+            canon = canonical_relabelings(x, self.xs[ti])[0]
+            width = size + 1 if d.variant == "unacceptable" else 1
+            firsts, codes = self.firsts[ti], restriction_codes(d, self.xs[ti])
+            at_t = np.empty(len(canon) * width, dtype=np.intp)  # restriction code -> class
+            at_t[codes[firsts]] = np.arange(len(firsts))
+            rank, cut = np.divmod(restriction_codes(d, x)[self.digits[xi]], width)
+            image = at_t[canon[rank[:, :1], rank] * width + cut]
+            rep.append(self.offsets[ti] + image @ self._weights[ti])
+            row.append(rank[:, 0])
+        return np.concatenate(rep), np.concatenate(row)
+
+
 class Sweep:
     """Evaluates a rule over a whole domain once, block by block.
 
@@ -268,7 +445,9 @@ class Sweep:
     rule's array engine when it has one), that the gather checkers read;
     witnesses decode their one failing row with `problem_at` and
     `allocation_at`. Checkers name blocks through one of two views of this
-    store: `FixedSweep` by set, `VariableSweep` by (population, set).
+    store: `FixedSweep` by set, `VariableSweep` by (population, set). They reach
+    another block's rows through `index`, the domain's keys with every row its
+    own key, from full-space preference indexes (`full_digits`, `code`).
     """
 
     def __init__(self, rule: Rule, domain: ProblemDomain):
@@ -310,6 +489,23 @@ class Sweep:
         """One row of rows(key) as an allocation of Python ints, for witnesses."""
         return tuple(self.rows(key)[code].tolist())
 
+    @cached_property
+    def index(self) -> ProblemKeys:
+        return ProblemKeys(self.domain, rows=True)
+
+    def full_digits(self, key: tuple[int, int], codes) -> np.ndarray:
+        """The full-space preference indexes (`AxiomSpace.prefs`) of the block's profiles
+        at `codes`: on a variable domain, each ranking of X followed by the objects outside X."""
+        digits = self.digits_at(key)[codes]
+        if self.domain.variant == "variable":
+            digits = full_index(self.block(key)[1], self.domain.n_objects)[digits]
+        return digits
+
+    def code(self, key: tuple[int, int], digits: np.ndarray) -> np.ndarray:
+        """The block's profile code of each profile of full-space preference indexes in
+        `digits` (slots last)."""
+        return self.index.code(key[0] * len(self.domain.available_sets) + key[1], digits)
+
 
 class FixedSweep(Sweep):
     """The fixed-population view of a Sweep (fixed / quota / unacceptable): blocks are
@@ -319,7 +515,7 @@ class FixedSweep(Sweep):
     checks (misreports, subsets, truncations) are pure code arithmetic, and a
     rule is run exactly once per problem. A restriction-invariant rule is sent
     one misreport per restriction class (`restriction_reps`), the classes that
-    code `csp.ProblemKeys`.
+    code a rule search's `ProblemKeys`.
     """
 
     def __init__(self, rule: Rule, domain: ProblemDomain):
@@ -377,27 +573,12 @@ class VariableSweep(Sweep):
 
     At available set X every preference ranks exactly X, so preference indexes
     run over X's rankings and a profile code is the base-|X|! encoding of the
-    per-agent indexes. The checkers reach other problems' allocations through
-    index maps (`restriction_map`, `canonical_relabelings`) and the relation
-    tables through `full_index`.
+    per-agent indexes. A ranking of X is read in the full preference space as
+    itself followed by the objects outside X (`full_index`).
     """
 
     def grid(self, pop: tuple[Agent, ...], x: Bundle) -> np.ndarray:
         return self.rows(self.domain.block_index[pop, x])
-
-    def allocation(self, pop: tuple[Agent, ...], x: Bundle, code: int) -> Allocation:
-        return self.allocation_at(self.domain.block_index[pop, x], code)
-
-    def digits(self, pop: tuple[Agent, ...], x: Bundle) -> np.ndarray:
-        return self.digits_at(self.domain.block_index[pop, x])
-
-    def problem(self, pop: tuple[Agent, ...], x: Bundle, code: int) -> Problem:
-        return self.problem_at(self.domain.block_index[pop, x], code)
-
-    def encode(self, x: Bundle, digits: np.ndarray) -> np.ndarray:
-        """Profile codes at x of rows of per-slot preference indexes over x."""
-        P, n = len(self.domain.prefs_at(x)), digits.shape[-1]
-        return digits @ P ** np.arange(n - 1, -1, -1)
 
 
 def _sweep(rule, domain, axiom: str | None = None, variants: tuple[str, ...] = ()) -> Sweep:
@@ -749,13 +930,14 @@ def efficiency_parts(variant: str) -> tuple[str, ...]:
 
 AXIOM_VARIANTS: dict[str, tuple[str, ...]] = {
     **{name: entry.variants for name, entry in UNARY.items()},
-    "EFF": FIXED_POPULATION,
+    "EFF": _EVERY_VARIANT,  # check_eff on a fixed population, check_eff_var on variable ones
     "SP": FIXED_POPULATION,
     "WSP": FIXED_POPULATION,
     "RM": FIXED_POPULATION,
     "TP": ("unacceptable",),
     "EP": ("unacceptable",),
     "TI": ("unacceptable",),
+    **dict.fromkeys(("RM+", "CON", "2-CON", "T-CON", "NEU", "2-NEU"), ("variable",)),
 }
 
 
@@ -809,15 +991,32 @@ def _first_violation(bad: np.ndarray, counted: np.ndarray | None = None):
     return None, flat.size if counted is None else int(np.count_nonzero(counted))
 
 
-def _first_code(bad: np.ndarray):
-    """Like _first_violation on a (codes, checks) block where each code counts as one check.
+def _first_move(sw: Sweep, name: str, scans_of, holds, witness_of) -> AxiomReport:
+    """First failing (problem, move), in enumeration order, as a report.
 
-    Returns ((code, column) or None, codes checked).
+    Blocks go in order, and `scans_of(key)` lists the block's scans, each a
+    list of moves tried code-major: every move at a code, in order, before the
+    next code. `holds(key, move, digits, rows)` judges a step of the block's
+    rows, given with their full-space digits, as bool (len(rows), k); a move
+    fails at a row where a column is False, and each (code, move) is one
+    check. `witness_of(key, code, move)` describes the first failure.
     """
-    hit, checks = _first_violation(bad.any(axis=1))
-    if hit is None:
-        return None, checks
-    return (hit[0], int(bad[hit[0]].argmax())), checks
+    checked = 0
+    for key in sw.blocks():
+        total, n = sw.digits_at(key).shape
+        for moves in scans_of(key):
+            step = max(1, _BLOCK // max(1, len(moves) * n))  # (codes, n) arrays of _BLOCK cells
+            for lo in range(0, total if moves else 0, step):
+                codes = slice(lo, min(lo + step, total))
+                d, rows = sw.full_digits(key, codes), sw.rows(key)[codes]
+                # columns first: numpy's all(axis=1) over a few columns is ten times slower
+                ok = [np.ascontiguousarray(holds(key, move, d, rows).T) for move in moves]
+                bad = ~np.stack([np.logical_and.reduce(columns) for columns in ok], axis=1)
+                hit, checks = _first_violation(bad)
+                checked += checks
+                if hit is not None:
+                    return _violated(name, checked, witness_of(key, lo + hit[0], moves[hit[1]]))
+    return _holds(name, checked)
 
 
 def _deviation_scan(sw: FixedSweep, xi: int, codes, targets, counted, ok, admit=None):
@@ -862,31 +1061,24 @@ def _deviation_scan(sw: FixedSweep, xi: int, codes, targets, counted, ok, admit=
 def _check_unary(
     name: str, rule, domain, priority: Priority | None = None, entry: UnaryAxiom | None = None
 ) -> AxiomReport:
-    """First problem, in enumeration order, whose allocation fails a unary axiom.
-
-    Each problem is one check; blocks are visited in `ProblemDomain.problems()`
-    order and filled on first use. `entry` stands in for UNARY[name] where given.
-    """
+    """First problem, in enumeration order, whose allocation fails a unary axiom: one move
+    of `_first_move` per problem. `entry` stands in for UNARY[name] where given."""
     entry = entry or UNARY[name]
     sw = _sweep(rule, domain, name, entry.variants)
-    spaces = [AxiomSpace(sw.domain, priority, pop) for pop in sw.domain.populations]
+    spaces = {pop: AxiomSpace(sw.domain, priority, pop) for pop in sw.domain.populations}
+
+    def holds(key, _, d, rows):
+        return entry.ok(spaces[sw.block(key)[0]], sw.block(key)[1], rows, d)
+
+    def witness(key, code, _):
+        prob, alloc = sw.problem_at(key, code), sw.allocation_at(key, code)
+        d, rows = sw.full_digits(key, [code]), sw.rows(key)[[code]]
+        k = int(holds(key, None, d, rows)[0].argmin())  # the first check it fails
+        out = {"problem": describe_problem(prob), "allocation": describe_allocation(prob, alloc)}
+        return out | entry.detail(spaces[sw.block(key)[0]], prob, alloc, k)
+
     label = f"{name}-{list(priority)}" if entry.ranked else name
-    checked = 0
-    for key in sw.blocks():
-        space, x, digits = spaces[key[0]], sw.block(key)[1], sw.digits_at(key)
-        if sw.domain.variant == "variable":  # rankings of x read in the full preference space
-            digits = full_index(x, sw.domain.n_objects)[digits]
-        hit, checks = _first_code(~entry.ok(space, x, sw.rows(key), digits))
-        checked += checks
-        if hit is not None:
-            code, k = hit
-            prob, alloc = sw.problem_at(key, code), sw.allocation_at(key, code)
-            witness = {
-                "problem": describe_problem(prob),
-                "allocation": describe_allocation(prob, alloc),
-            }
-            return _violated(label, checked, witness | entry.detail(space, prob, alloc, k))
-    return _holds(label, checked)
+    return _first_move(sw, label, lambda key: [[entry]], holds, witness)
 
 
 def check_nw(rule, domain) -> AxiomReport:
@@ -947,7 +1139,7 @@ def check_wrp_star(rule, domain, priority: Priority) -> AxiomReport:
 
 def check_eff(rule, domain) -> AxiomReport:
     """Efficiency via its two-way decomposition: NW+RT, or IR+NW*+RT with unacceptable objects."""
-    sw = _sweep(rule, domain, "EFF")
+    sw = _sweep(rule, domain, "EFF", FIXED_POPULATION)
     name = "EFF*" if sw.domain.variant == "unacceptable" else "EFF"
     checked = 0
     for part in efficiency_parts(sw.domain.variant):
@@ -958,42 +1150,52 @@ def check_eff(rule, domain) -> AxiomReport:
     return _holds(name, checked)
 
 
+def _check_rm(sw: Sweep, name: str, groups_of: Callable, small_allocation=False) -> AxiomReport:
+    """First agent, in enumeration order, whose bundle at a problem does not weakly dominate
+    her bundle at a smaller available set, every preference restricted to it.
+
+    `groups_of(x)` lists the smaller sets of set x in groups, each one scan of
+    `_first_move`, and the key index finds the smaller problem's row. With
+    `small_allocation` the witness also describes the smaller allocation."""
+    ok, relations = DEVIATIONS["RM"], {}
+    for pop in sw.domain.populations:  # every slot's DOM in one table, slot i from row i·P on
+        tables = [AxiomSpace(sw.domain, None, pop).relation(i) for i in range(len(pop))]
+        relations[pop] = np.concatenate(tables), len(tables[0]) * np.arange(len(pop))
+
+    def dominates(key, small, d, rows):  # per row and slot
+        (table, first), other = relations[sw.block(key)[0]], sw.rows(small)
+        return ok(table, first + d, rows, np.take(other, sw.code(small, d), axis=0))
+
+    def groups(key):  # the smaller sets' blocks
+        pop, x = sw.block(key)
+        return [[sw.domain.block_index[pop, y] for y in group] for group in groups_of(x)]
+
+    def witness(key, code, small):
+        d, pop = sw.full_digits(key, [code]), sw.block(key)[0]
+        i = int(dominates(key, small, d, sw.rows(key)[[code]])[0].argmin())  # the first agent
+        small_code = int(sw.code(small, d)[0])
+        got = sw.allocation_at(small, small_code)
+        out = {
+            "problem": describe_problem(sw.problem_at(key, code)),
+            "smaller_set": format_bundle(sw.block(small)[1]),
+            "agent": pop[i],
+            "bundle_large": format_bundle(sw.allocation_at(key, code)[i]),
+            "bundle_small": format_bundle(got[i]),
+        }
+        if small_allocation:
+            out["allocation_small"] = describe_allocation(sw.problem_at(small, small_code), got)
+        return out
+
+    return _first_move(sw, name, groups, dominates, witness)
+
+
 def check_rm(rule, domain) -> AxiomReport:
-    """Resource monotonicity: growing the available set weakly improves every agent."""
+    """Resource monotonicity: growing the available set weakly improves every agent. Each
+    smaller set is a group of its own, in domain order: the scan goes pair by pair."""
     sw = _sweep(rule, domain, "RM")
-    space = AxiomSpace(sw.domain)
-    ok, tables = DEVIATIONS["RM"], [space.relation(i) for i in range(sw.n)]
-    pairs = [
-        (bi, si)
-        for bi, big in enumerate(sw.xs)
-        for si, small in enumerate(sw.xs)
-        if small != big and small & big == small
-    ]
-    checked = 0
-    for bi, si in pairs:
-        big, small = sw.grid(bi), sw.grid(si)
-        digits = sw.digits
-        bad = np.stack(
-            [~ok(tables[i], digits[:, i], big[:, i], small[:, i]) for i in range(sw.n)], axis=1
-        )
-        hit, checks = _first_code(bad)
-        checked += checks
-        if hit is not None:
-            code, i = hit
-            big_alloc, small_alloc = sw.allocation(bi, code), sw.allocation(si, code)
-            return _violated(
-                "RM",
-                checked,
-                {
-                    "problem": describe_problem(sw.problem(bi, code)),
-                    "smaller_set": format_bundle(sw.xs[si]),
-                    "agent": sw.agents[i],
-                    "bundle_large": format_bundle(big_alloc[i]),
-                    "bundle_small": format_bundle(small_alloc[i]),
-                    "allocation_small": describe_allocation(sw.problem(si, code), small_alloc),
-                },
-            )
-    return _holds("RM", checked)
+    return _check_rm(
+        sw, "RM", lambda x: [[y] for y in sw.xs if y != x and y & x == y], small_allocation=True
+    )
 
 
 def _misreport_targets(sw: FixedSweep, xi: int):
@@ -1343,60 +1545,6 @@ def check_nw_quota(rule, domain) -> AxiomReport:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _ranking_index(objects: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    return {r: i for i, r in enumerate(_rankings(objects))}
-
-
-def _index_array(values) -> np.ndarray:
-    out = np.array(values, dtype=np.intp)
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=None)
-def restriction_map(x: Bundle, y: Bundle) -> np.ndarray:
-    """Per preference index over x, the index over y (a subset of x) of its restriction to y."""
-    index = _ranking_index(objects_of(y))
-    return _index_array(
-        [index[tuple(o for o in r if y >> o & 1)] for r in _rankings(objects_of(x))]
-    )
-
-
-@lru_cache(maxsize=None)
-def full_index(x: Bundle, n_objects: int) -> np.ndarray:
-    """Per preference index over x, the index in preference_space(n_objects) of its ranking
-    followed by the objects outside x, ascending; on bundles within x both compare alike."""
-    index = _ranking_index(tuple(range(n_objects)))
-    rest = tuple(o for o in range(n_objects) if not x >> o & 1)
-    return _index_array([index[r + rest] for r in _rankings(objects_of(x))])
-
-
-@lru_cache(maxsize=None)
-def canonical_relabelings(x: Bundle, t: Bundle) -> tuple[np.ndarray, np.ndarray]:
-    """The bijections from x onto t, a set of the same size, as two index tables.
-
-    Row r0 is the bijection that sends ranking r0 over x to t's ascending order.
-    CANON[r0, r] is the index over t of ranking r relabeled by it, and BACK[r0, b]
-    is b ⊆ t mapped back into x. A ranking of all of x fixes a bijection, so each
-    is row CANON[r0, 0] (the image of x's ascending order) of exactly one row r0.
-    """
-    k = bundle_size(x)
-    perms = np.array(_rankings(tuple(range(k))), dtype=np.intp).reshape(factorial(k), k)
-    position = np.argsort(perms, axis=1)  # position[r0, o]: where ranking r0 places o
-    code = np.zeros((len(perms),) * 2, dtype=np.intp)
-    for i in range(k):  # base-k codes of the relabeled rankings, one place at a time
-        code *= k
-        code += position[:, perms[:, i]]
-    canon = np.searchsorted(perms @ k ** np.arange(k - 1, -1, -1), code)
-    images = np.left_shift(1, np.array(objects_of(x), dtype=np.intp)[perms])
-    members = np.arange(1 << t.bit_length())[:, None] >> np.array(objects_of(t), dtype=np.intp)
-    back = images @ (members & 1).T
-    for table in (canon, back):
-        table.flags.writeable = False
-    return canon, back
-
-
 def check_nw_var(rule, domain) -> AxiomReport:
     return _check_unary("NW", rule, domain)
 
@@ -1415,124 +1563,54 @@ def check_eff_var(rule, domain) -> AxiomReport:
     return _check_unary("EFF", rule, domain, entry=UnaryAxiom(ok, lambda *_: {}, ("variable",)))
 
 
-def _scan_moves(sw: VariableSweep, pop, x, moves: Sequence, width: int, bad_of):
-    """First failing (code, move, column) at (pop, x), trying every move at each code in order.
-
-    `bad_of(move, codes)` judges one block of profile codes: bool
-    (len(codes), width), True where a column fails. Each (code, move) is one
-    check. Returns ((code, move index, column) or None, checks).
-    """
-    if not moves:
-        return None, 0
-    total = len(sw.grid(pop, x))
-    step = max(1, _BLOCK // (len(moves) * width))
-    checked = 0
-    for lo in range(0, total, step):
-        codes = np.arange(lo, min(lo + step, total))
-        bad = np.stack([bad_of(move, codes) for move in moves], axis=1)
-        hit, checks = _first_code(bad.reshape(-1, width))
-        checked += checks
-        if hit is not None:
-            cell, column = hit
-            return (lo + cell // len(moves), cell % len(moves), column), checked
-    return None, checked
-
-
-def _restricted(sw: VariableSweep, x: Bundle, y: Bundle, digits: np.ndarray) -> np.ndarray:
-    """Profile codes at y ⊆ x of the profiles `digits` over x restricted to y."""
-    return sw.encode(y, restriction_map(x, y)[digits])
-
-
-def _reduced_allocs(sw: VariableSweep, pop, x: Bundle, ys: np.ndarray, digits: np.ndarray):
-    """Per row: the allocation at (pop, ys[row]) of the row's profile over x, restricted."""
+def _reduced_allocs(sw: Sweep, pop, ys: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """Per row: the allocation at (pop, ys[row]) of the row's profile, given as full-space
+    preference indexes."""
     out = np.empty(digits.shape, dtype=np.uint8)
     for y in np.unique(ys).tolist():
-        rows = ys == y
-        out[rows] = sw.grid(pop, y)[_restricted(sw, x, y, digits[rows])]
+        rows, key = ys == y, sw.domain.block_index[pop, y]
+        out[rows] = np.take(sw.rows(key), sw.code(key, digits[rows]), axis=0)
     return out
 
 
 def check_rm_var(rule, domain) -> AxiomReport:
-    """Resource monotonicity across nested available sets, preferences restricted."""
-    sw = _sweep(rule, domain, "RM+", ("variable",))
-    m = sw.domain.n_objects
-    dom, ok = relation_table(m), DEVIATIONS["RM"]
-    checked = 0
-    for pop in sw.domain.populations:
-        for big in sw.domain.available_sets:
-            smalls = [s for s in subsets_of(big) if s != big]  # none when big is empty
-            digits, full = sw.digits(pop, big), full_index(big, m)
-
-            def bad_of(small, codes):
-                d = digits[codes]
-                other = sw.grid(pop, small)[_restricted(sw, big, small, d)]
-                return ~ok(dom, full[d], sw.grid(pop, big)[codes], other)
-
-            hit, checks = _scan_moves(sw, pop, big, smalls, len(pop), bad_of)
-            checked += checks
-            if hit is not None:
-                code, j, i = hit
-                small, alloc = smalls[j], sw.allocation(pop, big, code)
-                small_code = int(_restricted(sw, big, small, digits[code]))
-                return _violated(
-                    "RM+",
-                    checked,
-                    {
-                        "problem": describe_problem(sw.problem(pop, big, code)),
-                        "smaller_set": format_bundle(small),
-                        "agent": pop[i],
-                        "bundle_large": format_bundle(alloc[i]),
-                        "bundle_small": format_bundle(sw.allocation(pop, small, small_code)[i]),
-                    },
-                )
-    return _holds("RM+", checked)
+    """Resource monotonicity across nested available sets, preferences restricted. Every
+    smaller set is in one group: the scan tries them all at each code."""
+    sw = _sweep(rule, domain, "RM+")
+    return _check_rm(sw, "RM+", lambda x: [[y for y in subsets_of(x) if y != x]])
 
 
 def _check_con_like(rule, domain, pair_only: bool) -> AxiomReport:
     """Removing a subgroup with its bundles leaves the rest unchanged (2-CON: remainder of 2)."""
     name = "2-CON" if pair_only else "CON"
-    sw = _sweep(rule, domain, name, ("variable",))
-    checked = 0
-    for pop in sw.domain.populations:
-        n = len(pop)
-        moves = [  # (departing slots, remaining slots)
-            (list(dropped), [i for i in range(n) if i not in dropped])
-            for size in range(1, n)
-            if not pair_only or n - size == 2
-            for dropped in combinations(range(n), size)
-        ]
-        for x in sw.domain.available_sets:
+    sw = _sweep(rule, domain, name)
 
-            def bad_of(move, codes):
-                (dropped, keep), rows = move, sw.grid(pop, x)[codes]
-                new_x = x & ~np.bitwise_or.reduce(rows[:, dropped], axis=1)
-                new_pop = tuple(pop[i] for i in keep)
-                got = _reduced_allocs(sw, new_pop, x, new_x, sw.digits(pop, x)[codes][:, keep])
-                return (got != rows[:, keep]).any(axis=1)[:, None]
+    def departures(key):  # one scan of (departing slots, remaining slots)
+        n = len(sw.block(key)[0])
+        sizes = range(max(1, n - 2), n - 1) if pair_only else range(1, n)
+        moves = [out for size in sizes for out in combinations(range(n), size)]
+        return [[(list(out), [i for i in range(n) if i not in out]) for out in moves]]
 
-            hit, checks = _scan_moves(sw, pop, x, moves, 1, bad_of)
-            checked += checks
-            if hit is not None:
-                code, j, _ = hit
-                (dropped, keep), alloc = moves[j], sw.allocation(pop, x, code)
-                new_x = x & ~_union(tuple(alloc[i] for i in dropped))
-                new_pop = tuple(pop[i] for i in keep)
-                red_code = int(_restricted(sw, x, new_x, sw.digits(pop, x)[code][keep]))
-                prob, red = sw.problem(pop, x, code), sw.problem(new_pop, new_x, red_code)
-                return _violated(
-                    name,
-                    checked,
-                    {
-                        "problem": describe_problem(prob),
-                        "allocation": describe_allocation(prob, alloc),
-                        "departing": [pop[i] for i in dropped],
-                        "reduced_problem": describe_problem(red),
-                        "reduced_allocation": describe_allocation(
-                            red, sw.allocation(new_pop, new_x, red_code)
-                        ),
-                    },
-                )
-    return _holds(name, checked)
+    def unchanged(key, move, d, rows):
+        (pop, x), (dropped, keep) = sw.block(key), move
+        new_x = x & ~np.bitwise_or.reduce(rows[:, dropped], axis=1)
+        return _reduced_allocs(sw, tuple(pop[i] for i in keep), new_x, d[:, keep]) == rows[:, keep]
+
+    def witness(key, code, move):
+        (pop, x), (dropped, keep), alloc = sw.block(key), move, sw.allocation_at(key, code)
+        new_x = x & ~_union(tuple(alloc[i] for i in dropped))
+        red_key = sw.domain.block_index[tuple(pop[i] for i in keep), new_x]
+        red_code = int(sw.code(red_key, sw.full_digits(key, code)[keep]))
+        prob, red = sw.problem_at(key, code), sw.problem_at(red_key, red_code)
+        return {
+            "problem": describe_problem(prob),
+            "allocation": describe_allocation(prob, alloc),
+            "departing": [pop[i] for i in dropped],
+            "reduced_problem": describe_problem(red),
+            "reduced_allocation": describe_allocation(red, sw.allocation_at(red_key, red_code)),
+        }
+
+    return _first_move(sw, name, departures, unchanged, witness)
 
 
 def check_con(rule, domain) -> AxiomReport:
@@ -1545,84 +1623,72 @@ def check_2con(rule, domain) -> AxiomReport:
 
 def check_tcon(rule, domain) -> AxiomReport:
     """Removing every agent's best assigned object leaves the rest of each bundle unchanged."""
-    sw = _sweep(rule, domain, "T-CON", ("variable",))
-    m = sw.domain.n_objects
-    tops_of = pick_table(preference_space(m))
-    checked = 0
-    for pop in sw.domain.populations:
-        for x in sw.domain.available_sets:
-            if not x:
-                continue
-            allocs, digits, full = sw.grid(pop, x), sw.digits(pop, x), full_index(x, m)
+    sw = _sweep(rule, domain, "T-CON")
+    tops_of = pick_table(preference_space(sw.domain.n_objects))
 
-            def removed(codes):
-                return np.bitwise_or.reduce(tops_of[full[digits[codes]], allocs[codes]], axis=-1)
+    def unchanged(key, _, d, rows):
+        (pop, x), removed = sw.block(key), np.bitwise_or.reduce(tops_of[d, rows], axis=-1)
+        return _reduced_allocs(sw, pop, x & ~removed, d) == rows & ~removed[:, None]
 
-            def bad_of(_, codes):
-                tops = removed(codes)
-                got = _reduced_allocs(sw, pop, x, x & ~tops, digits[codes])
-                return (got != (allocs[codes] & ~tops[:, None])).any(axis=1)[:, None]
+    def witness(key, code, _):
+        (pop, x), alloc, d = sw.block(key), sw.allocation_at(key, code), sw.full_digits(key, code)
+        removed = int(np.bitwise_or.reduce(tops_of[d, sw.rows(key)[code]]))  # the best objects
+        red_key = sw.domain.block_index[pop, x & ~removed]
+        red_code = int(sw.code(red_key, d))
+        prob, red = sw.problem_at(key, code), sw.problem_at(red_key, red_code)
+        return {
+            "problem": describe_problem(prob),
+            "allocation": describe_allocation(prob, alloc),
+            "removed_tops": format_bundle(removed),
+            "reduced_allocation": describe_allocation(red, sw.allocation_at(red_key, red_code)),
+            "expected": describe_allocation(red, tuple(b & ~removed for b in alloc)),
+        }
 
-            hit, checks = _scan_moves(sw, pop, x, (None,), 1, bad_of)
-            checked += checks
-            if hit is not None:
-                code = hit[0]
-                alloc, tops = sw.allocation(pop, x, code), int(removed(code))
-                new_x = x & ~tops
-                red_code = int(_restricted(sw, x, new_x, digits[code]))
-                prob, red = sw.problem(pop, x, code), sw.problem(pop, new_x, red_code)
-                return _violated(
-                    "T-CON",
-                    checked,
-                    {
-                        "problem": describe_problem(prob),
-                        "allocation": describe_allocation(prob, alloc),
-                        "removed_tops": format_bundle(tops),
-                        "reduced_allocation": describe_allocation(
-                            red, sw.allocation(pop, new_x, red_code)
-                        ),
-                        "expected": describe_allocation(red, tuple(b & ~tops for b in alloc)),
-                    },
-                )
-    return _holds("T-CON", checked)
+    return _first_move(
+        sw, "T-CON", lambda key: [[None]] if sw.block(key)[1] else [], unchanged, witness
+    )
 
 
-def _canonical_steps(sw: VariableSweep, pop, x: Bundle, t: Bundle):
-    """Per step of rows at (pop, x), in order: its first code, the codes at t of its rows'
-    canonical problems, and where each row's allocation is its canonical one's mapped back."""
-    canon, back = canonical_relabelings(x, t)
-    digits, allocs, step = sw.digits(pop, x), sw.grid(pop, x), max(1, _BLOCK // len(pop))
+def _canonical_steps(sw: Sweep, key, at_t):
+    """Per step of rows at block key: its first code, the codes at block at_t (a set of the
+    same size) of its rows' canonical problems, and where each row is its canonical one's."""
+    digits, t = sw.digits_at(key), sw.block(at_t)[1]
+    canon, back = canonical_relabelings(sw.block(key)[1], t)
+    to_t = full_index(t, sw.domain.n_objects)[canon]  # the relabeled rankings, in full space
+    step = max(1, _BLOCK // digits.shape[1])
     for lo in range(0, len(digits), step):
-        d = digits[lo : lo + step]
-        codes = sw.encode(t, canon[d[:, :1], d])
-        yield lo, codes, (back[d[:, :1], sw.grid(pop, t)[codes]] == allocs[lo : lo + step]).all(1)
+        d, rows = digits[lo : lo + step], sw.rows(key)[lo : lo + step]
+        codes = sw.code(at_t, to_t[d[:, :1], d])
+        yield lo, codes, (back[d[:, :1], np.take(sw.rows(at_t), codes, axis=0)] == rows).all(1)
 
 
-def _neu_violation(sw: VariableSweep, name: str, checked: int, pop, x: Bundle, code: int, targets):
-    """The report of the row at `code`, at its first relabeling (targets in order, images
-    in permutation order, the identity skipped) that does not relabel its allocation."""
-    d, alloc = sw.digits(pop, x)[code], sw.grid(pop, x)[code]
-    checked += code * (len(sw.domain.prefs_at(x)) * len(targets) - 1)
-    for t in targets:
+def _neu_violation(sw: Sweep, name: str, checked: int, key, code: int, targets):
+    """The report of the row at `code` of block key, at its first relabeling (the blocks of
+    `targets` in order, images in permutation order, the identity skipped) that does not
+    relabel its allocation."""
+    x, d, alloc = sw.block(key)[1], sw.digits_at(key)[code], sw.rows(key)[code]
+    checked += code * (len(sw.prefs_at(key)) * len(targets) - 1)
+    for at_t in targets:
+        t = sw.block(at_t)[1]
         canon, back = canonical_relabelings(x, t)
         r0 = canon[:, 0]  # image j of x's ascending order is relabeling r0[j]
-        codes = sw.encode(t, canon[r0][:, d])
-        bad = (back[r0[:, None], sw.grid(pop, t)[codes]] != alloc).any(axis=1)
+        codes = sw.code(at_t, full_index(t, sw.domain.n_objects)[canon[r0][:, d]])
+        bad = (back[r0[:, None], sw.rows(at_t)[codes]] != alloc).any(axis=1)
         if not bad.any():
             checked += len(bad) - (t == x)
             continue
         image, tgt_code = int(bad.argmax()), int(codes[bad.argmax()])
         sigma = zip(objects_of(x), _rankings(objects_of(t))[image])
-        prob, tgt = sw.problem(pop, x, code), sw.problem(pop, t, tgt_code)
+        prob, tgt = sw.problem_at(key, code), sw.problem_at(at_t, tgt_code)
         return _violated(
             name,
             checked + image + (t != x),
             {
                 "problem": describe_problem(prob),
-                "allocation": describe_allocation(prob, sw.allocation(pop, x, code)),
+                "allocation": describe_allocation(prob, sw.allocation_at(key, code)),
                 "relabeling": {OBJECT_NAMES[a]: OBJECT_NAMES[b] for a, b in sigma},
                 "relabeled_problem": describe_problem(tgt),
-                "relabeled_allocation": describe_allocation(tgt, sw.allocation(pop, t, tgt_code)),
+                "relabeled_allocation": describe_allocation(tgt, sw.allocation_at(at_t, tgt_code)),
             },
         )
     raise AssertionError("the row's orbit is neutral")
@@ -1638,26 +1704,26 @@ def _check_neu_like(rule, domain, pair_only: bool) -> AxiomReport:
     at each set of size k, so the witness is the first such row of the first set.
     """
     name = "2-NEU" if pair_only else "NEU"
-    sw = _sweep(rule, domain, name, ("variable",))
-    same_size: dict[int, list[Bundle]] = {}
-    for x in sw.domain.available_sets:
-        same_size.setdefault(bundle_size(x), []).append(x)
+    sw = _sweep(rule, domain, name)
+    same_size: dict[int, list[int]] = {}  # per set size, the indexes of its sets
+    for xi, x in enumerate(sw.domain.available_sets):
+        same_size.setdefault(bundle_size(x), []).append(xi)
     checked = 0
-    for pop in sw.domain.populations:
+    for key in sw.blocks():
+        (pop, x), P = sw.block(key), factorial(bundle_size(sw.block(key)[1]))
         if pair_only and len(pop) != 2:
             continue
-        for x in sw.domain.available_sets:
-            targets, P = same_size[bundle_size(x)], factorial(bundle_size(x))
-            if x == targets[0]:  # the sets after it hold when its orbits do
-                failing = np.zeros(P ** len(pop), dtype=bool)  # per canonical code
-                for y in targets:
-                    for _, codes, same in _canonical_steps(sw, pop, y, x):
-                        failing[codes[~same]] = True
-                for lo, codes, _ in _canonical_steps(sw, pop, x, x) if failing.any() else ():
-                    if failing[codes].any():
-                        code = lo + int(failing[codes].argmax())
-                        return _neu_violation(sw, name, checked, pop, x, code, targets)
-            checked += P ** len(pop) * (P * len(targets) - 1)
+        targets = [(key[0], ti) for ti in same_size[bundle_size(x)]]
+        if key == targets[0]:  # the sets after it hold when its orbits do
+            failing = np.zeros(P ** len(pop), dtype=bool)  # per canonical code
+            for at_y in targets:
+                for _, codes, same in _canonical_steps(sw, at_y, key):
+                    failing[codes[~same]] = True
+            for lo, codes, _ in _canonical_steps(sw, key, key) if failing.any() else ():
+                if failing[codes].any():
+                    code = lo + int(failing[codes].argmax())
+                    return _neu_violation(sw, name, checked, key, code, targets)
+        checked += P ** len(pop) * (P * len(targets) - 1)
     return _holds(name, checked)
 
 

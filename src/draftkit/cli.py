@@ -187,12 +187,9 @@ def _make_domain(args) -> ProblemDomain:
 def _axiom_runner(domain, rule, priority, axioms):
     """Refuse every axiom the domain's variant does not define, then run them on one sweep."""
     for name in axioms:
-        if domain.variant == "variable":
-            if name not in VARIABLE_AXIOM_CHECKERS:
-                raise InputError(f"axiom {name!r} is not defined for variable domains")
-        elif name not in AXIOM_VARIANTS:
+        if name not in AXIOM_VARIANTS:
             raise InputError(f"unknown axiom {name!r}")
-        elif domain.variant not in AXIOM_VARIANTS[name]:
+        if domain.variant not in AXIOM_VARIANTS[name]:
             raise InputError(f"axiom {name!r} is not defined for {domain.variant} domains")
     # one sweep serves every axiom of the run, so each problem is allocated once
     sweep = _sweep(rule, domain)

@@ -44,30 +44,27 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from itertools import product
-from math import comb
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Bundle, Priority, Problem, bundle_size, objects_of, subsets_of
-from .axioms import (
+from .core import Bundle, Priority, Problem, objects_of, subsets_of
+from .axioms import (  # ProblemKeys is re-exported: a rule search's variables are its keys
     DEVIATIONS,
     UNARY,
     AxiomSpace,
     ProblemDomain,
+    ProblemKeys,
     _change_targets,
-    _digits,
     _ranking_index,
     canonical_relabelings,
     format_bundle,
     require_variant,
-    restriction_codes,
-    restriction_reps,
     unary_entries,
 )
-from .rules import Rule, restricted_key, tabulated_rule
+from .rules import Rule, tabulated_rule
 
 SCOPE_NOTE = "finite-domain result: quantifies over the checked domain only"
 # find-all stops, undecided, past this many solutions: the revision budget does not bound a
@@ -152,101 +149,6 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 # Building
 # ---------------------------------------------------------------------------
-
-
-class ProblemKeys:
-    """The problem keys of a fixed-population domain, as restriction-class codes.
-
-    At available set X, preferences that restrict to X alike (`restriction_codes`)
-    form one class, and the first index of each class (`restriction_reps`) stands
-    for it. The keys at X are the profile codes whose every digit is such a first
-    index, in code order, and sets follow the domain's order: the order in which
-    `ProblemDomain.problems()` first meets each key. Key k is variable k of a
-    rule search; the keys at set xi start at `offsets[xi]`, and `digits[xi]`
-    holds their preference indexes (a view of `all_digits`). Other problems are
-    found by mapping digits through the classes, never by restricting preferences.
-    """
-
-    def __init__(self, domain: ProblemDomain):
-        if domain.variant == "variable":
-            raise ValueError("problem keys are indexed on fixed-population domains only")
-        self.domain, self.xs, self.n = domain, domain.available_sets, len(domain.populations[0])
-        reps = [restriction_reps(domain, x) for x in self.xs]
-        self.firsts = [np.flatnonzero(r == np.arange(len(r))) for r in reps]
-        # per set: each preference index's class position, and each slot's place value
-        self._classes = [np.searchsorted(f, r) for f, r in zip(self.firsts, reps)]
-        self._weights = [len(f) ** np.arange(self.n - 1, -1, -1) for f in self.firsts]
-        self.offsets = np.cumsum([0] + [len(f) ** self.n for f in self.firsts]).tolist()
-        self.all_digits = np.concatenate([f[_digits(len(f), self.n)] for f in self.firsts])
-        self.digits = [self.all_digits[lo:hi] for lo, hi in zip(self.offsets, self.offsets[1:])]
-
-    def find(self, xi: int, digits: np.ndarray) -> np.ndarray:
-        """The key at set xi of each profile in `digits` (preference indexes, slots last)."""
-        return self.offsets[xi] + self._classes[xi][digits] @ self._weights[xi]
-
-    def steps(self, xi: int, slot: int, alts: np.ndarray, own: np.ndarray) -> np.ndarray:
-        """(keys, k): from each key at set xi with digits `own`, the distance in keys to the
-        key whose slot's digit is each preference index of its row of `alts` (one row
-        serves all keys)."""
-        classes = self._classes[xi]
-        return (classes[alts] - classes[own[:, slot, None]]) * self._weights[xi][slot]
-
-    def problems(self, xi: int) -> list[Problem]:
-        """The first problem of each key at set xi."""
-        d, prefs = self.domain, self.domain.preference_space()
-        make = partial(Problem, d.variant, d.populations[0], self.xs[xi], quotas=d.quotas)
-        return [make(tuple(map(prefs.__getitem__, row))) for row in self.digits[xi].tolist()]
-
-    def keys(self, xi: int) -> list:
-        """The `problem_key` of each key at set xi, restricting each class's first
-        preference once."""
-        d, x, prefs = self.domain, self.xs[xi], self.domain.preference_space()
-        sig = {f: restricted_key(prefs[f], x) for f in self.firsts[xi].tolist()}
-        slots = zip(*(map(sig.__getitem__, column) for column in self.digits[xi].T.tolist()))
-        return [(d.variant, d.populations[0], x, profile, d.quotas) for profile in slots]
-
-    @cached_property
-    def _canonical_sets(self) -> dict[int, int]:
-        """Per set size, the index of the first set of that size; ValueError where some size
-        lacks sets, so that a relabeling moves a set outside the domain."""
-        m, first = self.domain.n_objects, {}
-        for xi, x in enumerate(self.xs):
-            first.setdefault(bundle_size(x), xi)
-        for size in first:
-            if sum(bundle_size(x) == size for x in self.xs) != comb(m, size):
-                raise ValueError(
-                    f"the available sets of size {size} are not closed under object relabeling"
-                )
-        return first
-
-    def back(self, xi: int) -> np.ndarray:
-        """`canonical_relabelings(x, t)`'s BACK table: row r0 maps bundles within t, the first
-        set of x's size, into x by the bijection that sends ranking r0 of x to t's ascending
-        order."""
-        x = self.xs[xi]
-        return canonical_relabelings(x, self.xs[self._canonical_sets[bundle_size(x)]])[1]
-
-    def orbits(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per key, its orbit's representative (a key index) and the row r0 of its set's
-        `back` table that relabels the representative onto it.
-
-        The bijection is the one that sends the key's first ranking to the
-        ascending order of t, the first set of its size, so the representatives
-        are the keys at t whose first ranking ascends.
-        """
-        d, rep, row = self.domain, [], []
-        for xi, x in enumerate(self.xs):
-            size, ti = bundle_size(x), self._canonical_sets[bundle_size(x)]
-            canon = canonical_relabelings(x, self.xs[ti])[0]
-            width = size + 1 if d.variant == "unacceptable" else 1
-            firsts, codes = self.firsts[ti], restriction_codes(d, self.xs[ti])
-            at_t = np.empty(len(canon) * width, dtype=np.intp)  # restriction code -> class
-            at_t[codes[firsts]] = np.arange(len(firsts))
-            rank, cut = np.divmod(restriction_codes(d, x)[self.digits[xi]], width)
-            image = at_t[canon[rank[:, :1], rank] * width + cut]
-            rep.append(self.offsets[ti] + image @ self._weights[ti])
-            row.append(rank[:, 0])
-        return np.concatenate(rep), np.concatenate(row)
 
 
 @lru_cache(maxsize=None)

@@ -870,21 +870,17 @@ def _agreement(sweep: VariableSweep, priority: Priority) -> tuple[bool, dict | N
     """
     target = VariableSweep(variable_draft_rule(priority), sweep.domain)
     precondition_ok, divergence = True, None
-    for pop in sweep.domain.populations:
-        for x in sweep.domain.available_sets:
-            mine, theirs = sweep.grid(pop, x), target.grid(pop, x)
-            rows = np.flatnonzero((mine != theirs).any(axis=1))
-            single_unit = bundle_size(x) <= len(pop)
-            if not rows.size:
-                continue
-            precondition_ok = precondition_ok and not single_unit
-            if single_unit or divergence is None:
-                code = int(rows[-1] if single_unit else rows[0])
-                divergence = {"problem": describe_problem(sweep.problem(pop, x, code))}
-                for key, sw in (("rule", sweep), ("draft", target)):
-                    divergence[key] = {
-                        a: format_bundle(b) for a, b in zip(pop, sw.allocation(pop, x, code))
-                    }
+    for block in sweep.blocks():
+        (pop, x), differ = sweep.block(block), sweep.rows(block) != target.rows(block)
+        rows, single_unit = np.flatnonzero(differ.any(axis=1)), bundle_size(x) <= len(pop)
+        if not rows.size:
+            continue
+        precondition_ok = precondition_ok and not single_unit
+        if single_unit or divergence is None:
+            code = int(rows[-1] if single_unit else rows[0])
+            divergence = {"problem": describe_problem(sweep.problem_at(block, code))}
+            for key, sw in (("rule", sweep), ("draft", target)):
+                divergence[key] = dict(zip(pop, map(format_bundle, sw.allocation_at(block, code))))
     return precondition_ok, divergence
 
 
@@ -998,14 +994,13 @@ def verify_rm_lemma() -> Verdict:
         agents = tuple(range(1, n + 1))
         sw = FixedSweep(draft_rule(agents), fixed_domain(n, m))
         above = _better_table(m, False)  # [pref, e]: the objects pref ranks above e
-        x_index = {x: i for i, x in enumerate(sw.xs)}
         full = (1 << m) - 1
         for xi, x in enumerate(sw.xs):
             small = sw.grid(xi)
             for e in objects_of(full & ~x):
                 cases = (small & ~above[sw.digits, e] == 0).all(axis=1)
                 checked += int(np.count_nonzero(cases))
-                big = sw.grid(x_index[x | 1 << e])[cases]
+                big = sw.rows(sw.domain.block_index[agents, x | 1 << e])[cases]
                 if (big & small[cases] != small[cases]).any():
                     return Verdict.of(False, {"ok": False, "checked": checked})
     return Verdict.of(True, {"ok": True, "checked": checked})

@@ -10,8 +10,9 @@ witness formatting and the trade-cycle search with the code under test;
 restriction classes, truncation targets, adversary columns, both dominance
 relations and the brute-force Pareto oracle are recomputed here (the `core.restrict`
 scan is the oracle of the restriction codes), and so are the rule-space search's
-problem keys (a first-occurrence scan of every problem),
-candidate allocations and report alternatives, per problem. The
+problem keys (a first-occurrence scan of every problem) and the keys that
+`ProblemKeys` finds on a variable domain (`restricted_code`), candidate
+allocations and report alternatives, per problem. The
 misreport-by-misreport manipulation search is here too, as the oracle of the
 one-block `verifier.find_manipulation`, and so are the step-by-step draft
 engines, as the oracle of the turn plans that `Rule.run` interprets. The
@@ -1207,6 +1208,17 @@ def _var_problem(pop, x, profile) -> Problem:
 
 def _restricted_profile(profile, y):
     return tuple(Preference(tuple(o for o in p.ranking if y >> o & 1)) for p in profile)
+
+
+def restricted_code(domain, profile, y) -> int:
+    """The profile code, at available set y of a variable domain, of `profile` (preferences
+    over every object) restricted to y by `core.restrict`: its place in product order over
+    y's rankings. The empty set has one profile."""
+    rankings = [p.ranking for p in domain.prefs_at(y)]
+    code = 0
+    for p in profile:
+        code = code * len(rankings) + (rankings.index(restrict(p, y).ranking) if y else 0)
+    return code
 
 
 def check_nw_var(rule, domain) -> AxiomReport:

@@ -8,6 +8,7 @@ from draftkit.axioms import (
     PRIORITY_AXIOM_CHECKERS,
     VARIABLE_AXIOM_CHECKERS,
     FixedSweep,
+    ProblemKeys,
     check_2con,
     check_2neu,
     check_con,
@@ -44,7 +45,8 @@ from draftkit.axioms import (
     unacceptable_domain,
     variable_domain,
 )
-from draftkit.core import Preference, Problem
+from draftkit.core import Preference, Problem, preference_space, subsets_of
+from draftkit.csp import build_csp
 from draftkit.dominance import geometric_scheme, linear_scheme, random_scheme
 from draftkit.rules import (
     draft_rule,
@@ -69,7 +71,7 @@ from draftkit.rules import (
 from draftkit.verifier import pareto_efficient
 
 from helpers import bundle, fixed_problem, pref
-from scalar_checkers import pareto_oracle, scalar_rule
+from scalar_checkers import pareto_oracle, restricted_code, scalar_rule
 
 D23 = fixed_domain(2, 3)
 PI2 = (1, 2)
@@ -506,3 +508,80 @@ def test_truthful_maxmin_equals_unanimous_adversary_utility():
                     for adv in range(sw.P)
                 )
                 assert worst == additive_utility(pref, scheme, unanimous)
+
+
+@pytest.mark.parametrize("n, m", [(2, 3), (3, 3)])
+def test_problem_keys_on_variable_domains_follow_the_domain(n, m):
+    """Every (population, set) block is indexed, the empty set and one-agent populations
+    included, and the keys come in `problems()` order, one per problem. A rule search
+    still refuses the domain."""
+    domain = variable_domain(n, m)
+    index, problems = ProblemKeys(domain), list(domain.problems())
+    assert 0 in index.xs and min(len(pop) for pop, _ in index.blocks) == 1
+    blocks = range(len(index.blocks))
+    assert [p for b in blocks for p in index.problems(b)] == problems
+    assert [k for b in blocks for k in index.keys(b)] == [problem_key(p) for p in problems]
+    assert index.offsets[-1] == len(problems)
+    with pytest.raises(ValueError, match="fixed-population variants only"):
+        build_csp(domain, ("NW",))
+
+
+@pytest.mark.parametrize("n, m", [(2, 3), (3, 3)])
+def test_problem_keys_find_restricted_problems_like_the_scalar_oracle(n, m):
+    """From every block's keys, read as full-space preferences, the key at each subset's
+    block is that of the profile restricted by `core.restrict`."""
+    domain = variable_domain(n, m)
+    index, full = ProblemKeys(domain), preference_space(m)
+    for b, (pop, x) in enumerate(index.blocks):
+        rows = list(product(index.firsts[b].tolist(), repeat=len(pop)))
+        for y in subsets_of(x, nonempty=False):
+            c = index.blocks.index((pop, y))
+            expected = [restricted_code(domain, [full[i] for i in row], y) for row in rows]
+            assert (index.find(c, np.array(rows)) - index.offsets[c]).tolist() == expected
+
+
+RM_WITNESS = {
+    "problem": {
+        "variant": "fixed",
+        "agents": [1, 2, 3],
+        "available": "{a,b,c,d}",
+        "profile": {1: "a>b>c>d", 2: "b>c>d>a", 3: "b>c>d>a"},
+    },
+    "smaller_set": "{a,b}",
+    "agent": 2,
+    "bundle_large": "{c}",
+    "bundle_small": "{b}",
+    "allocation_small": {1: "{a}", 2: "{b}", 3: "{}"},
+}
+RM_VAR_WITNESS = {
+    "problem": {
+        "variant": "variable",
+        "agents": [1, 2],
+        "available": "{a,b}",
+        "profile": {1: "a>b", 2: "a>b"},
+    },
+    "smaller_set": "{a}",
+    "agent": 2,
+    "bundle_large": "{b}",
+    "bundle_small": "{a}",
+}
+
+
+@pytest.mark.parametrize(
+    "check, rule, domain, checked, witness",
+    [
+        pytest.param(
+            check_rm, rm_counterexample(3, 4), fixed_domain(3, 4), 553_186, RM_WITNESS,
+            id="RM-pair-major",
+        ),
+        pytest.param(
+            check_rm_var, population_rm_counterexample((1, 2, 3)), variable_domain(3, 4), 1_513,
+            RM_VAR_WITNESS, id="RM+-code-major",
+        ),
+    ],
+)
+def test_rm_scan_order_fixes_the_witness_and_the_count(check, rule, domain, checked, witness):
+    """Fixed RM scans each (set, smaller set) pair whole before the next; RM+ tries every
+    smaller set at each code. Each order gives its own first witness and check count."""
+    rep = check(rule, domain)
+    assert (rep.verdict, rep.checked, rep.witness) == ("violated", checked, witness)

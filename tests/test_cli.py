@@ -318,6 +318,11 @@ def test_cli_check_cap(capsys):
         (["--rule", "u-draft", "--variant", "unacceptable", "--axioms", "NW,NWq"],
          "'NWq' is not defined for unacceptable"),
         (["--rule", "draft", "--axioms", "NW,BOGUS"], "unknown axiom 'BOGUS'"),
+        (["--rule", "draft", "--axioms", "NW,RM+"], "axiom 'RM+' is not defined for fixed domains"),
+        (["--rule", "u-draft", "--variant", "unacceptable", "--axioms", "CON"],
+         "axiom 'CON' is not defined for unacceptable domains"),
+        (["--rule", "draft-variable", "--variant", "variable", "--axioms", "NW,RM"],
+         "axiom 'RM' is not defined for variable domains"),
     ],
 )
 def test_cli_check_refuses_axioms_off_their_variant(capsys, argv, message):
