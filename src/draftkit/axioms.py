@@ -35,7 +35,7 @@ from .core import (
     subsets_of,
     top_k,
 )
-from .dominance import WeightScheme, additive_utility, relation_table
+from .dominance import FlatRelation, WeightScheme, additive_utility, relation_table
 from .rules import Rule, pick_table, restricted_key
 
 OBJECT_NAMES = "abcdefghijklmnopqrstuvwxyz"
@@ -511,11 +511,10 @@ class FixedSweep(Sweep):
     """The fixed-population view of a Sweep (fixed / quota / unacceptable): blocks are
     named by set index, and one preference space serves every set.
 
-    A profile code thus means the same profile at every set, so cross-problem
-    checks (misreports, subsets, truncations) are pure code arithmetic, and a
-    rule is run exactly once per problem. A restriction-invariant rule is sent
-    one misreport per restriction class (`restriction_reps`), the classes that
-    code a rule search's `ProblemKeys`.
+    A profile code thus means the same profile at every set, so a misreport or
+    a truncation moves a row by a code offset (`_deviation_scan`), and a rule is
+    run once per problem; a restriction-invariant rule is sent one misreport per
+    restriction class (`_misreport_targets`).
     """
 
     def __init__(self, rule: Rule, domain: ProblemDomain):
@@ -1023,25 +1022,32 @@ def _deviation_scan(sw: FixedSweep, xi: int, codes, targets, counted, ok, admit=
     """First violation among single-agent report changes at `codes` of set xi.
 
     At each code (in order), each slot and each column k, the agent with
-    truthful preference index d reports targets[d, k] instead. The cell is a
-    check where counted[d, k] holds and, if given, admit(own, alt) does; it
-    fails where ok(slot, d, alt, own, other) does not hold for the truthful
-    and the deviating bundle. Returns ((code, slot, report index) or None, checks).
+    truthful preference index d reports targets[d, k] instead, at the row an
+    int32 offset table gives. The cell is a check where counted[d, k] holds
+    and, if given, admit(own, alt) does; it fails where ok(slot, d, alt, own,
+    other) does not hold for the truthful and the deviating bundle. Only TI
+    gives admit, and alt = targets[d] is None without it. Returns ((code, slot,
+    report index) or None, checks).
     """
-    allocs = sw.grid(xi)
-    width = targets.shape[1]
-    step = max(1, _BLOCK // (sw.n * width))
+    allocs, n, width = sw.grid(xi), sw.n, targets.shape[1]
+    moves = (targets - np.arange(sw.P)[:, None]) * n  # cells from a row to its deviation
+    offsets = [(moves * pow + slot).astype(np.int32) for slot, pow in enumerate(sw._pow)]
+    step = max(1, _BLOCK // (n * width))
     checked = 0
     for lo in range(0, len(codes), step):
-        block = codes[lo : lo + step]
-        bad = np.zeros((len(block), sw.n, width), dtype=bool)
+        block = rows = codes[lo : lo + step]
+        if isinstance(block, range):
+            rows, block = slice(block.start, block.stop), np.arange(block.start, block.stop)
+        at = (block * n).astype(np.int32)[:, None]
+        bad = np.zeros((len(block), n, width), dtype=bool)
         valid = np.zeros_like(bad)
-        for slot in range(sw.n):
-            d = sw.digits[block, slot]
-            alt = targets[d]
-            own = allocs[block, slot][:, None]
-            other = allocs[block[:, None] + (alt - d[:, None]) * sw._pow[slot], slot]
-            counts = counted[d] if admit is None else counted[d] & admit(own, alt)
+        for slot in range(n):
+            d, alt = sw.digits[rows, slot].astype(np.int32), None
+            own, other = allocs[rows, slot][:, None], allocs.reshape(-1).take(at + offsets[slot][d])
+            counts = counted[d]
+            if admit is not None:
+                alt = targets[d]
+                counts &= admit(own, alt)
             valid[:, slot] = counts
             bad[:, slot] = counts & ~ok(slot, d[:, None], alt, own, other)
         hit, checks = _first_violation(bad, valid)
@@ -1224,7 +1230,7 @@ def check_wsp(rule, domain) -> AxiomReport:
 def _check_sp_like(rule, domain, name: str) -> AxiomReport:
     sw = _sweep(rule, domain, name)
     space = AxiomSpace(sw.domain)
-    rel, tables = DEVIATIONS[name], [space.relation(s) for s in range(sw.n)]
+    rel, tables = DEVIATIONS[name], [FlatRelation(space.relation(s)) for s in range(sw.n)]
 
     def ok(slot, d, alt, own, other):
         return rel(tables[slot], d, own, other)
@@ -1239,11 +1245,10 @@ def _check_deviation(sw: FixedSweep, name: str, targets_of, ok, fields, admit=No
     `targets_of(xi)` gives the (targets, counted) reports to try on set xi;
     `fields` names the witness's report, truthful bundle and report bundle.
     """
-    codes = np.arange(sw.P**sw.n)
     checked = 0
     for xi in range(len(sw.xs)):
         targets, counted = targets_of(xi)
-        hit, checks = _deviation_scan(sw, xi, codes, targets, counted, ok, admit)
+        hit, checks = _deviation_scan(sw, xi, sw.codes(), targets, counted, ok, admit)
         checked += checks
         if hit is not None:
             code, slot, alt = hit
@@ -1274,9 +1279,10 @@ def check_msp_certificate(rule, domain) -> AxiomReport:
     sw = _sweep(rule, domain, "MSP-certificate", FIXED_POPULATION)
     dom = AxiomSpace(sw.domain).relation()
     unanimous = np.arange(sw.P) * sum(sw._pow)  # code of the profile where all report idx
+    flat = FlatRelation(dom)
 
     def ok(slot, d, alt, own, other):
-        return sp_ok(dom, d, own, other)
+        return sp_ok(flat, d, own, other)
 
     checked = 0
     for xi in range(len(sw.xs)):
@@ -1459,40 +1465,23 @@ def check_truthful_best_case(rule, domain, schemes: Sequence[WeightScheme]) -> A
 
 
 @lru_cache(maxsize=None)
-def _truncation_table(m: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Per preference index: (indexes of its truncations, indexes of its extensions).
-
-    Truncations keep the ranking and move the cutoff up; extensions move it
-    down. Tail order is preserved on both sides, matching truncate_at.
-    """
-    prefs = preference_space(m, cutoffs=True)
-    table = []
-    for p in prefs:
-        truncs = tuple(
-            i for i, q in enumerate(prefs) if q.ranking == p.ranking and q.cutoff < p.cutoff
-        )
-        exts = tuple(
-            i for i, q in enumerate(prefs) if q.ranking == p.ranking and q.cutoff > p.cutoff
-        )
-        table.append((truncs, exts))
-    return tuple(table)
-
-
-@lru_cache(maxsize=None)
 def _change_targets(m: int, pick: int) -> tuple[np.ndarray, np.ndarray]:
-    """_truncation_table column `pick` as padded (targets, counted) arrays over preference indexes."""
-    rows = [row[pick] for row in _truncation_table(m)]
-    width = max(1, max(len(r) for r in rows))
-    targets = np.array([list(r) + [i] * (width - len(r)) for i, r in enumerate(rows)])
-    counted = np.array([[k < len(r) for k in range(width)] for r in rows])
-    return targets, counted
+    """Per index of `preference_space(m, cutoffs=True)`, its truncations (pick 0: the ranking
+    at a smaller cutoff) or extensions (pick 1: at a larger one) in index order, as padded
+    (targets, counted) arrays; a pad repeats the index. A ranking's m + 1 cutoffs have
+    consecutive indexes."""
+    i = np.arange(factorial(m) * (m + 1))[:, None]
+    cutoff, k = i % (m + 1), np.arange(max(1, m))
+    to = k if pick == 0 else cutoff + 1 + k  # the cutoff each column moves to
+    counted = to < cutoff if pick == 0 else to <= m
+    return np.where(counted, i - cutoff + to, i), counted
 
 
 def _check_report_change(rule, domain, kind: str) -> AxiomReport:
     """Shared sweep for truncation-proofness (TP) and extension-proofness (EP)."""
     sw = _sweep(rule, domain, kind)
     change = _change_targets(sw.domain.n_objects, 0 if kind == "TP" else 1)
-    dom = AxiomSpace(sw.domain).relation()
+    dom = FlatRelation(AxiomSpace(sw.domain).relation())
 
     def ok(slot, d, alt, own, other):
         return sp_ok(dom, d, own, other)

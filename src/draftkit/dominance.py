@@ -5,8 +5,10 @@ object of T to a weakly better object of S. In rank space (bit k of a mask is
 the object ranked k-th) that is Hall's condition on nested sets: every prefix of
 the ranks holds at least as many objects of S as of T. `_pd_matrix` is the one
 definition of that relation, read by the scalar comparisons and gathered per
-preference by `dominance_table`. Its equivalence with injection existence is a
-tested claim against `weakly_dominates_oracle` (exhaustive bipartite matching).
+preference by `dominance_table`; `_rank_masks` maps bundles to rank space for
+that table and, cached as `rank_mask_table`, for the manipulation search. Its
+equivalence with injection existence is a tested claim against
+`weakly_dominates_oracle` (exhaustive bipartite matching).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .core import (
     objects_of,
     preference_space,
 )
+from .rules import _per_space
 
 ORACLE_SIZE_CAP = 12
 MAX_RELATION_CELLS = 1 << 30  # bools in one relation table: 7 objects with cutoffs fit, 8 do not
@@ -104,20 +107,38 @@ def envies(pref: Preference, own: Bundle, other: Bundle, quota: int | float = IN
     return not weakly_dominates(pref, own, other)
 
 
+def _rank_masks(prefs: Sequence[Preference]) -> np.ndarray:
+    """RANK[p, s]: bundle s in prefs[p]'s rank space, `Preference.rank_mask` without a cutoff;
+    an object prefs[p] does not rank adds no bit. uint8 (len(prefs), 2^w), w the highest
+    ranked object + 1 (at most 8)."""
+    width = max((p.ranked_mask for p in prefs), default=0).bit_length()
+    if width > 8:
+        raise ValueError(f"rank-mask tables hold bundles of at most 8 objects, not {width}")
+    bits = np.zeros((len(prefs), width), dtype=np.uint8)  # [p, o]: the rank bit of object o
+    for row, p in zip(bits, prefs):
+        row[list(p.ranking)] = 1 << np.arange(len(p.ranking))
+    table = np.zeros((len(prefs), 1 << width), dtype=np.uint8)
+    for o in range(width):  # the bundles holding o are those without it, plus o's rank bit
+        np.bitwise_or(table[:, : 1 << o], bits[:, o, None], out=table[:, 1 << o : 2 << o])
+    table.flags.writeable = False
+    return table
+
+
+# cached per preference space for the manipulation search; a relation table is cached itself
+rank_mask_table = _per_space(_rank_masks)
+
+
 def dominance_table(
     prefs: Sequence[Preference], n_objects: int, quota: int | None = None
 ) -> np.ndarray:
     """DOM[p, s, t]: under prefs[p] bundle s weakly dominates bundle t, for all s, t < 2**n_objects.
 
-    Each preference maps every bundle to rank space through one array (cutoff
-    and quota applied there), and the pairs are looked up in `_pd_matrix`. A quota
-    keeps the agent's `quota` best objects of each bundle, as in
-    `quota_weakly_dominates`. Every preference must rank objects 0..n_objects-1.
+    Each preference maps every bundle to rank space through `_rank_masks`, then keeps
+    the agent's `quota` best objects of each bundle (as `quota_weakly_dominates` does) and
+    the ranks its cutoff accepts; the pairs are looked up in `_pd_matrix`. Every preference
+    must rank objects 0..n_objects-1.
     """
-    subsets = np.arange(1 << n_objects)
-    members = subsets[:, None] >> np.arange(n_objects) & 1  # (2**m, m)
-    ranks = np.array([p.rank for p in prefs], dtype=np.int64).reshape(len(prefs), n_objects)
-    rank_masks = (1 << ranks) @ members.T  # (P, 2**m)
+    rank_masks = _rank_masks(prefs).astype(np.intp)
     if quota is not None:
         left, rank_masks = rank_masks, np.zeros_like(rank_masks)
         for _ in range(min(quota, n_objects)):
@@ -153,6 +174,21 @@ def _relation_table(n_objects: int, cutoffs: bool, quota: int | None) -> np.ndar
             f"more than one table holds ({MAX_RELATION_CELLS})"
         )
     return dominance_table(preference_space(n_objects, cutoffs), n_objects, quota)
+
+
+class FlatRelation:
+    """A (P, S, S) relation table read as [d, own, other] by one take of its raveled cells:
+    int32 indexes when d is int32 and own and other are uint8. The sweeps' deviation scans
+    read `axioms.DEVIATIONS` through it, so that no 3-D fancy index is built."""
+
+    def __init__(self, table: np.ndarray):
+        if table.size > np.iinfo(np.int32).max:
+            raise CapacityError(f"{table.size} relation cells are past int32 indexes")
+        self.cells, self.size = table.reshape(-1), table.shape[-1]
+
+    def __getitem__(self, at):
+        d, own, other = at
+        return self.cells.take((d * self.size + own) * self.size + other)
 
 
 def weakly_dominates_oracle(pref: Preference, s: Bundle, t: Bundle) -> bool:

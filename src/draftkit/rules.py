@@ -101,7 +101,9 @@ def pick_table(prefs: tuple[Preference, ...]) -> np.ndarray:
     width = max(p.ranked_mask for p in prefs).bit_length()
     if width > 8:
         raise ValueError(f"pick tables hold bundles of at most 8 objects, not {width}")
-    rankings = np.array([p.ranking for p in prefs], dtype=np.uint8).reshape(len(prefs), -1)
+    longest = max(len(p.ranking) for p in prefs)  # a shorter ranking pads past its cutoff
+    padded = [p.ranking + (0,) * (longest - len(p.ranking)) for p in prefs]
+    rankings = np.array(padded, dtype=np.uint8).reshape(len(prefs), -1)
     cutoffs = np.array([len(p.ranking) if p.cutoff is None else p.cutoff for p in prefs])
     subsets = np.arange(1 << width, dtype=np.uint8)
     table = np.zeros((len(prefs), 1 << width), dtype=np.uint8)
@@ -151,11 +153,12 @@ def _pick_rows(prefs, digits: np.ndarray, x: Bundle, turns, limits=None, passes=
         bit = flat[base[slot] + remaining]
         if limits is not None and limits[k] != INFINITE:
             bit[np.bitwise_count(cols[slot]) >= limits[k]] = 0
+        picks = np.count_nonzero(bit)  # a C call, where any() and all() add a Python wrapper
         if passes:
-            idle = 0 if bit.any() else idle + 1
+            idle = 0 if picks else idle + 1
             if idle == len(cols):
                 break
-        elif not bit.all():
+        elif picks < len(bit):
             raise RuntimeError("sequential pick found no object")
         cols[slot] |= bit
         remaining ^= bit

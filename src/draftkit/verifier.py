@@ -29,6 +29,7 @@ from .core import (
     preference_space,
 )
 from .axioms import (
+    DEVIATIONS,
     OBJECT_NAMES,
     AxiomSpace,
     FixedSweep,
@@ -79,7 +80,7 @@ from .dominance import (
     geometric_scheme,
     linear_scheme,
     random_scheme,
-    strictly_dominates,
+    rank_mask_table,
     weakly_dominates_oracle,
 )
 from .grid import build_grid, replay_grid_certificate, solve_grid
@@ -535,29 +536,37 @@ def find_manipulation(rule: Rule, problem: Problem, agent: Agent):
     """First misreport (canonical order) whose bundle strictly dominates the truthful one.
 
     One call of the rule's engine allocates the truthful profile (row 0) and every misreport
-    (row r + 1 puts report r in the agent's slot). Past the allocation rows' 8 objects
-    it raises CapacityError before enumerating anything."""
+    (row r + 1 puts report r in the agent's slot). One gather from `rank_mask_table` puts
+    the agent's bundles in her rank space, her cutoff keeps the acceptable ranks, and every
+    report is judged at once as a failure of WSP's relation (`DEVIATIONS`) on `_pd_matrix`.
+    Past the allocation rows' 8 objects it raises CapacityError before enumerating anything."""
     objs = _universe(problem)
     reason = past_capacity((bundle_of(objs) | problem.available).bit_length())
     if reason:
         raise CapacityError(reason)
     slot = problem.agents.index(agent)
-    reports, index = _report_space(problem.variant, objs)
-    prefs = reports + tuple(p for p in dict.fromkeys(problem.profile) if p not in index)
-    if len(prefs) > len(reports):  # a profile ranking fewer objects than the universe
+    prefs, index = _report_space(problem.variant, objs)
+    reports, truth = len(prefs), [index.get(p) for p in problem.profile]
+    if None in truth:  # a profile ranking fewer objects than the universe
+        prefs += tuple(dict.fromkeys(p for p in problem.profile if p not in index))
         index = {p: i for i, p in enumerate(prefs)}
-    digits = np.tile([index[p] for p in problem.profile], (len(reports) + 1, 1))
-    digits[1:, slot] = np.arange(len(reports))
+        truth = [index[p] for p in problem.profile]
+    digits = np.empty((reports + 1, len(truth)), dtype=np.intp)
+    digits[:] = truth
+    digits[1:, slot] = np.arange(reports)
     bundles = rule.fill(
         problem.variant, problem.agents, problem.available, prefs, problem.quotas, digits
     )[:, slot]
-    truth, pref = int(bundles[0]), problem.profile[slot]
-    gains, first = np.unique(bundles[1:], return_index=True)
-    rows = [r for b, r in zip(gains.tolist(), first.tolist()) if strictly_dominates(pref, b, truth)]
-    if not rows:
+    pref = problem.profile[slot]
+    masks = rank_mask_table(prefs)[truth[slot], bundles]
+    if pref.cutoff is not None:
+        masks &= (1 << pref.cutoff) - 1
+    dom = _pd_matrix(len(pref.ranking))[None]  # one preference: her rank space
+    gains = ~DEVIATIONS["WSP"](dom, 0, masks[0], masks[1:])
+    r = int(gains.argmax())
+    if not gains[r]:
         return None
-    r = min(rows)
-    return reports[r], int(bundles[r + 1]), truth
+    return prefs[r], int(bundles[r + 1]), int(bundles[0])
 
 
 def verify_t5(

@@ -1,10 +1,20 @@
 from fractions import Fraction
 from itertools import permutations
+from random import Random
 
+import numpy as np
 import pytest
 
 import scalar_checkers as oracle
-from draftkit.core import INFINITE, Preference, bundle_size, objects_of, subsets_of, top_k
+from draftkit.core import (
+    INFINITE,
+    Preference,
+    bundle_size,
+    objects_of,
+    preference_space,
+    subsets_of,
+    top_k,
+)
 from draftkit.dominance import (
     WeightScheme,
     _pd_matrix,
@@ -16,6 +26,8 @@ from draftkit.dominance import (
     linear_scheme,
     quota_weakly_dominates,
     random_scheme,
+    rank_mask_table,
+    relation_table,
     strictly_dominates,
     weakly_dominates,
     weakly_dominates_oracle,
@@ -277,6 +289,39 @@ def test_relation_tables_match_scalar_dominance(m, cutoffs):
                     assert dom[i, s, t ^ top[i, t]] == (
                         rel(p, s, t) or any(rel(p, s, t & ~(1 << o)) for o in objects_of(t))
                     )
+
+
+@pytest.mark.parametrize("m", range(7))
+@pytest.mark.parametrize("cutoffs", [False, True])
+def test_rank_mask_table_is_the_scalar_rank_mask(m, cutoffs):
+    """Every bundle of the universe, in each preference's rank space (the cutoff plays no
+    role there), and on a space whose preferences rank different sets of objects."""
+    prefs = preference_space(m, cutoffs)
+    table = rank_mask_table(prefs)
+    assert table.shape == (len(prefs), 1 << m) and table.dtype == np.uint8
+    for i, p in enumerate(prefs):
+        assert table[i].tolist() == [p.rank_mask(s) for s in range(1 << m)]
+    ragged = tuple(
+        Preference(r, len(r) // 2 if cutoffs else None)
+        for x in subsets_of((1 << min(m, 4)) - 1)
+        for r in permutations(objects_of(x))
+    )
+    table = rank_mask_table(ragged)
+    for i, p in enumerate(ragged):  # an object p does not rank adds no bit
+        assert table[i].tolist() == [p.rank_mask(s & p.ranked_mask) for s in range(len(table[i]))]
+
+
+@pytest.mark.parametrize("cutoffs", [False, True])
+def test_five_object_relation_tables_match_scalar_dominance(cutoffs):
+    """Seeded cells of every five-object table, each quota included."""
+    prefs, rng = preference_space(5, cutoffs), Random(5)
+    for q in [None] + ([] if cutoffs else list(range(1, 6))):
+        dom = relation_table(5, cutoffs, q)
+        for _ in range(4000):
+            i, s, t = rng.randrange(len(prefs)), rng.randrange(32), rng.randrange(32)
+            p = prefs[i]
+            expected = weakly_dominates(p, s, t) if q is None else quota_weakly_dominates(p, q, s, t)
+            assert dom[i, s, t] == expected, (p, q, s, t)
 
 
 @pytest.mark.parametrize("size", range(1, 9))

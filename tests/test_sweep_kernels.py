@@ -38,7 +38,10 @@ from draftkit.core import (
     Problem,
     bundle_of,
     bundle_size,
+    is_extension_of,
+    is_truncation_of,
     objects_of,
+    preference_space,
     subsets_of,
     validate_allocation,
 )
@@ -515,6 +518,35 @@ def test_random_tabulated_rules_match_scalar_oracle(case):
     _assert_same(FixedSweep(rule, domain))
 
 
+SMALL_BLOCK = 64  # cells per scan step: every small domain's scan takes many steps
+
+
+def _many_block_cases():
+    for n, m in ((2, 3), (3, 3)):
+        for name in _fixed_rules(n, m):
+            yield pytest.param("fixed", n, m, name, id=f"fixed{n}{m}-{name}")
+    for name in _unacceptable_rules(3):
+        yield pytest.param("unacceptable", 2, 3, name, id=f"unacceptable23-{name}")
+
+
+@pytest.mark.parametrize("kind, n, m, name", _many_block_cases())
+def test_deviation_scans_across_many_blocks_match_scalar_oracle(kind, n, m, name):
+    """SP, WSP, TP, EP, TI, the MSP certificate and RM with steps of a few codes: the checks
+    summed across steps, the MSP certificate's unanimous codes and TI's admitted cells."""
+    checkers = DEVIATION + ("check_rm",) + (REPORT_CHANGE if kind == "unacceptable" else ())
+    with mock.patch.object(axioms, "_BLOCK", SMALL_BLOCK):
+        _assert_same(_filled(kind, n, m, name), checkers)
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(st.sampled_from(["fixed", "unacceptable"]).flatmap(tabulated_rules))
+def test_random_tabulated_rules_match_scalar_oracle_across_many_blocks(case):
+    domain, rule = case
+    with mock.patch.object(axioms, "_BLOCK", SMALL_BLOCK):
+        for invariant in (False, True):
+            _assert_same(FixedSweep(replace(rule, restriction_invariant=invariant), domain))
+
+
 # --- variable-population checkers ---------------------------------------------
 
 VARIABLE = (
@@ -631,6 +663,19 @@ def test_restriction_reps_are_the_restrict_scan(make, m):
     for x in domain.available_sets:
         want = oracle.restriction_reps(domain, x)
         assert axioms.restriction_reps(domain, x).tolist() == want, (domain.variant, x)
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_change_targets_are_the_truncation_scan(m):
+    """TP's and TI's truncations and EP's extensions of each preference index, in index
+    order, found by `core.is_truncation_of` over the whole space; pads repeat the index."""
+    prefs = preference_space(m, cutoffs=True)
+    for pick, related in ((0, is_truncation_of), (1, is_extension_of)):
+        targets, counted = axioms._change_targets(m, pick)
+        for i, p in enumerate(prefs):
+            want = [j for j, q in enumerate(prefs) if q != p and related(q, p)]
+            assert targets[i][counted[i]].tolist() == want, (m, pick, p)
+            assert (targets[i][~counted[i]] == i).all()
 
 
 def test_refuting_variable_check_fills_only_up_to_the_witness():

@@ -24,6 +24,7 @@ from draftkit.rules import (
     draft_rule,
     ir_counterexample,
     snake_draft_rule,
+    unacceptable_draft_rule,
     variable_draft_rule,
 )
 from draftkit.verifier import (
@@ -193,6 +194,54 @@ def test_find_manipulation_matches_the_misreport_loop(factory, variant):
                 for agent in prob.agents:
                     expected = oracle.find_manipulation(rule, prob, agent)
                     assert find_manipulation(rule, prob, agent) == expected, (prob, agent)
+
+
+def _manipulation_edge_cases():
+    """(rule, problem) pairs where the manipulation kernel changes shape."""
+    rng = Random(20241020)
+    for n, m in ((2, 5), (3, 4)):  # cutoffs at the rank-space width
+        for _ in range(4 if m == 5 else 6):
+            prob = _random_problem(rng, "unacceptable", n, m)
+            yield unacceptable_draft_rule(tuple(rng.sample(prob.agents, n))), prob
+    for x in (0, 0b1, 0b100):  # an empty set, and sets of one object
+        for n in (1, 2, 3):
+            profile = tuple(Preference(objects_of(x)) for _ in range(n))
+            yield variable_draft_rule(tuple(range(n, 0, -1))), Problem(
+                "variable", tuple(range(1, n + 1)), x, profile
+            )
+    subsets = [y for y in range(1 << 5) if y.bit_count() in (3, 4)]
+    for _ in range(12):  # available sets smaller than the universe
+        prob = _random_problem(rng, "fixed", 2, 5)
+        yield draft_rule(tuple(rng.sample(prob.agents, 2))), Problem(
+            "fixed", prob.agents, rng.choice(subsets), prob.profile
+        )
+    # agents ranking different sets that all hold the available set: the worked example
+    # with an unavailable fourth object ranked by agent 2 alone, then random ones
+    worked = (Preference((0, 1, 2)), Preference((1, 2, 0, 3)))
+    yield draft_rule((1, 2)), Problem("fixed", (1, 2), 0b111, worked)
+    for _ in range(12):
+        x, profile = rng.choice(subsets), []
+        for _ in range(rng.choice((2, 3))):
+            objs = [o for o in range(5) if x >> o & 1 or rng.random() < 0.5]
+            profile.append(Preference(tuple(rng.sample(objs, len(objs)))))
+        agents = tuple(range(1, len(profile) + 1))
+        rule = rng.choice((draft_rule, snake_draft_rule))(tuple(rng.sample(agents, len(agents))))
+        yield rule, Problem("fixed", agents, x, tuple(profile))
+
+
+def test_find_manipulation_matches_the_misreport_loop_where_the_kernel_changes():
+    """Cutoffs at 2x5 and 3x4, variable sets of zero and one object, available sets smaller
+    than the universe, and profiles whose agents rank different sets (a truthful preference
+    outside the report space then joins the preferences the engine reads)."""
+    found = ragged = 0
+    for rule, prob in _manipulation_edge_cases():
+        universe = set().union(*[p.ranking for p in prob.profile])
+        ragged += any(len(p.ranking) < len(universe) for p in prob.profile)
+        for agent in prob.agents:
+            expected = oracle.find_manipulation(rule, prob, agent)
+            assert find_manipulation(rule, prob, agent) == expected, (prob, agent)
+            found += expected is not None
+    assert found > 0 and ragged > 0
 
 
 def test_find_manipulation_matches_the_misreport_loop_on_seeded_3x5_drafts():
