@@ -35,7 +35,17 @@ from .core import (
     subsets_of,
     top_k,
 )
-from .dominance import FlatRelation, WeightScheme, additive_utility, relation_table
+from .dominance import WeightScheme, additive_utility, relation_table
+from .packed import (
+    bundle_bits,
+    change_judge,
+    failing_sets,
+    misreport_judge,
+    scan,
+    truncation_judge,
+    unanimous_failures,
+    unanimous_judge,
+)
 from .rules import Rule, pick_table, restricted_key
 
 OBJECT_NAMES = "abcdefghijklmnopqrstuvwxyz"
@@ -237,6 +247,13 @@ def _fill(rule: Rule, domain: ProblemDomain, agents, x: Bundle, prefs, digits) -
 @lru_cache(maxsize=None)
 def _ranking_index(objects: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     return {r: i for i, r in enumerate(_rankings(objects))}
+
+
+def sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array, ascending. A bare `np.unique` imports numpy.ma on
+    its first call (NumPy 2.x), about 10 ms and 0.5 MB per process."""
+    out = np.sort(values)
+    return out[np.concatenate(([True], out[1:] != out[:-1]))] if len(out) else out
 
 
 def _index_array(values) -> np.ndarray:
@@ -511,10 +528,12 @@ class FixedSweep(Sweep):
     """The fixed-population view of a Sweep (fixed / quota / unacceptable): blocks are
     named by set index, and one preference space serves every set.
 
-    A profile code thus means the same profile at every set, so a misreport or
-    a truncation moves a row by a code offset (`_deviation_scan`), and a rule is
-    run once per problem; a restriction-invariant rule is sent one misreport per
-    restriction class (`_misreport_targets`).
+    A profile code thus means the same profile at every set, and a rule is run
+    once per problem. A set's rows read as a (P,)*n + (n,) grid, so the codes
+    that differ only in one slot's digit (a context) form one axis of it: the
+    deviation scans (`packed.scan`) pack the bundles a context's reports reach
+    once, a restriction-invariant rule's one report per restriction class
+    (`_misreport_targets`).
     """
 
     def __init__(self, rule: Rule, domain: ProblemDomain):
@@ -695,17 +714,27 @@ class AxiomSpace:
     def acceptable(self) -> np.ndarray:
         return np.array([p.acceptable for p in self.prefs], dtype=np.uint8)
 
+    def _quota(self, slot: int | None):
+        return None if slot is None or self.quotas is None else self.quotas[slot]
+
     def relation(self, slot: int | None = None) -> np.ndarray:
         """DOM[pref, s, t] under the slot's quota; no slot reads no quota."""
-        quota = None if slot is None or self.quotas is None else self.quotas[slot]
-        return relation_table(self.n_objects, self.variant == "unacceptable", quota)
+        return relation_table(self.n_objects, self.variant == "unacceptable", self._quota(slot))
+
+    def failing(self, name: str, slot: int | None = None) -> np.ndarray:
+        """BAD of DEVIATIONS[name] on `relation(slot)` (`packed.failing_sets`)."""
+        cutoffs, ok = self.variant == "unacceptable", DEVIATIONS[name]
+        return failing_sets(ok, self.n_objects, cutoffs, self._quota(slot), _WORD_BITS)
 
 
 # --- deviation relations: (table, preference index, own bundle, other bundle) ---
 
 
 def sp_ok(dom, d, own, other):
-    """SP, and RM, TP, EP and the MSP certificate: under preference d, own weakly dominates other."""
+    """SP, and RM, TP, EP and the MSP certificate: under preference d, own weakly dominates other.
+
+    The deviation scans read this and `wsp_ok` packed, as the sets of bundles `other` that
+    fail at each (d, own) (`AxiomSpace.failing`), and judge one failing row through them."""
     return dom[d, own, other]
 
 
@@ -972,22 +1001,15 @@ def admissible(space: AxiomSpace, x: Bundle, allocs, digits, names) -> np.ndarra
 # First-violation scans over a FixedSweep
 # ---------------------------------------------------------------------------
 
-def _first_violation(bad: np.ndarray, counted: np.ndarray | None = None):
-    """First True cell of `bad` in row-major order, and the checks made up to it.
-
-    `counted` marks the cells that are checks (every cell when None); `bad`
-    must be False outside them. Returns (index tuple or None, checks), where
-    checks runs up to and including the violation, or over the whole block.
-    """
+def _first_violation(bad: np.ndarray):
+    """First True cell of `bad` in row-major order, and the checks made up to it: (index
+    tuple or None, checks), where every cell is a check, up to and including the violation
+    or over the whole block."""
     flat = bad.reshape(-1)
     at = int(flat.argmax()) if flat.size else 0
     if flat.size and flat[at]:
-        if counted is None:
-            checks = at + 1
-        else:
-            checks = int(np.count_nonzero(counted.reshape(-1)[: at + 1]))
-        return tuple(int(i) for i in np.unravel_index(at, bad.shape)), checks
-    return None, flat.size if counted is None else int(np.count_nonzero(counted))
+        return tuple(int(i) for i in np.unravel_index(at, bad.shape)), at + 1
+    return None, flat.size
 
 
 def _first_move(sw: Sweep, name: str, scans_of, holds, witness_of) -> AxiomReport:
@@ -1018,45 +1040,25 @@ def _first_move(sw: Sweep, name: str, scans_of, holds, witness_of) -> AxiomRepor
     return _holds(name, checked)
 
 
-def _deviation_scan(sw: FixedSweep, xi: int, codes, targets, counted, ok, admit=None):
-    """First violation among single-agent report changes at `codes` of set xi.
+_WORD_BITS = 64  # bundles per int64 word of a packed set (`packed`): 2^m / 64 words past 6
 
-    At each code (in order), each slot and each column k, the agent with
-    truthful preference index d reports targets[d, k] instead, at the row an
-    int32 offset table gives. The cell is a check where counted[d, k] holds
-    and, if given, admit(own, alt) does; it fails where ok(slot, d, alt, own,
-    other) does not hold for the truthful and the deviating bundle. Only TI
-    gives admit, and alt = targets[d] is None without it. Returns ((code, slot,
-    report index) or None, checks).
-    """
-    allocs, n, width = sw.grid(xi), sw.n, targets.shape[1]
-    moves = (targets - np.arange(sw.P)[:, None]) * n  # cells from a row to its deviation
-    offsets = [(moves * pow + slot).astype(np.int32) for slot, pow in enumerate(sw._pow)]
-    step = max(1, _BLOCK // (n * width))
-    checked = 0
-    for lo in range(0, len(codes), step):
-        block = rows = codes[lo : lo + step]
-        if isinstance(block, range):
-            rows, block = slice(block.start, block.stop), np.arange(block.start, block.stop)
-        at = (block * n).astype(np.int32)[:, None]
-        bad = np.zeros((len(block), n, width), dtype=bool)
-        valid = np.zeros_like(bad)
-        for slot in range(n):
-            d, alt = sw.digits[rows, slot].astype(np.int32), None
-            own, other = allocs[rows, slot][:, None], allocs.reshape(-1).take(at + offsets[slot][d])
-            counts = counted[d]
-            if admit is not None:
-                alt = targets[d]
-                counts &= admit(own, alt)
-            valid[:, slot] = counts
-            bad[:, slot] = counts & ~ok(slot, d[:, None], alt, own, other)
-        hit, checks = _first_violation(bad, valid)
-        checked += checks
-        if hit is not None:
-            c, slot, k = hit
-            code = int(block[c])
-            return (code, slot, int(targets[sw.slot_index(code, slot), k])), checked
-    return None, checked
+
+def _failing_report(sw: FixedSweep, xi: int, code: int, slot: int, targets, counted, ok, admit=None):
+    """The first report, in target order, that fails at (code, slot) of set xi, and the
+    checks up to it: the row judged through DEVIATIONS, as `_check_deviation` describes."""
+    d, grid = sw.slot_index(code, slot), sw.grid(xi)
+    alt, valid = targets[d], counted[d]
+    own, other = grid[code, slot], grid[code + (alt - d) * sw._pow[slot], slot]
+    if admit is not None:
+        valid = valid & admit(own, alt)
+    bad = valid & ~ok(slot, d, alt, own, other)
+    k = int(bad.argmax())
+    if not bad[k]:
+        raise RuntimeError(
+            f"rule {sw.rule.name!r} is declared restriction-invariant but is not: a report of "
+            "the truth's own restriction class changes its bundle"
+        )
+    return int(alt[k]), int(np.count_nonzero(valid[: k + 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -1229,33 +1231,47 @@ def check_wsp(rule, domain) -> AxiomReport:
 
 def _check_sp_like(rule, domain, name: str) -> AxiomReport:
     sw = _sweep(rule, domain, name)
-    space = AxiomSpace(sw.domain)
-    rel, tables = DEVIATIONS[name], [FlatRelation(space.relation(s)) for s in range(sw.n)]
+    space, rel = AxiomSpace(sw.domain), DEVIATIONS[name]
+    one = bundle_bits(sw.domain.n_objects, _WORD_BITS)
+    tables = [space.failing(name, s) for s in range(sw.n)]
+
+    def judge_of(xi):
+        targets, counted = _misreport_targets(sw, xi)
+        return misreport_judge(sw.grid(xi), sw.P, one, tables, targets[0], counted.sum(1), _BLOCK)
 
     def ok(slot, d, alt, own, other):
-        return rel(tables[slot], d, own, other)
+        return rel(space.relation(slot), d, own, other)
 
     fields = ("misreport", "truthful_bundle", "misreport_bundle")
-    return _check_deviation(sw, name, lambda xi: _misreport_targets(sw, xi), ok, fields)
+    return _check_deviation(sw, name, judge_of, lambda xi: _misreport_targets(sw, xi), ok, fields)
 
 
-def _check_deviation(sw: FixedSweep, name: str, targets_of, ok, fields, admit=None) -> AxiomReport:
+def _check_deviation(sw: FixedSweep, name: str, judge_of, targets_of, ok, fields, admit=None):
     """First single-agent report change, in enumeration order, that `ok` rejects.
 
-    `targets_of(xi)` gives the (targets, counted) reports to try on set xi;
+    The agent with truthful index d reports each of targets[d] (`targets_of(xi)`
+    gives (targets, counted) tables over d); a report is a check where
+    counted[d] holds and, if given, admit(own, alt) does, and fails where
+    ok(slot, d, alt, own, other) does not hold for the truthful and the report's
+    bundle. Each set is scanned by `packed.scan` with `judge_of(xi)`, which
+    judges every (code, slot) at once from packed bundle sets and counts its
+    checks; steps hold whole first digits, with cutoffs whole first rankings,
+    so that TP, EP and TI see every cutoff. Only the first failing (code,
+    slot) is judged again report by report, for the witness and its checks.
     `fields` names the witness's report, truthful bundle and report bundle.
     """
-    checked = 0
+    cutoffs = sw.domain.n_objects + 1 if sw.domain.variant == "unacceptable" else 1
+    checked, group = 0, cutoffs * sw.P ** (sw.n - 1)
     for xi in range(len(sw.xs)):
-        targets, counted = targets_of(xi)
-        hit, checks = _deviation_scan(sw, xi, sw.codes(), targets, counted, ok, admit)
+        hit, checks = scan(sw.grid(xi), sw.P, group, judge_of(xi), _BLOCK)
         checked += checks
         if hit is not None:
-            code, slot, alt = hit
+            code, slot = hit
+            alt, checks = _failing_report(sw, xi, code, slot, *targets_of(xi), ok, admit)
             report, before, after = fields
             return _violated(
                 name,
-                checked,
+                checked + checks,
                 {
                     "problem": describe_problem(sw.problem(xi, code)),
                     "agent": sw.agents[slot],
@@ -1275,44 +1291,49 @@ def check_msp_certificate(rule, domain) -> AxiomReport:
     profile, truth weakly dominates its unanimous-adversary bundle. Together
     these make the truthful worst case both attained at the unanimous profile
     and maximal, for every utility consistent with the ranking.
+
+    Both clauses read SP's BAD without quotas. Clause (a) packs each slot's
+    misreport bundles at the unanimous contexts only and judges its first
+    failing (truth, slot) again one misreport at a time, as `_check_deviation`
+    does; clause (b) scans every cell against its truth's unanimous bundle.
     """
     sw = _sweep(rule, domain, "MSP-certificate", FIXED_POPULATION)
-    dom = AxiomSpace(sw.domain).relation()
+    space = AxiomSpace(sw.domain)
+    dom, table = space.relation(), space.failing("SP")
+    one = bundle_bits(sw.domain.n_objects, _WORD_BITS)
     unanimous = np.arange(sw.P) * sum(sw._pow)  # code of the profile where all report idx
-    flat = FlatRelation(dom)
 
     def ok(slot, d, alt, own, other):
-        return sp_ok(flat, d, own, other)
+        return sp_ok(dom, d, own, other)
 
     checked = 0
     for xi in range(len(sw.xs)):
         targets, counted = _misreport_targets(sw, xi)
-        hit, checks = _deviation_scan(sw, xi, unanimous, targets, counted, ok)
-        checked += checks
+        allocs, checks = sw.grid(xi), counted.sum(axis=1)
+        hit, _ = _first_violation(unanimous_failures(allocs, sw.P, one, table, targets[0], _BLOCK))
         if hit is not None:
-            code, slot, alt = hit
+            d, slot = hit
+            alt, row = _failing_report(sw, xi, int(unanimous[d]), slot, targets, counted, ok)
             return AxiomReport(
                 "MSP-certificate",
                 "violated",
                 {
                     "clause": "a",
-                    "problem": describe_problem(sw.problem(xi, code)),
+                    "problem": describe_problem(sw.problem(xi, int(unanimous[d]))),
                     "agent": sw.agents[slot],
                     "misreport": format_pref(sw.prefs[alt]),
                 },
-                checked,
+                checked + int(checks[:d].sum()) * sw.n + int(checks[d]) * slot + row,
             )
+        checked += int(checks.sum()) * sw.n
         # clause (b): adversaries range over everything, truth fixed
-        allocs, digits = sw.grid(xi), sw.digits
-        bad = np.zeros(allocs.shape, dtype=bool)
-        for slot in range(sw.n):
-            d = digits[:, slot]
-            bad[:, slot] = ~sp_ok(dom, d, allocs[:, slot], allocs[unanimous[d], slot])
-        hit, checks = _first_violation(bad)
+        judge = unanimous_judge(allocs, sw.P, one, table)
+        hit, checks = scan(allocs, sw.P, sw.P ** (sw.n - 1), judge, _BLOCK)
         checked += checks
         if hit is not None:
             code, slot = hit
-            unanimous_code = int(unanimous[digits[code, slot]])
+            checked += 1  # the failing cell
+            unanimous_code = int(unanimous[sw.slot_index(code, slot)])
             return AxiomReport(
                 "MSP-certificate",
                 "violated",
@@ -1478,16 +1499,19 @@ def _change_targets(m: int, pick: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_report_change(rule, domain, kind: str) -> AxiomReport:
-    """Shared sweep for truncation-proofness (TP) and extension-proofness (EP)."""
+    """Shared sweep for truncation-proofness (TP) and extension-proofness (EP): per ranking,
+    the bundles of its smaller (TP) or larger (EP) cutoffs against SP's BAD."""
     sw = _sweep(rule, domain, kind)
-    change = _change_targets(sw.domain.n_objects, 0 if kind == "TP" else 1)
-    dom = FlatRelation(AxiomSpace(sw.domain).relation())
+    m, pick = sw.domain.n_objects, 0 if kind == "TP" else 1
+    change, space = _change_targets(m, pick), AxiomSpace(sw.domain)
+    dom = space.relation()
+    judge = change_judge(bundle_bits(m, _WORD_BITS), space.failing("SP"), change[1].sum(1), pick)
 
     def ok(slot, d, alt, own, other):
         return sp_ok(dom, d, own, other)
 
     fields = ("report", "truthful_bundle", "report_bundle")
-    return _check_deviation(sw, kind, lambda xi: change, ok, fields)
+    return _check_deviation(sw, kind, lambda xi: judge, lambda xi: change, ok, fields)
 
 
 def check_tp(rule, domain) -> AxiomReport:
@@ -1503,8 +1527,8 @@ def check_ep(rule, domain) -> AxiomReport:
 def check_ti(rule, domain) -> AxiomReport:
     """Truncation invariance: truncating while keeping one's bundle acceptable changes nothing."""
     sw = _sweep(rule, domain, "TI")
-    change = _change_targets(sw.domain.n_objects, 0)
-    acc = AxiomSpace(sw.domain).acceptable
+    m, acc = sw.domain.n_objects, AxiomSpace(sw.domain).acceptable
+    change, judge = _change_targets(m, 0), truncation_judge(acc, m)
 
     def admit(own, alt):
         return (own & ~acc[alt]) == 0
@@ -1513,7 +1537,7 @@ def check_ti(rule, domain) -> AxiomReport:
         return ti_ok(acc, alt, own, other)
 
     fields = ("truncation", "bundle_before", "bundle_after")
-    return _check_deviation(sw, "TI", lambda xi: change, ok, fields, admit)
+    return _check_deviation(sw, "TI", lambda xi: judge, lambda xi: change, ok, fields, admit)
 
 
 # --- quota axioms ---------------------------------------------------------------
@@ -1556,7 +1580,7 @@ def _reduced_allocs(sw: Sweep, pop, ys: np.ndarray, digits: np.ndarray) -> np.nd
     """Per row: the allocation at (pop, ys[row]) of the row's profile, given as full-space
     preference indexes."""
     out = np.empty(digits.shape, dtype=np.uint8)
-    for y in np.unique(ys).tolist():
+    for y in sorted_distinct(ys).tolist():
         rows, key = ys == y, sw.domain.block_index[pop, y]
         out[rows] = np.take(sw.rows(key), sw.code(key, digits[rows]), axis=0)
     return out

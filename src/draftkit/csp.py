@@ -62,6 +62,7 @@ from .axioms import (  # ProblemKeys is re-exported: a rule search's variables a
     canonical_relabelings,
     format_bundle,
     require_variant,
+    sorted_distinct,
     unary_entries,
 )
 from .rules import Rule, tabulated_rule
@@ -472,7 +473,7 @@ def _build(
     widths = np.array([len(r) for r in rows], dtype=np.intp)
     flat, targets = _concat(rows), None
     if relabeling is not None:  # the far ends' rows, relabeled from their variables' rows
-        targets = np.unique(_concat([l.v for l in links]))
+        targets = sorted_distinct(_concat([l.v for l in links]))
         starts, moved = np.cumsum(widths) - widths, []
         for xi, lo, hi in zip(range(len(index.xs)), index.offsets, index.offsets[1:]):
             here = targets[(targets >= lo) & (targets < hi)]

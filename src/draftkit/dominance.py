@@ -176,21 +176,6 @@ def _relation_table(n_objects: int, cutoffs: bool, quota: int | None) -> np.ndar
     return dominance_table(preference_space(n_objects, cutoffs), n_objects, quota)
 
 
-class FlatRelation:
-    """A (P, S, S) relation table read as [d, own, other] by one take of its raveled cells:
-    int32 indexes when d is int32 and own and other are uint8. The sweeps' deviation scans
-    read `axioms.DEVIATIONS` through it, so that no 3-D fancy index is built."""
-
-    def __init__(self, table: np.ndarray):
-        if table.size > np.iinfo(np.int32).max:
-            raise CapacityError(f"{table.size} relation cells are past int32 indexes")
-        self.cells, self.size = table.reshape(-1), table.shape[-1]
-
-    def __getitem__(self, at):
-        d, own, other = at
-        return self.cells.take((d * self.size + own) * self.size + other)
-
-
 def weakly_dominates_oracle(pref: Preference, s: Bundle, t: Bundle) -> bool:
     """Injection-existence oracle: exhaustive bipartite matching on the weakly-better relation.
 

@@ -29,7 +29,7 @@ from functools import partial
 
 import numpy as np
 
-from .axioms import DEVIATIONS, AxiomSpace, ProblemDomain
+from .axioms import DEVIATIONS, AxiomSpace, ProblemDomain, sorted_distinct
 from .core import CapacityError
 from .csp import (
     BudgetExceeded,
@@ -210,7 +210,7 @@ def _revise(D: np.ndarray, cones: np.ndarray, lines, same: set, cross: set, stat
         if dead.any():
             newB = B.copy()
             np.bitwise_xor.at(newB, pos[dead], bits[a[dead]])
-            changed = np.unique(pos[dead])
+            changed = sorted_distinct(pos[dead])
             D[r] = newB
             wiped = changed[newB[changed] == 0]
             if wiped.size:
@@ -254,7 +254,7 @@ def _revise_quotient_columns(grid: GridCSP, Dq: np.ndarray, stats, budget):
         meets &= seen[:, cell[k]]
         dead[k] = ~meets.all(axis=0)
     np.bitwise_xor.at(Dq, cell[dead], bits[a[dead]])
-    changed = np.unique(cell[dead])
+    changed = sorted_distinct(cell[dead])
     wiped = changed[Dq[changed] == 0]
     return int(wiped[0]) if wiped.size else None
 

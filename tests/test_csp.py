@@ -1,11 +1,16 @@
 import gc
+import os
+import subprocess
+import sys
 import weakref
 from itertools import combinations, product
 from math import comb, factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import draftkit
 import scalar_checkers as oracle
 from draftkit.core import INFINITE, bundle_size
 from draftkit.axioms import (
@@ -682,3 +687,24 @@ def test_rm_without_the_subsets_of_a_set_is_refused(sets, axioms):
     """RM links each available set to each of its subsets, so a missing subset is named."""
     with pytest.raises(ValueError, match=r"\{a\}, a subset of \{a,b,c\}, is not an available set"):
         build_csp(ProblemDomain("fixed", 3, ((1, 2),), sets), axioms)
+
+
+def test_searches_never_import_numpy_ma():
+    """A bare `np.unique` imports numpy.ma on its first call (NumPy 2.x, about 10 ms); the CON
+    scan, the CSP search and the grid search take distinct values without it."""
+    script = "; ".join(
+        [
+            "import sys",
+            "from draftkit.axioms import check_con, fixed_domain, variable_domain",
+            "from draftkit.csp import build_csp, solve_csp",
+            "from draftkit.grid import build_grid, solve_grid",
+            "from draftkit.rules import variable_draft_rule",
+            "check_con(variable_draft_rule((1, 2, 3)), variable_domain(3, 3))",
+            "solve_csp(build_csp(fixed_domain(2, 3), T1, (1, 2)), mode='find-all')",
+            "solve_grid(build_grid(4, ('RP', 'EF1', 'NW', 'WSP')), mode='prove-unsat')",
+            "print('numpy.ma' in sys.modules)",
+        ]
+    ).replace("T1", repr(T1))
+    env = dict(os.environ, PYTHONPATH=str(Path(draftkit.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (0, "False\n"), run.stderr

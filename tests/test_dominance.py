@@ -324,6 +324,15 @@ def test_five_object_relation_tables_match_scalar_dominance(cutoffs):
             assert dom[i, s, t] == expected, (p, q, s, t)
 
 
+@pytest.mark.parametrize("m", range(1, 6))
+def test_relation_tables_are_reflexive(m):
+    """Every bundle weakly dominates itself under every preference, with and without cutoffs
+    and under every quota: the deviation scans' packed sets may hold the truthful bundle."""
+    for cutoffs in (False, True):
+        for quota in (None, *range(1, m + 1), INFINITE):
+            assert np.diagonal(relation_table(m, cutoffs, quota), axis1=1, axis2=2).all(), quota
+
+
 @pytest.mark.parametrize("size", range(1, 9))
 def test_rank_space_relation_is_the_positionwise_comparison(size):
     """The prefix-count relation, as a table and as the scalar rows, on every mask pair."""

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scalar_checkers as oracle
-from draftkit import axioms, verifier
+from draftkit import axioms, packed, verifier
 from draftkit.axioms import (
     OBJECT_NAMES,
     FixedSweep,
@@ -45,7 +45,7 @@ from draftkit.core import (
     subsets_of,
     validate_allocation,
 )
-from draftkit.dominance import geometric_scheme, linear_scheme, random_scheme
+from draftkit.dominance import geometric_scheme, linear_scheme, random_scheme, relation_table
 from draftkit.rules import (
     Case,
     dictatorship_rule,
@@ -545,6 +545,59 @@ def test_random_tabulated_rules_match_scalar_oracle_across_many_blocks(case):
     with mock.patch.object(axioms, "_BLOCK", SMALL_BLOCK):
         for invariant in (False, True):
             _assert_same(FixedSweep(replace(rule, restriction_invariant=invariant), domain))
+
+
+@pytest.mark.parametrize("kind, n, m, name", _many_block_cases())
+def test_deviation_scans_on_multiword_sets_match_scalar_oracle(kind, n, m, name):
+    """SP, WSP, TP, EP, TI and the MSP certificate with three bundles per word of a packed
+    set, so that a set of 3-object bundles spans three words, the last one partly."""
+    checkers = DEVIATION + (REPORT_CHANGE if kind == "unacceptable" else ())
+    with mock.patch.object(axioms, "_WORD_BITS", 3):
+        _assert_same(_filled(kind, n, m, name), checkers)
+
+
+def _cutoff_reward(good: tuple[int, ...]):
+    """Agent 1 gets the whole set exactly when her reported cutoff is in `good`, agent 2 the
+    rest: not restriction-invariant, since the cutoff counts objects outside the set."""
+
+    def run(p: Problem):
+        return ((p.available, 0) if p.profile[0].cutoff in good else (0, p.available)), None
+
+    return oracle.scalar_rule(f"cutoff-reward-{good}", run, restriction_invariant=False)
+
+
+@pytest.mark.parametrize("good", [(0, 2), (1, 3)], ids=["even", "odd"])
+def test_report_changes_at_the_nearest_cutoff_match_scalar_oracle(good):
+    """On unacceptable 2x3, every extension that helps under even rewards, and truth 2's
+    truncation that helps under odd ones, is one cutoff away: the nearest cutoff of the
+    exclusive prefix and suffix ORs."""
+    sw = FixedSweep(_cutoff_reward(good), unacceptable_domain(2, 3))
+    _assert_same(sw, DEVIATION + REPORT_CHANGE)
+
+
+@pytest.mark.parametrize("quotas", [(1, 2), (1, INFINITE)], ids=["quota12", "quota1inf"])
+@pytest.mark.parametrize("pi", [(1, 2), (2, 1)], ids=["pi12", "pi21"])
+def test_misreport_scans_read_each_slots_quota(quotas, pi):
+    """SP and WSP on quota 2x4 read each slot's BAD table under its own quota; the draft
+    that lets agent 2 pick first fails both where agent 1's quota is 1."""
+    sw = FixedSweep(quota_draft_rule(pi), quota_domain(2, 4, quotas))
+    _assert_same(sw, ("check_sp", "check_wsp"))
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+@pytest.mark.parametrize("bits", [64, 3])
+def test_failing_sets_pack_the_deviation_relations(m, bits):
+    """Bit t % bits of word t // bits of BAD[d·2^m + own] is set exactly where the relation
+    rejects (d, own, t), with and without cutoffs and quotas."""
+    one, t = packed.bundle_bits(m, bits), np.arange(1 << m)
+    assert (one[t // bits, t] == np.left_shift(1, t % bits)).all() and (one != 0).sum() == len(t)
+    for cutoffs, quota in ((False, None), (False, 1), (True, None)):
+        dom = relation_table(m, cutoffs, quota)
+        d, own = np.arange(len(dom))[:, None, None], t[:, None]
+        for name in ("SP", "WSP"):
+            table = packed.failing_sets(axioms.DEVIATIONS[name], m, cutoffs, quota, bits)
+            got = table[t // bits, (d << m) + own] & one[t // bits, t] != 0
+            assert (got == ~axioms.DEVIATIONS[name](dom, d, own, t)).all(), (name, cutoffs, quota)
 
 
 # --- variable-population checkers ---------------------------------------------
