@@ -37,7 +37,6 @@ from .rules import (
     draft_rule,
     null_rule,
     piecewise_rule,
-    problem_key,
     tabulated_rule,
 )
 from .axioms import (

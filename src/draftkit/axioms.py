@@ -46,7 +46,7 @@ from .packed import (
     unanimous_failures,
     unanimous_judge,
 )
-from .rules import Rule, pick_table, restricted_key
+from .rules import Rule, pick_table
 
 OBJECT_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
@@ -309,7 +309,8 @@ def canonical_relabelings(x: Bundle, t: Bundle) -> tuple[np.ndarray, np.ndarray]
 def restriction_codes(domain: ProblemDomain, x: Bundle) -> np.ndarray:
     """Per index into the domain's preference space, the code of its restriction to x: the
     index over x of its ranking, times |x| + 1 plus its acceptable objects in x in the
-    unacceptable variant. Two indexes restrict to x alike exactly when their codes agree."""
+    unacceptable variant. Two indexes restrict to x alike exactly when their codes agree, and
+    every code below the largest occurs, so a code is the number of its class at x."""
     m = domain.n_objects
     to_x = restriction_map((1 << m) - 1, x)
     if domain.variant != "unacceptable":
@@ -342,8 +343,9 @@ class ProblemKeys:
     restriction class at X on a fixed-population domain (`restriction_codes`,
     standing as its first index), so the keys are a rule search's variables; or,
     with `rows`, one preference index, so the keys are a fixed sweep's rows.
-    `code` thus reads every block from full-space digits by one formula, never by
-    restricting preferences, and per-key arrays (`digits`) are built on first use.
+    `code` thus reads every block from full-space digits by one formula, which
+    `locate` gives for a problem's own preferences: a key's code is its one name.
+    Per-key arrays (`digits`) are built on first use.
     """
 
     def __init__(self, domain: ProblemDomain, rows: bool = False):
@@ -356,9 +358,9 @@ class ProblemKeys:
                 classes, firsts = restriction_map((1 << m) - 1, x), full_index(x, m)
             elif rows:
                 classes = firsts = np.arange(len(domain.preference_space()))
-            else:  # codes ascend with first indexes, so np.unique keeps the classes' order
-                codes = restriction_codes(domain, x)
-                firsts, classes = np.unique(codes, return_index=True, return_inverse=True)[1:]
+            else:
+                classes = restriction_codes(domain, x)
+                firsts = np.unique(classes, return_index=True)[1]
             self.firsts.append(firsts)
             self._classes.append(classes)
         sizes = [(len(f), len(pop)) for f, (pop, _) in zip(self.firsts, self.blocks)]
@@ -399,13 +401,16 @@ class ProblemKeys:
             prefs = [prefs[f] for f in self.firsts[b].tolist()]
         return [Problem(d.variant, pop, x, p, d.quotas) for p in product(prefs, repeat=len(pop))]
 
-    def keys(self, b: int) -> list:
-        """The `problem_key` of each key at block b, restricting each class's preference
-        once."""
-        d, (pop, x) = self.domain, self.blocks[b]
-        prefs = preference_space(d.n_objects, cutoffs=d.variant == "unacceptable")
-        sig = [restricted_key(prefs[f], x) for f in self.firsts[b].tolist()]
-        return [(d.variant, pop, x, profile, d.quotas) for profile in product(sig, repeat=len(pop))]
+    def locate(self, variant, agents, x: Bundle, quotas, prefs) -> tuple[int, np.ndarray]:
+        """The block of a problem with these fields and the full-space index of each of
+        `prefs`; KeyError for a block or a preference outside the domain."""
+        d = self.domain
+        if (variant, quotas) != (d.variant, d.quotas):
+            raise KeyError((variant, quotas))
+        pi, xi = d.block_index[agents, x]
+        at = {p: i for i, p in enumerate(d.prefs_at(x))}
+        full = full_index(x, d.n_objects) if d.variant == "variable" else np.arange(len(at))
+        return pi * len(d.available_sets) + xi, full[[at[p] for p in prefs]]
 
     @cached_property
     def _canonical_sets(self) -> dict[int, int]:
@@ -441,11 +446,8 @@ class ProblemKeys:
             size, ti = bundle_size(x), self._canonical_sets[bundle_size(x)]
             canon = canonical_relabelings(x, self.xs[ti])[0]
             width = size + 1 if d.variant == "unacceptable" else 1
-            firsts, codes = self.firsts[ti], restriction_codes(d, self.xs[ti])
-            at_t = np.empty(len(canon) * width, dtype=np.intp)  # restriction code -> class
-            at_t[codes[firsts]] = np.arange(len(firsts))
             rank, cut = np.divmod(restriction_codes(d, x)[self.digits[xi]], width)
-            image = at_t[canon[rank[:, :1], rank] * width + cut]
+            image = canon[rank[:, :1], rank] * width + cut  # classes at t: their codes
             rep.append(self.offsets[ti] + image @ self._weights[ti])
             row.append(rank[:, 0])
         return np.concatenate(rep), np.concatenate(row)
@@ -458,8 +460,8 @@ class Sweep:
     the domain; `blocks()` yields the keys in `ProblemDomain.problems()` order.
     At a block, preference indexes run over `prefs_at(key)` and a profile code
     is the base-P encoding of the per-agent indexes, slot 0 most significant.
-    Each block keeps one uint8 array of rows, filled on first use (by the
-    rule's array engine when it has one), that the gather checkers read;
+    Each block keeps one uint8 array of rows, filled on first use by the
+    rule's array engine, that the gather checkers read;
     witnesses decode their one failing row with `problem_at` and
     `allocation_at`. Checkers name blocks through one of two views of this
     store: `FixedSweep` by set, `VariableSweep` by (population, set). They reach

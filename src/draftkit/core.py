@@ -233,6 +233,10 @@ class Problem:
             raise ValueError("profile/agents length mismatch")
         if self.variant != "variable" and self.available == 0:
             raise ValueError("available set must be nonempty")
+        if self.variant in ("fixed", "quota"):
+            for p in self.profile:  # `ranked_mask`'s first read costs more than one bundle_of
+                if self.available & ~bundle_of(p.ranking):
+                    raise ValueError("a preference leaves an available object unranked")
         if (self.quotas is not None) != (self.variant == "quota"):
             raise ValueError("quotas present iff variant is 'quota'")
         if self.quotas is not None and any(q != INFINITE and q < 1 for q in self.quotas):

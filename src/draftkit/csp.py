@@ -2,10 +2,12 @@
 propagated modulo object relabeling.
 
 Keys, the keys each constraint links and the candidates all come from
-restriction-class codes (`ProblemKeys`). Intra-problem axioms filter candidate
-sets; inter-problem axioms become binary constraints with precomputed
-allowed-masks, and one builder (`_build`) makes both networks below.
-Propagation is queue-based arc consistency.
+restriction-class codes (`ProblemKeys`). A key's code is its one name: a
+solution is the list of every key's allocation by code, and
+`solutions_as_rules` reads it back as a tabulated rule over the same index.
+Intra-problem axioms filter candidate sets; inter-problem axioms become binary
+constraints with precomputed allowed-masks, and one builder (`_build`) makes
+both networks below. Propagation is queue-based arc consistency.
 
 Every encoded axiom is neutral in objects: relabeling the objects of a key's
 available set X, of its preferences and of its candidate splits maps the
@@ -50,7 +52,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Bundle, Priority, Problem, objects_of, subsets_of
+from .core import Allocation, Bundle, Priority, Problem, objects_of, subsets_of
 from .axioms import (  # ProblemKeys is re-exported: a rule search's variables are its keys
     DEVIATIONS,
     UNARY,
@@ -96,14 +98,13 @@ class BinaryConstraint:
 
 
 class Network:
-    """A binary network: each variable's name (`keys`, what a solution is keyed by),
-    candidate list and candidate bitmask, the constraints, and per variable the
-    indexes of the constraints that watch it."""
+    """A binary network: each variable's candidate list and candidate bitmask, the
+    constraints, and per variable the indexes of the constraints that watch it. A
+    solution is the list of each variable's candidate."""
 
-    def __init__(self, keys: list, candidates: list, domains: list[int], constraints: list):
-        self.keys, self.candidates = keys, candidates
-        self.domains, self.constraints = domains, constraints
-        self.watchers: list[list[int]] = [[] for _ in keys]
+    def __init__(self, candidates: list, domains: list[int], constraints: list):
+        self.candidates, self.domains, self.constraints = candidates, domains, constraints
+        self.watchers: list[list[int]] = [[] for _ in domains]
         for ci, c in enumerate(self.constraints):
             self.watchers[c.u].append(ci)
             self.watchers[c.v].append(ci)
@@ -141,7 +142,7 @@ class SolveStats:
 @dataclass
 class SolveResult:
     status: str  # "sat" | "unsat" | "undecided"
-    solutions: list[dict]
+    solutions: list[list[Allocation]]  # each indexed by variable: a rule search's key code
     certificate: InfeasibilityCertificate | None
     stats: SolveStats
     note: str = SCOPE_NOTE
@@ -443,10 +444,10 @@ def _links(index: ProblemKeys, space: AxiomSpace, axioms, local) -> list[_Links]
 
 
 def _build(
-    index: ProblemKeys, space, axioms, keys, variables, orbit, relabeling=None, generators=()
+    index: ProblemKeys, space, axioms, variables, orbit, relabeling=None, generators=()
 ) -> tuple[Network, list[np.ndarray], int]:
-    """The network whose variable i is key variables[i], named keys[i], its candidate
-    rows, and the count of constraints among every key.
+    """The network whose variable i is key variables[i], its candidate rows, and the count
+    of constraints among every key.
 
     Key k is variable orbit[k]'s key relabeled by row relabeling[k] of its set's
     `ProblemKeys.back` table, or without `relabeling` variable orbit[k] itself. A
@@ -494,27 +495,29 @@ def _build(
         ends = zip(bu.tolist(), bv.tolist(), batch.masks(l, bu, far, generators))
         constraints += [BinaryConstraint(l.name, u, v, f, b) for u, v, (f, b) in ends]
     candidates = [list(map(tuple, r.tolist())) for r in rows]
-    return Network(keys, candidates, [(1 << len(r)) - 1 for r in rows], constraints), rows, count
+    return Network(candidates, [(1 << len(r)) - 1 for r in rows], constraints), rows, count
 
 
 class RuleCSP:
     """A rule search over one domain, held as its quotient modulo object relabeling.
 
-    `keys` and `problems` cover every key. `quotient` is the network on the
-    orbit representatives: its variable i is key `quotient.keys[i]`, with the
-    candidate rows `rows[i]`. Key k is representative `orbit[k]` relabeled by
-    row `relabeling[k]` of its set's `ProblemKeys.back` table, which is how
-    `table` reads a pinned quotient onto every key. The full network over every
-    key (`network`), each key its own variable, is built on first use, by every
-    search the quotient does not decide; `constraints` is the range of its
-    constraint ids, whose count (`n_constraints`) the quotient's build gives.
+    A key is named by its code in `index` alone: `keys` is the range of codes,
+    `problems` holds each key's first problem, and a solution lists each key's
+    allocation by code. `quotient` is the network on the orbit representatives,
+    in key order: its variable i has the candidate rows `rows[i]`. Key k is
+    representative `orbit[k]` relabeled by row `relabeling[k]` of its set's
+    `ProblemKeys.back` table, which is how `table` reads a pinned quotient onto
+    every key. The full network over every key (`network`), key k its variable
+    k, is built on first use, by every search the quotient does not decide;
+    `constraints` is the range of its constraint ids, whose count
+    (`n_constraints`) the quotient's build gives.
     """
 
     def __init__(self, domain, axioms, index, space, quotient, rows, orbit, relabeling, count):
         self.domain, self.axioms, self.index, self.space = domain, axioms, index, space
         self.quotient, self.rows, self.orbit, self.relabeling = quotient, rows, orbit, relabeling
         self.n_constraints = count
-        self.keys = [key for xi in range(len(index.xs)) for key in index.keys(xi)]
+        self.keys = range(index.offsets[-1])
 
     @cached_property
     def problems(self) -> list[Problem]:
@@ -524,25 +527,25 @@ class RuleCSP:
     def network(self) -> Network:
         """The network over every key, each key its own variable."""
         every = np.arange(len(self.keys))
-        return _build(self.index, self.space, self.axioms, self.keys, every, every)[0]
+        return _build(self.index, self.space, self.axioms, every, every)[0]
 
     @property
     def constraints(self) -> range:
         return range(self.n_constraints)
 
-    def table(self, doms: list[int]) -> dict:
+    def table(self, doms: list[int]) -> list[Allocation]:
         """The solution where every representative holds the one candidate of its mask
-        `doms[i]`, relabeled onto every key."""
+        `doms[i]`, relabeled onto every key: each key's allocation, by key code."""
         index = self.index
         chosen = np.stack([rows[d.bit_length() - 1] for rows, d in zip(self.rows, doms)])
-        out = np.empty((len(self.keys), index.n), dtype=np.intp)
+        out = np.empty((len(self.keys), index.n), dtype=np.uint8)
         for xi, lo, hi in zip(range(len(index.xs)), index.offsets, index.offsets[1:]):
-            out[lo:hi] = index.back(xi)[self.relabeling[lo:hi, None], chosen[self.orbit[lo:hi]]]
-        # keys with the same allocation share one tuple
-        codes = out @ 256 ** np.arange(index.n)
-        splits, which = np.unique(codes, return_index=True, return_inverse=True)[1:]
-        allocations = list(zip(*out[splits].T.tolist()))
-        return dict(zip(self.keys, map(allocations.__getitem__, which.tolist())))
+            back = index.back(xi).astype(np.uint8)
+            out[lo:hi] = back[self.relabeling[lo:hi, None], chosen[self.orbit[lo:hi]]]
+        # keys with the same allocation share one tuple: rows compare as n-byte strings
+        distinct, which = np.unique(out.view(f"V{index.n}").ravel(), return_inverse=True)
+        splits = distinct.view(np.uint8).reshape(-1, index.n).tolist()
+        return np.fromiter(map(tuple, splits), object, len(splits))[which].tolist()
 
 
 def build_csp(domain: ProblemDomain, axioms: Sequence[str], priority: Priority | None = None):
@@ -569,9 +572,7 @@ def build_csp(domain: ProblemDomain, axioms: Sequence[str], priority: Priority |
     rep_keys = np.flatnonzero(reps == np.arange(len(reps)))
     orbit = np.searchsorted(rep_keys, reps)
     generators = _generators(domain.n_objects, domain.variant == "unacceptable")
-    quotient, rows, count = _build(
-        index, space, axioms, rep_keys.tolist(), rep_keys, orbit, relabeling, generators
-    )
+    quotient, rows, count = _build(index, space, axioms, rep_keys, orbit, relabeling, generators)
     return RuleCSP(domain, axioms, index, space, quotient, rows, orbit, relabeling, count)
 
 
@@ -632,15 +633,15 @@ def depth_first(doms, propagate, pick, read_off, mode: str, stats: SolveStats) -
       decision that removed the `removed` candidates of `var` (`var` is None at
       the root). It returns an emptied variable or None, and the steps it took.
     - ``pick(doms)`` names the variable to branch on, or None when none is open.
-    - ``read_off(doms)`` turns such a leaf into a solution dict, or into the
-      index of an empty variable.
+    - ``read_off(doms)`` turns such a leaf into its solution, a list indexed by
+      variable, or into the index of an empty variable, an int.
 
     Every certificate node keeps the steps that led to it, so a replay can
     follow them at any depth. find-one and prove-unsat stop at the first
     solution; `BudgetExceeded`, and find-all past `MAX_SOLUTIONS` solutions,
     leave the search undecided.
     """
-    solutions: list[dict] = []
+    solutions: list[list] = []
 
     def visit(doms, var, removed) -> InfeasibilityCertificate:
         emptied, trace = propagate(doms, var, removed)
@@ -650,12 +651,12 @@ def depth_first(doms, propagate, pick, read_off, mode: str, stats: SolveStats) -
         var = pick(doms)
         if var is None:
             leaf = read_off(doms)
-            if isinstance(leaf, dict):
-                solutions.append(leaf)
-                if len(solutions) > MAX_SOLUTIONS:
-                    raise BudgetExceeded
-                return InfeasibilityCertificate()  # not used on sat paths
-            return InfeasibilityCertificate(emptied_var=leaf, trace=trace)
+            if isinstance(leaf, int):
+                return InfeasibilityCertificate(emptied_var=leaf, trace=trace)
+            solutions.append(leaf)
+            if len(solutions) > MAX_SOLUTIONS:
+                raise BudgetExceeded
+            return InfeasibilityCertificate()  # not used on sat paths
         mask = int(doms[var])
         branches = []
         for val in _bits(mask):
@@ -715,7 +716,7 @@ def _search(net: Network, mode: str, budget: int, stats: SolveStats) -> SolveRes
         return _propagate(net, doms, queue, stats, budget, trace), trace
 
     def read_off(doms):
-        return {k: net.candidates[i][doms[i].bit_length() - 1] for i, k in enumerate(net.keys)}
+        return [cands[d.bit_length() - 1] for cands, d in zip(net.candidates, doms)]
 
     return depth_first(list(net.domains), propagate, _pick_var, read_off, mode, stats)
 
@@ -782,5 +783,8 @@ def _bits(mask: int):
         mask ^= low
 
 
-def solutions_as_rules(result: SolveResult, name: str = "survivor") -> list[Rule]:
-    return [tabulated_rule(f"{name}-{i}", table) for i, table in enumerate(result.solutions)]
+def solutions_as_rules(csp: RuleCSP, result: SolveResult, name: str = "survivor") -> list[Rule]:
+    """Each solution of a search over the CSP's keys as the rule it tabulates."""
+    return [
+        tabulated_rule(f"{name}-{i}", csp.index, table) for i, table in enumerate(result.solutions)
+    ]

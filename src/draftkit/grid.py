@@ -295,13 +295,13 @@ def _pick(D: np.ndarray) -> int | None:
 
 
 def _read_off(grid: GridCSP, D: np.ndarray):
+    """An empty variable, or each variable's split by variable index: a two-agent fixed
+    domain's key codes at the pool."""
     if (D == 0).any():
         return int((D == 0).argmax())
-    P = len(grid.rankings)
-    return {
-        (grid.rankings[r1], grid.rankings[r2]): int(a).bit_length() - 1
-        for (r1, r2), a in np.ndenumerate(D.reshape(P, P))
-    }
+    pool = (1 << grid.n_objects) - 1
+    splits = [(a, pool ^ a) for a in grid.candidates]
+    return [splits[d.bit_length() - 1] for d in D.tolist()]
 
 
 def solve_grid(grid: GridCSP, mode: str = "prove-unsat", budget: int = 10_000_000) -> SolveResult:

@@ -20,11 +20,13 @@ orders, so traces are first class, and they come only from `Rule.run`.
 
 Every rule is its array engine, `Rule.fill`. A piecewise rule fills through its
 default rule's engine and overwrites the rows an override's `Case` takes; a
-tabulated rule looks each distinct row of restriction classes up once; the IR
-and neutrality counterexamples run over the whole block. Serial dictatorship,
-π-dictatorship and null fill rows of the narrowest unsigned type that holds the
-available set, so one row of their engine serves `Rule.run` at any number of
-objects. Only the plan rules carry a scalar runner: `_pick_one`, the one tracer.
+tabulated rule is a sequence of allocations indexed by the key codes of an
+`axioms.ProblemKeys` index, the one name of a key, and looks each distinct code
+of a block up once; the IR and neutrality counterexamples run over the whole
+block. Serial dictatorship, π-dictatorship and null fill rows of the narrowest
+unsigned type that holds the available set, so one row of their engine serves
+`Rule.run` at any number of objects. Only the plan rules carry a scalar runner:
+`_pick_one`, the one tracer.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .core import (
     Problem,
     bundle_size,
     complete_extension,
-    restrict,
     top,
 )
 
@@ -402,49 +403,18 @@ def null_rule() -> Rule:
     return Rule("null", _null_fill)
 
 
-def problem_key(problem: Problem):
-    """Canonical key: population, available set, profile restricted to the available set.
-
-    Restriction in the key keeps tabulated-rule tables finite; rules whose
-    outcome depends on rankings outside the available set cannot be tabulated.
-    """
-    sig = tuple(restricted_key(pref, problem.available) for pref in problem.profile)
-    return (problem.variant, problem.agents, problem.available, sig, problem.quotas)
-
-
-def restricted_key(pref: Preference, available: Bundle) -> tuple:
-    """One slot of a `problem_key`: the preference restricted to the available set, as
-    (ranking, cutoff)."""
-    if available == 0:
-        return (), pref.cutoff if pref.cutoff is None else 0
-    r = restrict(pref, available)
-    return r.ranking, r.cutoff
-
-
-def tabulated_rule(name: str, table: dict, fallback: Rule | None = None) -> Rule:
-    """The rule that allocates table[problem_key(problem)], or the fallback's allocation
-    where the table has no entry; without a fallback a missing entry raises KeyError."""
+def tabulated_rule(name: str, index, table: Sequence[Allocation]) -> Rule:
+    """The rule that allocates table[k] at every problem of key k of `index`, an
+    `axioms.ProblemKeys`; KeyError at a problem outside the index's domain."""
 
     def fill(variant, agents, x, prefs, quotas, digits):
-        classes: dict = {}  # restricted key -> class code, per preference of the block
-        codes = np.array([classes.setdefault(restricted_key(p, x), len(classes)) for p in prefs])
-        keys, rows = list(classes), codes[digits]
-        code = np.zeros(len(rows), dtype=np.int64)
-        for column in rows.T:  # renumbered per slot, so a code stays below rows × classes
-            code = np.unique(code * len(keys) + column, return_inverse=True)[1]
-        _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-        found = [
-            table.get((variant, agents, x, tuple(keys[c] for c in row), quotas))
-            for row in rows[first].tolist()
-        ]
-        missing = np.array([alloc is None for alloc in found])[inverse]
-        zeros = (0,) * len(agents)
-        out = np.array([zeros if a is None else a for a in found], dtype=np.uint8)[inverse]
-        if missing.any():
-            if fallback is None:
-                raise KeyError(f"rule {name!r} is not defined at this problem")
-            out[missing] = fallback.fill(variant, agents, x, prefs, quotas, digits[missing])
-        return out
+        try:
+            b, full = index.locate(variant, agents, x, quotas, prefs)
+        except KeyError:
+            raise KeyError(f"rule {name!r} is not defined at this problem") from None
+        keys, inverse = np.unique(index.find(b, full[digits]), return_inverse=True)
+        rows = np.array([table[k] for k in keys.tolist()], dtype=np.uint8)
+        return rows.reshape(len(keys), len(agents))[inverse]
 
     return Rule(name, fill)
 

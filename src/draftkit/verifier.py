@@ -19,6 +19,7 @@ import numpy as np
 
 from .core import (
     Agent,
+    Allocation,
     CapacityError,
     Preference,
     Priority,
@@ -150,19 +151,17 @@ def characterization_search(
     return Verdict.of(status == "unique" and matches == [True], detail, status != "undecided")
 
 
-def _equal_to_target(csp, tables: list[dict], target: Rule) -> list[bool]:
+def _equal_to_target(csp, tables: list[list[Allocation]], target: Rule) -> list[bool]:
     """Per table, whether it allocates as the target at every key's first problem: one
-    target fill per available set, over the keys' digits."""
+    target fill per available set, over the keys' digits, against the table's rows."""
     index, domain = csp.index, csp.domain
     prefs, agents = domain.preference_space(), domain.populations[0]
     expected = np.concatenate(
         [_fill(target, domain, agents, x, prefs, index.digits[xi]) for xi, x in enumerate(index.xs)]
     )
+    cells = expected.reshape(-1)
     return [
-        np.array_equal(
-            np.fromiter(chain.from_iterable(map(table.__getitem__, csp.keys)), np.uint8),
-            expected.reshape(-1),
-        )
+        np.array_equal(np.fromiter(chain.from_iterable(table), np.uint8, cells.size), cells)
         for table in tables
     ]
 
@@ -975,7 +974,7 @@ def verify_critical_agent(n_agents: int = 3, n_objects: int = 3) -> Verdict:
     pi = tuple(range(1, n_agents + 1))
     small = fixed_domain(2, min(n_objects, 3))
     csp = build_csp(small, ("WRP", "EF1", "NW", "RM"), (1, 2))
-    rules_small = solutions_as_rules(solve_csp(csp, mode="find-all"))
+    rules_small = solutions_as_rules(csp, solve_csp(csp, mode="find-all"))
 
     checked = 0
     for rule, domain, prio in [(draft_rule(pi), fixed_domain(n_agents, n_objects), pi)] + [

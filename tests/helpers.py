@@ -6,6 +6,7 @@ from itertools import permutations
 
 from draftkit.core import Preference, Problem, bundle_of
 from draftkit.csp import ProblemKeys
+from draftkit.rules import Rule, tabulated_rule
 
 LETTERS = "abcdefgh"
 
@@ -79,10 +80,25 @@ def all_profiles(n_agents: int, n_objects: int):
         yield tuple(Preference(r) for r in combo)
 
 
-def distinct_problems(domain) -> tuple[list, list[Problem]]:
-    """Each problem key of a fixed-population domain once, in enumeration order, with its
-    first problem, read off the `csp.ProblemKeys` index."""
+def distinct_problems(domain) -> list[Problem]:
+    """The first problem of each key of a fixed-population domain, in key-code order, read
+    off the `csp.ProblemKeys` index."""
     index = ProblemKeys(domain)
-    sets = range(len(index.xs))
-    keys = [key for xi in sets for key in index.keys(xi)]
-    return keys, [prob for xi in sets for prob in index.problems(xi)]
+    return [prob for xi in range(len(index.xs)) for prob in index.problems(xi)]
+
+
+def key_code(index: ProblemKeys, problem: Problem) -> int:
+    """The code of the problem's key in the index, as a tabulated rule finds it."""
+    fields = (problem.variant, problem.agents, problem.available, problem.quotas)
+    b, full = index.locate(*fields, problem.profile)
+    return int(index.find(b, full))
+
+
+def code_table(name: str, domain, rule: Rule, cells: dict | None = None) -> Rule:
+    """The rule tabulated over the domain's keys, each (problem, allocation) of `cells`
+    taking the place of the rule's allocation at that problem's key."""
+    index = ProblemKeys(domain)
+    table = [rule.allocate(prob) for b in range(len(index.blocks)) for prob in index.problems(b)]
+    for prob, alloc in (cells or {}).items():
+        table[key_code(index, prob)] = alloc
+    return tabulated_rule(name, index, table)

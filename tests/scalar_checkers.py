@@ -10,7 +10,8 @@ witness formatting and the trade-cycle search with the code under test;
 restriction classes, truncation targets, adversary columns, both dominance
 relations and the brute-force Pareto oracle are recomputed here (the `core.restrict`
 scan is the oracle of the restriction codes), and so are the rule-space search's
-problem keys (a first-occurrence scan of every problem) and the keys that
+problem keys (`problem_key`, the tuple a key code stands for, and a
+first-occurrence scan of every problem) and the keys that
 `ProblemKeys` finds on a variable domain (`restricted_code`), candidate
 allocations and report alternatives, per problem. The
 misreport-by-misreport manipulation search is here too, as the oracle of the
@@ -77,8 +78,6 @@ from draftkit.rules import (
     Rule,
     _agent_order,
     _population_order,
-    problem_key,
-    restricted_key,
     unacceptable_draft_rule,
 )
 
@@ -809,13 +808,29 @@ def _unary_ok(axiom, problem, alloc, priority) -> bool:
     return True
 
 
+def problem_key(problem: Problem):
+    """Canonical key: population, available set, profile restricted to the available set.
+    Two problems share a key code of `ProblemKeys` exactly when they share this key."""
+    sig = tuple(restricted_key(pref, problem.available) for pref in problem.profile)
+    return (problem.variant, problem.agents, problem.available, sig, problem.quotas)
+
+
+def restricted_key(pref: Preference, available: int) -> tuple:
+    """One slot of a `problem_key`: the preference restricted to the available set, as
+    (ranking, cutoff)."""
+    if available == 0:
+        return (), pref.cutoff if pref.cutoff is None else 0
+    r = restrict(pref, available)
+    return r.ranking, r.cutoff
+
+
 # restricted preferences and the key slots made from them, memoised per (preference, set)
 _restricted = lru_cache(maxsize=None)(restrict)
 _restricted_key = lru_cache(maxsize=None)(restricted_key)
 
 
 def _problem_key(problem: Problem):
-    """`rules.problem_key`, from the memoised restrictions."""
+    """`problem_key`, from the memoised restrictions."""
     sig = tuple(_restricted_key(p, problem.available) for p in problem.profile)
     return (problem.variant, problem.agents, problem.available, sig, problem.quotas)
 

@@ -56,12 +56,10 @@ from draftkit.rules import (
     null_rule,
     pairwise_consistency_counterexample,
     population_rm_counterexample,
-    problem_key,
     quota_draft_rule,
     rm_counterexample,
     serial_dictatorship_rule,
     snake_draft_rule,
-    tabulated_rule,
     ti_counterexample,
     unacceptable_draft_rule,
     variable_draft_rule,
@@ -70,8 +68,8 @@ from draftkit.rules import (
 )
 from draftkit.verifier import pareto_efficient
 
-from helpers import bundle, fixed_problem, pref
-from scalar_checkers import pareto_oracle, restricted_code, scalar_rule
+from helpers import bundle, code_table, fixed_problem, key_code, pref
+from scalar_checkers import pareto_oracle, problem_key, restricted_code, scalar_rule
 
 D23 = fixed_domain(2, 3)
 PI2 = (1, 2)
@@ -124,12 +122,10 @@ def test_draft_wsp_witness_is_manipulation_example():
 def test_rt_verdicts():
     assert check_rt(draft_rule(PI2), D23).holds
     assert check_rt(null_rule(), D23).holds
-    # the dominated allocation served as a tabulated rule on a one-problem domain
+    # the draft's code table, with a dominated allocation at one key
     prob = fixed_problem("abcd", "dcba")
     dom = fixed_domain(2, 4)
-    bad = tabulated_rule(
-        "bad", {problem_key(prob): (bundle("ac"), bundle("bd"))}, fallback=draft_rule(PI2)
-    )
+    bad = code_table("bad", dom, draft_rule(PI2), {prob: (bundle("ac"), bundle("bd"))})
     rep = check_rt(bad, dom)
     assert not rep.holds and len(rep.witness["cycle"]) == 2
 
@@ -238,7 +234,7 @@ def test_msp_certificate_for_draft():
 def test_msp_certificate_clause_b_failure_reported():
     # at one non-unanimous profile both agents get nothing: worst case drops below unanimity
     special = fixed_problem("abc", "acb")
-    rule = tabulated_rule("clause-b", {problem_key(special): (0, 0)}, fallback=draft_rule(PI2))
+    rule = code_table("clause-b", D23, draft_rule(PI2), {special: (0, 0)})
     rep = check_msp_certificate(rule, D23)
     assert rep.verdict == "violated" and rep.witness["clause"] == "b"
 
@@ -520,7 +516,8 @@ def test_problem_keys_on_variable_domains_follow_the_domain(n, m):
     assert 0 in index.xs and min(len(pop) for pop, _ in index.blocks) == 1
     blocks = range(len(index.blocks))
     assert [p for b in blocks for p in index.problems(b)] == problems
-    assert [k for b in blocks for k in index.keys(b)] == [problem_key(p) for p in problems]
+    assert [key_code(index, p) for p in problems] == list(range(len(problems)))
+    assert len(set(map(problem_key, problems))) == len(problems)
     assert index.offsets[-1] == len(problems)
     with pytest.raises(ValueError, match="fixed-population variants only"):
         build_csp(domain, ("NW",))

@@ -178,6 +178,18 @@ def test_validate_allocation_outside_available():
     assert v is not None and v.kind == "out-of-universe"
 
 
+def test_fixed_and_quota_preferences_rank_every_available_object():
+    """A fixed or quota preference that leaves an available object unranked is refused, as
+    the docstring says; before, a draft over it found no object to pick."""
+    with pytest.raises(ValueError, match="unranked"):
+        Problem("fixed", (1, 2), 0b111, (Preference((0, 1)), Preference((2, 1, 0))))
+    with pytest.raises(ValueError, match="unranked"):
+        Problem("quota", (1, 2), 0b011, (Preference((1, 0)), Preference((0, 2))), (1, 1))
+    # a preference may rank objects outside the available set, or exactly that set
+    Problem("fixed", (1, 2), 0b011, (Preference((1, 0)), Preference((2, 0, 1))))
+    Problem("quota", (1, 2), 0b011, (Preference((1, 0)), Preference((0, 1))), (1, 1))
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         Problem("fixed", (1,), 0, (pref("ab"),))

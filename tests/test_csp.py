@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 import weakref
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 from math import comb, factorial
 from pathlib import Path
 
@@ -16,6 +16,7 @@ from draftkit.core import INFINITE, bundle_size
 from draftkit.axioms import (
     UNARY,
     AxiomSpace,
+    FixedSweep,
     ProblemDomain,
     _digits,
     check_ef1,
@@ -25,6 +26,7 @@ from draftkit.axioms import (
     fixed_domain,
     quota_domain,
     unacceptable_domain,
+    variable_domain,
 )
 from draftkit.csp import (
     MAX_SOLUTIONS,
@@ -51,9 +53,9 @@ from draftkit.grid import (
     replay_grid_certificate,
     solve_grid,
 )
-from draftkit.rules import draft_rule, problem_key, tabulated_rule
+from draftkit.rules import draft_rule, tabulated_rule
 
-from helpers import GRID_AXIOMS, bundle, distinct_problems
+from helpers import GRID_AXIOMS, bundle, distinct_problems, key_code
 
 
 def test_unsupported_axiom_refused_by_name():
@@ -107,13 +109,13 @@ def test_solver_exhaustiveness_matches_brute_force():
     wiped, doms = _root(weak.quotient)
     assert wiped is None and sum(d.bit_count() > 1 for d in doms) == 2
 
-    keys, problems = csp.keys, csp.problems
-    assert weak.keys == keys
+    problems = csp.problems
+    assert weak.keys == csp.keys == range(len(problems))
     cands = [oracle._all_allocations(p) for p in problems]
     brute, brute_weak = [], []
     for combo in product(*cands):
-        table = dict(zip(keys, combo))
-        rule = tabulated_rule("t", table)
+        table = list(combo)
+        rule = tabulated_rule("t", csp.index, table)
         if not check_nw(rule, dom).holds:
             continue
         if not check_wrp(rule, dom, (1, 2)).holds:
@@ -143,10 +145,7 @@ def _clique_colouring(n_vertices: int, n_colours: int) -> Network:
     unlike = [full & ~(1 << c) for c in range(n_colours)]  # the colours other than c
     edges = list(combinations(range(n_vertices), 2))
     constraints = [BinaryConstraint("≠", u, v, unlike, unlike) for u, v in edges]
-    return Network(
-        list(range(n_vertices)), [list(range(n_colours))] * n_vertices, [full] * n_vertices,
-        constraints,
-    )
+    return Network([list(range(n_colours))] * n_vertices, [full] * n_vertices, constraints)
 
 
 def _without_inner_steps(node: InfeasibilityCertificate, root: bool = True):
@@ -281,7 +280,7 @@ def test_survivors_pass_the_axiom_suite():
     dom = fixed_domain(2, 2)
     csp = build_csp(dom, ["WRP", "EF1", "NW", "RM"], priority=(1, 2))
     res = solve_csp(csp, mode="find-all")
-    for rule in solutions_as_rules(res):
+    for rule in solutions_as_rules(csp, res):
         assert check_nw(rule, dom).holds
         assert check_wrp(rule, dom, (1, 2)).holds
         assert check_ef1(rule, dom).holds
@@ -346,7 +345,7 @@ CSP_CASES = [
 def test_build_csp_matches_scalar_build(domain, axioms, priority):
     csp = build_csp(domain, axioms, priority)
     keys, candidates, constraints = oracle.build_csp(domain, axioms, priority)
-    assert csp.keys == keys
+    assert [oracle.problem_key(p) for p in csp.problems] == keys
     assert csp.network.candidates == candidates
     assert csp.network.constraints == constraints
 
@@ -357,7 +356,7 @@ KEY_IDS = ["fixed33", "quota24", "unacceptable23"]
 
 @pytest.mark.parametrize("domain", KEY_DOMAINS, ids=KEY_IDS)
 def test_distinct_problems_is_the_first_occurrence_scan(domain):
-    assert distinct_problems(domain) == oracle.distinct_problems(domain)
+    assert distinct_problems(domain) == oracle.distinct_problems(domain)[1]
 
 
 def _domain_id(d):
@@ -370,10 +369,67 @@ CASE_DOMAINS = list(dict.fromkeys(d for d, _, _ in CSP_CASES))
 
 @pytest.mark.parametrize("domain", CASE_DOMAINS, ids=map(_domain_id, CASE_DOMAINS))
 def test_keys_are_the_problem_keys_of_their_problems(domain):
-    keys, problems = distinct_problems(domain)
-    assert keys == [problem_key(p) for p in problems]
+    """Key k's first problem has code k, and a search's keys are those codes."""
+    problems, index = distinct_problems(domain), ProblemKeys(domain)
+    assert [key_code(index, p) for p in problems] == list(range(len(problems)))
     csp = build_csp(domain, ())
-    assert csp.keys == keys and csp.problems == problems
+    assert csp.keys == range(len(problems)) and csp.problems == problems
+
+
+def _problem_codes(domain):
+    """Per problem of `problems()`, in order: the code `ProblemKeys.find` gives it from the
+    full-space indexes that `locate` reads off its own profile, and its oracle key."""
+    index, codes, keys = ProblemKeys(domain), [], []
+    for (agents, x), group in groupby(domain.problems(), lambda p: (p.agents, p.available)):
+        group = list(group)
+        prefs = tuple(dict.fromkeys(q for p in group for q in p.profile))
+        b, full = index.locate(domain.variant, agents, x, domain.quotas, prefs)
+        at = dict(zip(prefs, full.tolist()))
+        codes += index.find(b, np.array([[at[q] for q in p.profile] for p in group])).tolist()
+        keys += map(oracle._problem_key, group)
+    return codes, keys
+
+
+KEY_CODE_DOMAINS = CASE_DOMAINS + [variable_domain(2, 3)]
+
+
+@pytest.mark.parametrize(
+    "domain", KEY_CODE_DOMAINS, ids=[*map(_domain_id, CASE_DOMAINS), "variable2x3"]
+)
+def test_key_codes_group_problems_as_problem_keys(domain):
+    """Two problems share a key code exactly when they share the oracle's `problem_key`, and
+    the codes are numbered in the order `problems()` first meets their keys."""
+    codes, keys = _problem_codes(domain)
+    first: dict = {}
+    assert codes == [first.setdefault(key, len(first)) for key in keys]
+
+
+# the 16 survivors of WRP+NW+RM on fixed 2x2, and the one of each characterization (T1, T6, T7)
+CHARACTERIZATIONS = (
+    ("WRP", "EF1", "NW", "RM"), ("WRPq", "EF1", "NWq", "RM"), ("WRP*", "EF1", "NW*", "RM", "IR", "TI")
+)
+SURVIVOR_CASES = [(fixed_domain(2, 2), ("WRP", "NW", "RM"), (1, 2))] + [
+    case for case in CSP_CASES if case[1] in CHARACTERIZATIONS
+]
+
+
+@pytest.mark.parametrize(
+    "domain, axioms, priority",
+    SURVIVOR_CASES,
+    ids=[f"{_domain_id(d)}-{'+'.join(a)}-{p[0]}" for d, a, p in SURVIVOR_CASES],
+)
+def test_survivors_allocate_every_problem_as_the_key_lookup(domain, axioms, priority):
+    """Each survivor, as a tabulated rule, allocates every problem of the domain, not only
+    each key's first problem, as a lookup of the problem's `problem_key` in the table does."""
+    csp = build_csp(domain, axioms, priority)
+    res = solve_csp(csp)
+    assert res.status == "sat"
+    lookup = {oracle.problem_key(p): k for k, p in enumerate(csp.problems)}
+    codes = [lookup[oracle._problem_key(p)] for p in domain.problems()]
+    for table, rule in zip(res.solutions, solutions_as_rules(csp, res)):
+        sw = FixedSweep(rule, domain)
+        got = np.concatenate([sw.grid(xi) for xi in range(len(sw.xs))])
+        assert np.array_equal(got, np.array(table, dtype=np.uint8)[codes])
 
 
 # --- the slot-factored unary table against the all-rows loop -------------------
@@ -605,7 +661,7 @@ def test_propagation_revises_a_self_loop_from_both_ends():
     """A constraint between two keys of one orbit links their representative to itself; its
     second end is revised through the backward masks: candidate 1 supports nothing there."""
     loop = BinaryConstraint("loop", 0, 0, [0b01, 0b01], [0b11, 0b00])
-    net, doms = Network([0], [[0, 1]], [0b11], [loop]), [0b11]
+    net, doms = Network([[0, 1]], [0b11], [loop]), [0b11]
     assert _propagate_csp(net, doms, [0], SolveStats(), 10, []) is None
     assert doms == [0b01]
 

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 import scalar_checkers as oracle
-from draftkit.axioms import fixed_domain, quota_domain, unacceptable_domain, variable_domain
+from draftkit.axioms import (
+    ProblemDomain,
+    ProblemKeys,
+    fixed_domain,
+    quota_domain,
+    unacceptable_domain,
+    variable_domain,
+)
 from draftkit.core import (
     INFINITE,
     PickingSequence,
@@ -31,7 +38,6 @@ from draftkit.rules import (
     pick_table,
     piecewise_rule,
     population_rm_counterexample,
-    problem_key,
     quota_draft_rule,
     rm_counterexample,
     sequence_draft_rule,
@@ -43,7 +49,7 @@ from draftkit.rules import (
     wrp_counterexample,
 )
 
-from helpers import as_sets, bundle, fixed_problem, naive_draft, pref, unacc_problem
+from helpers import as_sets, bundle, fixed_problem, key_code, naive_draft, pref, unacc_problem
 
 WORKED_EXAMPLE = fixed_problem("abcd", "cdba", "adcb")
 
@@ -244,12 +250,23 @@ def test_counterexample_rules_dispatch():
 
 
 def test_tabulated_rule_lookup_and_miss():
+    """A code table allocates its entry at each key; a problem outside the index's domain
+    raises KeyError: another available set, population, variant, quotas or preference."""
+    index = ProblemKeys(ProblemDomain("fixed", 2, ((1, 2),), (bundle("ab"),)))
+    splits = [(bundle("a"), bundle("b")), (bundle("b"), bundle("a")), (bundle("ab"), 0), (0, 0)]
+    rule = tabulated_rule("t", index, splits)
+    assert [rule.allocate(p) for p in index.problems(0)] == splits
     prob = fixed_problem("ab", "ba")
-    table = {problem_key(prob): (bundle("b"), bundle("a"))}
-    rule = tabulated_rule("t", table)
-    assert rule.allocate(prob) == (bundle("b"), bundle("a"))
-    with pytest.raises(KeyError):
-        rule.allocate(fixed_problem("ab", "ab"))
+    assert rule.allocate(prob) == splits[key_code(index, prob)] == splits[1]
+    for outside in (
+        fixed_problem("ab", "ba", available="a"),
+        Problem("fixed", (1, 3), bundle("ab"), prob.profile),
+        Problem("quota", (1, 2), bundle("ab"), prob.profile, (1, 1)),
+        Problem("unacceptable", (1, 2), bundle("ab"), (pref("a|b"), pref("ba"))),
+        fixed_problem("abc", "bac", available="ab"),
+    ):
+        with pytest.raises(KeyError, match="rule 't' is not defined at this problem"):
+            rule.allocate(outside)
 
 
 def test_engine_only_rules_refuse_problems_past_eight_objects():
@@ -268,9 +285,12 @@ def test_engine_only_rules_refuse_problems_past_eight_objects():
 
 
 def test_problem_key_restricts_to_available():
+    """The oracle's key, and the key code that stands for it, restrict to the available set."""
     a = fixed_problem("abc", "bca", available="ab")
     b = fixed_problem("acb", "bac", available="ab")  # same restriction to {a,b}
-    assert problem_key(a) == problem_key(b)
+    assert oracle.problem_key(a) == oracle.problem_key(b)
+    index = ProblemKeys(fixed_domain(2, 3))
+    assert key_code(index, a) == key_code(index, b)
 
 
 def test_trace_replays_greedily_and_validates():

@@ -24,6 +24,7 @@ from draftkit import axioms, packed, verifier
 from draftkit.axioms import (
     OBJECT_NAMES,
     FixedSweep,
+    ProblemKeys,
     VariableSweep,
     all_priorities,
     fixed_domain,
@@ -56,7 +57,6 @@ from draftkit.rules import (
     pairwise_consistency_counterexample,
     piecewise_rule,
     population_rm_counterexample,
-    problem_key,
     quota_draft_rule,
     rm_counterexample,
     rm_star_counterexample,
@@ -71,7 +71,7 @@ from draftkit.rules import (
     wrp_star_counterexample,
 )
 
-from helpers import distinct_problems, pref
+from helpers import code_table, distinct_problems, pref
 
 DEVIATION = ("check_sp", "check_wsp", "check_msp_certificate")
 PAIRWISE = ("check_ef", "check_ef1", "check_rm")
@@ -271,16 +271,13 @@ TABLE_DOMAINS = {  # domain and draft of each kind of random table
 
 @lru_cache(maxsize=None)
 def _table_space(kind: str):
-    """Distinct problem keys of a domain, their candidate allocations, and the draft's pick."""
+    """A domain's key index and, by key code, each key's first problem, its candidate
+    allocations and the draft's allocation."""
     domain, base = TABLE_DOMAINS[kind]
-    keys, cands, table = [], [], {}
-    for prob in domain.problems():
-        key = problem_key(prob)
-        if key not in table:
-            keys.append(key)
-            cands.append(oracle._all_allocations(prob))
-            table[key] = base.allocate(prob)
-    return domain, keys, cands, table
+    index = ProblemKeys(domain)
+    problems = [prob for b in range(len(index.blocks)) for prob in index.problems(b)]
+    cands = [oracle._all_allocations(prob) for prob in problems]
+    return domain, index, problems, cands, [base.allocate(prob) for prob in problems]
 
 
 def _engine_cases():
@@ -326,18 +323,29 @@ def _engine_cases():
         rules["neutrality-cx"] = (neutrality_counterexample(pi, 0), oracle.neutrality_runner(pi, 0))
     tables = {"fixed23": "fixed", "unacceptable22": "unacceptable", "variable23": "variable"}
     for label, kind in tables.items():
-        domain, keys, cands, _ = _table_space(kind)
+        domain, index, problems, cands, base = _table_space(kind)
         rules, draft = cases.setdefault(label, (domain, {}))[1], TABLE_DOMAINS[kind][1]
-        for seed in range(2):  # complete, half with the draft as fallback, half without one
+        keys = [oracle.problem_key(prob) for prob in problems]
+        # every other available set: a table over its keys misses the domain's other sets
+        part = ProblemKeys(replace(domain, available_sets=domain.available_sets[::2]))
+        part_keys = [oracle.problem_key(p) for b in range(len(part.blocks)) for p in part.problems(b)]
+        for seed in range(2):  # complete; half of it over the draft; every other set only
             rng = Random(seed)
-            table = {key: rng.choice(cand) for key, cand in zip(keys, cands)}
-            half = dict(rng.sample(list(table.items()), len(table) // 2))
-            for name, args in (
-                (f"tabulated-{seed}", (table,)),
-                (f"tabulated-fallback-{seed}", (half, draft)),
-                (f"tabulated-miss-{seed}", (half,)),
+            table = [rng.choice(cand) for cand in cands]
+            half, over_draft = rng.sample(range(len(table)), len(table) // 2), list(base)
+            for k in half:
+                over_draft[k] = table[k]
+            lookup = dict(zip(keys, table))
+            part_table = [lookup[key] for key in part_keys]
+            for name, at, codes, *runner in (
+                (f"tabulated-{seed}", index, table, lookup),
+                (
+                    f"tabulated-fallback-{seed}", index, over_draft,
+                    {keys[k]: table[k] for k in half}, draft,
+                ),
+                (f"tabulated-miss-{seed}", part, part_table, dict(zip(part_keys, part_table))),
             ):
-                rules[name] = (tabulated_rule(name, *args), oracle.tabulated_runner(name, *args))
+                rules[name] = (tabulated_rule(name, at, codes), oracle.tabulated_runner(name, *runner))
     for label, (domain, rules) in cases.items():
         for name, rule in rules.items():
             rule, runner = rule if isinstance(rule, tuple) else (rule, oracle.scalar_runner(rule))
@@ -500,15 +508,38 @@ def test_engines_raise_their_scalar_engines_errors(rule, domain, error, message)
 
 
 @st.composite
-def tabulated_rules(draw, kind: str):
-    """The draft with a few cells redrawn at random, declared invariant or not."""
-    domain, keys, cands, base = _table_space(kind)
-    table = dict(base)
+def code_tables(draw, kind: str):
+    """The draft's code table with a few cells redrawn at random."""
+    domain, index, _, cands, base = _table_space(kind)
+    table = list(base)
     for _ in range(draw(st.integers(0, 5))):
-        k = draw(st.integers(0, len(keys) - 1))
-        table[keys[k]] = cands[k][draw(st.integers(0, len(cands[k]) - 1))]
-    rule = tabulated_rule("random", table)
+        k = draw(st.integers(0, len(table) - 1))
+        table[k] = cands[k][draw(st.integers(0, len(cands[k]) - 1))]
+    return domain, index, table
+
+
+@st.composite
+def tabulated_rules(draw, kind: str):
+    """A random code table's rule, declared invariant or not."""
+    domain, index, table = draw(code_tables(kind))
+    rule = tabulated_rule("random", index, table)
     return domain, replace(rule, restriction_invariant=draw(st.booleans()))
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(st.sampled_from(["fixed", "unacceptable", "variable"]).flatmap(code_tables))
+def test_code_tables_allocate_every_problem_as_the_key_lookup(case):
+    """A code table's rule allocates every problem of its domain, a block at a time and one
+    problem at a time, not only each key's first problem, as a lookup of the problem's
+    `problem_key` in the table does."""
+    domain, index, table = case
+    firsts = [prob for b in range(len(index.blocks)) for prob in index.problems(b)]
+    lookup = dict(zip(map(oracle.problem_key, firsts), table))
+    expected = [lookup[oracle.problem_key(prob)] for prob in domain.problems()]
+    rule = tabulated_rule("random", index, table)
+    sw = axioms._sweep(rule, domain)
+    assert [tuple(row) for key in sw.blocks() for row in sw.rows(key).tolist()] == expected
+    assert [rule.allocate(prob) for prob in domain.problems()] == expected
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -809,9 +840,8 @@ def test_rt_closure_finds_a_three_agent_cycle():
 def test_rt_witness_of_a_tabulated_rule_passing_nw():
     profile = (Preference((0, 1, 2, 3)), Preference((3, 2, 1, 0)))
     special = Problem("fixed", (1, 2), 0b1111, profile)
-    table = {problem_key(special): (0b0101, 0b1010)}
-    rule = tabulated_rule("swap-tops", table, fallback=draft_rule((1, 2)))
     domain = fixed_domain(2, 4)
+    rule = code_table("swap-tops", domain, draft_rule((1, 2)), {special: (0b0101, 0b1010)})
     assert axioms.check_nw(rule, domain).holds
     rep = axioms.check_rt(rule, domain)
     assert rep == oracle.check_rt(rule, domain)
@@ -835,7 +865,7 @@ def test_rt_witness_of_a_tabulated_rule_passing_nw():
 )
 def test_pareto_oracle_matches_scalar_oracle(domain):
     """Every allocation at every problem key, the keys of one available set in one call."""
-    keys = distinct_problems(domain)[1]
+    keys = distinct_problems(domain)
     for x in domain.available_sets:
         probs = [prob for prob in keys if prob.available == x]
         allocs = oracle._all_allocations(probs[0])
